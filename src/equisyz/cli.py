@@ -368,12 +368,21 @@ def build_parser():
     return parser
 
 
+def _parse(argv):
+    """Parsed arguments, or None when argparse rejects argv."""
+    try:
+        return build_parser().parse_args(argv)
+    except SystemExit:
+        return None
+
+
 def run(argv):
     """Parse arguments, run the command, return (exit code, report dict)."""
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit:
+    return _execute(_parse(argv))
+
+
+def _execute(args):
+    if args is None:
         return EXIT_INPUT, {"error": "unrecognized arguments"}
     func, default_checks, allowed = COMMANDS[args.command]
     try:
@@ -429,13 +438,9 @@ def render_text(report):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    code, report = run(argv)
-    fmt = "text"
-    if "--format" in argv:
-        idx = argv.index("--format")
-        if idx + 1 < len(argv):
-            fmt = argv[idx + 1]
-    if fmt == "json":
+    args = _parse(argv)
+    code, report = _execute(args)
+    if args is not None and args.format == "json":
         print(json.dumps(report, sort_keys=True, indent=2))
     else:
         print(render_text(report))

@@ -8,8 +8,10 @@ Hilbert series from staircase counts.  Coefficients are exact rationals
 throughout; nothing here ever touches a float.
 """
 
+import heapq
 import re
 from fractions import Fraction
+from operator import mul, neg
 
 __all__ = [
     "GradedPolynomialRing", "Polynomial", "Vector", "RingMap", "HilbertSeries",
@@ -117,16 +119,21 @@ class GradedPolynomialRing:
         return Polynomial(self, out)
 
     def weighted_degree(self, exps):
-        return sum(e * d for e, d in zip(exps, self.degrees))
+        return sum(map(mul, exps, self.degrees))
 
     def monomial_key(self, exps):
         # degrevlex refined by weighted degree: larger key = larger monomial
-        return (self.weighted_degree(exps), tuple(-e for e in reversed(exps)))
+        return (self.weighted_degree(exps), tuple(map(neg, reversed(exps))))
 
     def vector_key(self, col_exps):
         # position over term, earlier columns greater
         col, exps = col_exps
         return (-col,) + self.monomial_key(exps)
+
+    def heap_key(self, col_exps):
+        # vector_key negated entry by entry: smaller key = larger term (heapq)
+        col, deg, rev = self.vector_key(col_exps)
+        return (-col, -deg, tuple(map(neg, rev)))
 
     def parse(self, text):
         """Parse polynomial text like ``3/2*x^2*y - y^3``."""
@@ -357,14 +364,19 @@ class RingMap:
 
 
 class Vector:
-    """Element of a free module R^rank, stored as {(col, exps): coeff}."""
+    """Element of a free module R^rank, stored as {(col, exps): coeff}.
 
-    __slots__ = ("ring", "rank", "data")
+    Immutable: data is never written after construction, so the lead is
+    computed once and cached in _lead.
+    """
+
+    __slots__ = ("ring", "rank", "data", "_lead")
 
     def __init__(self, ring, rank, data):
         self.ring = ring
         self.rank = rank
         self.data = {k: c for k, c in data.items() if c}
+        self._lead = None
 
     @classmethod
     def from_polys(cls, polys, rank=None):
@@ -426,8 +438,10 @@ class Vector:
         return out
 
     def lead(self):
-        k = max(self.data, key=self.ring.vector_key)
-        return k, self.data[k]
+        if self._lead is None:
+            k = max(self.data, key=self.ring.vector_key)
+            self._lead = (k, self.data[k])
+        return self._lead
 
     def monic(self):
         if not self.data:
@@ -467,34 +481,53 @@ def s_vector(f, g):
 def divide(f, divisors):
     """Full division: f = sum(q_i * divisors[i]) + remainder.
 
-    No remainder term is divisible by any divisor's lead.  Returns
-    (quotients as Polynomials, remainder Vector).
+    No remainder term is divisible by any divisor's lead; each term is
+    reduced by the first divisor (in list order) whose lead divides it.
+    Returns (quotients as Polynomials, remainder Vector).
+
+    The pending terms of the dividend sit in a heap keyed by
+    ring.heap_key (Monagan-Pearce); a cancelled term stays in the heap and
+    is skipped when popped.  Reduction only adds terms smaller than the one
+    reduced, so a popped term never re-enters.
     """
     ring = f.ring
-    leads = [g.lead() for g in divisors]
+    key = ring.heap_key
+    by_col = {}
+    for i, g in enumerate(divisors):
+        (col, exps), lc = g.lead()
+        by_col.setdefault(col, []).append((i, exps, lc))
     quots = [{} for _ in divisors]
     rem = {}
     p = dict(f.data)
-    while p:
-        key = max(p, key=ring.vector_key)
-        coeff = p[key]
-        col, exps = key
-        for i, ((gc, ge), glc) in enumerate(leads):
-            if gc == col and _mono_divides(ge, exps):
+    heap = [(key(t), t) for t in p]
+    heapq.heapify(heap)
+    while heap:
+        t = heapq.heappop(heap)[1]
+        coeff = p.get(t)
+        if coeff is None:
+            continue
+        col, exps = t
+        for i, ge, glc in by_col.get(col, ()):
+            if _mono_divides(ge, exps):
                 q = _mono_div(exps, ge)
                 factor = coeff / glc
-                quots[i][q] = quots[i].get(q, Fraction(0)) + factor
+                quots[i][q] = factor  # t is reduced once, so q is new
                 for (c2, e2), v2 in divisors[i].data.items():
-                    k2 = (c2, _mono_mul(e2, q))
-                    s = p.get(k2, Fraction(0)) - factor * v2
-                    if s:
-                        p[k2] = s
+                    t2 = (c2, _mono_mul(e2, q))
+                    old = p.get(t2)
+                    if old is None:
+                        p[t2] = -factor * v2
+                        heapq.heappush(heap, (key(t2), t2))
                     else:
-                        p.pop(k2, None)
+                        s = old - factor * v2
+                        if s:
+                            p[t2] = s
+                        else:
+                            del p[t2]
                 break
         else:
-            rem[key] = coeff
-            del p[key]
+            rem[t] = coeff
+            del p[t]
     return ([Polynomial(ring, q) for q in quots],
             Vector(ring, f.rank, rem))
 
@@ -556,17 +589,14 @@ def _update_pairs(basis, pairs, leads, new, ring):
     return kept
 
 
-def buchberger(vectors, reduce_output=True, select="normal"):
+def buchberger(vectors):
     """Reduced Groebner basis of the submodule generated by the vectors.
 
-    Pair selection is by smallest lcm in the module order ("normal") or by
-    smallest sugar degree first ("sugar"; identical behaviour on homogeneous
-    input, where the sugar of a pair is its lcm degree).  Chain elimination
-    is always on; the product criterion is applied only to single-column
-    (ideal-like) elements.  Deterministic for a fixed input order.
+    Pairs are selected by smallest lcm in the module order.  Chain
+    elimination is always on; the product criterion is applied only to
+    single-column (ideal-like) elements.  Deterministic for a fixed input
+    order.
     """
-    if select not in ("normal", "sugar"):
-        raise ValueError("unknown selection strategy %r" % select)
     vectors = [v.monic() for v in vectors if not v.is_zero()]
     if not vectors:
         return []
@@ -574,8 +604,6 @@ def buchberger(vectors, reduce_output=True, select="normal"):
 
     def pair_key(p):
         lcm = (leads[p[0]][0], _mono_lcm(leads[p[0]][1], leads[p[1]][1]))
-        if select == "sugar":
-            return (ring.weighted_degree(lcm[1]), ring.vector_key(lcm), p)
         return (ring.vector_key(lcm), p)
 
     basis = []
@@ -595,8 +623,6 @@ def buchberger(vectors, reduce_output=True, select="normal"):
         basis.append(r.monic())
         leads.append(r.lead()[0])
         pairs = _update_pairs(basis, pairs, leads, len(basis) - 1, ring)
-    if not reduce_output:
-        return basis
     # minimalize: drop elements whose lead is divisible by another lead
     keep = []
     for i, v in enumerate(basis):
@@ -694,7 +720,7 @@ def syzygy_basis(ring, rank, gens):
     return SubmoduleGB(ring, rank, gens).syzygies()
 
 
-def groebner_basis(generators, col_degrees=None, select="normal"):
+def groebner_basis(generators, col_degrees=None):
     """Reduced Groebner basis of polynomials or free-module vectors.
 
     Inhomogeneous input is rejected: polynomials must be homogeneous, and
@@ -710,21 +736,22 @@ def groebner_basis(generators, col_degrees=None, select="normal"):
             if col_degrees is not None and not g.is_zero():
                 g.homogeneous_degree(col_degrees)
             vecs.append(g)
-    return buchberger(vecs, select=select)
+    return buchberger(vecs)
 
 
 # ---------------------------------------------------------------------------
 # Hilbert series
 
-_staircase_memo = {}
 
+def _staircase_numerator(ring, gens, memo):
+    """Numerator of Hilb(R/I) over prod(1-q^d_i) for a monomial ideal I.
 
-def _staircase_numerator(ring, gens):
-    """Numerator of Hilb(R/I) over prod(1-q^d_i) for a monomial ideal I."""
+    memo maps minimal generator tuples to numerators; it belongs to one
+    quotient_hilbert_series call.
+    """
     gens = _minimal_monomials(gens)
-    key = (ring, gens)
-    if key in _staircase_memo:
-        return _staircase_memo[key]
+    if gens in memo:
+        return memo[gens]
     if any(all(e == 0 for e in g) for g in gens):
         out = {}
     elif not gens:
@@ -747,10 +774,10 @@ def _staircase_numerator(ring, gens):
             colon = [tuple(e - 1 if i == best and e > 0 else e
                            for i, e in enumerate(g)) for g in gens]
             out = qpoly_add(
-                _staircase_numerator(ring, plus),
-                qpoly_shift(_staircase_numerator(ring, colon),
+                _staircase_numerator(ring, plus, memo),
+                qpoly_shift(_staircase_numerator(ring, colon, memo),
                             ring.degrees[best]))
-    _staircase_memo[key] = out
+    memo[gens] = out
     return out
 
 
@@ -908,7 +935,8 @@ def quotient_hilbert_series(ring, col_degrees, gb):
         (col, exps), _ = v.lead()
         per_col[col].append(exps)
     num = {}
+    memo = {}
     for i, gdeg in enumerate(col_degrees):
         num = qpoly_add(num, qpoly_shift(_staircase_numerator(
-            ring, tuple(per_col[i])), gdeg))
+            ring, tuple(per_col[i]), memo), gdeg))
     return HilbertSeries(num, ring.degrees)

@@ -29,6 +29,50 @@ def random_homogeneous(ring, degree, rng, density=0.7, bound=3):
     return Polynomial(ring, out)
 
 
+def reference_divide(f, divisors):
+    """Full division that rescans the dividend for its largest term each step.
+
+    The straightforward form of polyring.divide, kept as the reference it is
+    tested against: same reduction rule (the first divisor whose lead
+    divides), same quotients and remainder.
+    """
+    ring = f.ring
+    leads = [g.lead() for g in divisors]
+    quots = [{} for _ in divisors]
+    rem = {}
+    p = dict(f.data)
+    while p:
+        key = max(p, key=ring.vector_key)
+        coeff = p[key]
+        col, exps = key
+        for i, ((gc, ge), glc) in enumerate(leads):
+            if gc == col and all(a <= b for a, b in zip(ge, exps)):
+                q = tuple(a - b for a, b in zip(exps, ge))
+                factor = coeff / glc
+                quots[i][q] = quots[i].get(q, Fraction(0)) + factor
+                for (c2, e2), v2 in divisors[i].data.items():
+                    k2 = (c2, tuple(a + b for a, b in zip(e2, q)))
+                    s = p.get(k2, Fraction(0)) - factor * v2
+                    if s:
+                        p[k2] = s
+                    else:
+                        p.pop(k2, None)
+                break
+        else:
+            rem[key] = coeff
+            del p[key]
+    return ([Polynomial(ring, q) for q in quots],
+            Vector(ring, f.rank, rem))
+
+
+def random_vector(ring, col_degrees, degree, rng, first_col=0):
+    """Random homogeneous vector of the given degree, zero before first_col."""
+    polys = [random_homogeneous(ring, degree - d, rng)
+             if i >= first_col and degree >= d else ring.zero()
+             for i, d in enumerate(col_degrees)]
+    return Vector.from_polys(polys, len(col_degrees))
+
+
 def random_module(ring, rng, max_gens=3, max_rels=3):
     ngens = rng.randint(1, max_gens)
     gdegs = sorted(rng.choice([0, 0, 2, 4]) for _ in range(ngens))

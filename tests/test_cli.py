@@ -1,7 +1,7 @@
 import json
 import os
 
-from equisyz.cli import run, render_text, EXIT_PASS, EXIT_FAIL, EXIT_INPUT
+from equisyz.cli import main, run, render_text, EXIT_PASS, EXIT_FAIL, EXIT_INPUT
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 
@@ -160,6 +160,15 @@ def test_json_report_is_serializable():
     code, report = run(["filtration-verify", data_path("free_circle.json")])
     blob = json.dumps(report, sort_keys=True)
     assert json.loads(blob)["status"] == "pass"
+
+
+def test_main_format_json_both_spellings(capsys):
+    path = data_path("s2.json")
+    for argv in (["gkm", path, "--format", "json"], ["gkm", path, "--format=json"]):
+        assert main(argv) == EXIT_PASS
+        assert json.loads(capsys.readouterr().out) == run(argv)[1]
+    assert main(["gkm", path]) == EXIT_PASS
+    assert capsys.readouterr().out.startswith("gkm: pass")
 
 
 def test_unknown_check_name_rejected():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,7 +8,7 @@ from equisyz.polyring import (
     normal_form, divide, SubmoduleGB, syzygy_basis, quotient_hilbert_series,
     HilbertSeries,
 )
-from helpers import random_homogeneous
+from helpers import random_homogeneous, random_vector, reference_divide
 
 
 @pytest.fixture
@@ -118,14 +119,6 @@ def test_groebner_basis_rejects_inhomogeneous(R):
     assert {str(v.component(0)) for v in gb} == {"x^2", "x*y + y^2", "y^3"}
 
 
-def test_sugar_selection_agrees_on_homogeneous_input(R):
-    x, y = R.vars()
-    gens = [Vector.from_polys([p], 1) for p in (x ** 2 - y ** 2, x * y ** 2, y ** 4)]
-    assert buchberger(gens, select="sugar") == buchberger(gens)
-    with pytest.raises(ValueError):
-        buchberger(gens, select="mystery")
-
-
 def test_normal_form_examples(R):
     x, y = R.vars()
     assert normal_form(x ** 2, [x]).is_zero()
@@ -162,6 +155,60 @@ def test_division_certificate(R):
             for d in divisors:
                 (dc, de), _ = d.lead()
                 assert not (dc == col and all(a <= b for a, b in zip(de, exps)))
+
+
+def test_divide_matches_reference_on_random_modules():
+    rng = random.Random(2024)
+    ring = GradedPolynomialRing(["x", "y", "z"], [2, 2, 4])
+    for _ in range(40):
+        col_degrees = sorted(rng.choice([0, 2, 4]) for _ in range(rng.randint(1, 3)))
+        divisors = []
+        for _ in range(rng.randint(1, 5)):
+            # few lead columns, so several divisors share one
+            g = random_vector(ring, col_degrees, max(col_degrees) + rng.choice([2, 4]),
+                              rng, first_col=rng.randrange(len(col_degrees)))
+            if not g.is_zero():
+                divisors.append(g)
+        if not divisors:
+            continue
+        if rng.random() < 0.3:
+            divisors.append(divisors[0].scale(rng.choice([2, -3])))  # same lead
+        if rng.random() < 0.3:
+            # a lower-degree tail makes reduction add terms of another
+            # degree, so the order across degrees matters
+            g = divisors[-1]
+            divisors[-1] = g + random_vector(ring, col_degrees,
+                                             g.homogeneous_degree(col_degrees) - 2, rng)
+        f = random_vector(ring, col_degrees, max(col_degrees) + 8, rng)
+        quots, rem = divide(f, divisors)
+        ref_quots, ref_rem = reference_divide(f, divisors)
+        assert quots == ref_quots and rem == ref_rem
+        back = rem
+        for q, g in zip(quots, divisors):
+            back = back + g.poly_mul(q)
+        assert back == f
+        leads = [g.lead()[0] for g in divisors]
+        for (col, exps) in rem.data:
+            assert not any(dc == col and all(a <= b for a, b in zip(de, exps))
+                           for dc, de in leads)
+
+
+def test_reduced_gb_matches_sympy_grevlex():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(17)
+    ring = GradedPolynomialRing(["x", "y", "z"])
+    gens = sympy.symbols("x y z")
+    for _ in range(20):
+        polys = [random_homogeneous(ring, 2 * rng.choice([2, 3]), rng, density=0.5)
+                 for _ in range(rng.randint(2, 4))]
+        polys = [p for p in polys if not p.is_zero()]
+        ours = {frozenset(v.component(0).terms.items()) for v in groebner_basis(polys)}
+        exprs = [sympy.sympify(str(p).replace("^", "**")) for p in polys]
+        theirs = sympy.groebner(exprs, *gens, order="grevlex", domain="QQ")
+        theirs = {frozenset((exps, Fraction(c.p, c.q))
+                            for exps, c in sympy.Poly(g, *gens).terms())
+                  for g in theirs.exprs}
+        assert ours == theirs
 
 
 def test_syzygies_of_koszul_pair(R):
