@@ -10,11 +10,10 @@ construction on the dual complex gives equivariant homology.
 
 from fractions import Fraction
 
-from .polyring import _fr
+from .polyring import _fr, _mat_mul
 from .gradmod import (
-    FreeModule, ModuleMap, FPModule, minimal_generating_indices,
-    _degrees_of, _kernel_submodule, cohen_macaulay, ext_module,
-    iso_surrogate_equal,
+    FreeModule, ModuleMap, fp_homology, cohen_macaulay, ext_module,
+    iso_surrogate_equal, _map_between_free_fp, _matrix_product,
 )
 
 __all__ = [
@@ -29,12 +28,6 @@ def _matrix(rows, n):
     if len(out) != n or any(len(r) != n for r in out):
         raise ValueError("operator matrices must be square of the basis size")
     return tuple(tuple(r) for r in out)
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n))
-                       for j in range(n)) for i in range(n))
 
 
 def _mat_add(a, b):
@@ -93,20 +86,7 @@ class GStarModule:
 
     def poincare_polynomial(self):
         """Dimensions of the cohomology of (A, d) by degree."""
-        # rank computations over Q: dim H^n = dim ker d^n - rank d^{n-1}
-        degs = sorted(set(self.degrees))
-        out = {}
-        for ddeg in degs:
-            idx = [i for i, x in enumerate(self.degrees) if x == ddeg]
-            nxt = [i for i, x in enumerate(self.degrees) if x == ddeg + 1]
-            prv = [i for i, x in enumerate(self.degrees) if x == ddeg - 1]
-            d_here = [[self.d[i][j] for j in idx] for i in nxt]
-            d_prev = [[self.d[i][j] for j in prv] for i in idx]
-            dim_ker = len(idx) - _rank(d_here)
-            h = dim_ker - _rank(d_prev)
-            if h:
-                out[ddeg] = h
-        return out
+        return _cohomology_dims(self.degrees, self.d)
 
     def to_json(self):
         return {
@@ -135,6 +115,22 @@ def _cols_json(mat):
 
 def _cols_parse(cols, n):
     return [[_fr(cols[j][i]) for j in range(n)] for i in range(n)]
+
+
+def _cohomology_dims(degrees, d):
+    """{n: dim H^n} of a complex of Q-vector spaces with degree +1 matrix d."""
+    # rank computations over Q: dim H^n = dim ker d^n - rank d^{n-1}
+    out = {}
+    for ddeg in sorted(set(degrees)):
+        idx = [i for i, x in enumerate(degrees) if x == ddeg]
+        nxt = [i for i, x in enumerate(degrees) if x == ddeg + 1]
+        prv = [i for i, x in enumerate(degrees) if x == ddeg - 1]
+        d_here = [[d[i][j] for j in idx] for i in nxt]
+        d_prev = [[d[i][j] for j in prv] for i in idx]
+        h = len(idx) - _rank(d_here) - _rank(d_prev)
+        if h:
+            out[ddeg] = h
+    return out
 
 
 def _rank(rows):
@@ -194,16 +190,8 @@ class CartanComplex:
 
     def _squares_to_zero(self):
         ent = self.differential.entries
-        n = len(ent)
-        for i in range(n):
-            for j in range(n):
-                acc = self.ring.zero()
-                for k in range(n):
-                    if not ent[i][k].is_zero() and not ent[k][j].is_zero():
-                        acc = acc + ent[i][k] * ent[k][j]
-                if not acc.is_zero():
-                    return False
-        return True
+        square = _matrix_product(self.ring, ent, ent, len(ent))
+        return all(p.is_zero() for row in square for p in row)
 
     def specialized_at_zero(self):
         """The matrix of D with all ring variables set to zero (i.e. d)."""
@@ -219,15 +207,11 @@ def build_cartan(gstar, ring):
 
 def cartan_cohomology(complex_):
     """ker D / im D, presented as a finitely presented graded module."""
-    ring = complex_.ring
-    degrees = complex_.gstar.degrees
-    cols = complex_.differential.columns()
-    kernel = _kernel_submodule(ring, len(degrees), cols, [])
-    keep = minimal_generating_indices(kernel, degrees)
-    kernel = [kernel[i] for i in keep]
-    rels = _kernel_submodule(ring, len(degrees), kernel, cols)
-    mod = FPModule.from_columns(ring, _degrees_of(kernel, degrees), rels)
-    return mod.minimized()
+    D = complex_.differential
+    # D with its degrees raised by one ends where D starts
+    raised = ModuleMap(FreeModule(D.ring, [x + 1 for x in D.source.degrees]),
+                       D.source, D.entries)
+    return fp_homology(_map_between_free_fp(raised), _map_between_free_fp(D))
 
 
 def dualize_gstar(gstar):

@@ -16,13 +16,13 @@ import sys
 
 from .polyring import GradedPolynomialRing, Vector
 from .gradmod import (
-    FPModule, NEG_INF, betti_table, dimension, depth, cohen_macaulay,
-    syzygy_order, minimal_resolution, iso_surrogate_equal,
+    FPModule, NEG_INF, dimension, depth, cohen_macaulay, syzygy_order,
+    minimal_resolution, _betti_json,
 )
 from .weyl import group_from_json, GroupClosureError
 from .cartan import (
     GStarModule, build_cartan, cartan_cohomology, dualize_gstar,
-    equivariant_homology, uct_collapse_check,
+    equivariant_homology, uct_collapse_check, _cohomology_dims,
 )
 from .equivtop import (
     GKMGraph, FiltrationDatum, DatumError, gkm_cohomology, ab_cohomology,
@@ -59,10 +59,6 @@ def _na(name, theorem, details=None):
 def _from_report(rep):
     return {"name": rep.name, "theorem": rep.name, "verdict": rep.verdict,
             "details": rep.details}
-
-
-def _betti_json(module):
-    return sorted([[k, d, n] for (k, d), n in betti_table(module).items()])
 
 
 def _hilbert_json(module, nmax):
@@ -209,7 +205,8 @@ def run_cartan(obj, checks, nmax, seed):
     }
     # specializing the differential at 0 must recover the input complex
     poincare = gstar.poincare_polynomial()
-    specialized = _specialized_cohomology_dims(complex_)
+    specialized = _cohomology_dims(gstar.degrees,
+                                   complex_.specialized_at_zero())
     out.append(_check("specialized complex recovers the nonequivariant "
                       "cohomology", "cartan-restriction", specialized == poincare,
                       {"expected": sorted(poincare.items()),
@@ -225,23 +222,6 @@ def run_cartan(obj, checks, nmax, seed):
                 "details": {"shift": rep.shift}}
         out.append(item)
     return out, summary
-
-
-def _specialized_cohomology_dims(complex_):
-    from .cartan import GStarModule, _rank
-    mat = complex_.specialized_at_zero()
-    degs = complex_.gstar.degrees
-    out = {}
-    for ddeg in sorted(set(degs)):
-        idx = [i for i, x in enumerate(degs) if x == ddeg]
-        nxt = [i for i, x in enumerate(degs) if x == ddeg + 1]
-        prv = [i for i, x in enumerate(degs) if x == ddeg - 1]
-        d_here = [[mat[i][j] for j in idx] for i in nxt]
-        d_prev = [[mat[i][j] for j in prv] for i in idx]
-        h = len(idx) - _rank(d_here) - _rank(d_prev)
-        if h:
-            out[ddeg] = h
-    return out
 
 
 def run_gkm(obj, checks, nmax, seed):
@@ -334,15 +314,15 @@ def run_integrate(obj, checks, nmax, seed, klass=None):
     return out, {"value": str(value)}
 
 
+# command -> (runner, its checks: all run by default, and the only ones allowed)
 COMMANDS = {
-    "module-analyze": (run_module_analyze, ("betti",), ("betti",)),
-    "weyl-verify": (run_weyl_verify, (), ()),
-    "cartan": (run_cartan, ("uct",), ("uct",)),
-    "gkm": (run_gkm, ("cs", "pairing", "descend"), ("cs", "pairing", "descend")),
+    "module-analyze": (run_module_analyze, ("betti",)),
+    "weyl-verify": (run_weyl_verify, ()),
+    "cartan": (run_cartan, ("uct",)),
+    "gkm": (run_gkm, ("cs", "pairing", "descend")),
     "filtration-verify": (run_filtration_verify,
-                          ("cm", "ext", "partial", "gap", "ses"),
                           ("cm", "ext", "partial", "gap", "ses")),
-    "integrate": (run_integrate, (), ()),
+    "integrate": (run_integrate, ()),
 }
 
 
@@ -384,16 +364,19 @@ def run(argv):
 def _execute(args):
     if args is None:
         return EXIT_INPUT, {"error": "unrecognized arguments"}
-    func, default_checks, allowed = COMMANDS[args.command]
+    func, known = COMMANDS[args.command]
     try:
         obj = _load(args.input)
-        checks = (set(args.check.split(",")) if args.check
-                  else set(default_checks))
-        unknown = checks - set(allowed)
+        if not isinstance(obj, dict):
+            raise InputError("input must be a JSON object")
+        checks = set(args.check.split(",")) if args.check else set(known)
+        unknown = checks - set(known)
         if unknown:
             raise InputError("unknown checks for %s: %s"
                              % (args.command, ",".join(sorted(unknown))))
-        nmax = max(2 * args.max_degree, args.max_degree)
+        if args.max_degree < 0:
+            raise InputError("--max-degree must be nonnegative")
+        nmax = 2 * args.max_degree
         kwargs = {}
         if args.command == "integrate":
             if args.klass is None:

@@ -18,12 +18,12 @@ equivariant cohomology.  Longer filtrations are supplied as explicit data
 from math import gcd
 
 from .polyring import (
-    GradedPolynomialRing, Vector, SubmoduleGB, divide,
+    GradedPolynomialRing, Vector, SubmoduleGB, determinant, _exact_divide,
 )
 from .gradmod import (
     FreeModule, FPModule, FPMap, fp_kernel, fp_cokernel, fp_homology,
     cohen_macaulay, ext_module, syzygy_order, biduality, base_change,
-    iso_surrogate_equal,
+    iso_surrogate_equal, _betti_json,
 )
 from .weyl import WEquivariantFreeModule, group_from_json
 
@@ -403,12 +403,6 @@ def verify_ext_duality(datum, nmax=40):
                        {"positions": rows})
 
 
-def _betti_json(module):
-    from .gradmod import betti_table
-    table = betti_table(module)
-    return sorted([[k, d, n] for (k, d), n in table.items()])
-
-
 def partial_exactness_vs_syzygy(datum):
     """Largest exact initial part of the augmented complex against the
     syzygy order of the augmentation module; the two must agree."""
@@ -552,13 +546,6 @@ def integrate(graph, klass, kernel=None):
     return quot
 
 
-def _exact_divide(f, g):
-    q, rem = divide(Vector.from_polys([f], 1), [Vector.from_polys([g], 1)])
-    if rem.is_zero():
-        return q[0], True
-    return None, False
-
-
 def pairing_perfection(graph, kernel=None):
     """Gram matrix of the localized pairing on a free kernel basis.
 
@@ -581,7 +568,7 @@ def pairing_perfection(graph, kernel=None):
                  for k in range(basis[i].rank)])
             row.append(integrate(graph, prod, kernel=kernel))
         gram.append(row)
-    det = _poly_matrix_det(gram, graph.ring)
+    det = determinant(gram, graph.ring)
     unit = (not det.is_zero()) and set(det.terms) == {graph.ring.zero_exps}
     refl = biduality(kernel.module).reflexive
     verdict = "pass" if unit == refl else "fail"
@@ -591,19 +578,3 @@ def pairing_perfection(graph, kernel=None):
         "perfect": unit,
         "kernel_reflexive": refl,
     })
-
-
-def _poly_matrix_det(matrix, ring):
-    n = len(matrix)
-    if n == 0:
-        return ring.one()
-    if n == 1:
-        return matrix[0][0]
-    acc = ring.zero()
-    for i in range(n):
-        if matrix[i][0].is_zero():
-            continue
-        minor = [[matrix[r][c] for c in range(1, n)] for r in range(n) if r != i]
-        term = matrix[i][0] * _poly_matrix_det(minor, ring)
-        acc = acc - term if i % 2 else acc + term
-    return acc

@@ -10,11 +10,9 @@ Graded isomorphism is approximated throughout by equality of minimal Betti
 tables plus Hilbert series.
 """
 
-from fractions import Fraction
-
 from .polyring import (
-    Polynomial, Vector, SubmoduleGB,
-    buchberger, normal_form, syzygy_basis, quotient_hilbert_series,
+    Vector, SubmoduleGB, buchberger, normal_form, syzygy_basis,
+    quotient_hilbert_series,
 )
 
 NEG_INF = float("-inf")
@@ -93,14 +91,7 @@ class ModuleMap:
         return cls(source, target, entries, check=check)
 
     def columns(self):
-        out = []
-        for j in range(self.source.rank):
-            data = {}
-            for i in range(self.target.rank):
-                for e, c in self.entries[i][j].terms.items():
-                    data[(i, e)] = c
-            out.append(Vector(self.ring, self.target.rank, data))
-        return out
+        return _matrix_columns(self.ring, self.entries, self.source.rank)
 
     def is_zero(self):
         return all(e.is_zero() for row in self.entries for e in row)
@@ -109,19 +100,8 @@ class ModuleMap:
         """self after other."""
         if other.target != self.source:
             raise ValueError("maps not composable")
-        ring = self.ring
-        ent = []
-        for i in range(self.target.rank):
-            row = []
-            for j in range(other.source.rank):
-                acc = ring.zero()
-                for k in range(self.source.rank):
-                    a, b = self.entries[i][k], other.entries[k][j]
-                    if not a.is_zero() and not b.is_zero():
-                        acc = acc + a * b
-                row.append(acc)
-            ent.append(row)
-        return ModuleMap(other.source, self.target, ent)
+        return ModuleMap(other.source, self.target, _matrix_product(
+            self.ring, self.entries, other.entries, other.source.rank))
 
     def dual(self):
         """Hom(-, R): the transpose, between the dual free modules."""
@@ -131,6 +111,34 @@ class ModuleMap:
 
     def __repr__(self):
         return "ModuleMap(%dx%d)" % (self.target.rank, self.source.rank)
+
+
+def _matrix_columns(ring, entries, ncols):
+    """The ncols columns of a polynomial matrix, as Vectors."""
+    out = []
+    for j in range(ncols):
+        data = {}
+        for i, row in enumerate(entries):
+            for e, c in row[j].terms.items():
+                data[(i, e)] = c
+        out.append(Vector(ring, len(entries), data))
+    return out
+
+
+def _matrix_product(ring, a, b, ncols):
+    """Product of the polynomial matrices a and b; b has ncols columns."""
+    out = []
+    for row in a:
+        new = []
+        for j in range(ncols):
+            acc = ring.zero()
+            for x, brow in zip(row, b):
+                y = brow[j]
+                if not x.is_zero() and not y.is_zero():
+                    acc = acc + x * y
+            new.append(acc)
+        out.append(new)
+    return out
 
 
 def _degrees_of(vectors, ambient_degrees):
@@ -262,15 +270,8 @@ class FPModule:
                 if changed:
                     break
         tgt = FreeModule(ring, gdeg)
-        cols, degs = [], []
-        for j in range(len(cdeg)):
-            data = {}
-            for i in range(len(gdeg)):
-                for e, cf in rows[i][j].terms.items():
-                    data[(i, e)] = cf
-            v = Vector(ring, len(gdeg), data)
-            if not v.is_zero():
-                cols.append(v)
+        cols = [v for v in _matrix_columns(ring, rows, len(cdeg))
+                if not v.is_zero()]
         keep = minimal_generating_indices(cols, tgt.degrees)
         cols = [cols[i] for i in keep]
         src = FreeModule(ring, _degrees_of(cols, tgt.degrees))
@@ -302,27 +303,20 @@ class FPMap:
     """Map of finitely presented modules, as a matrix on generators."""
 
     def __init__(self, source, target, entries, check=True):
-        if source.ring != target.ring:
-            raise ValueError("ring mismatch")
         self.source = source
         self.target = target
-        self.entries = tuple(tuple(row) for row in entries)
-        if len(self.entries) != target.num_gens or any(
-                len(row) != source.num_gens for row in self.entries):
-            raise ValueError("matrix shape does not match generator counts")
+        # shape, ring and degrees: checked as the map of free modules on the
+        # generators; entries times the source relations must be relations
+        self.entries = ModuleMap(source.pmap.target, target.pmap.target,
+                                 entries, check=check).entries
         if check:
-            for i, row in enumerate(self.entries):
-                for j, ent in enumerate(row):
-                    if ent.is_zero():
-                        continue
-                    want = source.gens_degrees[j] - target.gens_degrees[i]
-                    if ent.homogeneous_degree() != want:
-                        raise ValueError("entry (%d,%d) is not homogeneous of degree %d"
-                                         % (i, j, want))
-            gb = self.target.relations_gb()
-            for col in self._mapped_relations():
-                if not gb.contains(col):
-                    raise ValueError("matrix does not respect the relations")
+            gb = target.relations_gb()
+            rels = source.pmap
+            mapped = _matrix_product(self.ring, self.entries, rels.entries,
+                                     rels.source.rank)
+            if not all(gb.contains(col) for col in
+                       _matrix_columns(self.ring, mapped, rels.source.rank)):
+                raise ValueError("matrix does not respect the relations")
 
     @property
     def ring(self):
@@ -335,53 +329,13 @@ class FPMap:
                    [[z] * source.num_gens for _ in range(target.num_gens)],
                    check=False)
 
-    def _mapped_relations(self):
-        out = []
-        for rel in self.source.relation_columns():
-            data = {}
-            for j in range(self.source.num_gens):
-                pj = rel.component(j)
-                if pj.is_zero():
-                    continue
-                for i in range(self.target.num_gens):
-                    ent = self.entries[i][j]
-                    if ent.is_zero():
-                        continue
-                    prod = ent * pj
-                    for e, c in prod.terms.items():
-                        key = (i, e)
-                        s = data.get(key, Fraction(0)) + c
-                        if s:
-                            data[key] = s
-                        else:
-                            data.pop(key, None)
-            out.append(Vector(self.ring, self.target.num_gens, data))
-        return out
-
     def columns(self):
-        out = []
-        for j in range(self.source.num_gens):
-            data = {}
-            for i in range(self.target.num_gens):
-                for e, c in self.entries[i][j].terms.items():
-                    data[(i, e)] = c
-            out.append(Vector(self.ring, self.target.num_gens, data))
-        return out
+        return _matrix_columns(self.ring, self.entries, self.source.num_gens)
 
     def compose(self, other):
         """self after other."""
-        ring = self.ring
-        ent = []
-        for i in range(self.target.num_gens):
-            row = []
-            for j in range(other.source.num_gens):
-                acc = ring.zero()
-                for k in range(self.source.num_gens):
-                    a, b = self.entries[i][k], other.entries[k][j]
-                    if not a.is_zero() and not b.is_zero():
-                        acc = acc + a * b
-                row.append(acc)
-            ent.append(row)
+        ent = _matrix_product(self.ring, self.entries, other.entries,
+                              other.source.num_gens)
         return FPMap(other.source, self.target, ent, check=False)
 
     def is_zero_map(self):
@@ -508,26 +462,25 @@ def syzygies(mmap, minimal=False):
 def minimal_resolution(module):
     """Minimal free resolution of a finitely presented graded module."""
     m0 = module.minimized()
-    ring = m0.ring
-    modules = [FreeModule(ring, m0.gens_degrees)]
+    phi = m0.pmap
+    modules = [phi.target]
     maps = []
-    cols = m0.relation_columns()
-    prev = modules[0]
-    while cols:
-        src = FreeModule(ring, _degrees_of(cols, prev.degrees))
-        maps.append(ModuleMap.from_columns(src, prev, cols))
-        modules.append(src)
-        syz = syzygy_basis(ring, prev.rank, cols)
-        keep = minimal_generating_indices(syz, src.degrees)
-        cols = [syz[i] for i in keep]
-        prev = src
-        if len(maps) > ring.num_vars:
+    while phi.source.rank:
+        maps.append(phi)
+        modules.append(phi.source)
+        phi = syzygies(phi, minimal=True)
+        if len(maps) > m0.ring.num_vars:
             raise AssertionError("resolution exceeds the Hilbert syzygy bound")
     return Resolution(modules, maps)
 
 
 def betti_table(module):
     return minimal_resolution(module).betti()
+
+
+def _betti_json(module):
+    """Betti table as a sorted list of [position, degree, count]."""
+    return sorted([[k, d, n] for (k, d), n in betti_table(module).items()])
 
 
 def betti_text(table):
@@ -588,13 +541,9 @@ def cohen_macaulay(module):
                     via_ext, via_ext == via_depth)
 
 
-def _free_fp(ring, degrees):
-    return FPModule.free(ring, degrees)
-
-
 def _map_between_free_fp(mmap):
-    src = _free_fp(mmap.ring, mmap.source.degrees)
-    tgt = _free_fp(mmap.ring, mmap.target.degrees)
+    src = FPModule.free(mmap.ring, mmap.source.degrees)
+    tgt = FPModule.free(mmap.ring, mmap.target.degrees)
     return FPMap(src, tgt, mmap.entries, check=False)
 
 
@@ -612,7 +561,7 @@ def ext_module(module, i):
     duals = [m.dual() for m in res.maps]          # sigma_k: F_{k-1}* -> F_k*
     if i == 0:
         if p == 0:
-            return _free_fp(module.ring, res.modules[0].dual().degrees)
+            return FPModule.free(module.ring, res.modules[0].dual().degrees)
         mod, _ = fp_kernel(_map_between_free_fp(duals[0]))
         return mod.minimized()
     if i == p:
@@ -631,7 +580,7 @@ def _dual_data(module):
     dmap = module.pmap.dual()                      # F0* -> F1*
     if module.num_rels == 0:
         amb = module.pmap.target.dual()
-        free = _free_fp(module.ring, amb.degrees)
+        free = FPModule.free(module.ring, amb.degrees)
         return free, amb.unit_vectors()
     mod, K = fp_kernel(_map_between_free_fp(dmap))
     return mod, K
@@ -735,7 +684,7 @@ def syzygy_order(module):
     if p == 0:
         mdd_amb = res.modules[0].dual()
         W = mdd_amb.unit_vectors()
-        mdd = _free_fp(ring, mdd_amb.degrees)
+        mdd = FPModule.free(ring, mdd_amb.degrees)
     else:
         mdd, W = fp_kernel(_map_between_free_fp(sigmas[0]))
     entries = _bidual_matrix(m0, mstar, K, mdd, W)
@@ -744,12 +693,12 @@ def syzygy_order(module):
     if not bker.is_zero():
         return SyzygyOrderResult(0, "torsion")
     if not fp_cokernel(bmap).is_zero():
-        g0_free = _free_fp(ring, res.modules[0].dual().degrees)
+        g0_free = FPModule.free(ring, res.modules[0].dual().degrees)
         embed = _compose_embedding(m0, W, entries, g0_free)
         ok = fp_kernel(embed)[0].is_zero()
         return SyzygyOrderResult(1, "not-reflexive", [embed], [ok])
     # reflexive: count exact positions along 0 -> M -> G0* -> G1* -> ...
-    g0_free = _free_fp(ring, res.modules[0].dual().degrees)
+    g0_free = FPModule.free(ring, res.modules[0].dual().degrees)
     embed = _compose_embedding(m0, W, entries, g0_free)
     exact = [fp_kernel(embed)[0].is_zero()]
     if p > 0:
@@ -774,18 +723,8 @@ def syzygy_order(module):
 
 def _compose_embedding(m0, W, bid_entries, g0_free):
     """M -> G0*: biduality followed by the inclusion of ker(sigma_1)."""
-    ring = m0.ring
-    ncols = m0.num_gens
-    rows = g0_free.num_gens
-    ent = [[ring.zero() for _ in range(ncols)] for _ in range(rows)]
-    for j in range(ncols):
-        for w in range(len(W)):
-            coeff = bid_entries[w][j]
-            if coeff.is_zero():
-                continue
-            for (row, e), c in W[w].data.items():
-                add = Polynomial(ring, {e: c}) * coeff
-                ent[row][j] = ent[row][j] + add
+    incl = [[w.component(i) for w in W] for i in range(g0_free.num_gens)]
+    ent = _matrix_product(m0.ring, incl, bid_entries, m0.num_gens)
     return FPMap(m0, g0_free, ent, check=False)
 
 

@@ -17,7 +17,7 @@ __all__ = [
     "GradedPolynomialRing", "Polynomial", "Vector", "RingMap", "HilbertSeries",
     "buchberger", "groebner_basis", "normal_form", "divide", "s_vector",
     "SubmoduleGB", "syzygy_basis", "quotient_hilbert_series", "qpoly_mul",
-    "qpoly_inverse_series",
+    "qpoly_inverse_series", "determinant",
 ]
 
 
@@ -30,6 +30,13 @@ def _fr(x):
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError("not an exact rational: %r" % (x,))
+
+
+def _mat_mul(a, b):
+    """Product of two square matrices of rationals, as nested tuples."""
+    n = len(a)
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n))
+                       for j in range(n)) for i in range(n))
 
 
 def _mono_mul(a, b):
@@ -530,6 +537,53 @@ def divide(f, divisors):
             del p[t]
     return ([Polynomial(ring, q) for q in quots],
             Vector(ring, f.rank, rem))
+
+
+def _exact_divide(f, g):
+    """(f / g, True) when g divides f, else (None, False)."""
+    q, rem = divide(Vector.from_polys([f], 1), [Vector.from_polys([g], 1)])
+    if rem.is_zero():
+        return q[0], True
+    return None, False
+
+
+def determinant(matrix, ring):
+    """Determinant of a square polynomial matrix, by fraction-free elimination.
+
+    Bareiss (1968): every entry of the trailing block is a minor of the
+    input, so the division by the previous pivot is exact; it is a scaling
+    when that pivot is a constant.  A zero pivot is swapped with the first
+    nonzero entry below it, which flips the sign.
+    """
+    m = [list(row) for row in matrix]
+    n = len(m)
+    if n == 0:
+        return ring.one()
+    sign = 1
+    prev = ring.one()
+    for k in range(n - 1):
+        if m[k][k].is_zero():
+            swap = next((i for i in range(k + 1, n) if not m[i][k].is_zero()),
+                        None)
+            if swap is None:
+                return ring.zero()
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        piv = m[k][k]
+        c = prev.constant_term() if set(prev.terms) == {ring.zero_exps} else None
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = m[i][j] * piv - m[i][k] * m[k][j]
+                if c is None:
+                    if not num.is_zero():
+                        num, ok = _exact_divide(num, prev)
+                        if not ok:
+                            raise ArithmeticError("Bareiss division is not exact")
+                elif c != 1:
+                    num = num.scale(1 / c)
+                m[i][j] = num
+        prev = piv
+    return m[n - 1][n - 1] if sign > 0 else -m[n - 1][n - 1]
 
 
 def normal_form(f, basis):

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .polyring import (
     GradedPolynomialRing, Polynomial, Vector, SubmoduleGB, buchberger,
     normal_form, syzygy_basis, HilbertSeries, qpoly_add, qpoly_mul,
-    qpoly_inverse_series, _fr,
+    qpoly_inverse_series, determinant, _fr, _mat_mul,
 )
 from .gradmod import (
     FreeModule, ModuleMap, FPModule, minimal_generating_indices, _degrees_of,
@@ -34,12 +34,6 @@ class GroupClosureError(ValueError):
 
 def _mat(rows):
     return tuple(tuple(_fr(x) for x in row) for row in rows)
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n))
-                       for j in range(n)) for i in range(n))
 
 
 def _identity(n):
@@ -352,33 +346,13 @@ class VerificationReport:
 
 
 def _char_det(matrix):
-    """det(1 - q^2 M) as a q-polynomial with Fraction coefficients."""
+    """det(1 - q^2 M) as a q-polynomial {exponent of q: Fraction}."""
+    ring = GradedPolynomialRing(["q"], (2,))
+    q2 = ring.monomial((2,))
     n = len(matrix)
-    # entries are univariate polynomials in q, stored {deg: Fraction}
-    ent = [[{0: Fraction(1 if i == j else 0)} for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if matrix[i][j]:
-                ent[i][j] = qpoly_add(ent[i][j], {2: -matrix[i][j]})
-    return _poly_det(ent)
-
-
-def _poly_det(ent):
-    n = len(ent)
-    if n == 0:
-        return {0: Fraction(1)}
-    if n == 1:
-        return ent[0][0]
-    out = {}
-    for i in range(n):
-        if not ent[i][0]:
-            continue
-        minor = [[ent[r][c] for c in range(1, n)] for r in range(n) if r != i]
-        term = qpoly_mul(ent[i][0], _poly_det(minor))
-        if i % 2:
-            term = {k: -v for k, v in term.items()}
-        out = qpoly_add(out, term)
-    return out
+    ent = [[(ring.one() if i == j else ring.zero()) - q2.scale(matrix[i][j])
+            for j in range(n)] for i in range(n)]
+    return {e[0]: c for e, c in determinant(ent, ring).terms.items()}
 
 
 class WEquivariantFreeModule:

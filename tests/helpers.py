@@ -65,6 +65,27 @@ def reference_divide(f, divisors):
             Vector(ring, f.rank, rem))
 
 
+def reference_det(matrix, ring):
+    """Laplace expansion along the first column.
+
+    The recursive form the determinant had before the fraction-free
+    elimination, kept as the reference it is tested against (n! terms).
+    """
+    n = len(matrix)
+    if n == 0:
+        return ring.one()
+    if n == 1:
+        return matrix[0][0]
+    acc = ring.zero()
+    for i in range(n):
+        if matrix[i][0].is_zero():
+            continue
+        minor = [[matrix[r][c] for c in range(1, n)] for r in range(n) if r != i]
+        term = matrix[i][0] * reference_det(minor, ring)
+        acc = acc - term if i % 2 else acc + term
+    return acc
+
+
 def random_vector(ring, col_degrees, degree, rng, first_col=0):
     """Random homogeneous vector of the given degree, zero before first_col."""
     polys = [random_homogeneous(ring, degree - d, rng)

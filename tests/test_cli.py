@@ -112,6 +112,41 @@ def test_exit_two_on_broken_complex(tmp_path):
     assert code == EXIT_INPUT
 
 
+def test_exit_two_on_bad_filtration_maps(tmp_path):
+    # rank-1 complex R/(t) -> R: a map entry of the wrong degree, and a map
+    # that sends the relation t to a nonzero element
+    def datum(entry):
+        return {
+            "ring": {"vars": ["t"], "degrees": [2]},
+            "modules": [
+                {"row_degrees": [0], "col_degrees": [2], "matrix": [["t"]]},
+                {"row_degrees": [0], "col_degrees": [], "matrix": [[]]},
+            ],
+            "maps": [[[entry]]],
+        }
+    for entry, message in (("t", "degree"), ("1", "respect the relations")):
+        path = write_json(tmp_path, "bad_map.json", datum(entry))
+        code, report = run(["filtration-verify", path])
+        assert code == EXIT_INPUT
+        assert message in report["error"]
+
+
+def test_exit_two_on_non_object_input(tmp_path):
+    path = write_json(tmp_path, "list.json", [1, 2])
+    for command in ("module-analyze", "gkm", "weyl-verify", "cartan",
+                    "filtration-verify", "integrate"):
+        code, report = run([command, path, "--klass", "[]"] if command == "integrate"
+                           else [command, path])
+        assert code == EXIT_INPUT, command
+        assert report["error"] == "input must be a JSON object"
+
+
+def test_exit_two_on_negative_max_degree():
+    code, report = run(["module-analyze", data_path("koszul2.json"),
+                        "--max-degree", "-3"])
+    assert code == EXIT_INPUT and "error" in report
+
+
 def test_exit_one_on_failed_theorem_check(tmp_path):
     # AB^1 free of dimension 1 over a rank-1 ring: CM check must fail
     obj = {

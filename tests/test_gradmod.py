@@ -271,6 +271,20 @@ def test_fp_kernel_cokernel_homology(R):
     assert h.is_zero()
 
 
+def test_fp_map_checks_degrees_and_relations(R):
+    x, y = R.vars()
+    free0 = FPModule.free(R, (0,))
+    rx = FPModule.quotient_by_ideal(R, [x])
+    FPMap(free0, rx, [[R.one()]])
+    with pytest.raises(ValueError):
+        FPMap(free0, rx, [[y]])             # degree 2 where 0 is expected
+    with pytest.raises(ValueError):
+        FPMap(free0, rx, [[R.one(), R.one()]])  # wrong shape
+    with pytest.raises(ValueError):
+        FPMap(rx, free0, [[R.one()]])       # sends the relation x to x != 0
+    FPMap(rx, FPModule.quotient_by_ideal(R, [x, y]), [[R.one()]])
+
+
 def test_module_json_roundtrip(R):
     m = maximal_ideal_module(R)
     again = FPModule.from_json(m.to_json())

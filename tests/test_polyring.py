@@ -6,9 +6,11 @@ import pytest
 from equisyz.polyring import (
     GradedPolynomialRing, Polynomial, Vector, buchberger, groebner_basis,
     normal_form, divide, SubmoduleGB, syzygy_basis, quotient_hilbert_series,
-    HilbertSeries,
+    HilbertSeries, determinant,
 )
-from helpers import random_homogeneous, random_vector, reference_divide
+from helpers import (
+    random_homogeneous, random_vector, reference_divide, reference_det,
+)
 
 
 @pytest.fixture
@@ -191,6 +193,85 @@ def test_divide_matches_reference_on_random_modules():
         for (col, exps) in rem.data:
             assert not any(dc == col and all(a <= b for a, b in zip(de, exps))
                            for dc, de in leads)
+
+
+def _random_poly(ring, rng, max_deg, density=0.5):
+    """Random polynomial, not homogeneous, zero with probability 1 - density."""
+    if rng.random() > density:
+        return ring.zero()
+    return ring.from_terms(((rng.randint(0, max_deg), rng.randint(0, max_deg)),
+                            rng.randint(-3, 3)) for _ in range(rng.randint(1, 3)))
+
+
+def _mat_product(ring, a, b):
+    n = len(a)
+    return [[sum((a[i][k] * b[k][j] for k in range(n)), ring.zero())
+             for j in range(n)] for i in range(n)]
+
+
+def test_determinant_matches_laplace_on_random_matrices():
+    rng = random.Random(1968)
+    ring = GradedPolynomialRing(["x", "y"])
+    swapped = 0
+    for trial in range(150):
+        n = rng.randint(0, 6)
+        m = [[_random_poly(ring, rng, 2) for _ in range(n)] for _ in range(n)]
+        kind = trial % 5
+        if kind == 1 and n >= 2:
+            # rank-deficient: the last row is a combination of the others
+            coeffs = [_random_poly(ring, rng, 1, density=0.8) for _ in range(n - 1)]
+            m[-1] = [sum((c * row[j] for c, row in zip(coeffs, m)), ring.zero())
+                     for j in range(n)]
+        elif kind == 2 and n >= 2:
+            m[0][0] = ring.zero()  # zero leading pivot
+        elif kind == 3 and n >= 3:
+            # rows 0 and 1 start alike, so the pivot after one step is zero
+            while m[0][0].is_zero():
+                m[0][0] = _random_poly(ring, rng, 2)
+            m[1][:2] = m[0][:2]
+        elif kind == 4 and n >= 2:
+            # rows of an upper-triangular matrix in a shuffled order
+            for i in range(n):
+                for j in range(i):
+                    m[i][j] = ring.zero()
+                if m[i][i].is_zero():
+                    m[i][i] = ring.one()
+            rng.shuffle(m)
+        det = determinant(m, ring)
+        assert det == reference_det(m, ring)
+        if kind in (2, 3, 4) and n >= 2 and not det.is_zero():
+            swapped += 1
+    assert swapped >= 10
+
+
+def test_determinant_of_plu_product():
+    # det(P L U) = sign(P) * prod(diag U) for L lower unitriangular and U
+    # upper triangular: an oracle that needs no second determinant
+    rng = random.Random(22)
+    ring = GradedPolynomialRing(["x", "y"])
+    n = 8
+    for _ in range(3):
+        low = [[ring.one() if i == j else
+                _random_poly(ring, rng, 1, 0.4) if j < i else ring.zero()
+                for j in range(n)] for i in range(n)]
+        up = [[_random_poly(ring, rng, 1, 0.4) if j > i else ring.zero()
+               for j in range(n)] for i in range(n)]
+        for i in range(n):
+            while up[i][i].is_zero():
+                up[i][i] = _random_poly(ring, rng, 1, 1.0)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        sign = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        lu = _mat_product(ring, low, up)
+        a = [lu[perm[i]] for i in range(n)]
+        expected = ring.one()
+        for i in range(n):
+            expected = expected * up[i][i]
+        assert determinant(a, ring) == (expected if sign > 0 else -expected)
 
 
 def test_reduced_gb_matches_sympy_grevlex():
