@@ -72,12 +72,11 @@ def run_module_analyze(obj, checks, nmax, seed):
     r = module.ring.num_vars
     out = []
     summary = {}
-    m0 = module.minimized()
     summary["betti"] = _betti_json(module)
     summary["hilbert"] = _hilbert_json(module, nmax)
     d = dimension(module)
     summary["dimension"] = "-infinity" if d == NEG_INF else d
-    if m0.num_gens:
+    if not module.is_zero():
         dep = depth(module)
         summary["depth"] = dep
         res = minimal_resolution(module)

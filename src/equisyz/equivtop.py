@@ -196,9 +196,13 @@ class KernelResult:
         self.module = module
         self.generators = generators
         self.ambient = ambient
+        self._membership_gb = None
 
     def membership_gb(self):
-        return SubmoduleGB(self.module.ring, self.ambient.rank, self.generators)
+        if self._membership_gb is None:
+            self._membership_gb = SubmoduleGB(self.module.ring, self.ambient.rank,
+                                              self.generators)
+        return self._membership_gb
 
 
 def gkm_cohomology(graph):

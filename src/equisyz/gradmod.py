@@ -166,12 +166,20 @@ def minimal_generating_indices(vectors, ambient_degrees):
 
 
 class FPModule:
-    """Finitely presented graded module: the cokernel of a ModuleMap."""
+    """Finitely presented graded module: the cokernel of a ModuleMap.
+
+    Never mutated after construction, it caches what is derived from it:
+    the relations' Groebner basis, the Hilbert series, the minimal
+    presentation (a minimal module is its own) and, on the minimal
+    presentation, the minimal free resolution.
+    """
 
     def __init__(self, pmap):
         self.pmap = pmap
         self._rel_gb = None
         self._hilbert = None
+        self._minimal = None
+        self._resolution = None
 
     @property
     def ring(self):
@@ -240,6 +248,8 @@ class FPModule:
 
     def minimized(self):
         """Minimal presentation: prune units (Nakayama) and redundant relations."""
+        if self._minimal is not None:
+            return self._minimal
         ring = self.ring
         rows = [list(r) for r in self.pmap.entries]
         gdeg = list(self.gens_degrees)
@@ -275,7 +285,9 @@ class FPModule:
         keep = minimal_generating_indices(cols, tgt.degrees)
         cols = [cols[i] for i in keep]
         src = FreeModule(ring, _degrees_of(cols, tgt.degrees))
-        return FPModule(ModuleMap.from_columns(src, tgt, cols))
+        m0 = FPModule(ModuleMap.from_columns(src, tgt, cols))
+        self._minimal = m0._minimal = m0
+        return m0
 
     def to_json(self):
         return {
@@ -366,15 +378,14 @@ def _kernel_submodule(ring, ambient_rank, first_cols, extra_cols):
     return _project_block(syz, len(first_cols))
 
 
-def fp_kernel(fpmap, prune=True):
+def fp_kernel(fpmap):
     """Kernel of an FPMap as (FPModule, inclusion columns in source gens)."""
     ring = fpmap.ring
     src_deg = fpmap.source.gens_degrees
     K = _kernel_submodule(ring, fpmap.target.num_gens, fpmap.columns(),
                           fpmap.target.relation_columns())
-    if prune:
-        keep = minimal_generating_indices(K, src_deg)
-        K = [K[i] for i in keep]
+    keep = minimal_generating_indices(K, src_deg)
+    K = [K[i] for i in keep]
     rels = _kernel_submodule(ring, fpmap.source.num_gens, K,
                              fpmap.source.relation_columns())
     if K:
@@ -410,8 +421,8 @@ class Resolution:
     """Chain of free modules F_p -> ... -> F_1 -> F_0 resolving a module."""
 
     def __init__(self, modules, maps):
-        self.modules = modules
-        self.maps = maps
+        self.modules = tuple(modules)   # shared by every caller of the cache
+        self.maps = tuple(maps)
 
     @property
     def length(self):
@@ -460,8 +471,10 @@ def syzygies(mmap, minimal=False):
 
 
 def minimal_resolution(module):
-    """Minimal free resolution of a finitely presented graded module."""
+    """Minimal free resolution, cached on the minimal presentation."""
     m0 = module.minimized()
+    if m0._resolution is not None:
+        return m0._resolution
     phi = m0.pmap
     modules = [phi.target]
     maps = []
@@ -471,7 +484,8 @@ def minimal_resolution(module):
         phi = syzygies(phi, minimal=True)
         if len(maps) > m0.ring.num_vars:
             raise AssertionError("resolution exceeds the Hilbert syzygy bound")
-    return Resolution(modules, maps)
+    m0._resolution = Resolution(modules, maps)
+    return m0._resolution
 
 
 def betti_table(module):
@@ -529,12 +543,11 @@ class CMResult:
 def cohen_macaulay(module):
     """Ext-concentration test cross-checked against depth = dim."""
     r = module.ring.num_vars
-    m0 = module.minimized()
-    if m0.num_gens == 0:
+    if module.is_zero():
         return CMResult("zero", NEG_INF, None, [], False, True)
-    d = dimension(m0)
-    dep = depth(m0)
-    ext_nonzero = [i for i in range(r + 1) if not ext_module(m0, i).is_zero()]
+    d = dimension(module)
+    dep = depth(module)
+    ext_nonzero = [i for i in range(r + 1) if not ext_module(module, i).is_zero()]
     via_ext = ext_nonzero == [r - d]
     via_depth = dep == d
     return CMResult("cm" if via_ext else "not_cm", d, dep, ext_nonzero,
@@ -553,8 +566,6 @@ def ext_module(module, i):
     if not 0 <= i <= r:
         raise ValueError("Ext index out of range")
     res = minimal_resolution(module)
-    if res.modules[0].rank == 0:
-        return FPModule.zero(module.ring)
     p = res.length
     if i > p:
         return FPModule.zero(module.ring)
@@ -589,12 +600,13 @@ def _dual_data(module):
 class BidualityResult:
     """Natural map M -> M** with its kernel (torsion) and cokernel."""
 
-    def __init__(self, matrix, kernel, cokernel, m_star, m_double):
+    def __init__(self, matrix, kernel, cokernel, m_star, m_double, W):
         self.matrix = matrix
         self.kernel = kernel
         self.cokernel = cokernel
         self.m_star = m_star
         self.m_double = m_double
+        self.W = W                  # generators of M** as vectors in G0*
 
     @property
     def torsion_free(self):
@@ -633,14 +645,13 @@ def _bidual_matrix(module, mstar, K, mdd, W):
 
 def biduality(module):
     """Kernel and cokernel of the natural map M -> Hom(Hom(M,R),R)."""
-    ring = module.ring
     mstar, K = _dual_data(module)
     mdd, W = _dual_data(mstar)
     entries = _bidual_matrix(module, mstar, K, mdd, W)
     bmap = FPMap(module, mdd, entries, check=False)
     kernel, _ = fp_kernel(bmap)
     return BidualityResult(entries, kernel.minimized(), fp_cokernel(bmap),
-                           mstar, mdd)
+                           mstar, mdd, W)
 
 
 class SyzygyOrderResult:
@@ -673,51 +684,35 @@ def syzygy_order(module):
         return SyzygyOrderResult(r, "zero")
     if m0.num_rels == 0:
         return SyzygyOrderResult(r, "free")
-    mstar, K = _dual_data(m0)
-    if mstar.num_gens == 0:
+    bd = biduality(m0)
+    if not bd.torsion_free:
         return SyzygyOrderResult(0, "torsion")
-    res = minimal_resolution(mstar)
-    if res.modules[0].degrees != tuple(mstar.gens_degrees):
+    res = minimal_resolution(bd.m_star)
+    if res.modules[0].degrees != tuple(bd.m_star.gens_degrees):
         raise AssertionError("dual presentation was expected to be minimal")
-    sigmas = [m.dual() for m in res.maps]          # G_{k-1}* -> G_k*
-    p = res.length
-    if p == 0:
-        mdd_amb = res.modules[0].dual()
-        W = mdd_amb.unit_vectors()
-        mdd = FPModule.free(ring, mdd_amb.degrees)
-    else:
-        mdd, W = fp_kernel(_map_between_free_fp(sigmas[0]))
-    entries = _bidual_matrix(m0, mstar, K, mdd, W)
-    bmap = FPMap(m0, mdd, entries, check=False)
-    bker, _ = fp_kernel(bmap)
-    if not bker.is_zero():
-        return SyzygyOrderResult(0, "torsion")
-    if not fp_cokernel(bmap).is_zero():
-        g0_free = FPModule.free(ring, res.modules[0].dual().degrees)
-        embed = _compose_embedding(m0, W, entries, g0_free)
-        ok = fp_kernel(embed)[0].is_zero()
-        return SyzygyOrderResult(1, "not-reflexive", [embed], [ok])
-    # reflexive: count exact positions along 0 -> M -> G0* -> G1* -> ...
     g0_free = FPModule.free(ring, res.modules[0].dual().degrees)
-    embed = _compose_embedding(m0, W, entries, g0_free)
+    embed = _compose_embedding(m0, bd.W, bd.matrix, g0_free)
     exact = [fp_kernel(embed)[0].is_zero()]
+    if not bd.reflexive:
+        return SyzygyOrderResult(1, "not-reflexive", [embed], exact)
+    # reflexive: count exact positions along 0 -> M -> G0* -> G1* -> ...
+    sigmas = [_map_between_free_fp(m.dual()) for m in res.maps]  # G_{k-1}* -> G_k*
+    p = res.length
     if p > 0:
-        h0 = fp_homology(embed, _map_between_free_fp(sigmas[0]))
-        exact.append(h0.is_zero())
+        exact.append(fp_homology(embed, sigmas[0]).is_zero())
     count = 0
     for i in range(1, p + 1):
         if i < p:
-            h = fp_homology(_map_between_free_fp(sigmas[i - 1]),
-                            _map_between_free_fp(sigmas[i]))
+            h = fp_homology(sigmas[i - 1], sigmas[i])
         else:
-            h = fp_cokernel(_map_between_free_fp(sigmas[p - 1]))
+            h = fp_cokernel(sigmas[p - 1])
         if h.is_zero():
             count += 1
             exact.append(True)
         else:
             break
     order = min(2 + count, r)
-    witness = [embed] + [_map_between_free_fp(s) for s in sigmas[:max(order - 1, 0)]]
+    witness = [embed] + sigmas[:max(order - 1, 0)]
     return SyzygyOrderResult(order, "dualized-resolution", witness, exact)
 
 

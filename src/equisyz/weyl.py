@@ -428,7 +428,7 @@ class WEquivariantFreeModule:
         return {w: sum(1 for n in self.names if self._action_of[w][0][n] == n)
                 for w in self.group.elements}
 
-    def invariants(self, submodule_gens=None, check_hilbert=True, nmax=40):
+    def invariants(self, submodule_gens=None, nmax=40):
         """Invariant tuples as a module over the invariant ring.
 
         Generators: Reynolds images of (coinvariant basis) x (generators);
@@ -458,7 +458,7 @@ class WEquivariantFreeModule:
         gdegs = _degrees_of(coords, amb_degrees)
         module = FPModule.from_columns(group.invariant_ring, gdegs, rels)
         result = InvariantsResult(module, candidates)
-        if submodule_gens is None and check_hilbert:
+        if submodule_gens is None:
             fixed = self.fixed_counts()
             total = {}
             for w in group.elements:

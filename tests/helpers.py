@@ -3,7 +3,11 @@
 from fractions import Fraction
 
 from equisyz.polyring import Polynomial, Vector
-from equisyz.gradmod import FPModule
+from equisyz.gradmod import (
+    FPModule, FPMap, SyzygyOrderResult, minimal_resolution, fp_kernel,
+    fp_cokernel, fp_homology, _dual_data, _bidual_matrix,
+    _map_between_free_fp, _compose_embedding,
+)
 
 
 def monomials_of_degree(ring, degree):
@@ -107,3 +111,66 @@ def random_module(ring, rng, max_gens=3, max_rels=3):
         if not v.is_zero():
             cols.append(v)
     return FPModule.from_columns(ring, gdegs, cols)
+
+
+def reference_syzygy_order(module):
+    """Syzygy order with the double dual computed inline.
+
+    The form gradmod.syzygy_order had before it took its torsion and
+    reflexivity verdicts from gradmod.biduality, kept as the reference it
+    is tested against: M** is read off the minimal resolution of M*, and
+    the embedding M -> G0* is built in each branch.
+    """
+    ring = module.ring
+    r = ring.num_vars
+    m0 = module.minimized()
+    if m0.num_gens == 0:
+        return SyzygyOrderResult(r, "zero")
+    if m0.num_rels == 0:
+        return SyzygyOrderResult(r, "free")
+    mstar, K = _dual_data(m0)
+    if mstar.num_gens == 0:
+        return SyzygyOrderResult(0, "torsion")
+    res = minimal_resolution(mstar)
+    if res.modules[0].degrees != tuple(mstar.gens_degrees):
+        raise AssertionError("dual presentation was expected to be minimal")
+    sigmas = [m.dual() for m in res.maps]          # G_{k-1}* -> G_k*
+    p = res.length
+    if p == 0:
+        mdd_amb = res.modules[0].dual()
+        W = mdd_amb.unit_vectors()
+        mdd = FPModule.free(ring, mdd_amb.degrees)
+    else:
+        mdd, W = fp_kernel(_map_between_free_fp(sigmas[0]))
+    entries = _bidual_matrix(m0, mstar, K, mdd, W)
+    bmap = FPMap(m0, mdd, entries, check=False)
+    bker, _ = fp_kernel(bmap)
+    if not bker.is_zero():
+        return SyzygyOrderResult(0, "torsion")
+    if not fp_cokernel(bmap).is_zero():
+        g0_free = FPModule.free(ring, res.modules[0].dual().degrees)
+        embed = _compose_embedding(m0, W, entries, g0_free)
+        ok = fp_kernel(embed)[0].is_zero()
+        return SyzygyOrderResult(1, "not-reflexive", [embed], [ok])
+    # reflexive: count exact positions along 0 -> M -> G0* -> G1* -> ...
+    g0_free = FPModule.free(ring, res.modules[0].dual().degrees)
+    embed = _compose_embedding(m0, W, entries, g0_free)
+    exact = [fp_kernel(embed)[0].is_zero()]
+    if p > 0:
+        h0 = fp_homology(embed, _map_between_free_fp(sigmas[0]))
+        exact.append(h0.is_zero())
+    count = 0
+    for i in range(1, p + 1):
+        if i < p:
+            h = fp_homology(_map_between_free_fp(sigmas[i - 1]),
+                            _map_between_free_fp(sigmas[i]))
+        else:
+            h = fp_cokernel(_map_between_free_fp(sigmas[p - 1]))
+        if h.is_zero():
+            count += 1
+            exact.append(True)
+        else:
+            break
+    order = min(2 + count, r)
+    witness = [embed] + [_map_between_free_fp(s) for s in sigmas[:max(order - 1, 0)]]
+    return SyzygyOrderResult(order, "dualized-resolution", witness, exact)

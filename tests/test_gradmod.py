@@ -11,7 +11,7 @@ from equisyz.gradmod import (
 )
 from equisyz.weyl import cyclic_sign_group, symmetric_group_on_sum_zero
 from equisyz.examples import koszul_syzygy_module, residue_field_module
-from helpers import random_module
+from helpers import random_module, reference_syzygy_order
 
 
 @pytest.fixture
@@ -307,3 +307,58 @@ def test_ext_concentration_three_variables():
     assert e3.gens_degrees == (-6,)
     cm = cohen_macaulay(k)
     assert cm.is_cm and cm.dim == 0 and cm.tests_agree
+
+
+def test_minimal_presentation_and_resolution_are_computed_once(monkeypatch):
+    import equisyz.gradmod as gradmod
+    R4 = GradedPolynomialRing(["x1", "x2", "x3", "x4"])
+    m = residue_field_module(R4)
+    assert m.minimized() is m.minimized()
+    assert m.minimized().minimized() is m.minimized()
+    assert minimal_resolution(m) is minimal_resolution(m.minimized())
+
+    calls = []
+    real = gradmod.syzygies
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gradmod, "syzygies", counted)
+    minimal_resolution(residue_field_module(R4))
+    once = len(calls)
+    assert once > 0
+    del calls[:]
+    k = residue_field_module(R4)
+    depth(k)
+    betti_table(k)
+    for i in range(R4.num_vars + 1):
+        ext_module(k, i)
+    cohen_macaulay(k)
+    assert len(calls) == once
+
+
+def test_syzygy_order_matches_reference_and_biduality():
+    rng = random.Random(48)
+    R3 = GradedPolynomialRing(["x", "y", "z"])
+    R4 = GradedPolynomialRing(["x1", "x2", "x3", "x4"])
+    # the Koszul modules reach exact positions past G1*, which order 3 caps
+    modules = ([random_module(R3, rng) for _ in range(16)]
+               + [koszul_syzygy_module(R4, j) for j in (2, 3)])
+    kinds = set()
+    for m in modules:
+        got = syzygy_order(m)
+        ref = reference_syzygy_order(m)
+        assert (got.order, got.kind, got.exactness) == (
+            ref.order, ref.kind, ref.exactness)
+        bd = biduality(m)
+        assert (got.kind == "torsion") == (not bd.torsion_free)
+        assert (got.order >= 2) == bd.reflexive
+        kinds.add(got.kind)
+        # the cached resolution answers as a fresh copy of the presentation
+        table = betti_table(m)
+        cm = cohen_macaulay(m)
+        assert betti_table(FPModule(m.pmap)) == table
+        assert cohen_macaulay(FPModule(m.pmap)).ext_nonzero == cm.ext_nonzero
+        assert depth(FPModule(m.pmap)) == depth(m) == cm.depth
+    assert kinds == {"free", "torsion", "not-reflexive", "dualized-resolution"}
