@@ -21,7 +21,7 @@ from .polyring import (
     GradedPolynomialRing, Vector, SubmoduleGB, determinant, _exact_divide,
 )
 from .gradmod import (
-    FreeModule, FPModule, FPMap, fp_kernel, fp_cokernel, fp_homology,
+    FreeModule, FPModule, FPMap, fp_kernel, homology,
     cohen_macaulay, ext_module, syzygy_order, biduality, base_change,
     iso_surrogate_equal, _betti_json,
 )
@@ -324,36 +324,25 @@ class FiltrationDatum:
                    truncations=trunc)
 
 
+def _complex_cohomology(datum, incoming):
+    """H^i at every AB^i, with `incoming` (or nothing) mapping into AB^0."""
+    maps = [incoming] + datum.maps + [None]
+    return {i: homology(m, maps[i], maps[i + 1])[0]
+            for i, m in enumerate(datum.modules)}
+
+
 def ab_cohomology(datum):
     """Cohomology of the complex at every position, H^{-1} = ker(iota*)
     included when the datum is augmented."""
-    out = {}
-    r = datum.rank
-    if datum.augmentation is not None:
-        out[-1] = fp_kernel(datum.augmentation)[0].minimized()
-    for i in range(r + 1):
-        incoming = datum.maps[i - 1] if i >= 1 else (
-            datum.augmentation if datum.augmentation is not None else None)
-        outgoing = datum.maps[i] if i < r else None
-        if outgoing is None:
-            if incoming is None:
-                out[i] = datum.modules[i].minimized()
-            else:
-                out[i] = fp_cokernel(incoming)
-        elif incoming is None:
-            out[i] = fp_kernel(outgoing)[0].minimized()
-        else:
-            out[i] = fp_homology(incoming, outgoing)
+    aug = datum.augmentation
+    out = {} if aug is None else {-1: fp_kernel(aug)[0]}
+    out.update(_complex_cohomology(datum, aug))
     return out
 
 
 def plain_ab_cohomology(datum):
     """Cohomology of the non-augmented complex (H^0 is the full kernel)."""
-    stripped = FiltrationDatum(datum.ring, datum.modules, datum.maps,
-                               homology_module=datum.homology_module,
-                               poincare_duality=datum.poincare_duality,
-                               assumptions=datum.assumptions)
-    return ab_cohomology(stripped)
+    return _complex_cohomology(datum, None)
 
 
 class CheckReport:
@@ -396,7 +385,7 @@ def verify_ext_duality(datum, nmax=40):
     rows = []
     ok = True
     for j in range(datum.rank + 1):
-        ext = ext_module(datum.homology_module, j).minimized()
+        ext = ext_module(datum.homology_module, j)
         good = iso_surrogate_equal(hs[j], ext, nmax)
         ok = ok and good
         rows.append({"position": j,

@@ -22,8 +22,8 @@ __all__ = [
     "minimal_generating_indices", "minimal_resolution", "syzygies",
     "betti_table", "betti_text", "dimension", "depth", "ext_module",
     "dual_module", "biduality", "cohen_macaulay", "syzygy_order",
-    "base_change", "restrict_scalars", "fp_kernel", "fp_cokernel",
-    "fp_homology", "iso_surrogate_equal",
+    "base_change", "restrict_scalars", "homology", "fp_kernel",
+    "fp_cokernel", "fp_homology", "iso_surrogate_equal",
 ]
 
 
@@ -358,63 +358,63 @@ class FPMap:
         return "FPMap(%dx%d)" % (self.target.num_gens, self.source.num_gens)
 
 
-def _project_block(vectors, width):
-    """First-block parts (cols < width) of syzygy vectors, zeros dropped."""
+def _kernel_submodule(ring, ambient_rank, first_cols, extra_cols):
+    """Generators of {v : sum v_i first_cols[i] in span(extra_cols)}: the
+    nonzero first-block parts of the syzygies of both lists."""
+    gens = list(first_cols) + list(extra_cols)
+    if not gens:
+        return []
+    width = len(first_cols)
     out = []
-    for v in vectors:
-        data = {(c, e): cv for (c, e), cv in v.data.items() if c < width}
-        w = Vector(v.ring, width, data)
+    for v in syzygy_basis(ring, ambient_rank, gens):
+        w = Vector(ring, width,
+                   {(c, e): cv for (c, e), cv in v.data.items() if c < width})
         if not w.is_zero():
             out.append(w)
     return out
 
 
-def _kernel_submodule(ring, ambient_rank, first_cols, extra_cols):
-    """Generators of {v : sum v_i first_cols[i] in span(extra_cols)}."""
-    gens = list(first_cols) + list(extra_cols)
-    if not gens:
-        return []
-    syz = syzygy_basis(ring, ambient_rank, gens)
-    return _project_block(syz, len(first_cols))
+def homology(module, f=None, g=None):
+    """ker(g)/im(f) at module in M --f--> module --g--> P.
+
+    Returns the minimal module and K, a minimal generating set of ker(g) as
+    vectors over module's generators.  f = None means no incoming map (the
+    kernel of g), g = None no outgoing map (the cokernel of f).  A map into a
+    module without generators has all of module as its kernel: K is then the
+    unit vectors, the relations are module's relations and f's columns, and
+    no Groebner basis is computed.
+    """
+    for end in (f and f.target, g and g.source):
+        if (end is not None and end is not module
+                and end.gens_degrees != module.gens_degrees):
+            raise ValueError("maps are not consecutive")
+    ring = module.ring
+    # module's relations first: the depth check's chain of quotients M/fM
+    # runs 1.5-2x faster on random modules than with f's columns first
+    quotient = module.relation_columns() + (f.columns() if f else [])
+    if g is None or g.target.num_gens == 0:
+        K, rels = module.pmap.target.unit_vectors(), quotient
+    else:
+        K = _kernel_submodule(ring, g.target.num_gens, g.columns(),
+                              g.target.relation_columns())
+        K = [K[i] for i in minimal_generating_indices(K, module.gens_degrees)]
+        rels = _kernel_submodule(ring, module.num_gens, K, quotient)
+    degrees = _degrees_of(K, module.gens_degrees)
+    return FPModule.from_columns(ring, degrees, rels).minimized(), K
 
 
 def fp_kernel(fpmap):
-    """Kernel of an FPMap as (FPModule, inclusion columns in source gens)."""
-    ring = fpmap.ring
-    src_deg = fpmap.source.gens_degrees
-    K = _kernel_submodule(ring, fpmap.target.num_gens, fpmap.columns(),
-                          fpmap.target.relation_columns())
-    keep = minimal_generating_indices(K, src_deg)
-    K = [K[i] for i in keep]
-    rels = _kernel_submodule(ring, fpmap.source.num_gens, K,
-                             fpmap.source.relation_columns())
-    if K:
-        keep = minimal_generating_indices(rels, _degrees_of(K, src_deg))
-        rels = [rels[i] for i in keep]
-    module = FPModule.from_columns(ring, _degrees_of(K, src_deg), rels)
-    return module, K
+    """Kernel of an FPMap as (minimal FPModule, generators in source gens)."""
+    return homology(fpmap.source, g=fpmap)
 
 
 def fp_cokernel(fpmap):
-    cols = fpmap.columns() + fpmap.target.relation_columns()
-    return FPModule.from_columns(fpmap.ring, fpmap.target.gens_degrees,
-                                 cols).minimized()
+    return homology(fpmap.target, f=fpmap)[0]
 
 
 def fp_homology(f, g):
     """Homology ker(g)/im(f) at the middle of M --f--> N --g--> P."""
-    if f.target is not g.source and f.target.gens_degrees != g.source.gens_degrees:
-        raise ValueError("maps are not consecutive")
-    ring = g.ring
-    n_deg = g.source.gens_degrees
-    K = _kernel_submodule(ring, g.target.num_gens, g.columns(),
-                          g.target.relation_columns())
-    keep = minimal_generating_indices(K, n_deg)
-    K = [K[i] for i in keep]
-    quotient_cols = f.columns() + g.source.relation_columns()
-    rels = _kernel_submodule(ring, g.source.num_gens, K, quotient_cols)
-    module = FPModule.from_columns(ring, _degrees_of(K, n_deg), rels)
-    return module.minimized()
+    return homology(g.source, f, g)[0]
 
 
 class Resolution:
@@ -458,14 +458,13 @@ class Resolution:
         return True
 
 
-def syzygies(mmap, minimal=False):
-    """Map whose image is the kernel of the given map of free modules."""
+def syzygies(mmap):
+    """Map whose image, minimally generated, is the kernel of the given map
+    of free modules."""
     ring = mmap.ring
-    cols = mmap.columns()
-    syz = syzygy_basis(ring, mmap.target.rank, cols)
-    if minimal:
-        keep = minimal_generating_indices(syz, mmap.source.degrees)
-        syz = [syz[i] for i in keep]
+    syz = syzygy_basis(ring, mmap.target.rank, mmap.columns())
+    keep = minimal_generating_indices(syz, mmap.source.degrees)
+    syz = [syz[i] for i in keep]
     src = FreeModule(ring, _degrees_of(syz, mmap.source.degrees))
     return ModuleMap.from_columns(src, mmap.source, syz)
 
@@ -481,7 +480,7 @@ def minimal_resolution(module):
     while phi.source.rank:
         maps.append(phi)
         modules.append(phi.source)
-        phi = syzygies(phi, minimal=True)
+        phi = syzygies(phi)
         if len(maps) > m0.ring.num_vars:
             raise AssertionError("resolution exceeds the Hilbert syzygy bound")
     m0._resolution = Resolution(modules, maps)
@@ -566,19 +565,13 @@ def ext_module(module, i):
     if not 0 <= i <= r:
         raise ValueError("Ext index out of range")
     res = minimal_resolution(module)
-    p = res.length
-    if i > p:
+    if i > res.length:
         return FPModule.zero(module.ring)
-    duals = [m.dual() for m in res.maps]          # sigma_k: F_{k-1}* -> F_k*
-    if i == 0:
-        if p == 0:
-            return FPModule.free(module.ring, res.modules[0].dual().degrees)
-        mod, _ = fp_kernel(_map_between_free_fp(duals[0]))
-        return mod.minimized()
-    if i == p:
-        return fp_cokernel(_map_between_free_fp(duals[p - 1]))
-    return fp_homology(_map_between_free_fp(duals[i - 1]),
-                       _map_between_free_fp(duals[i]))
+    # sigma_k: F_{k-1}* -> F_k*, with no map into F_0* or out of F_p*
+    sigmas = [_map_between_free_fp(m.dual()) for m in res.maps]
+    sigmas = [None] + sigmas + [None]
+    fi_star = FPModule.free(module.ring, res.modules[i].dual().degrees)
+    return homology(fi_star, sigmas[i], sigmas[i + 1])[0]
 
 
 def dual_module(module):
@@ -588,13 +581,7 @@ def dual_module(module):
 
 def _dual_data(module):
     """(M* with minimally chosen generators, their vectors in F0*)."""
-    dmap = module.pmap.dual()                      # F0* -> F1*
-    if module.num_rels == 0:
-        amb = module.pmap.target.dual()
-        free = FPModule.free(module.ring, amb.degrees)
-        return free, amb.unit_vectors()
-    mod, K = fp_kernel(_map_between_free_fp(dmap))
-    return mod, K
+    return fp_kernel(_map_between_free_fp(module.pmap.dual()))   # F0* -> F1*
 
 
 class BidualityResult:
@@ -649,8 +636,7 @@ def biduality(module):
     mdd, W = _dual_data(mstar)
     entries = _bidual_matrix(module, mstar, K, mdd, W)
     bmap = FPMap(module, mdd, entries, check=False)
-    kernel, _ = fp_kernel(bmap)
-    return BidualityResult(entries, kernel.minimized(), fp_cokernel(bmap),
+    return BidualityResult(entries, fp_kernel(bmap)[0], fp_cokernel(bmap),
                            mstar, mdd, W)
 
 
@@ -690,29 +676,23 @@ def syzygy_order(module):
     res = minimal_resolution(bd.m_star)
     if res.modules[0].degrees != tuple(bd.m_star.gens_degrees):
         raise AssertionError("dual presentation was expected to be minimal")
-    g0_free = FPModule.free(ring, res.modules[0].dual().degrees)
-    embed = _compose_embedding(m0, bd.W, bd.matrix, g0_free)
-    exact = [fp_kernel(embed)[0].is_zero()]
+    g_stars = [FPModule.free(ring, g.dual().degrees) for g in res.modules]
+    embed = _compose_embedding(m0, bd.W, bd.matrix, g_stars[0])
     if not bd.reflexive:
-        return SyzygyOrderResult(1, "not-reflexive", [embed], exact)
-    # reflexive: count exact positions along 0 -> M -> G0* -> G1* -> ...
+        return SyzygyOrderResult(1, "not-reflexive", [embed],
+                                 [fp_kernel(embed)[0].is_zero()])
+    # reflexive: exact positions along 0 -> M -> G0* -> G1* -> ... -> Gp* -> 0;
+    # M and G0* are verified, the positions after them counted until one fails
     sigmas = [_map_between_free_fp(m.dual()) for m in res.maps]  # G_{k-1}* -> G_k*
-    p = res.length
-    if p > 0:
-        exact.append(fp_homology(embed, sigmas[0]).is_zero())
-    count = 0
-    for i in range(1, p + 1):
-        if i < p:
-            h = fp_homology(sigmas[i - 1], sigmas[i])
-        else:
-            h = fp_cokernel(sigmas[p - 1])
-        if h.is_zero():
-            count += 1
-            exact.append(True)
-        else:
+    chain = [None, embed] + sigmas + [None]
+    exact = []
+    for k, piece in enumerate([m0] + g_stars):
+        zero = homology(piece, chain[k], chain[k + 1])[0].is_zero()
+        if k >= 2 and not zero:
             break
-    order = min(2 + count, r)
-    witness = [embed] + sigmas[:max(order - 1, 0)]
+        exact.append(zero)
+    order = min(len(exact), r)
+    witness = [embed] + sigmas[:order - 1]
     return SyzygyOrderResult(order, "dualized-resolution", witness, exact)
 
 

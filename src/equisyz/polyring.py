@@ -28,7 +28,10 @@ def _fr(x):
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError("zero denominator in %r" % (x,)) from None
     raise TypeError("not an exact rational: %r" % (x,))
 
 
@@ -115,15 +118,7 @@ class GradedPolynomialRing:
         return Polynomial(self, {exps: coeff} if coeff else {})
 
     def from_terms(self, terms):
-        out = {}
-        for exps, coeff in terms:
-            exps = tuple(int(e) for e in exps)
-            c = out.get(exps, Fraction(0)) + _fr(coeff)
-            if c:
-                out[exps] = c
-            else:
-                out.pop(exps, None)
-        return Polynomial(self, out)
+        return sum((self.monomial(e, c) for e, c in terms), self.zero())
 
     def weighted_degree(self, exps):
         return sum(map(mul, exps, self.degrees))
@@ -162,7 +157,7 @@ class GradedPolynomialRing:
             exps = [0] * self.num_vars
             for factor in chunk.split("*"):
                 if _RATIONAL.match(factor):
-                    coeff *= Fraction(factor)
+                    coeff *= _fr(factor)
                     continue
                 m = _VARPOW.match(factor)
                 if not m or m.group(1) not in index:

@@ -276,33 +276,12 @@ class ReflectionGroup:
         if not self._kostant_identity():
             raise ValueError("datum rejected: coinvariant basis is not free")
         basis = self.coinvariant_basis()
-        rg = self.invariant_ring
-        gdeg = module.gens_degrees
-        new_gens = [(k, b) for k in range(len(gdeg)) for b in basis]
-        gen_index = {g: i for i, g in enumerate(new_gens)}
-        new_gdeg = [gdeg[k] + self.ring.weighted_degree(b) for (k, b) in new_gens]
-        cols = []
-        for rel in module.relation_columns():
-            for b in basis:
-                bpoly = self.ring.monomial(b)
-                data = {}
-                for k in range(len(gdeg)):
-                    comp = rel.component(k)
-                    if comp.is_zero():
-                        continue
-                    for b2, c in self.expand(bpoly * comp).items():
-                        idx = gen_index[(k, b2)]
-                        for e, cf in c.terms.items():
-                            key = (idx, e)
-                            s = data.get(key, Fraction(0)) + cf
-                            if s:
-                                data[key] = s
-                            else:
-                                data.pop(key, None)
-                v = Vector(rg, len(new_gens), data)
-                if not v.is_zero():
-                    cols.append(v)
-        return FPModule.from_columns(rg, new_gdeg, cols)
+        rank = module.num_gens
+        new_gdeg = [d + self.ring.weighted_degree(b)
+                    for d in module.gens_degrees for b in basis]
+        cols = [self.expand_vector(rel.poly_mul(self.ring.monomial(b)), rank)
+                for rel in module.relation_columns() for b in basis]
+        return FPModule.from_columns(self.invariant_ring, new_gdeg, cols)
 
     def expand_vector(self, vector, ambient_rank):
         """Coordinates of an R_T vector in the free invariant-ring module

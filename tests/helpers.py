@@ -113,6 +113,16 @@ def random_module(ring, rng, max_gens=3, max_rels=3):
     return FPModule.from_columns(ring, gdegs, cols)
 
 
+def alternating_hilbert(pieces, nmax):
+    """Coefficients through degree nmax of sum (-1)^i Hilb(M) over the
+    (i, M) pairs, zeros dropped."""
+    total = {}
+    for i, m in pieces:
+        for k, v in m.hilbert().coefficients(nmax).items():
+            total[k] = total.get(k, 0) + (-1) ** i * v
+    return {k: v for k, v in total.items() if v}
+
+
 def reference_syzygy_order(module):
     """Syzygy order with the double dual computed inline.
 

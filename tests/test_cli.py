@@ -1,7 +1,9 @@
 import json
 import os
 
-from equisyz.cli import main, run, render_text, EXIT_PASS, EXIT_FAIL, EXIT_INPUT
+from equisyz.cli import (
+    main, run, render_text, EXIT_PASS, EXIT_FAIL, EXIT_INPUT, EXIT_INTERNAL,
+)
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 
@@ -209,3 +211,58 @@ def test_main_format_json_both_spellings(capsys):
 def test_unknown_check_name_rejected():
     code, report = run(["gkm", data_path("s2.json"), "--check", "bogus"])
     assert code == EXIT_INPUT
+
+
+def _module_input(entry, col_degree=2):
+    return {"ring": {"vars": ["x", "y"], "degrees": [2, 2]},
+            "row_degrees": [0], "col_degrees": [col_degree],
+            "matrix": [[entry]]}
+
+
+def test_exit_two_on_zero_denominators(tmp_path):
+    with open(data_path("circle_model.json")) as fh:
+        bad_iota = json.load(fh)
+    bad_iota["iota"][0][1][0] = "1/0"
+    cases = [
+        ("module-analyze", _module_input("1/0*x")),
+        ("module-analyze", _module_input([{"coeff": "1/0", "exps": [1, 0]}])),
+        ("weyl-verify", {"rank": 1, "generators": [[["1/0"]]],
+                         "invariants": ["t1^2"]}),
+        ("weyl-verify", {"rank": 1, "generators": [[[-1]]],
+                         "invariants": ["1/0*t1^2"]}),
+        ("cartan", bad_iota),
+    ]
+    for command, obj in cases:
+        path = write_json(tmp_path, "zero_denominator.json", obj)
+        code, report = run([command, path])
+        assert code == EXIT_INPUT, (command, obj, report)
+        assert "zero denominator" in report["error"]
+
+
+def test_exit_two_on_bad_exponent_vectors(tmp_path):
+    # x*y^-1 has weighted degree 0; x alone as [1] has the wrong length
+    for entry, col_degree in (([{"coeff": "1", "exps": [1, -1]}], 0),
+                              ([{"coeff": "1", "exps": [1]}], 2)):
+        path = write_json(tmp_path, "bad_exps.json",
+                          _module_input(entry, col_degree))
+        code, report = run(["module-analyze", path])
+        assert code == EXIT_INPUT, (entry, report)
+        assert "bad exponent vector" in report["error"]
+
+
+def test_exit_three_on_internal_error(monkeypatch, capsys):
+    import equisyz.cli as cli
+
+    def broken(obj, checks, nmax, seed):
+        raise AssertionError("invariant violated")
+
+    monkeypatch.setitem(cli.COMMANDS, "module-analyze", (broken, ("betti",)))
+    code, report = run(["module-analyze", data_path("koszul2.json")])
+    assert code == EXIT_INTERNAL
+    assert report["error"] == ("internal error: AssertionError: "
+                               "invariant violated")
+    assert main(["module-analyze", data_path("koszul2.json"),
+                 "--format", "json"]) == EXIT_INTERNAL
+    out = capsys.readouterr()
+    assert json.loads(out.out)["error"].startswith("internal error")
+    assert "AssertionError" in out.err

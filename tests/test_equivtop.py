@@ -1,3 +1,6 @@
+import json
+import os
+
 import pytest
 
 from equisyz.polyring import GradedPolynomialRing, Vector
@@ -8,14 +11,16 @@ from equisyz.gradmod import (
 from equisyz.weyl import cyclic_sign_group
 from equisyz.equivtop import (
     GKMGraph, FiltrationDatum, DatumError, chang_skjelbred, gkm_cohomology,
-    ab_cohomology, cm_filtration_check, verify_ext_duality,
-    partial_exactness_vs_syzygy, descend_invariants, integrate,
-    pairing_perfection, syzygy_gap_check, truncation_additivity_check,
+    ab_cohomology, plain_ab_cohomology, cm_filtration_check,
+    verify_ext_duality, partial_exactness_vs_syzygy, descend_invariants,
+    integrate, pairing_perfection, syzygy_gap_check,
+    truncation_additivity_check,
 )
 from equisyz.examples import (
     s2_graph, s2xs2_graph, s2_filtration, s2xs2_filtration,
     free_circle_filtration, su2_sphere_graph, su2_g_filtration,
 )
+from helpers import alternating_hilbert
 
 
 def test_graph_validation():
@@ -346,3 +351,20 @@ def test_pairing_not_applicable_for_nonfree_kernel():
     g = s2_graph(with_symmetry=False)
     rep = pairing_perfection(g, kernel=fake)
     assert rep.verdict == "not applicable"
+
+
+def test_filtration_euler_characteristic_on_shipped_data():
+    # sum (-1)^i Hilb(H^i) = sum (-1)^i Hilb(AB^i), for the complex alone and
+    # with the augmentation module as AB^{-1}
+    data = os.path.join(os.path.dirname(__file__), "..", "data")
+    for name in ("s2_filtration.json", "s2xs2_filtration.json",
+                 "free_circle.json", "su2_g_filtration.json"):
+        with open(os.path.join(data, name)) as fh:
+            datum = FiltrationDatum.from_json(json.load(fh))
+        pieces = list(enumerate(datum.modules))
+        assert (alternating_hilbert(plain_ab_cohomology(datum).items(), 40)
+                == alternating_hilbert(pieces, 40)), name
+        if datum.augmentation is not None:
+            pieces.append((-1, datum.augmentation.source))
+            assert (alternating_hilbert(ab_cohomology(datum).items(), 40)
+                    == alternating_hilbert(pieces, 40)), name

@@ -37,7 +37,8 @@ def _cases(workdir):
                 yield ("%s data/%s %s" % (command, name, fmt),
                        [command, path, "--format", fmt])
             yield ("integrate-klass data/%s %s" % (name, fmt),
-                   ["integrate", path, "--klass", '["t", "0"]', "--format", fmt])
+                   ["integrate", path, "--klass", '["t", "0"]',
+                    "--format", fmt])
     ring = GradedPolynomialRing(["x", "y"])
     for seed in range(RANDOM_MODULES):
         path = os.path.join(workdir, "random_module_%d.json" % seed)
