@@ -15,6 +15,8 @@ equivariant cohomology.  Longer filtrations are supplied as explicit data
 * fixed-point integration and the perfection of the Poincare pairing.
 """
 
+from collections import Counter
+from fractions import Fraction
 from math import gcd
 
 from .polyring import (
@@ -67,8 +69,18 @@ class GKMGraph:
             self.edges.append((str(v), str(w), weight))
         self.euler = None
         if euler is not None:
-            self.euler = {str(v): [tuple(int(x) for x in vec) for vec in vecs]
-                          for v, vecs in euler.items()}
+            if not isinstance(euler, dict):
+                raise DatumError("Euler data must map vertices to weight lists")
+            self.euler = {}
+            for v, vecs in euler.items():
+                if str(v) not in index:
+                    raise DatumError("Euler data names unknown vertex %s" % v)
+                vecs = [tuple(int(x) for x in vec) for vec in vecs]
+                if any(len(vec) != self.rank or not any(vec) for vec in vecs):
+                    raise DatumError("Euler weights must be nonzero vectors of "
+                                     "length %d" % self.rank)
+                self.euler[str(v)] = vecs
+        self._localization = None
         # symmetry: (ReflectionGroup, [vertex permutation per group generator])
         self.symmetry = symmetry
         if symmetry is not None:
@@ -105,23 +117,61 @@ class GKMGraph:
                         and (perm[v], perm[w], tuple(-x for x in img)) not in edge_set):
                     raise DatumError("vertex permutation does not respect the weights")
 
+    def _weights_at(self, v):
+        """Weights whose product is the Euler class at v: the supplied Euler
+        data, else the incident edge weights pointing away from v."""
+        if self.euler is not None and v in self.euler:
+            return self.euler[v]
+        vecs = []
+        for (a, b, w) in self.edges:
+            if a == v:
+                vecs.append(w)
+            elif b == v:
+                vecs.append(tuple(-x for x in w))
+        if not vecs:
+            raise DatumError("vertex %s has no incident edges and no Euler data" % v)
+        return vecs
+
     def euler_class(self, v):
         """Signed product of the weights at a vertex (supplied or derived)."""
-        if self.euler is not None and v in self.euler:
-            vecs = self.euler[v]
-        else:
-            vecs = []
-            for (a, b, w) in self.edges:
-                if a == v:
-                    vecs.append(w)
-                elif b == v:
-                    vecs.append(tuple(-x for x in w))
-            if not vecs:
-                raise DatumError("vertex %s has no incident edges and no Euler data" % v)
         e = self.ring.one()
-        for w in vecs:
+        for w in self._weights_at(v):
             e = e * self.weight_form(w)
         return e
+
+    def localization(self):
+        """(L, [L / e_v for each vertex]) for L the lcm of the Euler classes.
+
+        Each e_v is a scalar times a product of normalized weight forms
+        (primitive, first nonzero entry positive); L multiplies every form
+        to its largest multiplicity at any vertex.  Computed once per graph.
+        """
+        if self._localization is None:
+            scalars, counts = [], []
+            for v in self.vertices:
+                scalar, count = Fraction(1), Counter()
+                for w in self._weights_at(v):
+                    c = gcd(*w)
+                    if next(x for x in w if x) < 0:
+                        c = -c
+                    scalar *= c
+                    count[tuple(x // c for x in w)] += 1
+                scalars.append(scalar)
+                counts.append(count)
+            top = Counter()
+            for count in counts:
+                top |= count
+
+            def product(count):
+                p = self.ring.one()
+                for w in sorted(count):
+                    p = p * self.weight_form(w) ** count[w]
+                return p
+
+            self._localization = (product(top), [
+                product(top - count).scale(1 / scalar)
+                for scalar, count in zip(scalars, counts)])
+        return self._localization
 
     def to_json(self):
         out = {
@@ -516,23 +566,15 @@ def integrate(graph, klass, kernel=None):
         kernel = gkm_cohomology(graph)
     if not kernel.membership_gb().contains(klass):
         raise DatumError("class is not in the kernel of the edge-difference map")
-    eulers = [graph.euler_class(v) for v in graph.vertices]
+    lcm, cofactors = graph.localization()
     total_num = ring.zero()
     for i in range(nv):
         f = klass.component(i)
-        if f.is_zero():
-            continue
-        prod = f
-        for j in range(nv):
-            if j != i:
-                prod = prod * eulers[j]
-        total_num = total_num + prod
-    denom = ring.one()
-    for e in eulers:
-        denom = denom * e
+        if not f.is_zero():
+            total_num = total_num + f * cofactors[i]
     if total_num.is_zero():
         return ring.zero()
-    quot, ok = _exact_divide(total_num, denom)
+    quot, ok = _exact_divide(total_num, lcm)
     if not ok:
         raise DatumError("localized sum is not a polynomial; "
                          "class or Euler data invalid")
@@ -550,17 +592,13 @@ def pairing_perfection(graph, kernel=None):
     if kernel.module.num_rels != 0:
         return CheckReport("poincare-pairing-perfection", "not applicable",
                            {"reason": "kernel is not free; use the syzygy test"})
-    basis = kernel.generators
+    basis = [b.to_polys() for b in kernel.generators]
     n = len(basis)
-    gram = []
+    gram = [[None] * n for _ in range(n)]
     for i in range(n):
-        row = []
-        for j in range(n):
-            prod = Vector.from_polys(
-                [basis[i].component(k) * basis[j].component(k)
-                 for k in range(basis[i].rank)])
-            row.append(integrate(graph, prod, kernel=kernel))
-        gram.append(row)
+        for j in range(i, n):
+            prod = [a * b for a, b in zip(basis[i], basis[j])]
+            gram[i][j] = gram[j][i] = integrate(graph, prod, kernel=kernel)
     det = determinant(gram, graph.ring)
     unit = (not det.is_zero()) and set(det.terms) == {graph.ring.zero_exps}
     refl = biduality(kernel.module).reflexive

@@ -237,9 +237,6 @@ class FPModule:
     def is_zero(self):
         return self.minimized().num_gens == 0
 
-    def is_free(self):
-        return self.minimized().num_rels == 0
-
     def shifted(self, k):
         """Raise all generator degrees by k."""
         src = FreeModule(self.ring, tuple(d + k for d in self.pmap.source.degrees))

@@ -547,8 +547,10 @@ def determinant(matrix, ring):
 
     Bareiss (1968): every entry of the trailing block is a minor of the
     input, so the division by the previous pivot is exact; it is a scaling
-    when that pivot is a constant.  A zero pivot is swapped with the first
-    nonzero entry below it, which flips the sign.
+    when that pivot is a constant.  Each column's pivot is its first
+    constant in rows k..n-1, else its nonzero entry of lowest degree, so
+    the divisions stay scalings whenever the matrix allows; each row swap
+    flips the sign.
     """
     m = [list(row) for row in matrix]
     n = len(m)
@@ -557,11 +559,13 @@ def determinant(matrix, ring):
     sign = 1
     prev = ring.one()
     for k in range(n - 1):
-        if m[k][k].is_zero():
-            swap = next((i for i in range(k + 1, n) if not m[i][k].is_zero()),
-                        None)
-            if swap is None:
-                return ring.zero()
+        rows = [i for i in range(k, n) if not m[i][k].is_zero()]
+        if not rows:
+            return ring.zero()
+        # min keeps the first of equal keys: the first constant, if any
+        swap = min(rows, key=lambda i: max(map(ring.weighted_degree,
+                                               m[i][k].terms)))
+        if swap != k:
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
         piv = m[k][k]
@@ -891,9 +895,6 @@ class HilbertSeries:
 
     def is_zero(self):
         return not self.numerator
-
-    def min_degree(self):
-        return min(self.numerator) if self.numerator else None
 
     def coefficients(self, nmax):
         """Dict degree -> coefficient for all degrees <= nmax."""

@@ -114,10 +114,6 @@ class ReflectionGroup:
             self._images[key] = images
         return poly.substitute(self.ring, self._images[key])
 
-    def act_vector(self, matrix, vector):
-        polys = [self.act(matrix, p) for p in vector.to_polys()]
-        return Vector.from_polys(polys, vector.rank)
-
     def reynolds(self, poly):
         """Average over the group; a projector onto the invariants."""
         acc = self.ring.zero()

@@ -2,12 +2,13 @@
 
 from fractions import Fraction
 
-from equisyz.polyring import Polynomial, Vector
+from equisyz.polyring import Polynomial, Vector, _exact_divide
 from equisyz.gradmod import (
     FPModule, FPMap, SyzygyOrderResult, minimal_resolution, fp_kernel,
     fp_cokernel, fp_homology, _dual_data, _bidual_matrix,
     _map_between_free_fp, _compose_embedding,
 )
+from equisyz.equivtop import DatumError, gkm_cohomology
 
 
 def monomials_of_degree(ring, degree):
@@ -88,6 +89,45 @@ def reference_det(matrix, ring):
         term = matrix[i][0] * reference_det(minor, ring)
         acc = acc - term if i % 2 else acc + term
     return acc
+
+
+def reference_integrate(graph, klass, kernel=None):
+    """Fixed-point localization over the product of all Euler classes.
+
+    The form equivtop.integrate had before it localized over the lcm of the
+    Euler classes, kept as the reference it is tested against: each f_v is
+    multiplied by every other vertex's Euler class before one exact
+    division by their product.
+    """
+    ring = graph.ring
+    nv = len(graph.vertices)
+    if isinstance(klass, (list, tuple)):
+        klass = Vector.from_polys(list(klass), nv)
+    if kernel is None:
+        kernel = gkm_cohomology(graph)
+    if not kernel.membership_gb().contains(klass):
+        raise DatumError("class is not in the kernel of the edge-difference map")
+    eulers = [graph.euler_class(v) for v in graph.vertices]
+    total_num = ring.zero()
+    for i in range(nv):
+        f = klass.component(i)
+        if f.is_zero():
+            continue
+        prod = f
+        for j in range(nv):
+            if j != i:
+                prod = prod * eulers[j]
+        total_num = total_num + prod
+    denom = ring.one()
+    for e in eulers:
+        denom = denom * e
+    if total_num.is_zero():
+        return ring.zero()
+    quot, ok = _exact_divide(total_num, denom)
+    if not ok:
+        raise DatumError("localized sum is not a polynomial; "
+                         "class or Euler data invalid")
+    return quot
 
 
 def random_vector(ring, col_degrees, degree, rng, first_col=0):

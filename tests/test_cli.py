@@ -86,6 +86,22 @@ def test_integrate_rejects_non_member():
     assert code == EXIT_INPUT
 
 
+def test_exit_two_on_bad_euler_data(tmp_path):
+    # a zero weight, weights of the wrong length, and an unknown vertex
+    cases = [({"N": [[0]], "S": [[-1]]}, "nonzero vectors of length 1"),
+             ({"N": [[1, 0, 0]], "S": [[-1]]}, "nonzero vectors of length 1"),
+             ({"N": [[0, 1]], "S": [[-1]]}, "nonzero vectors of length 1"),
+             ({"N": [[1]], "S": [[-1]], "X": [[1]]}, "unknown vertex X")]
+    for euler, message in cases:
+        path = write_json(tmp_path, "bad_euler.json", {
+            "rank": 1, "vars": ["t"], "vertices": ["N", "S"],
+            "edges": [{"v": "N", "w": "S", "weight": [1]}], "euler": euler})
+        for argv in (["gkm", path], ["integrate", path, "--klass", '["t", "0"]']):
+            code, report = run(argv)
+            assert code == EXIT_INPUT, (argv, euler)
+            assert message in report["error"], report["error"]
+
+
 def test_exit_two_on_malformed_json(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json")

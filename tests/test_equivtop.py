@@ -1,5 +1,8 @@
 import json
 import os
+import random
+import sys
+import time
 
 import pytest
 
@@ -20,7 +23,10 @@ from equisyz.examples import (
     s2_graph, s2xs2_graph, s2_filtration, s2xs2_filtration,
     free_circle_filtration, su2_sphere_graph, su2_g_filtration,
 )
-from helpers import alternating_hilbert
+from helpers import alternating_hilbert, random_homogeneous, reference_integrate
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "bench"))
+import gen  # noqa: E402  (the benchmark's GKM graph generators)
 
 
 def test_graph_validation():
@@ -32,6 +38,17 @@ def test_graph_validation():
     ring2 = GradedPolynomialRing(["t1", "t2"])
     with pytest.raises(DatumError):
         GKMGraph(ring2, ["N", "S"], [("N", "S", (2, 2))])   # not primitive
+    edge = [("N", "S", (1,))]
+    for euler in ({"N": [(0,)], "S": [(-1,)]},              # zero weight
+                  {"N": [(1, 0, 0)], "S": [(-1,)]},         # wrong length
+                  {"N": [(0, 1)], "S": [(-1,)]},            # wrong length
+                  {"N": [(1,)], "S": [(-1,)], "X": [(1,)]},  # unknown vertex
+                  [[1], [-1]]):                             # not a mapping
+        with pytest.raises(DatumError):
+            GKMGraph(ring, ["N", "S"], edge, euler=euler)
+    # non-primitive Euler weights are allowed: their content is a scalar
+    g = GKMGraph(ring, ["N", "S"], edge, euler={"N": [(2,)], "S": [(-3,)]})
+    assert g.euler_class("S") == ring.var(0).scale(-3)
 
 
 def test_chang_skjelbred_sphere():
@@ -275,6 +292,80 @@ def test_integrate_detects_bad_euler_data():
     one = ring.one()
     with pytest.raises(DatumError):
         integrate(g, [one, one])   # localizes to 2/t, not a polynomial
+
+
+def _random_kernel_class(kernel, rng):
+    """An R-combination of the kernel generators, as a list of components."""
+    ring = kernel.module.ring
+    total = Vector(ring, kernel.ambient.rank, {})
+    for gen_ in kernel.generators:
+        coeff = random_homogeneous(ring, 2 * rng.randint(0, 1), rng, density=0.5)
+        total = total + gen_.poly_mul(coeff)
+    return total.to_polys()
+
+
+def _assert_integrals_agree(graph, klass, kernel):
+    try:
+        want = reference_integrate(graph, klass, kernel=kernel)
+    except DatumError:
+        with pytest.raises(DatumError):
+            integrate(graph, klass, kernel=kernel)
+        return "raises"
+    assert integrate(graph, klass, kernel=kernel) == want
+    return "value"
+
+
+def test_integrate_matches_product_form_reference():
+    rng = random.Random(1998)
+    graphs = [gen.flag_variety(3, 1), gen.p1_power(3, 2),
+              gen.projective_space(3, 3), gen.grassmannian(2, 4, 4)]
+    for obj in graphs:
+        g = GKMGraph.from_json(obj)
+        kernel = gkm_cohomology(g)
+        nonzero = 0
+        for _ in range(3):
+            klass = _random_kernel_class(kernel, rng)
+            assert _assert_integrals_agree(g, klass, kernel) == "value"
+            nonzero += not integrate(g, klass, kernel=kernel).is_zero()
+        assert nonzero >= 1
+    # supplied Euler data: the derived weights with the first one scaled by
+    # c_v and the other two negated (every vertex here has three).  One c
+    # for all vertices (non-primitive, negated) keeps the integrals
+    # polynomial; a c_v per vertex breaks them, and both forms must raise
+    outcomes = set()
+    for obj in graphs[:2]:
+        g0 = GKMGraph.from_json(obj)
+        nv = len(g0.vertices)
+        for scales in ([-2] * nv, [3] * nv,
+                       [rng.choice((-2, -1, 1, 3)) for _ in range(nv)]):
+            euler = {}
+            for v, c in zip(g0.vertices, scales):
+                first, *rest = g0._weights_at(v)
+                euler[v] = ([[c * x for x in first]]
+                            + [[-x for x in w] for w in rest])
+            g = GKMGraph.from_json(dict(obj, euler=euler))
+            kernel = gkm_cohomology(g)
+            for _ in range(2):
+                klass = _random_kernel_class(kernel, rng)
+                outcomes.add(_assert_integrals_agree(g, klass, kernel))
+    assert outcomes == {"value", "raises"}
+    # same-sign Euler data on the sphere
+    ring = GradedPolynomialRing(["t"])
+    g = GKMGraph(ring, ["N", "S"], [("N", "S", (1,))],
+                 euler={"N": [(1,)], "S": [(1,)]})
+    one = ring.one()
+    assert _assert_integrals_agree(g, [one, one], gkm_cohomology(g)) == "raises"
+
+
+def test_pairing_flag4_finishes():
+    # the 24x24 Gram matrix of Fl(4); before the factored localization a
+    # single integrate call on this graph ran for minutes
+    g = GKMGraph.from_json(gen.flag_variety(4, 0))
+    start = time.perf_counter()
+    rep = pairing_perfection(g)
+    assert time.perf_counter() - start < 120
+    assert rep.verdict == "pass" and rep.details["perfect"]
+    assert rep.details["determinant"] == "1"
 
 
 def test_pairing_sphere_and_product():

@@ -244,6 +244,32 @@ def test_determinant_matches_laplace_on_random_matrices():
     assert swapped >= 10
 
 
+def test_determinant_pivots_on_constants(monkeypatch):
+    # anti-triangular with a constant anti-diagonal, polynomials without
+    # constant term above it and zeros below (the shape of a Gram matrix
+    # of the Poincare pairing), rows shuffled: every column offers a
+    # constant pivot, so no elimination step needs a polynomial division
+    from equisyz import polyring
+    calls = []
+    real = polyring._exact_divide
+
+    def counting(f, g):
+        calls.append(g)
+        return real(f, g)
+
+    monkeypatch.setattr(polyring, "_exact_divide", counting)
+    rng = random.Random(1968)
+    ring = GradedPolynomialRing(["x", "y"])
+    x, y = ring.vars()
+    for n in range(2, 8):
+        m = [[ring.constant(rng.choice((-3, -1, 1, 2))) if i + j == n - 1
+              else x * _random_poly(ring, rng, 2) + y if i + j < n - 1
+              else ring.zero() for j in range(n)] for i in range(n)]
+        rng.shuffle(m)
+        assert determinant(m, ring) == reference_det(m, ring)
+    assert calls == []
+
+
 def test_determinant_of_plu_product():
     # det(P L U) = sign(P) * prod(diag U) for L lower unitriangular and U
     # upper triangular: an oracle that needs no second determinant
