@@ -42,6 +42,18 @@ class DatumError(ValueError):
     """Raised when the input data violates its structural contracts."""
 
 
+def _integers(vec):
+    """A weight vector as ints; each entry is a number or a string ("2")
+    with an integer value."""
+    try:
+        qs = [Fraction(x) for x in vec]
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        qs = None
+    if qs is None or any(q.denominator != 1 for q in qs):
+        raise DatumError("weight entries must be integers, got %r" % (vec,))
+    return tuple(int(q) for q in qs)
+
+
 class GKMGraph:
     """Moment graph: vertices, edges with primitive integer weights,
     optional per-vertex Euler data and a reflection-group symmetry."""
@@ -57,7 +69,7 @@ class GKMGraph:
         for (v, w, weight) in edges:
             if v not in index or w not in index or v == w:
                 raise DatumError("edge endpoints must be distinct known vertices")
-            weight = tuple(int(x) for x in weight)
+            weight = _integers(weight)
             if len(weight) != self.rank or not any(weight):
                 raise DatumError("edge weight must be a nonzero vector of length %d"
                                  % self.rank)
@@ -75,7 +87,7 @@ class GKMGraph:
             for v, vecs in euler.items():
                 if str(v) not in index:
                     raise DatumError("Euler data names unknown vertex %s" % v)
-                vecs = [tuple(int(x) for x in vec) for vec in vecs]
+                vecs = [_integers(vec) for vec in vecs]
                 if any(len(vec) != self.rank or not any(vec) for vec in vecs):
                     raise DatumError("Euler weights must be nonzero vectors of "
                                      "length %d" % self.rank)
@@ -112,8 +124,8 @@ class GKMGraph:
             for (v, w, a) in self.edges:
                 img = tuple(sum(mat[i][j] * a[j] for j in range(self.rank))
                             for i in range(self.rank))
-                img = tuple(int(x) for x in img)
-                if ((perm[v], perm[w], img) not in edge_set
+                if (any(x.denominator != 1 for x in img)
+                        or (perm[v], perm[w], img) not in edge_set
                         and (perm[v], perm[w], tuple(-x for x in img)) not in edge_set):
                     raise DatumError("vertex permutation does not respect the weights")
 
@@ -568,10 +580,9 @@ def integrate(graph, klass, kernel=None):
         raise DatumError("class is not in the kernel of the edge-difference map")
     lcm, cofactors = graph.localization()
     total_num = ring.zero()
-    for i in range(nv):
-        f = klass.component(i)
+    for f, cofactor in zip(klass.to_polys(), cofactors):
         if not f.is_zero():
-            total_num = total_num + f * cofactors[i]
+            total_num = total_num + f * cofactor
     if total_num.is_zero():
         return ring.zero()
     quot, ok = _exact_divide(total_num, lcm)

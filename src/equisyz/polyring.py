@@ -401,7 +401,10 @@ class Vector:
         return Polynomial(self.ring, {e: c for (col, e), c in self.data.items() if col == i})
 
     def to_polys(self):
-        return [self.component(i) for i in range(self.rank)]
+        terms = [{} for _ in range(self.rank)]
+        for (col, e), c in self.data.items():
+            terms[col][e] = c
+        return [Polynomial(self.ring, t) for t in terms]
 
     def __add__(self, other):
         out = dict(self.data)

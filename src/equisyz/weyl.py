@@ -13,13 +13,11 @@ signed permutations, sign flips in rank one, and direct products.
 from fractions import Fraction
 
 from .polyring import (
-    GradedPolynomialRing, Polynomial, Vector, SubmoduleGB, buchberger,
-    normal_form, syzygy_basis, HilbertSeries, qpoly_add, qpoly_mul,
-    qpoly_inverse_series, determinant, _fr, _mat_mul,
+    GradedPolynomialRing, Vector, SubmoduleGB, buchberger, normal_form,
+    syzygy_basis, HilbertSeries, qpoly_add, qpoly_mul, qpoly_inverse_series,
+    determinant, _fr, _mat_mul,
 )
-from .gradmod import (
-    FreeModule, ModuleMap, FPModule, minimal_generating_indices, _degrees_of,
-)
+from .gradmod import FPModule, _degrees_of
 
 __all__ = [
     "ReflectionGroup", "WEquivariantFreeModule", "GroupClosureError",
@@ -59,7 +57,7 @@ class ReflectionGroup:
         self.ring = ring
         self.rank = rank
         self.generators = gens
-        self.elements, self._words = self._closure(gens, max_order)
+        self.elements = self._closure(gens, max_order)
         self.invariants = [ring.parse(p) if isinstance(p, str) else p
                            for p in invariants]
         if any(p.ring != ring for p in self.invariants):
@@ -79,22 +77,21 @@ class ReflectionGroup:
     @staticmethod
     def _closure(gens, max_order):
         n = len(gens[0]) if gens else 0
-        ident = _identity(n)
-        elements = [ident]
-        words = {ident: ()}
-        queue = [ident]
+        elements = [_identity(n)]
+        seen = set(elements)
+        queue = list(elements)
         while queue:
             w = queue.pop(0)
-            for gi, g in enumerate(gens):
+            for g in gens:
                 prod = _mat_mul(g, w)
-                if prod not in words:
-                    words[prod] = (gi,) + words[w]
+                if prod not in seen:
+                    seen.add(prod)
                     elements.append(prod)
                     queue.append(prod)
                     if len(elements) > max_order:
                         raise GroupClosureError(
                             "group closure exceeds the bound %d" % max_order)
-        return elements, words
+        return elements
 
     @property
     def order(self):
@@ -155,12 +152,6 @@ class ReflectionGroup:
         except ValueError:
             checks.append(("coinvariant basis is finite and of the right size", False))
         return VerificationReport(checks)
-
-    def verify_or_raise(self, nmax=40):
-        report = self.verify(nmax)
-        if not report.ok:
-            raise ValueError("invariant datum rejected: %s" % report.failures())
-        return report
 
     def _invariant_gb(self):
         if self._inv_gb is None:
@@ -286,8 +277,7 @@ class ReflectionGroup:
         index = {(v, b): i for i, (v, b) in enumerate(
             (v, b) for v in range(ambient_rank) for b in basis)}
         data = {}
-        for v in range(ambient_rank):
-            comp = vector.component(v)
+        for v, comp in enumerate(vector.to_polys()):
             if comp.is_zero():
                 continue
             for b, c in self.expand(comp).items():
@@ -297,12 +287,9 @@ class ReflectionGroup:
         return Vector(self.invariant_ring, ambient_rank * len(basis), data)
 
     def invariant_module_layout(self, ambient_rank):
-        basis = self.coinvariant_basis()
-        degrees = []
-        for v in range(ambient_rank):
-            for b in basis:
-                degrees.append(self.ring.weighted_degree(b))
-        return degrees
+        """Degrees of the (ambient coordinate, coinvariant monomial) basis."""
+        return [self.ring.weighted_degree(b)
+                for b in self.coinvariant_basis()] * ambient_rank
 
 
 class VerificationReport:
@@ -333,14 +320,13 @@ def _char_det(matrix):
 class WEquivariantFreeModule:
     """Free R_T module on a finite index set with a compatible group action.
 
-    The action pairs each group generator with a permutation of the index
-    set; coefficients transform through the generator matrices.  Consistency
-    (the action being a homomorphism) is checked while replaying the group
+    Each group generator permutes the index set, and every group element w
+    acts on coefficients as it acts on R_T.  Consistency (the permutations
+    extending to a homomorphism) is checked while replaying the group
     closure.
     """
 
-    def __init__(self, group, index_names, generator_permutations,
-                 generator_matrices=None):
+    def __init__(self, group, index_names, generator_permutations):
         self.group = group
         self.names = tuple(index_names)
         if len(generator_permutations) != len(group.generators):
@@ -350,27 +336,17 @@ class WEquivariantFreeModule:
             if set(perm) != set(self.names) or set(perm.values()) != set(self.names):
                 raise ValueError("permutation must be a bijection of the index set")
             self.gen_perms.append(dict(perm))
-        # coefficient action defaults to the group's defining matrices; a
-        # non-faithful action (e.g. all identity) is allowed as long as the
-        # assignment extends to a homomorphism on the closure
-        if generator_matrices is None:
-            self.gen_mats = list(group.generators)
-        else:
-            self.gen_mats = [_mat(m) for m in generator_matrices]
         self._action_of = self._replay_closure()
 
     def _replay_closure(self):
         # walk the closure graph and check that elements with two different
-        # generator words receive the same action (homomorphism check)
-        ident = _identity(self.group.rank)
-        actions = {ident: ({n: n for n in self.names}, ident)}
+        # generator words receive the same permutation (homomorphism check)
+        actions = {_identity(self.group.rank): {n: n for n in self.names}}
         for w in self.group.elements:
             for gi, g in enumerate(self.group.generators):
                 prod = _mat_mul(g, w)
-                perm_w, mat_w = actions[w]
                 gperm = self.gen_perms[gi]
-                composed = ({n: gperm[perm_w[n]] for n in self.names},
-                            _mat_mul(self.gen_mats[gi], mat_w))
+                composed = {n: gperm[actions[w][n]] for n in self.names}
                 if prod in actions:
                     if actions[prod] != composed:
                         raise ValueError("action is inconsistent with the group law")
@@ -384,14 +360,13 @@ class WEquivariantFreeModule:
 
     def act_tuple(self, w, vector):
         """(w.f)_v = w.(f at the preimage of v)."""
-        perm, mat = self._action_of[w]
-        inv = {perm[n]: n for n in self.names}
+        perm = self._action_of[w]
         idx = {n: i for i, n in enumerate(self.names)}
-        comps = [None] * len(self.names)
-        for v in self.names:
-            src = vector.component(idx[inv[v]])
-            comps[idx[v]] = self.group.act(mat, src)
-        return Vector.from_polys(comps, len(self.names))
+        src = vector.to_polys()
+        comps = [None] * self.rank
+        for n in self.names:
+            comps[idx[perm[n]]] = self.group.act(w, src[idx[n]])
+        return Vector.from_polys(comps, self.rank)
 
     def reynolds_tuple(self, vector):
         acc = Vector(self.group.ring, len(self.names), {})
@@ -399,17 +374,18 @@ class WEquivariantFreeModule:
             acc = acc + self.act_tuple(w, vector)
         return acc.scale(Fraction(1, self.group.order))
 
-    def fixed_counts(self):
-        return {w: sum(1 for n in self.names if self._action_of[w][0][n] == n)
-                for w in self.group.elements}
-
     def invariants(self, submodule_gens=None, nmax=40):
         """Invariant tuples as a module over the invariant ring.
 
-        Generators: Reynolds images of (coinvariant basis) x (generators);
-        relations by syzygies over the invariant ring.  When the full free
-        module is taken (no submodule generators), the Hilbert series is
-        compared against the Molien-weighted fixed-point count.
+        Candidates are the Reynolds images R(g.b), g a homogeneous generator
+        (default: the unit vectors) and b a coinvariant monomial, visited
+        by (degree, pair index).  One is kept unless it lies in the R_T-span
+        of those kept, which for invariant vectors is their R^W-span, as R
+        is R^W-linear; so the kept ones generate minimally (Nakayama).  The
+        visit stops once every g lies in that span, since every later
+        candidate then does.  Only the kept ones are expanded over R^W, in
+        pair order, for the relations.  For the full free module the
+        Hilbert series is checked against the Molien fixed-point count.
         """
         group = self.group
         ring = group.ring
@@ -417,29 +393,36 @@ class WEquivariantFreeModule:
         if submodule_gens is None:
             gens0 = [Vector.unit(ring, self.rank, i) for i in range(self.rank)]
         else:
-            gens0 = list(submodule_gens)
-        candidates = []
-        for g in gens0:
-            for b in basis:
-                v = self.reynolds_tuple(g.poly_mul(ring.monomial(b)))
-                if not v.is_zero():
-                    candidates.append(v)
-        coords = [group.expand_vector(v, self.rank) for v in candidates]
+            gens0 = [g for g in submodule_gens if not g.is_zero()]
+        pairs = [(g, b) for g in gens0 for b in basis]
+        col_degrees = (0,) * self.rank
+        order = sorted(range(len(pairs)), key=lambda k: (
+            pairs[k][0].homogeneous_degree(col_degrees)
+            + ring.weighted_degree(pairs[k][1]), k))
+        kept, gb = {}, []
+        for k in order:
+            g, b = pairs[k]
+            v = self.reynolds_tuple(g.poly_mul(ring.monomial(b)))
+            if v.is_zero() or (gb and normal_form(v, gb).is_zero()):
+                continue
+            kept[k] = v
+            gb = buchberger(gb + [v])
+            if all(normal_form(h, gb).is_zero() for h in gens0):
+                break
+        generators = [kept[k] for k in sorted(kept)]
+        coords = [group.expand_vector(v, self.rank) for v in generators]
         amb_degrees = group.invariant_module_layout(self.rank)
-        keep = minimal_generating_indices(coords, amb_degrees)
-        candidates = [candidates[i] for i in keep]
-        coords = [coords[i] for i in keep]
         rels = syzygy_basis(group.invariant_ring, self.rank * len(basis), coords)
         gdegs = _degrees_of(coords, amb_degrees)
         module = FPModule.from_columns(group.invariant_ring, gdegs, rels)
-        result = InvariantsResult(module, candidates)
+        result = InvariantsResult(module, generators)
         if submodule_gens is None:
-            fixed = self.fixed_counts()
             total = {}
             for w in group.elements:
-                if fixed[w]:
-                    inv = qpoly_inverse_series(_char_det(self._action_of[w][1]), nmax)
-                    total = qpoly_add(total, {k: v * fixed[w] for k, v in inv.items()})
+                fixed = sum(1 for n in self.names if self._action_of[w][n] == n)
+                if fixed:
+                    inv = qpoly_inverse_series(_char_det(w), nmax)
+                    total = qpoly_add(total, {k: v * fixed for k, v in inv.items()})
             expected = {k: v / group.order for k, v in total.items() if v}
             got = {k: Fraction(v) for k, v in module.hilbert().coefficients(nmax).items()}
             result.molien_consistent = expected == got

@@ -2,11 +2,12 @@
 
 from fractions import Fraction
 
-from equisyz.polyring import Polynomial, Vector, _exact_divide
+from equisyz.polyring import Polynomial, Vector, _exact_divide, syzygy_basis
 from equisyz.gradmod import (
     FPModule, FPMap, SyzygyOrderResult, minimal_resolution, fp_kernel,
     fp_cokernel, fp_homology, _dual_data, _bidual_matrix,
-    _map_between_free_fp, _compose_embedding,
+    _map_between_free_fp, _compose_embedding, minimal_generating_indices,
+    _degrees_of,
 )
 from equisyz.equivtop import DatumError, gkm_cohomology
 
@@ -128,6 +129,45 @@ def reference_integrate(graph, klass, kernel=None):
         raise DatumError("localized sum is not a polynomial; "
                          "class or Euler data invalid")
     return quot
+
+
+def verify_or_raise(group, nmax=40):
+    """group.verify(nmax), raising ValueError when the datum is rejected."""
+    report = group.verify(nmax)
+    if not report.ok:
+        raise ValueError("invariant datum rejected: %s" % report.failures())
+    return report
+
+
+def reference_invariants(module, submodule_gens=None):
+    """Generators and module of the invariants, from every candidate.
+
+    The selection WEquivariantFreeModule.invariants made before it tested
+    membership over R_T, kept as the reference it is tested against: every
+    Reynolds image R(g.b) of a generator g times a coinvariant monomial b is
+    expanded over the invariant ring, and minimal_generating_indices picks
+    the generators among all of them.  Returns (generators, FPModule).
+    """
+    group = module.group
+    ring = group.ring
+    basis = group.coinvariant_basis()
+    if submodule_gens is None:
+        submodule_gens = [Vector.unit(ring, module.rank, i)
+                          for i in range(module.rank)]
+    candidates = []
+    for g in submodule_gens:
+        for b in basis:
+            v = module.reynolds_tuple(g.poly_mul(ring.monomial(b)))
+            if not v.is_zero():
+                candidates.append(v)
+    coords = [group.expand_vector(v, module.rank) for v in candidates]
+    amb_degrees = group.invariant_module_layout(module.rank)
+    keep = minimal_generating_indices(coords, amb_degrees)
+    coords = [coords[i] for i in keep]
+    rels = syzygy_basis(group.invariant_ring, module.rank * len(basis), coords)
+    return ([candidates[i] for i in keep],
+            FPModule.from_columns(group.invariant_ring,
+                                  _degrees_of(coords, amb_degrees), rels))
 
 
 def random_vector(ring, col_degrees, degree, rng, first_col=0):

@@ -102,6 +102,50 @@ def test_exit_two_on_bad_euler_data(tmp_path):
             assert message in report["error"], report["error"]
 
 
+def test_exit_two_on_fractional_gkm_data(tmp_path):
+    # int() used to truncate these: weight [1.5] with Euler [[1.7]] at N
+    # integrated (1, 1) to a passing report
+    one = [{"v": "N", "w": "S", "weight": [1]}]
+    cases = [([{"v": "N", "w": "S", "weight": [1.5]}],
+              {"N": [[1.7]], "S": [[-1]]}, "got [1.5]"),
+             (one, {"N": [[1.7]], "S": [[-1]]}, "got [1.7]"),
+             (one, {"N": [["1/2"]], "S": [[-1]]}, "got ['1/2']")]
+    for edges, euler, message in cases:
+        path = write_json(tmp_path, "fractional.json", {
+            "rank": 1, "vars": ["t"], "vertices": ["N", "S"],
+            "edges": edges, "euler": euler})
+        for argv in (["gkm", path], ["integrate", path, "--klass", '["1", "1"]']):
+            code, report = run(argv)
+            assert code == EXIT_INPUT, (argv, edges, euler)
+            assert message in report["error"], report["error"]
+
+
+def test_integer_strings_accepted_in_gkm_data(tmp_path):
+    path = write_json(tmp_path, "strings.json", {
+        "rank": 1, "vars": ["t"], "vertices": ["N", "S"],
+        "edges": [{"v": "N", "w": "S", "weight": ["1"]}],
+        "euler": {"N": [["1"]], "S": [["-1"]]}})
+    code, report = run(["integrate", path, "--klass", '["1", "1"]'])
+    assert code == EXIT_PASS and report["summary"]["value"] == "0"
+
+
+def test_exit_two_on_symmetry_with_fractional_weight_image(tmp_path):
+    # the order-2 matrix [[1, 1/2], [0, -1]] sends the weight (0, 1) to
+    # (1/2, -1), which int() used to truncate to -(0, 1)
+    path = write_json(tmp_path, "fractional_symmetry.json", {
+        "rank": 2, "vars": ["t1", "t2"], "vertices": ["A", "B"],
+        "edges": [{"v": "A", "w": "B", "weight": [0, 1]}],
+        "symmetry": {"group": {"rank": 2,
+                               "generators": [[["1", "1/2"], ["0", "-1"]]],
+                               "invariants": ["t1^2", "t2^2-1/2*t1*t2+1/16*t1^2"]},
+                     "vertex_maps": [{"A": "A", "B": "B"}]}})
+    for argv in (["gkm", path, "--check", "cs"],
+                 ["integrate", path, "--klass", '["1", "1"]']):
+        code, report = run(argv)
+        assert code == EXIT_INPUT, argv
+        assert "does not respect the weights" in report["error"]
+
+
 def test_exit_two_on_malformed_json(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json")

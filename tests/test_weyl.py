@@ -1,15 +1,26 @@
+import json
+import os
 import random
+import sys
 
 import pytest
 
 from equisyz.polyring import GradedPolynomialRing, Polynomial, Vector
 from equisyz.gradmod import FPModule, base_change, iso_surrogate_equal
+from equisyz.equivtop import GKMGraph, gkm_cohomology
+from equisyz.cli import run
 from equisyz.weyl import (
     ReflectionGroup, WEquivariantFreeModule, GroupClosureError,
     cyclic_sign_group, symmetric_group_on_sum_zero, signed_permutation_rank2,
-    product_group, group_from_json,
+    product_group, group_from_json, _mat_mul,
 )
-from helpers import random_homogeneous
+from helpers import (
+    random_homogeneous, random_vector, reference_invariants, verify_or_raise,
+)
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(HERE, "..", "bench"))
+import gen  # noqa: E402  (the benchmark's GKM graph generators)
 
 
 def test_closure_orders():
@@ -41,7 +52,7 @@ def test_verify_rejects_non_invariant():
     report = bad.verify()
     assert not report.ok
     with pytest.raises(ValueError):
-        bad.verify_or_raise()
+        verify_or_raise(bad)
 
 
 def test_verify_rejects_wrong_order_product():
@@ -139,13 +150,13 @@ def test_module_invariants_sphere_datum():
     assert gens_gb.contains(Vector.from_polys([t, -t]))
 
 
-def test_module_invariants_trivial_action():
+def test_module_invariants_fixed_point():
+    # one fixed point: the invariant tuples are R_T^W itself, free on 1
     z2 = cyclic_sign_group()
-    mod = WEquivariantFreeModule(z2, ["pt"], [{"pt": "pt"}],
-                                 generator_matrices=[[[1]]])
+    mod = WEquivariantFreeModule(z2, ["pt"], [{"pt": "pt"}])
     inv = mod.invariants()
     m = inv.module.minimized()
-    assert m.num_rels == 0 and sorted(m.gens_degrees) == [0, 2]
+    assert m.num_rels == 0 and m.gens_degrees == (0,)
     assert inv.molien_consistent
 
 
@@ -222,7 +233,6 @@ def test_regular_representation_s3():
     a2 = symmetric_group_on_sum_zero(3)
     names = ["w%d" % i for i in range(6)]
     # left multiplication action of the generators on the element list
-    from equisyz.weyl import _mat_mul
     index = {w: i for i, w in enumerate(a2.elements)}
     perms = []
     for g in a2.generators:
@@ -254,3 +264,107 @@ def test_restrict_scalars_rejects_unfree_datum():
     from equisyz.gradmod import FPModule
     with pytest.raises(ValueError):
         bad.restrict_scalars(FPModule.free(ring, (0,)))
+
+
+def _orbit_module(group, start, act):
+    """Free permutation module on the orbit of start; w moves x to act(w, x)."""
+    points, queue = [start], [start]
+    while queue:
+        x = queue.pop()
+        for g in group.generators:
+            y = act(g, x)
+            if y not in points:
+                points.append(y)
+                queue.append(y)
+    names = ["p%d" % i for i in range(len(points))]
+    perms = [{names[i]: names[points.index(act(g, x))]
+              for i, x in enumerate(points)} for g in group.generators]
+    return WEquivariantFreeModule(group, names, perms)
+
+
+def _linear(g, x):
+    return tuple(sum(g[i][j] * x[j] for j in range(len(x)))
+                 for i in range(len(x)))
+
+
+def _kernel_module(obj):
+    graph = GKMGraph.from_json(obj)
+    group, perms = graph.symmetry
+    return (WEquivariantFreeModule(group, graph.vertices, perms),
+            gkm_cohomology(graph).generators)
+
+
+def _assert_matches_reference(mod, gens=None):
+    inv = mod.invariants(submodule_gens=gens)
+    ref_gens, ref_module = reference_invariants(mod, gens)
+    assert inv.generators == ref_gens
+    assert inv.module.gens_degrees == ref_module.gens_degrees
+    assert inv.module.relation_columns() == ref_module.relation_columns()
+
+
+def test_invariants_match_reference_selection():
+    # same generators in the same order, and the same presentation, as
+    # expanding every Reynolds candidate; the regular representations are
+    # cases where the early stop never fires
+    z2 = cyclic_sign_group()
+    a2 = symmetric_group_on_sum_zero(3)
+    b2 = signed_permutation_rank2()
+    s4 = symmetric_group_on_sum_zero(4)
+    z2z2 = product_group(z2, z2)
+    z2a2 = product_group(z2, a2)
+    modules = [
+        WEquivariantFreeModule(z2, ["pt"], [{"pt": "pt"}]),
+        _orbit_module(z2, z2.elements[0], _mat_mul),
+        _orbit_module(a2, a2.elements[0], _mat_mul),
+        _orbit_module(a2, (1, 0), _linear),
+        _orbit_module(b2, b2.elements[0], _mat_mul),
+        _orbit_module(b2, (1, 0), _linear),
+        _orbit_module(s4, (1, 0, 0), _linear),
+        _orbit_module(z2z2, z2z2.elements[0], _mat_mul),
+        _orbit_module(z2a2, (1, 1, 0), _linear),
+    ]
+    rng = random.Random(707)
+    for mod in modules:
+        _assert_matches_reference(mod)
+        if mod.group in (s4, z2a2):
+            continue  # random submodules are slow to present over the larger groups
+        # seeded random submodules, W-stable or not
+        for _ in range(2):
+            degree = rng.choice([0, 2, 4])
+            gens = [random_vector(mod.group.ring, (0,) * mod.rank, degree, rng)
+                    for _ in range(rng.randint(1, 2))]
+            _assert_matches_reference(mod, gens)
+    graphs = [gen.projective_space(2, "p2", symmetric=True),
+              gen.projective_space(3, "p3", symmetric=True)]
+    for name in ("flag3.json", "s2.json"):
+        with open(os.path.join(HERE, "..", "data", name)) as fh:
+            graphs.append(json.load(fh))
+    for obj in graphs:
+        mod, gens = _kernel_module(obj)
+        _assert_matches_reference(mod, gens)
+        if mod.group.order < 24:
+            # lowest degree first: (1, ..., 1) is spanned before the others
+            _assert_matches_reference(mod, gens[::-1])
+
+
+def test_descend_reynolds_and_expand_counts(tmp_path, monkeypatch):
+    # deterministic work of gkm --check descend on symmetric P^3 (S_4): the
+    # selection expanded every one of 96 candidates (96 Reynolds images,
+    # 384 expand calls); only the 4 kept generators are expanded now
+    counts = {"reynolds_tuple": 0, "expand": 0}
+
+    def counting(cls, name):
+        orig = getattr(cls, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return orig(*args, **kwargs)
+        monkeypatch.setattr(cls, name, counted)
+
+    counting(WEquivariantFreeModule, "reynolds_tuple")
+    counting(ReflectionGroup, "expand")
+    path = tmp_path / "p3.json"
+    path.write_text(json.dumps(gen.projective_space(3, 0, symmetric=True)))
+    code, report = run(["gkm", str(path), "--check", "descend"])
+    assert code == 0 and report["status"] == "pass"
+    assert counts["reynolds_tuple"] <= 15 and counts["expand"] <= 16, counts
