@@ -13,15 +13,14 @@ from .polyring import (
 from .gradmod import (
     FreeModule, ModuleMap, FPModule, FPMap, Resolution, minimal_resolution,
     betti_table, dimension, depth, ext_module, dual_module, biduality,
-    cohen_macaulay, syzygy_order, base_change, restrict_scalars,
-    iso_surrogate_equal, NEG_INF,
+    cohen_macaulay, syzygy_order, base_change, iso_surrogate_equal, NEG_INF,
 )
 from .weyl import (
     ReflectionGroup, WEquivariantFreeModule, cyclic_sign_group,
     symmetric_group_on_sum_zero, signed_permutation_rank2, product_group,
 )
 from .cartan import (
-    GStarModule, build_cartan, cartan_cohomology, dualize_gstar,
+    GStarModule, CartanComplex, cartan_cohomology, dualize_gstar,
     equivariant_homology, uct_collapse_check,
 )
 from .equivtop import (

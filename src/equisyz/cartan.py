@@ -10,14 +10,14 @@ construction on the dual complex gives equivariant homology.
 
 from fractions import Fraction
 
-from .polyring import _fr, _mat_mul
+from .polyring import _fr, _integers, _mat_mul
 from .gradmod import (
     FreeModule, ModuleMap, fp_homology, cohen_macaulay, ext_module,
     iso_surrogate_equal, _map_between_free_fp, _matrix_product,
 )
 
 __all__ = [
-    "GStarModule", "CartanComplex", "build_cartan", "cartan_cohomology",
+    "GStarModule", "CartanComplex", "cartan_cohomology",
     "dualize_gstar", "equivariant_homology", "uct_collapse_check",
     "point_model", "circle_model", "formal_model",
 ]
@@ -97,7 +97,7 @@ class GStarModule:
 
     @classmethod
     def from_json(cls, obj):
-        degrees = obj["degrees"]
+        degrees = _integers(obj["degrees"], "degrees")
         n = len(degrees)
         return cls(degrees, _cols_parse(obj["d"], n),
                    [_cols_parse(m, n) for m in obj["iota"]])
@@ -114,7 +114,8 @@ def _cols_json(mat):
 
 
 def _cols_parse(cols, n):
-    return [[_fr(cols[j][i]) for j in range(n)] for i in range(n)]
+    # column-major, transposed once its shape is checked
+    return list(zip(*_matrix(cols, n)))
 
 
 def _cohomology_dims(degrees, d):
@@ -200,11 +201,6 @@ class CartanComplex:
                  for j in range(n)] for i in range(n)]
 
 
-def build_cartan(gstar, ring):
-    """Cartan complex of an invariant model over the torus ring."""
-    return CartanComplex(ring, gstar)
-
-
 def cartan_cohomology(complex_):
     """ker D / im D, presented as a finitely presented graded module."""
     D = complex_.differential
@@ -243,7 +239,7 @@ def dualize_gstar(gstar):
 
 def equivariant_homology(gstar, ring):
     """Cohomology of the Cartan complex of the dual model (negative grading)."""
-    return cartan_cohomology(build_cartan(dualize_gstar(gstar), ring))
+    return cartan_cohomology(CartanComplex(ring, dualize_gstar(gstar)))
 
 
 class UCTReport:
@@ -273,7 +269,7 @@ def uct_collapse_check(gstar, ring, nmax=40):
     "not applicable" and makes no claim.
     """
     r = ring.num_vars
-    coh = cartan_cohomology(build_cartan(gstar, ring))
+    coh = cartan_cohomology(CartanComplex(ring, gstar))
     hom = equivariant_homology(gstar, ring)
     if coh.is_zero():
         ok = hom.is_zero()

@@ -14,14 +14,14 @@ import json
 import random
 import sys
 
-from .polyring import GradedPolynomialRing
+from .polyring import GradedPolynomialRing, _integers
 from .gradmod import (
     FPModule, FPMap, NEG_INF, dimension, depth, cohen_macaulay, syzygy_order,
     minimal_resolution, fp_kernel, fp_cokernel, _betti_json,
 )
 from .weyl import group_from_json, GroupClosureError
 from .cartan import (
-    GStarModule, build_cartan, cartan_cohomology, dualize_gstar,
+    GStarModule, CartanComplex, cartan_cohomology, dualize_gstar,
     equivariant_homology, uct_collapse_check, _cohomology_dims,
 )
 from .equivtop import (
@@ -180,12 +180,12 @@ def _weyl_tag(name):
 
 
 def run_cartan(obj, checks, nmax, seed):
-    rank = int(obj.get("rank", 1))
+    rank, = _integers([obj.get("rank", 1)], "rank")
     names = obj.get("vars") or ["t%d" % (i + 1) for i in range(rank)]
     ring = GradedPolynomialRing(names, (2,) * rank)
     try:
         gstar = GStarModule.from_json(obj)
-        complex_ = build_cartan(gstar, ring)
+        complex_ = CartanComplex(ring, gstar)
     except ValueError as exc:
         raise InputError(str(exc))
     out = [_check("operator relations and twisted differential square to zero",
@@ -241,7 +241,7 @@ def run_gkm(obj, checks, nmax, seed):
                           bd.reflexive == (syz.order >= min(2, graph.rank)),
                           {"reflexive": bd.reflexive, "order": syz.order}))
     if "pairing" in checks:
-        rep = pairing_perfection(graph, kernel=kernel)
+        rep = pairing_perfection(graph)
         out.append(_from_report(rep))
     if "descend" in checks:
         if graph.symmetry is None:
@@ -293,13 +293,12 @@ def run_filtration_verify(obj, checks, nmax, seed):
 def run_integrate(obj, checks, nmax, seed, klass=None):
     try:
         graph = GKMGraph.from_json(obj)
-        kernel = gkm_cohomology(graph)
         if klass is None:
             raise InputError("no class supplied")
         polys = [graph.ring.parse(s) for s in klass]
         if len(polys) != len(graph.vertices):
             raise InputError("class needs one component per vertex")
-        value = integrate(graph, polys, kernel=kernel)
+        value = integrate(graph, polys)
     except DatumError as exc:
         raise InputError(str(exc))
     out = [_check("class is an element of the kernel and localizes to a "

@@ -20,7 +20,8 @@ from fractions import Fraction
 from math import gcd
 
 from .polyring import (
-    GradedPolynomialRing, Vector, SubmoduleGB, determinant, _exact_divide,
+    GradedPolynomialRing, Vector, SubmoduleGB, DatumError, determinant,
+    _exact_divide, _integers,
 )
 from .gradmod import (
     FreeModule, FPModule, FPMap, fp_kernel, homology,
@@ -38,22 +39,6 @@ __all__ = [
 ]
 
 
-class DatumError(ValueError):
-    """Raised when the input data violates its structural contracts."""
-
-
-def _integers(vec):
-    """A weight vector as ints; each entry is a number or a string ("2")
-    with an integer value."""
-    try:
-        qs = [Fraction(x) for x in vec]
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        qs = None
-    if qs is None or any(q.denominator != 1 for q in qs):
-        raise DatumError("weight entries must be integers, got %r" % (vec,))
-    return tuple(int(q) for q in qs)
-
-
 class GKMGraph:
     """Moment graph: vertices, edges with primitive integer weights,
     optional per-vertex Euler data and a reflection-group symmetry."""
@@ -69,7 +54,7 @@ class GKMGraph:
         for (v, w, weight) in edges:
             if v not in index or w not in index or v == w:
                 raise DatumError("edge endpoints must be distinct known vertices")
-            weight = _integers(weight)
+            weight = _integers(weight, "weight entries")
             if len(weight) != self.rank or not any(weight):
                 raise DatumError("edge weight must be a nonzero vector of length %d"
                                  % self.rank)
@@ -87,12 +72,13 @@ class GKMGraph:
             for v, vecs in euler.items():
                 if str(v) not in index:
                     raise DatumError("Euler data names unknown vertex %s" % v)
-                vecs = [_integers(vec) for vec in vecs]
+                vecs = [_integers(vec, "weight entries") for vec in vecs]
                 if any(len(vec) != self.rank or not any(vec) for vec in vecs):
                     raise DatumError("Euler weights must be nonzero vectors of "
                                      "length %d" % self.rank)
                 self.euler[str(v)] = vecs
         self._localization = None
+        self._kernel = None
         # symmetry: (ReflectionGroup, [vertex permutation per group generator])
         self.symmetry = symmetry
         if symmetry is not None:
@@ -143,13 +129,6 @@ class GKMGraph:
         if not vecs:
             raise DatumError("vertex %s has no incident edges and no Euler data" % v)
         return vecs
-
-    def euler_class(self, v):
-        """Signed product of the weights at a vertex (supplied or derived)."""
-        e = self.ring.one()
-        for w in self._weights_at(v):
-            e = e * self.weight_form(w)
-        return e
 
     def localization(self):
         """(L, [L / e_v for each vertex]) for L the lcm of the Euler classes.
@@ -210,7 +189,7 @@ class GKMGraph:
 
     @classmethod
     def from_json(cls, obj):
-        rank = int(obj["rank"])
+        rank, = _integers([obj["rank"]], "rank")
         names = obj.get("vars") or ["t%d" % (i + 1) for i in range(rank)]
         ring = GradedPolynomialRing(names, (2,) * rank)
         edges = [(e["v"], e["w"], e["weight"]) for e in obj["edges"]]
@@ -268,11 +247,16 @@ class KernelResult:
 
 
 def gkm_cohomology(graph):
-    """Kernel of the Chang-Skjelbred map: tuples agreeing mod edge weights."""
-    ab0, ab1, delta0 = chang_skjelbred(graph)
-    module, gens = fp_kernel(delta0)
-    ambient = FreeModule(graph.ring, ab0.gens_degrees)
-    return KernelResult(module, gens, ambient)
+    """Kernel of the Chang-Skjelbred map: tuples agreeing mod edge weights.
+
+    Computed once per graph.
+    """
+    if graph._kernel is None:
+        ab0, ab1, delta0 = chang_skjelbred(graph)
+        module, gens = fp_kernel(delta0)
+        graph._kernel = KernelResult(module, gens,
+                                     FreeModule(graph.ring, ab0.gens_degrees))
+    return graph._kernel
 
 
 class FiltrationDatum:
@@ -284,9 +268,15 @@ class FiltrationDatum:
     (consecutive composites vanish) are enforced on construction.
     """
 
+    # the standing hypotheses of the equivalence theorems, echoed in reports
+    assumptions = [
+        "finitely many infinitesimal orbit types",
+        "finite-dimensional total cohomology",
+    ]
+
     def __init__(self, ring, modules, maps, augmentation=None,
                  homology_module=None, poincare_duality=False,
-                 truncations=None, assumptions=None):
+                 truncations=None):
         self.ring = ring
         self.rank = ring.num_vars
         if len(modules) != self.rank + 1:
@@ -311,29 +301,6 @@ class FiltrationDatum:
         self.homology_module = homology_module
         self.poincare_duality = bool(poincare_duality)
         self.truncations = truncations or []
-        self.assumptions = assumptions or [
-            "finitely many infinitesimal orbit types",
-            "finite-dimensional total cohomology",
-        ]
-
-    def base_changed(self, ring_map):
-        """Extend every piece and map along a graded ring inclusion."""
-        mods = [base_change(m, ring_map) for m in self.modules]
-        maps = []
-        for i, f in enumerate(self.maps):
-            ent = [[ring_map(e) for e in row] for row in f.entries]
-            maps.append(FPMap(mods[i], mods[i + 1], ent, check=False))
-        aug = None
-        if self.augmentation is not None:
-            h = base_change(self.augmentation.source, ring_map)
-            ent = [[ring_map(e) for e in row] for row in self.augmentation.entries]
-            aug = FPMap(h, mods[0], ent, check=False)
-        hom = (base_change(self.homology_module, ring_map)
-               if self.homology_module is not None else None)
-        return FiltrationDatum(ring_map.target, mods, maps, augmentation=aug,
-                               homology_module=hom,
-                               poincare_duality=self.poincare_duality,
-                               assumptions=self.assumptions)
 
     def to_json(self):
         def mod_json(m):
@@ -368,6 +335,8 @@ class FiltrationDatum:
             return FPModule.from_json(j, ring=ring)
 
         modules = [mod(j) for j in obj["modules"]]
+        if len(obj["maps"]) >= len(modules):
+            raise DatumError("need maps delta_0..delta_{r-1}")
         maps = []
         for i, mat in enumerate(obj["maps"]):
             ent = [[ring.poly_from_json(e) for e in row] for row in mat]
@@ -379,7 +348,7 @@ class FiltrationDatum:
                    for row in obj["augmentation"]["map"]]
             aug = FPMap(h, modules[0], ent)
         hom = mod(obj["homology_module"]) if obj.get("homology_module") else None
-        trunc = [(t["index"], mod(t["sub"]), mod(t["quotient"]))
+        trunc = [(_integers([t["index"]], "index")[0], mod(t["sub"]), mod(t["quotient"]))
                  for t in obj.get("truncations", [])]
         return cls(ring, modules, maps, augmentation=aug, homology_module=hom,
                    poincare_duality=bool(obj.get("poincare_duality")),
@@ -532,21 +501,16 @@ class DescentResult:
         return all(c.passed for c in self.checks)
 
 
-def descend_invariants(graph, group=None, nmax=40):
+def descend_invariants(graph, nmax=40):
     """Invariant part of the GKM kernel over the invariant subring.
 
     Returns the module of Weyl-invariant tuples together with two verdicts:
     the syzygy orders over both rings agree, and extending scalars back
     recovers the kernel's Hilbert series.
     """
-    if group is None:
-        if graph.symmetry is None:
-            raise DatumError("graph carries no symmetry data")
-        group, perms = graph.symmetry
-    else:
-        if graph.symmetry is None or graph.symmetry[0] is not group:
-            raise DatumError("graph symmetry does not match the given group")
-        perms = graph.symmetry[1]
+    if graph.symmetry is None:
+        raise DatumError("graph carries no symmetry data")
+    group, perms = graph.symmetry
     kernel = gkm_cohomology(graph)
     module = WEquivariantFreeModule(group, graph.vertices, perms)
     inv = module.invariants(submodule_gens=kernel.generators)
@@ -564,7 +528,7 @@ def descend_invariants(graph, group=None, nmax=40):
     return DescentResult(hg, inv.generators, checks)
 
 
-def integrate(graph, klass, kernel=None):
+def integrate(graph, klass):
     """Fixed-point localization: sum of f_v over the vertex Euler classes.
 
     The class must lie in the kernel of the edge-difference map, and the
@@ -574,9 +538,7 @@ def integrate(graph, klass, kernel=None):
     nv = len(graph.vertices)
     if isinstance(klass, (list, tuple)):
         klass = Vector.from_polys(list(klass), nv)
-    if kernel is None:
-        kernel = gkm_cohomology(graph)
-    if not kernel.membership_gb().contains(klass):
+    if not gkm_cohomology(graph).membership_gb().contains(klass):
         raise DatumError("class is not in the kernel of the edge-difference map")
     lcm, cofactors = graph.localization()
     total_num = ring.zero()
@@ -592,14 +554,13 @@ def integrate(graph, klass, kernel=None):
     return quot
 
 
-def pairing_perfection(graph, kernel=None):
+def pairing_perfection(graph):
     """Gram matrix of the localized pairing on a free kernel basis.
 
     Perfect iff the determinant is a nonzero scalar; the verdict is
     cross-checked against reflexivity of the kernel module.
     """
-    if kernel is None:
-        kernel = gkm_cohomology(graph)
+    kernel = gkm_cohomology(graph)
     if kernel.module.num_rels != 0:
         return CheckReport("poincare-pairing-perfection", "not applicable",
                            {"reason": "kernel is not free; use the syzygy test"})
@@ -609,7 +570,7 @@ def pairing_perfection(graph, kernel=None):
     for i in range(n):
         for j in range(i, n):
             prod = [a * b for a, b in zip(basis[i], basis[j])]
-            gram[i][j] = gram[j][i] = integrate(graph, prod, kernel=kernel)
+            gram[i][j] = gram[j][i] = integrate(graph, prod)
     det = determinant(gram, graph.ring)
     unit = (not det.is_zero()) and set(det.terms) == {graph.ring.zero_exps}
     refl = biduality(kernel.module).reflexive

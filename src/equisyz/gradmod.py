@@ -12,7 +12,7 @@ tables plus Hilbert series.
 
 from .polyring import (
     Vector, SubmoduleGB, buchberger, normal_form, syzygy_basis,
-    quotient_hilbert_series,
+    quotient_hilbert_series, GradedPolynomialRing, _integers,
 )
 
 NEG_INF = float("-inf")
@@ -22,7 +22,7 @@ __all__ = [
     "minimal_generating_indices", "minimal_resolution", "syzygies",
     "betti_table", "betti_text", "dimension", "depth", "ext_module",
     "dual_module", "biduality", "cohen_macaulay", "syzygy_order",
-    "base_change", "restrict_scalars", "homology", "fp_kernel",
+    "base_change", "homology", "fp_kernel",
     "fp_cokernel", "fp_homology", "iso_surrogate_equal",
 ]
 
@@ -296,11 +296,10 @@ class FPModule:
 
     @classmethod
     def from_json(cls, obj, ring=None):
-        from .polyring import GradedPolynomialRing
         if ring is None:
             ring = GradedPolynomialRing.from_descriptor(obj["ring"])
-        tgt = FreeModule(ring, obj["row_degrees"])
-        src = FreeModule(ring, obj["col_degrees"])
+        tgt = FreeModule(ring, _integers(obj["row_degrees"], "row_degrees"))
+        src = FreeModule(ring, _integers(obj["col_degrees"], "col_degrees"))
         ent = [[ring.poly_from_json(e) for e in row] for row in obj["matrix"]]
         return cls(ModuleMap(src, tgt, ent))
 
@@ -709,11 +708,6 @@ def base_change(module, ring_map):
     tgt = FreeModule(tgt_ring, module.pmap.target.degrees)
     ent = [[ring_map(e) for e in row] for row in module.pmap.entries]
     return FPModule(ModuleMap(src, tgt, ent))
-
-
-def restrict_scalars(module, datum):
-    """View a module over R_T as a module over R_G via a reflection datum."""
-    return datum.restrict_scalars(module)
 
 
 def iso_surrogate_equal(m1, m2, nmax=40):

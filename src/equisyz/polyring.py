@@ -17,8 +17,12 @@ __all__ = [
     "GradedPolynomialRing", "Polynomial", "Vector", "RingMap", "HilbertSeries",
     "buchberger", "groebner_basis", "normal_form", "divide", "s_vector",
     "SubmoduleGB", "syzygy_basis", "quotient_hilbert_series", "qpoly_mul",
-    "qpoly_inverse_series", "determinant",
+    "qpoly_inverse_series", "determinant", "DatumError",
 ]
+
+
+class DatumError(ValueError):
+    """Raised when the input data violates its structural contracts."""
 
 
 def _fr(x):
@@ -33,6 +37,18 @@ def _fr(x):
         except ZeroDivisionError:
             raise ValueError("zero denominator in %r" % (x,)) from None
     raise TypeError("not an exact rational: %r" % (x,))
+
+
+def _integers(values, what):
+    """JSON integer fields as a tuple of ints; each entry is a number or a
+    string ("2") with an integer value, anything else a DatumError."""
+    try:
+        qs = [Fraction(x) for x in values]
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        qs = None
+    if qs is None or any(q.denominator != 1 for q in qs):
+        raise DatumError("%s must be integers, got %r" % (what, values))
+    return tuple(int(q) for q in qs)
 
 
 def _mat_mul(a, b):
@@ -173,7 +189,8 @@ class GradedPolynomialRing:
         if isinstance(obj, (int,)):
             return self.constant(obj)
         if isinstance(obj, list):
-            return self.from_terms((tuple(t["exps"]), _fr(t["coeff"])) for t in obj)
+            return self.from_terms((_integers(t["exps"], "exponents"), _fr(t["coeff"]))
+                                   for t in obj)
         raise ValueError("unrecognized polynomial JSON: %r" % (obj,))
 
     def descriptor(self):
@@ -181,7 +198,8 @@ class GradedPolynomialRing:
 
     @classmethod
     def from_descriptor(cls, obj):
-        return cls(obj["vars"], obj.get("degrees"))
+        degrees = obj.get("degrees")
+        return cls(obj["vars"], None if degrees is None else _integers(degrees, "degrees"))
 
 
 class Polynomial:
@@ -925,10 +943,6 @@ class HilbertSeries:
     def series_equal(self, other, nmax):
         return self.coefficients(nmax) == other.coefficients(nmax)
 
-    def series_leq(self, other, nmax):
-        a, b = self.coefficients(nmax), other.coefficients(nmax)
-        return all(v <= b.get(k, 0) for k, v in a.items())
-
     def pole_order(self):
         """Order of the pole at q = 1 (the Krull dimension); None if zero."""
         if not self.numerator:
@@ -948,19 +962,6 @@ class HilbertSeries:
             if not any(coeffs):
                 break
         return len(self.denominator_degrees) - mult
-
-    def times_qpoly(self, p):
-        return HilbertSeries(qpoly_mul(self.numerator, p), self.denominator_degrees)
-
-    def plus(self, other):
-        assert self.denominator_degrees == other.denominator_degrees
-        return HilbertSeries(qpoly_add(self.numerator, other.numerator),
-                             self.denominator_degrees)
-
-    def minus(self, other):
-        assert self.denominator_degrees == other.denominator_degrees
-        neg = {k: -v for k, v in other.numerator.items()}
-        return HilbertSeries(qpoly_add(self.numerator, neg), self.denominator_degrees)
 
     def __eq__(self, other):
         return (isinstance(other, HilbertSeries)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .polyring import (
     GradedPolynomialRing, Vector, SubmoduleGB, buchberger, normal_form,
     syzygy_basis, HilbertSeries, qpoly_add, qpoly_mul, qpoly_inverse_series,
-    determinant, _fr, _mat_mul,
+    determinant, _fr, _integers, _mat_mul,
 )
 from .gradmod import FPModule, _degrees_of
 
@@ -42,16 +42,12 @@ def _identity(n):
 class ReflectionGroup:
     """Finite matrix group on the rank-r torus ring with chosen invariants."""
 
-    def __init__(self, generators, invariants, ring=None, names=None,
-                 invariant_names=None, max_order=10080):
+    def __init__(self, generators, invariants, ring, max_order=10080):
         gens = [_mat(g) for g in generators]
         rank = len(gens[0]) if gens else 0
         for g in gens:
             if len(g) != rank or any(len(row) != rank for row in g):
                 raise ValueError("generators must be square matrices of equal size")
-        if ring is None:
-            names = names or ["t%d" % (i + 1) for i in range(rank)]
-            ring = GradedPolynomialRing(names, (2,) * rank)
         if ring.num_vars != rank:
             raise ValueError("ring rank does not match the matrices")
         self.ring = ring
@@ -67,8 +63,8 @@ class ReflectionGroup:
         self.invariant_degrees = tuple(p.homogeneous_degree() for p in self.invariants)
         if any(d is None or d <= 0 or d % 2 for d in self.invariant_degrees):
             raise ValueError("invariants must be homogeneous of positive even degree")
-        inv_names = invariant_names or ["p%d" % (i + 1) for i in range(rank)]
-        self.invariant_ring = GradedPolynomialRing(inv_names, self.invariant_degrees)
+        self.invariant_ring = GradedPolynomialRing(
+            ["p%d" % (i + 1) for i in range(rank)], self.invariant_degrees)
         self._images = {}
         self._coinvariants = None
         self._inv_gb = None
@@ -436,14 +432,14 @@ class InvariantsResult:
         self.molien_consistent = None
 
 
-def cyclic_sign_group(names=None):
+def cyclic_sign_group():
     """Order-2 group t -> -t in rank one, with invariant t^2."""
-    ring = GradedPolynomialRing(names or ["t"], (2,))
+    ring = GradedPolynomialRing(["t"], (2,))
     t = ring.var(0)
     return ReflectionGroup([[[-1]]], [t * t], ring=ring)
 
 
-def symmetric_group_on_sum_zero(n, names=None):
+def symmetric_group_on_sum_zero(n):
     """S_n acting on coordinates x_1..x_{n-1} with x_n = -(x_1+...+x_{n-1}).
 
     Fundamental invariants are the restricted elementary symmetric
@@ -452,8 +448,7 @@ def symmetric_group_on_sum_zero(n, names=None):
     if not 2 <= n <= 4:
         raise ValueError("only symmetric groups on 2..4 letters are built in")
     rank = n - 1
-    ring = GradedPolynomialRing(names or ["x%d" % (i + 1) for i in range(rank)],
-                                (2,) * rank)
+    ring = GradedPolynomialRing(["x%d" % (i + 1) for i in range(rank)], (2,) * rank)
     xs = ring.vars()
     last = ring.zero()
     for v in xs:
@@ -488,9 +483,9 @@ def _elementary_symmetric(ring, polys, k):
     return acc
 
 
-def signed_permutation_rank2(names=None):
+def signed_permutation_rank2():
     """Order-8 rank-2 group generated by the swap and one sign flip."""
-    ring = GradedPolynomialRing(names or ["x", "y"], (2, 2))
+    ring = GradedPolynomialRing(["x", "y"], (2, 2))
     x, y = ring.vars()
     swap = [[0, 1], [1, 0]]
     flip = [[1, 0], [0, -1]]
@@ -529,10 +524,10 @@ def product_group(g1, g2):
 
 def group_from_json(obj):
     """Group JSON: {"rank": r, "generators": [...], "invariants": [...]}."""
-    rank = int(obj["rank"])
+    rank, = _integers([obj["rank"]], "rank")
     names = obj.get("vars") or ["t%d" % (i + 1) for i in range(rank)]
     ring = GradedPolynomialRing(names, (2,) * rank)
     gens = obj["generators"]
     invs = [ring.parse(s) for s in obj["invariants"]]
-    return ReflectionGroup(gens, invs, ring=ring,
-                           max_order=int(obj.get("max_order", 10080)))
+    max_order, = _integers([obj.get("max_order", 10080)], "max_order")
+    return ReflectionGroup(gens, invs, ring=ring, max_order=max_order)

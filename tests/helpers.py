@@ -1,15 +1,99 @@
-"""Shared test utilities: random homogeneous polynomials and modules."""
+"""Shared test utilities: the shipped data, random homogeneous polynomials
+and modules, and the reference forms the library is tested against."""
 
+import json
+import os
 from fractions import Fraction
+from itertools import combinations
 
-from equisyz.polyring import Polynomial, Vector, _exact_divide, syzygy_basis
+from equisyz.polyring import (
+    HilbertSeries, Polynomial, Vector, _exact_divide, qpoly_add, qpoly_mul,
+    syzygy_basis,
+)
 from equisyz.gradmod import (
     FPModule, FPMap, SyzygyOrderResult, minimal_resolution, fp_kernel,
     fp_cokernel, fp_homology, _dual_data, _bidual_matrix,
     _map_between_free_fp, _compose_embedding, minimal_generating_indices,
-    _degrees_of,
+    _degrees_of, base_change,
 )
-from equisyz.equivtop import DatumError, gkm_cohomology
+from equisyz.equivtop import DatumError, FiltrationDatum, gkm_cohomology
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "data")
+
+
+def load(cls, name):
+    """cls.from_json of the shipped data/<name>.json."""
+    with open(os.path.join(DATA, name + ".json")) as fh:
+        return cls.from_json(json.load(fh))
+
+
+def koszul_syzygy_module(ring, j):
+    """j-th syzygy module of the residue field, read off the Koszul complex."""
+    r = ring.num_vars
+    if not 1 <= j <= r:
+        raise ValueError("syzygy index out of range")
+    subsets = [list(combinations(range(r), k)) for k in range(r + 1)]
+    if j == r:
+        return FPModule.free(ring, (2 * j,) * len(subsets[j]))
+    # relations: the Koszul differential Lambda^{j+1} -> Lambda^j
+    rows = {s: i for i, s in enumerate(subsets[j])}
+    cols = []
+    for s in subsets[j + 1]:
+        polys = [ring.zero()] * len(rows)
+        for pos, var in enumerate(s):
+            polys[rows[s[:pos] + s[pos + 1:]]] = ring.var(var).scale((-1) ** pos)
+        cols.append(Vector.from_polys(polys, len(rows)))
+    return FPModule.from_columns(ring, (2 * j,) * len(rows), cols)
+
+
+def residue_field_module(ring):
+    """The residue field as a module: R modulo all the variables."""
+    return FPModule.quotient_by_ideal(ring, ring.vars())
+
+
+def euler_class(graph, v):
+    """Signed product of the weights at a vertex (supplied or derived)."""
+    e = graph.ring.one()
+    for w in graph._weights_at(v):
+        e = e * graph.weight_form(w)
+    return e
+
+
+def base_changed(datum, ring_map):
+    """A filtration datum with every piece and map extended along a graded
+    ring inclusion."""
+    mods = [base_change(m, ring_map) for m in datum.modules]
+    maps = [FPMap(mods[i], mods[i + 1],
+                  [[ring_map(e) for e in row] for row in f.entries], check=False)
+            for i, f in enumerate(datum.maps)]
+    aug = None
+    if datum.augmentation is not None:
+        aug = FPMap(base_change(datum.augmentation.source, ring_map), mods[0],
+                    [[ring_map(e) for e in row]
+                     for row in datum.augmentation.entries], check=False)
+    hom = (base_change(datum.homology_module, ring_map)
+           if datum.homology_module is not None else None)
+    return FiltrationDatum(ring_map.target, mods, maps, augmentation=aug,
+                           homology_module=hom,
+                           poincare_duality=datum.poincare_duality)
+
+
+def series_leq(a, b, nmax):
+    """Every coefficient of the Hilbert series a through nmax is at most b's."""
+    ca, cb = a.coefficients(nmax), b.coefficients(nmax)
+    return all(v <= cb.get(k, 0) for k, v in ca.items())
+
+
+def times_qpoly(series, p):
+    """A Hilbert series times a Laurent polynomial {degree: coefficient}."""
+    return HilbertSeries(qpoly_mul(series.numerator, p), series.denominator_degrees)
+
+
+def series_minus(a, b):
+    """The difference of two Hilbert series over the same denominator."""
+    assert a.denominator_degrees == b.denominator_degrees
+    neg = {k: -v for k, v in b.numerator.items()}
+    return HilbertSeries(qpoly_add(a.numerator, neg), a.denominator_degrees)
 
 
 def monomials_of_degree(ring, degree):
@@ -92,7 +176,7 @@ def reference_det(matrix, ring):
     return acc
 
 
-def reference_integrate(graph, klass, kernel=None):
+def reference_integrate(graph, klass):
     """Fixed-point localization over the product of all Euler classes.
 
     The form equivtop.integrate had before it localized over the lcm of the
@@ -104,11 +188,9 @@ def reference_integrate(graph, klass, kernel=None):
     nv = len(graph.vertices)
     if isinstance(klass, (list, tuple)):
         klass = Vector.from_polys(list(klass), nv)
-    if kernel is None:
-        kernel = gkm_cohomology(graph)
-    if not kernel.membership_gb().contains(klass):
+    if not gkm_cohomology(graph).membership_gb().contains(klass):
         raise DatumError("class is not in the kernel of the edge-difference map")
-    eulers = [graph.euler_class(v) for v in graph.vertices]
+    eulers = [euler_class(graph, v) for v in graph.vertices]
     total_num = ring.zero()
     for i in range(nv):
         f = klass.component(i)

@@ -16,20 +16,18 @@ from equisyz.weyl import (
     cyclic_sign_group, symmetric_group_on_sum_zero, signed_permutation_rank2,
 )
 from equisyz.cartan import (
-    circle_model, point_model, build_cartan, cartan_cohomology,
+    CartanComplex, circle_model, point_model, cartan_cohomology,
     uct_collapse_check,
 )
 from equisyz.equivtop import (
-    ab_cohomology, cm_filtration_check, gkm_cohomology,
-    partial_exactness_vs_syzygy, pairing_perfection, verify_ext_duality,
-    syzygy_gap_check,
+    GKMGraph, FiltrationDatum, ab_cohomology, cm_filtration_check,
+    gkm_cohomology, partial_exactness_vs_syzygy, pairing_perfection,
+    verify_ext_duality, syzygy_gap_check,
 )
-from equisyz.examples import (
-    koszul_syzygy_module, residue_field_module, s2_graph, s2xs2_graph,
-    s2_filtration, s2xs2_filtration, free_circle_filtration,
-    su2_sphere_graph, su2_g_filtration,
+from helpers import (
+    base_changed, koszul_syzygy_module, load, random_module,
+    residue_field_module, times_qpoly,
 )
-from helpers import random_module
 
 SERIES_DEGREE = 40
 SEED = 20260808
@@ -78,7 +76,7 @@ def test_criterion_3_kostant_freeness():
         ok = ok and group.order == order
         ok = ok and sum(pw.values()) == order
         lhs = FPModule.free(group.ring, (0,)).hilbert()
-        rhs = FPModule.free(group.invariant_ring, (0,)).hilbert().times_qpoly(pw)
+        rhs = times_qpoly(FPModule.free(group.invariant_ring, (0,)).hilbert(), pw)
         ok = ok and {k: v for k, v in lhs.coefficients(SERIES_DEGREE).items()} == \
             {k: v for k, v in rhs.coefficients(SERIES_DEGREE).items()}
         ok = ok and group._kostant_identity()
@@ -89,20 +87,20 @@ def test_criterion_4_cs_reflexivity_pairing():
     ok = True
     # sphere and product: free kernels of ranks 2 and 4, exact sequences,
     # unit Gram determinants
-    for graph, rank, datum in [
-            (s2_graph(with_symmetry=False), 2, s2_filtration()),
-            (s2xs2_graph(), 4, s2xs2_filtration())]:
+    for name, rank in [("s2", 2), ("s2xs2", 4)]:
+        graph = load(GKMGraph, name)
+        datum = load(FiltrationDatum, name + "_filtration")
         k = gkm_cohomology(graph)
         ok = ok and k.module.num_rels == 0 and k.module.num_gens == rank
         hs = ab_cohomology(datum)
         ok = ok and hs[-1].is_zero() and hs[0].is_zero() and hs[1].is_zero()
-        rep = pairing_perfection(graph, kernel=k)
+        rep = pairing_perfection(graph)
         ok = ok and rep.verdict == "pass" and rep.details["perfect"]
         det = graph.ring.parse(rep.details["determinant"])
         ok = ok and set(det.terms) == {graph.ring.zero_exps}
         ok = ok and abs(det.constant_term()) == 1
     # free circle: all three conditions fail together
-    fc = free_circle_filtration()
+    fc = load(FiltrationDatum, "free_circle")
     hs = ab_cohomology(fc)
     torsion = syzygy_order(fc.augmentation.source).order == 0
     not_injective = not hs[-1].is_zero()
@@ -113,17 +111,18 @@ def test_criterion_4_cs_reflexivity_pairing():
 
 def test_criterion_5_ext_duality():
     ok = True
-    for datum in (s2_filtration(), s2xs2_filtration(), free_circle_filtration()):
+    for name in ("s2_filtration", "s2xs2_filtration", "free_circle"):
+        datum = load(FiltrationDatum, name)
         ok = ok and verify_ext_duality(datum, SERIES_DEGREE).verdict == "pass"
     report("5 ext-duality-theorem", ok)
 
 
 def test_criterion_6_partial_exactness():
-    expected = [(s2_filtration(), 1), (s2xs2_filtration(), 2),
-                (free_circle_filtration(), 0)]
+    expected = [("s2_filtration", 1), ("s2xs2_filtration", 2),
+                ("free_circle", 0)]
     ok = True
-    for datum, want in expected:
-        rep = partial_exactness_vs_syzygy(datum)
+    for name, want in expected:
+        rep = partial_exactness_vs_syzygy(load(FiltrationDatum, name))
         ok = ok and rep.verdict == "pass"
         ok = ok and rep.details["j_exact"] == want == rep.details["j_syzygy"]
     report("6 partial-exactness-vs-syzygy", ok)
@@ -154,7 +153,7 @@ def test_criterion_7_restriction_invariance():
 
 def test_criterion_8_nonabelian_descent():
     from equisyz.equivtop import descend_invariants
-    graph = su2_sphere_graph()
+    graph = load(GKMGraph, "s2")
     res = descend_invariants(graph, nmax=SERIES_DEGREE)
     m = res.module.minimized()
     ok = m.num_rels == 0 and sorted(m.gens_degrees) == [0, 2]
@@ -166,9 +165,9 @@ def test_criterion_8_nonabelian_descent():
 def test_criterion_9_cartan_model():
     RT = GradedPolynomialRing(["t"])
     t = RT.var(0)
-    H = cartan_cohomology(build_cartan(circle_model(), RT))
+    H = cartan_cohomology(CartanComplex(RT, circle_model()))
     ok = iso_surrogate_equal(H, FPModule.quotient_by_ideal(RT, [t]))
-    Hpt = cartan_cohomology(build_cartan(point_model(), RT))
+    Hpt = cartan_cohomology(CartanComplex(RT, point_model()))
     ok = ok and Hpt.num_rels == 0 and Hpt.gens_degrees == (0,)
     for model in (circle_model(), point_model()):
         ok = ok and uct_collapse_check(model, RT, SERIES_DEGREE).passed
@@ -176,25 +175,25 @@ def test_criterion_9_cartan_model():
 
 
 def test_criterion_10_cm_filtration():
-    datum = s2_filtration()
+    datum = load(FiltrationDatum, "s2_filtration")
     rep = cm_filtration_check(datum)
     ok = rep.verdict == "pass"
     pieces = {p["position"]: p for p in rep.details["pieces"]}
     ok = ok and pieces[0]["dim"] == 1 and pieces[1]["dim"] == 0
     # the Weyl-symmetric version keeps its verdict under base change
-    group = cyclic_sign_group(names=["t"])
-    datum_g = su2_g_filtration()
+    group = cyclic_sign_group()
+    datum_g = load(FiltrationDatum, "su2_g_filtration")
     rep_g = cm_filtration_check(datum_g)
-    rep_t = cm_filtration_check(datum_g.base_changed(group.embedding()))
+    rep_t = cm_filtration_check(base_changed(datum_g, group.embedding()))
     ok = ok and rep_g.verdict == "pass" == rep_t.verdict
     report("10 cm-filtration-and-base-change", ok)
 
 
 def test_criterion_11_syzygy_gap_bound():
     ok = True
-    for datum in (s2_filtration(), s2xs2_filtration(), free_circle_filtration(),
-                  su2_g_filtration()):
-        rep = syzygy_gap_check(datum)
+    for name in ("s2_filtration", "s2xs2_filtration", "free_circle",
+                 "su2_g_filtration"):
+        rep = syzygy_gap_check(load(FiltrationDatum, name))
         ok = ok and rep.verdict == "pass"
         order = rep.details["order"]
         threshold = rep.details["threshold"]

@@ -2,8 +2,9 @@ import pytest
 
 from equisyz.polyring import GradedPolynomialRing
 from equisyz.gradmod import dimension, iso_surrogate_equal, FPModule
+from helpers import series_leq, times_qpoly
 from equisyz.cartan import (
-    GStarModule, build_cartan, cartan_cohomology, dualize_gstar,
+    GStarModule, CartanComplex, cartan_cohomology, dualize_gstar,
     equivariant_homology, uct_collapse_check, point_model, circle_model,
     formal_model,
 )
@@ -40,25 +41,25 @@ def test_relations_are_enforced():
 
 
 def test_point_model(RT):
-    H = cartan_cohomology(build_cartan(point_model(), RT))
+    H = cartan_cohomology(CartanComplex(RT, point_model()))
     assert H.num_rels == 0 and H.gens_degrees == (0,)
 
 
 def test_circle_model_differential(RT):
-    C = build_cartan(circle_model(), RT)
+    C = CartanComplex(RT, circle_model())
     t = RT.var(0)
     assert C.differential.entries[0][1] == -t
 
 
 def test_circle_cohomology_is_torsion(RT):
-    H = cartan_cohomology(build_cartan(circle_model(), RT))
+    H = cartan_cohomology(CartanComplex(RT, circle_model()))
     t = RT.var(0)
     assert iso_surrogate_equal(H, FPModule.quotient_by_ideal(RT, [t]))
     assert dimension(H) == 0
 
 
 def test_formal_rank_two_model(RT):
-    H = cartan_cohomology(build_cartan(formal_model((0, 2), 1), RT))
+    H = cartan_cohomology(CartanComplex(RT, formal_model((0, 2), 1)))
     assert H.num_rels == 0 and sorted(H.gens_degrees) == [0, 2]
 
 
@@ -114,7 +115,7 @@ def test_uct_collapse_two_torus():
 
 def test_free_torus_cohomology_is_point():
     RT2 = GradedPolynomialRing(["t1", "t2"])
-    H = cartan_cohomology(build_cartan(two_torus_model(), RT2))
+    H = cartan_cohomology(CartanComplex(RT2, two_torus_model()))
     assert H.num_gens == 1 and H.gens_degrees == (0,)
     assert dimension(H) == 0
 
@@ -122,7 +123,7 @@ def test_free_torus_cohomology_is_point():
 def test_specialization_recovers_nonequivariant_dims(RT):
     # setting the variables to zero in the twisted complex gives back (A, d)
     for model in (circle_model(), formal_model((0, 2), 1)):
-        C = build_cartan(model, RT)
+        C = CartanComplex(RT, model)
         mat = C.specialized_at_zero()
         n = model.dim
         assert all(mat[i][j] == model.d[i][j] for i in range(n) for j in range(n))
@@ -133,16 +134,16 @@ def test_specialization_recovers_nonequivariant_dims(RT):
 def test_series_bound_with_equality_iff_free(RT):
     # Hilb(H_G) <= Hilb(R) * Poincare(H(A)), equality exactly in the free case
     free_model = formal_model((0, 2), 1)
-    Hf = cartan_cohomology(build_cartan(free_model, RT))
-    bound = FPModule.free(RT, (0,)).hilbert().times_qpoly(
-        free_model.poincare_polynomial())
+    Hf = cartan_cohomology(CartanComplex(RT, free_model))
+    bound = times_qpoly(FPModule.free(RT, (0,)).hilbert(),
+                        free_model.poincare_polynomial())
     assert Hf.hilbert().series_equal(bound, 30)
 
     circ = circle_model()
-    Hc = cartan_cohomology(build_cartan(circ, RT))
-    bound_c = FPModule.free(RT, (0,)).hilbert().times_qpoly(
-        circ.poincare_polynomial())
-    assert Hc.hilbert().series_leq(bound_c, 30)
+    Hc = cartan_cohomology(CartanComplex(RT, circ))
+    bound_c = times_qpoly(FPModule.free(RT, (0,)).hilbert(),
+                          circ.poincare_polynomial())
+    assert series_leq(Hc.hilbert(), bound_c, 30)
     assert not Hc.hilbert().series_equal(bound_c, 30)
 
 

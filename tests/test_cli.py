@@ -42,6 +42,17 @@ def test_gkm_descend():
     assert report["summary"]["invariants_betti"] == [[0, 0, 1], [0, 2, 1]]
 
 
+def test_gkm_builds_the_kernel_once(monkeypatch):
+    # cs, pairing and descend all read the kernel cached on the graph
+    from equisyz import equivtop
+    graphs = []
+    build = equivtop.chang_skjelbred
+    monkeypatch.setattr(equivtop, "chang_skjelbred",
+                        lambda graph: graphs.append(graph) or build(graph))
+    code, _ = run(["gkm", data_path("s2.json"), "--check", "cs,pairing,descend"])
+    assert code == EXIT_PASS and len(graphs) == 1
+
+
 def test_weyl_verify_groups():
     for name, order in [("z2_group.json", 2), ("a2_group.json", 6),
                         ("b2_group.json", 8)]:
@@ -191,6 +202,13 @@ def test_exit_two_on_bad_filtration_maps(tmp_path):
         code, report = run(["filtration-verify", path])
         assert code == EXIT_INPUT
         assert message in report["error"]
+    # more maps than modules used to raise IndexError (exit 3)
+    with open(data_path("s2_filtration.json")) as fh:
+        doubled = json.load(fh)
+    doubled["maps"] *= 2
+    code, report = run(["filtration-verify",
+                        write_json(tmp_path, "doubled.json", doubled)])
+    assert code == EXIT_INPUT and "need maps" in report["error"]
 
 
 def test_exit_two_on_non_object_input(tmp_path):
@@ -283,31 +301,79 @@ def test_exit_two_on_zero_denominators(tmp_path):
     with open(data_path("circle_model.json")) as fh:
         bad_iota = json.load(fh)
     bad_iota["iota"][0][1][0] = "1/0"
+    zero = "zero denominator"
+    # operator matrices of the wrong shape used to raise IndexError (exit 3)
+    square = "operator matrices must be square of the basis size"
     cases = [
-        ("module-analyze", _module_input("1/0*x")),
-        ("module-analyze", _module_input([{"coeff": "1/0", "exps": [1, 0]}])),
+        ("module-analyze", _module_input("1/0*x"), zero),
+        ("module-analyze", _module_input([{"coeff": "1/0", "exps": [1, 0]}]),
+         zero),
         ("weyl-verify", {"rank": 1, "generators": [[["1/0"]]],
-                         "invariants": ["t1^2"]}),
+                         "invariants": ["t1^2"]}, zero),
         ("weyl-verify", {"rank": 1, "generators": [[[-1]]],
-                         "invariants": ["1/0*t1^2"]}),
-        ("cartan", bad_iota),
+                         "invariants": ["1/0*t1^2"]}, zero),
+        ("cartan", bad_iota, zero),
+        ("cartan", dict(bad_iota, iota=[[["0", "0"], ["1", "0"]]],
+                        degrees=[0, 1, 2]), square),
+        ("cartan", dict(bad_iota, iota=[[["0", "0"], ["1", "0"]]],
+                        d=[["0", "0"]]), square),
     ]
-    for command, obj in cases:
+    for command, obj, message in cases:
         path = write_json(tmp_path, "zero_denominator.json", obj)
         code, report = run([command, path])
         assert code == EXIT_INPUT, (command, obj, report)
-        assert "zero denominator" in report["error"]
+        assert message in report["error"]
 
 
 def test_exit_two_on_bad_exponent_vectors(tmp_path):
-    # x*y^-1 has weighted degree 0; x alone as [1] has the wrong length
-    for entry, col_degree in (([{"coeff": "1", "exps": [1, -1]}], 0),
-                              ([{"coeff": "1", "exps": [1]}], 2)):
+    # x*y^-1 has weighted degree 0; x alone as [1] has the wrong length;
+    # int() used to truncate x^1.5 to x
+    for entry, col_degree, message in (
+            ([{"coeff": "1", "exps": [1, -1]}], 0, "bad exponent vector"),
+            ([{"coeff": "1", "exps": [1]}], 2, "bad exponent vector"),
+            ([{"coeff": "1", "exps": [1.5, 0]}], 2,
+             "exponents must be integers, got [1.5, 0]")):
         path = write_json(tmp_path, "bad_exps.json",
                           _module_input(entry, col_degree))
         code, report = run(["module-analyze", path])
         assert code == EXIT_INPUT, (entry, report)
-        assert "bad exponent vector" in report["error"]
+        assert message in report["error"]
+
+
+def test_exit_two_on_fractional_integer_fields(tmp_path):
+    # int() used to truncate each of these and the run passed
+    with open(data_path("circle_model.json")) as fh:
+        model = json.load(fh)
+    module = _module_input("x")
+    cases = [
+        ("module-analyze", dict(module, ring={"vars": ["x", "y"],
+                                              "degrees": [2.5, 2]}),
+         "degrees must be integers, got [2.5, 2]"),
+        ("module-analyze", dict(module, row_degrees=[0.5]),
+         "row_degrees must be integers, got [0.5]"),
+        ("module-analyze", dict(module, col_degrees=[2.5]),
+         "col_degrees must be integers, got [2.5]"),
+        ("cartan", dict(model, degrees=[0.5, 1]),
+         "degrees must be integers, got [0.5, 1]"),
+        ("cartan", dict(model, rank=1.5), "rank must be integers, got [1.5]"),
+        ("weyl-verify", {"rank": 1.5, "generators": [[[-1]]],
+                         "invariants": ["t1^2"]},
+         "rank must be integers, got [1.5]"),
+        ("weyl-verify", {"rank": 1, "generators": [[[-1]]],
+                         "invariants": ["t1^2"], "max_order": 2.5},
+         "max_order must be integers, got [2.5]"),
+    ]
+    with open(data_path("s2.json")) as fh:
+        cases.append(("gkm", dict(json.load(fh), rank=1.5),
+                      "rank must be integers, got [1.5]"))
+    with open(data_path("s2_filtration.json")) as fh:
+        datum = json.load(fh)
+    datum["truncations"][0]["index"] = 0.5
+    cases.append(("filtration-verify", datum, "index must be integers, got [0.5]"))
+    for command, obj, message in cases:
+        code, report = run([command, write_json(tmp_path, "fractional.json", obj)])
+        assert code == EXIT_INPUT, (command, obj, report)
+        assert message in report["error"], report["error"]
 
 
 def test_exit_three_on_internal_error(monkeypatch, capsys):

@@ -1,4 +1,3 @@
-import json
 import os
 import random
 import sys
@@ -12,6 +11,7 @@ from equisyz.gradmod import (
     base_change,
 )
 from equisyz.weyl import cyclic_sign_group
+from equisyz.cartan import circle_model, equivariant_homology, formal_model
 from equisyz.equivtop import (
     GKMGraph, FiltrationDatum, DatumError, chang_skjelbred, gkm_cohomology,
     ab_cohomology, plain_ab_cohomology, cm_filtration_check,
@@ -19,14 +19,16 @@ from equisyz.equivtop import (
     integrate, pairing_perfection, syzygy_gap_check,
     truncation_additivity_check,
 )
-from equisyz.examples import (
-    s2_graph, s2xs2_graph, s2_filtration, s2xs2_filtration,
-    free_circle_filtration, su2_sphere_graph, su2_g_filtration,
+from helpers import (
+    alternating_hilbert, base_changed, euler_class, load, random_homogeneous,
+    reference_integrate,
 )
-from helpers import alternating_hilbert, random_homogeneous, reference_integrate
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "bench"))
 import gen  # noqa: E402  (the benchmark's GKM graph generators)
+
+FILTRATIONS = ("s2_filtration", "s2xs2_filtration", "free_circle",
+               "su2_g_filtration")
 
 
 def test_graph_validation():
@@ -48,11 +50,11 @@ def test_graph_validation():
             GKMGraph(ring, ["N", "S"], edge, euler=euler)
     # non-primitive Euler weights are allowed: their content is a scalar
     g = GKMGraph(ring, ["N", "S"], edge, euler={"N": [(2,)], "S": [(-3,)]})
-    assert g.euler_class("S") == ring.var(0).scale(-3)
+    assert euler_class(g, "S") == ring.var(0).scale(-3)
 
 
 def test_chang_skjelbred_sphere():
-    g = s2_graph(with_symmetry=False)
+    g = load(GKMGraph, "s2")
     ab0, ab1, delta0 = chang_skjelbred(g)
     assert ab0.num_gens == 2 and ab0.num_rels == 0
     assert ab1.num_gens == 1 and ab1.num_rels == 1
@@ -70,7 +72,7 @@ def test_isolated_vertex():
 
 
 def test_sphere_kernel_free_rank_two():
-    k = gkm_cohomology(s2_graph(with_symmetry=False))
+    k = gkm_cohomology(load(GKMGraph, "s2"))
     assert k.module.num_rels == 0
     assert sorted(k.module.gens_degrees) == [0, 2]
     ring = k.module.ring
@@ -82,19 +84,19 @@ def test_sphere_kernel_free_rank_two():
 
 
 def test_product_kernel_free_rank_four():
-    k = gkm_cohomology(s2xs2_graph())
+    k = gkm_cohomology(load(GKMGraph, "s2xs2"))
     assert k.module.num_rels == 0
     assert sorted(k.module.gens_degrees) == [0, 2, 2, 4]
 
 
 def test_kernel_always_torsion_free():
-    for g in (s2_graph(with_symmetry=False), s2xs2_graph()):
-        bd = biduality(gkm_cohomology(g).module)
+    for name in ("s2", "s2xs2"):
+        bd = biduality(gkm_cohomology(load(GKMGraph, name)).module)
         assert bd.torsion_free
 
 
 def test_delta0_annihilates_kernel():
-    g = s2xs2_graph()
+    g = load(GKMGraph, "s2xs2")
     _, _, delta0 = chang_skjelbred(g)
     k = gkm_cohomology(g)
     gb = delta0.target.relations_gb()
@@ -115,13 +117,13 @@ def test_delta0_annihilates_kernel():
 
 
 def test_ab_cohomology_sphere_cs():
-    d = s2_filtration()
+    d = load(FiltrationDatum, "s2_filtration")
     hs = ab_cohomology(d)
     assert hs[-1].is_zero() and hs[0].is_zero() and hs[1].is_zero()
 
 
 def test_ab_cohomology_free_circle():
-    d = free_circle_filtration()
+    d = load(FiltrationDatum, "free_circle")
     hs = ab_cohomology(d)
     assert not hs[-1].is_zero()
     assert hs[0].is_zero()
@@ -148,8 +150,8 @@ def test_datum_rejects_nonzero_composite():
 
 
 def test_cm_filtration_check_pass_and_fail():
-    assert cm_filtration_check(s2_filtration()).verdict == "pass"
-    assert cm_filtration_check(free_circle_filtration()).verdict == "pass"
+    for name in ("s2_filtration", "free_circle"):
+        assert cm_filtration_check(load(FiltrationDatum, name)).verdict == "pass"
     # AB^1 = R (dimension 1, expected 0) must fail
     ring = GradedPolynomialRing(["t"])
     ab0 = FPModule.free(ring, (0,))
@@ -166,9 +168,8 @@ def test_cm_filtration_zero_pieces_allowed():
 
 
 def test_ext_duality_on_shipped_data():
-    for datum in (s2_filtration(), s2xs2_filtration(),
-                  free_circle_filtration(), su2_g_filtration()):
-        assert verify_ext_duality(datum).verdict == "pass"
+    for name in FILTRATIONS:
+        assert verify_ext_duality(load(FiltrationDatum, name)).verdict == "pass"
 
 
 def test_ext_duality_needs_homology_module():
@@ -180,35 +181,31 @@ def test_ext_duality_needs_homology_module():
 
 
 def test_partial_exactness_values():
-    expected = {
-        "s2": (s2_filtration, 1),
-        "s2xs2": (s2xs2_filtration, 2),
-        "free_circle": (free_circle_filtration, 0),
-        "su2_g": (su2_g_filtration, 1),
-    }
-    for name, (build, want) in expected.items():
-        rep = partial_exactness_vs_syzygy(build())
+    expected = {"s2_filtration": 1, "s2xs2_filtration": 2, "free_circle": 0,
+                "su2_g_filtration": 1}
+    for name, want in expected.items():
+        rep = partial_exactness_vs_syzygy(load(FiltrationDatum, name))
         assert rep.verdict == "pass", name
         assert rep.details["j_exact"] == want == rep.details["j_syzygy"], name
 
 
 def test_syzygy_gap_bound_on_shipped_data():
-    for build in (s2_filtration, s2xs2_filtration, free_circle_filtration,
-                  su2_g_filtration):
-        assert syzygy_gap_check(build()).verdict == "pass"
+    for name in FILTRATIONS:
+        assert syzygy_gap_check(load(FiltrationDatum, name)).verdict == "pass"
 
 
 def test_truncation_additivity():
-    assert truncation_additivity_check(s2_filtration()).verdict == "pass"
     assert truncation_additivity_check(
-        free_circle_filtration()).verdict == "not applicable"
+        load(FiltrationDatum, "s2_filtration")).verdict == "pass"
+    assert truncation_additivity_check(
+        load(FiltrationDatum, "free_circle")).verdict == "not applicable"
 
 
 def test_reflexivity_iff_exact_one_step_further():
     # shipped data: the augmentation is reflexive exactly when the homology
     # vanishes at positions -1 and 0 and one step beyond survives
-    for build in (s2_filtration, s2xs2_filtration, free_circle_filtration):
-        datum = build()
+    for name in FILTRATIONS[:3]:
+        datum = load(FiltrationDatum, name)
         hs = ab_cohomology(datum)
         r = datum.rank
         exact_through_first = (hs[-1].is_zero() and hs[0].is_zero()
@@ -222,7 +219,7 @@ def test_reflexivity_iff_exact_one_step_further():
 
 
 def test_descent_su2_sphere():
-    res = descend_invariants(su2_sphere_graph())
+    res = descend_invariants(load(GKMGraph, "s2"))
     assert res.passed
     m = res.module.minimized()
     assert m.num_rels == 0 and sorted(m.gens_degrees) == [0, 2]
@@ -249,7 +246,7 @@ def test_descent_two_points_no_edges():
     # the invariants are the torus ring as a module over the invariants
     # (free of rank two) and the syzygy orders agree, but no space has this
     # graph as its full skeleton, so the base-change series check fails
-    group = cyclic_sign_group(names=["t"])
+    group = cyclic_sign_group()
     ring = group.ring
     graph = GKMGraph(ring, ["N", "S"], [],
                      euler={"N": [(1,)], "S": [(-1,)]},
@@ -263,7 +260,7 @@ def test_descent_two_points_no_edges():
 
 
 def test_symmetry_validation():
-    group = cyclic_sign_group(names=["t"])
+    group = cyclic_sign_group()
     ring = group.ring
     with pytest.raises(DatumError):
         # identity permutation does not respect weight negation... it does
@@ -274,7 +271,7 @@ def test_symmetry_validation():
 
 
 def test_integrate_examples():
-    g = s2_graph(with_symmetry=False)
+    g = load(GKMGraph, "s2")
     ring = g.ring
     t = ring.var(0)
     one, zero = ring.one(), ring.zero()
@@ -304,15 +301,15 @@ def _random_kernel_class(kernel, rng):
     return total.to_polys()
 
 
-def _integrals_agree(graph, klass, kernel):
+def _integrals_agree(graph, klass):
     """The integral, equal in both forms, or None when both raise."""
     try:
-        want = reference_integrate(graph, klass, kernel=kernel)
+        want = reference_integrate(graph, klass)
     except DatumError:
         with pytest.raises(DatumError):
-            integrate(graph, klass, kernel=kernel)
+            integrate(graph, klass)
         return None
-    assert integrate(graph, klass, kernel=kernel) == want
+    assert integrate(graph, klass) == want
     return want
 
 
@@ -325,7 +322,7 @@ def test_integrate_matches_product_form_reference():
         kernel = gkm_cohomology(g)
         nonzero = 0
         for _ in range(3):
-            value = _integrals_agree(g, _random_kernel_class(kernel, rng), kernel)
+            value = _integrals_agree(g, _random_kernel_class(kernel, rng))
             nonzero += not value.is_zero()
         assert nonzero >= 1
     # supplied Euler data: the derived weights with the first one scaled by
@@ -347,14 +344,14 @@ def test_integrate_matches_product_form_reference():
             kernel = gkm_cohomology(g)
             for _ in range(2):
                 klass = _random_kernel_class(kernel, rng)
-                outcomes.add(_integrals_agree(g, klass, kernel) is None)
+                outcomes.add(_integrals_agree(g, klass) is None)
     assert outcomes == {False, True}
     # same-sign Euler data on the sphere
     ring = GradedPolynomialRing(["t"])
     g = GKMGraph(ring, ["N", "S"], [("N", "S", (1,))],
                  euler={"N": [(1,)], "S": [(1,)]})
     one = ring.one()
-    assert _integrals_agree(g, [one, one], gkm_cohomology(g)) is None
+    assert _integrals_agree(g, [one, one]) is None
 
 
 def test_pairing_flag4_finishes():
@@ -369,12 +366,12 @@ def test_pairing_flag4_finishes():
 
 
 def test_pairing_sphere_and_product():
-    rep = pairing_perfection(s2_graph(with_symmetry=False))
+    rep = pairing_perfection(load(GKMGraph, "s2"))
     assert rep.verdict == "pass" and rep.details["perfect"]
     det = GradedPolynomialRing(["t"]).parse(rep.details["determinant"])
     assert abs(det.constant_term()) == 1
 
-    rep = pairing_perfection(s2xs2_graph())
+    rep = pairing_perfection(load(GKMGraph, "s2xs2"))
     assert rep.verdict == "pass" and rep.details["perfect"]
     det = GradedPolynomialRing(["t1", "t2"]).parse(rep.details["determinant"])
     assert abs(det.constant_term()) == 1
@@ -390,32 +387,32 @@ def test_pairing_point():
 
 
 def test_pairing_not_applicable_for_torsion():
-    datum = free_circle_filtration()
+    datum = load(FiltrationDatum, "free_circle")
     # torsion augmentation: no free basis, the pairing test cannot run;
     # mirrored by the syzygy order being zero
     assert syzygy_order(datum.augmentation.source).order == 0
 
 
 def test_gfilt_tfilt_verdict_stable_under_base_change():
-    group = cyclic_sign_group(names=["t"])
-    datum_g = su2_g_filtration()
+    group = cyclic_sign_group()
+    datum_g = load(FiltrationDatum, "su2_g_filtration")
     rep_g = cm_filtration_check(datum_g)
-    datum_t = datum_g.base_changed(group.embedding())
+    datum_t = base_changed(datum_g, group.embedding())
     rep_t = cm_filtration_check(datum_t)
     assert rep_g.verdict == rep_t.verdict == "pass"
 
 
 def test_filtration_json_roundtrip():
-    for build in (s2_filtration, s2xs2_filtration, free_circle_filtration):
-        datum = build()
+    for name in FILTRATIONS[:3]:
+        datum = load(FiltrationDatum, name)
         again = FiltrationDatum.from_json(datum.to_json())
         assert partial_exactness_vs_syzygy(again).verdict == "pass"
         assert again.to_json() == datum.to_json()
 
 
 def test_graph_json_roundtrip():
-    for build in (su2_sphere_graph, s2xs2_graph):
-        g = build()
+    for name in ("s2", "s2xs2"):
+        g = load(GKMGraph, name)
         again = GKMGraph.from_json(g.to_json())
         assert again.to_json() == g.to_json()
         assert gkm_cohomology(again).module.gens_degrees == \
@@ -423,15 +420,16 @@ def test_graph_json_roundtrip():
 
 
 def test_derived_euler_classes_match_explicit():
-    for build in (s2_graph, s2xs2_graph):
-        g = build() if build is s2xs2_graph else build(with_symmetry=False)
-        explicit = {v: g.euler_class(v) for v in g.vertices}
+    for name in ("s2", "s2xs2"):
+        g = load(GKMGraph, name)
+        explicit = {v: euler_class(g, v) for v in g.vertices}
         g.euler = None
-        derived = {v: g.euler_class(v) for v in g.vertices}
+        derived = {v: euler_class(g, v) for v in g.vertices}
         assert explicit == derived
 
 
-def test_pairing_not_applicable_for_nonfree_kernel():
+def test_pairing_not_applicable_for_nonfree_kernel(monkeypatch):
+    from equisyz import equivtop
     from equisyz.equivtop import KernelResult
     from equisyz.gradmod import FreeModule
     ring = GradedPolynomialRing(["t"])
@@ -439,19 +437,35 @@ def test_pairing_not_applicable_for_nonfree_kernel():
     torsion = FPModule.quotient_by_ideal(ring, [t])
     fake = KernelResult(torsion, [Vector.from_polys([ring.one()], 1)],
                         FreeModule(ring, (0,)))
-    g = s2_graph(with_symmetry=False)
-    rep = pairing_perfection(g, kernel=fake)
+    monkeypatch.setattr(equivtop, "gkm_cohomology", lambda graph: fake)
+    rep = pairing_perfection(load(GKMGraph, "s2"))
     assert rep.verdict == "not applicable"
+
+
+def test_shipped_filtrations_match_their_constructions():
+    # the sphere filtrations are augmented by the GKM kernel of their graph,
+    # mapped in by the kernel generators; the homology-side modules are the
+    # equivariant homology of the formal and free-circle Cartan models
+    for name in ("s2", "s2xs2"):
+        aug = load(FiltrationDatum, name + "_filtration").augmentation
+        kernel = gkm_cohomology(load(GKMGraph, name))
+        assert aug.source.to_json() == kernel.module.to_json(), name
+        assert list(map(list, aug.entries)) == [
+            [g.component(i) for g in kernel.generators]
+            for i in range(kernel.ambient.rank)], name
+    for name, model in (("s2_filtration", formal_model((0, 2), 1)),
+                        ("s2xs2_filtration", formal_model((0, 2, 2, 4), 2)),
+                        ("free_circle", circle_model())):
+        datum = load(FiltrationDatum, name)
+        assert iso_surrogate_equal(datum.homology_module,
+                                   equivariant_homology(model, datum.ring)), name
 
 
 def test_filtration_euler_characteristic_on_shipped_data():
     # sum (-1)^i Hilb(H^i) = sum (-1)^i Hilb(AB^i), for the complex alone and
     # with the augmentation module as AB^{-1}
-    data = os.path.join(os.path.dirname(__file__), "..", "data")
-    for name in ("s2_filtration.json", "s2xs2_filtration.json",
-                 "free_circle.json", "su2_g_filtration.json"):
-        with open(os.path.join(data, name)) as fh:
-            datum = FiltrationDatum.from_json(json.load(fh))
+    for name in FILTRATIONS:
+        datum = load(FiltrationDatum, name)
         pieces = list(enumerate(datum.modules))
         assert (alternating_hilbert(plain_ab_cohomology(datum).items(), 40)
                 == alternating_hilbert(pieces, 40)), name

@@ -6,12 +6,13 @@ from equisyz.polyring import GradedPolynomialRing, Vector, RingMap, buchberger
 from equisyz.gradmod import (
     FreeModule, ModuleMap, FPModule, FPMap, NEG_INF, minimal_resolution,
     betti_table, dimension, depth, ext_module, dual_module, biduality,
-    cohen_macaulay, syzygy_order, base_change, restrict_scalars,
-    fp_kernel, fp_cokernel, fp_homology, iso_surrogate_equal,
+    cohen_macaulay, syzygy_order, base_change, fp_kernel, fp_cokernel, fp_homology, iso_surrogate_equal,
 )
 from equisyz.weyl import cyclic_sign_group, symmetric_group_on_sum_zero
-from equisyz.examples import koszul_syzygy_module, residue_field_module
-from helpers import alternating_hilbert, random_module, reference_syzygy_order
+from helpers import (
+    alternating_hilbert, koszul_syzygy_module, random_module,
+    reference_syzygy_order, residue_field_module, times_qpoly,
+)
 
 
 @pytest.fixture
@@ -192,14 +193,14 @@ def test_restrict_scalars_examples():
     z2 = cyclic_sign_group()
     RT = z2.ring
     t = RT.var(0)
-    down = restrict_scalars(FPModule.free(RT, (0,)), z2)
+    down = z2.restrict_scalars(FPModule.free(RT, (0,)))
     assert down.num_rels == 0 and sorted(down.gens_degrees) == [0, 2]
 
-    tors = restrict_scalars(FPModule.quotient_by_ideal(RT, [t]), z2)
+    tors = z2.restrict_scalars(FPModule.quotient_by_ideal(RT, [t]))
     assert tors.num_gens == 2
     assert tors.hilbert().coefficients(10) == {0: 1}
 
-    assert restrict_scalars(FPModule.zero(RT), z2).is_zero()
+    assert z2.restrict_scalars(FPModule.zero(RT)).is_zero()
 
 
 def test_restrict_then_base_change_multiplies_by_poincare():
@@ -207,10 +208,10 @@ def test_restrict_then_base_change_multiplies_by_poincare():
         RT = group.ring
         x = RT.var(0)
         m = FPModule.quotient_by_ideal(RT, [x ** 2])
-        down = restrict_scalars(m, group)
+        down = group.restrict_scalars(m)
         up = base_change(down, group.embedding())
         pw = group.poincare_polynomial()
-        assert up.hilbert().series_equal(m.hilbert().times_qpoly(pw), 30)
+        assert up.hilbert().series_equal(times_qpoly(m.hilbert(), pw), 30)
 
 
 def test_auslander_buchsbaum_property():
