@@ -159,7 +159,7 @@ def run_weyl_verify(obj, checks, nmax, seed):
     except GroupClosureError as exc:
         raise InputError(str(exc))
     report = group.verify(nmax)
-    out = [_check(name, _weyl_tag(name), ok) for name, ok in report.checks]
+    out = [_check(name, tag, ok) for name, tag, ok in report.checks]
     summary = {
         "order": group.order,
         "invariant_degrees": list(group.invariant_degrees),
@@ -167,16 +167,6 @@ def run_weyl_verify(obj, checks, nmax, seed):
         if report.ok else None,
     }
     return out, summary
-
-
-def _weyl_tag(name):
-    if "Molien" in name:
-        return "molien-series"
-    if "Kostant" in name or "coinvariant" in name:
-        return "kostant-freeness"
-    if "order" in name:
-        return "invariant-degree-product"
-    return "invariance"
 
 
 def run_cartan(obj, checks, nmax, seed):

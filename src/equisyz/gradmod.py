@@ -57,7 +57,9 @@ class ModuleMap:
 
     entries[i][j] is the coefficient of target generator i in the image of
     source generator j; each entry is zero or homogeneous of degree
-    source.degrees[j] - target.degrees[i].
+    source.degrees[j] - target.degrees[i].  Never mutated after
+    construction, it caches gb(), the Groebner data of its columns, which
+    the module it presents, its syzygies and verify_exact share.
     """
 
     def __init__(self, source, target, entries, check=True):
@@ -79,19 +81,24 @@ class ModuleMap:
                         raise ValueError(
                             "entry (%d,%d) has degree %s, expected %d"
                             % (i, j, ent.homogeneous_degree(), want))
+        self._gb = None
 
     @property
     def ring(self):
         return self.source.ring
 
     @classmethod
-    def from_columns(cls, source, target, columns, check=True):
-        entries = [[columns[j].component(i) for j in range(source.rank)]
-                   for i in range(target.rank)]
-        return cls(source, target, entries, check=check)
+    def from_columns(cls, source, target, columns):
+        return cls(source, target, _column_matrix(columns, target.rank))
 
     def columns(self):
         return _matrix_columns(self.ring, self.entries, self.source.rank)
+
+    def gb(self):
+        """SubmoduleGB of the columns in R^target.rank, computed once."""
+        if self._gb is None:
+            self._gb = SubmoduleGB(self.ring, self.target.rank, self.columns())
+        return self._gb
 
     def is_zero(self):
         return all(e.is_zero() for row in self.entries for e in row)
@@ -123,6 +130,12 @@ def _matrix_columns(ring, entries, ncols):
                 data[(i, e)] = c
         out.append(Vector(ring, len(entries), data))
     return out
+
+
+def _column_matrix(columns, nrows):
+    """Rows of the polynomial matrix whose j-th column is columns[j]."""
+    polys = [c.to_polys() for c in columns]
+    return [[p[i] for p in polys] for i in range(nrows)]
 
 
 def _matrix_product(ring, a, b, ncols):
@@ -169,14 +182,14 @@ class FPModule:
     """Finitely presented graded module: the cokernel of a ModuleMap.
 
     Never mutated after construction, it caches what is derived from it:
-    the relations' Groebner basis, the Hilbert series, the minimal
-    presentation (a minimal module is its own) and, on the minimal
-    presentation, the minimal free resolution.
+    the Hilbert series, the minimal presentation and, on the minimal
+    presentation, the minimal free resolution.  The relations' Groebner
+    basis lives on pmap.  A module whose presentation is already minimal
+    is its own minimal presentation, so both share all of these.
     """
 
     def __init__(self, pmap):
         self.pmap = pmap
-        self._rel_gb = None
         self._hilbert = None
         self._minimal = None
         self._resolution = None
@@ -222,16 +235,10 @@ class FPModule:
     def relation_columns(self):
         return self.pmap.columns()
 
-    def relations_gb(self):
-        if self._rel_gb is None:
-            self._rel_gb = SubmoduleGB(self.ring, self.num_gens,
-                                       self.relation_columns())
-        return self._rel_gb
-
     def hilbert(self):
         if self._hilbert is None:
             self._hilbert = quotient_hilbert_series(
-                self.ring, self.gens_degrees, self.relations_gb().gb)
+                self.ring, self.gens_degrees, self.pmap.gb().gb)
         return self._hilbert
 
     def is_zero(self):
@@ -280,6 +287,9 @@ class FPModule:
         cols = [v for v in _matrix_columns(ring, rows, len(cdeg))
                 if not v.is_zero()]
         keep = minimal_generating_indices(cols, tgt.degrees)
+        if len(gdeg) == self.num_gens and len(keep) == self.num_rels:
+            self._minimal = self
+            return self
         cols = [cols[i] for i in keep]
         src = FreeModule(ring, _degrees_of(cols, tgt.degrees))
         m0 = FPModule(ModuleMap.from_columns(src, tgt, cols))
@@ -318,7 +328,7 @@ class FPMap:
         self.entries = ModuleMap(source.pmap.target, target.pmap.target,
                                  entries, check=check).entries
         if check:
-            gb = target.relations_gb()
+            gb = target.pmap.gb()
             rels = source.pmap
             mapped = _matrix_product(self.ring, self.entries, rels.entries,
                                      rels.source.rank)
@@ -347,7 +357,7 @@ class FPMap:
         return FPMap(other.source, self.target, ent, check=False)
 
     def is_zero_map(self):
-        gb = self.target.relations_gb()
+        gb = self.target.pmap.gb()
         return all(gb.contains(col) for col in self.columns())
 
     def __repr__(self):
@@ -441,15 +451,14 @@ class Resolution:
         return True
 
     def verify_exact(self):
-        """Composites vanish and ker(phi_k) = im(phi_{k+1}) at every k >= 1."""
-        ring = self.modules[0].ring
+        """Composites vanish and ker(phi_k) = im(phi_{k+1}) at every k >= 1,
+        compared as the reduced Groebner bases cached by each map's gb()."""
         for a, b in zip(self.maps, self.maps[1:]):
             if not a.compose(b).is_zero():
                 return False
         for k, m in enumerate(self.maps):
-            syz = syzygy_basis(ring, m.target.rank, m.columns())
-            nxt = self.maps[k + 1].columns() if k + 1 < len(self.maps) else []
-            if buchberger(syz) != buchberger(nxt):
+            nxt = self.maps[k + 1].gb().gb if k + 1 < len(self.maps) else []
+            if m.gb().syzygies() != nxt:
                 return False
         return True
 
@@ -457,11 +466,10 @@ class Resolution:
 def syzygies(mmap):
     """Map whose image, minimally generated, is the kernel of the given map
     of free modules."""
-    ring = mmap.ring
-    syz = syzygy_basis(ring, mmap.target.rank, mmap.columns())
+    syz = mmap.gb().syzygies()
     keep = minimal_generating_indices(syz, mmap.source.degrees)
     syz = [syz[i] for i in keep]
-    src = FreeModule(ring, _degrees_of(syz, mmap.source.degrees))
+    src = FreeModule(mmap.ring, _degrees_of(syz, mmap.source.degrees))
     return ModuleMap.from_columns(src, mmap.source, syz)
 
 
@@ -606,12 +614,9 @@ def _bidual_matrix(module, mstar, K, mdd, W):
     g0rank = mstar.num_gens
     wgb = SubmoduleGB(ring, g0rank, W) if W else None
     cols = []
-    for i in range(module.num_gens):
-        data = {}
-        for t in range(g0rank):
-            for e, c in K[t].component(i).terms.items():
-                data[(t, e)] = c
-        u = Vector(ring, g0rank, data)
+    for row in _column_matrix(K, module.num_gens):
+        u = Vector(ring, g0rank, {(t, e): c for t, p in enumerate(row)
+                                  for e, c in p.terms.items()})
         if wgb is None:
             if not u.is_zero():
                 raise AssertionError("evaluation vector escapes the double dual")
@@ -694,7 +699,7 @@ def syzygy_order(module):
 
 def _compose_embedding(m0, W, bid_entries, g0_free):
     """M -> G0*: biduality followed by the inclusion of ker(sigma_1)."""
-    incl = [[w.component(i) for w in W] for i in range(g0_free.num_gens)]
+    incl = _column_matrix(W, g0_free.num_gens)
     ent = _matrix_product(m0.ring, incl, bid_entries, m0.num_gens)
     return FPMap(m0, g0_free, ent, check=False)
 

@@ -10,6 +10,7 @@ letters (acting on the sum-zero coordinates), the order-8 rank-2 group of
 signed permutations, sign flips in rank one, and direct products.
 """
 
+import math
 from fractions import Fraction
 
 from .polyring import (
@@ -127,26 +128,27 @@ class ReflectionGroup:
         return {k: Fraction(v) for k, v in h.coefficients(nmax).items()}
 
     def verify(self, nmax=40):
-        """Check invariance, the order product and the Molien identity."""
-        checks = []
-        for k, p in enumerate(self.invariants):
-            ok = all(self.act(g, p) == p for g in self.generators)
-            checks.append(("invariance of candidate %d" % (k + 1), ok))
-        exps = [d // 2 for d in self.invariant_degrees]
-        prod = 1
-        for e in exps:
-            prod *= e
+        """Check invariance, the order product, the Molien identity and
+        Kostant freeness; each check is (name, theorem tag, passed)."""
+        checks = [("invariance of candidate %d" % (k + 1), "invariance",
+                   all(self.act(g, p) == p for g in self.generators))
+                  for k, p in enumerate(self.invariants)]
+        half_degrees = math.prod(d // 2 for d in self.invariant_degrees)
         checks.append(("product of half-degrees equals the group order",
-                       prod == self.order))
+                       "invariant-degree-product", half_degrees == self.order))
         checks.append(("Molien series matches the invariant degrees",
+                       "molien-series",
                        self.molien_series(nmax) == self.invariant_ring_series(nmax)))
+        kostant = "kostant-freeness"
         try:
             basis = self.coinvariant_basis()
             checks.append(("coinvariant count equals the group order",
-                           len(basis) == self.order))
-            checks.append(("Kostant freeness identity", self._kostant_identity()))
+                           kostant, len(basis) == self.order))
+            checks.append(("Kostant freeness identity", kostant,
+                           self._kostant_identity()))
         except ValueError:
-            checks.append(("coinvariant basis is finite and of the right size", False))
+            checks.append(("coinvariant basis is finite and of the right size",
+                           kostant, False))
         return VerificationReport(checks)
 
     def _invariant_gb(self):
@@ -294,10 +296,10 @@ class VerificationReport:
 
     @property
     def ok(self):
-        return all(ok for _, ok in self.checks)
+        return all(ok for _, _, ok in self.checks)
 
     def failures(self):
-        return [name for name, ok in self.checks if not ok]
+        return [name for name, _, ok in self.checks if not ok]
 
     def __repr__(self):
         return "VerificationReport(ok=%s)" % self.ok

@@ -99,7 +99,7 @@ def test_delta0_annihilates_kernel():
     g = load(GKMGraph, "s2xs2")
     _, _, delta0 = chang_skjelbred(g)
     k = gkm_cohomology(g)
-    gb = delta0.target.relations_gb()
+    gb = delta0.target.pmap.gb()
     for gen in k.generators:
         image = Vector(g.ring, delta0.target.num_gens, {})
         for j in range(delta0.source.num_gens):

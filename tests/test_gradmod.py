@@ -4,7 +4,7 @@ import pytest
 
 from equisyz.polyring import GradedPolynomialRing, Vector, RingMap, buchberger
 from equisyz.gradmod import (
-    FreeModule, ModuleMap, FPModule, FPMap, NEG_INF, minimal_resolution,
+    FreeModule, ModuleMap, FPModule, FPMap, NEG_INF, Resolution, minimal_resolution,
     betti_table, dimension, depth, ext_module, dual_module, biduality,
     cohen_macaulay, syzygy_order, base_change, fp_kernel, fp_cokernel, fp_homology, iso_surrogate_equal,
 )
@@ -401,3 +401,71 @@ def test_ext_euler_characteristic_matches_dual_resolution():
         kinds |= {"kernel" if i == 0 else "cokernel" if i == res.length
                   else "middle" for i in range(res.length + 1)}
     assert kinds == {"kernel", "middle", "cokernel"}
+
+
+def test_verify_exact_rejects_nonzero_composite_and_inexact_chain(R):
+    x, y = R.vars()
+    res = minimal_resolution(residue_field_module(R))
+    assert res.verify_exact()
+    first, last = res.maps
+    # (x, y) is not a syzygy of the first map: the composite is nonzero
+    not_chain = ModuleMap(last.source, last.target, [[x], [y]])
+    assert not first.compose(not_chain).is_zero()
+    assert not Resolution(res.modules, [first, not_chain]).verify_exact()
+    # x times the Koszul syzygy: a complex whose image misses the kernel
+    src = FreeModule(R, tuple(d + 2 for d in last.source.degrees))
+    inexact = ModuleMap(src, last.target,
+                        [[x * e for e in row] for row in last.entries])
+    assert first.compose(inexact).is_zero()
+    assert not Resolution(res.modules[:-1] + (src,),
+                          [first, inexact]).verify_exact()
+
+
+def test_verify_exact_and_minimal_module_reuse_cached_bases(monkeypatch):
+    import equisyz.gradmod as gradmod
+    import equisyz.polyring as polyring
+    R4 = GradedPolynomialRing(["x1", "x2", "x3", "x4"])
+    m = residue_field_module(R4)
+    assert m.minimized() is m
+    res = minimal_resolution(m)
+
+    calls = []
+    real_init = polyring.SubmoduleGB.__init__
+    real_buchberger = polyring.buchberger
+
+    def counted_init(self, *args, **kwargs):
+        calls.append("SubmoduleGB")
+        real_init(self, *args, **kwargs)
+
+    def counted_buchberger(vectors):
+        calls.append("buchberger")
+        return real_buchberger(vectors)
+
+    monkeypatch.setattr(polyring.SubmoduleGB, "__init__", counted_init)
+    for module in (polyring, gradmod):
+        monkeypatch.setattr(module, "buchberger", counted_buchberger)
+    assert res.verify_exact()
+    assert calls == []
+    # the hooks do count: a fresh module's Hilbert series builds its basis
+    residue_field_module(R4).hilbert()
+    assert "SubmoduleGB" in calls and "buchberger" in calls
+
+
+def test_cached_gb_is_the_reduced_basis_of_columns_and_syzygies():
+    # verify_exact compares gb().syzygies() with the next map's gb().gb:
+    # both must be the reduced bases that buchberger returns, in its order;
+    # checked on each input presentation and each map of its resolution
+    from equisyz.polyring import syzygy_basis
+    R3 = GradedPolynomialRing(["x", "y", "z"])
+    R4 = GradedPolynomialRing(["x1", "x2", "x3", "x4"])
+    modules = ([random_module(R3, random.Random(seed)) for seed in range(30)]
+               + [residue_field_module(R4)])
+    checked = 0
+    for m in modules:
+        for phi in (m.pmap,) + minimal_resolution(m).maps:
+            cols = phi.columns()
+            assert phi.gb().gb == buchberger(cols)
+            assert phi.gb().syzygies() == buchberger(
+                syzygy_basis(phi.ring, phi.target.rank, cols))
+            checked += 1
+    assert checked >= 60
