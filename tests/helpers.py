@@ -3,11 +3,12 @@ and modules, and the reference forms the library is tested against."""
 
 import json
 import os
+import random
 from fractions import Fraction
 from itertools import combinations
 
 from equisyz.polyring import (
-    HilbertSeries, Polynomial, Vector, _exact_divide, qpoly_add, qpoly_mul,
+    GradedPolynomialRing, HilbertSeries, Polynomial, Vector, _exact_divide, qpoly_add, qpoly_mul,
     syzygy_basis,
 )
 from equisyz.gradmod import (
@@ -273,6 +274,14 @@ def random_module(ring, rng, max_gens=3, max_rels=3):
         if not v.is_zero():
             cols.append(v)
     return FPModule.from_columns(ring, gdegs, cols)
+
+
+def module_3028():
+    """random_module at seed 3028 in Q[x0, x1, x2]: the coefficients of its
+    Groebner bases grow large, so module-analyze on it is slow when the
+    reduction's arithmetic is."""
+    ring = GradedPolynomialRing(["x0", "x1", "x2"])
+    return random_module(ring, random.Random(3028), max_gens=3, max_rels=4)
 
 
 def alternating_hilbert(pieces, nmax):

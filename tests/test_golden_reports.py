@@ -1,9 +1,10 @@
 """CLI reports are byte-for-byte those whose sha256 digests are committed.
 
 Covers every shipped input under every command in both formats, one
-integrate class, and module-analyze on 25 seeded random modules.  A changed
-digest must be explained in CHANGES.md; running this file as a script
-rewrites golden_reports.json from the current code.
+integrate class, and module-analyze on 25 seeded random modules and on
+helpers.module_3028, whose Groebner bases grow large coefficients.  A
+changed digest must be explained in CHANGES.md; running this file as a
+script rewrites golden_reports.json from the current code.
 """
 
 import contextlib
@@ -21,7 +22,7 @@ sys.path.insert(0, os.path.join(HERE, "..", "src"))
 
 from equisyz.cli import COMMANDS, main  # noqa: E402
 from equisyz.polyring import GradedPolynomialRing  # noqa: E402
-from helpers import random_module  # noqa: E402
+from helpers import module_3028, random_module  # noqa: E402
 
 DATA = os.path.join(HERE, "..", "data")
 GOLDEN = os.path.join(HERE, "golden_reports.json")
@@ -46,6 +47,11 @@ def _cases(workdir):
             json.dump(random_module(ring, random.Random(seed)).to_json(), fh)
         yield ("module-analyze random_module %d json" % seed,
                ["module-analyze", path, "--seed", "3", "--format", "json"])
+    path = os.path.join(workdir, "random_module_3028.json")
+    with open(path, "w") as fh:
+        json.dump(module_3028().to_json(), fh)
+    yield ("module-analyze random_module_3028 json",
+           ["module-analyze", path, "--seed", "5", "--format", "json"])
 
 
 def _digest(argv):
