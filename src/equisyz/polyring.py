@@ -4,13 +4,16 @@ Weighted polynomial rings with positive even variable degrees,
 degree-reverse-lexicographic monomial order (position-over-term for free
 modules, earlier columns greater), Buchberger's algorithm for submodules of
 graded free modules, normal forms, syzygies via block elimination, and
-Hilbert series from staircase counts.  Coefficients are exact rationals
-throughout; nothing here ever touches a float.
+Hilbert series from staircase counts.  Every public coefficient is an
+exact Fraction; the Groebner core (divide, buchberger) reduces primitive
+integer multiples of its vectors by fraction-free pseudo-division and
+rescales only what it returns.  Nothing here ever touches a float.
 """
 
 import heapq
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from operator import mul, neg
 
 __all__ = [
@@ -23,6 +26,9 @@ __all__ = [
 
 class DatumError(ValueError):
     """Raised when the input data violates its structural contracts."""
+
+
+_ONE = Fraction(1)
 
 
 def _fr(x):
@@ -76,14 +82,19 @@ def _mono_lcm(a, b):
 
 _TERM_SPLIT = re.compile(r"[+-]?[^+-]+")
 _RATIONAL = re.compile(r"^\d+(/\d+)?$")
-_VARPOW = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(?:\^(\d+))?$")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_VARPOW = re.compile(r"^(%s)(?:\^(\d+))?$" % _NAME.pattern)
 
 
 class GradedPolynomialRing:
     """Polynomial ring over Q whose variables carry positive even weights."""
 
     def __init__(self, names, degrees=None):
-        names = tuple(str(n) for n in names)
+        if not (isinstance(names, (list, tuple))
+                and all(isinstance(n, str) and _NAME.fullmatch(n) for n in names)):
+            raise ValueError("variable names must be a list of names matching "
+                             "%s, got %r" % (_NAME.pattern, names))
+        names = tuple(names)
         if degrees is None:
             degrees = (2,) * len(names)
         degrees = tuple(int(d) for d in degrees)
@@ -386,17 +397,19 @@ class RingMap:
 class Vector:
     """Element of a free module R^rank, stored as {(col, exps): coeff}.
 
-    Immutable: data is never written after construction, so the lead is
-    computed once and cached in _lead.
+    Immutable: data is never written after construction, so the lead and
+    the primitive integer form are computed once and cached in _lead and
+    _prim.
     """
 
-    __slots__ = ("ring", "rank", "data", "_lead")
+    __slots__ = ("ring", "rank", "data", "_lead", "_prim")
 
     def __init__(self, ring, rank, data):
         self.ring = ring
         self.rank = rank
         self.data = {k: c for k, c in data.items() if c}
         self._lead = None
+        self._prim = None
 
     @classmethod
     def from_polys(cls, polys, rank=None):
@@ -470,7 +483,29 @@ class Vector:
         if not self.data:
             return self
         _, c = self.lead()
-        return self.scale(1 / c)
+        return self if c == 1 else self.scale(_ONE / c)
+
+    def _primitive(self):
+        """(c, ints) with self == c * ints: ints maps each term to an integer,
+        their gcd is 1 and the lead's is positive, and c is a Fraction.
+
+        The primitive form is the same for every nonzero rational multiple
+        of self; the Groebner core reduces it instead of self.
+        """
+        if self._prim is None:
+            if not self.data:
+                self._prim = (_ONE, {})
+            else:
+                den = lcm(*[c.denominator for c in self.data.values()])
+                ints = {k: c.numerator * (den // c.denominator)
+                        for k, c in self.data.items()}
+                g = gcd(*ints.values())
+                if ints[self.lead()[0]] < 0:
+                    g = -g
+                if g != 1:
+                    ints = {k: c // g for k, c in ints.items()}
+                self._prim = (Fraction(g, den), ints)
+        return self._prim
 
     def homogeneous_degree(self, col_degrees):
         """Common degree with generator shifts, None for 0; raises if mixed."""
@@ -492,36 +527,78 @@ class Vector:
     __repr__ = __str__
 
 
+def _monic(ring, rank, terms):
+    """The monic Vector of nonzero integer terms, with its primitive form
+    cached."""
+    v = Vector(ring, rank, terms)
+    _, ints = v._primitive()
+    k = v.lead()[0]
+    lc = ints[k]
+    out = Vector(ring, rank, {t: Fraction(c, lc) for t, c in ints.items()})
+    out._lead = (k, _ONE)
+    out._prim = (Fraction(1, lc), ints)
+    return out
+
+
 def s_vector(f, g):
-    """S-vector of two monic vectors whose leads sit in the same column."""
+    """S-vector of two vectors whose leads sit in the same column.
+
+    Built from the primitive forms F and G: with m the lcm of the lead
+    monomials and d the gcd of the lead coefficients,
+    (lc(G)/d) (m/lm(F)) F - (lc(F)/d) (m/lm(G)) G.  Its coefficients are
+    integers, and it is a positive multiple of the S-vector of the monic
+    forms of f and g.
+    """
     (cf, ef), _ = f.lead()
     (cg, eg), _ = g.lead()
     assert cf == cg
+    fi, gi = f._primitive()[1], g._primitive()[1]
+    lf, lg = fi[(cf, ef)], gi[(cg, eg)]
+    d = gcd(lf, lg)
+    a, b = lg // d, lf // d
     m = _mono_lcm(ef, eg)
-    return f.mono_mul(_mono_div(m, ef)) - g.mono_mul(_mono_div(m, eg))
+    mf, mg = _mono_div(m, ef), _mono_div(m, eg)
+    out = {(c, _mono_mul(e, mf)): a * v for (c, e), v in fi.items()}
+    for (c, e), v in gi.items():
+        t = (c, _mono_mul(e, mg))
+        s = out.get(t, 0) - b * v
+        if s:
+            out[t] = s
+        else:
+            out.pop(t, None)
+    return Vector(f.ring, f.rank, out)
 
 
-def divide(f, divisors):
-    """Full division: f = sum(q_i * divisors[i]) + remainder.
+def _reduce(ring, terms, divisors, quots=None):
+    """Fraction-free full division of integer terms by the primitive forms
+    of the divisors.
 
-    No remainder term is divisible by any divisor's lead; each term is
-    reduced by the first divisor (in list order) whose lead divides it.
-    Returns (quotients as Polynomials, remainder Vector).
+    Returns (a, rem): a positive integer a and integer terms rem with
+    a * terms = sum(q_i * primitive(divisors[i])) + rem, where no term of
+    rem is divisible by any divisor's lead.  Each term is reduced by the
+    first divisor (in list order) whose lead divides it, as by pseudo-
+    division: for the term's coefficient c, the divisor's lead coefficient
+    l (positive) and g = gcd(c, l), everything pending, the remainder so far
+    and the quotients are multiplied by l/g when that is not 1, and then
+    (c/g) times the divisor's monomial multiple is subtracted.  So every
+    choice is that of division over Q, and every intermediate result a
+    positive multiple of it.  When quots is a list of one dict per divisor,
+    the integer quotients q_i are written into it.
 
-    The pending terms of the dividend sit in a heap keyed by
-    ring.heap_key (Monagan-Pearce); a cancelled term stays in the heap and
-    is skipped when popped.  Reduction only adds terms smaller than the one
-    reduced, so a popped term never re-enters.
+    The pending terms sit in a heap keyed by ring.heap_key
+    (Monagan-Pearce); a cancelled term stays in the heap and is skipped
+    when popped.  Reduction only adds terms smaller than the one reduced,
+    so a popped term never re-enters.
     """
-    ring = f.ring
     key = ring.heap_key
     by_col = {}
     for i, g in enumerate(divisors):
-        (col, exps), lc = g.lead()
-        by_col.setdefault(col, []).append((i, exps, lc))
-    quots = [{} for _ in divisors]
+        (col, exps), _ = g.lead()
+        ints = g._primitive()[1]
+        by_col.setdefault(col, []).append((i, exps, ints[(col, exps)], ints))
+    scale = 1
     rem = {}
-    p = dict(f.data)
+    p = dict(terms)
     heap = [(key(t), t) for t in p]
     heapq.heapify(heap)
     while heap:
@@ -530,12 +607,19 @@ def divide(f, divisors):
         if coeff is None:
             continue
         col, exps = t
-        for i, ge, glc in by_col.get(col, ()):
+        for i, ge, glc, ints in by_col.get(col, ()):
             if _mono_divides(ge, exps):
                 q = _mono_div(exps, ge)
-                factor = coeff / glc
-                quots[i][q] = factor  # t is reduced once, so q is new
-                for (c2, e2), v2 in divisors[i].data.items():
+                g = gcd(coeff, glc)
+                a, factor = glc // g, coeff // g
+                if a != 1:
+                    scale *= a
+                    for part in (p, rem, *(quots or ())):
+                        for k in part:
+                            part[k] *= a
+                if quots is not None:
+                    quots[i][q] = factor  # t is reduced once, so q is new
+                for (c2, e2), v2 in ints.items():
                     t2 = (c2, _mono_mul(e2, q))
                     old = p.get(t2)
                     if old is None:
@@ -551,8 +635,28 @@ def divide(f, divisors):
         else:
             rem[t] = coeff
             del p[t]
-    return ([Polynomial(ring, q) for q in quots],
-            Vector(ring, f.rank, rem))
+    return scale, rem
+
+
+def divide(f, divisors):
+    """Full division: f = sum(q_i * divisors[i]) + remainder.
+
+    No remainder term is divisible by any divisor's lead; each term is
+    reduced by the first divisor (in list order) whose lead divides it.
+    Returns (quotients as Polynomials, remainder Vector), exact over Q:
+    _reduce divides the primitive form of f by those of the divisors, and
+    its integer results are rescaled once here.
+    """
+    ring = f.ring
+    cf, ints = f._primitive()
+    quots = [{} for _ in divisors]
+    scale, rem = _reduce(ring, ints, divisors, quots)
+    s = cf / scale
+    polys = []
+    for q, g in zip(quots, divisors):
+        sq = s / g._primitive()[0]
+        polys.append(Polynomial(ring, {e: sq * c for e, c in q.items()}))
+    return polys, Vector(ring, f.rank, {t: s * c for t, c in rem.items()})
 
 
 def _exact_divide(f, g):
@@ -669,12 +773,15 @@ def buchberger(vectors):
     Pairs are selected by smallest lcm in the module order.  Chain
     elimination is always on; the product criterion is applied only to
     single-column (ideal-like) elements.  Deterministic for a fixed input
-    order.
+    order.  The basis is reduced in primitive integer form (s_vector,
+    _reduce), so each new element has its content divided out once; only
+    the returned reduced basis is made monic.
     """
-    vectors = [v.monic() for v in vectors if not v.is_zero()]
+    vectors = [v for v in vectors if not v.is_zero()]
     if not vectors:
         return []
     ring = vectors[0].ring
+    rank = vectors[0].rank
 
     def pair_key(p):
         lcm = (leads[p[0]][0], _mono_lcm(leads[p[0]][1], leads[p[1]][1]))
@@ -690,12 +797,11 @@ def buchberger(vectors):
     while pairs:
         i, j = min(pairs, key=pair_key)
         pairs.discard((i, j))
-        s = s_vector(basis[i], basis[j])
-        r = normal_form(s, basis)
-        if r.is_zero():
+        _, r = _reduce(ring, s_vector(basis[i], basis[j]).data, basis)
+        if not r:
             continue
-        basis.append(r.monic())
-        leads.append(r.lead()[0])
+        basis.append(Vector(ring, rank, r))
+        leads.append(basis[-1].lead()[0])
         pairs = _update_pairs(basis, pairs, leads, len(basis) - 1, ring)
     # minimalize: drop elements whose lead is divisible by another lead
     keep = []
@@ -715,7 +821,10 @@ def buchberger(vectors):
     out = []
     for i, v in enumerate(keep):
         others = keep[:i] + keep[i + 1:]
-        out.append(normal_form(v, others).monic() if others else v)
+        ints = v._primitive()[1]
+        if others:
+            ints = _reduce(ring, ints, others)[1]
+        out.append(_monic(ring, rank, ints))
     out.sort(key=lambda v: ring.vector_key(v.lead()[0]))
     return out
 

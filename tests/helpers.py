@@ -8,8 +8,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from equisyz.polyring import (
-    GradedPolynomialRing, HilbertSeries, Polynomial, Vector, _exact_divide, qpoly_add, qpoly_mul,
-    syzygy_basis,
+    GradedPolynomialRing, HilbertSeries, Polynomial, Vector, _exact_divide,
+    _update_pairs, qpoly_add, qpoly_mul, syzygy_basis,
 )
 from equisyz.gradmod import (
     FPModule, FPMap, SyzygyOrderResult, minimal_resolution, fp_kernel,
@@ -110,13 +110,15 @@ def monomials_of_degree(ring, degree):
     return list(rec((), degree, 0))
 
 
-def random_homogeneous(ring, degree, rng, density=0.7, bound=3):
+def random_homogeneous(ring, degree, rng, density=0.7, bound=3, rational=False):
+    """Random homogeneous polynomial with coefficients in [-bound, bound],
+    each divided by a random denominator in 1..7 when rational."""
     out = {}
     for m in monomials_of_degree(ring, degree):
         if rng.random() < density:
             c = rng.randint(-bound, bound)
             if c:
-                out[m] = Fraction(c)
+                out[m] = Fraction(c, rng.randint(1, 7) if rational else 1)
     return Polynomial(ring, out)
 
 
@@ -154,6 +156,63 @@ def reference_divide(f, divisors):
             del p[key]
     return ([Polynomial(ring, q) for q in quots],
             Vector(ring, f.rank, rem))
+
+
+def reference_buchberger(vectors):
+    """Reduced Groebner basis by Buchberger's algorithm over Q.
+
+    The form polyring.buchberger had before it kept its basis as primitive
+    integer vectors, kept as the reference it is tested against: the same
+    pair selection and criteria (polyring._update_pairs), on monic vectors,
+    with Fraction S-vectors and every reduction by reference_divide.
+    """
+    vectors = [v.monic() for v in vectors if not v.is_zero()]
+    if not vectors:
+        return []
+    ring = vectors[0].ring
+
+    def lcm(a, b):
+        return tuple(max(x, y) for x, y in zip(a, b))
+
+    def quo(a, b):
+        return tuple(x - y for x, y in zip(a, b))
+
+    def pair_key(p):
+        m = (leads[p[0]][0], lcm(leads[p[0]][1], leads[p[1]][1]))
+        return (ring.vector_key(m), p)
+
+    basis = []
+    leads = []
+    pairs = set()
+    for v in vectors:
+        basis.append(v)
+        leads.append(v.lead()[0])
+        pairs = _update_pairs(basis, pairs, leads, len(basis) - 1, ring)
+    while pairs:
+        i, j = min(pairs, key=pair_key)
+        pairs.discard((i, j))
+        m = lcm(leads[i][1], leads[j][1])
+        s = (basis[i].mono_mul(quo(m, leads[i][1]))
+             - basis[j].mono_mul(quo(m, leads[j][1])))
+        r = reference_divide(s, basis)[1]
+        if r.is_zero():
+            continue
+        basis.append(r.monic())
+        leads.append(r.lead()[0])
+        pairs = _update_pairs(basis, pairs, leads, len(basis) - 1, ring)
+    keep = []
+    for i, v in enumerate(basis):
+        ci, ei = leads[i]
+        if not any(j != i and leads[j][0] == ci
+                   and all(a <= b for a, b in zip(leads[j][1], ei))
+                   and (leads[j][1] != ei or j < i) for j in range(len(basis))):
+            keep.append(v)
+    out = []
+    for i, v in enumerate(keep):
+        others = keep[:i] + keep[i + 1:]
+        out.append(reference_divide(v, others)[1].monic() if others else v)
+    out.sort(key=lambda v: ring.vector_key(v.lead()[0]))
+    return out
 
 
 def reference_det(matrix, ring):
@@ -253,9 +312,9 @@ def reference_invariants(module, submodule_gens=None):
                                   _degrees_of(coords, amb_degrees), rels))
 
 
-def random_vector(ring, col_degrees, degree, rng, first_col=0):
+def random_vector(ring, col_degrees, degree, rng, first_col=0, rational=False):
     """Random homogeneous vector of the given degree, zero before first_col."""
-    polys = [random_homogeneous(ring, degree - d, rng)
+    polys = [random_homogeneous(ring, degree - d, rng, rational=rational)
              if i >= first_col and degree >= d else ring.zero()
              for i, d in enumerate(col_degrees)]
     return Vector.from_polys(polys, len(col_degrees))

@@ -1,9 +1,12 @@
 import json
 import os
+import time
 
 from equisyz.cli import (
     main, run, render_text, EXIT_PASS, EXIT_FAIL, EXIT_INPUT, EXIT_INTERNAL,
 )
+
+from helpers import module_3028
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 
@@ -374,6 +377,48 @@ def test_exit_two_on_fractional_integer_fields(tmp_path):
         code, report = run([command, write_json(tmp_path, "fractional.json", obj)])
         assert code == EXIT_INPUT, (command, obj, report)
         assert message in report["error"], report["error"]
+
+
+def test_exit_two_on_bad_variable_names(tmp_path):
+    # "xy" used to become the ring Q[x, y], and [1, 2] and {"x": 1} rings
+    # with names no polynomial text can refer to; each run passed
+    def load(name):
+        with open(data_path(name)) as fh:
+            return json.load(fh)
+
+    model = load("circle_model.json")
+    model2 = dict(model, rank=2, iota=model["iota"] * 2)
+    by_rank = {
+        "module-analyze": lambda n: {
+            "ring": {"vars": None, "degrees": [2] * n},
+            "row_degrees": [0], "col_degrees": [2],
+            "matrix": [[[{"coeff": "1", "exps": [1] + [0] * (n - 1)}]]]},
+        "gkm": lambda n: dict({k: v for k, v in load(
+            "s2xs2.json" if n == 2 else "s2.json").items() if k != "symmetry"}),
+        "cartan": lambda n: dict(model2 if n == 2 else model),
+    }
+    for command, make in by_rank.items():
+        for names in ("xy", [1, 2], {"x": 1}):
+            obj = make(len(names))
+            if command == "module-analyze":
+                obj["ring"]["vars"] = names
+            else:
+                obj["vars"] = names
+            code, report = run([command, write_json(tmp_path, "names.json", obj)])
+            assert code == EXIT_INPUT, (command, names, report)
+            assert "variable names" in report["error"]
+
+
+def test_module_analyze_3028_module_finishes(tmp_path):
+    # its Groebner bases grow large coefficients: about 18 s of CPU on a
+    # 2-core x86 VM while reductions ran on Fractions, 2.5-3.3 s on
+    # primitive integer forms
+    path = write_json(tmp_path, "m3028.json", module_3028().to_json())
+    start = time.process_time()
+    code, report = run(["module-analyze", path, "--seed", "5"])
+    elapsed = time.process_time() - start
+    assert code == EXIT_PASS, report
+    assert elapsed < 10, elapsed
 
 
 def test_exit_three_on_internal_error(monkeypatch, capsys):

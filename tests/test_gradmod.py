@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,7 +11,7 @@ from equisyz.gradmod import (
 )
 from equisyz.weyl import cyclic_sign_group, symmetric_group_on_sum_zero
 from helpers import (
-    alternating_hilbert, koszul_syzygy_module, random_module,
+    alternating_hilbert, koszul_syzygy_module, random_homogeneous, random_module,
     reference_syzygy_order, residue_field_module, times_qpoly,
 )
 
@@ -469,3 +470,74 @@ def test_cached_gb_is_the_reduced_basis_of_columns_and_syzygies():
                 syzygy_basis(phi.ring, phi.target.rank, cols))
             checked += 1
     assert checked >= 60
+
+
+def _random_constant(rng):
+    return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 7))
+
+
+def _graded_automorphism(ring, degrees, rng):
+    """A random invertible degree-0 matrix on the free module with these
+    generator degrees: entry (i, j) is homogeneous of degree
+    degrees[j] - degrees[i] with rational coefficients, zero when that is
+    negative, and each block of equal degrees is a constant matrix
+    L * U (L unit lower, U upper triangular with a nonzero diagonal), so
+    the matrix is block triangular by degree and invertible."""
+    n = len(degrees)
+    rows = [[ring.zero()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            d = degrees[j] - degrees[i]
+            if d > 0:
+                rows[i][j] = random_homogeneous(ring, d, rng, density=0.5,
+                                                rational=True)
+    for d in set(degrees):
+        block = [i for i in range(n) if degrees[i] == d]
+        low = [[Fraction(1) if a == b else _random_constant(rng) if b < a else 0
+                for b in range(len(block))] for a in range(len(block))]
+        up = [[_random_constant(rng) if b >= a else 0
+               for b in range(len(block))] for a in range(len(block))]
+        for a, i in enumerate(block):
+            for b, j in enumerate(block):
+                rows[i][j] = ring.constant(sum(low[a][k] * up[k][b]
+                                               for k in range(len(block))))
+    return rows
+
+
+def _combine(ring, rank, coeffs, vectors):
+    """sum_j coeffs[j] * vectors[j] in R^rank."""
+    acc = Vector(ring, rank, {})
+    for c, v in zip(coeffs, vectors):
+        acc = acc + v.poly_mul(c)
+    return acc
+
+
+def test_invariants_unchanged_by_change_of_generators_and_relations():
+    # a module presented by P * phi * Q for graded automorphisms P of the
+    # generators and Q of the relations is the same module: its Betti
+    # table, Hilbert series, depth and syzygy order cannot change; the
+    # rational entries push denominators through the Groebner core
+    R3 = GradedPolynomialRing(["x", "y", "z"])
+    rng = random.Random(2014)
+    modules = ([random_module(R3, random.Random(seed)) for seed in range(12)]
+               + [residue_field_module(R3)])
+    changed = 0
+    presented = [m for m in modules if m.num_rels]
+    for m in presented:
+        n, cols = m.num_gens, m.relation_columns()
+        p = _graded_automorphism(R3, m.gens_degrees, rng)
+        p_cols = [Vector.from_polys([row[j] for row in p], n) for j in range(n)]
+        p_phi = [_combine(R3, n, c.to_polys(), p_cols) for c in cols]
+        q = _graded_automorphism(R3, m.pmap.source.degrees, rng)
+        new_cols = [_combine(R3, n, [row[k] for row in q], p_phi)
+                    for k in range(len(cols))]
+        new = FPModule.from_columns(R3, m.gens_degrees, new_cols)
+        assert new.num_rels == m.num_rels
+        changed += new.relation_columns() != cols
+        assert betti_table(new) == betti_table(m)
+        assert new.hilbert() == m.hilbert()
+        if betti_table(m):
+            assert depth(new) == depth(m)
+        a, b = syzygy_order(new), syzygy_order(m)
+        assert (a.order, a.kind) == (b.order, b.kind)
+    assert changed == len(presented) >= 8

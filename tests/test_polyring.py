@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -9,14 +10,23 @@ from equisyz.polyring import (
     HilbertSeries, determinant,
 )
 from helpers import (
-    random_homogeneous, random_vector, reference_divide, reference_det,
-    series_minus,
+    random_homogeneous, random_module, random_vector, reference_buchberger,
+    reference_divide, reference_det, residue_field_module, series_minus,
 )
 
 
 @pytest.fixture
 def R():
     return GradedPolynomialRing(["x", "y"])
+
+
+def test_ring_rejects_bad_variable_names():
+    # each of these used to become a ring whose names polynomial text
+    # could not always refer to
+    for names in ("xy", [1, 2], {"x": 1}, ["x", "2y"], ["x^2"], ["x y"], [""]):
+        with pytest.raises(ValueError):
+            GradedPolynomialRing(names)
+    assert GradedPolynomialRing(("x_1", "_y")).names == ("x_1", "_y")
 
 
 def test_ring_rejects_bad_degrees():
@@ -161,39 +171,146 @@ def test_division_certificate(R):
 
 
 def test_divide_matches_reference_on_random_modules():
-    rng = random.Random(2024)
-    ring = GradedPolynomialRing(["x", "y", "z"], [2, 2, 4])
+    # rational: coefficients with denominators up to 7, so leads are rarely
+    # 1 and often negative, and the integer core must rescale
+    for rational in (False, True):
+        rng = random.Random(2024)
+        ring = GradedPolynomialRing(["x", "y", "z"], [2, 2, 4])
+        scales = [Fraction(2, 3), Fraction(-3, 5)] if rational else [2, -3]
+        for _ in range(40):
+            col_degrees = sorted(rng.choice([0, 2, 4]) for _ in range(rng.randint(1, 3)))
+            divisors = []
+            for _ in range(rng.randint(1, 5)):
+                # few lead columns, so several divisors share one
+                g = random_vector(ring, col_degrees, max(col_degrees) + rng.choice([2, 4]),
+                                  rng, first_col=rng.randrange(len(col_degrees)),
+                                  rational=rational)
+                if not g.is_zero():
+                    divisors.append(g)
+            if not divisors:
+                continue
+            if rng.random() < 0.3:
+                divisors.append(divisors[0].scale(rng.choice(scales)))  # same lead
+            if rng.random() < 0.3:
+                # a lower-degree tail makes reduction add terms of another
+                # degree, so the order across degrees matters
+                g = divisors[-1]
+                divisors[-1] = g + random_vector(ring, col_degrees,
+                                                 g.homogeneous_degree(col_degrees) - 2, rng,
+                                                 rational=rational)
+            f = random_vector(ring, col_degrees, max(col_degrees) + 8, rng,
+                              rational=rational)
+            quots, rem = divide(f, divisors)
+            ref_quots, ref_rem = reference_divide(f, divisors)
+            assert quots == ref_quots and rem == ref_rem
+            back = rem
+            for q, g in zip(quots, divisors):
+                back = back + g.poly_mul(q)
+            assert back == f
+            leads = [g.lead()[0] for g in divisors]
+            for (col, exps) in rem.data:
+                assert not any(dc == col and all(a <= b for a, b in zip(de, exps))
+                               for dc, de in leads)
+
+
+def _rational_generators(ring, rng):
+    """Random generators for the Groebner core: rational coefficients
+    (denominators up to 7), so leads that are not 1 and may be negative,
+    one to three columns, sometimes a repeated lead and an inhomogeneous
+    tail."""
+    col_degrees = sorted(rng.choice([0, 2]) for _ in range(rng.randint(1, 3)))
+    gens = []
+    for _ in range(rng.randint(1, 4)):
+        g = random_vector(ring, col_degrees, max(col_degrees) + rng.choice([2, 4]),
+                          rng, first_col=rng.randrange(len(col_degrees)),
+                          rational=True)
+        if not g.is_zero():
+            gens.append(g)
+    if gens and rng.random() < 0.3:
+        gens.append(gens[0].scale(rng.choice([Fraction(-3, 5), 2])))
+    if gens and rng.random() < 0.3:
+        g = gens[-1]
+        gens[-1] = g + random_vector(ring, col_degrees,
+                                     g.homogeneous_degree(col_degrees) - 2, rng,
+                                     rational=True)
+    return gens
+
+
+def test_buchberger_matches_reference_on_rational_modules():
+    rng = random.Random(1965)
+    ring = GradedPolynomialRing(["x", "y", "z"])
+    tried = 0
     for _ in range(40):
-        col_degrees = sorted(rng.choice([0, 2, 4]) for _ in range(rng.randint(1, 3)))
-        divisors = []
-        for _ in range(rng.randint(1, 5)):
-            # few lead columns, so several divisors share one
-            g = random_vector(ring, col_degrees, max(col_degrees) + rng.choice([2, 4]),
-                              rng, first_col=rng.randrange(len(col_degrees)))
-            if not g.is_zero():
-                divisors.append(g)
-        if not divisors:
+        gens = _rational_generators(ring, rng)
+        if gens:
+            tried += 1
+            assert buchberger(gens) == reference_buchberger(gens)
+    assert tried >= 30
+
+
+def _check_primitive(v):
+    c, ints = v._primitive()
+    assert type(c) is Fraction
+    assert all(type(n) is int for n in ints.values())
+    assert math.gcd(*ints.values()) == 1 and ints[v.lead()[0]] > 0
+    assert Vector(v.ring, v.rank, ints).scale(c) == v
+
+
+def test_primitive_form_is_canonical():
+    # every rational multiple of a vector has the same primitive form, whose
+    # lead is positive; buchberger caches it on the bases it returns
+    rng = random.Random(77)
+    ring = GradedPolynomialRing(["x", "y", "z"])
+    for _ in range(10):
+        gens = _rational_generators(ring, rng)
+        for v in gens:
+            _check_primitive(v)
+            for q in (Fraction(-3, 4), -1, 5):
+                assert v.scale(q)._primitive()[1] == v._primitive()[1]
+        for v in buchberger(gens):
+            assert v._prim is not None
+            _check_primitive(v)
+
+
+def _assert_fractions(values):
+    for x in values:
+        terms = x.terms if isinstance(x, Polynomial) else x.data
+        assert all(type(c) is Fraction for c in terms.values()), x
+
+
+def test_groebner_core_returns_fractions():
+    # an int coefficient prints like a Fraction, but 1 / c on it is a float
+    rng = random.Random(4)
+    ring4 = GradedPolynomialRing(["x1", "x2", "x3", "x4"])
+    ring3 = GradedPolynomialRing(["x", "y", "z"])
+    cases = [(ring4, 1, residue_field_module(ring4).relation_columns())]
+    for seed in range(6):
+        m = random_module(ring3, random.Random(seed))
+        cases.append((ring3, m.num_gens, m.relation_columns()))
+    for _ in range(6):
+        gens = _rational_generators(ring3, rng)
+        if gens:
+            cases.append((ring3, gens[0].rank, gens))
+    for ring, rank, cols in cases:
+        if not cols:
             continue
-        if rng.random() < 0.3:
-            divisors.append(divisors[0].scale(rng.choice([2, -3])))  # same lead
-        if rng.random() < 0.3:
-            # a lower-degree tail makes reduction add terms of another
-            # degree, so the order across degrees matters
-            g = divisors[-1]
-            divisors[-1] = g + random_vector(ring, col_degrees,
-                                             g.homogeneous_degree(col_degrees) - 2, rng)
-        f = random_vector(ring, col_degrees, max(col_degrees) + 8, rng)
-        quots, rem = divide(f, divisors)
-        ref_quots, ref_rem = reference_divide(f, divisors)
-        assert quots == ref_quots and rem == ref_rem
-        back = rem
-        for q, g in zip(quots, divisors):
-            back = back + g.poly_mul(q)
-        assert back == f
-        leads = [g.lead()[0] for g in divisors]
-        for (col, exps) in rem.data:
-            assert not any(dc == col and all(a <= b for a, b in zip(de, exps))
-                           for dc, de in leads)
+        gb = buchberger(cols)
+        _assert_fractions(gb)
+        sub = SubmoduleGB(ring, rank, cols)
+        _assert_fractions(sub.gb)
+        _assert_fractions(sub.syzygies())
+        for _ in range(3):
+            f = Vector.from_polys([random_homogeneous(ring, rng.choice([4, 6]), rng,
+                                                      rational=True)
+                                   for _ in range(rank)], rank)
+            quots, rem = divide(f, cols)
+            _assert_fractions(quots + [rem])
+            _assert_fractions([normal_form(f, gb), sub.normal_form(f)])
+            nf, coeffs = sub.reduce_with_certificate(f)
+            _assert_fractions([nf] + coeffs)
+            if rank == 1:
+                polys = [c.component(0) for c in gb]
+                _assert_fractions([normal_form(f.component(0), polys)])
 
 
 def _random_poly(ring, rng, max_deg, density=0.5):
