@@ -60,8 +60,8 @@ def _integers(values, what):
 def _mat_mul(a, b):
     """Product of two square matrices of rationals, as nested tuples."""
     n = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n))
-                       for j in range(n)) for i in range(n))
+    return tuple(tuple(sum([x * b[k][j] for k, x in enumerate(row) if x and b[k][j]],
+                           Fraction(0)) for j in range(n)) for row in a)
 
 
 def _mono_mul(a, b):

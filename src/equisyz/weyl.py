@@ -4,17 +4,20 @@ A group is given by rational matrices acting on the degree-2 variables.
 Supplies the closure enumeration, verification of candidate fundamental
 invariants (Molien series, order product), Kostant's coinvariant basis as
 Groebner standard monomials, the Reynolds projector, rewriting of R_T
-modules over the invariant subring, and invariants of equivariant free
-modules.  Built-in constructors cover the symmetric groups on up to four
-letters (acting on the sum-zero coordinates), the order-8 rank-2 group of
-signed permutations, sign flips in rank one, and direct products.
+vectors over the invariant subring, and invariants of equivariant free
+modules.  The closure numbers the elements once, with a Cayley table;
+actions and their caches are keyed by that index.  Signed permutation
+matrices act term by term, others by substituting the variables' images.
+Built-in constructors cover the symmetric groups on up to four letters
+(acting on the sum-zero coordinates), the order-8 rank-2 group of signed
+permutations, sign flips in rank one, and direct products.
 """
 
 import math
 from fractions import Fraction
 
 from .polyring import (
-    GradedPolynomialRing, Vector, SubmoduleGB, buchberger, normal_form,
+    GradedPolynomialRing, Polynomial, Vector, SubmoduleGB, buchberger, normal_form,
     syzygy_basis, HilbertSeries, qpoly_add, qpoly_mul, qpoly_inverse_series,
     determinant, _fr, _integers, _mat_mul,
 )
@@ -35,11 +38,6 @@ def _mat(rows):
     return tuple(tuple(_fr(x) for x in row) for row in rows)
 
 
-def _identity(n):
-    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n))
-                 for i in range(n))
-
-
 class ReflectionGroup:
     """Finite matrix group on the rank-r torus ring with chosen invariants."""
 
@@ -54,7 +52,10 @@ class ReflectionGroup:
         self.ring = ring
         self.rank = rank
         self.generators = gens
-        self.elements = self._closure(gens, max_order)
+        self.elements, self._index, self.table = self._closure(gens, max_order)
+        if any(len(set(row)) != len(row) for row in self.table):
+            raise ValueError("group generators must be invertible")
+        self._signed = [_signed_permutation(w) for w in self.elements]
         self.invariants = [ring.parse(p) if isinstance(p, str) else p
                            for p in invariants]
         if any(p.ring != ring for p in self.invariants):
@@ -73,46 +74,54 @@ class ReflectionGroup:
 
     @staticmethod
     def _closure(gens, max_order):
+        """Elements in discovery order, their index, and the Cayley table:
+        table[gi][k] is the index of gens[gi] * elements[k]."""
         n = len(gens[0]) if gens else 0
-        elements = [_identity(n)]
-        seen = set(elements)
-        queue = list(elements)
-        while queue:
-            w = queue.pop(0)
-            for g in gens:
+        elements = [tuple(tuple(Fraction(int(i == j)) for j in range(n))
+                          for i in range(n))]
+        index = {elements[0]: 0}
+        table = [[] for _ in gens]
+        for w in elements:  # grows while iterated: a breadth-first walk
+            for g, row in zip(gens, table):
                 prod = _mat_mul(g, w)
-                if prod not in seen:
-                    seen.add(prod)
+                if prod not in index:
+                    index[prod] = len(elements)
                     elements.append(prod)
-                    queue.append(prod)
                     if len(elements) > max_order:
                         raise GroupClosureError(
                             "group closure exceeds the bound %d" % max_order)
-        return elements
+                row.append(index[prod])
+        return elements, index, table
 
     @property
     def order(self):
         return len(self.elements)
 
     def act(self, matrix, poly):
-        """Substitute variable j by the column-j linear form of the matrix."""
-        key = matrix
-        if key not in self._images:
-            images = []
-            for j in range(self.rank):
-                img = self.ring.zero()
-                for i in range(self.rank):
-                    if matrix[i][j]:
-                        img = img + self.ring.var(i).scale(matrix[i][j])
-                images.append(img)
-            self._images[key] = images
-        return poly.substitute(self.ring, self._images[key])
+        """Substitute variable j by the column-j form of the group matrix."""
+        return self._act(self._index[matrix], poly)
+
+    def _act(self, k, poly):
+        """The action of the k-th element: term by term for a signed
+        permutation, else by substituting the images of the variables."""
+        signed = self._signed[k]
+        if signed is None:
+            if k not in self._images:
+                w, ring = self.elements[k], self.ring
+                self._images[k] = [sum((ring.var(i).scale(w[i][j])
+                                        for i in range(self.rank) if w[i][j]),
+                                       ring.zero()) for j in range(self.rank)]
+            return poly.substitute(self.ring, self._images[k])
+        src, negated = signed
+        terms = {}
+        for exps, c in poly.terms.items():
+            odd = sum(exps[j] for j in negated) & 1
+            terms[tuple([exps[i] for i in src])] = -c if odd else c
+        return Polynomial(self.ring, terms)
 
     def reynolds(self, poly):
         """Average over the group; a projector onto the invariants."""
-        acc = self.ring.zero()
-        for w in self.elements:
-            acc = acc + self.act(w, poly)
+        acc = sum((self._act(k, poly) for k in range(self.order)), self.ring.zero())
         return acc.scale(Fraction(1, self.order))
 
     def molien_series(self, nmax):
@@ -131,7 +140,7 @@ class ReflectionGroup:
         """Check invariance, the order product, the Molien identity and
         Kostant freeness; each check is (name, theorem tag, passed)."""
         checks = [("invariance of candidate %d" % (k + 1), "invariance",
-                   all(self.act(g, p) == p for g in self.generators))
+                   all(self._act(row[0], p) == p for row in self.table))
                   for k, p in enumerate(self.invariants)]
         half_degrees = math.prod(d // 2 for d in self.invariant_degrees)
         checks.append(("product of half-degrees equals the group order",
@@ -248,26 +257,6 @@ class ReflectionGroup:
         self._expand_cache[exps] = out
         return out
 
-    def restrict_scalars(self, module):
-        """Rewrite an R_T module presentation over the invariant ring.
-
-        Generators are (module generator) x (coinvariant basis monomial);
-        relations are the basis multiples of the original relations, expanded
-        through the unique invariant-linear decomposition.  Hilbert series is
-        preserved.
-        """
-        if module.ring != self.ring:
-            raise ValueError("module does not live over the torus ring")
-        if not self._kostant_identity():
-            raise ValueError("datum rejected: coinvariant basis is not free")
-        basis = self.coinvariant_basis()
-        rank = module.num_gens
-        new_gdeg = [d + self.ring.weighted_degree(b)
-                    for d in module.gens_degrees for b in basis]
-        cols = [self.expand_vector(rel.poly_mul(self.ring.monomial(b)), rank)
-                for rel in module.relation_columns() for b in basis]
-        return FPModule.from_columns(self.invariant_ring, new_gdeg, cols)
-
     def expand_vector(self, vector, ambient_rank):
         """Coordinates of an R_T vector in the free invariant-ring module
         indexed by (ambient coordinate, coinvariant basis monomial)."""
@@ -305,6 +294,21 @@ class VerificationReport:
         return "VerificationReport(ok=%s)" % self.ok
 
 
+def _signed_permutation(matrix):
+    """(src, negated) when the invertible matrix is a signed permutation,
+    else None: variable j goes to +-x_i with src[i] = j, and negated lists
+    the j whose image has sign -1."""
+    src, negated = [None] * len(matrix), []
+    for j in range(len(matrix)):
+        rows = [i for i, row in enumerate(matrix) if row[j]]
+        if len(rows) != 1 or abs(matrix[rows[0]][j]) != 1:
+            return None
+        src[rows[0]] = j
+        if matrix[rows[0]][j] < 0:
+            negated.append(j)
+    return tuple(src), tuple(negated)
+
+
 def _char_det(matrix):
     """det(1 - q^2 M) as a q-polynomial {exponent of q: Fraction}."""
     ring = GradedPolynomialRing(["q"], (2,))
@@ -329,48 +333,43 @@ class WEquivariantFreeModule:
         self.names = tuple(index_names)
         if len(generator_permutations) != len(group.generators):
             raise ValueError("need one permutation per group generator")
+        position = {n: i for i, n in enumerate(self.names)}
         self.gen_perms = []
         for perm in generator_permutations:
             if set(perm) != set(self.names) or set(perm.values()) != set(self.names):
                 raise ValueError("permutation must be a bijection of the index set")
-            self.gen_perms.append(dict(perm))
+            self.gen_perms.append(tuple(position[perm[n]] for n in self.names))
         self._action_of = self._replay_closure()
 
     def _replay_closure(self):
-        # walk the closure graph and check that elements with two different
-        # generator words receive the same permutation (homomorphism check)
-        actions = {_identity(self.group.rank): {n: n for n in self.names}}
-        for w in self.group.elements:
-            for gi, g in enumerate(self.group.generators):
-                prod = _mat_mul(g, w)
-                gperm = self.gen_perms[gi]
-                composed = {n: gperm[actions[w][n]] for n in self.names}
-                if prod in actions:
-                    if actions[prod] != composed:
-                        raise ValueError("action is inconsistent with the group law")
-                else:
-                    actions[prod] = composed
+        # actions[k][i]: where element k sends position i; two generator
+        # words for one element must give one permutation (homomorphism)
+        actions = [None] * self.group.order
+        actions[0] = tuple(range(self.rank))
+        for k in range(self.group.order):
+            for gperm, row in zip(self.gen_perms, self.group.table):
+                composed = tuple(gperm[p] for p in actions[k])
+                if actions[row[k]] is None:
+                    actions[row[k]] = composed
+                elif actions[row[k]] != composed:
+                    raise ValueError("action is inconsistent with the group law")
         return actions
 
     @property
     def rank(self):
         return len(self.names)
 
-    def act_tuple(self, w, vector):
-        """(w.f)_v = w.(f at the preimage of v)."""
-        perm = self._action_of[w]
-        idx = {n: i for i, n in enumerate(self.names)}
-        src = vector.to_polys()
-        comps = [None] * self.rank
-        for n in self.names:
-            comps[idx[perm[n]]] = self.group.act(w, src[idx[n]])
-        return Vector.from_polys(comps, self.rank)
-
     def reynolds_tuple(self, vector):
-        acc = Vector(self.group.ring, len(self.names), {})
-        for w in self.group.elements:
-            acc = acc + self.act_tuple(w, vector)
-        return acc.scale(Fraction(1, self.group.order))
+        """Average of w.f over the group, where (w.f)_v = w.(f at the
+        preimage of v); summed in one dict of terms."""
+        acc = {}
+        polys = vector.to_polys()
+        for k, perm in enumerate(self._action_of):
+            for i, f in enumerate(polys):
+                for e, c in self.group._act(k, f).terms.items():
+                    acc[perm[i], e] = acc.get((perm[i], e), 0) + c
+        return Vector(self.group.ring, self.rank, acc).scale(
+            Fraction(1, self.group.order))
 
     def invariants(self, submodule_gens=None, nmax=40):
         """Invariant tuples as a module over the invariant ring.
@@ -416,8 +415,8 @@ class WEquivariantFreeModule:
         result = InvariantsResult(module, generators)
         if submodule_gens is None:
             total = {}
-            for w in group.elements:
-                fixed = sum(1 for n in self.names if self._action_of[w][n] == n)
+            for w, perm in zip(group.elements, self._action_of):
+                fixed = sum(1 for i, p in enumerate(perm) if i == p)
                 if fixed:
                     inv = qpoly_inverse_series(_char_det(w), nmax)
                     total = qpoly_add(total, {k: v * fixed for k, v in inv.items()})

@@ -281,6 +281,40 @@ def verify_or_raise(group, nmax=40):
     return report
 
 
+def restrict_scalars(group, module):
+    """Rewrite an R_T module presentation over the invariant ring of group.
+
+    Generators are (module generator) x (coinvariant basis monomial);
+    relations are the basis multiples of the original relations, expanded
+    through the unique invariant-linear decomposition.  Hilbert series is
+    preserved.
+    """
+    if module.ring != group.ring:
+        raise ValueError("module does not live over the torus ring")
+    if not group._kostant_identity():
+        raise ValueError("datum rejected: coinvariant basis is not free")
+    basis = group.coinvariant_basis()
+    ring = group.ring
+    new_gdeg = [d + ring.weighted_degree(b)
+                for d in module.gens_degrees for b in basis]
+    cols = [group.expand_vector(rel.poly_mul(ring.monomial(b)), module.num_gens)
+            for rel in module.relation_columns() for b in basis]
+    return FPModule.from_columns(group.invariant_ring, new_gdeg, cols)
+
+
+def reference_act(group, matrix, poly):
+    """The action of a group matrix by substitution: variable j goes to the
+    linear form of column j, however the matrix looks."""
+    ring = group.ring
+    images = []
+    for j in range(group.rank):
+        form = ring.zero()
+        for i in range(group.rank):
+            form = form + ring.var(i).scale(matrix[i][j])
+        images.append(form)
+    return poly.substitute(ring, images)
+
+
 def reference_invariants(module, submodule_gens=None):
     """Generators and module of the invariants, from every candidate.
 

@@ -160,6 +160,23 @@ def test_exit_two_on_symmetry_with_fractional_weight_image(tmp_path):
         assert "does not respect the weights" in report["error"]
 
 
+def test_exit_two_on_singular_group_generator(tmp_path):
+    # the matrix (0) closes to the monoid {1, 0}, which is not a group
+    singular = {"rank": 1, "generators": [[["0"]]], "invariants": ["t1^2"]}
+    group_path = write_json(tmp_path, "singular_group.json", singular)
+    graph_path = write_json(tmp_path, "singular_symmetry.json", {
+        "rank": 1, "vertices": ["N", "S"],
+        "edges": [{"v": "N", "w": "S", "weight": [1]}],
+        "symmetry": {"group": singular,
+                     "vertex_maps": [{"N": "S", "S": "N"}]}})
+    for argv in (["weyl-verify", group_path],
+                 ["gkm", graph_path],
+                 ["gkm", graph_path, "--check", "descend"]):
+        code, report = run(argv)
+        assert code == EXIT_INPUT, (argv, report)
+        assert "group generators must be invertible" in report["error"]
+
+
 def test_exit_two_on_malformed_json(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json")

@@ -436,6 +436,31 @@ def test_reduced_gb_matches_sympy_grevlex():
         assert ours == theirs
 
 
+def test_hilbert_series_matches_sympy_standard_monomials():
+    # the Hilbert function of Q[x,y,z]/I counts the standard monomials of
+    # any Groebner basis of I; here sympy's, degree by degree
+    sympy = pytest.importorskip("sympy")
+    from equisyz.gradmod import FPModule
+    rng = random.Random(29)
+    ring = GradedPolynomialRing(["x", "y", "z"])
+    gens = sympy.symbols("x y z")
+    nmax = 12
+    for _ in range(12):
+        polys = [random_homogeneous(ring, 2 * rng.randint(1, 3), rng, density=0.5)
+                 for _ in range(rng.randint(1, 4))]
+        polys = [p for p in polys if not p.is_zero()]
+        ours = FPModule.quotient_by_ideal(ring, polys).hilbert().coefficients(2 * nmax)
+        exprs = [sympy.sympify(str(p).replace("^", "**")) for p in polys]
+        gb = sympy.groebner(exprs, *gens, order="grevlex", domain="QQ")
+        leads = [sympy.Poly(g, *gens).monoms(order="grevlex")[0] for g in gb.exprs]
+        for d in range(nmax + 1):
+            standard = sum(
+                1 for a in range(d + 1) for b in range(d + 1 - a)
+                if not any(l[0] <= a and l[1] <= b and l[2] <= d - a - b
+                           for l in leads))
+            assert ours.get(2 * d, 0) == standard, (polys, d)
+
+
 def test_syzygies_of_koszul_pair(R):
     x, y = R.vars()
     syz = syzygy_basis(R, 1, [Vector.from_polys([x], 1), Vector.from_polys([y], 1)])

@@ -2,9 +2,11 @@ import json
 import os
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
+from equisyz import polyring, weyl
 from equisyz.polyring import GradedPolynomialRing, Polynomial, Vector
 from equisyz.gradmod import FPModule, base_change, iso_surrogate_equal
 from equisyz.equivtop import GKMGraph, gkm_cohomology
@@ -15,7 +17,8 @@ from equisyz.weyl import (
     product_group, group_from_json, _mat_mul,
 )
 from helpers import (
-    random_homogeneous, random_vector, reference_invariants, verify_or_raise,
+    random_homogeneous, random_vector, reference_act, reference_invariants,
+    restrict_scalars, verify_or_raise,
 )
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -36,6 +39,59 @@ def test_closure_bound_exceeded():
     shear = [[1, 1], [0, 1]]  # infinite order
     with pytest.raises(GroupClosureError):
         ReflectionGroup([shear], [x, y], ring=ring, max_order=100)
+
+
+def test_singular_generator_rejected():
+    ring = GradedPolynomialRing(["x", "y"])
+    x, y = ring.vars()
+    for gens in ([[[0, 0], [0, 0]]], [[[1, 0], [0, 0]]],
+                 [[[0, 1], [1, 0]], [[1, 0], [0, 0]]]):
+        with pytest.raises(ValueError, match="must be invertible"):
+            ReflectionGroup(gens, [x * x + y * y, x * x * y * y], ring=ring)
+
+
+def test_cayley_table():
+    for group in (cyclic_sign_group(), signed_permutation_rank2(),
+                  symmetric_group_on_sum_zero(4)):
+        assert group.elements[0] == tuple(
+            tuple(int(i == j) for j in range(group.rank)) for i in range(group.rank))
+        assert len(set(group.elements)) == group.order
+        for g, row in zip(group.generators, group.table):
+            assert [group.elements[k] for k in row] == [
+                _mat_mul(g, w) for w in group.elements]
+
+
+def _is_signed_permutation(matrix):
+    n = len(matrix)
+    return (all(sum(1 for x in row if x) == 1 for row in matrix)
+            and all(sum(1 for i in range(n) if matrix[i][j]) == 1
+                    for j in range(n))
+            and all(x in (0, 1, -1) for row in matrix for x in row))
+
+
+def test_action_matches_substitution():
+    # the term-by-term action of signed permutations, and the substitution
+    # of every other element, against substituting the column forms
+    z2 = cyclic_sign_group()
+    p3, _ = graph_symmetry(gen.projective_space(3, 0, symmetric=True))
+    groups = [z2, signed_permutation_rank2(), product_group(z2, z2),
+              symmetric_group_on_sum_zero(3), symmetric_group_on_sum_zero(4), p3]
+    rng = random.Random(61)
+    for group in groups:
+        signed = [_is_signed_permutation(w) for w in group.elements]
+        assert [s is not None for s in group._signed] == signed
+        polys = []
+        for _ in range(3):
+            f = group.ring.zero()
+            for d in range(7):
+                f = f + random_homogeneous(group.ring, 2 * d, rng, density=0.4)
+            polys.append(f)
+        for w in group.elements:
+            for f in polys:
+                assert group.act(w, f) == reference_act(group, w, f)
+    assert not all(_is_signed_permutation(w)
+                   for w in symmetric_group_on_sum_zero(3).elements)
+    assert all(_is_signed_permutation(w) for w in p3.elements)
 
 
 def test_verify_accepts_builtins():
@@ -175,7 +231,7 @@ def test_module_invariants_regular_representation():
     m = inv.module.minimized()
     # isomorphic to R_T as a module over the invariants: free on degrees 0, 2
     assert m.num_rels == 0 and sorted(m.gens_degrees) == [0, 2]
-    down = z2.restrict_scalars(FPModule.free(z2.ring, (0,)))
+    down = restrict_scalars(z2, FPModule.free(z2.ring, (0,)))
     assert iso_surrogate_equal(m, down.minimized())
 
 
@@ -263,7 +319,7 @@ def test_restrict_scalars_rejects_unfree_datum():
     bad = ReflectionGroup([[[-1]]], [t ** 4], ring=ring)
     from equisyz.gradmod import FPModule
     with pytest.raises(ValueError):
-        bad.restrict_scalars(FPModule.free(ring, (0,)))
+        restrict_scalars(bad, FPModule.free(ring, (0,)))
 
 
 def _orbit_module(group, start, act):
@@ -285,6 +341,11 @@ def _orbit_module(group, start, act):
 def _linear(g, x):
     return tuple(sum(g[i][j] * x[j] for j in range(len(x)))
                  for i in range(len(x)))
+
+
+def graph_symmetry(obj):
+    """The (group, vertex permutations) of a GKM graph's JSON."""
+    return GKMGraph.from_json(obj).symmetry
 
 
 def _kernel_module(obj):
@@ -350,8 +411,13 @@ def test_invariants_match_reference_selection():
 def test_descend_reynolds_and_expand_counts(tmp_path, monkeypatch):
     # deterministic work of gkm --check descend on symmetric P^3 (S_4): the
     # selection expanded every one of 96 candidates (96 Reynolds images,
-    # 384 expand calls); only the 4 kept generators are expanded now
-    counts = {"reynolds_tuple": 0, "expand": 0}
+    # 384 expand calls); only the 4 kept generators are expanded now.  The
+    # group is numbered once: only its closure multiplies matrices, every
+    # element acts as a signed permutation, without substitution, and the
+    # Reynolds averaging hashes no Fraction matrix
+    counts = {"reynolds_tuple": 0, "expand": 0, "substitute": 0,
+              "_mat_mul": 0, "fraction_hash_in_reynolds": 0}
+    modules = []
 
     def counting(cls, name):
         orig = getattr(cls, name)
@@ -363,8 +429,44 @@ def test_descend_reynolds_and_expand_counts(tmp_path, monkeypatch):
 
     counting(WEquivariantFreeModule, "reynolds_tuple")
     counting(ReflectionGroup, "expand")
+    counting(Polynomial, "substitute")
+    orig_mat_mul = polyring._mat_mul
+
+    def mat_mul(a, b):
+        counts["_mat_mul"] += 1
+        return orig_mat_mul(a, b)
+    for module in (polyring, weyl):
+        monkeypatch.setattr(module, "_mat_mul", mat_mul)
+
+    in_reynolds = []
+    orig_hash = Fraction.__hash__
+
+    def fraction_hash(self):
+        if in_reynolds:
+            counts["fraction_hash_in_reynolds"] += 1
+        return orig_hash(self)
+    monkeypatch.setattr(Fraction, "__hash__", fraction_hash)
+    orig_reynolds = WEquivariantFreeModule.reynolds_tuple
+
+    def reynolds_tuple(self, vector):
+        modules.append(self)
+        in_reynolds.append(True)
+        try:
+            return orig_reynolds(self, vector)
+        finally:
+            in_reynolds.pop()
+    monkeypatch.setattr(WEquivariantFreeModule, "reynolds_tuple", reynolds_tuple)
+
     path = tmp_path / "p3.json"
     path.write_text(json.dumps(gen.projective_space(3, 0, symmetric=True)))
     code, report = run(["gkm", str(path), "--check", "descend"])
     assert code == 0 and report["status"] == "pass"
     assert counts["reynolds_tuple"] <= 15 and counts["expand"] <= 16, counts
+    group = modules[0].group
+    assert (group.order, len(group.generators)) == (24, 3)
+    assert counts["substitute"] == 0, counts
+    assert counts["_mat_mul"] == group.order * len(group.generators), counts
+    assert counts["fraction_hash_in_reynolds"] == 0, counts
+    actions = modules[0]._action_of
+    assert isinstance(actions, list) and len(actions) == group.order
+    assert all(type(k) is int for k in group._images)
