@@ -73,7 +73,7 @@ def test_action_matches_substitution():
     # the term-by-term action of signed permutations, and the substitution
     # of every other element, against substituting the column forms
     z2 = cyclic_sign_group()
-    p3, _ = graph_symmetry(gen.projective_space(3, 0, symmetric=True))
+    p3, _ = GKMGraph.from_json(gen.projective_space(3, 0, symmetric=True)).symmetry
     groups = [z2, signed_permutation_rank2(), product_group(z2, z2),
               symmetric_group_on_sum_zero(3), symmetric_group_on_sum_zero(4), p3]
     rng = random.Random(61)
@@ -341,11 +341,6 @@ def _orbit_module(group, start, act):
 def _linear(g, x):
     return tuple(sum(g[i][j] * x[j] for j in range(len(x)))
                  for i in range(len(x)))
-
-
-def graph_symmetry(obj):
-    """The (group, vertex permutations) of a GKM graph's JSON."""
-    return GKMGraph.from_json(obj).symmetry
 
 
 def _kernel_module(obj):
