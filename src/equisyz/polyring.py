@@ -12,6 +12,7 @@ rescales only what it returns.  Nothing here ever touches a float.
 
 import heapq
 import re
+import struct
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul, neg
@@ -20,12 +21,25 @@ __all__ = [
     "GradedPolynomialRing", "Polynomial", "Vector", "RingMap", "HilbertSeries",
     "buchberger", "groebner_basis", "normal_form", "divide", "s_vector",
     "SubmoduleGB", "syzygy_basis", "quotient_hilbert_series", "qpoly_mul",
-    "qpoly_inverse_series", "determinant", "DatumError",
+    "qpoly_inverse_series", "determinant", "DatumError", "ExponentLimitError",
+    "EXPONENT_LIMIT",
 ]
 
 
 class DatumError(ValueError):
     """Raised when the input data violates its structural contracts."""
+
+
+# The Groebner core packs each exponent into a 16-bit field whose top bit
+# is a guard, so a product of two admissible monomials never carries into
+# the next field and an exponent past the limit shows in the guard bit.
+_FIELD = 16
+EXPONENT_LIMIT = (1 << (_FIELD - 1)) - 1
+
+
+class ExponentLimitError(ValueError):
+    """Raised when an exponent exceeds EXPONENT_LIMIT, the largest one a
+    packed monomial of the Groebner core holds."""
 
 
 _ONE = Fraction(1)
@@ -72,10 +86,6 @@ def _mono_divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
-def _mono_div(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def _mono_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
@@ -109,6 +119,15 @@ class GradedPolynomialRing:
         self.degrees = degrees
         self.num_vars = len(names)
         self.zero_exps = (0,) * self.num_vars
+        # layout of a packed term (_pack): the exponent fields fill the low
+        # _top bits, the weighted degree sits above them and the column at
+        # _cshift, above any weighted degree of a product of two admissible
+        # monomials
+        self._top = _FIELD * self.num_vars
+        self._mask = (1 << self._top) - 1
+        self._guard = sum(1 << (_FIELD * i + _FIELD - 1) for i in range(self.num_vars))
+        self._cshift = self._top + (sum(degrees) << _FIELD).bit_length()
+        self._fields = struct.Struct("<%dH" % self.num_vars)
 
     def __eq__(self, other):
         return (isinstance(other, GradedPolynomialRing)
@@ -159,10 +178,36 @@ class GradedPolynomialRing:
         col, exps = col_exps
         return (-col,) + self.monomial_key(exps)
 
-    def heap_key(self, col_exps):
-        # vector_key negated entry by entry: smaller key = larger term (heapq)
-        col, deg, rev = self.vector_key(col_exps)
-        return (-col, -deg, tuple(map(neg, rev)))
+    def _pack(self, col, exps):
+        """The term (col, exps) packed into one int for the Groebner core.
+
+        K = -col * 2^_cshift + W * 2^_top + (_mask - P), where P holds the
+        exponents in _FIELD-bit fields (the last variable's on top) and W is
+        the weighted degree.  A larger K is a larger term in the vector_key
+        order.  Multiplying by a monomial m adds W(m) * 2^_top - P(m) to K,
+        so the quotient of two terms in one column is the difference of
+        their keys, and P = ~K & _mask.
+        """
+        if exps and max(exps) > EXPONENT_LIMIT:
+            raise self._limit_error(exps)
+        p = int.from_bytes(self._fields.pack(*exps), "little")
+        return ((self.weighted_degree(exps) << self._top) + self._mask - p
+                - (col << self._cshift))
+
+    def _exps(self, p):
+        """The exponent tuple of packed exponent fields p."""
+        return self._fields.unpack(p.to_bytes(self._fields.size, "little"))
+
+    def _unpack(self, key):
+        """The term (col, exps) of a packed key."""
+        return (-(key >> self._cshift),
+                self._fields.unpack((~key & self._mask).to_bytes(self._fields.size, "little")))
+
+    def _limit_error(self, exps):
+        e, name = max(zip(exps, self.names))
+        return ExponentLimitError(
+            "exponent %d of %s exceeds the limit %d of the Groebner core"
+            % (e, name, EXPONENT_LIMIT))
 
     def parse(self, text):
         """Parse polynomial text like ``3/2*x^2*y - y^3``."""
@@ -397,12 +442,12 @@ class RingMap:
 class Vector:
     """Element of a free module R^rank, stored as {(col, exps): coeff}.
 
-    Immutable: data is never written after construction, so the lead and
-    the primitive integer form are computed once and cached in _lead and
-    _prim.
+    Immutable: data is never written after construction, so the lead, the
+    primitive integer form and its packed form are computed once and cached
+    in _lead, _prim and _pk.
     """
 
-    __slots__ = ("ring", "rank", "data", "_lead", "_prim")
+    __slots__ = ("ring", "rank", "data", "_lead", "_prim", "_pk")
 
     def __init__(self, ring, rank, data):
         self.ring = ring
@@ -410,6 +455,7 @@ class Vector:
         self.data = {k: c for k, c in data.items() if c}
         self._lead = None
         self._prim = None
+        self._pk = None
 
     @classmethod
     def from_polys(cls, polys, rank=None):
@@ -507,6 +553,16 @@ class Vector:
                 self._prim = (Fraction(g, den), ints)
         return self._prim
 
+    def _packed(self):
+        """(lead, terms): the primitive form with every term packed by
+        ring._pack, and the largest key (None for 0).  This is the form
+        the Groebner core works on."""
+        if self._pk is None:
+            pack = self.ring._pack
+            terms = {pack(*t): c for t, c in self._primitive()[1].items()}
+            self._pk = (max(terms, default=None), terms)
+        return self._pk
+
     def homogeneous_degree(self, col_degrees):
         """Common degree with generator shifts, None for 0; raises if mixed."""
         if not self.data:
@@ -527,16 +583,33 @@ class Vector:
     __repr__ = __str__
 
 
-def _monic(ring, rank, terms):
-    """The monic Vector of nonzero integer terms, with its primitive form
-    cached."""
-    v = Vector(ring, rank, terms)
-    _, ints = v._primitive()
-    k = v.lead()[0]
-    lc = ints[k]
-    out = Vector(ring, rank, {t: Fraction(c, lc) for t, c in ints.items()})
-    out._lead = (k, _ONE)
+def _content_free(terms):
+    """(lead, terms / c) for nonzero packed integer terms: lead is the
+    largest key and c the content of the terms, signed so that the lead's
+    coefficient is positive."""
+    lead = max(terms)
+    g = gcd(*terms.values())
+    if terms[lead] < 0:
+        g = -g
+    if g != 1:
+        terms = {k: c // g for k, c in terms.items()}
+    return lead, terms
+
+
+def _monic(ring, rank, lead, terms):
+    """The monic Vector of packed primitive terms, with its lead, primitive
+    form and packed form cached."""
+    unpack = ring._unpack
+    ints = {unpack(k): c for k, c in terms.items()}
+    lc = terms[lead]
+    if lc == 1:
+        data = {t: Fraction(c) for t, c in ints.items()}
+    else:
+        data = {t: Fraction(c, lc) for t, c in ints.items()}
+    out = Vector(ring, rank, data)
+    out._lead = (ring._unpack(lead), _ONE)
     out._prim = (Fraction(1, lc), ints)
+    out._pk = (lead, terms)
     return out
 
 
@@ -549,67 +622,80 @@ def s_vector(f, g):
     integers, and it is a positive multiple of the S-vector of the monic
     forms of f and g.
     """
-    (cf, ef), _ = f.lead()
-    (cg, eg), _ = g.lead()
-    assert cf == cg
-    fi, gi = f._primitive()[1], g._primitive()[1]
-    lf, lg = fi[(cf, ef)], gi[(cg, eg)]
+    ring = f.ring
+    terms = _s_terms(ring, f._packed(), g._packed())
+    return Vector(ring, f.rank, {ring._unpack(k): c for k, c in terms.items()})
+
+
+def _s_terms(ring, f, g):
+    """The packed terms of s_vector for packed primitive forms f and g."""
+    (kf, fi), (kg, gi) = f, g
+    col, ef = ring._unpack(kf)
+    eg = ring._unpack(kg)[1]
+    assert col == -(kg >> ring._cshift)
+    m = ring._pack(col, tuple(map(max, ef, eg)))
+    lf, lg = fi[kf], gi[kg]
     d = gcd(lf, lg)
     a, b = lg // d, lf // d
-    m = _mono_lcm(ef, eg)
-    mf, mg = _mono_div(m, ef), _mono_div(m, eg)
-    out = {(c, _mono_mul(e, mf)): a * v for (c, e), v in fi.items()}
-    for (c, e), v in gi.items():
-        t = (c, _mono_mul(e, mg))
+    mf, mg = m - kf, m - kg
+    out = {k + mf: a * v for k, v in fi.items()}
+    for k, v in gi.items():
+        t = k + mg
         s = out.get(t, 0) - b * v
         if s:
             out[t] = s
         else:
             out.pop(t, None)
-    return Vector(f.ring, f.rank, out)
+    guard = ring._guard
+    for t in out:
+        if ~t & guard:
+            raise ring._limit_error(ring._unpack(t)[1])
+    return out
 
 
 def _reduce(ring, terms, divisors, quots=None):
-    """Fraction-free full division of integer terms by the primitive forms
-    of the divisors.
+    """Fraction-free full division of packed integer terms by packed
+    primitive forms (lead, terms) of the divisors.
 
-    Returns (a, rem): a positive integer a and integer terms rem with
-    a * terms = sum(q_i * primitive(divisors[i])) + rem, where no term of
-    rem is divisible by any divisor's lead.  Each term is reduced by the
-    first divisor (in list order) whose lead divides it, as by pseudo-
-    division: for the term's coefficient c, the divisor's lead coefficient
-    l (positive) and g = gcd(c, l), everything pending, the remainder so far
+    Returns (a, rem): a positive integer a and packed integer terms rem with
+    a * terms = sum(q_i * divisors[i]) + rem, where no term of rem is
+    divisible by any divisor's lead.  Each term is reduced by the first
+    divisor (in list order) whose lead divides it, as by pseudo-division:
+    for the term's coefficient c, the divisor's lead coefficient l
+    (positive) and g = gcd(c, l), everything pending, the remainder so far
     and the quotients are multiplied by l/g when that is not 1, and then
     (c/g) times the divisor's monomial multiple is subtracted.  So every
     choice is that of division over Q, and every intermediate result a
     positive multiple of it.  When quots is a list of one dict per divisor,
-    the integer quotients q_i are written into it.
+    the integer quotients q_i are written into it, keyed by the packed
+    multiplier (the difference of the term's and the lead's keys).
 
-    The pending terms sit in a heap keyed by ring.heap_key
-    (Monagan-Pearce); a cancelled term stays in the heap and is skipped
-    when popped.  Reduction only adds terms smaller than the one reduced,
-    so a popped term never re-enters.
+    The pending terms sit in a heap of negated keys (Monagan-Pearce); a
+    cancelled term stays in the heap and is skipped when popped.  Reduction
+    only adds terms smaller than the one reduced, so a popped term never
+    re-enters.  A lead divides a term of its column when the guard-bit
+    subtraction of their exponent fields borrows from no guard; a new term
+    with a guard bit set has an exponent past EXPONENT_LIMIT.
     """
-    key = ring.heap_key
+    mask, guard, cshift = ring._mask, ring._guard, ring._cshift
     by_col = {}
-    for i, g in enumerate(divisors):
-        (col, exps), _ = g.lead()
-        ints = g._primitive()[1]
-        by_col.setdefault(col, []).append((i, exps, ints[(col, exps)], ints))
+    for i, (lead, ints) in enumerate(divisors):
+        by_col.setdefault(lead >> cshift, []).append(
+            (i, lead, ~lead & mask, ints[lead], ints))
     scale = 1
     rem = {}
     p = dict(terms)
-    heap = [(key(t), t) for t in p]
+    heap = [-k for k in p]
     heapq.heapify(heap)
     while heap:
-        t = heapq.heappop(heap)[1]
+        t = -heapq.heappop(heap)
         coeff = p.get(t)
         if coeff is None:
             continue
-        col, exps = t
-        for i, ge, glc, ints in by_col.get(col, ()):
-            if _mono_divides(ge, exps):
-                q = _mono_div(exps, ge)
+        fields = ~t & mask | guard
+        for i, lead, lfields, glc, ints in by_col.get(t >> cshift, ()):
+            if (fields - lfields) & guard == guard:
+                q = t - lead
                 g = gcd(coeff, glc)
                 a, factor = glc // g, coeff // g
                 if a != 1:
@@ -619,12 +705,14 @@ def _reduce(ring, terms, divisors, quots=None):
                             part[k] *= a
                 if quots is not None:
                     quots[i][q] = factor  # t is reduced once, so q is new
-                for (c2, e2), v2 in ints.items():
-                    t2 = (c2, _mono_mul(e2, q))
+                for k2, v2 in ints.items():
+                    t2 = k2 + q
                     old = p.get(t2)
                     if old is None:
+                        if ~t2 & guard:
+                            raise ring._limit_error(ring._unpack(t2)[1])
                         p[t2] = -factor * v2
-                        heapq.heappush(heap, (key(t2), t2))
+                        heapq.heappush(heap, -t2)
                     else:
                         s = old - factor * v2
                         if s:
@@ -644,19 +732,21 @@ def divide(f, divisors):
     No remainder term is divisible by any divisor's lead; each term is
     reduced by the first divisor (in list order) whose lead divides it.
     Returns (quotients as Polynomials, remainder Vector), exact over Q:
-    _reduce divides the primitive form of f by those of the divisors, and
-    its integer results are rescaled once here.
+    _reduce divides the packed primitive form of f by those of the
+    divisors, and its integer results are unpacked and rescaled once here.
     """
     ring = f.ring
-    cf, ints = f._primitive()
     quots = [{} for _ in divisors]
-    scale, rem = _reduce(ring, ints, divisors, quots)
-    s = cf / scale
+    scale, rem = _reduce(ring, f._packed()[1], [g._packed() for g in divisors],
+                         quots)
+    s = f._primitive()[0] / scale
     polys = []
     for q, g in zip(quots, divisors):
         sq = s / g._primitive()[0]
-        polys.append(Polynomial(ring, {e: sq * c for e, c in q.items()}))
-    return polys, Vector(ring, f.rank, {t: s * c for t, c in rem.items()})
+        polys.append(Polynomial(ring, {ring._exps(-m & ring._mask): sq * c
+                                       for m, c in q.items()}))
+    return polys, Vector(ring, f.rank,
+                         {ring._unpack(k): s * c for k, c in rem.items()})
 
 
 def _exact_divide(f, g):
@@ -725,13 +815,13 @@ def normal_form(f, basis):
     return divide(f, basis)[1]
 
 
-def _single_column(v):
-    cols = {col for (col, _) in v.data}
-    return len(cols) == 1
+def _update_pairs(single, pairs, leads, new, ring):
+    """Gebauer-Moeller style pair update, restricted to same-column pairs.
 
-
-def _update_pairs(basis, pairs, leads, new, ring):
-    """Gebauer-Moeller style pair update, restricted to same-column pairs."""
+    leads[i] is element i's lead (col, exps); single[i] says whether the
+    element lies in one column, and the product criterion applies only to
+    pairs of such elements.
+    """
     tnew = leads[new]
 
     def lcm_key(i, j):
@@ -759,7 +849,7 @@ def _update_pairs(basis, pairs, leads, new, ring):
         bucket = buckets[m]
         coprime = any(
             _mono_lcm(leads[i][1], tnew[1]) == _mono_mul(leads[i][1], tnew[1])
-            and _single_column(basis[i]) and _single_column(basis[new])
+            and single[i] and single[new]
             for i in bucket)
         if coprime:
             continue  # product criterion (effectively the ideal case)
@@ -773,39 +863,44 @@ def buchberger(vectors):
     Pairs are selected by smallest lcm in the module order.  Chain
     elimination is always on; the product criterion is applied only to
     single-column (ideal-like) elements.  Deterministic for a fixed input
-    order.  The basis is reduced in primitive integer form (s_vector,
-    _reduce), so each new element has its content divided out once; only
-    the returned reduced basis is made monic.
+    order.  The basis is kept as packed primitive forms (lead, terms):
+    s-vectors, reductions (_reduce), content removal and interreduction all
+    work on packed integer terms, and only the returned reduced basis is
+    unpacked and made monic.
     """
     vectors = [v for v in vectors if not v.is_zero()]
     if not vectors:
         return []
     ring = vectors[0].ring
     rank = vectors[0].rank
+    cshift = ring._cshift
 
     def pair_key(p):
-        lcm = (leads[p[0]][0], _mono_lcm(leads[p[0]][1], leads[p[1]][1]))
-        return (ring.vector_key(lcm), p)
+        col, ei = leads[p[0]]
+        return ring._pack(col, _mono_lcm(ei, leads[p[1]][1])), p
 
     basis = []
     leads = []
+    single = []
+
+    def add(form):
+        basis.append(form)
+        leads.append(ring._unpack(form[0]))
+        single.append(len({k >> cshift for k in form[1]}) == 1)
+        return _update_pairs(single, pairs, leads, len(basis) - 1, ring)
+
     pairs = set()
     for v in vectors:
-        basis.append(v)
-        leads.append(v.lead()[0])
-        pairs = _update_pairs(basis, pairs, leads, len(basis) - 1, ring)
+        pairs = add(v._packed())
     while pairs:
         i, j = min(pairs, key=pair_key)
         pairs.discard((i, j))
-        _, r = _reduce(ring, s_vector(basis[i], basis[j]).data, basis)
-        if not r:
-            continue
-        basis.append(Vector(ring, rank, r))
-        leads.append(basis[-1].lead()[0])
-        pairs = _update_pairs(basis, pairs, leads, len(basis) - 1, ring)
+        _, r = _reduce(ring, _s_terms(ring, basis[i], basis[j]), basis)
+        if r:
+            pairs = add(_content_free(r))
     # minimalize: drop elements whose lead is divisible by another lead
     keep = []
-    for i, v in enumerate(basis):
+    for i, form in enumerate(basis):
         (ci, ei) = leads[i]
         ok = True
         for j in range(len(basis)):
@@ -816,17 +911,16 @@ def buchberger(vectors):
                 ok = False
                 break
         if ok:
-            keep.append(v)
-    # interreduce tails
+            keep.append(form)
+    # interreduce tails; a tail reduction keeps the lead
     out = []
-    for i, v in enumerate(keep):
+    for i, form in enumerate(keep):
         others = keep[:i] + keep[i + 1:]
-        ints = v._primitive()[1]
         if others:
-            ints = _reduce(ring, ints, others)[1]
-        out.append(_monic(ring, rank, ints))
-    out.sort(key=lambda v: ring.vector_key(v.lead()[0]))
-    return out
+            form = _content_free(_reduce(ring, form[1], others)[1])
+        out.append(form)
+    out.sort(key=lambda form: form[0])
+    return [_monic(ring, rank, lead, terms) for lead, terms in out]
 
 
 class SubmoduleGB:
@@ -853,13 +947,17 @@ class SubmoduleGB:
         self.gb = []
         self._syz = []
         for v in self._ext_gb:
-            (col, _), _ = v.lead()
+            # v is monic, and its lead is the lead of the part kept
+            (col, exps), _ = v.lead()
             if col < rank:
-                amb = {(c, e): cv for (c, e), cv in v.data.items() if c < rank}
-                self.gb.append(Vector(ring, rank, amb).monic())
+                part = Vector(ring, rank, {(c, e): cv for (c, e), cv in v.data.items()
+                                           if c < rank})
+                self.gb.append(part)
             else:
-                shifted = {(c - rank, e): cv for (c, e), cv in v.data.items()}
-                self._syz.append(Vector(ring, s, shifted).monic())
+                col -= rank
+                part = Vector(ring, s, {(c - rank, e): cv for (c, e), cv in v.data.items()})
+                self._syz.append(part)
+            part._lead = ((col, exps), _ONE)
 
     def normal_form(self, v):
         if not self.gb:

@@ -181,13 +181,17 @@ def reference_buchberger(vectors):
         m = (leads[p[0]][0], lcm(leads[p[0]][1], leads[p[1]][1]))
         return (ring.vector_key(m), p)
 
+    def single(v):
+        return len({col for col, _ in v.data}) == 1
+
     basis = []
     leads = []
     pairs = set()
     for v in vectors:
         basis.append(v)
         leads.append(v.lead()[0])
-        pairs = _update_pairs(basis, pairs, leads, len(basis) - 1, ring)
+        pairs = _update_pairs([single(b) for b in basis], pairs, leads,
+                              len(basis) - 1, ring)
     while pairs:
         i, j = min(pairs, key=pair_key)
         pairs.discard((i, j))
@@ -199,7 +203,8 @@ def reference_buchberger(vectors):
             continue
         basis.append(r.monic())
         leads.append(r.lead()[0])
-        pairs = _update_pairs(basis, pairs, leads, len(basis) - 1, ring)
+        pairs = _update_pairs([single(b) for b in basis], pairs, leads,
+                              len(basis) - 1, ring)
     keep = []
     for i, v in enumerate(basis):
         ci, ei = leads[i]
