@@ -454,3 +454,25 @@ def test_exit_three_on_internal_error(monkeypatch, capsys):
     out = capsys.readouterr()
     assert json.loads(out.out)["error"].startswith("internal error")
     assert "AssertionError" in out.err
+
+
+def test_exit_two_past_the_exponent_limit(tmp_path, capsys):
+    # the Groebner core holds exponents up to 32767; past that a run stops
+    # with the limit in its message, whether the exponent is in the input or
+    # first appears in a reduction, never with a failed check or a traceback
+    with open(data_path("s2.json")) as fh:
+        graph = json.load(fh)
+    graph["symmetry"]["group"]["invariants"] = ["t^40000"]
+    mid = {"ring": {"vars": ["x", "y"], "degrees": [2, 2]},
+           "row_degrees": [0], "col_degrees": [40000, 80000],
+           "matrix": [["x^20000 - y^20000", "x^20000*y^20000"]]}
+    cases = [("module-analyze", _module_input("x^40000", 80000), "exponent 40000 of x"),
+             ("module-analyze", mid, "exponent 40000 of y"),
+             ("gkm", graph, "exponent 40000 of t"),
+             ("weyl-verify", graph["symmetry"]["group"], "exponent 40000 of t")]
+    for command, obj, message in cases:
+        path = write_json(tmp_path, "big.json", obj)
+        assert main([command, path]) == EXIT_INPUT, command
+        out, err = capsys.readouterr()
+        assert message + " exceeds the limit 32767" in out, out
+        assert "Traceback" not in err

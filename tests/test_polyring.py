@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from equisyz.polyring import (
-    GradedPolynomialRing, Polynomial, Vector, buchberger, groebner_basis,
-    normal_form, divide, SubmoduleGB, syzygy_basis, quotient_hilbert_series,
-    HilbertSeries, determinant,
+    EXPONENT_LIMIT, ExponentLimitError, GradedPolynomialRing, Polynomial, Vector,
+    buchberger, groebner_basis, normal_form, divide, SubmoduleGB,
+    syzygy_basis, quotient_hilbert_series, HilbertSeries, determinant,
 )
 from helpers import (
     random_homogeneous, random_module, random_vector, reference_buchberger,
@@ -596,3 +596,86 @@ def test_hilbert_rank_nullity_for_random_maps():
             rhs[k] = rhs.get(k, 0) + v
         rhs = {k: v for k, v in rhs.items() if v}
         assert lhs == rhs
+
+
+def test_exponent_limit_raises_on_input_and_mid_computation():
+    # the Groebner core packs each exponent into a 16-bit field with a guard
+    # bit; an exponent past the limit raises instead of wrapping around
+    R = GradedPolynomialRing(["x", "y"])
+    x, y = R.vars()
+    lim = EXPONENT_LIMIT
+    assert lim == 32767
+
+    def vec(p):
+        return Vector.from_polys([p], 1)
+
+    # on input
+    with pytest.raises(ExponentLimitError, match="exponent 40000 of x exceeds the limit 32767"):
+        buchberger([vec(x ** 40000)])
+    # in a reduction: x^20000*y^20000 - y^20000*(x^20000 - y^20000) = y^40000
+    with pytest.raises(ExponentLimitError, match="exponent 40000 of y exceeds the limit 32767"):
+        divide(vec(x ** 20000 * y ** 20000), [vec(x ** 20000 - y ** 20000)])
+    # in an S-vector: y^20000 (x^20000 - y^20000) - x^20000 y^20000
+    with pytest.raises(ExponentLimitError, match="exponent 40000 of y"):
+        buchberger([vec(x ** 20000 - y ** 20000), vec(x ** 20000 * y ** 20000)])
+    # at the limit everything still works
+    quots, rem = divide(vec(x ** lim * y), [vec(x ** (lim - 1) * y - y ** lim)])
+    assert quots[0] == x and rem == vec(x * y ** lim)
+    assert buchberger([vec(x ** lim), vec(y ** lim)]) == [vec(y ** lim), vec(x ** lim)]
+
+
+def test_groebner_core_works_on_packed_terms(monkeypatch):
+    # deterministic work: the reduction loop and the S-vectors compare,
+    # multiply and divide packed ints, and never call the tuple order or the
+    # tuple product
+    from equisyz import polyring
+    depth = []
+    calls = {"vector_key": 0, "monomial_key": 0, "_mono_mul": 0}
+    entered = {"_reduce": 0, "_s_terms": 0, "s_vector": 0}
+
+    def inside(name):
+        orig = getattr(polyring, name)
+
+        def wrapped(*args, **kwargs):
+            entered[name] += 1
+            depth.append(name)
+            try:
+                return orig(*args, **kwargs)
+            finally:
+                depth.pop()
+        monkeypatch.setattr(polyring, name, wrapped)
+
+    def counted(owner, name):
+        orig = getattr(owner, name)
+
+        def wrapped(*args, **kwargs):
+            if depth:
+                calls[name] += 1
+            return orig(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapped)
+
+    rng = random.Random(3)
+    ring = GradedPolynomialRing(["x", "y", "z"])
+    cases = [random_module(ring, random.Random(seed)).relation_columns()
+             for seed in range(4)]
+    cases += [_rational_generators(ring, rng) for _ in range(4)]
+    expected = [buchberger(cols) for cols in cases]
+    for name in entered:
+        inside(name)
+    counted(GradedPolynomialRing, "vector_key")
+    counted(GradedPolynomialRing, "monomial_key")
+    counted(polyring, "_mono_mul")
+    for cols, gb in zip(cases, expected):
+        if not cols:
+            continue
+        fresh = [Vector(ring, v.rank, v.data) for v in cols]
+        assert buchberger(fresh) == gb
+        f = random_vector(ring, [0] * cols[0].rank, 6, rng, rational=True)
+        quots, rem = divide(f, gb + fresh)
+        assert rem == divide(f, gb)[1]
+        for i in range(len(gb)):
+            for j in range(i + 1, len(gb)):
+                if gb[i].lead()[0][0] == gb[j].lead()[0][0]:
+                    polyring.s_vector(gb[i], gb[j])
+    assert min(entered.values()) > 0, entered
+    assert calls == {"vector_key": 0, "monomial_key": 0, "_mono_mul": 0}, calls
