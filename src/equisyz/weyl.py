@@ -222,14 +222,10 @@ class ReflectionGroup:
         """Write poly as sum of coinvariant basis monomials with invariant
         coefficients: returns {basis exps: Polynomial over the invariant ring}."""
         basis = set(self.coinvariant_basis())
-        out = {}
+        acc = {}
         for exps, coeff in sorted(poly.terms.items()):
-            for b, c in self._expand_monomial(exps).items():
-                acc = out.get(b, self.invariant_ring.zero()) + c.scale(coeff)
-                if acc.is_zero():
-                    out.pop(b, None)
-                else:
-                    out[b] = acc
+            _add_scaled(acc, self._expand_monomial(exps), coeff)
+        out = _polynomials(self.invariant_ring, acc)
         assert all(b in basis for b in out)
         return out
 
@@ -239,23 +235,13 @@ class ReflectionGroup:
         gb = self._invariant_gb()
         mono = Vector(self.ring, 1, {(0, exps): Fraction(1)})
         nf, coeffs = gb.reduce_with_certificate(mono)
-        out = {}
-        for (_, e), c in nf.data.items():
-            out[e] = self.invariant_ring.constant(c)
+        one = self.invariant_ring.zero_exps
+        acc = {e: {one: c} for (_, e), c in nf.data.items()}
         # mono = sum coeffs_i * invariant_i + nf; recurse into the cofactors
         for i, h in enumerate(coeffs):
-            if h.is_zero():
-                continue
-            yi = self.invariant_ring.var(i)
             for he, hc in h.terms.items():
-                sub = self._expand_monomial(he)
-                for b, c in sub.items():
-                    add = (yi * c).scale(hc)
-                    acc = out.get(b, self.invariant_ring.zero()) + add
-                    if acc.is_zero():
-                        out.pop(b, None)
-                    else:
-                        out[b] = acc
+                _add_scaled(acc, self._expand_monomial(he), hc, var=i)
+        out = _polynomials(self.invariant_ring, acc)
         self._expand_cache[exps] = out
         return out
 
@@ -279,6 +265,25 @@ class ReflectionGroup:
         """Degrees of the (ambient coordinate, coinvariant monomial) basis."""
         return [self.ring.weighted_degree(b)
                 for b in self.coinvariant_basis()] * ambient_rank
+
+
+def _add_scaled(acc, expansion, coeff, var=None):
+    """Add coeff times an expansion {basis exps: Polynomial}, times the
+    invariant-ring variable var when given, into acc {basis exps: {exps:
+    coefficient}}."""
+    for b, c in expansion.items():
+        terms = acc.setdefault(b, {})
+        for e, v in c.terms.items():
+            if var is not None:
+                e = e[:var] + (e[var] + 1,) + e[var + 1:]
+            terms[e] = terms.get(e, 0) + coeff * v
+
+
+def _polynomials(ring, acc):
+    """The nonzero Polynomials of accumulated terms {basis exps: {exps:
+    coefficient}}, each built once."""
+    out = {b: Polynomial(ring, terms) for b, terms in acc.items()}
+    return {b: p for b, p in out.items() if not p.is_zero()}
 
 
 class VerificationReport:
