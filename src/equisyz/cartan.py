@@ -19,7 +19,6 @@ from .gradmod import (
 __all__ = [
     "GStarModule", "CartanComplex", "cartan_cohomology",
     "dualize_gstar", "equivariant_homology", "uct_collapse_check",
-    "point_model", "circle_model", "formal_model",
 ]
 
 
@@ -281,20 +280,3 @@ def uct_collapse_check(gstar, ring, nmax=40):
     expected = ext_module(coh, shift).shifted(shift)
     ok = iso_surrogate_equal(hom, expected, nmax)
     return UCTReport(True, "pass" if ok else "fail", shift, coh, hom, expected)
-
-
-def point_model():
-    """The one-dimensional trivial model."""
-    return GStarModule((0,), [[0]], [[[0]]])
-
-
-def circle_model():
-    """Free circle: basis 1, theta with iota(theta) = 1 and zero differential."""
-    return GStarModule((0, 1), [[0, 0], [0, 0]], [[[0, 1], [0, 0]]])
-
-
-def formal_model(degrees, rank):
-    """All operators zero: the cohomology of a formal space, e.g. spheres."""
-    n = len(degrees)
-    zero = [[0] * n for _ in range(n)]
-    return GStarModule(tuple(degrees), zero, [zero for _ in range(rank)])

@@ -21,7 +21,7 @@ __all__ = [
     "NEG_INF", "FreeModule", "ModuleMap", "FPModule", "FPMap", "Resolution",
     "minimal_generating_indices", "minimal_resolution", "syzygies",
     "betti_table", "betti_text", "dimension", "depth", "ext_module",
-    "dual_module", "biduality", "cohen_macaulay", "syzygy_order",
+    "biduality", "cohen_macaulay", "syzygy_order",
     "base_change", "homology", "fp_kernel",
     "fp_cokernel", "fp_homology", "iso_surrogate_equal",
 ]
@@ -576,11 +576,6 @@ def ext_module(module, i):
     sigmas = [None] + sigmas + [None]
     fi_star = FPModule.free(module.ring, res.modules[i].dual().degrees)
     return homology(fi_star, sigmas[i], sigmas[i + 1])[0]
-
-
-def dual_module(module):
-    """M* = Hom(M, R) as an FPModule."""
-    return _dual_data(module)[0]
 
 
 def _dual_data(module):

@@ -19,7 +19,7 @@ from operator import mul, neg
 
 __all__ = [
     "GradedPolynomialRing", "Polynomial", "Vector", "RingMap", "HilbertSeries",
-    "buchberger", "groebner_basis", "normal_form", "divide", "s_vector",
+    "buchberger", "normal_form", "divide", "s_vector",
     "SubmoduleGB", "syzygy_basis", "quotient_hilbert_series", "qpoly_mul",
     "qpoly_inverse_series", "determinant", "DatumError", "ExponentLimitError",
     "EXPONENT_LIMIT",
@@ -999,25 +999,6 @@ def syzygy_basis(ring, rank, gens):
     if not gens:
         return []
     return SubmoduleGB(ring, rank, gens).syzygies()
-
-
-def groebner_basis(generators, col_degrees=None):
-    """Reduced Groebner basis of polynomials or free-module vectors.
-
-    Inhomogeneous input is rejected: polynomials must be homogeneous, and
-    vectors are checked against col_degrees when given.
-    """
-    vecs = []
-    for g in generators:
-        if isinstance(g, Polynomial):
-            if not g.is_zero() and not g.is_homogeneous():
-                raise ValueError("inhomogeneous generator: %s" % g)
-            vecs.append(Vector.from_polys([g], 1))
-        else:
-            if col_degrees is not None and not g.is_zero():
-                g.homogeneous_degree(col_degrees)
-            vecs.append(g)
-    return buchberger(vecs)
 
 
 # ---------------------------------------------------------------------------

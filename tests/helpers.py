@@ -9,7 +9,7 @@ from itertools import combinations
 
 from equisyz.polyring import (
     GradedPolynomialRing, HilbertSeries, Polynomial, Vector, _exact_divide,
-    _update_pairs, qpoly_add, qpoly_mul, syzygy_basis,
+    _update_pairs, buchberger, qpoly_add, qpoly_mul, syzygy_basis,
 )
 from equisyz.gradmod import (
     FPModule, FPMap, SyzygyOrderResult, minimal_resolution, fp_kernel,
@@ -18,6 +18,7 @@ from equisyz.gradmod import (
     _degrees_of, base_change,
 )
 from equisyz.equivtop import DatumError, FiltrationDatum, gkm_cohomology
+from equisyz.cartan import GStarModule
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "data")
 
@@ -26,6 +27,37 @@ def load(cls, name):
     """cls.from_json of the shipped data/<name>.json."""
     with open(os.path.join(DATA, name + ".json")) as fh:
         return cls.from_json(json.load(fh))
+
+
+def groebner_basis(polys):
+    """Reduced Groebner basis of homogeneous polynomials, as rank-1
+    vectors; an inhomogeneous generator is a ValueError."""
+    for p in polys:
+        if not p.is_zero() and not p.is_homogeneous():
+            raise ValueError("inhomogeneous generator: %s" % p)
+    return buchberger([Vector.from_polys([p], 1) for p in polys])
+
+
+def dual_module(module):
+    """M* = Hom(M, R) as an FPModule."""
+    return _dual_data(module)[0]
+
+
+def point_model():
+    """The one-dimensional trivial Cartan model."""
+    return GStarModule((0,), [[0]], [[[0]]])
+
+
+def circle_model():
+    """Free circle: basis 1, theta with iota(theta) = 1 and zero differential."""
+    return GStarModule((0, 1), [[0, 0], [0, 0]], [[[0, 1], [0, 0]]])
+
+
+def formal_model(degrees, rank):
+    """All operators zero: the cohomology of a formal space, e.g. spheres."""
+    n = len(degrees)
+    zero = [[0] * n for _ in range(n)]
+    return GStarModule(tuple(degrees), zero, [zero for _ in range(rank)])
 
 
 def koszul_syzygy_module(ring, j):

@@ -15,18 +15,15 @@ from equisyz.gradmod import (
 from equisyz.weyl import (
     cyclic_sign_group, symmetric_group_on_sum_zero, signed_permutation_rank2,
 )
-from equisyz.cartan import (
-    CartanComplex, circle_model, point_model, cartan_cohomology,
-    uct_collapse_check,
-)
+from equisyz.cartan import CartanComplex, cartan_cohomology, uct_collapse_check
 from equisyz.equivtop import (
     GKMGraph, FiltrationDatum, ab_cohomology, cm_filtration_check,
     gkm_cohomology, partial_exactness_vs_syzygy, pairing_perfection,
     verify_ext_duality, syzygy_gap_check,
 )
 from helpers import (
-    base_changed, koszul_syzygy_module, load, random_module,
-    residue_field_module, times_qpoly,
+    base_changed, circle_model, koszul_syzygy_module, load, point_model,
+    random_module, residue_field_module, times_qpoly,
 )
 
 SERIES_DEGREE = 40

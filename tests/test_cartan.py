@@ -2,11 +2,12 @@ import pytest
 
 from equisyz.polyring import GradedPolynomialRing
 from equisyz.gradmod import dimension, iso_surrogate_equal, FPModule
-from helpers import series_leq, times_qpoly
+from helpers import (
+    circle_model, formal_model, point_model, series_leq, times_qpoly,
+)
 from equisyz.cartan import (
     GStarModule, CartanComplex, cartan_cohomology, dualize_gstar,
-    equivariant_homology, uct_collapse_check, point_model, circle_model,
-    formal_model,
+    equivariant_homology, uct_collapse_check,
 )
 
 

@@ -11,7 +11,7 @@ from equisyz.gradmod import (
     base_change,
 )
 from equisyz.weyl import cyclic_sign_group
-from equisyz.cartan import circle_model, equivariant_homology, formal_model
+from equisyz.cartan import equivariant_homology
 from equisyz.equivtop import (
     GKMGraph, FiltrationDatum, DatumError, chang_skjelbred, gkm_cohomology,
     ab_cohomology, plain_ab_cohomology, cm_filtration_check,
@@ -20,8 +20,8 @@ from equisyz.equivtop import (
     truncation_additivity_check,
 )
 from helpers import (
-    alternating_hilbert, base_changed, euler_class, load, random_homogeneous,
-    reference_integrate,
+    alternating_hilbert, base_changed, circle_model, euler_class, formal_model,
+    load, random_homogeneous, reference_integrate,
 )
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "bench"))

@@ -6,13 +6,14 @@ import pytest
 from equisyz.polyring import GradedPolynomialRing, Vector, RingMap, buchberger
 from equisyz.gradmod import (
     FreeModule, ModuleMap, FPModule, FPMap, NEG_INF, Resolution, minimal_resolution,
-    betti_table, dimension, depth, ext_module, dual_module, biduality,
+    betti_table, dimension, depth, ext_module, biduality,
     cohen_macaulay, syzygy_order, base_change, fp_kernel, fp_cokernel, fp_homology, iso_surrogate_equal,
 )
 from equisyz.weyl import cyclic_sign_group, symmetric_group_on_sum_zero
 from helpers import (
-    alternating_hilbert, koszul_syzygy_module, random_homogeneous, random_module,
-    reference_syzygy_order, residue_field_module, restrict_scalars, times_qpoly,
+    alternating_hilbert, dual_module, koszul_syzygy_module, random_homogeneous,
+    random_module, reference_syzygy_order, residue_field_module, restrict_scalars,
+    times_qpoly,
 )
 
 

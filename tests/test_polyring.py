@@ -6,12 +6,13 @@ import pytest
 
 from equisyz.polyring import (
     EXPONENT_LIMIT, ExponentLimitError, GradedPolynomialRing, Polynomial, Vector,
-    buchberger, groebner_basis, normal_form, divide, SubmoduleGB,
+    buchberger, normal_form, divide, SubmoduleGB,
     syzygy_basis, quotient_hilbert_series, HilbertSeries, determinant,
 )
 from helpers import (
-    random_homogeneous, random_module, random_vector, reference_buchberger,
-    reference_divide, reference_det, residue_field_module, series_minus,
+    groebner_basis, random_homogeneous, random_module, random_vector,
+    reference_buchberger, reference_divide, reference_det, residue_field_module,
+    series_minus,
 )
 
 
