@@ -200,8 +200,7 @@ class GradedPolynomialRing:
 
     def _unpack(self, key):
         """The term (col, exps) of a packed key."""
-        return (-(key >> self._cshift),
-                self._fields.unpack((~key & self._mask).to_bytes(self._fields.size, "little")))
+        return -(key >> self._cshift), self._exps(~key & self._mask)
 
     def _limit_error(self, exps):
         e, name = max(zip(exps, self.names))
@@ -599,14 +598,9 @@ def _content_free(terms):
 def _monic(ring, rank, lead, terms):
     """The monic Vector of packed primitive terms, with its lead, primitive
     form and packed form cached."""
-    unpack = ring._unpack
-    ints = {unpack(k): c for k, c in terms.items()}
+    ints = {ring._unpack(k): c for k, c in terms.items()}
     lc = terms[lead]
-    if lc == 1:
-        data = {t: Fraction(c) for t, c in ints.items()}
-    else:
-        data = {t: Fraction(c, lc) for t, c in ints.items()}
-    out = Vector(ring, rank, data)
+    out = Vector(ring, rank, {t: Fraction(c, lc) for t, c in ints.items()})
     out._lead = (ring._unpack(lead), _ONE)
     out._prim = (Fraction(1, lc), ints)
     out._pk = (lead, terms)
