@@ -8,6 +8,13 @@ Hilbert series from staircase counts.  Every public coefficient is an
 exact Fraction; the Groebner core (divide, buchberger) reduces primitive
 integer multiples of its vectors by fraction-free pseudo-division and
 rescales only what it returns.  Nothing here ever touches a float.
+
+Public terms are (col, exps) tuples.  Inside the core (_reduce, s_vector,
+buchberger) each term is one int (GradedPolynomialRing._pack): 16-bit
+exponent fields below the weighted degree below the column, so terms
+compare, multiply by a monomial and divide as ints, and divisibility is a
+guard-bit test.  An exponent above EXPONENT_LIMIT (32767) raises
+ExponentLimitError, on input and in any product; nothing wraps around.
 """
 
 import heapq
