@@ -675,8 +675,9 @@ def _reduce(ring, terms, divisors, quots=None):
     cancelled term stays in the heap and is skipped when popped.  Reduction
     only adds terms smaller than the one reduced, so a popped term never
     re-enters.  A lead divides a term of its column when the guard-bit
-    subtraction of their exponent fields borrows from no guard; a new term
-    with a guard bit set has an exponent past EXPONENT_LIMIT.
+    subtraction of their exponent fields borrows from no guard.  A product
+    with a guard bit set has an exponent past EXPONENT_LIMIT; its key
+    equals no admissible key, so checking the new terms checks them all.
     """
     mask, guard, cshift = ring._mask, ring._guard, ring._cshift
     by_col = {}
