@@ -8,7 +8,7 @@ Subpackages: polyring (rational polynomial and Groebner kernel), gradmod
 
 from .polyring import (
     GradedPolynomialRing, Polynomial, Vector, RingMap, HilbertSeries,
-    buchberger, normal_form, syzygy_basis, SubmoduleGB,
+    GroebnerBasis, buchberger, syzygy_basis, SubmoduleGB,
 )
 from .gradmod import (
     FreeModule, ModuleMap, FPModule, FPMap, Resolution, minimal_resolution,

@@ -200,7 +200,7 @@ def run_cartan(obj, checks, nmax, seed):
                       "dualization-involution",
                       dd.d == gstar.d and dd.iotas == gstar.iotas))
     if "uct" in checks:
-        rep = uct_collapse_check(gstar, ring, nmax)
+        rep = uct_collapse_check(coh, hom, nmax)
         item = {"name": "universal-coefficient collapse",
                 "theorem": "uct-collapse", "verdict": rep.status,
                 "details": {"shift": rep.shift}}

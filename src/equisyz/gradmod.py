@@ -11,7 +11,7 @@ tables plus Hilbert series.
 """
 
 from .polyring import (
-    Vector, SubmoduleGB, buchberger, normal_form, syzygy_basis,
+    Vector, SubmoduleGB, GroebnerBasis, syzygy_basis,
     quotient_hilbert_series, GradedPolynomialRing, _integers,
 )
 
@@ -163,19 +163,13 @@ def minimal_generating_indices(vectors, ambient_degrees):
 
     Greedy in increasing degree; correct for graded submodules by Nakayama.
     """
-    degs = []
-    for v in vectors:
-        degs.append(None if v.is_zero() else v.homogeneous_degree(ambient_degrees))
-    order = sorted((i for i in range(len(vectors)) if degs[i] is not None),
+    if not vectors:
+        return []
+    degs = _degrees_of(vectors, ambient_degrees)
+    order = sorted((i for i, d in enumerate(degs) if d is not None),
                    key=lambda i: (degs[i], i))
-    kept, gb = [], []
-    for i in order:
-        v = vectors[i]
-        if gb and normal_form(v, gb).is_zero():
-            continue
-        kept.append(i)
-        gb = buchberger(gb + [v])
-    return sorted(kept)
+    basis = GroebnerBasis(vectors[0].ring)
+    return sorted(i for i in order if basis.add(vectors[i]))
 
 
 class FPModule:

@@ -4,13 +4,15 @@ Weighted polynomial rings with positive even variable degrees,
 degree-reverse-lexicographic monomial order (position-over-term for free
 modules, earlier columns greater), Buchberger's algorithm for submodules of
 graded free modules, normal forms, syzygies via block elimination, and
-Hilbert series from staircase counts.  Every public coefficient is an
-exact Fraction; the Groebner core (divide, buchberger) reduces primitive
-integer multiples of its vectors by fraction-free pseudo-division and
-rescales only what it returns.  Nothing here ever touches a float.
+Hilbert series from staircase counts.  One Buchberger state, GroebnerBasis,
+serves buchberger and greedy minimal generation (add, contains).  Every
+public coefficient is an exact Fraction; the Groebner core (divide,
+GroebnerBasis) reduces primitive integer multiples of its vectors by
+fraction-free pseudo-division and rescales only what it returns.  Nothing
+here ever touches a float.
 
 Public terms are (col, exps) tuples.  Inside the core (_reduce, s_vector,
-buchberger) each term is one int (GradedPolynomialRing._pack): 16-bit
+GroebnerBasis) each term is one int (GradedPolynomialRing._pack): 16-bit
 exponent fields below the weighted degree below the column, so terms
 compare, multiply by a monomial and divide as ints, and divisibility is a
 guard-bit test.  An exponent above EXPONENT_LIMIT (32767) raises
@@ -26,7 +28,7 @@ from operator import mul, neg
 
 __all__ = [
     "GradedPolynomialRing", "Polynomial", "Vector", "RingMap", "HilbertSeries",
-    "buchberger", "normal_form", "divide", "s_vector",
+    "GroebnerBasis", "buchberger", "divide", "s_vector",
     "SubmoduleGB", "syzygy_basis", "quotient_hilbert_series", "qpoly_mul",
     "qpoly_inverse_series", "determinant", "DatumError", "ExponentLimitError",
     "EXPONENT_LIMIT",
@@ -802,21 +804,6 @@ def determinant(matrix, ring):
     return m[n - 1][n - 1] if sign > 0 else -m[n - 1][n - 1]
 
 
-def normal_form(f, basis):
-    """Remainder of f under full division by basis (a Groebner basis)."""
-    if isinstance(f, Polynomial):
-        v = Vector.from_polys([f], rank=1)
-        b = [g if isinstance(g, Vector) else Vector.from_polys([g], rank=1) for g in basis]
-        b = [g for g in b if not g.is_zero()]
-        if not b:
-            return f
-        return divide(v, b)[1].component(0)
-    basis = [g for g in basis if not g.is_zero()]
-    if not basis:
-        return f
-    return divide(f, basis)[1]
-
-
 def _update_pairs(single, pairs, leads, new, ring):
     """Gebauer-Moeller style pair update, restricted to same-column pairs.
 
@@ -859,70 +846,82 @@ def _update_pairs(single, pairs, leads, new, ring):
     return kept
 
 
+class GroebnerBasis:
+    """A Groebner basis grown one generator at a time: packed primitive
+    forms (lead, terms), their leads (col, exps), single-column flags and
+    the pending S-pairs (_update_pairs), reduced smallest lcm first."""
+
+    def __init__(self, ring):
+        self.ring = ring
+        self._forms, self._leads, self._single, self._pairs = [], [], [], set()
+
+    def _insert(self, form):
+        self._forms.append(form)
+        self._leads.append(self.ring._unpack(form[0]))
+        self._single.append(len({k >> self.ring._cshift for k in form[1]}) == 1)
+        self._pairs = _update_pairs(self._single, self._pairs, self._leads,
+                                    len(self._forms) - 1, self.ring)
+
+    def _complete(self):
+        """Reduce the pending pairs, inserting every nonzero remainder."""
+        ring, forms, leads = self.ring, self._forms, self._leads
+
+        def pair_key(p):
+            col, ei = leads[p[0]]
+            return ring._pack(col, _mono_lcm(ei, leads[p[1]][1])), p
+
+        while self._pairs:
+            i, j = min(self._pairs, key=pair_key)
+            self._pairs.discard((i, j))
+            _, r = _reduce(ring, _s_terms(ring, forms[i], forms[j]), forms)
+            if r:
+                self._insert(_content_free(r))
+
+    def add(self, v):
+        """Insert the content-free remainder of v and complete the new
+        pairs; False, changing nothing, when v reduces to zero."""
+        _, r = _reduce(self.ring, v._packed()[1], self._forms)
+        if r:
+            self._insert(_content_free(r))
+            self._complete()
+        return bool(r)
+
+    def contains(self, v):
+        """Whether v reduces to zero, i.e. lies in the submodule."""
+        return not _reduce(self.ring, v._packed()[1], self._forms)[1]
+
+    def reduced(self, rank):
+        """The reduced basis, monic Vectors of R^rank sorted by lead."""
+        ring, leads = self.ring, self._leads
+        # minimalize: drop elements whose lead is divisible by another lead
+        keep = [form for i, (form, (ci, ei)) in enumerate(zip(self._forms, leads))
+                if not any(cj == ci and _mono_divides(ej, ei) and (ej != ei or j < i)
+                           for j, (cj, ej) in enumerate(leads) if j != i)]
+        # interreduce tails; a tail reduction keeps the lead
+        out = []
+        for i, form in enumerate(keep):
+            others = keep[:i] + keep[i + 1:]
+            if others:
+                form = _content_free(_reduce(ring, form[1], others)[1])
+            out.append(form)
+        out.sort(key=lambda form: form[0])
+        return [_monic(ring, rank, lead, terms) for lead, terms in out]
+
+
 def buchberger(vectors):
     """Reduced Groebner basis of the submodule generated by the vectors.
 
-    Pairs are selected by smallest lcm in the module order.  Chain
-    elimination is always on; the product criterion is applied only to
-    single-column (ideal-like) elements.  Deterministic for a fixed input
-    order.  The basis is kept as packed primitive forms (lead, terms):
-    s-vectors, reductions (_reduce), content removal and interreduction all
-    work on packed integer terms, and only the returned reduced basis is
-    unpacked and made monic.
+    Every input is inserted before any pair is reduced; adding them one at
+    a time lets coefficients grow on some inputs.
     """
     vectors = [v for v in vectors if not v.is_zero()]
     if not vectors:
         return []
-    ring = vectors[0].ring
-    rank = vectors[0].rank
-    cshift = ring._cshift
-
-    def pair_key(p):
-        col, ei = leads[p[0]]
-        return ring._pack(col, _mono_lcm(ei, leads[p[1]][1])), p
-
-    basis = []
-    leads = []
-    single = []
-
-    def add(form):
-        basis.append(form)
-        leads.append(ring._unpack(form[0]))
-        single.append(len({k >> cshift for k in form[1]}) == 1)
-        return _update_pairs(single, pairs, leads, len(basis) - 1, ring)
-
-    pairs = set()
+    basis = GroebnerBasis(vectors[0].ring)
     for v in vectors:
-        pairs = add(v._packed())
-    while pairs:
-        i, j = min(pairs, key=pair_key)
-        pairs.discard((i, j))
-        _, r = _reduce(ring, _s_terms(ring, basis[i], basis[j]), basis)
-        if r:
-            pairs = add(_content_free(r))
-    # minimalize: drop elements whose lead is divisible by another lead
-    keep = []
-    for i, form in enumerate(basis):
-        (ci, ei) = leads[i]
-        ok = True
-        for j in range(len(basis)):
-            if j == i:
-                continue
-            cj, ej = leads[j]
-            if cj == ci and _mono_divides(ej, ei) and (ej != ei or j < i):
-                ok = False
-                break
-        if ok:
-            keep.append(form)
-    # interreduce tails; a tail reduction keeps the lead
-    out = []
-    for i, form in enumerate(keep):
-        others = keep[:i] + keep[i + 1:]
-        if others:
-            form = _content_free(_reduce(ring, form[1], others)[1])
-        out.append(form)
-    out.sort(key=lambda form: form[0])
-    return [_monic(ring, rank, lead, terms) for lead, terms in out]
+        basis._insert(v._packed())
+    basis._complete()
+    return basis.reduced(vectors[0].rank)
 
 
 class SubmoduleGB:

@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 
 from .polyring import (
-    GradedPolynomialRing, Polynomial, Vector, SubmoduleGB, buchberger, normal_form,
+    GradedPolynomialRing, Polynomial, Vector, SubmoduleGB, GroebnerBasis,
     syzygy_basis, HilbertSeries, qpoly_add, qpoly_mul, qpoly_inverse_series,
     determinant, ExponentLimitError, _fr, _integers, _mat_mul,
 )
@@ -124,12 +124,16 @@ class ReflectionGroup:
         acc = sum((self._act(k, poly) for k in range(self.order)), self.ring.zero())
         return acc.scale(Fraction(1, self.order))
 
-    def molien_series(self, nmax):
-        """Average of 1/det(1 - q^2 w); the Hilbert series of the invariants."""
+    def molien_series(self, nmax, weights=None):
+        """Average of c_w/det(1 - q^2 w) over the elements w, with c_w the
+        weights (default 1): the Hilbert series of the invariants, or, with
+        the fixed-point counts of a permutation action, of the invariant
+        tuples."""
         total = {}
-        for w in self.elements:
-            det = _char_det(w)
-            total = qpoly_add(total, qpoly_inverse_series(det, nmax))
+        for w, c in zip(self.elements, weights or [1] * self.order):
+            if c:
+                inv = qpoly_inverse_series(_char_det(w), nmax)
+                total = qpoly_add(total, {k: v * c for k, v in inv.items()})
         return {k: v / self.order for k, v in total.items() if v}
 
     def invariant_ring_series(self, nmax):
@@ -403,15 +407,14 @@ class WEquivariantFreeModule:
         order = sorted(range(len(pairs)), key=lambda k: (
             pairs[k][0].homogeneous_degree(col_degrees)
             + ring.weighted_degree(pairs[k][1]), k))
-        kept, gb = {}, []
+        kept, span = {}, GroebnerBasis(ring)
         for k in order:
             g, b = pairs[k]
             v = self.reynolds_tuple(g.poly_mul(ring.monomial(b)))
-            if v.is_zero() or (gb and normal_form(v, gb).is_zero()):
+            if not span.add(v):
                 continue
             kept[k] = v
-            gb = buchberger(gb + [v])
-            if all(normal_form(h, gb).is_zero() for h in gens0):
+            if all(span.contains(h) for h in gens0):
                 break
         generators = [kept[k] for k in sorted(kept)]
         coords = [group.expand_vector(v, self.rank) for v in generators]
@@ -421,13 +424,8 @@ class WEquivariantFreeModule:
         module = FPModule.from_columns(group.invariant_ring, gdegs, rels)
         result = InvariantsResult(module, generators)
         if submodule_gens is None:
-            total = {}
-            for w, perm in zip(group.elements, self._action_of):
-                fixed = sum(1 for i, p in enumerate(perm) if i == p)
-                if fixed:
-                    inv = qpoly_inverse_series(_char_det(w), nmax)
-                    total = qpoly_add(total, {k: v * fixed for k, v in inv.items()})
-            expected = {k: v / group.order for k, v in total.items() if v}
+            expected = group.molien_series(nmax, [
+                sum(1 for i, p in enumerate(perm) if i == p) for perm in self._action_of])
             got = {k: Fraction(v) for k, v in module.hilbert().coefficients(nmax).items()}
             result.molien_consistent = expected == got
         return result

@@ -9,7 +9,7 @@ from itertools import combinations
 
 from equisyz.polyring import (
     GradedPolynomialRing, HilbertSeries, Polynomial, Vector, _exact_divide,
-    _update_pairs, buchberger, qpoly_add, qpoly_mul, syzygy_basis,
+    _update_pairs, buchberger, divide, qpoly_add, qpoly_mul, syzygy_basis,
 )
 from equisyz.gradmod import (
     FPModule, FPMap, SyzygyOrderResult, minimal_resolution, fp_kernel,
@@ -18,7 +18,10 @@ from equisyz.gradmod import (
     _degrees_of, base_change,
 )
 from equisyz.equivtop import DatumError, FiltrationDatum, gkm_cohomology
-from equisyz.cartan import GStarModule
+from equisyz.cartan import (
+    CartanComplex, GStarModule, cartan_cohomology, equivariant_homology,
+    uct_collapse_check,
+)
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "data")
 
@@ -38,6 +41,21 @@ def groebner_basis(polys):
     return buchberger([Vector.from_polys([p], 1) for p in polys])
 
 
+def normal_form(f, basis):
+    """Remainder of f under full division by basis (a Groebner basis)."""
+    if isinstance(f, Polynomial):
+        v = Vector.from_polys([f], rank=1)
+        b = [g if isinstance(g, Vector) else Vector.from_polys([g], rank=1) for g in basis]
+        b = [g for g in b if not g.is_zero()]
+        if not b:
+            return f
+        return divide(v, b)[1].component(0)
+    basis = [g for g in basis if not g.is_zero()]
+    if not basis:
+        return f
+    return divide(f, basis)[1]
+
+
 def dual_module(module):
     """M* = Hom(M, R) as an FPModule."""
     return _dual_data(module)[0]
@@ -51,6 +69,13 @@ def point_model():
 def circle_model():
     """Free circle: basis 1, theta with iota(theta) = 1 and zero differential."""
     return GStarModule((0, 1), [[0, 0], [0, 0]], [[[0, 1], [0, 0]]])
+
+
+def model_uct(model, ring, nmax=40):
+    """uct_collapse_check on the equivariant cohomology and homology of a
+    G*-module over the torus ring."""
+    return uct_collapse_check(cartan_cohomology(CartanComplex(ring, model)),
+                              equivariant_homology(model, ring), nmax)
 
 
 def formal_model(degrees, rank):
@@ -250,6 +275,28 @@ def reference_buchberger(vectors):
         out.append(reference_divide(v, others)[1].monic() if others else v)
     out.sort(key=lambda v: ring.vector_key(v.lead()[0]))
     return out
+
+
+def reference_minimal_generating_indices(vectors, ambient_degrees):
+    """Indices of a minimal generating subset of span(vectors).
+
+    The form gradmod.minimal_generating_indices had before it grew one
+    GroebnerBasis, kept as the reference it is tested against: greedy in
+    increasing degree, a vector is kept unless its normal form under the
+    reduced basis of those kept is zero, and the basis is then recomputed
+    from scratch by buchberger.
+    """
+    degs = _degrees_of(vectors, ambient_degrees)
+    order = sorted((i for i, d in enumerate(degs) if d is not None),
+                   key=lambda i: (degs[i], i))
+    kept, gb = [], []
+    for i in order:
+        v = vectors[i]
+        if gb and normal_form(v, gb).is_zero():
+            continue
+        kept.append(i)
+        gb = buchberger(gb + [v])
+    return sorted(kept)
 
 
 def reference_det(matrix, ring):

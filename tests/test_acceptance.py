@@ -15,15 +15,15 @@ from equisyz.gradmod import (
 from equisyz.weyl import (
     cyclic_sign_group, symmetric_group_on_sum_zero, signed_permutation_rank2,
 )
-from equisyz.cartan import CartanComplex, cartan_cohomology, uct_collapse_check
+from equisyz.cartan import CartanComplex, cartan_cohomology
 from equisyz.equivtop import (
     GKMGraph, FiltrationDatum, ab_cohomology, cm_filtration_check,
     gkm_cohomology, partial_exactness_vs_syzygy, pairing_perfection,
     verify_ext_duality, syzygy_gap_check,
 )
 from helpers import (
-    base_changed, circle_model, koszul_syzygy_module, load, point_model,
-    random_module, residue_field_module, times_qpoly,
+    base_changed, circle_model, koszul_syzygy_module, load, model_uct,
+    point_model, random_module, residue_field_module, times_qpoly,
 )
 
 SERIES_DEGREE = 40
@@ -167,7 +167,7 @@ def test_criterion_9_cartan_model():
     Hpt = cartan_cohomology(CartanComplex(RT, point_model()))
     ok = ok and Hpt.num_rels == 0 and Hpt.gens_degrees == (0,)
     for model in (circle_model(), point_model()):
-        ok = ok and uct_collapse_check(model, RT, SERIES_DEGREE).passed
+        ok = ok and model_uct(model, RT, SERIES_DEGREE).passed
     report("9 cartan-model-and-uct", ok)
 
 

@@ -3,11 +3,11 @@ import pytest
 from equisyz.polyring import GradedPolynomialRing
 from equisyz.gradmod import dimension, iso_surrogate_equal, FPModule
 from helpers import (
-    circle_model, formal_model, point_model, series_leq, times_qpoly,
+    circle_model, formal_model, model_uct, point_model, series_leq, times_qpoly,
 )
 from equisyz.cartan import (
     GStarModule, CartanComplex, cartan_cohomology, dualize_gstar,
-    equivariant_homology, uct_collapse_check,
+    equivariant_homology,
 )
 
 
@@ -102,15 +102,15 @@ def test_equivariant_homology_point_and_formal(RT):
 
 def test_uct_collapse_examples(RT):
     for model in (point_model(), circle_model(), formal_model((0, 2), 1)):
-        rep = uct_collapse_check(model, RT)
+        rep = model_uct(model, RT)
         assert rep.passed, rep.status
-    rep = uct_collapse_check(circle_model(), RT)
+    rep = model_uct(circle_model(), RT)
     assert rep.shift == 1
 
 
 def test_uct_collapse_two_torus():
     RT2 = GradedPolynomialRing(["t1", "t2"])
-    rep = uct_collapse_check(two_torus_model(), RT2)
+    rep = model_uct(two_torus_model(), RT2)
     assert rep.passed and rep.shift == 2
 
 

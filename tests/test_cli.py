@@ -79,6 +79,24 @@ def test_cartan_circle():
     assert names["universal-coefficient collapse"] == "pass"
 
 
+def test_cartan_command_builds_each_complex_once(monkeypatch):
+    # one Cartan complex for the cohomology and one for the homology; the
+    # collapse check reuses both
+    from equisyz.cartan import CartanComplex
+    builds = []
+    real_init = CartanComplex.__init__
+
+    def counted_init(self, *args, **kwargs):
+        builds.append(args)
+        real_init(self, *args, **kwargs)
+    monkeypatch.setattr(CartanComplex, "__init__", counted_init)
+    code, report = run(["cartan", data_path("circle_model.json")])
+    assert code == EXIT_PASS
+    names = {c["name"]: c["verdict"] for c in report["checks"]}
+    assert names["universal-coefficient collapse"] == "pass"
+    assert len(builds) == 2
+
+
 def test_filtration_verify_all_data():
     for name in ["s2_filtration.json", "s2xs2_filtration.json",
                  "free_circle.json", "su2_g_filtration.json"]:

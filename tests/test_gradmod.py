@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,8 @@ from equisyz.gradmod import (
 from equisyz.weyl import cyclic_sign_group, symmetric_group_on_sum_zero
 from helpers import (
     alternating_hilbert, dual_module, koszul_syzygy_module, random_homogeneous,
-    random_module, reference_syzygy_order, residue_field_module, restrict_scalars,
-    times_qpoly,
+    random_module, reference_minimal_generating_indices, reference_syzygy_order,
+    residue_field_module, restrict_scalars, times_qpoly,
 )
 
 
@@ -424,7 +425,6 @@ def test_verify_exact_rejects_nonzero_composite_and_inexact_chain(R):
 
 
 def test_verify_exact_and_minimal_module_reuse_cached_bases(monkeypatch):
-    import equisyz.gradmod as gradmod
     import equisyz.polyring as polyring
     R4 = GradedPolynomialRing(["x1", "x2", "x3", "x4"])
     m = residue_field_module(R4)
@@ -432,25 +432,60 @@ def test_verify_exact_and_minimal_module_reuse_cached_bases(monkeypatch):
     res = minimal_resolution(m)
 
     calls = []
-    real_init = polyring.SubmoduleGB.__init__
-    real_buchberger = polyring.buchberger
 
-    def counted_init(self, *args, **kwargs):
-        calls.append("SubmoduleGB")
-        real_init(self, *args, **kwargs)
+    def counting(cls, name):
+        real_init = cls.__init__
+
+        def counted_init(self, *args, **kwargs):
+            calls.append(name)
+            real_init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted_init)
+
+    counting(polyring.SubmoduleGB, "SubmoduleGB")
+    counting(polyring.GroebnerBasis, "GroebnerBasis")
+    real_buchberger = polyring.buchberger
 
     def counted_buchberger(vectors):
         calls.append("buchberger")
         return real_buchberger(vectors)
 
-    monkeypatch.setattr(polyring.SubmoduleGB, "__init__", counted_init)
-    for module in (polyring, gradmod):
-        monkeypatch.setattr(module, "buchberger", counted_buchberger)
+    # polyring is the only submodule that binds buchberger: SubmoduleGB calls
+    # it there, and gradmod grows GroebnerBasis objects instead
+    assert [name for name, mod in sys.modules.items() if name.startswith("equisyz.")
+            and getattr(mod, "buchberger", None) is real_buchberger] == ["equisyz.polyring"]
+    monkeypatch.setattr(polyring, "buchberger", counted_buchberger)
     assert res.verify_exact()
     assert calls == []
     # the hooks do count: a fresh module's Hilbert series builds its basis
     residue_field_module(R4).hilbert()
-    assert "SubmoduleGB" in calls and "buchberger" in calls
+    assert {"SubmoduleGB", "buchberger", "GroebnerBasis"} <= set(calls)
+
+
+def test_minimal_generating_indices_match_reference_rerun():
+    # one GroebnerBasis grown vector by vector keeps the same indices as
+    # recomputing the reduced basis after every kept vector: on the
+    # relation columns of seeded random modules (and a redundant copy of
+    # them) and on the syzygies of every map of their minimal resolutions
+    from equisyz.gradmod import minimal_generating_indices
+    from equisyz.polyring import syzygy_basis
+    R3 = GradedPolynomialRing(["x", "y", "z"])
+    x = R3.var(0)
+    cases = []
+    for seed in range(30):
+        m = random_module(R3, random.Random(seed))
+        cols = m.relation_columns()
+        cases.append((cols, m.gens_degrees))
+        if cols:
+            cases.append((cols[::-1] + [cols[0].poly_mul(x), cols[-1]], m.gens_degrees))
+        for phi in minimal_resolution(m).maps:
+            syz = syzygy_basis(R3, phi.target.rank, phi.columns())
+            cases.append((syz, phi.source.degrees))
+    dropped = 0
+    for vectors, degrees in cases:
+        kept = minimal_generating_indices(vectors, degrees)
+        assert kept == reference_minimal_generating_indices(vectors, degrees)
+        dropped += len(kept) < sum(not v.is_zero() for v in vectors)
+    assert len(cases) >= 80 and dropped >= 20
 
 
 def test_cached_gb_is_the_reduced_basis_of_columns_and_syzygies():

@@ -6,11 +6,11 @@ import pytest
 
 from equisyz.polyring import (
     EXPONENT_LIMIT, ExponentLimitError, GradedPolynomialRing, Polynomial, Vector,
-    buchberger, normal_form, divide, SubmoduleGB,
+    GroebnerBasis, buchberger, divide, SubmoduleGB,
     syzygy_basis, quotient_hilbert_series, HilbertSeries, determinant,
 )
 from helpers import (
-    groebner_basis, random_homogeneous, random_module, random_vector,
+    groebner_basis, normal_form, random_homogeneous, random_module, random_vector,
     reference_buchberger, reference_divide, reference_det, residue_field_module,
     series_minus,
 )
@@ -247,6 +247,38 @@ def test_buchberger_matches_reference_on_rational_modules():
             tried += 1
             assert buchberger(gens) == reference_buchberger(gens)
     assert tried >= 30
+
+
+def test_groebner_basis_add_and_contains_match_division_by_buchberger():
+    # growing one basis answers membership as division by the reduced basis
+    # of everything added so far does, and ends at that reduced basis; on
+    # the generators of the reference test above, added in their order
+    rng = random.Random(1988)
+    ring = GradedPolynomialRing(["x", "y", "z"])
+    members = outsiders = spanned = 0
+    for _ in range(40):
+        gens = _rational_generators(ring, rng)
+        if not gens:
+            continue
+        rank = gens[0].rank
+        basis = GroebnerBasis(ring)
+        for k, v in enumerate(gens):
+            inside = divide(v, buchberger(gens[:k]))[1].is_zero()
+            assert basis.add(v) == (not inside)
+            spanned += inside
+        gb = buchberger(gens)
+        assert basis.reduced(rank) == gb
+        for _ in range(3):
+            w = random_vector(ring, (0,) * rank, 4, rng, rational=True)
+            if rng.random() < 0.5:
+                w = Vector(ring, rank, {})
+                for g in gens:
+                    w = w + g.poly_mul(random_homogeneous(ring, 2, rng))
+            inside = divide(w, gb)[1].is_zero()
+            assert basis.contains(w) == inside
+            members += inside
+            outsiders += not inside
+    assert members >= 20 and outsiders >= 20 and spanned >= 5
 
 
 def _check_primitive(v):

@@ -403,6 +403,52 @@ def test_invariants_match_reference_selection():
             _assert_matches_reference(mod, gens[::-1])
 
 
+def test_greedy_selection_grows_one_basis(monkeypatch):
+    # minimal_generating_indices and invariants make one GroebnerBasis.add
+    # per candidate they visit; buchberger runs only inside the SubmoduleGB
+    # builds that present the result, never for the selection
+    from equisyz import gradmod
+    counts = dict.fromkeys(["add", "reynolds_tuple", "SubmoduleGB", "buchberger",
+                            "buchberger_in_selection"], 0)
+    active = []
+
+    def counting(owner, name, key):
+        orig = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            if key == "buchberger" and "SubmoduleGB" not in active:
+                counts["buchberger_in_selection"] += 1
+            active.append(key)
+            try:
+                return orig(*args, **kwargs)
+            finally:
+                active.pop()
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(polyring.GroebnerBasis, "add", "add")
+    counting(WEquivariantFreeModule, "reynolds_tuple", "reynolds_tuple")
+    counting(polyring.SubmoduleGB, "__init__", "SubmoduleGB")
+    counting(polyring, "buchberger", "buchberger")
+
+    ring = GradedPolynomialRing(["x", "y", "z"])
+    rng = random.Random(4)
+    vectors = [random_vector(ring, (0, 2), rng.choice([2, 4]), rng) for _ in range(6)]
+    vectors += [Vector(ring, 2, {}), vectors[0].scale(3), vectors[0].poly_mul(ring.var(0))]
+    visited = sum(not v.is_zero() for v in vectors)
+    kept = gradmod.minimal_generating_indices(vectors, (0, 2))
+    assert 0 < len(kept) <= visited - 2
+    assert counts["add"] == visited and counts["buchberger"] == 0, counts
+
+    a2 = symmetric_group_on_sum_zero(3)
+    mod = _orbit_module(a2, (1, 0), _linear)
+    counts.update(dict.fromkeys(counts, 0))
+    inv = mod.invariants()
+    assert inv.molien_consistent
+    assert counts["add"] == counts["reynolds_tuple"] > len(inv.generators), counts
+    assert counts["buchberger"] > 0 and counts["buchberger_in_selection"] == 0, counts
+
+
 def test_descend_reynolds_and_expand_counts(tmp_path, monkeypatch):
     # deterministic work of gkm --check descend on symmetric P^3 (S_4): the
     # selection expanded every one of 96 candidates (96 Reynolds images,
