@@ -5,11 +5,12 @@ degree-reverse-lexicographic monomial order (position-over-term for free
 modules, earlier columns greater), Buchberger's algorithm for submodules of
 graded free modules, normal forms, syzygies via block elimination, and
 Hilbert series from staircase counts.  One Buchberger state, GroebnerBasis,
-serves buchberger and greedy minimal generation (add, contains).  Every
-public coefficient is an exact Fraction; the Groebner core (divide,
-GroebnerBasis) reduces primitive integer multiples of its vectors by
-fraction-free pseudo-division and rescales only what it returns.  Nothing
-here ever touches a float.
+serves buchberger and greedy minimal generation (add, contains); each of
+its pending S-pairs carries its lcm.  Every public coefficient is an exact
+Fraction; the Groebner core (divide, GroebnerBasis, SubmoduleGB) reduces
+primitive integer multiples of its vectors by fraction-free
+pseudo-division and rescales only what it returns.  Nothing here ever
+touches a float.
 
 Public terms are (col, exps) tuples.  Inside the core (_reduce, s_vector,
 GroebnerBasis) each term is one int (GradedPolynomialRing._pack): 16-bit
@@ -262,6 +263,8 @@ class GradedPolynomialRing:
 
     @classmethod
     def from_descriptor(cls, obj):
+        if not isinstance(obj, dict):
+            raise DatumError("ring must be a JSON object, got %r" % (obj,))
         degrees = obj.get("degrees")
         return cls(obj["vars"], None if degrees is None else _integers(degrees, "degrees"))
 
@@ -626,17 +629,18 @@ def s_vector(f, g):
     forms of f and g.
     """
     ring = f.ring
-    terms = _s_terms(ring, f._packed(), g._packed())
+    pf, pg = f._packed(), g._packed()
+    col, ef = ring._unpack(pf[0])
+    cg, eg = ring._unpack(pg[0])
+    assert col == cg
+    terms = _s_terms(ring, pf, pg, ring._pack(col, _mono_lcm(ef, eg)))
     return Vector(ring, f.rank, {ring._unpack(k): c for k, c in terms.items()})
 
 
-def _s_terms(ring, f, g):
-    """The packed terms of s_vector for packed primitive forms f and g."""
+def _s_terms(ring, f, g, m):
+    """The packed terms of s_vector for packed primitive forms f and g
+    whose leads have the packed lcm m."""
     (kf, fi), (kg, gi) = f, g
-    col, ef = ring._unpack(kf)
-    eg = ring._unpack(kg)[1]
-    assert col == -(kg >> ring._cshift)
-    m = ring._pack(col, tuple(map(max, ef, eg)))
     lf, lg = fi[kf], gi[kg]
     d = gcd(lf, lg)
     a, b = lg // d, lf // d
@@ -804,76 +808,53 @@ def determinant(matrix, ring):
     return m[n - 1][n - 1] if sign > 0 else -m[n - 1][n - 1]
 
 
-def _update_pairs(single, pairs, leads, new, ring):
-    """Gebauer-Moeller style pair update, restricted to same-column pairs.
-
-    leads[i] is element i's lead (col, exps); single[i] says whether the
-    element lies in one column, and the product criterion applies only to
-    pairs of such elements.
-    """
-    tnew = leads[new]
-
-    def lcm_key(i, j):
-        return _mono_lcm(leads[i][1], leads[j][1])
-
-    kept = set()
-    for (i, j) in pairs:
-        lij = lcm_key(i, j)
-        if (leads[i][0] == tnew[0]
-                and _mono_divides(tnew[1], lij)
-                and lij != _mono_lcm(leads[i][1], tnew[1])
-                and lij != _mono_lcm(leads[j][1], tnew[1])):
-            continue  # chain criterion: (i,new) and (j,new) cover (i,j)
-        kept.add((i, j))
-
-    cands = [i for i in range(new) if leads[i][0] == tnew[0]]
-    buckets = {}
-    for i in cands:
-        buckets.setdefault(_mono_lcm(leads[i][1], tnew[1]), []).append(i)
-    minimal = []
-    for m in sorted(buckets, key=ring.monomial_key):
-        if all(not _mono_divides(m2, m) or m2 == m for m2 in minimal):
-            minimal.append(m)
-    for m in minimal:
-        bucket = buckets[m]
-        coprime = any(
-            _mono_lcm(leads[i][1], tnew[1]) == _mono_mul(leads[i][1], tnew[1])
-            and single[i] and single[new]
-            for i in bucket)
-        if coprime:
-            continue  # product criterion (effectively the ideal case)
-        kept.add((min(bucket), new))
-    return kept
-
-
 class GroebnerBasis:
     """A Groebner basis grown one generator at a time: packed primitive
     forms (lead, terms), their leads (col, exps), single-column flags and
-    the pending S-pairs (_update_pairs), reduced smallest lcm first."""
+    the pending S-pairs, a dict from each same-column pair (i, j), i < j,
+    to the packed key and exponents of its lcm, made once with the pair.
+    Pairs are reduced smallest key, then (i, j), first."""
 
     def __init__(self, ring):
         self.ring = ring
-        self._forms, self._leads, self._single, self._pairs = [], [], [], set()
+        self._forms, self._leads, self._single, self._pairs = [], [], [], {}
 
     def _insert(self, form):
+        """Append form and update the pending pairs, Gebauer-Moeller style,
+        restricted to same-column pairs; the product criterion applies only
+        to pairs of elements that each lie in one column."""
+        ring, leads, single = self.ring, self._leads, self._single
+        new = len(leads)
+        col, tnew = ring._unpack(form[0])
+        lcms = {i: _mono_lcm(e, tnew) for i, (c, e) in enumerate(leads) if c == col}
         self._forms.append(form)
-        self._leads.append(self.ring._unpack(form[0]))
-        self._single.append(len({k >> self.ring._cshift for k in form[1]}) == 1)
-        self._pairs = _update_pairs(self._single, self._pairs, self._leads,
-                                    len(self._forms) - 1, self.ring)
+        leads.append((col, tnew))
+        single.append(len({k >> ring._cshift for k in form[1]}) == 1)
+        # chain criterion: (i, new) and (j, new) cover (i, j)
+        self._pairs = {p: (key, m) for p, (key, m) in self._pairs.items()
+                       if not (p[0] in lcms and _mono_divides(tnew, m)
+                               and m != lcms[p[0]] and m != lcms[p[1]])}
+        buckets = {}
+        for i, m in lcms.items():
+            buckets.setdefault(m, []).append(i)
+        minimal = []
+        for m in sorted(buckets, key=ring.monomial_key):
+            if not any(_mono_divides(m2, m) for m2 in minimal):
+                minimal.append(m)
+        for m in minimal:
+            bucket = buckets[m]
+            if single[new] and any(single[i] and m == _mono_mul(leads[i][1], tnew)
+                                   for i in bucket):
+                continue  # product criterion (effectively the ideal case)
+            self._pairs[bucket[0], new] = (ring._pack(col, m), m)
 
     def _complete(self):
         """Reduce the pending pairs, inserting every nonzero remainder."""
-        ring, forms, leads = self.ring, self._forms, self._leads
-
-        def pair_key(p):
-            col, ei = leads[p[0]]
-            return ring._pack(col, _mono_lcm(ei, leads[p[1]][1])), p
-
+        ring, forms = self.ring, self._forms
         while self._pairs:
-            i, j = min(self._pairs, key=pair_key)
-            self._pairs.discard((i, j))
-            _, r = _reduce(ring, _s_terms(ring, forms[i], forms[j]), forms)
+            key, i, j = min((key, i, j) for (i, j), (key, _) in self._pairs.items())
+            del self._pairs[i, j]
+            _, r = _reduce(ring, _s_terms(ring, forms[i], forms[j], key), forms)
             if r:
                 self._insert(_content_free(r))
 
@@ -932,6 +913,8 @@ class SubmoduleGB:
     every ambient position, so reduced elements supported purely in the aux
     block are exactly the syzygies, and reducing (v, 0) yields both the
     normal form of v and division certificates against the original g_i.
+    Membership and certificates reduce v's packed form, by the packed forms
+    of gb and of the block basis, as GroebnerBasis.contains does.
     """
 
     def __init__(self, ring, rank, gens):
@@ -960,30 +943,27 @@ class SubmoduleGB:
                 self._syz.append(part)
             part._lead = ((col, exps), _ONE)
 
-    def normal_form(self, v):
-        if not self.gb:
-            return v
-        return divide(v, self.gb)[1]
-
     def contains(self, v):
-        return self.normal_form(v).is_zero()
+        """Whether v reduces to zero by gb, i.e. lies in the submodule."""
+        return not _reduce(self.ring, v._packed()[1], [g._packed() for g in self.gb])[1]
 
     def reduce_with_certificate(self, v):
-        """(normal form of v, coefficients q) with v = sum(q_i gens[i]) + nf."""
-        s = len(self.gens)
-        ext = Vector(self.ring, self.rank + s,
-                     {(c, e): cv for (c, e), cv in v.data.items()})
-        if not self._ext_gb:
-            return v, [self.ring.zero()] * s
-        rem = divide(ext, self._ext_gb)[1]
-        nf = Vector(self.ring, self.rank,
-                    {(c, e): cv for (c, e), cv in rem.data.items() if c < self.rank})
-        coeffs = [self.ring.zero()] * s
-        for (c, e), cv in rem.data.items():
-            if c >= self.rank:
-                coeffs[c - self.rank] = coeffs[c - self.rank] + Polynomial(
-                    self.ring, {e: -cv})
-        return nf, coeffs
+        """(normal form of v, coefficients q) with v = sum(q_i gens[i]) + nf.
+
+        The packed form of v is reduced by the packed block basis; the
+        remainder's ambient terms are the normal form and its aux terms -q.
+        """
+        ring, rank = self.ring, self.rank
+        scale, rem = _reduce(ring, v._packed()[1], [g._packed() for g in self._ext_gb])
+        s = v._primitive()[0] / scale
+        nf, coeffs = {}, [{} for _ in self.gens]
+        for k, c in rem.items():
+            col, e = ring._unpack(k)
+            if col < rank:
+                nf[col, e] = s * c
+            else:
+                coeffs[col - rank][e] = -s * c
+        return Vector(ring, rank, nf), [Polynomial(ring, q) for q in coeffs]
 
     def lift(self, v):
         """Coefficients q with v = sum(q_i * gens[i]), or None if not a member."""

@@ -9,7 +9,7 @@ from itertools import combinations
 
 from equisyz.polyring import (
     GradedPolynomialRing, HilbertSeries, Polynomial, Vector, _exact_divide,
-    _update_pairs, buchberger, divide, qpoly_add, qpoly_mul, syzygy_basis,
+    buchberger, divide, qpoly_add, qpoly_mul, syzygy_basis,
 )
 from equisyz.gradmod import (
     FPModule, FPMap, SyzygyOrderResult, minimal_resolution, fp_kernel,
@@ -215,12 +215,59 @@ def reference_divide(f, divisors):
             Vector(ring, f.rank, rem))
 
 
+def reference_update_pairs(single, pairs, leads, new, ring):
+    """Gebauer-Moeller style pair update, restricted to same-column pairs.
+
+    The pair update of polyring.GroebnerBasis._insert in its earlier
+    free-function form, kept as the reference it is tested against and
+    sharing no code with it: leads[i] is element i's lead (col, exps),
+    single[i] says whether the element lies in one column (the product
+    criterion applies only to pairs of such elements), and the pending
+    pairs after inserting element new are returned as a set.
+    """
+    def lcm(a, b):
+        return tuple(max(x, y) for x, y in zip(a, b))
+
+    def divides(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    tnew = leads[new]
+    kept = set()
+    for (i, j) in pairs:
+        lij = lcm(leads[i][1], leads[j][1])
+        if (leads[i][0] == tnew[0]
+                and divides(tnew[1], lij)
+                and lij != lcm(leads[i][1], tnew[1])
+                and lij != lcm(leads[j][1], tnew[1])):
+            continue  # chain criterion: (i,new) and (j,new) cover (i,j)
+        kept.add((i, j))
+
+    cands = [i for i in range(new) if leads[i][0] == tnew[0]]
+    buckets = {}
+    for i in cands:
+        buckets.setdefault(lcm(leads[i][1], tnew[1]), []).append(i)
+    minimal = []
+    for m in sorted(buckets, key=ring.monomial_key):
+        if all(not divides(m2, m) or m2 == m for m2 in minimal):
+            minimal.append(m)
+    for m in minimal:
+        bucket = buckets[m]
+        coprime = any(
+            lcm(leads[i][1], tnew[1]) == tuple(x + y for x, y in zip(leads[i][1], tnew[1]))
+            and single[i] and single[new]
+            for i in bucket)
+        if coprime:
+            continue  # product criterion (effectively the ideal case)
+        kept.add((min(bucket), new))
+    return kept
+
+
 def reference_buchberger(vectors):
     """Reduced Groebner basis by Buchberger's algorithm over Q.
 
     The form polyring.buchberger had before it kept its basis as primitive
     integer vectors, kept as the reference it is tested against: the same
-    pair selection and criteria (polyring._update_pairs), on monic vectors,
+    pair selection and criteria (reference_update_pairs), on monic vectors,
     with Fraction S-vectors and every reduction by reference_divide.
     """
     vectors = [v.monic() for v in vectors if not v.is_zero()]
@@ -247,8 +294,8 @@ def reference_buchberger(vectors):
     for v in vectors:
         basis.append(v)
         leads.append(v.lead()[0])
-        pairs = _update_pairs([single(b) for b in basis], pairs, leads,
-                              len(basis) - 1, ring)
+        pairs = reference_update_pairs([single(b) for b in basis], pairs, leads,
+                                       len(basis) - 1, ring)
     while pairs:
         i, j = min(pairs, key=pair_key)
         pairs.discard((i, j))
@@ -260,8 +307,8 @@ def reference_buchberger(vectors):
             continue
         basis.append(r.monic())
         leads.append(r.lead()[0])
-        pairs = _update_pairs([single(b) for b in basis], pairs, leads,
-                              len(basis) - 1, ring)
+        pairs = reference_update_pairs([single(b) for b in basis], pairs, leads,
+                                       len(basis) - 1, ring)
     keep = []
     for i, v in enumerate(basis):
         ci, ei = leads[i]

@@ -257,6 +257,16 @@ def test_exit_two_on_non_object_input(tmp_path):
                            else [command, path])
         assert code == EXIT_INPUT, command
         assert report["error"] == "input must be a JSON object"
+    # a "ring" that is not an object used to end in an AttributeError, exit 3
+    for command, name in (("module-analyze", "koszul2.json"),
+                          ("filtration-verify", "su2_g_filtration.json")):
+        with open(data_path(name)) as fh:
+            obj = json.load(fh)
+        for ring in (["x"], "x", 1.5):
+            path = write_json(tmp_path, "ring.json", dict(obj, ring=ring))
+            code, report = run([command, path])
+            assert code == EXIT_INPUT, (command, ring, report)
+            assert "ring must be a JSON object" in report["error"]
 
 
 def test_exit_two_on_negative_max_degree():
