@@ -32,6 +32,7 @@ from .equivtop import (
 )
 
 EXIT_PASS, EXIT_FAIL, EXIT_INPUT, EXIT_INTERNAL = 0, 1, 2, 3
+_DEPTH_ATTEMPTS = 8  # random linear forms tried per element of a regular sequence
 
 
 class InputError(ValueError):
@@ -107,7 +108,7 @@ def run_module_analyze(obj, checks, nmax, seed):
     return out, summary
 
 
-def _depth_spot_check(module, dep, seed, attempts=8):
+def _depth_spot_check(module, dep, seed):
     """A regular sequence of length = depth exists among random linear forms.
 
     Generic forms of the minimal variable degree realize the depth, so at
@@ -122,7 +123,7 @@ def _depth_spot_check(module, dep, seed, attempts=8):
     small = [i for i in range(ring.num_vars) if ring.degrees[i] == dmin]
     current = module.minimized()
     for _ in range(dep):
-        for _ in range(attempts):
+        for _ in range(_DEPTH_ATTEMPTS):
             f = ring.zero()
             for i in small:
                 c = rng.randint(-5, 5)

@@ -20,11 +20,11 @@ from fractions import Fraction
 from math import gcd
 
 from .polyring import (
-    GradedPolynomialRing, Vector, SubmoduleGB, DatumError, determinant,
+    GradedPolynomialRing, Vector, DatumError, determinant,
     _exact_divide, _integers,
 )
 from .gradmod import (
-    FreeModule, FPModule, FPMap, fp_kernel, homology,
+    FPModule, FPMap, fp_kernel, homology,
     cohen_macaulay, ext_module, syzygy_order, biduality, base_change,
     iso_surrogate_equal, _betti_json,
 )
@@ -233,17 +233,9 @@ def chang_skjelbred(graph):
 class KernelResult:
     """Kernel of the edge-difference map with its inclusion vectors."""
 
-    def __init__(self, module, generators, ambient):
+    def __init__(self, module, generators):
         self.module = module
         self.generators = generators
-        self.ambient = ambient
-        self._membership_gb = None
-
-    def membership_gb(self):
-        if self._membership_gb is None:
-            self._membership_gb = SubmoduleGB(self.module.ring, self.ambient.rank,
-                                              self.generators)
-        return self._membership_gb
 
 
 def gkm_cohomology(graph):
@@ -252,10 +244,7 @@ def gkm_cohomology(graph):
     Computed once per graph.
     """
     if graph._kernel is None:
-        ab0, ab1, delta0 = chang_skjelbred(graph)
-        module, gens = fp_kernel(delta0)
-        graph._kernel = KernelResult(module, gens,
-                                     FreeModule(graph.ring, ab0.gens_degrees))
+        graph._kernel = KernelResult(*fp_kernel(chang_skjelbred(graph)[2]))
     return graph._kernel
 
 
@@ -528,21 +517,21 @@ def descend_invariants(graph, nmax=40):
     return DescentResult(hg, inv.generators, checks)
 
 
-def integrate(graph, klass):
-    """Fixed-point localization: sum of f_v over the vertex Euler classes.
+def _satisfies_congruences(graph, polys):
+    """Whether alpha_e divides f_v - f_w on every edge e = (v, w): the
+    kernel of the edge-difference map, H_T(X) by Goresky-Kottwitz-MacPherson."""
+    at = dict(zip(graph.vertices, polys))
+    return all(_exact_divide(at[v] - at[w], graph.weight_form(weight))[1]
+               for v, w, weight in graph.edges)
 
-    The class must lie in the kernel of the edge-difference map, and the
-    localized sum must simplify to a polynomial; either failure raises.
-    """
+
+def _localize(graph, polys):
+    """Sum of f_v / e_v over the vertices: sum f_v * (L / e_v) divided once
+    by the lcm L of the Euler classes; raises unless it is a polynomial."""
     ring = graph.ring
-    nv = len(graph.vertices)
-    if isinstance(klass, (list, tuple)):
-        klass = Vector.from_polys(list(klass), nv)
-    if not gkm_cohomology(graph).membership_gb().contains(klass):
-        raise DatumError("class is not in the kernel of the edge-difference map")
     lcm, cofactors = graph.localization()
     total_num = ring.zero()
-    for f, cofactor in zip(klass.to_polys(), cofactors):
+    for f, cofactor in zip(polys, cofactors):
         if not f.is_zero():
             total_num = total_num + f * cofactor
     if total_num.is_zero():
@@ -554,11 +543,26 @@ def integrate(graph, klass):
     return quot
 
 
+def integrate(graph, klass):
+    """Fixed-point localization: sum of f_v over the vertex Euler classes.
+
+    The class must satisfy the edge congruences (lie in the kernel of the
+    edge-difference map) and localize to a polynomial; either failure raises.
+    """
+    if isinstance(klass, (list, tuple)):
+        klass = Vector.from_polys(list(klass), len(graph.vertices))
+    polys = klass.to_polys()
+    if not _satisfies_congruences(graph, polys):
+        raise DatumError("class is not in the kernel of the edge-difference map")
+    return _localize(graph, polys)
+
+
 def pairing_perfection(graph):
     """Gram matrix of the localized pairing on a free kernel basis.
 
     Perfect iff the determinant is a nonzero scalar; the verdict is
-    cross-checked against reflexivity of the kernel module.
+    cross-checked against reflexivity of the kernel module.  The kernel is
+    a ring, so every product of basis vectors is localized unchecked.
     """
     kernel = gkm_cohomology(graph)
     if kernel.module.num_rels != 0:
@@ -570,7 +574,7 @@ def pairing_perfection(graph):
     for i in range(n):
         for j in range(i, n):
             prod = [a * b for a, b in zip(basis[i], basis[j])]
-            gram[i][j] = gram[j][i] = integrate(graph, prod)
+            gram[i][j] = gram[j][i] = _localize(graph, prod)
     det = determinant(gram, graph.ring)
     unit = (not det.is_zero()) and set(det.terms) == {graph.ring.zero_exps}
     refl = biduality(kernel.module).reflexive

@@ -252,31 +252,26 @@ class FPModule:
         rows = [list(r) for r in self.pmap.entries]
         gdeg = list(self.gens_degrees)
         cdeg = list(self.pmap.source.degrees)
-        zero_exps = ring.zero_exps
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(gdeg)):
-                for j in range(len(cdeg)):
-                    ent = rows[i][j]
-                    if ent.is_zero() or set(ent.terms) != {zero_exps}:
-                        continue
-                    c = ent.constant_term()
-                    for jj in range(len(cdeg)):
-                        if jj == j or rows[i][jj].is_zero():
-                            continue
-                        factor = rows[i][jj].scale(1 / c)
-                        for k in range(len(gdeg)):
-                            rows[k][jj] = rows[k][jj] - factor * rows[k][j]
-                    for k in range(len(gdeg)):
-                        del rows[k][j]
-                    del cdeg[j]
-                    del rows[i]
-                    del gdeg[i]
-                    changed = True
-                    break
-                if changed:
-                    break
+        constant = {ring.zero_exps}
+        while True:
+            # the first unit entry in row-major order, if any
+            i, j = next(((i, j) for i, row in enumerate(rows)
+                         for j, ent in enumerate(row) if ent.terms.keys() == constant),
+                        (None, None))
+            if i is None:
+                break
+            c = rows[i][j].constant_term()
+            for jj in range(len(cdeg)):
+                if jj == j or rows[i][jj].is_zero():
+                    continue
+                factor = rows[i][jj].scale(1 / c)
+                for k in range(len(gdeg)):
+                    rows[k][jj] = rows[k][jj] - factor * rows[k][j]
+            for k in range(len(gdeg)):
+                del rows[k][j]
+            del cdeg[j]
+            del rows[i]
+            del gdeg[i]
         tgt = FreeModule(ring, gdeg)
         cols = [v for v in _matrix_columns(ring, rows, len(cdeg))
                 if not v.is_zero()]

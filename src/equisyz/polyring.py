@@ -6,7 +6,9 @@ modules, earlier columns greater), Buchberger's algorithm for submodules of
 graded free modules, normal forms, syzygies via block elimination, and
 Hilbert series from staircase counts.  One Buchberger state, GroebnerBasis,
 serves buchberger and greedy minimal generation (add, contains); each of
-its pending S-pairs carries its lcm.  Every public coefficient is an exact
+its pending S-pairs carries its lcm.  Cofactors come only from aux columns:
+divide and SubmoduleGB reduce by block vectors g_i + e_i and read them off
+the remainder (_certificate).  Every public coefficient is an exact
 Fraction; the Groebner core (divide, GroebnerBasis, SubmoduleGB) reduces
 primitive integer multiples of its vectors by fraction-free
 pseudo-division and rescales only what it returns.  Nothing here ever
@@ -660,7 +662,7 @@ def _s_terms(ring, f, g, m):
     return out
 
 
-def _reduce(ring, terms, divisors, quots=None):
+def _reduce(ring, terms, divisors):
     """Fraction-free full division of packed integer terms by packed
     primitive forms (lead, terms) of the divisors.
 
@@ -669,13 +671,11 @@ def _reduce(ring, terms, divisors, quots=None):
     divisible by any divisor's lead.  Each term is reduced by the first
     divisor (in list order) whose lead divides it, as by pseudo-division:
     for the term's coefficient c, the divisor's lead coefficient l
-    (positive) and g = gcd(c, l), everything pending, the remainder so far
-    and the quotients are multiplied by l/g when that is not 1, and then
-    (c/g) times the divisor's monomial multiple is subtracted.  So every
-    choice is that of division over Q, and every intermediate result a
-    positive multiple of it.  When quots is a list of one dict per divisor,
-    the integer quotients q_i are written into it, keyed by the packed
-    multiplier (the difference of the term's and the lead's keys).
+    (positive) and g = gcd(c, l), everything pending and the remainder so
+    far are multiplied by l/g when that is not 1, and then (c/g) times the
+    divisor's monomial multiple is subtracted.  So every choice is that of
+    division over Q, and every intermediate result a positive multiple of
+    it.  The q_i are not kept; _certificate reads them off aux columns.
 
     The pending terms sit in a heap of negated keys (Monagan-Pearce); a
     cancelled term stays in the heap and is skipped when popped.  Reduction
@@ -687,9 +687,9 @@ def _reduce(ring, terms, divisors, quots=None):
     """
     mask, guard, cshift = ring._mask, ring._guard, ring._cshift
     by_col = {}
-    for i, (lead, ints) in enumerate(divisors):
+    for lead, ints in divisors:
         by_col.setdefault(lead >> cshift, []).append(
-            (i, lead, ~lead & mask, ints[lead], ints))
+            (lead, ~lead & mask, ints[lead], ints))
     scale = 1
     rem = {}
     p = dict(terms)
@@ -701,18 +701,16 @@ def _reduce(ring, terms, divisors, quots=None):
         if coeff is None:
             continue
         fields = ~t & mask | guard
-        for i, lead, lfields, glc, ints in by_col.get(t >> cshift, ()):
+        for lead, lfields, glc, ints in by_col.get(t >> cshift, ()):
             if (fields - lfields) & guard == guard:
                 q = t - lead
                 g = gcd(coeff, glc)
                 a, factor = glc // g, coeff // g
                 if a != 1:
                     scale *= a
-                    for part in (p, rem, *(quots or ())):
+                    for part in (p, rem):
                         for k in part:
                             part[k] *= a
-                if quots is not None:
-                    quots[i][q] = factor  # t is reduced once, so q is new
                 for k2, v2 in ints.items():
                     t2 = k2 + q
                     old = p.get(t2)
@@ -734,27 +732,44 @@ def _reduce(ring, terms, divisors, quots=None):
     return scale, rem
 
 
+def _blocks(ring, rank, gens):
+    """The block vectors g_i + e_(rank+i) in R^(rank+s), s = len(gens)."""
+    return [Vector(ring, rank + len(gens), {**g.data, (rank + i, ring.zero_exps): _ONE})
+            for i, g in enumerate(gens)]
+
+
+def _certificate(v, blocks, rank, count):
+    """(cofactors, remainder) with v = sum(cofactors[i] * g_i) + remainder,
+    for v in R^rank and blocks the block vectors g_i + e_(rank+i), i < count,
+    or a Groebner basis of them.
+
+    Every aux column is smaller than every ambient one, so _reduce of the
+    packed form of v reduces its ambient part and leaves the cofactors,
+    negated, on the aux columns of its remainder; both are rescaled here.
+    """
+    ring = v.ring
+    scale, rem = _reduce(ring, v._packed()[1], [b._packed() for b in blocks])
+    s = v._primitive()[0] / scale
+    nf, quots = {}, [{} for _ in range(count)]
+    for k, c in rem.items():
+        col, e = ring._unpack(k)
+        if col < rank:
+            nf[col, e] = s * c
+        else:
+            quots[col - rank][e] = -s * c
+    return [Polynomial(ring, q) for q in quots], Vector(ring, rank, nf)
+
+
 def divide(f, divisors):
     """Full division: f = sum(q_i * divisors[i]) + remainder.
 
     No remainder term is divisible by any divisor's lead; each term is
     reduced by the first divisor (in list order) whose lead divides it.
-    Returns (quotients as Polynomials, remainder Vector), exact over Q:
-    _reduce divides the packed primitive form of f by those of the
-    divisors, and its integer results are unpacked and rescaled once here.
+    Returns (quotients as Polynomials, remainder Vector), exact over Q, by
+    _certificate on the block vectors of the divisors, whose leads are the
+    divisors' leads.
     """
-    ring = f.ring
-    quots = [{} for _ in divisors]
-    scale, rem = _reduce(ring, f._packed()[1], [g._packed() for g in divisors],
-                         quots)
-    s = f._primitive()[0] / scale
-    polys = []
-    for q, g in zip(quots, divisors):
-        sq = s / g._primitive()[0]
-        polys.append(Polynomial(ring, {ring._exps(-m & ring._mask): sq * c
-                                       for m, c in q.items()}))
-    return polys, Vector(ring, f.rank,
-                         {ring._unpack(k): s * c for k, c in rem.items()})
+    return _certificate(f, _blocks(f.ring, f.rank, divisors), f.rank, len(divisors))
 
 
 def _exact_divide(f, g):
@@ -912,9 +927,8 @@ class SubmoduleGB:
     R^rank + R^s under position-over-term; the aux block is smaller than
     every ambient position, so reduced elements supported purely in the aux
     block are exactly the syzygies, and reducing (v, 0) yields both the
-    normal form of v and division certificates against the original g_i.
-    Membership and certificates reduce v's packed form, by the packed forms
-    of gb and of the block basis, as GroebnerBasis.contains does.
+    normal form of v and division certificates against the original g_i
+    (_certificate).  Membership reduces v's packed form by the packed gb.
     """
 
     def __init__(self, ring, rank, gens):
@@ -922,12 +936,7 @@ class SubmoduleGB:
         self.rank = rank
         self.gens = list(gens)
         s = len(self.gens)
-        ext = []
-        for i, g in enumerate(self.gens):
-            data = dict(g.data)
-            data[(rank + i, ring.zero_exps)] = Fraction(1)
-            ext.append(Vector(ring, rank + s, data))
-        self._ext_gb = buchberger(ext)
+        self._ext_gb = buchberger(_blocks(ring, rank, self.gens))
         self.gb = []
         self._syz = []
         for v in self._ext_gb:
@@ -950,20 +959,10 @@ class SubmoduleGB:
     def reduce_with_certificate(self, v):
         """(normal form of v, coefficients q) with v = sum(q_i gens[i]) + nf.
 
-        The packed form of v is reduced by the packed block basis; the
-        remainder's ambient terms are the normal form and its aux terms -q.
+        v is reduced by the block basis (_certificate).
         """
-        ring, rank = self.ring, self.rank
-        scale, rem = _reduce(ring, v._packed()[1], [g._packed() for g in self._ext_gb])
-        s = v._primitive()[0] / scale
-        nf, coeffs = {}, [{} for _ in self.gens]
-        for k, c in rem.items():
-            col, e = ring._unpack(k)
-            if col < rank:
-                nf[col, e] = s * c
-            else:
-                coeffs[col - rank][e] = -s * c
-        return Vector(ring, rank, nf), [Polynomial(ring, q) for q in coeffs]
+        coeffs, nf = _certificate(v, self._ext_gb, self.rank, len(self.gens))
+        return nf, coeffs
 
     def lift(self, v):
         """Coefficients q with v = sum(q_i * gens[i]), or None if not a member."""

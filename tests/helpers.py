@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from equisyz.polyring import (
-    GradedPolynomialRing, HilbertSeries, Polynomial, Vector, _exact_divide,
+    GradedPolynomialRing, HilbertSeries, Polynomial, SubmoduleGB, Vector, _exact_divide,
     buchberger, divide, qpoly_add, qpoly_mul, syzygy_basis,
 )
 from equisyz.gradmod import (
@@ -373,13 +373,14 @@ def reference_integrate(graph, klass):
     The form equivtop.integrate had before it localized over the lcm of the
     Euler classes, kept as the reference it is tested against: each f_v is
     multiplied by every other vertex's Euler class before one exact
-    division by their product.
+    division by their product.  Membership is tested by a Groebner basis of
+    the kernel generators, not by integrate's edge congruences.
     """
     ring = graph.ring
     nv = len(graph.vertices)
     if isinstance(klass, (list, tuple)):
         klass = Vector.from_polys(list(klass), nv)
-    if not gkm_cohomology(graph).membership_gb().contains(klass):
+    if not SubmoduleGB(ring, nv, gkm_cohomology(graph).generators).contains(klass):
         raise DatumError("class is not in the kernel of the edge-difference map")
     eulers = [euler_class(graph, v) for v in graph.vertices]
     total_num = ring.zero()

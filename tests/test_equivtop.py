@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from equisyz.polyring import GradedPolynomialRing, Vector
+from equisyz.polyring import GradedPolynomialRing, SubmoduleGB, Vector
 from equisyz.gradmod import (
     FPModule, FPMap, biduality, syzygy_order, iso_surrogate_equal,
     base_change,
@@ -77,7 +77,7 @@ def test_sphere_kernel_free_rank_two():
     assert sorted(k.module.gens_degrees) == [0, 2]
     ring = k.module.ring
     t = ring.var(0)
-    gb = k.membership_gb()
+    gb = SubmoduleGB(ring, 2, k.generators)
     assert gb.contains(Vector.from_polys([ring.one(), ring.one()]))
     assert gb.contains(Vector.from_polys([t, ring.zero()]))
     assert not gb.contains(Vector.from_polys([ring.one(), ring.zero()]))
@@ -294,11 +294,36 @@ def test_integrate_detects_bad_euler_data():
 def _random_kernel_class(kernel, rng):
     """An R-combination of the kernel generators, as a list of components."""
     ring = kernel.module.ring
-    total = Vector(ring, kernel.ambient.rank, {})
+    total = Vector(ring, kernel.generators[0].rank, {})
     for gen_ in kernel.generators:
         coeff = random_homogeneous(ring, 2 * rng.randint(0, 1), rng, density=0.5)
         total = total + gen_.poly_mul(coeff)
     return total.to_polys()
+
+
+def test_edge_congruences_agree_with_kernel_membership():
+    # integrate tests membership by the edge congruences alpha_e | f_v - f_w
+    # alone; a Groebner basis of the kernel generators must agree, on
+    # R-combinations of the generators and on those plus a nonzero constant
+    # at one vertex (every vertex has an edge, whose congruence then fails)
+    from equisyz.equivtop import _satisfies_congruences
+    rng = random.Random(1998)
+    for name in ("s2", "s2xs2", "flag3"):
+        graph = load(GKMGraph, name)
+        kernel = gkm_cohomology(graph)
+        nv = len(graph.vertices)
+        gb = SubmoduleGB(graph.ring, nv, kernel.generators)
+        for _ in range(4):
+            member = _random_kernel_class(kernel, rng)
+            other = list(member)
+            k = rng.randrange(nv)
+            other[k] = other[k] + graph.ring.constant(rng.choice((-2, 1, 3)))
+            for polys, inside in ((member, True), (other, False)):
+                assert _satisfies_congruences(graph, polys) is inside, name
+                assert gb.contains(Vector.from_polys(polys, nv)) is inside, name
+            integrate(graph, member)
+            with pytest.raises(DatumError, match="not in the kernel"):
+                integrate(graph, other)
 
 
 def _integrals_agree(graph, klass):
@@ -431,12 +456,10 @@ def test_derived_euler_classes_match_explicit():
 def test_pairing_not_applicable_for_nonfree_kernel(monkeypatch):
     from equisyz import equivtop
     from equisyz.equivtop import KernelResult
-    from equisyz.gradmod import FreeModule
     ring = GradedPolynomialRing(["t"])
     t = ring.var(0)
     torsion = FPModule.quotient_by_ideal(ring, [t])
-    fake = KernelResult(torsion, [Vector.from_polys([ring.one()], 1)],
-                        FreeModule(ring, (0,)))
+    fake = KernelResult(torsion, [Vector.from_polys([ring.one()], 1)])
     monkeypatch.setattr(equivtop, "gkm_cohomology", lambda graph: fake)
     rep = pairing_perfection(load(GKMGraph, "s2"))
     assert rep.verdict == "not applicable"
@@ -448,11 +471,12 @@ def test_shipped_filtrations_match_their_constructions():
     # equivariant homology of the formal and free-circle Cartan models
     for name in ("s2", "s2xs2"):
         aug = load(FiltrationDatum, name + "_filtration").augmentation
-        kernel = gkm_cohomology(load(GKMGraph, name))
+        graph = load(GKMGraph, name)
+        kernel = gkm_cohomology(graph)
         assert aug.source.to_json() == kernel.module.to_json(), name
         assert list(map(list, aug.entries)) == [
             [g.component(i) for g in kernel.generators]
-            for i in range(kernel.ambient.rank)], name
+            for i in range(len(graph.vertices))], name
     for name, model in (("s2_filtration", formal_model((0, 2), 1)),
                         ("s2xs2_filtration", formal_model((0, 2, 2, 4), 2)),
                         ("free_circle", circle_model())):

@@ -500,6 +500,49 @@ def test_reduced_gb_matches_sympy_grevlex():
         assert ours == theirs
 
 
+def test_exact_divide_matches_sympy_div():
+    # _exact_divide reads its quotient off the aux column of divide's block
+    # vector: (f*g) / g must give back f, and f*g + r must be refused exactly
+    # when sympy's div by g leaves a nonzero remainder
+    sympy = pytest.importorskip("sympy")
+    from equisyz.polyring import _exact_divide
+    rng = random.Random(1968)
+    refused = 0
+    for names, degrees in ((["x", "y"], [2, 2]), (["x", "y", "z"], [2, 2, 4])):
+        ring = GradedPolynomialRing(names, degrees)
+        gens = sympy.symbols(names)
+
+        def rand(top):
+            # rational and inhomogeneous: every even degree up to top
+            out = ring.zero()
+            for d in range(0, top + 1, 2):
+                out = out + random_homogeneous(ring, d, rng, density=0.5, rational=True)
+            return out
+
+        def expr(p):
+            return sympy.sympify(str(p).replace("^", "**"))
+
+        for _ in range(15):
+            d = rng.choice([2, 4])
+            top = random_homogeneous(ring, d, rng, rational=True)
+            f, g, r = rand(4), top + rand(d - 2), rand(2)
+            if f.is_zero() or top.is_zero():
+                continue
+            if g.leading_term()[1] == 1:
+                g = g.scale(Fraction(-3, 2))
+            assert _exact_divide(f * g, g) == (f, True)
+            h = f * g + r
+            q, rem = sympy.div(expr(h), expr(g), *gens, domain="QQ")
+            if rem == 0:
+                want = Polynomial(ring, {e: Fraction(int(c.p), int(c.q))
+                                         for e, c in sympy.Poly(q, *gens).terms()})
+                assert _exact_divide(h, g) == (want, True)
+            else:
+                assert _exact_divide(h, g) == (None, False)
+                refused += 1
+    assert refused >= 10
+
+
 def test_hilbert_series_matches_sympy_standard_monomials():
     # the Hilbert function of Q[x,y,z]/I counts the standard monomials of
     # any Groebner basis of I; here sympy's, degree by degree
