@@ -43,7 +43,7 @@ def _load(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise InputError("cannot read %s: %s" % (path, exc))
 
 
@@ -365,7 +365,10 @@ def _execute(args):
         if args.command == "integrate":
             if args.klass is None:
                 raise InputError("integrate needs --klass")
-            kwargs["klass"] = json.loads(args.klass)
+            try:
+                kwargs["klass"] = json.loads(args.klass)
+            except RecursionError as exc:
+                raise InputError("invalid input: --klass: %s" % exc) from None
         items, summary = func(obj, checks, nmax, args.seed, **kwargs)
     except InputError as exc:
         return EXIT_INPUT, {"command": args.command, "error": str(exc)}

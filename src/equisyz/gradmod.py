@@ -12,7 +12,7 @@ tables plus Hilbert series.
 
 from .polyring import (
     Vector, SubmoduleGB, GroebnerBasis, syzygy_basis,
-    quotient_hilbert_series, GradedPolynomialRing, _integers,
+    quotient_hilbert_series, GradedPolynomialRing, _columns_below, _integers,
 )
 
 NEG_INF = float("-inf")
@@ -221,11 +221,6 @@ class FPModule:
         src = FreeModule(ring, _degrees_of(cols, tgt.degrees))
         return cls(ModuleMap.from_columns(src, tgt, cols))
 
-    @classmethod
-    def quotient_by_ideal(cls, ring, polys, gen_degree=0):
-        cols = [Vector.from_polys([p], rank=1) for p in polys if not p.is_zero()]
-        return cls.from_columns(ring, (gen_degree,), cols)
-
     def relation_columns(self):
         return self.pmap.columns()
 
@@ -362,8 +357,7 @@ def _kernel_submodule(ring, ambient_rank, first_cols, extra_cols):
     width = len(first_cols)
     out = []
     for v in syzygy_basis(ring, ambient_rank, gens):
-        w = Vector(ring, width,
-                   {(c, e): cv for (c, e), cv in v.data.items() if c < width})
+        w = _columns_below(v, width)
         if not w.is_zero():
             out.append(w)
     return out

@@ -8,18 +8,23 @@ Hilbert series from staircase counts.  One Buchberger state, GroebnerBasis,
 serves buchberger and greedy minimal generation (add, contains); each of
 its pending S-pairs carries its lcm.  Cofactors come only from aux columns:
 divide and SubmoduleGB reduce by block vectors g_i + e_i and read them off
-the remainder (_certificate).  Every public coefficient is an exact
-Fraction; the Groebner core (divide, GroebnerBasis, SubmoduleGB) reduces
-primitive integer multiples of its vectors by fraction-free
-pseudo-division and rescales only what it returns.  Nothing here ever
-touches a float.
+the remainder (_certificate).  Nothing here ever touches a float.
 
-Public terms are (col, exps) tuples.  Inside the core (_reduce, s_vector,
-GroebnerBasis) each term is one int (GradedPolynomialRing._pack): 16-bit
-exponent fields below the weighted degree below the column, so terms
-compare, multiply by a monomial and divide as ints, and divisibility is a
-guard-bit test.  An exponent above EXPONENT_LIMIT (32767) raises
-ExponentLimitError, on input and in any product; nothing wraps around.
+Public terms are (col, exps) tuples and every public coefficient is an
+exact Fraction.  Inside the core (_reduce, s_vector, GroebnerBasis) each
+term is one int (GradedPolynomialRing._pack): 16-bit exponent fields below
+the weighted degree below the column, so terms compare, multiply by a
+monomial and divide as ints, and divisibility is a guard-bit test.  An
+exponent above EXPONENT_LIMIT (32767) raises ExponentLimitError, on input
+and in any product; nothing wraps around.
+
+Each Vector has one integer form: a Fraction content c and primitive
+packed integer terms, the vector being c times them.  The core reduces
+these forms by fraction-free pseudo-division, and what it returns is born
+in that form: the reduced bases, the block vectors g_i + e_i, and the
+ambient parts and syzygies SubmoduleGB splits off on packed keys
+(_columns_below, which gradmod's kernels share).  Their Fraction terms are
+a view, built only when first read.
 """
 
 import heapq
@@ -359,13 +364,6 @@ class Polynomial:
             raise ValueError("polynomial is not homogeneous: %s" % self)
         return degs.pop()
 
-    def is_homogeneous(self):
-        try:
-            self.homogeneous_degree()
-            return True
-        except ValueError:
-            return False
-
     def leading_term(self):
         e = max(self.terms, key=self.ring.monomial_key)
         return e, self.terms[e]
@@ -453,22 +451,43 @@ class RingMap:
 
 
 class Vector:
-    """Element of a free module R^rank, stored as {(col, exps): coeff}.
+    """Element of a free module R^rank with terms {(col, exps): Fraction}.
 
-    Immutable: data is never written after construction, so the lead, the
-    primitive integer form and its packed form are computed once and cached
-    in _lead, _prim and _pk.
+    Immutable.  Its one integer form, cached in _form, is (c, (lead,
+    terms)) with self == c * terms: terms maps packed keys (ring._pack) to
+    integers with gcd 1 and a positive lead coefficient, lead is the
+    largest key (None for 0) and c is a Fraction.  The form is the same for
+    every nonzero rational multiple of self; the Groebner core works on it.
+    A Vector built from Fraction terms computes its form on first use.  One
+    born in the core (_of_form) has only the form: data, its Fraction
+    terms, is a view built on first read, and is_zero, lead and
+    homogeneous_degree read the form while data is unbuilt.
     """
 
-    __slots__ = ("ring", "rank", "data", "_lead", "_prim", "_pk")
+    __slots__ = ("ring", "rank", "_data", "_lead", "_form")
 
     def __init__(self, ring, rank, data):
         self.ring = ring
         self.rank = rank
-        self.data = {k: c for k, c in data.items() if c}
+        self._data = {k: c for k, c in data.items() if c}
         self._lead = None
-        self._prim = None
-        self._pk = None
+        self._form = None
+
+    @classmethod
+    def _of_form(cls, ring, rank, content, form):
+        """The Vector content * terms of R^rank, for an integer form
+        form = (lead, terms) as the class describes it."""
+        v = cls.__new__(cls)
+        v.ring, v.rank, v._data, v._lead, v._form = ring, rank, None, None, (content, form)
+        return v
+
+    @property
+    def data(self):
+        if self._data is None:
+            c, (_, terms) = self._form
+            p, q, unpack = c.numerator, c.denominator, self.ring._unpack
+            self._data = {unpack(k): Fraction(p * n, q) for k, n in terms.items()}
+        return self._data
 
     @classmethod
     def from_polys(cls, polys, rank=None):
@@ -485,7 +504,7 @@ class Vector:
         return cls(ring, rank, {(col, ring.zero_exps): Fraction(1)})
 
     def is_zero(self):
-        return not self.data
+        return not (self._form[1][1] if self._data is None else self._data)
 
     def component(self, i):
         return Polynomial(self.ring, {e: c for (col, e), c in self.data.items() if col == i})
@@ -534,8 +553,13 @@ class Vector:
 
     def lead(self):
         if self._lead is None:
-            k = max(self.data, key=self.ring.vector_key)
-            self._lead = (k, self.data[k])
+            if self._data is None:
+                c, (k, terms) = self._form
+                self._lead = (self.ring._unpack(k),
+                              Fraction(c.numerator * terms[k], c.denominator))
+            else:
+                k = max(self._data, key=self.ring.vector_key)
+                self._lead = (k, self._data[k])
         return self._lead
 
     def monic(self):
@@ -545,43 +569,35 @@ class Vector:
         return self if c == 1 else self.scale(_ONE / c)
 
     def _primitive(self):
-        """(c, ints) with self == c * ints: ints maps each term to an integer,
-        their gcd is 1 and the lead's is positive, and c is a Fraction.
-
-        The primitive form is the same for every nonzero rational multiple
-        of self; the Groebner core reduces it instead of self.
-        """
-        if self._prim is None:
-            if not self.data:
-                self._prim = (_ONE, {})
+        """The integer form (c, (lead, terms)), computed once."""
+        if self._form is None:
+            data, pack = self._data, self.ring._pack
+            den = lcm(*[c.denominator for c in data.values()])
+            ints = {pack(*k): c.numerator * (den // c.denominator) for k, c in data.items()}
+            if ints:
+                g, form = _content_free(ints)
+                self._form = (Fraction(g, den), form)
             else:
-                den = lcm(*[c.denominator for c in self.data.values()])
-                ints = {k: c.numerator * (den // c.denominator)
-                        for k, c in self.data.items()}
-                g = gcd(*ints.values())
-                if ints[self.lead()[0]] < 0:
-                    g = -g
-                if g != 1:
-                    ints = {k: c // g for k, c in ints.items()}
-                self._prim = (Fraction(g, den), ints)
-        return self._prim
+                self._form = (_ONE, (None, {}))
+        return self._form
 
     def _packed(self):
-        """(lead, terms): the primitive form with every term packed by
-        ring._pack, and the largest key (None for 0).  This is the form
-        the Groebner core works on."""
-        if self._pk is None:
-            pack = self.ring._pack
-            terms = {pack(*t): c for t, c in self._primitive()[1].items()}
-            self._pk = (max(terms, default=None), terms)
-        return self._pk
+        """(lead, terms) of the integer form, what the Groebner core reduces."""
+        return self._primitive()[1]
 
     def homogeneous_degree(self, col_degrees):
         """Common degree with generator shifts, None for 0; raises if mixed."""
-        if not self.data:
+        ring = self.ring
+        if self._data is None:
+            # a packed key holds the weighted degree between _top and _cshift
+            top, cshift = ring._top, ring._cshift
+            wmask = (1 << (cshift - top)) - 1
+            degs = {(k >> top & wmask) + col_degrees[-(k >> cshift)]
+                    for k in self._form[1][1]}
+        else:
+            degs = {ring.weighted_degree(e) + col_degrees[col] for (col, e) in self._data}
+        if not degs:
             return None
-        degs = {self.ring.weighted_degree(e) + col_degrees[col]
-                for (col, e) in self.data}
         if len(degs) > 1:
             raise ValueError("vector is not homogeneous")
         return degs.pop()
@@ -597,8 +613,8 @@ class Vector:
 
 
 def _content_free(terms):
-    """(lead, terms / c) for nonzero packed integer terms: lead is the
-    largest key and c the content of the terms, signed so that the lead's
+    """(g, (lead, terms / g)) for nonzero packed integer terms: lead is the
+    largest key and g the content of the terms, signed so that the lead's
     coefficient is positive."""
     lead = max(terms)
     g = gcd(*terms.values())
@@ -606,19 +622,25 @@ def _content_free(terms):
         g = -g
     if g != 1:
         terms = {k: c // g for k, c in terms.items()}
-    return lead, terms
+    return g, (lead, terms)
 
 
-def _monic(ring, rank, lead, terms):
-    """The monic Vector of packed primitive terms, with its lead, primitive
-    form and packed form cached."""
-    ints = {ring._unpack(k): c for k, c in terms.items()}
-    lc = terms[lead]
-    out = Vector(ring, rank, {t: Fraction(c, lc) for t, c in ints.items()})
-    out._lead = (ring._unpack(lead), _ONE)
-    out._prim = (Fraction(1, lc), ints)
-    out._pk = (lead, terms)
-    return out
+def _monic(ring, rank, form):
+    """The monic Vector of an integer form (lead, terms)."""
+    return Vector._of_form(ring, rank, Fraction(1, form[1][form[0]]), form)
+
+
+def _columns_below(v, width):
+    """The Vector of R^width holding exactly v's terms in columns < width."""
+    c, (lead, terms) = v._primitive()
+    bound = (1 - width) << v.ring._cshift
+    part = {k: n for k, n in terms.items() if k >= bound}
+    if len(part) == len(terms):
+        return Vector._of_form(v.ring, width, c, (lead, terms))
+    if not part:
+        return Vector(v.ring, width, {})
+    g, form = _content_free(part)
+    return Vector._of_form(v.ring, width, c * g, form)
 
 
 def s_vector(f, g):
@@ -636,7 +658,10 @@ def s_vector(f, g):
     cg, eg = ring._unpack(pg[0])
     assert col == cg
     terms = _s_terms(ring, pf, pg, ring._pack(col, _mono_lcm(ef, eg)))
-    return Vector(ring, f.rank, {ring._unpack(k): c for k, c in terms.items()})
+    if not terms:
+        return Vector(ring, f.rank, {})
+    g, form = _content_free(terms)
+    return Vector._of_form(ring, f.rank, Fraction(g), form)
 
 
 def _s_terms(ring, f, g, m):
@@ -733,9 +758,25 @@ def _reduce(ring, terms, divisors):
 
 
 def _blocks(ring, rank, gens):
-    """The block vectors g_i + e_(rank+i) in R^(rank+s), s = len(gens)."""
-    return [Vector(ring, rank + len(gens), {**g.data, (rank + i, ring.zero_exps): _ONE})
-            for i, g in enumerate(gens)]
+    """The block vectors g_i + e_(rank+i) in R^(rank+s), s = len(gens).
+
+    Built from integer forms: for g = (p/q) * terms, the block is
+    (1/q) * (p * terms + q * e_(rank+i)), whose terms have gcd 1; both are
+    negated when p < 0, so that the lead coefficient stays positive.
+    """
+    width = rank + len(gens)
+    out = []
+    for i, g in enumerate(gens):
+        c, (lead, terms) = g._primitive()
+        p, q = c.numerator, c.denominator
+        if p < 0:
+            p, q = -p, -q
+        aux = ring._mask - ((rank + i) << ring._cshift)
+        block = {k: p * n for k, n in terms.items()}
+        block[aux] = q
+        out.append(Vector._of_form(ring, width, Fraction(1, q),
+                                   (aux if lead is None else lead, block)))
+    return out
 
 
 def _certificate(v, blocks, rank, count):
@@ -748,8 +789,9 @@ def _certificate(v, blocks, rank, count):
     negated, on the aux columns of its remainder; both are rescaled here.
     """
     ring = v.ring
-    scale, rem = _reduce(ring, v._packed()[1], [b._packed() for b in blocks])
-    s = v._primitive()[0] / scale
+    content, (_, terms) = v._primitive()
+    scale, rem = _reduce(ring, terms, [b._packed() for b in blocks])
+    s = content / scale
     nf, quots = {}, [{} for _ in range(count)]
     for k, c in rem.items():
         col, e = ring._unpack(k)
@@ -871,14 +913,14 @@ class GroebnerBasis:
             del self._pairs[i, j]
             _, r = _reduce(ring, _s_terms(ring, forms[i], forms[j], key), forms)
             if r:
-                self._insert(_content_free(r))
+                self._insert(_content_free(r)[1])
 
     def add(self, v):
         """Insert the content-free remainder of v and complete the new
         pairs; False, changing nothing, when v reduces to zero."""
         _, r = _reduce(self.ring, v._packed()[1], self._forms)
         if r:
-            self._insert(_content_free(r))
+            self._insert(_content_free(r)[1])
             self._complete()
         return bool(r)
 
@@ -898,10 +940,10 @@ class GroebnerBasis:
         for i, form in enumerate(keep):
             others = keep[:i] + keep[i + 1:]
             if others:
-                form = _content_free(_reduce(ring, form[1], others)[1])
+                form = _content_free(_reduce(ring, form[1], others)[1])[1]
             out.append(form)
         out.sort(key=lambda form: form[0])
-        return [_monic(ring, rank, lead, terms) for lead, terms in out]
+        return [_monic(ring, rank, form) for form in out]
 
 
 def buchberger(vectors):
@@ -939,18 +981,16 @@ class SubmoduleGB:
         self._ext_gb = buchberger(_blocks(ring, rank, self.gens))
         self.gb = []
         self._syz = []
+        shift = rank << ring._cshift
         for v in self._ext_gb:
             # v is monic, and its lead is the lead of the part kept
-            (col, exps), _ = v.lead()
-            if col < rank:
-                part = Vector(ring, rank, {(c, e): cv for (c, e), cv in v.data.items()
-                                           if c < rank})
-                self.gb.append(part)
+            c, (lead, terms) = v._form
+            if lead >> ring._cshift > -rank:
+                self.gb.append(_columns_below(v, rank))
             else:
-                col -= rank
-                part = Vector(ring, s, {(c - rank, e): cv for (c, e), cv in v.data.items()})
-                self._syz.append(part)
-            part._lead = ((col, exps), _ONE)
+                # aux columns only: shift each key down by rank columns
+                self._syz.append(Vector._of_form(
+                    ring, s, c, (lead + shift, {k + shift: n for k, n in terms.items()})))
 
     def contains(self, v):
         """Whether v reduces to zero by gb, i.e. lies in the submodule."""

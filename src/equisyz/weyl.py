@@ -119,11 +119,6 @@ class ReflectionGroup:
             terms[tuple([exps[i] for i in src])] = -c if odd else c
         return Polynomial(self.ring, terms)
 
-    def reynolds(self, poly):
-        """Average over the group; a projector onto the invariants."""
-        acc = sum((self._act(k, poly) for k in range(self.order)), self.ring.zero())
-        return acc.scale(Fraction(1, self.order))
-
     def molien_series(self, nmax, weights=None):
         """Average of c_w/det(1 - q^2 w) over the elements w, with c_w the
         weights (default 1): the Hilbert series of the invariants, or, with
@@ -297,9 +292,6 @@ class VerificationReport:
     @property
     def ok(self):
         return all(ok for _, _, ok in self.checks)
-
-    def failures(self):
-        return [name for name, _, ok in self.checks if not ok]
 
     def __repr__(self):
         return "VerificationReport(ok=%s)" % self.ok

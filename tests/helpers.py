@@ -32,11 +32,37 @@ def load(cls, name):
         return cls.from_json(json.load(fh))
 
 
+def is_homogeneous(p):
+    """Whether the polynomial p has one weighted degree (0 has none)."""
+    try:
+        p.homogeneous_degree()
+        return True
+    except ValueError:
+        return False
+
+
+def quotient_by_ideal(ring, polys, gen_degree=0):
+    """R/(polys) as a module on one generator of degree gen_degree."""
+    cols = [Vector.from_polys([p], rank=1) for p in polys if not p.is_zero()]
+    return FPModule.from_columns(ring, (gen_degree,), cols)
+
+
+def reynolds(group, poly):
+    """The group average of poly, a projector onto the invariants."""
+    acc = sum((group._act(k, poly) for k in range(group.order)), group.ring.zero())
+    return acc.scale(Fraction(1, group.order))
+
+
+def failures(report):
+    """The names of the checks a VerificationReport failed."""
+    return [name for name, _, ok in report.checks if not ok]
+
+
 def groebner_basis(polys):
     """Reduced Groebner basis of homogeneous polynomials, as rank-1
     vectors; an inhomogeneous generator is a ValueError."""
     for p in polys:
-        if not p.is_zero() and not p.is_homogeneous():
+        if not p.is_zero() and not is_homogeneous(p):
             raise ValueError("inhomogeneous generator: %s" % p)
     return buchberger([Vector.from_polys([p], 1) for p in polys])
 
@@ -106,7 +132,7 @@ def koszul_syzygy_module(ring, j):
 
 def residue_field_module(ring):
     """The residue field as a module: R modulo all the variables."""
-    return FPModule.quotient_by_ideal(ring, ring.vars())
+    return quotient_by_ideal(ring, ring.vars())
 
 
 def euler_class(graph, v):
@@ -262,6 +288,43 @@ def reference_update_pairs(single, pairs, leads, new, ring):
     return kept
 
 
+def reference_blocks(ring, rank, gens):
+    """The block vectors g_i + e_(rank+i), built from Fraction terms."""
+    return [Vector(ring, rank + len(gens), {**g.data, (rank + i, ring.zero_exps): Fraction(1)})
+            for i, g in enumerate(gens)]
+
+
+def _copy_columns_below(v, width):
+    """v's terms in columns < width, copied one by one into R^width."""
+    return Vector(v.ring, width, {(c, e): x for (c, e), x in v.data.items() if c < width})
+
+
+def reference_submodule_split(ring, rank, gens):
+    """(gb, syzygies) of SubmoduleGB by a term-by-term copy of the reduced
+    basis of the Fraction block vectors: each element goes to its ambient
+    part, or to R^s, columns shifted down by rank, when its lead (and so
+    every term) lies in the aux columns."""
+    s = len(gens)
+    gb, syz = [], []
+    for v in buchberger(reference_blocks(ring, rank, gens)):
+        if v.lead()[0][0] < rank:
+            gb.append(_copy_columns_below(v, rank))
+        else:
+            syz.append(Vector(ring, s, {(c - rank, e): x for (c, e), x in v.data.items()}))
+    return gb, syz
+
+
+def reference_kernel_submodule(ring, ambient_rank, first_cols, extra_cols):
+    """gradmod._kernel_submodule by term-by-term copies: the nonzero
+    first-block parts of the reference syzygies of both lists."""
+    gens = list(first_cols) + list(extra_cols)
+    if not gens:
+        return []
+    parts = [_copy_columns_below(v, len(first_cols))
+             for v in reference_submodule_split(ring, ambient_rank, gens)[1]]
+    return [w for w in parts if not w.is_zero()]
+
+
 def reference_buchberger(vectors):
     """Reduced Groebner basis by Buchberger's algorithm over Q.
 
@@ -409,7 +472,7 @@ def verify_or_raise(group, nmax=40):
     """group.verify(nmax), raising ValueError when the datum is rejected."""
     report = group.verify(nmax)
     if not report.ok:
-        raise ValueError("invariant datum rejected: %s" % report.failures())
+        raise ValueError("invariant datum rejected: %s" % failures(report))
     return report
 
 

@@ -23,7 +23,7 @@ from equisyz.equivtop import (
 )
 from helpers import (
     base_changed, circle_model, koszul_syzygy_module, load, model_uct,
-    point_model, random_module, residue_field_module, times_qpoly,
+    point_model, quotient_by_ideal, random_module, residue_field_module, times_qpoly,
 )
 
 SERIES_DEGREE = 40
@@ -49,7 +49,7 @@ def test_criterion_2_cm_characterization():
     x, y = R.vars()
     zero = R.zero()
     modules = [
-        FPModule.quotient_by_ideal(R, [x]),
+        quotient_by_ideal(R, [x]),
         FPModule.from_columns(R, (0, 0), [Vector.from_polys([zero, x]),
                                           Vector.from_polys([zero, y])]),
         FPModule.free(R, (0, 2)),
@@ -163,7 +163,7 @@ def test_criterion_9_cartan_model():
     RT = GradedPolynomialRing(["t"])
     t = RT.var(0)
     H = cartan_cohomology(CartanComplex(RT, circle_model()))
-    ok = iso_surrogate_equal(H, FPModule.quotient_by_ideal(RT, [t]))
+    ok = iso_surrogate_equal(H, quotient_by_ideal(RT, [t]))
     Hpt = cartan_cohomology(CartanComplex(RT, point_model()))
     ok = ok and Hpt.num_rels == 0 and Hpt.gens_degrees == (0,)
     for model in (circle_model(), point_model()):

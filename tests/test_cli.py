@@ -3,7 +3,7 @@ import os
 import time
 
 from equisyz.cli import (
-    main, run, render_text, EXIT_PASS, EXIT_FAIL, EXIT_INPUT, EXIT_INTERNAL,
+    COMMANDS, main, run, render_text, EXIT_PASS, EXIT_FAIL, EXIT_INPUT, EXIT_INTERNAL,
 )
 
 from helpers import module_3028
@@ -200,6 +200,22 @@ def test_exit_two_on_malformed_json(tmp_path):
     p.write_text("{not json")
     code, report = run(["module-analyze", str(p)])
     assert code == EXIT_INPUT and "error" in report
+
+
+def test_exit_two_on_deeply_nested_json(tmp_path, capsys):
+    # nesting past the JSON parser's recursion limit is unreadable input,
+    # as the input file of every command and as integrate's --klass
+    deep = "[" * 5000 + "]" * 5000
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    runs = [[command, str(path)] for command in COMMANDS]
+    runs.append(["integrate", data_path("s2.json"), "--klass", deep])
+    for argv in runs:
+        assert main(argv) == EXIT_INPUT, argv
+        out, err = capsys.readouterr()
+        expected = "invalid input" if "--klass" in argv else "cannot read"
+        assert out.startswith("error: " + expected), out
+        assert "Traceback" not in err
 
 
 def test_exit_two_on_missing_file():

@@ -21,7 +21,7 @@ from equisyz.equivtop import (
 )
 from helpers import (
     alternating_hilbert, base_changed, circle_model, euler_class, formal_model,
-    load, random_homogeneous, reference_integrate,
+    load, quotient_by_ideal, random_homogeneous, reference_integrate,
 )
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "bench"))
@@ -129,7 +129,7 @@ def test_ab_cohomology_free_circle():
     assert hs[0].is_zero()
     ring = d.ring
     t = ring.var(0)
-    expected = FPModule.quotient_by_ideal(ring, [t], gen_degree=-1)
+    expected = quotient_by_ideal(ring, [t], gen_degree=-1)
     assert iso_surrogate_equal(hs[1], expected)
 
 
@@ -458,7 +458,7 @@ def test_pairing_not_applicable_for_nonfree_kernel(monkeypatch):
     from equisyz.equivtop import KernelResult
     ring = GradedPolynomialRing(["t"])
     t = ring.var(0)
-    torsion = FPModule.quotient_by_ideal(ring, [t])
+    torsion = quotient_by_ideal(ring, [t])
     fake = KernelResult(torsion, [Vector.from_polys([ring.one()], 1)])
     monkeypatch.setattr(equivtop, "gkm_cohomology", lambda graph: fake)
     rep = pairing_perfection(load(GKMGraph, "s2"))

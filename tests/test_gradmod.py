@@ -12,7 +12,8 @@ from equisyz.gradmod import (
 )
 from equisyz.weyl import cyclic_sign_group, symmetric_group_on_sum_zero
 from helpers import (
-    alternating_hilbert, dual_module, koszul_syzygy_module, random_homogeneous,
+    alternating_hilbert, dual_module, koszul_syzygy_module, quotient_by_ideal,
+    random_homogeneous,
     random_module, reference_minimal_generating_indices, reference_syzygy_order,
     residue_field_module, restrict_scalars, times_qpoly,
 )
@@ -66,7 +67,7 @@ def test_minimal_resolution_koszul(R):
 
 def test_minimal_resolution_principal(R):
     x, _ = R.vars()
-    m = FPModule.quotient_by_ideal(R, [x])
+    m = quotient_by_ideal(R, [x])
     res = minimal_resolution(m)
     assert res.length == 1
     assert res.modules[1].degrees == (2,)
@@ -98,7 +99,7 @@ def test_dimension_examples(R):
     assert dimension(FPModule.free(R, (0,))) == 2
     assert dimension(residue_field_module(R)) == 0
     x, _ = R.vars()
-    assert dimension(FPModule.quotient_by_ideal(R, [x])) == 1
+    assert dimension(quotient_by_ideal(R, [x])) == 1
     assert dimension(FPModule.zero(R)) == NEG_INF
 
 
@@ -122,10 +123,10 @@ def test_ext_examples(R):
     assert e0.num_rels == 0 and e0.gens_degrees == (0,)
 
     x, _ = R.vars()
-    rx = FPModule.quotient_by_ideal(R, [x])
+    rx = quotient_by_ideal(R, [x])
     e1 = ext_module(rx, 1).minimized()
     assert e1.gens_degrees == (-2,)
-    assert iso_surrogate_equal(e1, FPModule.quotient_by_ideal(R, [x], gen_degree=-2))
+    assert iso_surrogate_equal(e1, quotient_by_ideal(R, [x], gen_degree=-2))
 
 
 def test_dual_module_examples(R):
@@ -177,11 +178,11 @@ def test_base_change_examples():
     t = RT.var(0)
     emb = RingMap(RG, RT, [t * t])
     c = RG.var(0)
-    m = base_change(FPModule.quotient_by_ideal(RG, [c]), emb)
+    m = base_change(quotient_by_ideal(RG, [c]), emb)
     assert m.hilbert().coefficients(6) == {0: 1, 2: 1}
     free = base_change(FPModule.free(RG, (0, 2)), emb)
     assert free.num_rels == 0 and free.gens_degrees == (0, 2)
-    point = base_change(FPModule.quotient_by_ideal(RG, [c]), emb)
+    point = base_change(quotient_by_ideal(RG, [c]), emb)
     assert not point.is_zero()
 
 
@@ -199,7 +200,7 @@ def test_restrict_scalars_examples():
     down = restrict_scalars(z2, FPModule.free(RT, (0,)))
     assert down.num_rels == 0 and sorted(down.gens_degrees) == [0, 2]
 
-    tors = restrict_scalars(z2, FPModule.quotient_by_ideal(RT, [t]))
+    tors = restrict_scalars(z2, quotient_by_ideal(RT, [t]))
     assert tors.num_gens == 2
     assert tors.hilbert().coefficients(10) == {0: 1}
 
@@ -210,7 +211,7 @@ def test_restrict_then_base_change_multiplies_by_poincare():
     for group in (cyclic_sign_group(), symmetric_group_on_sum_zero(3)):
         RT = group.ring
         x = RT.var(0)
-        m = FPModule.quotient_by_ideal(RT, [x ** 2])
+        m = quotient_by_ideal(RT, [x ** 2])
         down = restrict_scalars(group, m)
         up = base_change(down, group.embedding())
         pw = group.poincare_polynomial()
@@ -260,7 +261,7 @@ def test_depth_preserved_under_base_change():
 def test_fp_kernel_cokernel_homology(R):
     x, y = R.vars()
     free1 = FPModule.free(R, (0,))
-    rx = FPModule.quotient_by_ideal(R, [x])
+    rx = quotient_by_ideal(R, [x])
     proj = FPMap(free1, rx, [[R.one()]])
     ker, incl = fp_kernel(proj)
     assert iso_surrogate_equal(ker.minimized(),
@@ -269,7 +270,7 @@ def test_fp_kernel_cokernel_homology(R):
     # homology of R --x--> R --x--> R/(x^2)... simple chain with composite zero
     shift = FPModule.free(R, (2,))
     mulx = FPMap(shift, free1, [[x]])
-    quot = FPModule.quotient_by_ideal(R, [x])
+    quot = quotient_by_ideal(R, [x])
     tox = FPMap(free1, quot, [[R.one()]])
     h = fp_homology(mulx, tox)
     assert h.is_zero()
@@ -278,7 +279,7 @@ def test_fp_kernel_cokernel_homology(R):
 def test_fp_map_checks_degrees_and_relations(R):
     x, y = R.vars()
     free0 = FPModule.free(R, (0,))
-    rx = FPModule.quotient_by_ideal(R, [x])
+    rx = quotient_by_ideal(R, [x])
     FPMap(free0, rx, [[R.one()]])
     with pytest.raises(ValueError):
         FPMap(free0, rx, [[y]])             # degree 2 where 0 is expected
@@ -286,7 +287,7 @@ def test_fp_map_checks_degrees_and_relations(R):
         FPMap(free0, rx, [[R.one(), R.one()]])  # wrong shape
     with pytest.raises(ValueError):
         FPMap(rx, free0, [[R.one()]])       # sends the relation x to x != 0
-    FPMap(rx, FPModule.quotient_by_ideal(R, [x, y]), [[R.one()]])
+    FPMap(rx, quotient_by_ideal(R, [x, y]), [[R.one()]])
 
 
 def test_module_json_roundtrip(R):
@@ -304,7 +305,7 @@ def test_betti_table_shifted(R):
 
 def test_ext_concentration_three_variables():
     R3 = GradedPolynomialRing(["x", "y", "z"])
-    k = FPModule.quotient_by_ideal(R3, R3.vars())
+    k = quotient_by_ideal(R3, R3.vars())
     nonzero = [i for i in range(4) if not ext_module(k, i).is_zero()]
     assert nonzero == [3]
     e3 = ext_module(k, 3).minimized()

@@ -6,12 +6,14 @@ import pytest
 
 from equisyz.polyring import (
     EXPONENT_LIMIT, ExponentLimitError, GradedPolynomialRing, Polynomial, Vector,
-    GroebnerBasis, buchberger, divide, SubmoduleGB,
+    GroebnerBasis, buchberger, divide, SubmoduleGB, s_vector,
     syzygy_basis, quotient_hilbert_series, HilbertSeries, determinant,
 )
 from helpers import (
-    groebner_basis, normal_form, random_homogeneous, random_module, random_vector,
-    reference_buchberger, reference_divide, reference_det, reference_update_pairs,
+    groebner_basis, normal_form, quotient_by_ideal, random_homogeneous, random_module,
+    random_vector,
+    reference_blocks, reference_buchberger, reference_divide, reference_det,
+    reference_kernel_submodule, reference_submodule_split, reference_update_pairs,
     residue_field_module, series_minus,
 )
 
@@ -117,7 +119,6 @@ def test_all_s_vectors_reduce_to_zero_module_case():
         Vector.from_polys([x * y, R.zero()]),
     ]
     gb = buchberger(gens)
-    from equisyz.polyring import s_vector
     for i in range(len(gb)):
         for j in range(i + 1, len(gb)):
             if gb[i].lead()[0][0] == gb[j].lead()[0][0]:
@@ -313,16 +314,18 @@ def test_pending_pairs_match_reference_update_and_carry_their_lcm(monkeypatch):
 
 
 def _check_primitive(v):
-    c, ints = v._primitive()
+    c, (lead, terms) = v._primitive()
     assert type(c) is Fraction
-    assert all(type(n) is int for n in ints.values())
-    assert math.gcd(*ints.values()) == 1 and ints[v.lead()[0]] > 0
-    assert Vector(v.ring, v.rank, ints).scale(c) == v
+    assert all(type(n) is int for n in terms.values())
+    assert math.gcd(*terms.values()) == 1 and lead == max(terms) and terms[lead] > 0
+    unpack = v.ring._unpack
+    assert unpack(lead) == v.lead()[0]
+    assert Vector(v.ring, v.rank, {unpack(k): n for k, n in terms.items()}).scale(c) == v
 
 
 def test_primitive_form_is_canonical():
-    # every rational multiple of a vector has the same primitive form, whose
-    # lead is positive; buchberger caches it on the bases it returns
+    # every rational multiple of a vector has the same integer form, whose
+    # lead is positive; buchberger returns vectors born with it
     rng = random.Random(77)
     ring = GradedPolynomialRing(["x", "y", "z"])
     for _ in range(10):
@@ -332,8 +335,125 @@ def test_primitive_form_is_canonical():
             for q in (Fraction(-3, 4), -1, 5):
                 assert v.scale(q)._primitive()[1] == v._primitive()[1]
         for v in buchberger(gens):
-            assert v._prim is not None
+            assert v._form is not None and v._data is None
             _check_primitive(v)
+
+
+def _handoff_cases(seed):
+    """Seeded (rank, generators, column degrees) draws: random module
+    columns, homogeneous for the module's generator degrees, and rational
+    generators with negative and non-unit leads."""
+    rng = random.Random(seed)
+    ring = GradedPolynomialRing(["x", "y", "z"])
+    cases = []
+    for k in range(6):
+        m = random_module(ring, random.Random(seed + k))
+        cases.append((m.num_gens, m.relation_columns(), m.gens_degrees))
+    while len(cases) < 16:
+        gens = _rational_generators(ring, rng)
+        if gens:
+            rank = gens[0].rank
+            cases.append((rank, gens, (0, 2, 2)[:rank]))
+    return ring, rng, cases
+
+
+def _degree_or_mixed(v, col_degrees):
+    try:
+        return v.homogeneous_degree(col_degrees)
+    except ValueError:
+        return "mixed"
+
+
+def test_vector_born_from_its_form_matches_its_fraction_terms():
+    # a Vector born from the integer form of one built from Fraction terms
+    # reads its zero test, lead, degree and form off the packed keys, with
+    # no Fraction terms built, and then builds the same terms in order
+    from equisyz.polyring import _columns_below
+    ring, _, cases = _handoff_cases(1606)
+    vectors = [(Vector(ring, 2, {}), (0, 0))]
+    for rank, gens, col_degrees in cases:
+        for g in gens:
+            for v in (g, g.scale(Fraction(-7, 3)), _columns_below(g, 1)):
+                vectors.append((Vector(ring, v.rank, v.data), col_degrees))
+    homogeneous = 0
+    for v, col_degrees in vectors:
+        born = Vector._of_form(ring, v.rank, *v._primitive())
+        assert born.is_zero() == v.is_zero()
+        if not v.is_zero():
+            assert born.lead() == v.lead()
+        for degrees in (col_degrees, (0,) * v.rank):
+            assert _degree_or_mixed(born, degrees) == _degree_or_mixed(v, degrees)
+        homogeneous += _degree_or_mixed(v, col_degrees) not in ("mixed", None)
+        assert born._data is None
+        assert born._primitive() == v._primitive()
+        assert born == v and list(born.data.items()) == list(v.data.items())
+        _assert_fractions([born])
+    assert len(vectors) >= 90 and homogeneous >= 60, (len(vectors), homogeneous)
+
+
+def test_submodule_gb_and_kernel_match_the_term_copy_reference():
+    # the block vectors are built, SubmoduleGB splits the block basis and
+    # _kernel_submodule projects, all on integer forms; each equals the
+    # term-by-term copies of tests/helpers.py exactly, scale included, with
+    # the same leads and forms
+    from equisyz.gradmod import _kernel_submodule
+    from equisyz.polyring import _blocks
+    ring, rng, cases = _handoff_cases(2606)
+    syzygies = kernels = 0
+    for rank, gens, _ in cases:
+        blocks, ref_blocks = _blocks(ring, rank, gens), reference_blocks(ring, rank, gens)
+        assert [b._primitive() for b in blocks] == [b._primitive() for b in ref_blocks]
+        assert blocks == ref_blocks
+        sub = SubmoduleGB(ring, rank, gens)
+        for ours, ref in zip((sub.gb, sub.syzygies()),
+                             reference_submodule_split(ring, rank, gens)):
+            assert [v.lead() for v in ours] == [v.lead() for v in ref]
+            assert [v._primitive() for v in ours] == [
+                Vector(ring, v.rank, v.data)._primitive() for v in ref]
+            assert ours == ref
+        syzygies += len(sub.syzygies())
+        for cut in (rng.randint(1, len(gens)), len(gens)):
+            ours = _kernel_submodule(ring, rank, gens[:cut], gens[cut:])
+            assert ours == reference_kernel_submodule(ring, rank, gens[:cut], gens[cut:])
+            kernels += len(ours)
+    assert syzygies >= 15 and kernels >= 25, (syzygies, kernels)
+
+
+def test_gkm_kernel_builds_no_fraction_terms_in_the_core(monkeypatch):
+    # gkm --check cs hands the core's integer forms on: inside SubmoduleGB,
+    # syzygy_basis and _kernel_submodule no Vector builds Fraction terms
+    import os
+    from equisyz import cli, gradmod, polyring
+    scope, entered, built = [], [], []
+
+    def scoped(owner, name):
+        orig = getattr(owner, name)
+
+        def wrapped(*args, **kwargs):
+            scope.append(name)
+            entered.append(name)
+            try:
+                return orig(*args, **kwargs)
+            finally:
+                scope.pop()
+        monkeypatch.setattr(owner, name, wrapped)
+
+    scoped(SubmoduleGB, "__init__")
+    scoped(polyring, "syzygy_basis")
+    scoped(gradmod, "syzygy_basis")
+    scoped(gradmod, "_kernel_submodule")
+    terms = Vector.__dict__["data"]
+
+    def data(v):
+        if scope and getattr(v, "_data", None) is None:
+            built.append(scope[-1])
+        return terms.__get__(v, Vector)
+    monkeypatch.setattr(Vector, "data", property(data, terms.__set__))
+    path = os.path.join(os.path.dirname(__file__), "..", "data", "flag3.json")
+    code, report = cli.run(["gkm", path, "--check", "cs"])
+    assert code == 0 and report["status"] == "pass"
+    assert set(entered) == {"__init__", "syzygy_basis", "_kernel_submodule"}
+    assert not built, "%d Fraction term builds, in %s" % (len(built), sorted(set(built)))
 
 
 def _assert_fractions(values):
@@ -360,6 +480,8 @@ def test_groebner_core_returns_fractions():
             continue
         gb = buchberger(cols)
         _assert_fractions(gb)
+        _assert_fractions([s_vector(a, b) for i, a in enumerate(gb) for b in gb[i + 1:]
+                           if a.lead()[0][0] == b.lead()[0][0]])
         sub = SubmoduleGB(ring, rank, cols)
         _assert_fractions(sub.gb)
         _assert_fractions(sub.syzygies())
@@ -547,7 +669,6 @@ def test_hilbert_series_matches_sympy_standard_monomials():
     # the Hilbert function of Q[x,y,z]/I counts the standard monomials of
     # any Groebner basis of I; here sympy's, degree by degree
     sympy = pytest.importorskip("sympy")
-    from equisyz.gradmod import FPModule
     rng = random.Random(29)
     ring = GradedPolynomialRing(["x", "y", "z"])
     gens = sympy.symbols("x y z")
@@ -556,7 +677,7 @@ def test_hilbert_series_matches_sympy_standard_monomials():
         polys = [random_homogeneous(ring, 2 * rng.randint(1, 3), rng, density=0.5)
                  for _ in range(rng.randint(1, 4))]
         polys = [p for p in polys if not p.is_zero()]
-        ours = FPModule.quotient_by_ideal(ring, polys).hilbert().coefficients(2 * nmax)
+        ours = quotient_by_ideal(ring, polys).hilbert().coefficients(2 * nmax)
         exprs = [sympy.sympify(str(p).replace("^", "**")) for p in polys]
         gb = sympy.groebner(exprs, *gens, order="grevlex", domain="QQ")
         leads = [sympy.Poly(g, *gens).monoms(order="grevlex")[0] for g in gb.exprs]
@@ -693,7 +814,6 @@ def test_negative_degree_series():
 def test_random_module_groebner_s_vectors_reduce_to_zero():
     # direct Buchberger criterion on the output, independent of the pair
     # elimination used while computing it
-    from equisyz.polyring import s_vector
     rng = random.Random(17)
     R = GradedPolynomialRing(["x", "y"])
     for _ in range(6):
