@@ -310,12 +310,15 @@ COMMANDS = {
 }
 
 
-def build_parser():
+def build_parser(argv):
+    """The parser for argv: when argv starts with a command, it has only
+    that command's subparser, else all of them, so that the usage, its
+    errors and --help list every command."""
     parser = argparse.ArgumentParser(
         prog="equisyz",
         description="Syzygy and equivariant-cohomology analyses over Q.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in argv[:1] if argv and argv[0] in COMMANDS else COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("input", help="path to the JSON input")
         p.add_argument("--format", choices=["text", "json"], default="text")
@@ -333,9 +336,12 @@ def build_parser():
 
 
 def _parse(argv):
-    """Parsed arguments, or None when argparse rejects argv."""
+    """Parsed arguments, or None when argparse rejects argv.  Arguments no
+    subparser takes are rejected by the parser of all commands, whose usage
+    message lists them all."""
     try:
-        return build_parser().parse_args(argv)
+        args, extra = build_parser(argv).parse_known_args(argv)
+        return build_parser(()).parse_args(argv) if extra else args
     except SystemExit:
         return None
 

@@ -137,13 +137,14 @@ class GradedPolynomialRing:
         self.num_vars = len(names)
         self.zero_exps = (0,) * self.num_vars
         # layout of a packed term (_pack): the exponent fields fill the low
-        # _top bits, the weighted degree sits above them and the column at
-        # _cshift, above any weighted degree of a product of two admissible
-        # monomials
+        # _top bits, the weighted degree sits above them (k >> _top & _wmask)
+        # and the column at _cshift, above any weighted degree of a product
+        # of two admissible monomials
         self._top = _FIELD * self.num_vars
         self._mask = (1 << self._top) - 1
         self._guard = sum(1 << (_FIELD * i + _FIELD - 1) for i in range(self.num_vars))
         self._cshift = self._top + (sum(degrees) << _FIELD).bit_length()
+        self._wmask = (1 << (self._cshift - self._top)) - 1
         self._fields = struct.Struct("<%dH" % self.num_vars)
 
     def __eq__(self, other):
@@ -590,8 +591,7 @@ class Vector:
         ring = self.ring
         if self._data is None:
             # a packed key holds the weighted degree between _top and _cshift
-            top, cshift = ring._top, ring._cshift
-            wmask = (1 << (cshift - top)) - 1
+            top, cshift, wmask = ring._top, ring._cshift, ring._wmask
             degs = {(k >> top & wmask) + col_degrees[-(k >> cshift)]
                     for k in self._form[1][1]}
         else:
@@ -623,6 +623,13 @@ def _content_free(terms):
     if g != 1:
         terms = {k: c // g for k, c in terms.items()}
     return g, (lead, terms)
+
+
+def _sugar(ring, terms):
+    """The largest weighted degree of the packed terms, with no column
+    shift: it sits between bits _top and _cshift of a key."""
+    top, wmask = ring._top, ring._wmask
+    return max(k >> top & wmask for k in terms)
 
 
 def _monic(ring, rank, form):
@@ -867,30 +874,36 @@ def determinant(matrix, ring):
 
 class GroebnerBasis:
     """A Groebner basis grown one generator at a time: packed primitive
-    forms (lead, terms), their leads (col, exps), single-column flags and
-    the pending S-pairs, a dict from each same-column pair (i, j), i < j,
-    to the packed key and exponents of its lcm, made once with the pair.
-    Pairs are reduced smallest key, then (i, j), first."""
+    forms (lead, terms), their leads (col, exps), single-column flags,
+    sugar degrees and the pending S-pairs, a dict from each same-column
+    pair (i, j), i < j, to its sugar and the packed key and exponents of
+    its lcm, made once with the pair.  Pairs are reduced least sugar, then
+    key, then (i, j), first (Giovini, Mora, Niesi, Robbiano and Traverso,
+    ISSAC 1991): an input's sugar is its largest weighted term degree,
+    with no column shift, and a pair's remainder inherits the pair's."""
 
     def __init__(self, ring):
         self.ring = ring
-        self._forms, self._leads, self._single, self._pairs = [], [], [], {}
+        self._forms, self._leads, self._single, self._sugar, self._pairs = [], [], [], [], {}
 
-    def _insert(self, form):
-        """Append form and update the pending pairs, Gebauer-Moeller style,
-        restricted to same-column pairs; the product criterion applies only
-        to pairs of elements that each lie in one column."""
-        ring, leads, single = self.ring, self._leads, self._single
+    def _insert(self, form, sugar):
+        """Append form with its sugar and update the pending pairs,
+        Gebauer-Moeller style, restricted to same-column pairs; the product
+        criterion applies only to pairs of elements that each lie in one
+        column.  A pair's sugar is the larger of the sugars of its two
+        multiples m/lm_i * form_i."""
+        ring, leads, single, sugars = self.ring, self._leads, self._single, self._sugar
         new = len(leads)
         col, tnew = ring._unpack(form[0])
         lcms = {i: _mono_lcm(e, tnew) for i, (c, e) in enumerate(leads) if c == col}
         self._forms.append(form)
         leads.append((col, tnew))
         single.append(len({k >> ring._cshift for k in form[1]}) == 1)
+        sugars.append(sugar)
         # chain criterion: (i, new) and (j, new) cover (i, j)
-        self._pairs = {p: (key, m) for p, (key, m) in self._pairs.items()
-                       if not (p[0] in lcms and _mono_divides(tnew, m)
-                               and m != lcms[p[0]] and m != lcms[p[1]])}
+        self._pairs = {p: pair for p, pair in self._pairs.items()
+                       if not (p[0] in lcms and _mono_divides(tnew, pair[2])
+                               and pair[2] != lcms[p[0]] and pair[2] != lcms[p[1]])}
         buckets = {}
         for i, m in lcms.items():
             buckets.setdefault(m, []).append(i)
@@ -898,29 +911,33 @@ class GroebnerBasis:
         for m in sorted(buckets, key=ring.monomial_key):
             if not any(_mono_divides(m2, m) for m2 in minimal):
                 minimal.append(m)
+        degree = ring.weighted_degree
         for m in minimal:
             bucket = buckets[m]
             if single[new] and any(single[i] and m == _mono_mul(leads[i][1], tnew)
                                    for i in bucket):
                 continue  # product criterion (effectively the ideal case)
-            self._pairs[bucket[0], new] = (ring._pack(col, m), m)
+            i = bucket[0]
+            s = max(sugars[i] - degree(leads[i][1]), sugar - degree(tnew)) + degree(m)
+            self._pairs[i, new] = (s, ring._pack(col, m), m)
 
     def _complete(self):
         """Reduce the pending pairs, inserting every nonzero remainder."""
         ring, forms = self.ring, self._forms
         while self._pairs:
-            key, i, j = min((key, i, j) for (i, j), (key, _) in self._pairs.items())
+            sugar, key, i, j = min((sugar, key, i, j)
+                                   for (i, j), (sugar, key, _) in self._pairs.items())
             del self._pairs[i, j]
             _, r = _reduce(ring, _s_terms(ring, forms[i], forms[j], key), forms)
             if r:
-                self._insert(_content_free(r)[1])
+                self._insert(_content_free(r)[1], sugar)
 
     def add(self, v):
         """Insert the content-free remainder of v and complete the new
         pairs; False, changing nothing, when v reduces to zero."""
         _, r = _reduce(self.ring, v._packed()[1], self._forms)
         if r:
-            self._insert(_content_free(r)[1])
+            self._insert(_content_free(r)[1], _sugar(self.ring, r))
             self._complete()
         return bool(r)
 
@@ -955,9 +972,11 @@ def buchberger(vectors):
     vectors = [v for v in vectors if not v.is_zero()]
     if not vectors:
         return []
-    basis = GroebnerBasis(vectors[0].ring)
+    ring = vectors[0].ring
+    basis = GroebnerBasis(ring)
     for v in vectors:
-        basis._insert(v._packed())
+        form = v._packed()
+        basis._insert(form, _sugar(ring, form[1]))
     basis._complete()
     return basis.reduced(vectors[0].rank)
 

@@ -5,9 +5,11 @@ Supplies the closure enumeration, verification of candidate fundamental
 invariants (Molien series, order product), Kostant's coinvariant basis as
 Groebner standard monomials, the Reynolds projector, rewriting of R_T
 vectors over the invariant subring, and invariants of equivariant free
-modules.  The closure numbers the elements once, with a Cayley table;
-actions and their caches are keyed by that index.  Signed permutation
-matrices act term by term, others by substituting the variables' images.
+modules.  The closure numbers the elements once, with a Cayley table,
+walking the group on integer matrices; actions and their caches are keyed
+by that index.  Signed permutation matrices act term by term, others by
+substituting the variables' images.  Reynolds averages are summed on
+integer numerators and born in the integer form the Groebner core reduces.
 Built-in constructors cover the symmetric groups on up to four letters
 (acting on the sum-zero coordinates), the order-8 rank-2 group of signed
 permutations, sign flips in rank one, and direct products.
@@ -15,11 +17,12 @@ permutations, sign flips in rank one, and direct products.
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from .polyring import (
     GradedPolynomialRing, Polynomial, Vector, SubmoduleGB, GroebnerBasis,
     syzygy_basis, HilbertSeries, qpoly_add, qpoly_mul, qpoly_inverse_series,
-    determinant, ExponentLimitError, _fr, _integers, _mat_mul,
+    determinant, ExponentLimitError, _content_free, _fr, _integers,
 )
 from .gradmod import FPModule, _degrees_of
 
@@ -38,6 +41,21 @@ def _mat(rows):
     return tuple(tuple(_fr(x) for x in row) for row in rows)
 
 
+def _integer_matrix(matrix):
+    """The integer form (M, d) of a Fraction matrix (see _closure): d is the
+    lcm of the denominators, so no prime divides d and all of M."""
+    d = math.lcm(*[x.denominator for row in matrix for x in row])
+    return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in matrix), d
+
+
+def _content_free_matrix(m, d):
+    """The integer form of the matrix m / d, for an integer matrix m and d > 0."""
+    c = d if d == 1 else math.gcd(d, *[x for row in m for x in row])
+    if c == 1:
+        return m, d
+    return tuple(tuple(x // c for x in row) for row in m), d // c
+
+
 class ReflectionGroup:
     """Finite matrix group on the rank-r torus ring with chosen invariants."""
 
@@ -52,10 +70,13 @@ class ReflectionGroup:
         self.ring = ring
         self.rank = rank
         self.generators = gens
-        self.elements, self._index, self.table = self._closure(gens, max_order)
+        self.elements, self._index, self.table, self._forms = self._closure(
+            gens, max_order)
         if any(len(set(row)) != len(row) for row in self.table):
             raise ValueError("group generators must be invertible")
-        self._signed = [_signed_permutation(w) for w in self.elements]
+        self._signed = [_signed_permutation(m) if d == 1 else None
+                        for m, d in self._forms]
+        self._lcm = math.lcm(*[d for _, d in self._forms])
         self.invariants = [ring.parse(p) if isinstance(p, str) else p
                            for p in invariants]
         if any(p.ring != ring for p in self.invariants):
@@ -67,31 +88,44 @@ class ReflectionGroup:
             raise ValueError("invariants must be homogeneous of positive even degree")
         self.invariant_ring = GradedPolynomialRing(
             ["p%d" % (i + 1) for i in range(rank)], self.invariant_degrees)
-        self._images = {}
         self._coinvariants = None
         self._inv_gb = None
         self._expand_cache = {}
 
     @staticmethod
     def _closure(gens, max_order):
-        """Elements in discovery order, their index, and the Cayley table:
-        table[gi][k] is the index of gens[gi] * elements[k]."""
+        """Elements in discovery order, their index, the Cayley table
+        (table[gi][k] is the index of gens[gi] * elements[k]) and the
+        integer forms of the elements.
+
+        The walk multiplies integer matrices: the integer form of a matrix
+        is (M, d) with the matrix equal to M / d, d > 0 and no common factor
+        of d and all entries of M, which is unique to the matrix.  The
+        Fraction matrix of an element is built once, when it is found.
+        """
         n = len(gens[0]) if gens else 0
-        elements = [tuple(tuple(Fraction(int(i == j)) for j in range(n))
-                          for i in range(n))]
-        index = {elements[0]: 0}
+        int_gens = [_integer_matrix(g) for g in gens]
+        forms = [(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1)]
+        seen = {forms[0]: 0}
         table = [[] for _ in gens]
-        for w in elements:  # grows while iterated: a breadth-first walk
-            for g, row in zip(gens, table):
-                prod = _mat_mul(g, w)
-                if prod not in index:
-                    index[prod] = len(elements)
-                    elements.append(prod)
-                    if len(elements) > max_order:
+        for m, d in forms:  # grows while iterated: a breadth-first walk
+            cols = tuple(zip(*m))
+            for (g, dg), row in zip(int_gens, table):
+                form = _content_free_matrix(
+                    tuple(tuple(sum(map(mul, grow, col)) for col in cols) for grow in g),
+                    dg * d)
+                k = seen.get(form)
+                if k is None:
+                    k = seen[form] = len(forms)
+                    forms.append(form)
+                    if len(forms) > max_order:
                         raise GroupClosureError(
                             "group closure exceeds the bound %d" % max_order)
-                row.append(index[prod])
-        return elements, index, table
+                row.append(k)
+        elements = [tuple(tuple(Fraction(x, d) for x in row) for row in m)
+                    for m, d in forms]
+        index = {w: k for k, w in enumerate(elements)}
+        return elements, index, table, forms
 
     @property
     def order(self):
@@ -102,22 +136,46 @@ class ReflectionGroup:
         return self._act(self._index[matrix], poly)
 
     def _act(self, k, poly):
-        """The action of the k-th element: term by term for a signed
-        permutation, else by substituting the images of the variables."""
-        signed = self._signed[k]
-        if signed is None:
-            if k not in self._images:
-                w, ring = self.elements[k], self.ring
-                self._images[k] = [sum((ring.var(i).scale(w[i][j])
-                                        for i in range(self.rank) if w[i][j]),
-                                       ring.zero()) for j in range(self.rank)]
-            return poly.substitute(self.ring, self._images[k])
-        src, negated = signed
-        terms = {}
+        """The action of the k-th element: the integer images of poly's
+        monomials (_integer_images), divided by L^D for D the largest
+        degree of a monomial of poly."""
+        top = max(map(sum, poly.terms), default=0)
+        images = self._integer_images(k, poly.terms, top)
+        acc = {}
         for exps, c in poly.terms.items():
-            odd = sum(exps[j] for j in negated) & 1
-            terms[tuple([exps[i] for i in src])] = -c if odd else c
-        return Polynomial(self.ring, terms)
+            for e, a in images[exps]:
+                acc[e] = acc.get(e, 0) + a * c
+        den = self._lcm ** top
+        return Polynomial(self.ring, {e: c / den for e, c in acc.items()})
+
+    def _integer_images(self, k, monomials, top):
+        """{exps: [(exps, int)]}, the terms of L^top * (w . x^exps) for each
+        exps in monomials, w the k-th element and L the lcm of the
+        elements' denominators, for top at least every degree of x^exps: a
+        signed monomial when w is a signed permutation, else the product of
+        w's integer column forms."""
+        m, d = self._forms[k]
+        lcm, signed, out = self._lcm, self._signed[k], {}
+        for exps in monomials:
+            degree = sum(exps)
+            scale = (lcm // d) ** degree * lcm ** (top - degree)
+            if signed is not None:
+                src, negated = signed
+                odd = sum(exps[j] for j in negated) & 1
+                out[exps] = [(tuple([exps[i] for i in src]), -scale if odd else scale)]
+                continue
+            image = {self.ring.zero_exps: scale}
+            for j, e in enumerate(exps):
+                column = [(i, row[j]) for i, row in enumerate(m) if row[j]]
+                for _ in range(e):
+                    step = {}
+                    for t, c in image.items():
+                        for i, a in column:
+                            t2 = t[:i] + (t[i] + 1,) + t[i + 1:]
+                            step[t2] = step.get(t2, 0) + a * c
+                    image = step
+            out[exps] = list(image.items())
+        return out
 
     def molien_series(self, nmax, weights=None):
         """Average of c_w/det(1 - q^2 w) over the elements w, with c_w the
@@ -364,15 +422,32 @@ class WEquivariantFreeModule:
 
     def reynolds_tuple(self, vector):
         """Average of w.f over the group, where (w.f)_v = w.(f at the
-        preimage of v); summed in one dict of terms."""
+        preimage of v).
+
+        Summed on integer numerators: for vector = c * F, F its integer
+        form and D the largest degree of a term of F, the images L^D * w.F
+        (ReflectionGroup._integer_images) of all elements w go into one dict,
+        and the average is born in its integer form, with content
+        c * g / (|W| * L^D) for g the content of the sum.
+        """
+        group, ring = self.group, self.group.ring
+        c, (_, ints) = vector._primitive()
+        terms = [ring._unpack(key) + (n,) for key, n in ints.items()]
+        monomials = {exps for _, exps, _ in terms}
+        top = max(map(sum, monomials), default=0)
         acc = {}
-        polys = vector.to_polys()
         for k, perm in enumerate(self._action_of):
-            for i, f in enumerate(polys):
-                for e, c in self.group._act(k, f).terms.items():
-                    acc[perm[i], e] = acc.get((perm[i], e), 0) + c
-        return Vector(self.group.ring, self.rank, acc).scale(
-            Fraction(1, self.group.order))
+            images = group._integer_images(k, monomials, top)
+            for col, exps, n in terms:
+                col = perm[col]
+                for e, a in images[exps]:
+                    acc[col, e] = acc.get((col, e), 0) + a * n
+        packed = {ring._pack(col, e): n for (col, e), n in acc.items() if n}
+        if not packed:
+            return Vector(ring, self.rank, {})
+        g, form = _content_free(packed)
+        return Vector._of_form(ring, self.rank,
+                               c * Fraction(g, group.order * group._lcm ** top), form)
 
     def invariants(self, submodule_gens=None, nmax=40):
         """Invariant tuples as a module over the invariant ring.

@@ -9,7 +9,7 @@ from itertools import combinations
 
 from equisyz.polyring import (
     GradedPolynomialRing, HilbertSeries, Polynomial, SubmoduleGB, Vector, _exact_divide,
-    buchberger, divide, qpoly_add, qpoly_mul, syzygy_basis,
+    _mat_mul, buchberger, divide, qpoly_add, qpoly_mul, syzygy_basis,
 )
 from equisyz.gradmod import (
     FPModule, FPMap, SyzygyOrderResult, minimal_resolution, fp_kernel,
@@ -510,6 +510,38 @@ def reference_act(group, matrix, poly):
     return poly.substitute(ring, images)
 
 
+def reference_closure(gens):
+    """(elements, table) of the group the Fraction matrices gens generate,
+    by the breadth-first walk ReflectionGroup._closure makes, on Fraction
+    matrix products (_mat_mul)."""
+    n = len(gens[0]) if gens else 0
+    elements = [tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))]
+    index = {elements[0]: 0}
+    table = [[] for _ in gens]
+    for w in elements:
+        for g, row in zip(gens, table):
+            prod = _mat_mul(g, w)
+            if prod not in index:
+                index[prod] = len(elements)
+                elements.append(prod)
+            row.append(index[prod])
+    return elements, table
+
+
+def reference_reynolds_tuple(module, vector):
+    """WEquivariantFreeModule.reynolds_tuple in Fraction arithmetic: each
+    element's action on each component, by substitution (reference_act),
+    summed term by term in one dict and scaled by 1/|W|."""
+    acc = {}
+    polys = vector.to_polys()
+    group = module.group
+    for w, perm in zip(group.elements, module._action_of):
+        for i, f in enumerate(polys):
+            for e, c in reference_act(group, w, f).terms.items():
+                acc[perm[i], e] = acc.get((perm[i], e), 0) + c
+    return Vector(group.ring, module.rank, acc).scale(Fraction(1, group.order))
+
+
 def reference_invariants(module, submodule_gens=None):
     """Generators and module of the invariants, from every candidate.
 
@@ -570,6 +602,14 @@ def module_3028():
     reduction's arithmetic is."""
     ring = GradedPolynomialRing(["x0", "x1", "x2"])
     return random_module(ring, random.Random(3028), max_gens=3, max_rels=4)
+
+
+def module_3003():
+    """random_module at seed 3003 in Q[x0, x1, x2]: without sugar-degree
+    pair selection the coefficients of its first Groebner bases run away,
+    and module-analyze on it did not finish in minutes."""
+    ring = GradedPolynomialRing(["x0", "x1", "x2"])
+    return random_module(ring, random.Random(3003), max_gens=3, max_rels=4)
 
 
 def alternating_hilbert(pieces, nmax):

@@ -3,9 +3,11 @@ import os
 import time
 
 from equisyz.cli import (
-    COMMANDS, main, run, render_text, EXIT_PASS, EXIT_FAIL, EXIT_INPUT, EXIT_INTERNAL,
+    COMMANDS, build_parser, main, run, render_text, EXIT_PASS, EXIT_FAIL, EXIT_INPUT,
+    EXIT_INTERNAL,
 )
 
+from equisyz import cli
 from helpers import module_3028
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -353,6 +355,38 @@ def test_main_format_json_both_spellings(capsys):
 def test_unknown_check_name_rejected():
     code, report = run(["gkm", data_path("s2.json"), "--check", "bogus"])
     assert code == EXIT_INPUT
+
+
+def _parsed(parse, argv, capsys):
+    """(namespace or None, printed output) of parse(argv)."""
+    try:
+        got = parse(argv)
+    except SystemExit:
+        got = None
+    out = capsys.readouterr()
+    return None if got is None else vars(got), out.out, out.err
+
+
+def test_parser_of_one_command_parses_as_the_parser_of_all(capsys):
+    # build_parser(argv) has only the subparser of the command argv starts
+    # with; the CLI parses, rejects and prints as the parser of every
+    # command does
+    full = build_parser(())
+    argvs = [[name, "in.json"] for name in COMMANDS] + [
+        ["gkm", "in.json", "--check", "cs,descend", "--format=json", "--seed", "3"],
+        ["integrate", "in.json", "--class", "[]", "--max-degree", "4"],
+        ["gkm", "in.json", "--klass", "[]"], ["gkm"], ["gkm", "in.json", "extra"],
+        ["gkm", "--format", "xml", "in.json"], ["cartan", "in.json", "--seed", "x"],
+        ["gkm", "-h"], ["nope", "in.json"], ["in.json"], [], ["-h"], ["--format", "json"],
+    ]
+    for argv in argvs:
+        parser = build_parser(argv)
+        usage = parser.format_usage()
+        if argv and argv[0] in COMMANDS:
+            assert "{%s}" % argv[0] in usage
+        else:
+            assert "{%s}" % ",".join(COMMANDS) in usage
+        assert _parsed(cli._parse, argv, capsys) == _parsed(full.parse_args, argv, capsys)
 
 
 def _module_input(entry, col_degree=2):

@@ -2,9 +2,10 @@
 
 Covers every shipped input under every command in both formats, one
 integrate class, and module-analyze on 25 seeded random modules and on
-helpers.module_3028, whose Groebner bases grow large coefficients.  A
-changed digest must be explained in CHANGES.md; running this file as a
-script rewrites golden_reports.json from the current code.
+helpers.module_3028 and helpers.module_3003, whose Groebner bases grow
+large coefficients.  Every report must take under CPU_BOUND_S seconds of
+CPU.  A changed digest must be explained in CHANGES.md; running this file
+as a script rewrites golden_reports.json from the current code.
 """
 
 import contextlib
@@ -13,8 +14,10 @@ import io
 import json
 import os
 import random
+import signal
 import sys
 import tempfile
+import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, HERE)
@@ -22,11 +25,12 @@ sys.path.insert(0, os.path.join(HERE, "..", "src"))
 
 from equisyz.cli import COMMANDS, main  # noqa: E402
 from equisyz.polyring import GradedPolynomialRing  # noqa: E402
-from helpers import module_3028, random_module  # noqa: E402
+from helpers import module_3003, module_3028, random_module  # noqa: E402
 
 DATA = os.path.join(HERE, "..", "data")
 GOLDEN = os.path.join(HERE, "golden_reports.json")
 RANDOM_MODULES = 25
+CPU_BOUND_S = 10
 
 
 def _cases(workdir):
@@ -47,17 +51,36 @@ def _cases(workdir):
             json.dump(random_module(ring, random.Random(seed)).to_json(), fh)
         yield ("module-analyze random_module %d json" % seed,
                ["module-analyze", path, "--seed", "3", "--format", "json"])
-    path = os.path.join(workdir, "random_module_3028.json")
-    with open(path, "w") as fh:
-        json.dump(module_3028().to_json(), fh)
-    yield ("module-analyze random_module_3028 json",
-           ["module-analyze", path, "--seed", "5", "--format", "json"])
+    for name, module in (("3028", module_3028), ("3003", module_3003)):
+        path = os.path.join(workdir, "random_module_%s.json" % name)
+        with open(path, "w") as fh:
+            json.dump(module().to_json(), fh)
+        yield ("module-analyze random_module_%s json" % name,
+               ["module-analyze", path, "--seed", "5", "--format", "json"])
+
+
+def _expire(signum, frame):
+    raise TimeoutError("over %d s of CPU" % CPU_BOUND_S)
 
 
 def _digest(argv):
+    """The digest of argv's exit code and report; raises if the command
+    takes CPU_BOUND_S seconds of CPU or more.  A profiling timer stops a
+    runaway: the CLI reports its TimeoutError as an internal error."""
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(argv)
+    previous = signal.signal(signal.SIGPROF, _expire)
+    signal.setitimer(signal.ITIMER_PROF, CPU_BOUND_S)
+    start = time.process_time()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0)
+        signal.signal(signal.SIGPROF, previous)
+    spent = time.process_time() - start
+    if spent >= CPU_BOUND_S:
+        raise AssertionError("%s took %.1f s of CPU, over the bound of %d s"
+                             % (" ".join(argv), spent, CPU_BOUND_S))
     blob = "%d\n%s" % (code, out.getvalue())
     return hashlib.sha256(blob.encode()).hexdigest()
 

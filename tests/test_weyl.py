@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import sys
@@ -6,19 +7,20 @@ from fractions import Fraction
 
 import pytest
 
-from equisyz import polyring, weyl
-from equisyz.polyring import GradedPolynomialRing, Polynomial, Vector
+from equisyz import cartan, polyring
+from equisyz.polyring import GradedPolynomialRing, Polynomial, Vector, _mat_mul
 from equisyz.gradmod import FPModule, base_change, iso_surrogate_equal
 from equisyz.equivtop import GKMGraph, gkm_cohomology
 from equisyz.cli import run
 from equisyz.weyl import (
     ReflectionGroup, WEquivariantFreeModule, GroupClosureError,
     cyclic_sign_group, symmetric_group_on_sum_zero, signed_permutation_rank2,
-    product_group, group_from_json, _mat_mul,
+    product_group, group_from_json,
 )
 from helpers import (
-    failures, random_homogeneous, random_vector, reference_act, reference_invariants,
-    restrict_scalars, reynolds, verify_or_raise,
+    failures, random_homogeneous, random_vector, reference_act, reference_closure,
+    reference_invariants, reference_reynolds_tuple, restrict_scalars, reynolds,
+    verify_or_raise,
 )
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -61,6 +63,81 @@ def test_cayley_table():
                 _mat_mul(g, w) for w in group.elements]
 
 
+def _rational_groups():
+    """Rank-2 groups with elements that are not integer matrices: the
+    order-4 group of the matrix [[0, -1/2], [2, 0]], and the order-8 group
+    it makes with a sign flip; x^2 + 4y^2 and x^2 y^2 are invariant."""
+    ring = GradedPolynomialRing(["x", "y"])
+    x, y = ring.vars()
+    invariants = [x * x + (y * y).scale(4), x * x * y * y]
+    turn = [[0, Fraction(-1, 2)], [2, 0]]
+    flip = [[1, 0], [0, -1]]
+    return [ReflectionGroup([turn], invariants, ring=ring),
+            ReflectionGroup([turn, flip], invariants, ring=ring)]
+
+
+def test_closure_matches_the_fraction_walk():
+    # the closure on integer matrices numbers the elements, and fills the
+    # table, as the walk on Fraction matrix products does, also where the
+    # generators are not integer matrices
+    z2 = cyclic_sign_group()
+    p3, _ = GKMGraph.from_json(gen.projective_space(3, 0, symmetric=True)).symmetry
+    rational = _rational_groups()
+    assert [g.order for g in rational] == [4, 8]
+    assert [s is None for s in rational[0]._signed] == [False, True, False, True]
+    for group in rational + [z2, signed_permutation_rank2(), symmetric_group_on_sum_zero(3),
+                             symmetric_group_on_sum_zero(4),
+                             product_group(z2, symmetric_group_on_sum_zero(3)), p3]:
+        elements, table = reference_closure(group.generators)
+        assert group.elements == elements and group.table == table
+        assert group._index == {w: k for k, w in enumerate(elements)}
+        assert all(type(x) is Fraction for w in group.elements for row in w for x in row)
+        for (m, d), w in zip(group._forms, group.elements):
+            assert d > 0 and math.gcd(d, *[x for row in m for x in row]) == 1
+            assert all(Fraction(x, d) == y for r, s in zip(m, w) for x, y in zip(r, s))
+
+
+def test_reynolds_tuple_matches_the_fraction_average():
+    # summing integer numerators over the group gives the Fraction average,
+    # on the zero vector and seeded random vectors, homogeneous or not,
+    # integral or rational, not W-stable, and on their (W-stable) images;
+    # a nonzero image is born in its integer form
+    z2 = cyclic_sign_group()
+    a2 = symmetric_group_on_sum_zero(3)
+    b2 = signed_permutation_rank2()
+    s4 = symmetric_group_on_sum_zero(4)
+    z2z2 = product_group(z2, z2)
+    modules = [
+        WEquivariantFreeModule(z2, ["pt"], [{"pt": "pt"}]),
+        _orbit_module(z2, z2.elements[0], _mat_mul),
+        _orbit_module(b2, (1, 0), _linear),
+        _orbit_module(a2, a2.elements[0], _mat_mul),
+        _orbit_module(s4, (1, 0, 0), _linear),
+        _orbit_module(z2z2, z2z2.elements[0], _mat_mul),
+        _orbit_module(product_group(z2, a2), (1, 1, 0), _linear),
+        _kernel_module(gen.projective_space(3, 0, symmetric=True))[0],
+    ]
+    modules += [_orbit_module(g, g.elements[0], _mat_mul) for g in _rational_groups()]
+    rng = random.Random(1717)
+    images = 0
+    for mod in modules:
+        ring, cols = mod.group.ring, (0,) * mod.rank
+        vectors = [Vector(ring, mod.rank, {})]
+        for _ in range(2):
+            rational = rng.random() < 0.5
+            v = random_vector(ring, cols, rng.choice([0, 2, 4]), rng, rational=rational)
+            w = random_vector(ring, cols, rng.choice([2, 6]), rng, rational=rational)
+            vectors += [v, v + w]
+        for v in vectors:
+            got = mod.reynolds_tuple(v)
+            assert got.is_zero() or got._data is None
+            assert got == reference_reynolds_tuple(mod, v)
+            again = mod.reynolds_tuple(got)
+            assert again == got == reference_reynolds_tuple(mod, got)
+            images += not got.is_zero()
+    assert images >= 3 * len(modules), images
+
+
 def _is_signed_permutation(matrix):
     n = len(matrix)
     return (all(sum(1 for x in row if x) == 1 for row in matrix)
@@ -75,7 +152,8 @@ def test_action_matches_substitution():
     z2 = cyclic_sign_group()
     p3, _ = GKMGraph.from_json(gen.projective_space(3, 0, symmetric=True)).symmetry
     groups = [z2, signed_permutation_rank2(), product_group(z2, z2),
-              symmetric_group_on_sum_zero(3), symmetric_group_on_sum_zero(4), p3]
+              symmetric_group_on_sum_zero(3), symmetric_group_on_sum_zero(4), p3,
+              *_rational_groups()]
     rng = random.Random(61)
     for group in groups:
         signed = [_is_signed_permutation(w) for w in group.elements]
@@ -453,12 +531,13 @@ def test_descend_reynolds_and_expand_counts(tmp_path, monkeypatch):
     # deterministic work of gkm --check descend on symmetric P^3 (S_4): the
     # selection expanded every one of 96 candidates (96 Reynolds images,
     # 384 expand calls); only the 4 kept generators are expanded now.  The
-    # group is numbered once: only its closure multiplies matrices, every
-    # element acts as a signed permutation, without substitution, and the
-    # Reynolds averaging hashes no Fraction matrix
-    counts = {"reynolds_tuple": 0, "expand": 0, "substitute": 0,
-              "_mat_mul": 0, "fraction_hash_in_reynolds": 0}
-    modules = []
+    # group is numbered once, and its closure multiplies integer matrices,
+    # never Fraction ones (_mat_mul); every element acts as a signed
+    # permutation, without substitution, and the Reynolds averaging hashes
+    # no Fraction matrix and returns vectors born in their integer form
+    counts = {"reynolds_tuple": 0, "expand": 0, "substitute": 0, "_closure": 0,
+              "_mat_mul_in_closure": 0, "fraction_hash_in_reynolds": 0}
+    modules, born = [], []
 
     def counting(cls, name):
         orig = getattr(cls, name)
@@ -468,15 +547,26 @@ def test_descend_reynolds_and_expand_counts(tmp_path, monkeypatch):
             return orig(*args, **kwargs)
         monkeypatch.setattr(cls, name, counted)
 
-    counting(WEquivariantFreeModule, "reynolds_tuple")
     counting(ReflectionGroup, "expand")
     counting(Polynomial, "substitute")
+    in_closure = []
+    orig_closure = ReflectionGroup._closure
+
+    def closure(gens, max_order):
+        counts["_closure"] += 1
+        in_closure.append(True)
+        try:
+            return orig_closure(gens, max_order)
+        finally:
+            in_closure.pop()
+    monkeypatch.setattr(ReflectionGroup, "_closure", staticmethod(closure))
     orig_mat_mul = polyring._mat_mul
 
     def mat_mul(a, b):
-        counts["_mat_mul"] += 1
+        if in_closure:
+            counts["_mat_mul_in_closure"] += 1
         return orig_mat_mul(a, b)
-    for module in (polyring, weyl):
+    for module in (polyring, cartan):
         monkeypatch.setattr(module, "_mat_mul", mat_mul)
 
     in_reynolds = []
@@ -490,12 +580,15 @@ def test_descend_reynolds_and_expand_counts(tmp_path, monkeypatch):
     orig_reynolds = WEquivariantFreeModule.reynolds_tuple
 
     def reynolds_tuple(self, vector):
+        counts["reynolds_tuple"] += 1
         modules.append(self)
         in_reynolds.append(True)
         try:
-            return orig_reynolds(self, vector)
+            image = orig_reynolds(self, vector)
         finally:
             in_reynolds.pop()
+        born.append(image.is_zero() or image._data is None)
+        return image
     monkeypatch.setattr(WEquivariantFreeModule, "reynolds_tuple", reynolds_tuple)
 
     path = tmp_path / "p3.json"
@@ -506,8 +599,8 @@ def test_descend_reynolds_and_expand_counts(tmp_path, monkeypatch):
     group = modules[0].group
     assert (group.order, len(group.generators)) == (24, 3)
     assert counts["substitute"] == 0, counts
-    assert counts["_mat_mul"] == group.order * len(group.generators), counts
+    assert counts["_closure"] >= 1 and counts["_mat_mul_in_closure"] == 0, counts
     assert counts["fraction_hash_in_reynolds"] == 0, counts
+    assert len(born) == counts["reynolds_tuple"] and all(born), born
     actions = modules[0]._action_of
     assert isinstance(actions, list) and len(actions) == group.order
-    assert all(type(k) is int for k in group._images)
