@@ -17,11 +17,11 @@ equivariant cohomology.  Longer filtrations are supplied as explicit data
 
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .polyring import (
-    GradedPolynomialRing, Vector, DatumError, determinant,
-    _exact_divide, _integers,
+    GradedPolynomialRing, Polynomial, Vector, DatumError, determinant,
+    _dot, _exact_divide, _integers,
 )
 from .gradmod import (
     FPModule, FPMap, fp_kernel, homology,
@@ -72,6 +72,8 @@ class GKMGraph:
             for v, vecs in euler.items():
                 if str(v) not in index:
                     raise DatumError("Euler data names unknown vertex %s" % v)
+                if not isinstance(vecs, (list, tuple)):
+                    raise DatumError("Euler data must map vertices to weight lists")
                 vecs = [_integers(vec, "weight entries") for vec in vecs]
                 if any(len(vec) != self.rank or not any(vec) for vec in vecs):
                     raise DatumError("Euler weights must be nonzero vectors of "
@@ -131,7 +133,8 @@ class GKMGraph:
         return vecs
 
     def localization(self):
-        """(L, [L / e_v for each vertex]) for L the lcm of the Euler classes.
+        """(L, d, [W_v for each vertex]) with L / e_v = W_v / d: L the lcm of
+        the Euler classes, d a positive integer and W_v integer terms.
 
         Each e_v is a scalar times a product of normalized weight forms
         (primitive, first nonzero entry positive); L multiplies every form
@@ -159,9 +162,13 @@ class GKMGraph:
                     p = p * self.weight_form(w) ** count[w]
                 return p
 
-            self._localization = (product(top), [
-                product(top - count).scale(1 / scalar)
-                for scalar, count in zip(scalars, counts)])
+            # L / e_v = (c_v / scalar_v) * P_v for the integer form c_v * P_v
+            forms = [product(top - count)._primitive() for count in counts]
+            ratios = [c / scalar for (c, _), scalar in zip(forms, scalars)]
+            d = lcm(*[r.denominator for r in ratios])
+            self._localization = (product(top), d, [
+                {e: n * int(r * d) for e, n in ints.items()}
+                for r, (_, (_, ints)) in zip(ratios, forms)])
         return self._localization
 
     def to_json(self):
@@ -525,18 +532,29 @@ def _satisfies_congruences(graph, polys):
                for v, w, weight in graph.edges)
 
 
-def _localize(graph, polys):
-    """Sum of f_v / e_v over the vertices: sum f_v * (L / e_v) divided once
-    by the lcm L of the Euler classes; raises unless it is a polynomial."""
-    ring = graph.ring
-    lcm, cofactors = graph.localization()
-    total_num = ring.zero()
-    for f, cofactor in zip(polys, cofactors):
-        if not f.is_zero():
-            total_num = total_num + f * cofactor
-    if total_num.is_zero():
-        return ring.zero()
-    quot, ok = _exact_divide(total_num, lcm)
+def _vertex_terms(vector):
+    """(c, [ints of each vertex]) with vector == c * ints, read off its
+    integer form; the ints are keyed by exponent tuples."""
+    ring = vector.ring
+    c, (_, ints) = vector._primitive()
+    cols = [{} for _ in range(vector.rank)]
+    for k, n in ints.items():
+        col, e = ring._unpack(k)
+        cols[col][e] = n
+    return c, cols
+
+
+def _localize(graph, content, pairs):
+    """Sum over the vertices of f_v / e_v, for f_v * W_v = content * a * b
+    given as one pair (a, b) of integer terms per vertex (W_v = d * L / e_v,
+    localization).  The products are summed into one integer accumulator,
+    scaled once by content / d and divided once by the lcm L of the Euler
+    classes; raises unless the sum is a polynomial."""
+    euler_lcm, d, _ = graph.localization()
+    total = Polynomial._of_ints(graph.ring, content / d, _dot(pairs))
+    if total.is_zero():
+        return total
+    quot, ok = _exact_divide(total, euler_lcm)
     if not ok:
         raise DatumError("localized sum is not a polynomial; "
                          "class or Euler data invalid")
@@ -551,10 +569,10 @@ def integrate(graph, klass):
     """
     if isinstance(klass, (list, tuple)):
         klass = Vector.from_polys(list(klass), len(graph.vertices))
-    polys = klass.to_polys()
-    if not _satisfies_congruences(graph, polys):
+    if not _satisfies_congruences(graph, klass.to_polys()):
         raise DatumError("class is not in the kernel of the edge-difference map")
-    return _localize(graph, polys)
+    c, cols = _vertex_terms(klass)
+    return _localize(graph, c, zip(cols, graph.localization()[2]))
 
 
 def pairing_perfection(graph):
@@ -562,19 +580,23 @@ def pairing_perfection(graph):
 
     Perfect iff the determinant is a nonzero scalar; the verdict is
     cross-checked against reflexivity of the kernel module.  The kernel is
-    a ring, so every product of basis vectors is localized unchecked.
+    a ring, so every product of basis vectors is localized unchecked: each
+    basis vector's integer terms are multiplied by the cofactors W_v once,
+    and entry (i, j) localizes the pairs (b_iv * W_v, b_jv).
     """
     kernel = gkm_cohomology(graph)
     if kernel.module.num_rels != 0:
         return CheckReport("poincare-pairing-perfection", "not applicable",
                            {"reason": "kernel is not free; use the syzygy test"})
-    basis = [b.to_polys() for b in kernel.generators]
+    cofactors = graph.localization()[2]
+    basis = [_vertex_terms(b) for b in kernel.generators]
+    weighted = [[_dot(((f, w),)) for f, w in zip(cols, cofactors)] for _, cols in basis]
     n = len(basis)
     gram = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            prod = [a * b for a, b in zip(basis[i], basis[j])]
-            gram[i][j] = gram[j][i] = _localize(graph, prod)
+            gram[i][j] = gram[j][i] = _localize(
+                graph, basis[i][0] * basis[j][0], zip(weighted[i], basis[j][1]))
     det = determinant(gram, graph.ring)
     unit = (not det.is_zero()) and set(det.terms) == {graph.ring.zero_exps}
     refl = biduality(kernel.module).reflexive

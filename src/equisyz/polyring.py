@@ -24,7 +24,8 @@ these forms by fraction-free pseudo-division, and what it returns is born
 in that form: the reduced bases, the block vectors g_i + e_i, and the
 ambient parts and syzygies SubmoduleGB splits off on packed keys
 (_columns_below, which gradmod's kernels share).  Their Fraction terms are
-a view, built only when first read.
+a view, built only when first read.  A Polynomial has the same kind of
+form on exponent-tuple keys, and its products are taken on it.
 """
 
 import heapq
@@ -32,7 +33,7 @@ import re
 import struct
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul, neg
+from operator import add, mul, neg
 
 __all__ = [
     "GradedPolynomialRing", "Polynomial", "Vector", "RingMap", "HilbertSeries",
@@ -63,10 +64,11 @@ _ONE = Fraction(1)
 
 
 def _fr(x):
-    """Coerce ints, strings like '3/2' and Fractions to Fraction."""
+    """Coerce ints, strings like '3/2' and Fractions to Fraction; a bool
+    (JSON true or false) is not a number."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         try:
@@ -78,12 +80,13 @@ def _fr(x):
 
 def _integers(values, what):
     """JSON integer fields as a tuple of ints; each entry is a number or a
-    string ("2") with an integer value, anything else a DatumError."""
+    string ("2") with an integer value, anything else (a bool too) a
+    DatumError."""
     try:
-        qs = [Fraction(x) for x in values]
+        qs = [Fraction(x) for x in values if not isinstance(x, bool)]
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         qs = None
-    if qs is None or any(q.denominator != 1 for q in qs):
+    if qs is None or len(qs) < len(values) or any(q.denominator != 1 for q in qs):
         raise DatumError("%s must be integers, got %r" % (what, values))
     return tuple(int(q) for q in qs)
 
@@ -259,7 +262,7 @@ class GradedPolynomialRing:
         """Polynomial from text or a list of ``{"coeff": "3/2", "exps": [...]}``."""
         if isinstance(obj, str):
             return self.parse(obj)
-        if isinstance(obj, (int,)):
+        if isinstance(obj, int) and not isinstance(obj, bool):
             return self.constant(obj)
         if isinstance(obj, list):
             return self.from_terms((_integers(t["exps"], "exponents"), _fr(t["coeff"]))
@@ -278,16 +281,69 @@ class GradedPolynomialRing:
 
 
 class Polynomial:
-    """Immutable sparse polynomial: exponent vector -> nonzero rational."""
+    """Immutable sparse polynomial: exponent vector -> nonzero rational.
 
-    __slots__ = ("ring", "terms")
+    Its one integer form, cached in _form, is (c, (lead, ints)) with
+    self == c * ints, shaped as Vector's: ints maps exponent tuples to
+    integers with gcd 1 and a positive lead coefficient, lead is the largest
+    exponent tuple (None for 0) and c is a Fraction.  The keys stay
+    exponent tuples, so a Polynomial's exponents are unbounded outside the
+    Groebner core.  Products multiply the integer forms; by Gauss's lemma
+    the product of two primitive forms is primitive, and lex order makes
+    its lead the sum of the leads, so a product is born in its form with
+    content c1 * c2, and its Fraction terms are a view built on first read.
+    Sums and scalings work on the Fraction terms.
+    """
+
+    __slots__ = ("ring", "terms", "_form")
 
     def __init__(self, ring, terms):
         self.ring = ring
         self.terms = {e: c for e, c in terms.items() if c}
+        self._form = None
+
+    @classmethod
+    def _of_form(cls, ring, content, form):
+        """The Polynomial content * ints for an integer form (lead, ints)
+        as the class describes it."""
+        p = cls.__new__(cls)
+        p.ring, p._form = ring, (content, form)
+        return p
+
+    @classmethod
+    def _of_ints(cls, ring, content, ints):
+        """The Polynomial content * ints for integer terms with no zero."""
+        if not ints:
+            return ring.zero()
+        g, form = _content_free(ints)
+        return cls._of_form(ring, content * g, form)
+
+    def __getattr__(self, name):
+        # reached only while the terms slot is unset, on a Polynomial born
+        # in its form: the Fraction view is built once and kept in the slot
+        if name != "terms":
+            raise AttributeError(name)
+        c, (_, ints) = self._form
+        p, q = c.numerator, c.denominator
+        self.terms = {e: Fraction(p * n, q) for e, n in ints.items()}
+        return self.terms
+
+    def _primitive(self):
+        """The integer form (c, (lead, ints)), computed once."""
+        if self._form is None:
+            terms = self.terms
+            den = lcm(*[c.denominator for c in terms.values()])
+            ints = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+            if ints:
+                g, form = _content_free(ints)
+                self._form = (Fraction(g, den), form)
+            else:
+                self._form = (_ONE, (None, {}))
+        return self._form
 
     def is_zero(self):
-        return not self.terms
+        form = self._form
+        return not (self.terms if form is None else form[1][1])
 
     def _check(self, other):
         if self.ring != other.ring:
@@ -314,16 +370,11 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = _mono_mul(e1, e2)
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return Polynomial(self.ring, out)
+        c1, (l1, a) = self._primitive()
+        c2, (l2, b) = other._primitive()
+        if not (a and b):
+            return self.ring.zero()
+        return Polynomial._of_form(self.ring, c1 * c2, (_mono_mul(l1, l2), _dot(((a, b),))))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -613,9 +664,9 @@ class Vector:
 
 
 def _content_free(terms):
-    """(g, (lead, terms / g)) for nonzero packed integer terms: lead is the
-    largest key and g the content of the terms, signed so that the lead's
-    coefficient is positive."""
+    """(g, (lead, terms / g)) for nonzero integer terms, keyed by packed
+    ints or by exponent tuples: lead is the largest key and g the content
+    of the terms, signed so that the lead's coefficient is positive."""
     lead = max(terms)
     g = gcd(*terms.values())
     if terms[lead] < 0:
@@ -623,6 +674,20 @@ def _content_free(terms):
     if g != 1:
         terms = {k: c // g for k, c in terms.items()}
     return g, (lead, terms)
+
+
+def _dot(pairs):
+    """The integer terms of sum(a * b for a, b in pairs), for integer terms
+    a and b keyed by exponent tuples; no entry is 0."""
+    acc = {}
+    get = acc.get
+    for a, b in pairs:
+        items = list(b.items())
+        for e1, c1 in a.items():
+            for e2, c2 in items:
+                e = tuple(map(add, e1, e2))
+                acc[e] = get(e, 0) + c1 * c2
+    return {e: n for e, n in acc.items() if n}
 
 
 def _sugar(ring, terms):
@@ -821,9 +886,19 @@ def divide(f, divisors):
     return _certificate(f, _blocks(f.ring, f.rank, divisors), f.rank, len(divisors))
 
 
+def _column(p):
+    """The Vector (p) of R^1, born in the integer form read off p's."""
+    c, (_, ints) = p._primitive()
+    if not ints:
+        return Vector(p.ring, 1, {})
+    pack = p.ring._pack
+    sign, form = _content_free({pack(0, e): n for e, n in ints.items()})
+    return Vector._of_form(p.ring, 1, c * sign, form)
+
+
 def _exact_divide(f, g):
     """(f / g, True) when g divides f, else (None, False)."""
-    q, rem = divide(Vector.from_polys([f], 1), [Vector.from_polys([g], 1)])
+    q, rem = divide(_column(f), [_column(g)])
     if rem.is_zero():
         return q[0], True
     return None, False
@@ -858,8 +933,13 @@ def determinant(matrix, ring):
         piv = m[k][k]
         c = prev.constant_term() if set(prev.terms) == {ring.zero_exps} else None
         for i in range(k + 1, n):
+            below = m[i][k]
             for j in range(k + 1, n):
-                num = m[i][j] * piv - m[i][k] * m[k][j]
+                # a zero factor leaves its product out (most entries of the
+                # pairing check's Gram matrices are zero)
+                num = m[i][j] * piv
+                if not (below.is_zero() or m[k][j].is_zero()):
+                    num = num - below * m[k][j]
                 if c is None:
                     if not num.is_zero():
                         num, ok = _exact_divide(num, prev)

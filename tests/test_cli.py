@@ -136,6 +136,44 @@ def test_exit_two_on_bad_euler_data(tmp_path):
             assert message in report["error"], report["error"]
 
 
+def test_exit_two_on_non_list_euler_value(tmp_path):
+    # iterating the 5 used to end in "'int' object is not iterable"
+    path = write_json(tmp_path, "euler_int.json", {
+        "rank": 1, "vars": ["t"], "vertices": ["N", "S"],
+        "edges": [{"v": "N", "w": "S", "weight": [1]}],
+        "euler": {"N": 5, "S": [[-1]]}})
+    for argv in (["gkm", path], ["integrate", path, "--klass", '["t", "0"]']):
+        code, report = run(argv)
+        assert code == EXIT_INPUT, argv
+        assert "Euler data must map vertices to weight lists" in report["error"]
+
+
+def test_exit_two_on_json_booleans_as_numbers(tmp_path):
+    # true and false are not numbers; each of these used to read as 1 or 0
+    with open(data_path("s2xs2.json")) as fh:
+        s2xs2 = json.load(fh)
+    weight = json.loads(json.dumps(s2xs2))
+    weight["edges"][0]["weight"] = [True, 0]
+    euler = json.loads(json.dumps(s2xs2))
+    euler["euler"] = {v: [[True, 0], [0, 1]] for v in s2xs2["vertices"]}
+    cases = [
+        ("gkm", weight, "weight entries must be integers, got [True, 0]"),
+        ("gkm", euler, "weight entries must be integers, got [True, 0]"),
+        ("gkm", dict(s2xs2, rank=True), "rank must be integers, got [True]"),
+        ("module-analyze", _module_input([{"coeff": "1", "exps": [True, 0]}]),
+         "exponents must be integers, got [True, 0]"),
+        ("module-analyze", _module_input([{"coeff": True, "exps": [1, 0]}]),
+         "not an exact rational: True"),
+        ("module-analyze", _module_input(True), "unrecognized polynomial JSON: True"),
+        ("module-analyze", dict(_module_input("x"), col_degrees=[False]),
+         "col_degrees must be integers, got [False]"),
+    ]
+    for command, obj, message in cases:
+        code, report = run([command, write_json(tmp_path, "bools.json", obj)])
+        assert code == EXIT_INPUT, (command, obj, report)
+        assert message in report["error"], report["error"]
+
+
 def test_exit_two_on_fractional_gkm_data(tmp_path):
     # int() used to truncate these: weight [1.5] with Euler [[1.7]] at N
     # integrated (1, 1) to a passing report

@@ -380,7 +380,7 @@ def test_integrate_matches_product_form_reference():
 
 
 def test_pairing_flag4_finishes():
-    # the 24x24 Gram matrix of Fl(4): a few seconds; the limit only
+    # the 24x24 Gram matrix of Fl(4): under a second; the limit only
     # catches a localization that no longer finishes
     g = GKMGraph.from_json(gen.flag_variety(4, 0))
     start = time.perf_counter()
@@ -388,6 +388,36 @@ def test_pairing_flag4_finishes():
     assert time.perf_counter() - start < 120
     assert rep.verdict == "pass" and rep.details["perfect"]
     assert rep.details["determinant"] == "1"
+
+
+def _scaled_euler(graph, c):
+    """The graph's JSON with supplied Euler data: at every vertex the first
+    derived weight times c and the others as derived."""
+    euler = {}
+    for v in graph.vertices:
+        first, *rest = graph._weights_at(v)
+        euler[v] = [[c * x for x in first]] + [list(w) for w in rest]
+    return dict(graph.to_json(), euler=euler)
+
+
+def test_gram_entries_match_reference_integrals():
+    # every Gram entry of pairing_perfection, accumulated on integers over
+    # the common denominator of the localization, is the product-form
+    # integral of b_i * b_j; the copies with Euler weights scaled by 2 and
+    # -3 give cofactors L / e_v with denominators (and a sign)
+    graphs = [load(GKMGraph, name) for name in ("s2", "s2xs2", "flag3")]
+    graphs.append(GKMGraph.from_json(gen.p1_power(3, 0)))
+    for name in ("s2", "s2xs2"):
+        for c in (2, -3):
+            graphs.append(GKMGraph.from_json(_scaled_euler(load(GKMGraph, name), c)))
+    for graph in graphs:
+        basis = [b.to_polys() for b in gkm_cohomology(graph).generators]
+        gram = pairing_perfection(graph).details["gram"]
+        assert len(gram) == len(basis)
+        for i, bi in enumerate(basis):
+            for j, bj in enumerate(basis):
+                product = [a * b for a, b in zip(bi, bj)]
+                assert gram[i][j] == str(reference_integrate(graph, product)), (i, j)
 
 
 def test_pairing_sphere_and_product():

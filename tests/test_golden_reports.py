@@ -1,11 +1,13 @@
 """CLI reports are byte-for-byte those whose sha256 digests are committed.
 
 Covers every shipped input under every command in both formats, one
-integrate class, and module-analyze on 25 seeded random modules and on
+integrate class, module-analyze on 25 seeded random modules and on
 helpers.module_3028 and helpers.module_3003, whose Groebner bases grow
-large coefficients.  Every report must take under CPU_BOUND_S seconds of
-CPU.  A changed digest must be explained in CHANGES.md; running this file
-as a script rewrites golden_reports.json from the current code.
+large coefficients, and the pairing check on the full flag variety Fl(4)
+of bench/gen.py (24 vertices, a 24 x 24 Gram matrix).  Every report must
+take under CPU_BOUND_S seconds of CPU.  A changed digest must be explained
+in CHANGES.md; running this file as a script rewrites golden_reports.json
+from the current code.
 """
 
 import contextlib
@@ -22,10 +24,12 @@ import time
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, HERE)
 sys.path.insert(0, os.path.join(HERE, "..", "src"))
+sys.path.insert(0, os.path.join(HERE, "..", "bench"))
 
 from equisyz.cli import COMMANDS, main  # noqa: E402
 from equisyz.polyring import GradedPolynomialRing  # noqa: E402
 from helpers import module_3003, module_3028, random_module  # noqa: E402
+import gen  # noqa: E402  (the benchmark's input generators, read only)
 
 DATA = os.path.join(HERE, "..", "data")
 GOLDEN = os.path.join(HERE, "golden_reports.json")
@@ -57,6 +61,11 @@ def _cases(workdir):
             json.dump(module().to_json(), fh)
         yield ("module-analyze random_module_%s json" % name,
                ["module-analyze", path, "--seed", "5", "--format", "json"])
+    path = os.path.join(workdir, "flag_variety_4.json")
+    with open(path, "w") as fh:
+        json.dump(gen.flag_variety(4, "0"), fh)
+    yield ("gkm flag_variety_4 pairing json",
+           ["gkm", path, "--check", "pairing", "--format", "json"])
 
 
 def _expire(signum, frame):

@@ -610,6 +610,89 @@ def test_determinant_of_plu_product():
         assert determinant(a, ring) == (expected if sign > 0 else -expected)
 
 
+def _terms_built(p):
+    """Whether p's Fraction terms exist yet: the slot of a Polynomial born
+    in its integer form stays unset until terms is first read."""
+    try:
+        object.__getattribute__(p, "terms")
+    except AttributeError:
+        return False
+    return True
+
+
+def _check_integer_form(p):
+    """p's cached integer form (c, (lead, ints)): exponent-tuple keys,
+    integers of gcd 1 with a positive lead, the largest key, and c * ints
+    equal to p's Fraction terms."""
+    c, (lead, ints) = p._primitive()
+    if p.is_zero():
+        assert (lead, ints) == (None, {})
+        return
+    assert all(isinstance(e, tuple) and len(e) == p.ring.num_vars for e in ints)
+    assert math.gcd(*ints.values()) == 1
+    assert lead == max(ints) and ints[lead] > 0
+    assert {e: c * n for e, n in ints.items()} == p.terms
+
+
+def test_products_and_powers_match_sympy():
+    # Polynomial products multiply the integer forms: each product must be
+    # sympy's, and be born in a form that keeps the invariants, on seeded
+    # random rational polynomials in 1-4 variables, zero and constants
+    # among them, about half with a negative lead
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(1914)
+    negative_leads = 0
+    for nvars in range(1, 5):
+        ring = GradedPolynomialRing(["x%d" % i for i in range(nvars)])
+        gens = sympy.symbols(ring.names)
+
+        def rand():
+            terms = {}
+            for _ in range(rng.choice((0, 1, 1, 2, 3, 4, 6))):
+                exps = tuple(rng.randrange(4) for _ in range(nvars))
+                if rng.random() < 0.2:
+                    exps = ring.zero_exps
+                terms[exps] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 12),
+                                       rng.randint(1, 6))
+            return Polynomial(ring, terms)
+
+        def theirs(p):
+            return sympy.Poly.from_dict(
+                {e: sympy.Rational(c.numerator, c.denominator) for e, c in p.terms.items()},
+                gens, domain="QQ")
+
+        def same(p, q):
+            got = {e: sympy.Rational(c.numerator, c.denominator) for e, c in p.terms.items()}
+            want = {e: c for e, c in q.as_dict().items() if c}
+            return got == want
+
+        polys = [rand() for _ in range(12)] + [ring.zero(), ring.constant(Fraction(-7, 3))]
+        for f in polys:
+            _check_integer_form(f)
+            negative_leads += not f.is_zero() and f.terms[max(f.terms)] < 0
+            g = rng.choice(polys)
+            prod = f * g
+            assert prod.is_zero() or not _terms_built(prod)
+            _check_integer_form(prod)
+            assert same(prod, theirs(f) * theirs(g)), (f, g)
+            # sums of products, whose Fraction terms are views; f + f and
+            # the scaled pair share a factor of their contents
+            for a, b in ((f, g), (f, f), (f.scale(4), g.scale(Fraction(6, 5)))):
+                assert same(a + b, theirs(a) + theirs(b)) and same(a - b, theirs(a) - theirs(b))
+                _check_integer_form(a - b)
+            k = rng.randint(0, 3)
+            power = f ** k
+            _check_integer_form(power)
+            assert same(power, theirs(f) ** k), (f, k)
+    assert negative_leads >= 10
+    # exponents are unbounded outside the Groebner core
+    ring = GradedPolynomialRing(["x", "y"])
+    x, y = ring.vars()
+    p = x ** 40000 * y
+    assert p.terms == {(40000, 1): 1}
+    _check_integer_form(p)
+
+
 def test_reduced_gb_matches_sympy_grevlex():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(17)
