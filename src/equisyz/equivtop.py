@@ -21,7 +21,7 @@ from math import gcd, lcm
 
 from .polyring import (
     GradedPolynomialRing, Polynomial, Vector, DatumError, determinant,
-    _dot, _exact_divide, _integers,
+    _blocks, _certificate, _column, _dot, _exact_divide, _integers,
 )
 from .gradmod import (
     FPModule, FPMap, fp_kernel, homology,
@@ -90,11 +90,10 @@ class GKMGraph:
         return self.vertices.index(v)
 
     def weight_form(self, weight):
-        p = self.ring.zero()
-        for i, a in enumerate(weight):
-            if a:
-                p = p + self.ring.var(i).scale(a)
-        return p
+        """The linear form sum(a_i * t_i) of a weight (a_1, ..., a_r)."""
+        zero = self.ring.zero_exps
+        return Polynomial(self.ring, {zero[:i] + (1,) + zero[i + 1:]: Fraction(a)
+                                      for i, a in enumerate(weight) if a})
 
     def _check_symmetry(self):
         group, perms = self.symmetry
@@ -133,8 +132,10 @@ class GKMGraph:
         return vecs
 
     def localization(self):
-        """(L, d, [W_v for each vertex]) with L / e_v = W_v / d: L the lcm of
-        the Euler classes, d a positive integer and W_v integer terms.
+        """(B, d, [W_v for each vertex]) with L / e_v = W_v / d: L the lcm
+        of the Euler classes, B the block vectors of its column (L), the
+        divisor _localize reduces by, d a positive integer and W_v integer
+        terms.
 
         Each e_v is a scalar times a product of normalized weight forms
         (primitive, first nonzero entry positive); L multiplies every form
@@ -166,7 +167,7 @@ class GKMGraph:
             forms = [product(top - count)._primitive() for count in counts]
             ratios = [c / scalar for (c, _), scalar in zip(forms, scalars)]
             d = lcm(*[r.denominator for r in ratios])
-            self._localization = (product(top), d, [
+            self._localization = (_blocks(self.ring, 1, [_column(product(top))]), d, [
                 {e: n * int(r * d) for e, n in ints.items()}
                 for r, (_, (_, ints)) in zip(ratios, forms)])
         return self._localization
@@ -549,16 +550,17 @@ def _localize(graph, content, pairs):
     given as one pair (a, b) of integer terms per vertex (W_v = d * L / e_v,
     localization).  The products are summed into one integer accumulator,
     scaled once by content / d and divided once by the lcm L of the Euler
-    classes; raises unless the sum is a polynomial."""
-    euler_lcm, d, _ = graph.localization()
+    classes, reducing by L's block vector (_certificate); raises unless the
+    sum is a polynomial."""
+    blocks, d, _ = graph.localization()
     total = Polynomial._of_ints(graph.ring, content / d, _dot(pairs))
     if total.is_zero():
         return total
-    quot, ok = _exact_divide(total, euler_lcm)
-    if not ok:
+    quot, rem = _certificate(_column(total), blocks, 1, 1)
+    if not rem.is_zero():
         raise DatumError("localized sum is not a polynomial; "
                          "class or Euler data invalid")
-    return quot
+    return quot[0]
 
 
 def integrate(graph, klass):

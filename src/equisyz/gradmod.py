@@ -302,16 +302,21 @@ class FPModule:
 
 
 class FPMap:
-    """Map of finitely presented modules, as a matrix on generators."""
+    """Map of finitely presented modules, as a matrix on generators.
+
+    With check, the shape, ring and degrees are checked as the map of free
+    modules on the generators, and the entries times the source relations
+    must be relations of the target; a free source has none to check, so
+    the target's relation basis is built only when the source has
+    relations.
+    """
 
     def __init__(self, source, target, entries, check=True):
         self.source = source
         self.target = target
-        # shape, ring and degrees: checked as the map of free modules on the
-        # generators; entries times the source relations must be relations
         self.entries = ModuleMap(source.pmap.target, target.pmap.target,
                                  entries, check=check).entries
-        if check:
+        if check and source.num_rels:
             gb = target.pmap.gb()
             rels = source.pmap
             mapped = _matrix_product(self.ring, self.entries, rels.entries,

@@ -774,13 +774,17 @@ def _reduce(ring, terms, divisors):
     division over Q, and every intermediate result a positive multiple of
     it.  The q_i are not kept; _certificate reads them off aux columns.
 
-    The pending terms sit in a heap of negated keys (Monagan-Pearce); a
+    The pending terms sit in the dict p, and those in a column where some
+    divisor has its lead also in a heap of negated keys (Monagan-Pearce); a
     cancelled term stays in the heap and is skipped when popped.  Reduction
     only adds terms smaller than the one reduced, so a popped term never
-    re-enters.  A lead divides a term of its column when the guard-bit
-    subtraction of their exponent fields borrows from no guard.  A product
-    with a guard bit set has an exponent past EXPONENT_LIMIT; its key
-    equals no admissible key, so checking the new terms checks them all.
+    re-enters.  A term in a column with no divisor lead (an aux column of
+    _certificate, say) can never be reduced: it stays in p, scaled with the
+    rest, and joins the remainder once the heap is empty.  A lead divides a
+    term of its column when the guard-bit subtraction of their exponent
+    fields borrows from no guard.  A product with a guard bit set has an
+    exponent past EXPONENT_LIMIT; its key equals no admissible key, so
+    checking the new terms checks them all.
     """
     mask, guard, cshift = ring._mask, ring._guard, ring._cshift
     by_col = {}
@@ -790,7 +794,7 @@ def _reduce(ring, terms, divisors):
     scale = 1
     rem = {}
     p = dict(terms)
-    heap = [-k for k in p]
+    heap = [-k for k in p if k >> cshift in by_col]
     heapq.heapify(heap)
     while heap:
         t = -heapq.heappop(heap)
@@ -798,7 +802,7 @@ def _reduce(ring, terms, divisors):
         if coeff is None:
             continue
         fields = ~t & mask | guard
-        for lead, lfields, glc, ints in by_col.get(t >> cshift, ()):
+        for lead, lfields, glc, ints in by_col[t >> cshift]:
             if (fields - lfields) & guard == guard:
                 q = t - lead
                 g = gcd(coeff, glc)
@@ -815,7 +819,8 @@ def _reduce(ring, terms, divisors):
                         if ~t2 & guard:
                             raise ring._limit_error(ring._unpack(t2)[1])
                         p[t2] = -factor * v2
-                        heapq.heappush(heap, -t2)
+                        if t2 >> cshift in by_col:
+                            heapq.heappush(heap, -t2)
                     else:
                         s = old - factor * v2
                         if s:
@@ -826,6 +831,7 @@ def _reduce(ring, terms, divisors):
         else:
             rem[t] = coeff
             del p[t]
+    rem.update(p)
     return scale, rem
 
 
@@ -1026,20 +1032,24 @@ class GroebnerBasis:
         return not _reduce(self.ring, v._packed()[1], self._forms)[1]
 
     def reduced(self, rank):
-        """The reduced basis, monic Vectors of R^rank sorted by lead."""
+        """The reduced basis, monic Vectors of R^rank sorted by lead.
+
+        Interreduction runs in increasing lead order, each form against the
+        reduced forms before it: a lead divides only terms at least as large
+        as itself, so no larger lead can divide a term of a tail.  A tail
+        reduction keeps the lead, and the reduced basis is unique.
+        """
         ring, leads = self.ring, self._leads
         # minimalize: drop elements whose lead is divisible by another lead
         keep = [form for i, (form, (ci, ei)) in enumerate(zip(self._forms, leads))
                 if not any(cj == ci and _mono_divides(ej, ei) and (ej != ei or j < i)
                            for j, (cj, ej) in enumerate(leads) if j != i)]
-        # interreduce tails; a tail reduction keeps the lead
+        keep.sort(key=lambda form: form[0])
         out = []
-        for i, form in enumerate(keep):
-            others = keep[:i] + keep[i + 1:]
-            if others:
-                form = _content_free(_reduce(ring, form[1], others)[1])[1]
+        for form in keep:
+            if out:
+                form = _content_free(_reduce(ring, form[1], out)[1])[1]
             out.append(form)
-        out.sort(key=lambda form: form[0])
         return [_monic(ring, rank, form) for form in out]
 
 

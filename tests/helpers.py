@@ -1,11 +1,13 @@
 """Shared test utilities: the shipped data, random homogeneous polynomials
 and modules, and the reference forms the library is tested against."""
 
+import heapq
 import json
 import os
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from equisyz.polyring import (
     GradedPolynomialRing, HilbertSeries, Polynomial, SubmoduleGB, Vector, _exact_divide,
@@ -239,6 +241,58 @@ def reference_divide(f, divisors):
             del p[key]
     return ([Polynomial(ring, q) for q in quots],
             Vector(ring, f.rank, rem))
+
+
+def reference_reduce(ring, terms, divisors):
+    """(scale, rem) of polyring._reduce by its earlier loop, kept verbatim as
+    the reference it is tested against: every pending term enters the heap,
+    and a term of a column where no divisor has its lead is popped, in key
+    order, into the remainder like any other term that no lead divides."""
+    mask, guard, cshift = ring._mask, ring._guard, ring._cshift
+    by_col = {}
+    for lead, ints in divisors:
+        by_col.setdefault(lead >> cshift, []).append(
+            (lead, ~lead & mask, ints[lead], ints))
+    scale = 1
+    rem = {}
+    p = dict(terms)
+    heap = [-k for k in p]
+    heapq.heapify(heap)
+    while heap:
+        t = -heapq.heappop(heap)
+        coeff = p.get(t)
+        if coeff is None:
+            continue
+        fields = ~t & mask | guard
+        for lead, lfields, glc, ints in by_col.get(t >> cshift, ()):
+            if (fields - lfields) & guard == guard:
+                q = t - lead
+                g = gcd(coeff, glc)
+                a, factor = glc // g, coeff // g
+                if a != 1:
+                    scale *= a
+                    for part in (p, rem):
+                        for k in part:
+                            part[k] *= a
+                for k2, v2 in ints.items():
+                    t2 = k2 + q
+                    old = p.get(t2)
+                    if old is None:
+                        if ~t2 & guard:
+                            raise ring._limit_error(ring._unpack(t2)[1])
+                        p[t2] = -factor * v2
+                        heapq.heappush(heap, -t2)
+                    else:
+                        s = old - factor * v2
+                        if s:
+                            p[t2] = s
+                        else:
+                            del p[t2]
+                break
+        else:
+            rem[t] = coeff
+            del p[t]
+    return scale, rem
 
 
 def reference_update_pairs(single, pairs, leads, new, ring):

@@ -20,7 +20,7 @@ from equisyz.equivtop import (
     truncation_additivity_check,
 )
 from helpers import (
-    alternating_hilbert, base_changed, circle_model, euler_class, formal_model,
+    DATA, alternating_hilbert, base_changed, circle_model, euler_class, formal_model,
     load, quotient_by_ideal, random_homogeneous, reference_integrate,
 )
 
@@ -114,6 +114,35 @@ def test_delta0_annihilates_kernel():
                         g.ring, delta0.target.num_gens,
                         {(i, m): c for m, c in prod.terms.items()})
         assert gb.contains(image)
+
+
+def test_chang_skjelbred_check_work_on_flag3(monkeypatch):
+    # gkm --check cs on the shipped Flag(3), counted through shims on
+    # polyring's heapq and SubmoduleGB: delta0 has a free source, so the
+    # edge-relation basis of AB^1 is not built for it, and _reduce's heap
+    # holds only terms of columns where some divisor has its lead.  The
+    # counts are ceilings; an eager relation basis and a heap of every
+    # pending term made 5 builds and 633 pops.
+    import heapq
+    import types
+    import equisyz.polyring as polyring
+    from equisyz.cli import run
+    pops, builds = [], []
+
+    def heappop(heap):
+        pops.append(1)
+        return heapq.heappop(heap)
+    monkeypatch.setattr(polyring, "heapq", types.SimpleNamespace(
+        heapify=heapq.heapify, heappush=heapq.heappush, heappop=heappop))
+    real_init = polyring.SubmoduleGB.__init__
+
+    def counted_init(self, *args, **kwargs):
+        builds.append(1)
+        real_init(self, *args, **kwargs)
+    monkeypatch.setattr(polyring.SubmoduleGB, "__init__", counted_init)
+    code, report = run(["gkm", os.path.join(DATA, "flag3.json"), "--check", "cs"])
+    assert code == 0, report
+    assert len(builds) <= 4 and len(pops) <= 226, (len(builds), len(pops))
 
 
 def test_ab_cohomology_sphere_cs():

@@ -290,6 +290,26 @@ def test_fp_map_checks_degrees_and_relations(R):
     FPMap(rx, quotient_by_ideal(R, [x, y]), [[R.one()]])
 
 
+def test_fp_map_from_a_free_source_builds_no_relation_basis(R, monkeypatch):
+    # a free source has no relations whose images need a membership test,
+    # so the target's relation basis is left unbuilt; a source with
+    # relations still builds it once
+    import equisyz.polyring as polyring
+    x, y = R.vars()
+    builds = []
+    real_init = polyring.SubmoduleGB.__init__
+
+    def counted_init(self, *args, **kwargs):
+        builds.append(args)
+        real_init(self, *args, **kwargs)
+    monkeypatch.setattr(polyring.SubmoduleGB, "__init__", counted_init)
+    rxy = quotient_by_ideal(R, [x, y])
+    FPMap(FPModule.free(R, (0, 2)), rxy, [[R.one(), y]])
+    assert builds == [] and rxy.pmap._gb is None
+    FPMap(quotient_by_ideal(R, [x]), rxy, [[R.one()]])
+    assert len(builds) == 1 and rxy.pmap._gb is not None
+
+
 def test_module_json_roundtrip(R):
     m = maximal_ideal_module(R)
     again = FPModule.from_json(m.to_json())

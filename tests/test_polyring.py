@@ -13,7 +13,8 @@ from helpers import (
     groebner_basis, normal_form, quotient_by_ideal, random_homogeneous, random_module,
     random_vector,
     reference_blocks, reference_buchberger, reference_divide, reference_det,
-    reference_kernel_submodule, reference_submodule_split, reference_update_pairs,
+    reference_kernel_submodule, reference_reduce, reference_submodule_split,
+    reference_update_pairs,
     residue_field_module, series_minus,
 )
 
@@ -213,6 +214,72 @@ def test_divide_matches_reference_on_random_modules():
             for (col, exps) in rem.data:
                 assert not any(dc == col and all(a <= b for a, b in zip(de, exps))
                                for dc, de in leads)
+
+
+def _lead_free_reduce_cases(seed):
+    """Seeded (ring, terms, divisors) for _reduce on packed integer forms.
+
+    The divisors have rational coefficients, so leads that are not 1, and
+    their leads miss at least one column, which their tails and the
+    dividend reach.  Some dividends are a multiple of a divisor plus
+    terms of the lead-free columns, so that reducing them subtracts
+    lead-free tail terms that the dividend already holds, and some of
+    those cancel to zero."""
+    rng = random.Random(seed)
+    ring = GradedPolynomialRing(["x", "y", "z"], [2, 2, 4])
+    cases = []
+    while len(cases) < 80:
+        width = rng.randint(2, 4)
+        col_degrees = sorted(rng.choice([0, 2, 4]) for _ in range(width))
+        divisors = []
+        for _ in range(rng.randint(1, 4)):
+            g = random_vector(ring, col_degrees, max(col_degrees) + rng.choice([2, 4]),
+                              rng, first_col=rng.randrange(width), rational=True)
+            if not g.is_zero():
+                divisors.append(g)
+        lead_cols = {g.lead()[0][0] for g in divisors}
+        if not divisors or len(lead_cols) == width:
+            continue
+        degree = max(col_degrees) + 8
+        free = random_vector(ring, col_degrees, degree, rng, rational=True)
+        free = Vector(ring, width, {k: c for k, c in free.data.items()
+                                    if k[0] not in lead_cols})
+        if rng.random() < 0.4:
+            g = rng.choice(divisors)
+            m = random_homogeneous(ring, degree - g.homogeneous_degree(col_degrees), rng)
+            f = g.poly_mul(m) + free
+        else:
+            f = random_vector(ring, col_degrees, degree, rng, rational=True) + free
+        if not f.is_zero():
+            cases.append((ring, f._packed()[1], [g._packed() for g in divisors]))
+    return cases
+
+
+def test_reduce_keeps_lead_free_terms_out_of_the_heap_and_matches_reference():
+    # _reduce, whose heap holds only terms of columns with a divisor lead,
+    # returns the same (scale, rem) as the loop that heaps every term:
+    # lead-free terms are scaled with the rest, cancel to zero, join the
+    # remainder, and a product past EXPONENT_LIMIT there still raises
+    from equisyz.polyring import _reduce
+    cancelled = scaled = 0
+    for ring, terms, divisors in _lead_free_reduce_cases(1919):
+        scale, rem = _reduce(ring, terms, divisors)
+        assert (scale, rem) == reference_reduce(ring, terms, divisors)
+        cshift = ring._cshift
+        lead_cols = {lead >> cshift for lead, _ in divisors}
+        free = [k for k in terms if k >> cshift not in lead_cols]
+        cancelled += sum(k not in rem for k in free)
+        scaled += scale != 1 and any(k >> cshift not in lead_cols for k in rem)
+    assert cancelled >= 20 and scaled >= 20, (cancelled, scaled)
+
+    R = GradedPolynomialRing(["x", "y"])
+    x, y = R.vars()
+    # x*y e0 reduced by 2x e0 + 3y^32767 e1 puts y^32768 in the lead-free e1
+    divisor = Vector.from_polys([x.scale(2), (y ** EXPONENT_LIMIT).scale(3)])._packed()
+    terms = Vector.from_polys([x * y, y], 2)._packed()[1]
+    for reduce in (_reduce, reference_reduce):
+        with pytest.raises(ExponentLimitError, match="exponent 32768 of y"):
+            reduce(R, terms, [divisor])
 
 
 def _rational_generators(ring, rng):
@@ -423,6 +490,27 @@ def test_submodule_gb_and_kernel_match_the_term_copy_reference():
             assert ours == reference_kernel_submodule(ring, rank, gens[:cut], gens[cut:])
             kernels += len(ours)
     assert syzygies >= 15 and kernels >= 25, (syzygies, kernels)
+
+
+def test_block_basis_matches_buchberger_over_q():
+    # the reduced block basis of SubmoduleGB, aux columns included, equals
+    # reference_buchberger on the Fraction block vectors: Buchberger's
+    # algorithm over Q with reference_divide and interreduction against
+    # every other element, sharing no reduction code with the core (the
+    # term-copy split of reference_submodule_split starts from this basis)
+    ring, _, cases = _handoff_cases(2606)
+    cases = [(rank, gens) for rank, gens, _ in cases]
+    for seed in range(12):
+        m = random_module(ring, random.Random(4000 + seed))
+        cases.append((m.num_gens, m.relation_columns()))
+    aux = 0
+    for rank, gens in cases:
+        if not gens:
+            continue
+        ours = SubmoduleGB(ring, rank, gens)._ext_gb
+        assert ours == reference_buchberger(reference_blocks(ring, rank, gens))
+        aux += sum(col >= rank for v in ours for col, _ in v.data)
+    assert len(cases) == 28 and aux >= 2000, aux
 
 
 def test_gkm_kernel_builds_no_fraction_terms_in_the_core(monkeypatch):
