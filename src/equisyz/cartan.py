@@ -13,7 +13,7 @@ from fractions import Fraction
 from .polyring import _fr, _integers, _mat_mul
 from .gradmod import (
     FreeModule, ModuleMap, fp_homology, cohen_macaulay, ext_module,
-    iso_surrogate_equal, _map_between_free_fp, _matrix_product,
+    iso_surrogate_equal, _map_between_free_fp,
 )
 
 __all__ = [
@@ -184,29 +184,28 @@ class CartanComplex:
             ent.append(row)
         source = FreeModule(ring, gstar.degrees)
         target = FreeModule(ring, tuple(d - 1 for d in gstar.degrees))
-        self.differential = ModuleMap(source, target, ent)
+        self.differential = ModuleMap.from_matrix(source, target, ent)
+        # D with its degrees raised by one ends where D starts
+        self._raised = ModuleMap(FreeModule(ring, [x + 1 for x in gstar.degrees]),
+                                 source, self.differential.columns)
         if not self._squares_to_zero():
             raise ValueError("twisted differential does not square to zero")
 
     def _squares_to_zero(self):
-        ent = self.differential.entries
-        square = _matrix_product(self.ring, ent, ent, len(ent))
-        return all(p.is_zero() for row in square for p in row)
+        return self.differential.compose(self._raised).is_zero()
 
     def specialized_at_zero(self):
         """The matrix of D with all ring variables set to zero (i.e. d)."""
-        n = self.gstar.dim
-        return [[self.differential.entries[i][j].constant_term()
-                 for j in range(n)] for i in range(n)]
+        n, one = self.gstar.dim, self.ring.zero_exps
+        cols = self.differential.columns
+        return [[cols[j].data.get((i, one), Fraction(0)) for j in range(n)]
+                for i in range(n)]
 
 
 def cartan_cohomology(complex_):
     """ker D / im D, presented as a finitely presented graded module."""
-    D = complex_.differential
-    # D with its degrees raised by one ends where D starts
-    raised = ModuleMap(FreeModule(D.ring, [x + 1 for x in D.source.degrees]),
-                       D.source, D.entries)
-    return fp_homology(_map_between_free_fp(raised), _map_between_free_fp(D))
+    return fp_homology(_map_between_free_fp(complex_._raised),
+                       _map_between_free_fp(complex_.differential))
 
 
 def dualize_gstar(gstar):

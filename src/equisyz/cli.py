@@ -145,10 +145,10 @@ def _quotient_if_regular(module, f):
     ring = module.ring
     if module.num_gens == 0:
         return None
-    mul = FPMap(module.shifted(f.homogeneous_degree()), module,
-                [[f if i == j else ring.zero()
-                  for j in range(module.num_gens)]
-                 for i in range(module.num_gens)], check=False)
+    mul = FPMap.from_matrix(module.shifted(f.homogeneous_degree()), module,
+                            [[f if i == j else ring.zero()
+                              for j in range(module.num_gens)]
+                             for i in range(module.num_gens)], check=False)
     if not fp_kernel(mul)[0].is_zero():
         return None
     return fp_cokernel(mul)

@@ -26,7 +26,7 @@ from .polyring import (
 from .gradmod import (
     FPModule, FPMap, fp_kernel, homology,
     cohen_macaulay, ext_module, syzygy_order, biduality, base_change,
-    iso_surrogate_equal, _betti_json,
+    iso_surrogate_equal, _betti_json, _matrix_json, _matrix_from_json,
 )
 from .weyl import WEquivariantFreeModule, group_from_json
 
@@ -223,18 +223,17 @@ def chang_skjelbred(graph):
     ring = graph.ring
     nv = len(graph.vertices)
     ab0 = FPModule.free(ring, (0,) * nv)
-    ne = len(graph.edges)
+    ne, one = len(graph.edges), ring.zero_exps
     rel_cols = []
-    for k, (_, _, weight) in enumerate(graph.edges):
+    delta = [{} for _ in range(nv)]     # column of vertex a: +-e_k for its edges k
+    for k, (v, w, weight) in enumerate(graph.edges):
         alpha = graph.weight_form(weight)
         rel_cols.append(Vector(ring, ne,
                                {(k, e): c for e, c in alpha.terms.items()}))
+        delta[graph._index(v)][k, one] = Fraction(1)
+        delta[graph._index(w)][k, one] = Fraction(-1)
     ab1 = FPModule.from_columns(ring, (0,) * ne, rel_cols)
-    entries = [[ring.zero() for _ in range(nv)] for _ in range(ne)]
-    for k, (v, w, _) in enumerate(graph.edges):
-        entries[k][graph._index(v)] = ring.one()
-        entries[k][graph._index(w)] = -ring.one()
-    delta0 = FPMap(ab0, ab1, entries)
+    delta0 = FPMap(ab0, ab1, [Vector(ring, ne, d) for d in delta])
     return ab0, ab1, delta0
 
 
@@ -308,13 +307,13 @@ class FiltrationDatum:
         out = {
             "ring": self.ring.descriptor(),
             "modules": [mod_json(m) for m in self.modules],
-            "maps": [[[str(e) for e in row] for row in f.entries] for f in self.maps],
+            "maps": [_matrix_json(f) for f in self.maps],
             "poincare_duality": self.poincare_duality,
         }
         if self.augmentation is not None:
             out["augmentation"] = {
                 "module": mod_json(self.augmentation.source),
-                "map": [[str(e) for e in row] for row in self.augmentation.entries],
+                "map": _matrix_json(self.augmentation),
             }
         if self.homology_module is not None:
             out["homology_module"] = mod_json(self.homology_module)
@@ -332,18 +331,19 @@ class FiltrationDatum:
             return FPModule.from_json(j, ring=ring)
 
         modules = [mod(j) for j in obj["modules"]]
-        if len(obj["maps"]) >= len(modules):
+        mats = obj.get("maps")
+        if not isinstance(mats, list):
+            raise DatumError("maps must be a list of matrices, got %r" % (mats,))
+        if len(mats) >= len(modules):
             raise DatumError("need maps delta_0..delta_{r-1}")
-        maps = []
-        for i, mat in enumerate(obj["maps"]):
-            ent = [[ring.poly_from_json(e) for e in row] for row in mat]
-            maps.append(FPMap(modules[i], modules[i + 1], ent))
+        maps = [FPMap.from_matrix(modules[i], modules[i + 1],
+                                  _matrix_from_json(ring, mat, "maps[%d]" % i))
+                for i, mat in enumerate(mats)]
         aug = None
         if obj.get("augmentation"):
             h = mod(obj["augmentation"]["module"])
-            ent = [[ring.poly_from_json(e) for e in row]
-                   for row in obj["augmentation"]["map"]]
-            aug = FPMap(h, modules[0], ent)
+            aug = FPMap.from_matrix(h, modules[0], _matrix_from_json(
+                ring, obj["augmentation"].get("map"), "augmentation map"))
         hom = mod(obj["homology_module"]) if obj.get("homology_module") else None
         trunc = [(_integers([t["index"]], "index")[0], mod(t["sub"]), mod(t["quotient"]))
                  for t in obj.get("truncations", [])]

@@ -1,6 +1,9 @@
 """Finitely presented graded modules and their homological invariants.
 
-Modules are cokernels of homogeneous matrices between graded free modules.
+Modules are cokernels of degree-0 maps between graded free modules.  A
+map is stored as its columns, Vectors in the target; a row matrix of
+Polynomials is read (from_matrix) or built (rows) only where JSON or a
+caller's literal matrix enters or leaves.
 Provides syzygies, minimal free resolutions, Betti tables, Hom/Ext,
 Krull dimension (Hilbert pole order), depth (Auslander-Buchsbaum),
 Cohen-Macaulay tests, biduality/torsion/reflexivity, syzygy order with a
@@ -11,8 +14,8 @@ tables plus Hilbert series.
 """
 
 from .polyring import (
-    Vector, SubmoduleGB, GroebnerBasis, syzygy_basis,
-    quotient_hilbert_series, GradedPolynomialRing, _columns_below, _integers,
+    Vector, SubmoduleGB, GroebnerBasis, DatumError, syzygy_basis,
+    quotient_hilbert_series, GradedPolynomialRing, _columns_below, _integers, _mono_mul,
 )
 
 NEG_INF = float("-inf")
@@ -53,105 +56,111 @@ class FreeModule:
 
 
 class ModuleMap:
-    """Degree-0 map of graded free modules, given by a homogeneous matrix.
+    """Degree-0 map of graded free modules, stored as its columns.
 
-    entries[i][j] is the coefficient of target generator i in the image of
-    source generator j; each entry is zero or homogeneous of degree
-    source.degrees[j] - target.degrees[i].  Never mutated after
-    construction, it caches gb(), the Groebner data of its columns, which
-    the module it presents, its syzygies and verify_exact share.
+    columns[j] is the image of source generator j, a Vector in
+    R^target.rank whose component i is zero or homogeneous of degree
+    source.degrees[j] - target.degrees[i].  from_matrix reads a row matrix
+    and rows() builds one, where JSON or a caller's literal matrix enters
+    or leaves.  Never mutated after construction, it caches gb(), the
+    Groebner data of its columns, which the module it presents, its
+    syzygies and verify_exact share.
     """
 
-    def __init__(self, source, target, entries, check=True):
+    def __init__(self, source, target, columns, check=True):
         if source.ring != target.ring:
             raise ValueError("ring mismatch")
         self.source = source
         self.target = target
-        self.entries = tuple(tuple(row) for row in entries)
-        if len(self.entries) != target.rank or any(
-                len(row) != source.rank for row in self.entries):
+        self.columns = tuple(columns)
+        if len(self.columns) != source.rank or any(
+                c.rank != target.rank for c in self.columns):
             raise ValueError("matrix shape does not match module ranks")
         if check:
-            for i, row in enumerate(self.entries):
-                for j, ent in enumerate(row):
-                    if ent.is_zero():
+            for j, col in enumerate(self.columns):
+                want = source.degrees[j]
+                try:
+                    if col.homogeneous_degree(target.degrees) in (None, want):
                         continue
-                    want = source.degrees[j] - target.degrees[i]
-                    if ent.homogeneous_degree() != want:
-                        raise ValueError(
-                            "entry (%d,%d) has degree %s, expected %d"
-                            % (i, j, ent.homogeneous_degree(), want))
+                except ValueError:
+                    pass
+                # name the first entry of the column that is off
+                for i, ent in enumerate(col.to_polys()):
+                    d = want - target.degrees[i]
+                    if not ent.is_zero() and ent.homogeneous_degree() != d:
+                        raise ValueError("entry (%d,%d) has degree %s, expected %d"
+                                         % (i, j, ent.homogeneous_degree(), d))
         self._gb = None
+
+    @classmethod
+    def from_matrix(cls, source, target, rows, check=True):
+        """The map whose entry rows[i][j] is the coefficient of target
+        generator i in the image of source generator j."""
+        if len(rows) != target.rank or any(len(row) != source.rank for row in rows):
+            raise ValueError("matrix shape does not match module ranks")
+        cols = [Vector(source.ring, target.rank, {
+            (i, e): c for i, row in enumerate(rows) for e, c in row[j].terms.items()})
+            for j in range(source.rank)]
+        return cls(source, target, cols, check=check)
 
     @property
     def ring(self):
         return self.source.ring
 
-    @classmethod
-    def from_columns(cls, source, target, columns):
-        return cls(source, target, _column_matrix(columns, target.rank))
-
-    def columns(self):
-        return _matrix_columns(self.ring, self.entries, self.source.rank)
+    def rows(self):
+        """The row matrix of Polynomials, built on each read."""
+        polys = [c.to_polys() for c in self.columns]
+        return [[p[i] for p in polys] for i in range(self.target.rank)]
 
     def gb(self):
         """SubmoduleGB of the columns in R^target.rank, computed once."""
         if self._gb is None:
-            self._gb = SubmoduleGB(self.ring, self.target.rank, self.columns())
+            self._gb = SubmoduleGB(self.ring, self.target.rank, self.columns)
         return self._gb
 
     def is_zero(self):
-        return all(e.is_zero() for row in self.entries for e in row)
+        return all(c.is_zero() for c in self.columns)
 
     def compose(self, other):
         """self after other."""
         if other.target != self.source:
             raise ValueError("maps not composable")
-        return ModuleMap(other.source, self.target, _matrix_product(
-            self.ring, self.entries, other.entries, other.source.rank))
+        return ModuleMap(other.source, self.target, [
+            _apply(self.columns, c, self.target.rank) for c in other.columns])
 
     def dual(self):
         """Hom(-, R): the transpose, between the dual free modules."""
-        ent = [[self.entries[i][j] for i in range(self.target.rank)]
-               for j in range(self.source.rank)]
-        return ModuleMap(self.target.dual(), self.source.dual(), ent)
+        return ModuleMap(self.target.dual(), self.source.dual(),
+                         _transpose(self.ring, self.columns, self.target.rank))
 
     def __repr__(self):
         return "ModuleMap(%dx%d)" % (self.target.rank, self.source.rank)
 
 
-def _matrix_columns(ring, entries, ncols):
-    """The ncols columns of a polynomial matrix, as Vectors."""
-    out = []
-    for j in range(ncols):
-        data = {}
-        for i, row in enumerate(entries):
-            for e, c in row[j].terms.items():
-                data[(i, e)] = c
-        out.append(Vector(ring, len(entries), data))
-    return out
+def _apply(columns, v, rank):
+    """sum_j v_j * columns[j] in R^rank: the image of v under the map with
+    these columns."""
+    out = {}
+    for (j, e), c in v.data.items():
+        for (i, e2), c2 in columns[j].data.items():
+            k = (i, _mono_mul(e, e2))
+            out[k] = out.get(k, 0) + c * c2
+    return Vector(v.ring, rank, out)
 
 
-def _column_matrix(columns, nrows):
-    """Rows of the polynomial matrix whose j-th column is columns[j]."""
-    polys = [c.to_polys() for c in columns]
-    return [[p[i] for p in polys] for i in range(nrows)]
+def _transpose(ring, columns, nrows):
+    """The nrows columns of the transpose of the matrix with these columns."""
+    data = [{} for _ in range(nrows)]
+    for j, col in enumerate(columns):
+        for (i, e), c in col.data.items():
+            data[i][j, e] = c
+    return [Vector(ring, len(columns), d) for d in data]
 
 
-def _matrix_product(ring, a, b, ncols):
-    """Product of the polynomial matrices a and b; b has ncols columns."""
-    out = []
-    for row in a:
-        new = []
-        for j in range(ncols):
-            acc = ring.zero()
-            for x, brow in zip(row, b):
-                y = brow[j]
-                if not x.is_zero() and not y.is_zero():
-                    acc = acc + x * y
-            new.append(acc)
-        out.append(new)
-    return out
+def _unit_rows(col):
+    """The rows where the column has a nonzero constant entry."""
+    one = col.ring.zero_exps
+    return [i for i, e in col.data if e == one]
 
 
 def _degrees_of(vectors, ambient_degrees):
@@ -206,8 +215,7 @@ class FPModule:
 
     @classmethod
     def free(cls, ring, degrees):
-        tgt = FreeModule(ring, degrees)
-        return cls(ModuleMap(FreeModule(ring, ()), tgt, [() for _ in degrees]))
+        return cls(ModuleMap(FreeModule(ring, ()), FreeModule(ring, degrees), []))
 
     @classmethod
     def zero(cls, ring):
@@ -219,10 +227,10 @@ class FPModule:
         tgt = FreeModule(ring, gens_degrees)
         cols = [c for c in columns if not c.is_zero()]
         src = FreeModule(ring, _degrees_of(cols, tgt.degrees))
-        return cls(ModuleMap.from_columns(src, tgt, cols))
+        return cls(ModuleMap(src, tgt, cols))
 
     def relation_columns(self):
-        return self.pmap.columns()
+        return list(self.pmap.columns)
 
     def hilbert(self):
         if self._hilbert is None:
@@ -237,46 +245,46 @@ class FPModule:
         """Raise all generator degrees by k."""
         src = FreeModule(self.ring, tuple(d + k for d in self.pmap.source.degrees))
         tgt = FreeModule(self.ring, tuple(d + k for d in self.gens_degrees))
-        return FPModule(ModuleMap(src, tgt, self.pmap.entries))
+        return FPModule(ModuleMap(src, tgt, self.pmap.columns))
 
     def minimized(self):
-        """Minimal presentation: prune units (Nakayama) and redundant relations."""
+        """Minimal presentation: prune units (Nakayama) and redundant relations.
+
+        A unit entry (i, j) clears row i from the other relations with
+        relation j, and then generator i and relation j are dropped; the
+        pivot is the unit of the smallest row, then of the smallest column.
+        """
         if self._minimal is not None:
             return self._minimal
-        ring = self.ring
-        rows = [list(r) for r in self.pmap.entries]
-        gdeg = list(self.gens_degrees)
-        cdeg = list(self.pmap.source.degrees)
-        constant = {ring.zero_exps}
+        ring, n, one = self.ring, self.num_gens, self.ring.zero_exps
+        cols = dict(enumerate(self.pmap.columns))
+        dropped = set()
         while True:
-            # the first unit entry in row-major order, if any
-            i, j = next(((i, j) for i, row in enumerate(rows)
-                         for j, ent in enumerate(row) if ent.terms.keys() == constant),
-                        (None, None))
-            if i is None:
+            units = [(i, j) for j, col in cols.items() for i in _unit_rows(col)]
+            if not units:
                 break
-            c = rows[i][j].constant_term()
-            for jj in range(len(cdeg)):
-                if jj == j or rows[i][jj].is_zero():
-                    continue
-                factor = rows[i][jj].scale(1 / c)
-                for k in range(len(gdeg)):
-                    rows[k][jj] = rows[k][jj] - factor * rows[k][j]
-            for k in range(len(gdeg)):
-                del rows[k][j]
-            del cdeg[j]
-            del rows[i]
-            del gdeg[i]
-        tgt = FreeModule(ring, gdeg)
-        cols = [v for v in _matrix_columns(ring, rows, len(cdeg))
-                if not v.is_zero()]
-        keep = minimal_generating_indices(cols, tgt.degrees)
-        if len(gdeg) == self.num_gens and len(keep) == self.num_rels:
+            i, j = min(units)
+            pivot = cols.pop(j)
+            c = pivot.data[i, one]
+            for jj, col in cols.items():
+                # col - (col_i / c) * pivot
+                coeffs = {(1, e): -a / c for (r, e), a in col.data.items() if r == i}
+                if coeffs:
+                    coeffs[0, one] = 1
+                    cols[jj] = _apply((col, pivot), Vector(ring, 2, coeffs), n)
+            dropped.add(i)
+        gens = [i for i in range(n) if i not in dropped]
+        cols = [v for v in cols.values() if not v.is_zero()]
+        if dropped:
+            new = {i: k for k, i in enumerate(gens)}
+            cols = [Vector(ring, len(gens), {(new[r], e): c for (r, e), c in v.data.items()})
+                    for v in cols]
+        gdeg = [self.gens_degrees[i] for i in gens]
+        keep = minimal_generating_indices(cols, gdeg)
+        if not dropped and len(keep) == self.num_rels:
             self._minimal = self
             return self
-        cols = [cols[i] for i in keep]
-        src = FreeModule(ring, _degrees_of(cols, tgt.degrees))
-        m0 = FPModule(ModuleMap.from_columns(src, tgt, cols))
+        m0 = FPModule.from_columns(ring, gdeg, [cols[i] for i in keep])
         self._minimal = m0._minimal = m0
         return m0
 
@@ -285,7 +293,7 @@ class FPModule:
             "ring": self.ring.descriptor(),
             "row_degrees": list(self.gens_degrees),
             "col_degrees": list(self.pmap.source.degrees),
-            "matrix": [[str(e) for e in row] for row in self.pmap.entries],
+            "matrix": _matrix_json(self.pmap),
         }
 
     @classmethod
@@ -294,63 +302,72 @@ class FPModule:
             ring = GradedPolynomialRing.from_descriptor(obj["ring"])
         tgt = FreeModule(ring, _integers(obj["row_degrees"], "row_degrees"))
         src = FreeModule(ring, _integers(obj["col_degrees"], "col_degrees"))
-        ent = [[ring.poly_from_json(e) for e in row] for row in obj["matrix"]]
-        return cls(ModuleMap(src, tgt, ent))
+        return cls(ModuleMap.from_matrix(src, tgt, _matrix_from_json(
+            ring, obj.get("matrix"), "matrix")))
 
     def __repr__(self):
         return "FPModule(gens=%s, rels=%d)" % (list(self.gens_degrees), self.num_rels)
 
 
 class FPMap:
-    """Map of finitely presented modules, as a matrix on generators.
+    """Map of finitely presented modules, given on generators.
 
-    With check, the shape, ring and degrees are checked as the map of free
-    modules on the generators, and the entries times the source relations
-    must be relations of the target; a free source has none to check, so
-    the target's relation basis is built only when the source has
-    relations.
+    free is the map of the free modules on the generators, and columns are
+    its columns.  With check, the shape, ring and degrees are checked on
+    free, and the images of the source relations must be relations of the
+    target; a free source has none to check, so the target's relation
+    basis is built only when the source has relations.
     """
 
-    def __init__(self, source, target, entries, check=True):
+    def __init__(self, source, target, columns, check=True):
         self.source = source
         self.target = target
-        self.entries = ModuleMap(source.pmap.target, target.pmap.target,
-                                 entries, check=check).entries
+        self.free = ModuleMap(source.pmap.target, target.pmap.target, columns,
+                              check=check)
+        self.columns = self.free.columns
         if check and source.num_rels:
             gb = target.pmap.gb()
-            rels = source.pmap
-            mapped = _matrix_product(self.ring, self.entries, rels.entries,
-                                     rels.source.rank)
-            if not all(gb.contains(col) for col in
-                       _matrix_columns(self.ring, mapped, rels.source.rank)):
+            if not all(gb.contains(_apply(self.columns, rel, target.num_gens))
+                       for rel in source.pmap.columns):
                 raise ValueError("matrix does not respect the relations")
+
+    @classmethod
+    def from_matrix(cls, source, target, rows, check=True):
+        """Read a row matrix on the generators, as ModuleMap.from_matrix."""
+        return cls(source, target, ModuleMap.from_matrix(
+            source.pmap.target, target.pmap.target, rows, check=False).columns, check)
 
     @property
     def ring(self):
         return self.source.ring
 
-    @classmethod
-    def zero(cls, source, target):
-        z = source.ring.zero()
-        return cls(source, target,
-                   [[z] * source.num_gens for _ in range(target.num_gens)],
-                   check=False)
-
-    def columns(self):
-        return _matrix_columns(self.ring, self.entries, self.source.num_gens)
+    def rows(self):
+        return self.free.rows()
 
     def compose(self, other):
         """self after other."""
-        ent = _matrix_product(self.ring, self.entries, other.entries,
-                              other.source.num_gens)
-        return FPMap(other.source, self.target, ent, check=False)
+        return FPMap(other.source, self.target, [
+            _apply(self.columns, c, self.target.num_gens) for c in other.columns],
+            check=False)
 
     def is_zero_map(self):
         gb = self.target.pmap.gb()
-        return all(gb.contains(col) for col in self.columns())
+        return all(gb.contains(col) for col in self.columns)
 
     def __repr__(self):
         return "FPMap(%dx%d)" % (self.target.num_gens, self.source.num_gens)
+
+
+def _matrix_json(fmap):
+    """The JSON form of a map: its rows of polynomial strings."""
+    return [[str(e) for e in row] for row in fmap.rows()]
+
+
+def _matrix_from_json(ring, mat, field):
+    """The rows of Polynomials of the JSON matrix mat, read from field."""
+    if not (isinstance(mat, list) and all(isinstance(row, list) for row in mat)):
+        raise DatumError("%s must be a list of rows, got %r" % (field, mat))
+    return [[ring.poly_from_json(e) for e in row] for row in mat]
 
 
 def _kernel_submodule(ring, ambient_rank, first_cols, extra_cols):
@@ -385,12 +402,12 @@ def homology(module, f=None, g=None):
     ring = module.ring
     # module's relations first: the depth check's chain of quotients M/fM
     # runs 1.5-2x faster on random modules than with f's columns first
-    quotient = module.relation_columns() + (f.columns() if f else [])
+    quotient = list(module.pmap.columns) + list(f.columns if f else ())
     if g is None or g.target.num_gens == 0:
         K, rels = module.pmap.target.unit_vectors(), quotient
     else:
-        K = _kernel_submodule(ring, g.target.num_gens, g.columns(),
-                              g.target.relation_columns())
+        K = _kernel_submodule(ring, g.target.num_gens, g.columns,
+                              g.target.pmap.columns)
         K = [K[i] for i in minimal_generating_indices(K, module.gens_degrees)]
         rels = _kernel_submodule(ring, module.num_gens, K, quotient)
     degrees = _degrees_of(K, module.gens_degrees)
@@ -430,13 +447,7 @@ class Resolution:
         return table
 
     def is_minimal(self):
-        zero_exps = self.modules[0].ring.zero_exps
-        for m in self.maps:
-            for row in m.entries:
-                for ent in row:
-                    if not ent.is_zero() and set(ent.terms) == {zero_exps}:
-                        return False
-        return True
+        return not any(_unit_rows(c) for m in self.maps for c in m.columns)
 
     def verify_exact(self):
         """Composites vanish and ker(phi_k) = im(phi_{k+1}) at every k >= 1,
@@ -458,7 +469,7 @@ def syzygies(mmap):
     keep = minimal_generating_indices(syz, mmap.source.degrees)
     syz = [syz[i] for i in keep]
     src = FreeModule(mmap.ring, _degrees_of(syz, mmap.source.degrees))
-    return ModuleMap.from_columns(src, mmap.source, syz)
+    return ModuleMap(src, mmap.source, syz)
 
 
 def minimal_resolution(module):
@@ -548,7 +559,7 @@ def cohen_macaulay(module):
 def _map_between_free_fp(mmap):
     src = FPModule.free(mmap.ring, mmap.source.degrees)
     tgt = FPModule.free(mmap.ring, mmap.target.degrees)
-    return FPMap(src, tgt, mmap.entries, check=False)
+    return FPMap(src, tgt, mmap.columns, check=False)
 
 
 def ext_module(module, i):
@@ -574,13 +585,14 @@ def _dual_data(module):
 class BidualityResult:
     """Natural map M -> M** with its kernel (torsion) and cokernel."""
 
-    def __init__(self, matrix, kernel, cokernel, m_star, m_double, W):
-        self.matrix = matrix
+    def __init__(self, columns, evaluations, kernel, cokernel, m_star, m_double, W):
+        self.columns = columns          # of M -> M**, over the generators W
+        self.evaluations = evaluations  # of M -> M** -> G0*: u_j in G0*
         self.kernel = kernel
         self.cokernel = cokernel
         self.m_star = m_star
         self.m_double = m_double
-        self.W = W                  # generators of M** as vectors in G0*
+        self.W = W                      # generators of M** as vectors in G0*
 
     @property
     def torsion_free(self):
@@ -591,36 +603,30 @@ class BidualityResult:
         return self.kernel.is_zero() and self.cokernel.is_zero()
 
 
-def _bidual_matrix(module, mstar, K, mdd, W):
-    """Columns: image of each generator of M under evaluation on M*."""
+def _bidual_columns(module, K, W):
+    """(columns of M -> M**, evaluation vectors u_j), for K the generators
+    of M* in F0* and W those of M** in G0*: u_j in G0* evaluates generator
+    j of M on K, and its lift u_j = sum_w q_jw W_w is column j."""
     ring = module.ring
-    g0rank = mstar.num_gens
-    wgb = SubmoduleGB(ring, g0rank, W) if W else None
+    us = _transpose(ring, K, module.num_gens)
+    wgb = SubmoduleGB(ring, len(K), W) if W else None
     cols = []
-    for row in _column_matrix(K, module.num_gens):
-        u = Vector(ring, g0rank, {(t, e): c for t, p in enumerate(row)
-                                  for e, c in p.terms.items()})
-        if wgb is None:
-            if not u.is_zero():
-                raise AssertionError("evaluation vector escapes the double dual")
-            cols.append([])
-            continue
-        coeffs = wgb.lift(u)
+    for u in us:
+        coeffs = wgb.lift(u) if wgb else ([] if u.is_zero() else None)
         if coeffs is None:
             raise AssertionError("evaluation vector escapes the double dual")
-        cols.append(coeffs)
-    entries = [[cols[j][w] if cols[j] else ring.zero()
-                for j in range(module.num_gens)] for w in range(len(W))]
-    return entries
+        cols.append(Vector(ring, len(W), {(w, e): c for w, q in enumerate(coeffs)
+                                          for e, c in q.terms.items()}))
+    return cols, us
 
 
 def biduality(module):
     """Kernel and cokernel of the natural map M -> Hom(Hom(M,R),R)."""
     mstar, K = _dual_data(module)
     mdd, W = _dual_data(mstar)
-    entries = _bidual_matrix(module, mstar, K, mdd, W)
-    bmap = FPMap(module, mdd, entries, check=False)
-    return BidualityResult(entries, fp_kernel(bmap)[0], fp_cokernel(bmap),
+    cols, us = _bidual_columns(module, K, W)
+    bmap = FPMap(module, mdd, cols, check=False)
+    return BidualityResult(cols, us, fp_kernel(bmap)[0], fp_cokernel(bmap),
                            mstar, mdd, W)
 
 
@@ -661,7 +667,8 @@ def syzygy_order(module):
     if res.modules[0].degrees != tuple(bd.m_star.gens_degrees):
         raise AssertionError("dual presentation was expected to be minimal")
     g_stars = [FPModule.free(ring, g.dual().degrees) for g in res.modules]
-    embed = _compose_embedding(m0, bd.W, bd.matrix, g_stars[0])
+    # M -> M** -> G0*: column j is the evaluation vector u_j
+    embed = FPMap(m0, g_stars[0], bd.evaluations, check=False)
     if not bd.reflexive:
         return SyzygyOrderResult(1, "not-reflexive", [embed],
                                  [fp_kernel(embed)[0].is_zero()])
@@ -680,13 +687,6 @@ def syzygy_order(module):
     return SyzygyOrderResult(order, "dualized-resolution", witness, exact)
 
 
-def _compose_embedding(m0, W, bid_entries, g0_free):
-    """M -> G0*: biduality followed by the inclusion of ker(sigma_1)."""
-    incl = _column_matrix(W, g0_free.num_gens)
-    ent = _matrix_product(m0.ring, incl, bid_entries, m0.num_gens)
-    return FPMap(m0, g0_free, ent, check=False)
-
-
 def base_change(module, ring_map):
     """Extend scalars along a graded ring map; degrees are preserved."""
     if module.ring != ring_map.source:
@@ -694,8 +694,10 @@ def base_change(module, ring_map):
     tgt_ring = ring_map.target
     src = FreeModule(tgt_ring, module.pmap.source.degrees)
     tgt = FreeModule(tgt_ring, module.pmap.target.degrees)
-    ent = [[ring_map(e) for e in row] for row in module.pmap.entries]
-    return FPModule(ModuleMap(src, tgt, ent))
+    cols = [Vector(tgt_ring, tgt.rank, {(i, e): c for i, p in enumerate(col.to_polys())
+                                        for e, c in ring_map(p).terms.items()})
+            for col in module.pmap.columns]
+    return FPModule(ModuleMap(src, tgt, cols))
 
 
 def iso_surrogate_equal(m1, m2, nmax=40):

@@ -420,12 +420,6 @@ class Polynomial:
         e = max(self.terms, key=self.ring.monomial_key)
         return e, self.terms[e]
 
-    def monic(self):
-        if not self.terms:
-            return self
-        _, c = self.leading_term()
-        return self.scale(1 / c)
-
     def constant_term(self):
         return self.terms.get(self.ring.zero_exps, Fraction(0))
 

@@ -14,10 +14,9 @@ from equisyz.polyring import (
     _mat_mul, buchberger, divide, qpoly_add, qpoly_mul, syzygy_basis,
 )
 from equisyz.gradmod import (
-    FPModule, FPMap, SyzygyOrderResult, minimal_resolution, fp_kernel,
-    fp_cokernel, fp_homology, _dual_data, _bidual_matrix,
-    _map_between_free_fp, _compose_embedding, minimal_generating_indices,
-    _degrees_of, base_change,
+    FPModule, FPMap, FreeModule, ModuleMap, SyzygyOrderResult, minimal_resolution,
+    fp_kernel, fp_cokernel, fp_homology, _dual_data, _bidual_columns,
+    _map_between_free_fp, minimal_generating_indices, _degrees_of, base_change,
 )
 from equisyz.equivtop import DatumError, FiltrationDatum, gkm_cohomology
 from equisyz.cartan import (
@@ -149,14 +148,16 @@ def base_changed(datum, ring_map):
     """A filtration datum with every piece and map extended along a graded
     ring inclusion."""
     mods = [base_change(m, ring_map) for m in datum.modules]
-    maps = [FPMap(mods[i], mods[i + 1],
-                  [[ring_map(e) for e in row] for row in f.entries], check=False)
+    maps = [FPMap.from_matrix(mods[i], mods[i + 1],
+                              [[ring_map(e) for e in row] for row in f.rows()],
+                              check=False)
             for i, f in enumerate(datum.maps)]
     aug = None
     if datum.augmentation is not None:
-        aug = FPMap(base_change(datum.augmentation.source, ring_map), mods[0],
-                    [[ring_map(e) for e in row]
-                     for row in datum.augmentation.entries], check=False)
+        aug = FPMap.from_matrix(base_change(datum.augmentation.source, ring_map),
+                                mods[0], [[ring_map(e) for e in row]
+                                          for row in datum.augmentation.rows()],
+                                check=False)
     hom = (base_change(datum.homology_module, ring_map)
            if datum.homology_module is not None else None)
     return FiltrationDatum(ring_map.target, mods, maps, augmentation=aug,
@@ -705,19 +706,20 @@ def reference_syzygy_order(module):
         mdd = FPModule.free(ring, mdd_amb.degrees)
     else:
         mdd, W = fp_kernel(_map_between_free_fp(sigmas[0]))
-    entries = _bidual_matrix(m0, mstar, K, mdd, W)
-    bmap = FPMap(m0, mdd, entries, check=False)
+    cols, _ = _bidual_columns(m0, K, W)
+    bmap = FPMap(m0, mdd, cols, check=False)
+    entries = bmap.rows()
     bker, _ = fp_kernel(bmap)
     if not bker.is_zero():
         return SyzygyOrderResult(0, "torsion")
     if not fp_cokernel(bmap).is_zero():
         g0_free = FPModule.free(ring, res.modules[0].dual().degrees)
-        embed = _compose_embedding(m0, W, entries, g0_free)
+        embed = reference_compose_embedding(m0, W, entries, g0_free)
         ok = fp_kernel(embed)[0].is_zero()
         return SyzygyOrderResult(1, "not-reflexive", [embed], [ok])
     # reflexive: count exact positions along 0 -> M -> G0* -> G1* -> ...
     g0_free = FPModule.free(ring, res.modules[0].dual().degrees)
-    embed = _compose_embedding(m0, W, entries, g0_free)
+    embed = reference_compose_embedding(m0, W, entries, g0_free)
     exact = [fp_kernel(embed)[0].is_zero()]
     if p > 0:
         h0 = fp_homology(embed, _map_between_free_fp(sigmas[0]))
@@ -737,3 +739,112 @@ def reference_syzygy_order(module):
     order = min(2 + count, r)
     witness = [embed] + [_map_between_free_fp(s) for s in sigmas[:max(order - 1, 0)]]
     return SyzygyOrderResult(order, "dualized-resolution", witness, exact)
+
+
+def zero_map(source, target):
+    """The zero FPMap between two finitely presented modules."""
+    zero = Vector(source.ring, target.num_gens, {})
+    return FPMap(source, target, [zero] * source.num_gens, check=False)
+
+
+def reference_matrix_columns(ring, entries, ncols):
+    """The ncols columns of a polynomial matrix, as Vectors."""
+    out = []
+    for j in range(ncols):
+        data = {}
+        for i, row in enumerate(entries):
+            for e, c in row[j].terms.items():
+                data[(i, e)] = c
+        out.append(Vector(ring, len(entries), data))
+    return out
+
+
+def reference_matrix_product(ring, a, b, ncols):
+    """Product of the polynomial matrices a and b; b has ncols columns.
+
+    The dense product ModuleMap.compose and FPMap.compose made before maps
+    were stored as columns, kept as the reference they are tested against.
+    """
+    out = []
+    for row in a:
+        new = []
+        for j in range(ncols):
+            acc = ring.zero()
+            for x, brow in zip(row, b):
+                y = brow[j]
+                if not x.is_zero() and not y.is_zero():
+                    acc = acc + x * y
+            new.append(acc)
+        out.append(new)
+    return out
+
+
+def reference_minimized(module):
+    """Minimal presentation: prune units (Nakayama) and redundant relations.
+
+    The dense form FPModule.minimized had on the row matrix, kept as the
+    reference it is tested against: the pivot is the first unit entry in
+    row-major order.
+    """
+    ring = module.ring
+    rows = [list(r) for r in module.pmap.rows()]
+    gdeg = list(module.gens_degrees)
+    cdeg = list(module.pmap.source.degrees)
+    constant = {ring.zero_exps}
+    while True:
+        # the first unit entry in row-major order, if any
+        i, j = next(((i, j) for i, row in enumerate(rows)
+                     for j, ent in enumerate(row) if ent.terms.keys() == constant),
+                    (None, None))
+        if i is None:
+            break
+        c = rows[i][j].constant_term()
+        for jj in range(len(cdeg)):
+            if jj == j or rows[i][jj].is_zero():
+                continue
+            factor = rows[i][jj].scale(1 / c)
+            for k in range(len(gdeg)):
+                rows[k][jj] = rows[k][jj] - factor * rows[k][j]
+        for k in range(len(gdeg)):
+            del rows[k][j]
+        del cdeg[j]
+        del rows[i]
+        del gdeg[i]
+    tgt = FreeModule(ring, gdeg)
+    cols = [v for v in reference_matrix_columns(ring, rows, len(cdeg))
+            if not v.is_zero()]
+    keep = minimal_generating_indices(cols, tgt.degrees)
+    if len(gdeg) == module.num_gens and len(keep) == module.num_rels:
+        return module
+    cols = [cols[i] for i in keep]
+    src = FreeModule(ring, _degrees_of(cols, tgt.degrees))
+    return FPModule(ModuleMap(src, tgt, cols))
+
+
+def reference_compose_embedding(m0, W, bid_entries, g0_free):
+    """M -> G0*: biduality followed by the inclusion of ker(sigma_1).
+
+    The composite syzygy_order built before it read the embedding's columns
+    off the evaluation vectors, kept as the reference they are tested
+    against.
+    """
+    polys = [w.to_polys() for w in W]
+    incl = [[p[i] for p in polys] for i in range(g0_free.num_gens)]
+    ent = reference_matrix_product(m0.ring, incl, bid_entries, m0.num_gens)
+    return FPMap.from_matrix(m0, g0_free, ent, check=False)
+
+
+def random_module_with_units(ring, rng, max_gens=4, max_rels=4):
+    """Random module whose relations may have constant entries: a relation
+    can sit in the degree of a generator, so minimized has units to prune."""
+    ngens = rng.randint(1, max_gens)
+    gdegs = sorted(rng.choice([0, 0, 2, 4]) for _ in range(ngens))
+    cols = []
+    for _ in range(rng.randint(0, max_rels)):
+        cdeg = rng.choice(gdegs + [max(gdegs) + 2])
+        polys = [random_homogeneous(ring, cdeg - gd, rng) if cdeg >= gd
+                 else ring.zero() for gd in gdegs]
+        v = Vector.from_polys(polys, ngens)
+        if not v.is_zero():
+            cols.append(v)
+    return FPModule.from_columns(ring, gdegs, cols)

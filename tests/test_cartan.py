@@ -50,7 +50,7 @@ def test_point_model(RT):
 def test_circle_model_differential(RT):
     C = CartanComplex(RT, circle_model())
     t = RT.var(0)
-    assert C.differential.entries[0][1] == -t
+    assert C.differential.rows()[0][1] == -t
 
 
 def test_circle_cohomology_is_torsion(RT):

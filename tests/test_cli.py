@@ -305,6 +305,34 @@ def test_exit_two_on_bad_filtration_maps(tmp_path):
     assert code == EXIT_INPUT and "need maps" in report["error"]
 
 
+def test_exit_two_on_malformed_matrices(tmp_path):
+    # a matrix that is not a list of rows used to end in a message of
+    # Python's own ("'int' object is not iterable", "invalid input:
+    # 'matrix'"); it names its field now
+    with open(data_path("koszul2.json")) as fh:
+        module = json.load(fh)
+    with open(data_path("s2_filtration.json")) as fh:
+        datum = json.load(fh)
+    aug = datum["augmentation"]
+    cases = [
+        ("module-analyze", dict(module, matrix=3), "matrix must be a list of rows"),
+        ("module-analyze", dict(module, matrix=[3]), "matrix must be a list of rows"),
+        ("module-analyze", {k: v for k, v in module.items() if k != "matrix"},
+         "matrix must be a list of rows"),
+        ("filtration-verify", dict(datum, maps=3), "maps must be a list of matrices"),
+        ("filtration-verify", dict(datum, maps=[3]), "maps[0] must be a list of rows"),
+        ("filtration-verify", dict(datum, maps=[[3]]), "maps[0] must be a list of rows"),
+        ("filtration-verify", dict(datum, augmentation=dict(aug, map=3)),
+         "augmentation map must be a list of rows"),
+        ("filtration-verify", dict(datum, augmentation=dict(aug, map=[[0, 1], 1])),
+         "augmentation map must be a list of rows"),
+    ]
+    for command, obj, message in cases:
+        code, report = run([command, write_json(tmp_path, "bad.json", obj)])
+        assert code == EXIT_INPUT, (command, obj, report)
+        assert message in report["error"], (command, obj, report)
+
+
 def test_exit_two_on_non_object_input(tmp_path):
     path = write_json(tmp_path, "list.json", [1, 2])
     for command in ("module-analyze", "gkm", "weyl-verify", "cartan",

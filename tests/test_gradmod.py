@@ -13,9 +13,10 @@ from equisyz.gradmod import (
 from equisyz.weyl import cyclic_sign_group, symmetric_group_on_sum_zero
 from helpers import (
     alternating_hilbert, dual_module, koszul_syzygy_module, quotient_by_ideal,
-    random_homogeneous,
-    random_module, reference_minimal_generating_indices, reference_syzygy_order,
-    residue_field_module, restrict_scalars, times_qpoly,
+    random_homogeneous, random_module, random_module_with_units, random_vector,
+    reference_compose_embedding, reference_matrix_product, reference_minimal_generating_indices,
+    reference_minimized, reference_syzygy_order, residue_field_module, restrict_scalars,
+    times_qpoly,
 )
 
 
@@ -33,27 +34,27 @@ def test_module_map_homogeneity_check(R):
     x, _ = R.vars()
     src = FreeModule(R, (2,))
     tgt = FreeModule(R, (0,))
-    ModuleMap(src, tgt, [[x]])
+    ModuleMap.from_matrix(src, tgt, [[x]])
     with pytest.raises(ValueError):
-        ModuleMap(FreeModule(R, (4,)), tgt, [[x]])
+        ModuleMap.from_matrix(FreeModule(R, (4,)), tgt, [[x]])
 
 
 def test_syzygies_of_map(R):
     from equisyz.gradmod import syzygies
     x, y = R.vars()
-    mmap = ModuleMap(FreeModule(R, (2, 2)), FreeModule(R, (0,)), [[x, y]])
+    mmap = ModuleMap.from_matrix(FreeModule(R, (2, 2)), FreeModule(R, (0,)), [[x, y]])
     smap = syzygies(mmap)
-    assert buchberger(smap.columns()) == buchberger([Vector.from_polys([y, -x])])
+    assert buchberger(smap.columns) == buchberger([Vector.from_polys([y, -x])])
     # composite vanishes
     assert mmap.compose(smap).is_zero()
     # kernel of the zero map F -> 0 is the identity on F
-    zmap = ModuleMap(FreeModule(R, (0, 2)), FreeModule(R, ()), [])
+    zmap = ModuleMap.from_matrix(FreeModule(R, (0, 2)), FreeModule(R, ()), [])
     smap = syzygies(zmap)
     assert sorted(smap.source.degrees) == [0, 2]
-    assert buchberger(smap.columns()) == buchberger(
+    assert buchberger(smap.columns) == buchberger(
         [Vector.unit(R, 2, 0), Vector.unit(R, 2, 1)])
     # injective map: no syzygies
-    inj = ModuleMap(FreeModule(R, (2,)), FreeModule(R, (0,)), [[x]])
+    inj = ModuleMap.from_matrix(FreeModule(R, (2,)), FreeModule(R, (0,)), [[x]])
     assert syzygies(inj).source.rank == 0
 
 
@@ -262,16 +263,16 @@ def test_fp_kernel_cokernel_homology(R):
     x, y = R.vars()
     free1 = FPModule.free(R, (0,))
     rx = quotient_by_ideal(R, [x])
-    proj = FPMap(free1, rx, [[R.one()]])
+    proj = FPMap.from_matrix(free1, rx, [[R.one()]])
     ker, incl = fp_kernel(proj)
     assert iso_surrogate_equal(ker.minimized(),
                                FPModule.free(R, (2,)))
     assert fp_cokernel(proj).is_zero()
     # homology of R --x--> R --x--> R/(x^2)... simple chain with composite zero
     shift = FPModule.free(R, (2,))
-    mulx = FPMap(shift, free1, [[x]])
+    mulx = FPMap.from_matrix(shift, free1, [[x]])
     quot = quotient_by_ideal(R, [x])
-    tox = FPMap(free1, quot, [[R.one()]])
+    tox = FPMap.from_matrix(free1, quot, [[R.one()]])
     h = fp_homology(mulx, tox)
     assert h.is_zero()
 
@@ -280,14 +281,14 @@ def test_fp_map_checks_degrees_and_relations(R):
     x, y = R.vars()
     free0 = FPModule.free(R, (0,))
     rx = quotient_by_ideal(R, [x])
-    FPMap(free0, rx, [[R.one()]])
+    FPMap.from_matrix(free0, rx, [[R.one()]])
     with pytest.raises(ValueError):
-        FPMap(free0, rx, [[y]])             # degree 2 where 0 is expected
+        FPMap.from_matrix(free0, rx, [[y]])   # degree 2 where 0 is expected
     with pytest.raises(ValueError):
-        FPMap(free0, rx, [[R.one(), R.one()]])  # wrong shape
+        FPMap.from_matrix(free0, rx, [[R.one(), R.one()]])   # wrong shape
     with pytest.raises(ValueError):
-        FPMap(rx, free0, [[R.one()]])       # sends the relation x to x != 0
-    FPMap(rx, quotient_by_ideal(R, [x, y]), [[R.one()]])
+        FPMap.from_matrix(rx, free0, [[R.one()]])   # sends the relation x to x != 0
+    FPMap.from_matrix(rx, quotient_by_ideal(R, [x, y]), [[R.one()]])
 
 
 def test_fp_map_from_a_free_source_builds_no_relation_basis(R, monkeypatch):
@@ -304,9 +305,9 @@ def test_fp_map_from_a_free_source_builds_no_relation_basis(R, monkeypatch):
         real_init(self, *args, **kwargs)
     monkeypatch.setattr(polyring.SubmoduleGB, "__init__", counted_init)
     rxy = quotient_by_ideal(R, [x, y])
-    FPMap(FPModule.free(R, (0, 2)), rxy, [[R.one(), y]])
+    FPMap.from_matrix(FPModule.free(R, (0, 2)), rxy, [[R.one(), y]])
     assert builds == [] and rxy.pmap._gb is None
-    FPMap(quotient_by_ideal(R, [x]), rxy, [[R.one()]])
+    FPMap.from_matrix(quotient_by_ideal(R, [x]), rxy, [[R.one()]])
     assert len(builds) == 1 and rxy.pmap._gb is not None
 
 
@@ -433,13 +434,13 @@ def test_verify_exact_rejects_nonzero_composite_and_inexact_chain(R):
     assert res.verify_exact()
     first, last = res.maps
     # (x, y) is not a syzygy of the first map: the composite is nonzero
-    not_chain = ModuleMap(last.source, last.target, [[x], [y]])
+    not_chain = ModuleMap.from_matrix(last.source, last.target, [[x], [y]])
     assert not first.compose(not_chain).is_zero()
     assert not Resolution(res.modules, [first, not_chain]).verify_exact()
     # x times the Koszul syzygy: a complex whose image misses the kernel
     src = FreeModule(R, tuple(d + 2 for d in last.source.degrees))
-    inexact = ModuleMap(src, last.target,
-                        [[x * e for e in row] for row in last.entries])
+    inexact = ModuleMap.from_matrix(src, last.target,
+                                    [[x * e for e in row] for row in last.rows()])
     assert first.compose(inexact).is_zero()
     assert not Resolution(res.modules[:-1] + (src,),
                           [first, inexact]).verify_exact()
@@ -499,7 +500,7 @@ def test_minimal_generating_indices_match_reference_rerun():
         if cols:
             cases.append((cols[::-1] + [cols[0].poly_mul(x), cols[-1]], m.gens_degrees))
         for phi in minimal_resolution(m).maps:
-            syz = syzygy_basis(R3, phi.target.rank, phi.columns())
+            syz = syzygy_basis(R3, phi.target.rank, phi.columns)
             cases.append((syz, phi.source.degrees))
     dropped = 0
     for vectors, degrees in cases:
@@ -521,7 +522,7 @@ def test_cached_gb_is_the_reduced_basis_of_columns_and_syzygies():
     checked = 0
     for m in modules:
         for phi in (m.pmap,) + minimal_resolution(m).maps:
-            cols = phi.columns()
+            cols = phi.columns
             assert phi.gb().gb == buchberger(cols)
             assert phi.gb().syzygies() == buchberger(
                 syzygy_basis(phi.ring, phi.target.rank, cols))
@@ -598,3 +599,62 @@ def test_invariants_unchanged_by_change_of_generators_and_relations():
         a, b = syzygy_order(new), syzygy_order(m)
         assert (a.order, a.kind) == (b.order, b.kind)
     assert changed == len(presented) >= 8
+
+
+def test_compose_and_minimized_match_dense_references():
+    # compose applies the stored columns and minimized pivots on them; the
+    # dense row-matrix forms they replaced are the oracles.  Relations in
+    # the degree of a generator give unit entries, several per module on
+    # many seeds, so the pivot order (smallest row, then smallest column)
+    # decides which generators are dropped
+    from equisyz.gradmod import _unit_rows
+    R3 = GradedPolynomialRing(["x", "y", "z"])
+    pruned = several = composed = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        m = random_module_with_units(R3, rng)
+        got, ref = m.minimized(), reference_minimized(m)
+        assert (got is m) == (ref is m)
+        assert got.gens_degrees == ref.gens_degrees
+        assert got.pmap.source.degrees == ref.pmap.source.degrees
+        assert got.relation_columns() == ref.relation_columns()
+        units = sum(len(_unit_rows(c)) for c in m.pmap.columns)
+        pruned += got.num_gens < m.num_gens
+        several += units >= 2
+        # the presentation after a random map into its relations, with
+        # rational entries, and each composite along the resolution
+        phi = m.pmap
+        degs = [max(phi.source.degrees) + 2 * rng.randint(0, 1)
+                for _ in range(rng.randint(1, 3))] if phi.source.rank else []
+        psi = ModuleMap(FreeModule(R3, degs), phi.source,
+                        [random_vector(R3, phi.source.degrees, d, rng, rational=True)
+                         for d in degs])
+        res = minimal_resolution(m).maps
+        maps = [(phi, psi)] + list(zip(res, res[1:]))
+        for a, b in maps:
+            assert a.compose(b).rows() == reference_matrix_product(
+                R3, a.rows(), b.rows(), b.source.rank)
+            composed += 1
+    assert pruned >= 30 and several >= 20 and composed >= 60
+
+
+def test_syzygy_embedding_columns_are_the_bidual_composite():
+    # the embedding M -> G0* of the witness complex has as column j the
+    # evaluation vector u_j = sum_w q_jw W_w: the composite of M -> M**
+    # with the inclusion of M** in G0*, as the reference builds it
+    R3 = GradedPolynomialRing(["x", "y", "z"])
+    checked = 0
+    for seed in range(40):
+        m0 = random_module(R3, random.Random(seed)).minimized()
+        if m0.num_gens == 0 or m0.num_rels == 0:
+            continue
+        bd = biduality(m0)
+        if not bd.torsion_free:
+            continue
+        g0 = FPModule.free(R3, [-d for d in bd.m_star.gens_degrees])
+        bmap = FPMap(m0, bd.m_double, bd.columns, check=False)
+        ref = reference_compose_embedding(m0, bd.W, bmap.rows(), g0)
+        embed = syzygy_order(m0).witness_maps[0]
+        assert embed.columns == ref.columns
+        checked += 1
+    assert checked == 9
