@@ -21,7 +21,7 @@ from math import gcd, lcm
 
 from .polyring import (
     GradedPolynomialRing, Polynomial, Vector, DatumError, determinant,
-    _blocks, _certificate, _column, _dot, _exact_divide, _integers,
+    _blocks, _certificate, _column, _columns, _dot, _exact_divide, _integers,
 )
 from .gradmod import (
     FPModule, FPMap, fp_kernel, homology,
@@ -135,7 +135,7 @@ class GKMGraph:
         """(B, d, [W_v for each vertex]) with L / e_v = W_v / d: L the lcm
         of the Euler classes, B the block vectors of its column (L), the
         divisor _localize reduces by, d a positive integer and W_v integer
-        terms.
+        terms on packed column-0 keys.
 
         Each e_v is a scalar times a product of normalized weight forms
         (primitive, first nonzero entry positive); L multiplies every form
@@ -168,7 +168,7 @@ class GKMGraph:
             ratios = [c / scalar for (c, _), scalar in zip(forms, scalars)]
             d = lcm(*[r.denominator for r in ratios])
             self._localization = (_blocks(self.ring, 1, [_column(product(top))]), d, [
-                {e: n * int(r * d) for e, n in ints.items()}
+                {k: n * int(r * d) for k, n in ints.items()}
                 for r, (_, (_, ints)) in zip(ratios, forms)])
         return self._localization
 
@@ -533,27 +533,15 @@ def _satisfies_congruences(graph, polys):
                for v, w, weight in graph.edges)
 
 
-def _vertex_terms(vector):
-    """(c, [ints of each vertex]) with vector == c * ints, read off its
-    integer form; the ints are keyed by exponent tuples."""
-    ring = vector.ring
-    c, (_, ints) = vector._primitive()
-    cols = [{} for _ in range(vector.rank)]
-    for k, n in ints.items():
-        col, e = ring._unpack(k)
-        cols[col][e] = n
-    return c, cols
-
-
 def _localize(graph, content, pairs):
     """Sum over the vertices of f_v / e_v, for f_v * W_v = content * a * b
-    given as one pair (a, b) of integer terms per vertex (W_v = d * L / e_v,
-    localization).  The products are summed into one integer accumulator,
-    scaled once by content / d and divided once by the lcm L of the Euler
-    classes, reducing by L's block vector (_certificate); raises unless the
-    sum is a polynomial."""
+    given as one pair (a, b) of packed integer terms per vertex (W_v =
+    d * L / e_v, localization).  The products are summed into one integer
+    accumulator (_dot), scaled once by content / d and divided once by the
+    lcm L of the Euler classes, reducing by L's block vector
+    (_certificate); raises unless the sum is a polynomial."""
     blocks, d, _ = graph.localization()
-    total = Polynomial._of_ints(graph.ring, content / d, _dot(pairs))
+    total = Polynomial._of_ints(graph.ring, content / d, _dot(graph.ring, pairs))
     if total.is_zero():
         return total
     quot, rem = _certificate(_column(total), blocks, 1, 1)
@@ -573,7 +561,7 @@ def integrate(graph, klass):
         klass = Vector.from_polys(list(klass), len(graph.vertices))
     if not _satisfies_congruences(graph, klass.to_polys()):
         raise DatumError("class is not in the kernel of the edge-difference map")
-    c, cols = _vertex_terms(klass)
+    c, cols = _columns(klass)
     return _localize(graph, c, zip(cols, graph.localization()[2]))
 
 
@@ -583,24 +571,26 @@ def pairing_perfection(graph):
     Perfect iff the determinant is a nonzero scalar; the verdict is
     cross-checked against reflexivity of the kernel module.  The kernel is
     a ring, so every product of basis vectors is localized unchecked: each
-    basis vector's integer terms are multiplied by the cofactors W_v once,
-    and entry (i, j) localizes the pairs (b_iv * W_v, b_jv).
+    basis vector's packed integer terms (_columns) are multiplied by the
+    cofactors W_v once, and entry (i, j) localizes the pairs
+    (b_iv * W_v, b_jv).
     """
     kernel = gkm_cohomology(graph)
     if kernel.module.num_rels != 0:
         return CheckReport("poincare-pairing-perfection", "not applicable",
                            {"reason": "kernel is not free; use the syzygy test"})
-    cofactors = graph.localization()[2]
-    basis = [_vertex_terms(b) for b in kernel.generators]
-    weighted = [[_dot(((f, w),)) for f, w in zip(cols, cofactors)] for _, cols in basis]
+    ring, cofactors = graph.ring, graph.localization()[2]
+    basis = [_columns(b) for b in kernel.generators]
+    weighted = [[_dot(ring, ((f, w),)) for f, w in zip(cols, cofactors)]
+                for _, cols in basis]
     n = len(basis)
     gram = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             gram[i][j] = gram[j][i] = _localize(
                 graph, basis[i][0] * basis[j][0], zip(weighted[i], basis[j][1]))
-    det = determinant(gram, graph.ring)
-    unit = (not det.is_zero()) and set(det.terms) == {graph.ring.zero_exps}
+    det = determinant(gram, ring)
+    unit = (not det.is_zero()) and set(det.terms) == {ring.zero_exps}
     refl = biduality(kernel.module).reflexive
     verdict = "pass" if unit == refl else "fail"
     return CheckReport("poincare-pairing-perfection", verdict, {

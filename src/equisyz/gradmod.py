@@ -64,7 +64,8 @@ class ModuleMap:
     and rows() builds one, where JSON or a caller's literal matrix enters
     or leaves.  Never mutated after construction, it caches gb(), the
     Groebner data of its columns, which the module it presents, its
-    syzygies and verify_exact share.
+    syzygies and verify_exact share, and dual(), so that each transpose
+    and the integer forms of its columns are built once.
     """
 
     def __init__(self, source, target, columns, check=True):
@@ -91,6 +92,7 @@ class ModuleMap:
                         raise ValueError("entry (%d,%d) has degree %s, expected %d"
                                          % (i, j, ent.homogeneous_degree(), d))
         self._gb = None
+        self._dual = None
 
     @classmethod
     def from_matrix(cls, source, target, rows, check=True):
@@ -129,9 +131,12 @@ class ModuleMap:
             _apply(self.columns, c, self.target.rank) for c in other.columns])
 
     def dual(self):
-        """Hom(-, R): the transpose, between the dual free modules."""
-        return ModuleMap(self.target.dual(), self.source.dual(),
-                         _transpose(self.ring, self.columns, self.target.rank))
+        """Hom(-, R): the transpose, between the dual free modules,
+        computed once."""
+        if self._dual is None:
+            self._dual = ModuleMap(self.target.dual(), self.source.dual(),
+                                   _transpose(self.ring, self.columns, self.target.rank))
+        return self._dual
 
     def __repr__(self):
         return "ModuleMap(%dx%d)" % (self.target.rank, self.source.rank)
@@ -228,9 +233,6 @@ class FPModule:
         cols = [c for c in columns if not c.is_zero()]
         src = FreeModule(ring, _degrees_of(cols, tgt.degrees))
         return cls(ModuleMap(src, tgt, cols))
-
-    def relation_columns(self):
-        return list(self.pmap.columns)
 
     def hilbert(self):
         if self._hilbert is None:

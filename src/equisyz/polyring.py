@@ -21,11 +21,14 @@ and in any product; nothing wraps around.
 Each Vector has one integer form: a Fraction content c and primitive
 packed integer terms, the vector being c times them.  The core reduces
 these forms by fraction-free pseudo-division, and what it returns is born
-in that form: the reduced bases, the block vectors g_i + e_i, and the
+in that form: the reduced bases, the block vectors g_i + e_i, the
 ambient parts and syzygies SubmoduleGB splits off on packed keys
-(_columns_below, which gradmod's kernels share).  Their Fraction terms are
-a view, built only when first read.  A Polynomial has the same kind of
-form on exponent-tuple keys, and its products are taken on it.
+(_columns_below, which gradmod's kernels share), and the cofactors read
+off aux columns.  Their Fraction terms are a view, built only when first
+read.  A Polynomial has the same form on packed column-0 keys, so it is
+the column (p) of R^1 with no repacking (_column), a product key is the
+sum of two keys less _mask (_dot), and determinant runs Bareiss on these
+forms.
 """
 
 import heapq
@@ -33,7 +36,7 @@ import re
 import struct
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, mul, neg
+from operator import mul, neg
 
 __all__ = [
     "GradedPolynomialRing", "Polynomial", "Vector", "RingMap", "HilbertSeries",
@@ -284,15 +287,16 @@ class Polynomial:
     """Immutable sparse polynomial: exponent vector -> nonzero rational.
 
     Its one integer form, cached in _form, is (c, (lead, ints)) with
-    self == c * ints, shaped as Vector's: ints maps exponent tuples to
-    integers with gcd 1 and a positive lead coefficient, lead is the largest
-    exponent tuple (None for 0) and c is a Fraction.  The keys stay
-    exponent tuples, so a Polynomial's exponents are unbounded outside the
-    Groebner core.  Products multiply the integer forms; by Gauss's lemma
-    the product of two primitive forms is primitive, and lex order makes
-    its lead the sum of the leads, so a product is born in its form with
-    content c1 * c2, and its Fraction terms are a view built on first read.
-    Sums and scalings work on the Fraction terms.
+    self == c * ints, the form of the Vector (self) of R^1: ints maps packed
+    column-0 keys (ring._pack(0, e)) to integers with gcd 1 and a positive
+    lead coefficient, lead is the largest key, the degrevlex lead (None for
+    0), and c is a Fraction.  Building the form raises ExponentLimitError
+    past EXPONENT_LIMIT.  Products multiply the integer forms (_dot); by
+    Gauss's lemma the product of two primitive forms is primitive, and the
+    monomial order makes its lead the product of the leads, so a product
+    is born in its form with content c1 * c2, and its Fraction terms are a
+    view, unpacked on first read.  Sums and scalings work on the Fraction
+    terms.
     """
 
     __slots__ = ("ring", "terms", "_form")
@@ -324,16 +328,17 @@ class Polynomial:
         if name != "terms":
             raise AttributeError(name)
         c, (_, ints) = self._form
-        p, q = c.numerator, c.denominator
-        self.terms = {e: Fraction(p * n, q) for e, n in ints.items()}
+        p, q, exps, mask = c.numerator, c.denominator, self.ring._exps, self.ring._mask
+        self.terms = {exps(~k & mask): Fraction(p * n, q) for k, n in ints.items()}
         return self.terms
 
     def _primitive(self):
         """The integer form (c, (lead, ints)), computed once."""
         if self._form is None:
-            terms = self.terms
+            terms, pack = self.terms, self.ring._pack
             den = lcm(*[c.denominator for c in terms.values()])
-            ints = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+            ints = {pack(0, e): c.numerator * (den // c.denominator)
+                    for e, c in terms.items()}
             if ints:
                 g, form = _content_free(ints)
                 self._form = (Fraction(g, den), form)
@@ -374,7 +379,8 @@ class Polynomial:
         c2, (l2, b) = other._primitive()
         if not (a and b):
             return self.ring.zero()
-        return Polynomial._of_form(self.ring, c1 * c2, (_mono_mul(l1, l2), _dot(((a, b),))))
+        ring = self.ring
+        return Polynomial._of_form(ring, c1 * c2, (l1 + l2 - ring._mask, _dot(ring, ((a, b),))))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -415,10 +421,6 @@ class Polynomial:
         if len(degs) > 1:
             raise ValueError("polynomial is not homogeneous: %s" % self)
         return degs.pop()
-
-    def leading_term(self):
-        e = max(self.terms, key=self.ring.monomial_key)
-        return e, self.terms[e]
 
     def constant_term(self):
         return self.terms.get(self.ring.zero_exps, Fraction(0))
@@ -658,9 +660,9 @@ class Vector:
 
 
 def _content_free(terms):
-    """(g, (lead, terms / g)) for nonzero integer terms, keyed by packed
-    ints or by exponent tuples: lead is the largest key and g the content
-    of the terms, signed so that the lead's coefficient is positive."""
+    """(g, (lead, terms / g)) for nonzero integer terms keyed by packed
+    ints: lead is the largest key and g the content of the terms, signed
+    so that the lead's coefficient is positive."""
     lead = max(terms)
     g = gcd(*terms.values())
     if terms[lead] < 0:
@@ -670,18 +672,32 @@ def _content_free(terms):
     return g, (lead, terms)
 
 
-def _dot(pairs):
+def _dot(ring, pairs):
     """The integer terms of sum(a * b for a, b in pairs), for integer terms
-    a and b keyed by exponent tuples; no entry is 0."""
+    a and b keyed by packed column-0 keys; no entry is 0.
+
+    The key of a product of terms is k1 + k2 - ring._mask.  Exponent fields
+    of two admissible keys sum without a carry, so every sum is exact; a
+    surviving term with a guard bit unset has an exponent past
+    EXPONENT_LIMIT and raises ExponentLimitError, as in _reduce.  Checking
+    the survivors suffices for one product: its top degree in each
+    variable never cancels.
+    """
     acc = {}
     get = acc.get
+    mask = ring._mask
     for a, b in pairs:
-        items = list(b.items())
-        for e1, c1 in a.items():
-            for e2, c2 in items:
-                e = tuple(map(add, e1, e2))
-                acc[e] = get(e, 0) + c1 * c2
-    return {e: n for e, n in acc.items() if n}
+        items = [(k - mask, c) for k, c in b.items()]
+        for k1, c1 in a.items():
+            for k2, c2 in items:
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
+    out = {k: n for k, n in acc.items() if n}
+    guard = ring._guard
+    for k in out:
+        if ~k & guard:
+            raise ring._limit_error(ring._unpack(k)[1])
+    return out
 
 
 def _sugar(ring, terms):
@@ -859,19 +875,23 @@ def _certificate(v, blocks, rank, count):
     Every aux column is smaller than every ambient one, so _reduce of the
     packed form of v reduces its ambient part and leaves the cofactors,
     negated, on the aux columns of its remainder; both are rescaled here.
+    The cofactors are born in their integer forms, keys shifted to column 0.
     """
     ring = v.ring
+    cshift = ring._cshift
     content, (_, terms) = v._primitive()
     scale, rem = _reduce(ring, terms, [b._packed() for b in blocks])
     s = content / scale
     nf, quots = {}, [{} for _ in range(count)]
     for k, c in rem.items():
-        col, e = ring._unpack(k)
+        col = -(k >> cshift)
         if col < rank:
-            nf[col, e] = s * c
+            nf[ring._unpack(k)] = s * c
         else:
-            quots[col - rank][e] = -s * c
-    return [Polynomial(ring, q) for q in quots], Vector(ring, rank, nf)
+            quots[col - rank][k + (col << cshift)] = c
+    minus, zero = -s, ring.zero()
+    return ([Polynomial._of_ints(ring, minus, q) if q else zero for q in quots],
+            Vector(ring, rank, nf))
 
 
 def divide(f, divisors):
@@ -887,13 +907,20 @@ def divide(f, divisors):
 
 
 def _column(p):
-    """The Vector (p) of R^1, born in the integer form read off p's."""
-    c, (_, ints) = p._primitive()
-    if not ints:
-        return Vector(p.ring, 1, {})
-    pack = p.ring._pack
-    sign, form = _content_free({pack(0, e): n for e, n in ints.items()})
-    return Vector._of_form(p.ring, 1, c * sign, form)
+    """The Vector (p) of R^1, whose integer form is p's."""
+    return Vector._of_form(p.ring, 1, *p._primitive())
+
+
+def _columns(v):
+    """(c, [terms of each column]) with v == c * the columns: v's integer
+    terms split by column, each column's keys shifted to column 0."""
+    cshift = v.ring._cshift
+    c, (_, ints) = v._primitive()
+    cols = [{} for _ in range(v.rank)]
+    for k, n in ints.items():
+        col = -(k >> cshift)
+        cols[col][k + (col << cshift)] = n
+    return c, cols
 
 
 def _exact_divide(f, g):
@@ -907,49 +934,68 @@ def _exact_divide(f, g):
 def determinant(matrix, ring):
     """Determinant of a square polynomial matrix, by fraction-free elimination.
 
-    Bareiss (1968): every entry of the trailing block is a minor of the
-    input, so the division by the previous pivot is exact; it is a scaling
-    when that pivot is a constant.  Each column's pivot is its first
-    constant in rows k..n-1, else its nonzero entry of lowest degree, so
-    the divisions stay scalings whenever the matrix allows; each row swap
-    flips the sign.
+    Bareiss (1968) on integer forms: the entries are scaled to packed
+    integer terms by one common denominator D, and the determinant of that
+    matrix is divided by D^n at the end.  Every entry of the trailing block
+    is a minor of the scaled matrix, so the division by the previous pivot
+    is exact: an integer division when that pivot is a constant, else read
+    off the pivot's block vector (_certificate).  Each column's pivot is
+    its first constant in rows k..n-1, else its nonzero entry of lowest
+    weighted degree (the degree of its lead key), so the divisions stay
+    integer divisions whenever the matrix allows; each row swap flips the
+    sign.
     """
-    m = [list(row) for row in matrix]
-    n = len(m)
+    n = len(matrix)
     if n == 0:
         return ring.one()
+    forms = [[p._primitive() for p in row] for row in matrix]
+    den = lcm(*[c.denominator for row in forms for c, _ in row])
+    m = []
+    for row in forms:
+        m.append([])
+        for c, (_, ints) in row:
+            scale = c.numerator * (den // c.denominator)
+            m[-1].append({k: v * scale for k, v in ints.items()})
+    top, wmask, mask = ring._top, ring._wmask, ring._mask
     sign = 1
-    prev = ring.one()
+    prev = {mask: 1}
     for k in range(n - 1):
-        rows = [i for i in range(k, n) if not m[i][k].is_zero()]
+        rows = [i for i in range(k, n) if m[i][k]]
         if not rows:
             return ring.zero()
         # min keeps the first of equal keys: the first constant, if any
-        swap = min(rows, key=lambda i: max(map(ring.weighted_degree,
-                                               m[i][k].terms)))
+        swap = min(rows, key=lambda i: max(m[i][k]) >> top & wmask)
         if swap != k:
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
-        piv = m[k][k]
-        c = prev.constant_term() if set(prev.terms) == {ring.zero_exps} else None
+        piv, pivot_row = m[k][k], m[k]
+        if len(prev) == 1 and mask in prev:
+            c, blocks = prev[mask], None
+        else:
+            c, blocks = None, _blocks(ring, 1, [_column(Polynomial._of_ints(ring, _ONE, prev))])
         for i in range(k + 1, n):
-            below = m[i][k]
+            row = m[i]
+            below = {key: -v for key, v in row[k].items()}
             for j in range(k + 1, n):
                 # a zero factor leaves its product out (most entries of the
                 # pairing check's Gram matrices are zero)
-                num = m[i][j] * piv
-                if not (below.is_zero() or m[k][j].is_zero()):
-                    num = num - below * m[k][j]
-                if c is None:
-                    if not num.is_zero():
-                        num, ok = _exact_divide(num, prev)
-                        if not ok:
-                            raise ArithmeticError("Bareiss division is not exact")
-                elif c != 1:
-                    num = num.scale(1 / c)
-                m[i][j] = num
+                pairs = [(row[j], piv)] if row[j] else []
+                if below and pivot_row[j]:
+                    pairs.append((below, pivot_row[j]))
+                num = _dot(ring, pairs)
+                if num and blocks is not None:
+                    (q,), rem = _certificate(_column(Polynomial._of_ints(ring, _ONE, num)),
+                                             blocks, 1, 1)
+                    if not rem.is_zero():
+                        raise ArithmeticError("Bareiss division is not exact")
+                    # a minor of an integer matrix: its content is an integer
+                    qc, (_, qi) = q._primitive()
+                    num = {key: v * qc.numerator for key, v in qi.items()}
+                elif num and c != 1:
+                    num = {key: v // c for key, v in num.items()}
+                row[j] = num
         prev = piv
-    return m[n - 1][n - 1] if sign > 0 else -m[n - 1][n - 1]
+    return Polynomial._of_ints(ring, Fraction(sign, den ** n), m[n - 1][n - 1])
 
 
 class GroebnerBasis:

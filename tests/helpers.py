@@ -54,6 +54,18 @@ def reynolds(group, poly):
     return acc.scale(Fraction(1, group.order))
 
 
+def leading_term(p):
+    """(exps, coefficient) of the largest term of the nonzero polynomial p
+    in the ring's monomial order."""
+    e = max(p.terms, key=p.ring.monomial_key)
+    return e, p.terms[e]
+
+
+def relation_columns(module):
+    """The relation columns of a presented module, as a list of Vectors."""
+    return list(module.pmap.columns)
+
+
 def failures(report):
     """The names of the checks a VerificationReport failed."""
     return [name for name, _, ok in report.checks if not ok]
@@ -548,7 +560,7 @@ def restrict_scalars(group, module):
     new_gdeg = [d + ring.weighted_degree(b)
                 for d in module.gens_degrees for b in basis]
     cols = [group.expand_vector(rel.poly_mul(ring.monomial(b)), module.num_gens)
-            for rel in module.relation_columns() for b in basis]
+            for rel in relation_columns(module) for b in basis]
     return FPModule.from_columns(group.invariant_ring, new_gdeg, cols)
 
 

@@ -620,3 +620,25 @@ def test_exit_two_past_the_exponent_limit(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert message + " exceeds the limit 32767" in out, out
         assert "Traceback" not in err
+
+
+def test_exit_two_when_a_localized_product_passes_the_exponent_limit(tmp_path, capsys):
+    # P^2 under T^3 and the class t1^32766 * e_3 supported at vertex 3: each
+    # input exponent is within the limit, but the localization multiplies
+    # f_3 by L / e_3, a multiple of t1 - t2, which reaches t1^32768
+    graph = {"rank": 3, "vars": ["t1", "t2", "t3"], "vertices": ["1", "2", "3"],
+             "edges": [{"v": "1", "w": "2", "weight": [1, -1, 0]},
+                       {"v": "1", "w": "3", "weight": [1, 0, -1]},
+                       {"v": "2", "w": "3", "weight": [0, 1, -1]}]}
+    thom = "t1^32766*t3^2 - t1^32766*t2*t3 - t1^32767*t3 + t1^32767*t2"
+    path = write_json(tmp_path, "p2.json", graph)
+    argv = ["integrate", path, "--klass", json.dumps(["0", "0", thom])]
+    assert main(argv) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert "exponent 32768 of t1 exceeds the limit 32767" in out, out
+    assert "Traceback" not in err
+    # one power lower the integral is t1^32765, within the limit
+    thom = thom.replace("32766", "32765").replace("32767", "32766")
+    code, report = run(["integrate", path, "--klass", json.dumps(["0", "0", thom])])
+    assert code == EXIT_PASS, report
+    assert "t1^32765" in json.dumps(report)

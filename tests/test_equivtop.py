@@ -3,6 +3,7 @@ import os
 import random
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -420,6 +421,55 @@ def test_pairing_flag4_finishes():
     assert time.perf_counter() - start < 120
     assert rep.verdict == "pass" and rep.details["perfect"]
     assert rep.details["determinant"] == "1"
+
+
+def _rational_det(rows):
+    """Determinant of a matrix of Fractions by Gaussian elimination."""
+    m = [list(row) for row in rows]
+    det = Fraction(1)
+    for k in range(len(m)):
+        piv = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, len(m)):
+            f = m[i][k] / m[k][k]
+            m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+    return det
+
+
+def test_gram_determinant_is_that_of_the_constant_terms():
+    # entry (i, j) of the Gram matrix is homogeneous of degree
+    # d_i + d_j - D (D the degree of the Euler classes), so det G has degree
+    # 2 * sum(d_i) - n * D; for these Poincare-dual graphs that is 0, and
+    # det G equals the determinant of the constant terms, computed here
+    # without any polynomial product
+    builders = [lambda s: gen.flag_variety(3, s), lambda s: gen.flag_variety(4, s),
+                lambda s: gen.grassmannian(2, 5, s), lambda s: gen.p1_power(3, s),
+                lambda s: gen.projective_space(4, s)]
+    for build in builders:
+        for seed in range(3):
+            graph = GKMGraph.from_json(build(seed))
+            ring = graph.ring
+            degrees = [b.homogeneous_degree((0,) * len(graph.vertices))
+                       for b in gkm_cohomology(graph).generators]
+            top = {2 * len(graph._weights_at(v)) for v in graph.vertices}
+            assert len(top) == 1
+            top = top.pop()
+            n = len(degrees)
+            assert 2 * sum(degrees) - n * top == 0
+            rep = pairing_perfection(graph)
+            gram = [[ring.parse(e) for e in row] for row in rep.details["gram"]]
+            for i, row in enumerate(gram):
+                for j, e in enumerate(row):
+                    want = degrees[i] + degrees[j] - top
+                    assert e.is_zero() or e.homogeneous_degree() == want
+            det = ring.parse(rep.details["determinant"])
+            constant = _rational_det([[e.constant_term() for e in row] for row in gram])
+            assert det == ring.constant(constant) and constant != 0
 
 
 def _scaled_euler(graph, c):

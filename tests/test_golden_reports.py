@@ -4,7 +4,8 @@ Covers every shipped input under every command in both formats, one
 integrate class, module-analyze on 25 seeded random modules and on
 helpers.module_3028 and helpers.module_3003, whose Groebner bases grow
 large coefficients, and the pairing check on the full flag variety Fl(4)
-of bench/gen.py (24 vertices, a 24 x 24 Gram matrix).  Every report must
+of bench/gen.py (24 vertices, a 24 x 24 Gram matrix) and on the
+Grassmannian Gr(3,6) (20 vertices, a 20 x 20 Gram matrix).  Every report must
 take under CPU_BOUND_S seconds of CPU.  A changed digest must be explained
 in CHANGES.md; running this file as a script rewrites golden_reports.json
 from the current code.
@@ -61,11 +62,13 @@ def _cases(workdir):
             json.dump(module().to_json(), fh)
         yield ("module-analyze random_module_%s json" % name,
                ["module-analyze", path, "--seed", "5", "--format", "json"])
-    path = os.path.join(workdir, "flag_variety_4.json")
-    with open(path, "w") as fh:
-        json.dump(gen.flag_variety(4, "0"), fh)
-    yield ("gkm flag_variety_4 pairing json",
-           ["gkm", path, "--check", "pairing", "--format", "json"])
+    for name, graph in (("flag_variety_4", gen.flag_variety(4, "0")),
+                        ("grassmannian_3_6", gen.grassmannian(3, 6, "0"))):
+        path = os.path.join(workdir, name + ".json")
+        with open(path, "w") as fh:
+            json.dump(graph, fh)
+        yield ("gkm %s pairing json" % name,
+               ["gkm", path, "--check", "pairing", "--format", "json"])
 
 
 def _expire(signum, frame):

@@ -15,8 +15,8 @@ from helpers import (
     alternating_hilbert, dual_module, koszul_syzygy_module, quotient_by_ideal,
     random_homogeneous, random_module, random_module_with_units, random_vector,
     reference_compose_embedding, reference_matrix_product, reference_minimal_generating_indices,
-    reference_minimized, reference_syzygy_order, residue_field_module, restrict_scalars,
-    times_qpoly,
+    reference_minimized, reference_syzygy_order, relation_columns, residue_field_module,
+    restrict_scalars, times_qpoly,
 )
 
 
@@ -495,7 +495,7 @@ def test_minimal_generating_indices_match_reference_rerun():
     cases = []
     for seed in range(30):
         m = random_module(R3, random.Random(seed))
-        cols = m.relation_columns()
+        cols = relation_columns(m)
         cases.append((cols, m.gens_degrees))
         if cols:
             cases.append((cols[::-1] + [cols[0].poly_mul(x), cols[-1]], m.gens_degrees))
@@ -582,7 +582,7 @@ def test_invariants_unchanged_by_change_of_generators_and_relations():
     changed = 0
     presented = [m for m in modules if m.num_rels]
     for m in presented:
-        n, cols = m.num_gens, m.relation_columns()
+        n, cols = m.num_gens, relation_columns(m)
         p = _graded_automorphism(R3, m.gens_degrees, rng)
         p_cols = [Vector.from_polys([row[j] for row in p], n) for j in range(n)]
         p_phi = [_combine(R3, n, c.to_polys(), p_cols) for c in cols]
@@ -591,7 +591,7 @@ def test_invariants_unchanged_by_change_of_generators_and_relations():
                     for k in range(len(cols))]
         new = FPModule.from_columns(R3, m.gens_degrees, new_cols)
         assert new.num_rels == m.num_rels
-        changed += new.relation_columns() != cols
+        changed += relation_columns(new) != cols
         assert betti_table(new) == betti_table(m)
         assert new.hilbert() == m.hilbert()
         if betti_table(m):
@@ -617,7 +617,7 @@ def test_compose_and_minimized_match_dense_references():
         assert (got is m) == (ref is m)
         assert got.gens_degrees == ref.gens_degrees
         assert got.pmap.source.degrees == ref.pmap.source.degrees
-        assert got.relation_columns() == ref.relation_columns()
+        assert relation_columns(got) == relation_columns(ref)
         units = sum(len(_unit_rows(c)) for c in m.pmap.columns)
         pruned += got.num_gens < m.num_gens
         several += units >= 2
@@ -658,3 +658,39 @@ def test_syzygy_embedding_columns_are_the_bidual_composite():
         assert embed.columns == ref.columns
         checked += 1
     assert checked == 9
+
+
+def test_cohen_macaulay_builds_each_dual_once(monkeypatch):
+    # ext_module and depth dualize the maps of one resolution again and
+    # again: ModuleMap.dual must transpose each distinct map once.  Only the
+    # transposes built inside dual count; _bidual_columns takes others.
+    from equisyz import gradmod
+    calls, built, inside = [], [], []
+    real_dual, real_transpose = gradmod.ModuleMap.dual, gradmod._transpose
+
+    def dual(self):
+        calls.append(self)
+        inside.append(self)
+        try:
+            return real_dual(self)
+        finally:
+            inside.pop()
+
+    def transpose(ring, columns, nrows):
+        if inside:
+            built.append(inside[-1])
+        return real_transpose(ring, columns, nrows)
+
+    monkeypatch.setattr(gradmod.ModuleMap, "dual", dual)
+    monkeypatch.setattr(gradmod, "_transpose", transpose)
+    R3 = GradedPolynomialRing(["x", "y", "z"])
+    modules = [residue_field_module(R3)]
+    modules += [random_module(R3, random.Random(seed)) for seed in range(5)]
+    repeated = 0
+    for m in modules:
+        del calls[:], built[:]
+        cohen_macaulay(m)
+        distinct = {id(f) for f in calls}
+        assert sorted(map(id, built)) == sorted(distinct)
+        repeated += len(calls) - len(distinct)
+    assert repeated > 0

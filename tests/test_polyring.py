@@ -10,8 +10,8 @@ from equisyz.polyring import (
     syzygy_basis, quotient_hilbert_series, HilbertSeries, determinant,
 )
 from helpers import (
-    groebner_basis, normal_form, quotient_by_ideal, random_homogeneous, random_module,
-    random_vector,
+    groebner_basis, leading_term, normal_form, quotient_by_ideal, random_homogeneous,
+    random_module, random_vector, relation_columns,
     reference_blocks, reference_buchberger, reference_divide, reference_det,
     reference_kernel_submodule, reference_reduce, reference_submodule_split,
     reference_update_pairs,
@@ -83,8 +83,8 @@ def test_json_roundtrip(R):
 def test_monomial_order_is_degrevlex(R):
     x, y = R.vars()
     # x > y, x^2 > xy > y^2
-    assert (x + y).leading_term()[0] == (1, 0)
-    assert (x * y + y * y).leading_term()[0] == (1, 1)
+    assert leading_term(x + y)[0] == (1, 0)
+    assert leading_term(x * y + y * y)[0] == (1, 1)
 
 
 def test_groebner_hand_example(R):
@@ -376,7 +376,7 @@ def test_pending_pairs_match_reference_update_and_carry_their_lcm(monkeypatch):
     ring = GradedPolynomialRing(["x", "y", "z"])
     # seed 10 is left out: reference_buchberger, which takes pairs by key
     # alone, runs on it for minutes (buchberger takes 0.02 s)
-    cases = [random_module(ring, random.Random(seed), max_rels=4).relation_columns()
+    cases = [relation_columns(random_module(ring, random.Random(seed), max_rels=4))
              for seed in range(20) if seed != 10]
     cases += [_rational_generators(ring, rng) for _ in range(10)]
     expected = [reference_buchberger(gens) for gens in cases]
@@ -421,7 +421,7 @@ def _handoff_cases(seed):
     cases = []
     for k in range(6):
         m = random_module(ring, random.Random(seed + k))
-        cases.append((m.num_gens, m.relation_columns(), m.gens_degrees))
+        cases.append((m.num_gens, relation_columns(m), m.gens_degrees))
     while len(cases) < 16:
         gens = _rational_generators(ring, rng)
         if gens:
@@ -502,7 +502,7 @@ def test_block_basis_matches_buchberger_over_q():
     cases = [(rank, gens) for rank, gens, _ in cases]
     for seed in range(12):
         m = random_module(ring, random.Random(4000 + seed))
-        cases.append((m.num_gens, m.relation_columns()))
+        cases.append((m.num_gens, relation_columns(m)))
     aux = 0
     for rank, gens in cases:
         if not gens:
@@ -561,10 +561,10 @@ def test_groebner_core_returns_fractions():
     rng = random.Random(4)
     ring4 = GradedPolynomialRing(["x1", "x2", "x3", "x4"])
     ring3 = GradedPolynomialRing(["x", "y", "z"])
-    cases = [(ring4, 1, residue_field_module(ring4).relation_columns())]
+    cases = [(ring4, 1, relation_columns(residue_field_module(ring4)))]
     for seed in range(6):
         m = random_module(ring3, random.Random(seed))
-        cases.append((ring3, m.num_gens, m.relation_columns()))
+        cases.append((ring3, m.num_gens, relation_columns(m)))
     for _ in range(6):
         gens = _rational_generators(ring3, rng)
         if gens:
@@ -646,16 +646,19 @@ def test_determinant_pivots_on_constants(monkeypatch):
     # anti-triangular with a constant anti-diagonal, polynomials without
     # constant term above it and zeros below (the shape of a Gram matrix
     # of the Poincare pairing), rows shuffled: every column offers a
-    # constant pivot, so no elimination step needs a polynomial division
+    # constant pivot, so no elimination step needs a polynomial division.
+    # A division by a polynomial pivot reads its quotient off the pivot's
+    # block vector (_certificate); the control matrices, with no constant
+    # entry at all, must make such divisions.
     from equisyz import polyring
     calls = []
-    real = polyring._exact_divide
+    real = polyring._certificate
 
-    def counting(f, g):
-        calls.append(g)
-        return real(f, g)
+    def counting(v, blocks, rank, count):
+        calls.append(blocks)
+        return real(v, blocks, rank, count)
 
-    monkeypatch.setattr(polyring, "_exact_divide", counting)
+    monkeypatch.setattr(polyring, "_certificate", counting)
     rng = random.Random(1968)
     ring = GradedPolynomialRing(["x", "y"])
     x, y = ring.vars()
@@ -666,6 +669,62 @@ def test_determinant_pivots_on_constants(monkeypatch):
         rng.shuffle(m)
         assert determinant(m, ring) == reference_det(m, ring)
     assert calls == []
+    for n in range(3, 6):
+        m = [[x * _random_poly(ring, rng, 1) + y * _random_poly(ring, rng, 1)
+              for _ in range(n)] for _ in range(n)]
+        assert determinant(m, ring) == reference_det(m, ring)
+    assert len(calls) > 0
+
+
+def test_determinant_matches_sympy(monkeypatch):
+    # an oracle that shares no code with the packed products: sympy's
+    # determinant of seeded matrices with rational entries (one common
+    # denominator for the whole matrix), of matrices with no constant entry
+    # (divisions by polynomial pivots) and of rank-deficient ones
+    sympy = pytest.importorskip("sympy")
+    from equisyz import polyring
+    divisions = []
+    real = polyring._certificate
+
+    def counting(*args):
+        divisions.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(polyring, "_certificate", counting)
+    rng = random.Random(2121)
+    ring = GradedPolynomialRing(["x", "y"])
+    x, y = sympy.symbols(ring.names)
+
+    def entry(constants):
+        terms = {}
+        for _ in range(rng.randint(0, 3)):
+            e = (rng.randint(0, 2), rng.randint(0, 2))
+            if e == (0, 0) and not constants:
+                e = (1, 0)
+            terms[e] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+        return Polynomial(ring, terms)
+
+    def theirs(p):
+        return sum((sympy.Rational(c.numerator, c.denominator) * x ** e[0] * y ** e[1]
+                    for e, c in p.terms.items()), sympy.Integer(0))
+
+    seen = {"fractions": 0, "zero": 0}
+    for trial in range(60):
+        kind = trial % 3
+        n = rng.randint(1, 4)
+        m = [[entry(kind != 1) for _ in range(n)] for _ in range(n)]
+        if kind == 2 and n >= 2:
+            coeffs = [entry(True) for _ in range(n - 1)]
+            m[-1] = [sum((c * row[j] for c, row in zip(coeffs, m)), ring.zero())
+                     for j in range(n)]
+        det = determinant(m, ring)
+        want = sympy.Poly(sympy.Matrix([[theirs(p) for p in row] for row in m])
+                          .det(method="berkowitz"), x, y, domain="QQ")
+        got = {e: sympy.Rational(c.numerator, c.denominator) for e, c in det.terms.items()}
+        assert got == {e: c for e, c in want.as_dict().items() if c}, (trial, m)
+        seen["fractions"] += any(c.denominator != 1 for c in det.terms.values())
+        seen["zero"] += kind == 2 and n >= 2 and det.is_zero()
+    assert seen["fractions"] >= 10 and seen["zero"] >= 10 and len(divisions) > 0
 
 
 def test_determinant_of_plu_product():
@@ -709,17 +768,20 @@ def _terms_built(p):
 
 
 def _check_integer_form(p):
-    """p's cached integer form (c, (lead, ints)): exponent-tuple keys,
-    integers of gcd 1 with a positive lead, the largest key, and c * ints
-    equal to p's Fraction terms."""
+    """p's cached integer form (c, (lead, ints)): packed column-0 keys,
+    integers of gcd 1, the largest key as lead (the degrevlex lead) with a
+    positive coefficient, and c * ints, unpacked, equal to p's Fraction
+    terms."""
+    ring = p.ring
     c, (lead, ints) = p._primitive()
     if p.is_zero():
         assert (lead, ints) == (None, {})
         return
-    assert all(isinstance(e, tuple) and len(e) == p.ring.num_vars for e in ints)
+    assert all(isinstance(k, int) and ring._unpack(k)[0] == 0 for k in ints)
     assert math.gcd(*ints.values()) == 1
     assert lead == max(ints) and ints[lead] > 0
-    assert {e: c * n for e, n in ints.items()} == p.terms
+    assert ring._unpack(lead)[1] == leading_term(p)[0]
+    assert {ring._unpack(k)[1]: c * n for k, n in ints.items()} == p.terms
 
 
 def test_products_and_powers_match_sympy():
@@ -757,7 +819,7 @@ def test_products_and_powers_match_sympy():
         polys = [rand() for _ in range(12)] + [ring.zero(), ring.constant(Fraction(-7, 3))]
         for f in polys:
             _check_integer_form(f)
-            negative_leads += not f.is_zero() and f.terms[max(f.terms)] < 0
+            negative_leads += not f.is_zero() and leading_term(f)[1] < 0
             g = rng.choice(polys)
             prod = f * g
             assert prod.is_zero() or not _terms_built(prod)
@@ -773,12 +835,15 @@ def test_products_and_powers_match_sympy():
             _check_integer_form(power)
             assert same(power, theirs(f) ** k), (f, k)
     assert negative_leads >= 10
-    # exponents are unbounded outside the Groebner core
+    # a Polynomial's form is packed, so its exponents are bounded as in the
+    # Groebner core: up to EXPONENT_LIMIT in a product, and past it a raise
     ring = GradedPolynomialRing(["x", "y"])
     x, y = ring.vars()
-    p = x ** 40000 * y
-    assert p.terms == {(40000, 1): 1}
+    p = x ** EXPONENT_LIMIT * y
+    assert EXPONENT_LIMIT == 32767 and p.terms == {(32767, 1): 1}
     _check_integer_form(p)
+    with pytest.raises(ExponentLimitError, match="of x exceeds the limit 32767"):
+        x ** 40000
 
 
 def test_reduced_gb_matches_sympy_grevlex():
@@ -827,7 +892,7 @@ def test_exact_divide_matches_sympy_div():
             f, g, r = rand(4), top + rand(d - 2), rand(2)
             if f.is_zero() or top.is_zero():
                 continue
-            if g.leading_term()[1] == 1:
+            if leading_term(g)[1] == 1:
                 g = g.scale(Fraction(-3, 2))
             assert _exact_divide(f * g, g) == (f, True)
             h = f * g + r
@@ -912,7 +977,7 @@ def test_submodule_gb_certificates_match_reference_division():
         cases = [(2, [])]
         for seed in range(8):
             m = random_module(ring, random.Random(seed))
-            cases.append((m.num_gens, m.relation_columns()))
+            cases.append((m.num_gens, relation_columns(m)))
         for _ in range(12):
             gens = _rational_generators(ring, rng)
             if gens:
@@ -1058,9 +1123,9 @@ def test_exponent_limit_raises_on_input_and_mid_computation():
     def vec(p):
         return Vector.from_polys([p], 1)
 
-    # on input
+    # on input (a monomial past the limit, as a product would raise first)
     with pytest.raises(ExponentLimitError, match="exponent 40000 of x exceeds the limit 32767"):
-        buchberger([vec(x ** 40000)])
+        buchberger([vec(R.monomial((40000, 0)))])
     # in a reduction: x^20000*y^20000 - y^20000*(x^20000 - y^20000) = y^40000
     with pytest.raises(ExponentLimitError, match="exponent 40000 of y exceeds the limit 32767"):
         divide(vec(x ** 20000 * y ** 20000), [vec(x ** 20000 - y ** 20000)])
@@ -1113,7 +1178,7 @@ def test_groebner_core_works_on_packed_terms(monkeypatch):
 
     rng = random.Random(3)
     ring = GradedPolynomialRing(["x", "y", "z"])
-    cases = [random_module(ring, random.Random(seed)).relation_columns()
+    cases = [relation_columns(random_module(ring, random.Random(seed)))
              for seed in range(4)]
     cases += [_rational_generators(ring, rng) for _ in range(4)]
     expected = [buchberger(cols) for cols in cases]
