@@ -90,10 +90,11 @@ class GKMGraph:
         return self.vertices.index(v)
 
     def weight_form(self, weight):
-        """The linear form sum(a_i * t_i) of a weight (a_1, ..., a_r)."""
-        zero = self.ring.zero_exps
-        return Polynomial(self.ring, {zero[:i] + (1,) + zero[i + 1:]: Fraction(a)
-                                      for i, a in enumerate(weight) if a})
+        """The linear form sum(a_i * t_i) of an integer weight (a_1, ..., a_r),
+        built in its integer form."""
+        ring, zero = self.ring, self.ring.zero_exps
+        return Polynomial._of_ints(ring, 1, Fraction(1), {
+            ring._pack(0, zero[:i] + (1,) + zero[i + 1:]): a for i, a in enumerate(weight) if a})
 
     def _check_symmetry(self):
         group, perms = self.symmetry
@@ -164,7 +165,7 @@ class GKMGraph:
                 return p
 
             # L / e_v = (c_v / scalar_v) * P_v for the integer form c_v * P_v
-            forms = [product(top - count)._primitive() for count in counts]
+            forms = [product(top - count)._form for count in counts]
             ratios = [c / scalar for (c, _), scalar in zip(forms, scalars)]
             d = lcm(*[r.denominator for r in ratios])
             self._localization = (_blocks(self.ring, 1, [_column(product(top))]), d, [
@@ -227,9 +228,8 @@ def chang_skjelbred(graph):
     rel_cols = []
     delta = [{} for _ in range(nv)]     # column of vertex a: +-e_k for its edges k
     for k, (v, w, weight) in enumerate(graph.edges):
-        alpha = graph.weight_form(weight)
-        rel_cols.append(Vector(ring, ne,
-                               {(k, e): c for e, c in alpha.terms.items()}))
+        # alpha e_k: alpha's keys placed in column k
+        rel_cols.append(Vector.unit(ring, ne, k).poly_mul(graph.weight_form(weight)))
         delta[graph._index(v)][k, one] = Fraction(1)
         delta[graph._index(w)][k, one] = Fraction(-1)
     ab1 = FPModule.from_columns(ring, (0,) * ne, rel_cols)
@@ -541,10 +541,10 @@ def _localize(graph, content, pairs):
     lcm L of the Euler classes, reducing by L's block vector
     (_certificate); raises unless the sum is a polynomial."""
     blocks, d, _ = graph.localization()
-    total = Polynomial._of_ints(graph.ring, content / d, _dot(graph.ring, pairs))
+    total = Vector._of_ints(graph.ring, 1, content / d, _dot(graph.ring, pairs))
     if total.is_zero():
-        return total
-    quot, rem = _certificate(_column(total), blocks, 1, 1)
+        return graph.ring.zero()
+    quot, rem = _certificate(total, blocks, 1, 1)
     if not rem.is_zero():
         raise DatumError("localized sum is not a polynomial; "
                          "class or Euler data invalid")

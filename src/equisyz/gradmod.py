@@ -13,9 +13,13 @@ Graded isomorphism is approximated throughout by equality of minimal Betti
 tables plus Hilbert series.
 """
 
+from fractions import Fraction
+from math import lcm
+
 from .polyring import (
     Vector, SubmoduleGB, GroebnerBasis, DatumError, syzygy_basis,
-    quotient_hilbert_series, GradedPolynomialRing, _columns_below, _integers, _mono_mul,
+    quotient_hilbert_series, GradedPolynomialRing, _columns, _columns_below, _dot,
+    _integers,
 )
 
 NEG_INF = float("-inf")
@@ -144,28 +148,41 @@ class ModuleMap:
 
 def _apply(columns, v, rank):
     """sum_j v_j * columns[j] in R^rank: the image of v under the map with
-    these columns."""
-    out = {}
-    for (j, e), c in v.data.items():
-        for (i, e2), c2 in columns[j].data.items():
-            k = (i, _mono_mul(e, e2))
-            out[k] = out.get(k, 0) + c * c2
-    return Vector(v.ring, rank, out)
+    these columns, one integer accumulator (_dot) over the common
+    denominator of the columns it uses."""
+    ring = v.ring
+    c, parts = _columns(v)
+    used = [(part, columns[j]._form) for j, part in enumerate(parts) if part]
+    d = lcm(*[cj.denominator for _, (cj, _) in used])
+    pairs = []
+    for part, (cj, (_, ints)) in used:
+        s = cj.numerator * (d // cj.denominator)
+        pairs.append((ints, {k: s * n for k, n in part.items()}))
+    return Vector._of_ints(ring, rank, c / d, _dot(ring, pairs))
 
 
 def _transpose(ring, columns, nrows):
-    """The nrows columns of the transpose of the matrix with these columns."""
+    """The nrows columns of the transpose of the matrix with these columns:
+    the term of column j in row i moves to column j of vector i, over the
+    common denominator of the columns."""
+    cshift = ring._cshift
+    d = lcm(*[col._form[0].denominator for col in columns])
     data = [{} for _ in range(nrows)]
     for j, col in enumerate(columns):
-        for (i, e), c in col.data.items():
-            data[i][j, e] = c
-    return [Vector(ring, len(columns), d) for d in data]
+        c, (_, ints) = col._form
+        s = c.numerator * (d // c.denominator)
+        for k, n in ints.items():
+            i = -(k >> cshift)
+            data[i][k + ((i - j) << cshift)] = s * n
+    return [Vector._of_ints(ring, len(columns), Fraction(1, d), t) for t in data]
 
 
 def _unit_rows(col):
-    """The rows where the column has a nonzero constant entry."""
-    one = col.ring.zero_exps
-    return [i for i, e in col.data if e == one]
+    """The rows where the column has a nonzero constant entry: keys whose
+    bits below the column are those of the constant monomial."""
+    ring = col.ring
+    low = (1 << ring._cshift) - 1
+    return [-(k >> ring._cshift) for k in col._form[1][1] if k & low == ring._mask]
 
 
 def _degrees_of(vectors, ambient_degrees):
@@ -258,7 +275,7 @@ class FPModule:
         """
         if self._minimal is not None:
             return self._minimal
-        ring, n, one = self.ring, self.num_gens, self.ring.zero_exps
+        ring, n = self.ring, self.num_gens
         cols = dict(enumerate(self.pmap.columns))
         dropped = set()
         while True:
@@ -267,20 +284,18 @@ class FPModule:
                 break
             i, j = min(units)
             pivot = cols.pop(j)
-            c = pivot.data[i, one]
+            inverse = 1 / pivot.component(i).constant_term()
             for jj, col in cols.items():
-                # col - (col_i / c) * pivot
-                coeffs = {(1, e): -a / c for (r, e), a in col.data.items() if r == i}
-                if coeffs:
-                    coeffs[0, one] = 1
-                    cols[jj] = _apply((col, pivot), Vector(ring, 2, coeffs), n)
+                entry = col.component(i)
+                if not entry.is_zero():
+                    cols[jj] = col - pivot.poly_mul(entry.scale(inverse))
             dropped.add(i)
         gens = [i for i in range(n) if i not in dropped]
         cols = [v for v in cols.values() if not v.is_zero()]
         if dropped:
-            new = {i: k for k, i in enumerate(gens)}
-            cols = [Vector(ring, len(gens), {(new[r], e): c for (r, e), c in v.data.items()})
-                    for v in cols]
+            # a nonzero column has an entry in some kept row
+            polys = [v.to_polys() for v in cols]
+            cols = [Vector.from_polys([p[i] for i in gens]) for p in polys]
         gdeg = [self.gens_degrees[i] for i in gens]
         keep = minimal_generating_indices(cols, gdeg)
         if not dropped and len(keep) == self.num_rels:
@@ -617,8 +632,7 @@ def _bidual_columns(module, K, W):
         coeffs = wgb.lift(u) if wgb else ([] if u.is_zero() else None)
         if coeffs is None:
             raise AssertionError("evaluation vector escapes the double dual")
-        cols.append(Vector(ring, len(W), {(w, e): c for w, q in enumerate(coeffs)
-                                          for e, c in q.terms.items()}))
+        cols.append(Vector.from_polys(coeffs) if coeffs else Vector(ring, 0, {}))
     return cols, us
 
 
@@ -696,8 +710,7 @@ def base_change(module, ring_map):
     tgt_ring = ring_map.target
     src = FreeModule(tgt_ring, module.pmap.source.degrees)
     tgt = FreeModule(tgt_ring, module.pmap.target.degrees)
-    cols = [Vector(tgt_ring, tgt.rank, {(i, e): c for i, p in enumerate(col.to_polys())
-                                        for e, c in ring_map(p).terms.items()})
+    cols = [Vector.from_polys([ring_map(p) for p in col.to_polys()])
             for col in module.pmap.columns]
     return FPModule(ModuleMap(src, tgt, cols))
 

@@ -15,20 +15,21 @@ exact Fraction.  Inside the core (_reduce, s_vector, GroebnerBasis) each
 term is one int (GradedPolynomialRing._pack): 16-bit exponent fields below
 the weighted degree below the column, so terms compare, multiply by a
 monomial and divide as ints, and divisibility is a guard-bit test.  An
-exponent above EXPONENT_LIMIT (32767) raises ExponentLimitError, on input
-and in any product; nothing wraps around.
+exponent above EXPONENT_LIMIT (32767) raises ExponentLimitError when an
+element is built and in any product; nothing wraps around.
 
-Each Vector has one integer form: a Fraction content c and primitive
-packed integer terms, the vector being c times them.  The core reduces
-these forms by fraction-free pseudo-division, and what it returns is born
-in that form: the reduced bases, the block vectors g_i + e_i, the
-ambient parts and syzygies SubmoduleGB splits off on packed keys
-(_columns_below, which gradmod's kernels share), and the cofactors read
-off aux columns.  Their Fraction terms are a view, built only when first
-read.  A Polynomial has the same form on packed column-0 keys, so it is
-the column (p) of R^1 with no repacking (_column), a product key is the
-sum of two keys less _mask (_dot), and determinant runs Bareiss on these
-forms.
+A Polynomial or Vector is its integer form (_Element): a Fraction content
+c and primitive packed integer terms, the element being c times them.  The
+form is the state; the Fraction terms are a view, kept from the terms an
+element was built from or unpacked on first read.  Sums, scalings and
+products by a Polynomial work on forms, and the core reduces them by
+fraction-free pseudo-division.  A Polynomial's keys are column-0 keys, so
+it is the column (p) of R^1 with no repacking (_column), a product key is
+the sum of two keys less _mask (_dot), and determinant runs Bareiss on
+these forms.  What the core returns is born in its form: the reduced
+bases, the block vectors g_i + e_i, the ambient parts and syzygies
+SubmoduleGB splits off on packed keys (_columns_below, which gradmod's
+kernels share), and the cofactors read off aux columns.
 """
 
 import heapq
@@ -128,9 +129,7 @@ class GradedPolynomialRing:
             raise ValueError("variable names must be a list of names matching "
                              "%s, got %r" % (_NAME.pattern, names))
         names = tuple(names)
-        if degrees is None:
-            degrees = (2,) * len(names)
-        degrees = tuple(int(d) for d in degrees)
+        degrees = (2,) * len(names) if degrees is None else _integers(degrees, "degrees")
         if len(degrees) != len(names):
             raise ValueError("need one degree per variable")
         if len(set(names)) != len(names):
@@ -164,10 +163,10 @@ class GradedPolynomialRing:
         return "GradedPolynomialRing(%s, degrees=%s)" % (list(self.names), list(self.degrees))
 
     def zero(self):
-        return Polynomial(self, {})
+        return Polynomial._of_form(self, 1, _ONE, (None, {}))
 
     def one(self):
-        return Polynomial(self, {self.zero_exps: Fraction(1)})
+        return Polynomial._of_form(self, 1, _ONE, (self._mask, {self._mask: 1}))
 
     def constant(self, c):
         c = _fr(c)
@@ -279,119 +278,154 @@ class GradedPolynomialRing:
     def from_descriptor(cls, obj):
         if not isinstance(obj, dict):
             raise DatumError("ring must be a JSON object, got %r" % (obj,))
-        degrees = obj.get("degrees")
-        return cls(obj["vars"], None if degrees is None else _integers(degrees, "degrees"))
+        return cls(obj["vars"], obj.get("degrees"))
 
 
-class Polynomial:
-    """Immutable sparse polynomial: exponent vector -> nonzero rational.
+class _Element:
+    """What Polynomial and Vector share: one exact element of R^rank.
 
-    Its one integer form, cached in _form, is (c, (lead, ints)) with
-    self == c * ints, the form of the Vector (self) of R^1: ints maps packed
-    column-0 keys (ring._pack(0, e)) to integers with gcd 1 and a positive
-    lead coefficient, lead is the largest key, the degrevlex lead (None for
-    0), and c is a Fraction.  Building the form raises ExponentLimitError
-    past EXPONENT_LIMIT.  Products multiply the integer forms (_dot); by
-    Gauss's lemma the product of two primitive forms is primitive, and the
-    monomial order makes its lead the product of the leads, so a product
-    is born in its form with content c1 * c2, and its Fraction terms are a
-    view, unpacked on first read.  Sums and scalings work on the Fraction
-    terms.
+    The state is the integer form _form = (c, (lead, ints)), the element
+    being c times ints: ints maps packed keys (ring._pack) to integers
+    with gcd 1 and a positive lead coefficient, lead is the largest key
+    (None for 0) and c is a Fraction (1 for 0).  The form is unique to the
+    element, so equality and hashing compare forms.  The constructor
+    computes it from the Fraction terms it is given, and raises
+    ExponentLimitError past EXPONENT_LIMIT.  A sum works over the common
+    denominator of the two contents, a scaling multiplies the content, and
+    a product by a Polynomial multiplies the forms (_dot): by Gauss's lemma
+    the product of two primitive forms is primitive, and the monomial order
+    makes its lead the product of the leads.  The Fraction terms are a
+    view, _view: the terms the element was built from, or unpacked on
+    first read.
     """
 
-    __slots__ = ("ring", "terms", "_form")
-
-    def __init__(self, ring, terms):
-        self.ring = ring
-        self.terms = {e: c for e, c in terms.items() if c}
-        self._form = None
+    __slots__ = ("ring", "rank", "_form", "_view")
 
     @classmethod
-    def _of_form(cls, ring, content, form):
-        """The Polynomial content * ints for an integer form (lead, ints)
-        as the class describes it."""
-        p = cls.__new__(cls)
-        p.ring, p._form = ring, (content, form)
-        return p
+    def _of_form(cls, ring, rank, content, form):
+        """The element content * ints of R^rank for an integer form
+        form = (lead, ints) as the class describes it."""
+        out = cls.__new__(cls)
+        out.ring, out.rank, out._form, out._view = ring, rank, (content, form), None
+        return out
 
     @classmethod
-    def _of_ints(cls, ring, content, ints):
-        """The Polynomial content * ints for integer terms with no zero."""
+    def _of_ints(cls, ring, rank, content, ints):
+        """The element content * ints of R^rank for integer terms with no
+        zero."""
         if not ints:
-            return ring.zero()
+            return cls._of_form(ring, rank, _ONE, (None, {}))
         g, form = _content_free(ints)
-        return cls._of_form(ring, content * g, form)
+        return cls._of_form(ring, rank, content * g, form)
 
-    def __getattr__(self, name):
-        # reached only while the terms slot is unset, on a Polynomial born
-        # in its form: the Fraction view is built once and kept in the slot
-        if name != "terms":
-            raise AttributeError(name)
+    def _like(self, content, form):
+        return self._of_form(self.ring, self.rank, content, form)
+
+    def _fractions(self, key):
+        """The Fraction terms of the form, keyed by key(packed key)."""
         c, (_, ints) = self._form
-        p, q, exps, mask = c.numerator, c.denominator, self.ring._exps, self.ring._mask
-        self.terms = {exps(~k & mask): Fraction(p * n, q) for k, n in ints.items()}
-        return self.terms
-
-    def _primitive(self):
-        """The integer form (c, (lead, ints)), computed once."""
-        if self._form is None:
-            terms, pack = self.terms, self.ring._pack
-            den = lcm(*[c.denominator for c in terms.values()])
-            ints = {pack(0, e): c.numerator * (den // c.denominator)
-                    for e, c in terms.items()}
-            if ints:
-                g, form = _content_free(ints)
-                self._form = (Fraction(g, den), form)
-            else:
-                self._form = (_ONE, (None, {}))
-        return self._form
+        p, q = c.numerator, c.denominator
+        return {key(k): Fraction(p * n, q) for k, n in ints.items()}
 
     def is_zero(self):
-        form = self._form
-        return not (self.terms if form is None else form[1][1])
+        return self._form[1][0] is None
 
     def _check(self, other):
-        if self.ring != other.ring:
+        if type(other) is not type(self):
+            raise TypeError("cannot combine %s with %s"
+                            % (type(self).__name__, type(other).__name__))
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError("ring mismatch")
+        if self.rank != other.rank:
+            raise ValueError("rank mismatch")
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return Polynomial(self.ring, out)
+        (c1, (_, a)), (c2, (_, b)) = self._form, other._form
+        if not b:
+            return self
+        if not a:
+            return other
+        d = lcm(c1.denominator, c2.denominator)
+        s1, s2 = c1.numerator * (d // c1.denominator), c2.numerator * (d // c2.denominator)
+        out = {k: s1 * n for k, n in a.items()}
+        get = out.get
+        for k, n in b.items():
+            out[k] = get(k, 0) + s2 * n
+        return self._of_ints(self.ring, self.rank, Fraction(1, d),
+                             {k: n for k, n in out.items() if n})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Polynomial(self.ring, {e: -c for e, c in self.terms.items()})
+        c, form = self._form
+        return self if form[0] is None else self._like(-c, form)
+
+    def scale(self, c):
+        c = _fr(c)
+        content, form = self._form
+        if not c:
+            return self._like(_ONE, (None, {}))
+        return self if form[0] is None else self._like(c * content, form)
+
+    def _times(self, poly):
+        """self times the Polynomial poly."""
+        if self.ring is not poly.ring and self.ring != poly.ring:
+            raise ValueError("ring mismatch")
+        (c1, (l1, a)), (c2, (l2, b)) = self._form, poly._form
+        if l1 is None or l2 is None:
+            return self._like(_ONE, (None, {}))
+        ring = self.ring
+        return self._like(c1 * c2, (l1 + l2 - ring._mask, _dot(ring, ((a, b),))))
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.rank == other.rank
+                and self.ring == other.ring and self._form == other._form)
+
+    def __hash__(self):
+        c, (_, ints) = self._form
+        return hash((self.ring, self.rank, c, frozenset(ints.items())))
+
+    def _term_degrees(self, col_degrees):
+        """The weighted degree of each term plus its column's degree: a
+        packed key holds the weighted degree between _top and _cshift."""
+        ring = self.ring
+        top, cshift, wmask = ring._top, ring._cshift, ring._wmask
+        return {(k >> top & wmask) + col_degrees[-(k >> cshift)] for k in self._form[1][1]}
+
+
+class Polynomial(_Element):
+    """Immutable sparse polynomial over Q: the _Element (p) of R^1, keyed
+    by packed column-0 keys (ring._pack(0, e)), so its lead is the
+    degrevlex lead.  Its view, terms, maps exponent vectors to nonzero
+    rationals.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, ring, terms):
+        view = {e: c for e, c in terms.items() if c}
+        pack = ring._pack
+        self.ring, self.rank, self._view = ring, 1, view
+        self._form = _form_of({pack(0, e): c for e, c in view.items()})
+
+    @property
+    def terms(self):
+        if self._view is None:
+            exps, mask = self.ring._exps, self.ring._mask
+            self._view = self._fractions(lambda k: exps(~k & mask))
+        return self._view
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        self._check(other)
-        c1, (l1, a) = self._primitive()
-        c2, (l2, b) = other._primitive()
-        if not (a and b):
-            return self.ring.zero()
-        ring = self.ring
-        return Polynomial._of_form(ring, c1 * c2, (l1 + l2 - ring._mask, _dot(ring, ((a, b),))))
+        return self._times(other)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
-
-    def scale(self, c):
-        c = _fr(c)
-        if not c:
-            return self.ring.zero()
-        return Polynomial(self.ring, {e: c * v for e, v in self.terms.items()})
 
     def __pow__(self, n):
         n = int(n)
@@ -406,24 +440,16 @@ class Polynomial:
             n >>= 1
         return out
 
-    def __eq__(self, other):
-        return (isinstance(other, Polynomial) and self.ring == other.ring
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
-
     def homogeneous_degree(self):
         """Common weighted degree, None for 0; raises if inhomogeneous."""
-        if not self.terms:
-            return None
-        degs = {self.ring.weighted_degree(e) for e in self.terms}
+        degs = self._term_degrees((0,))
         if len(degs) > 1:
             raise ValueError("polynomial is not homogeneous: %s" % self)
-        return degs.pop()
+        return degs.pop() if degs else None
 
     def constant_term(self):
-        return self.terms.get(self.ring.zero_exps, Fraction(0))
+        c, (_, ints) = self._form
+        return c * ints.get(self.ring._mask, 0)
 
     def substitute(self, target_ring, images):
         """Apply the ring map sending variable i to images[i]."""
@@ -498,165 +524,88 @@ class RingMap:
         return poly.substitute(self.target, self.images)
 
 
-class Vector:
-    """Element of a free module R^rank with terms {(col, exps): Fraction}.
+class Vector(_Element):
+    """Element of a free module R^rank: an immutable _Element whose view,
+    data, maps terms (col, exps) to nonzero rationals."""
 
-    Immutable.  Its one integer form, cached in _form, is (c, (lead,
-    terms)) with self == c * terms: terms maps packed keys (ring._pack) to
-    integers with gcd 1 and a positive lead coefficient, lead is the
-    largest key (None for 0) and c is a Fraction.  The form is the same for
-    every nonzero rational multiple of self; the Groebner core works on it.
-    A Vector built from Fraction terms computes its form on first use.  One
-    born in the core (_of_form) has only the form: data, its Fraction
-    terms, is a view built on first read, and is_zero, lead and
-    homogeneous_degree read the form while data is unbuilt.
-    """
-
-    __slots__ = ("ring", "rank", "_data", "_lead", "_form")
+    __slots__ = ()
 
     def __init__(self, ring, rank, data):
-        self.ring = ring
-        self.rank = rank
-        self._data = {k: c for k, c in data.items() if c}
-        self._lead = None
-        self._form = None
-
-    @classmethod
-    def _of_form(cls, ring, rank, content, form):
-        """The Vector content * terms of R^rank, for an integer form
-        form = (lead, terms) as the class describes it."""
-        v = cls.__new__(cls)
-        v.ring, v.rank, v._data, v._lead, v._form = ring, rank, None, None, (content, form)
-        return v
+        view = {k: c for k, c in data.items() if c}
+        pack = ring._pack
+        self.ring, self.rank, self._view = ring, rank, view
+        self._form = _form_of({pack(*k): c for k, c in view.items()})
 
     @property
     def data(self):
-        if self._data is None:
-            c, (_, terms) = self._form
-            p, q, unpack = c.numerator, c.denominator, self.ring._unpack
-            self._data = {unpack(k): Fraction(p * n, q) for k, n in terms.items()}
-        return self._data
+        if self._view is None:
+            self._view = self._fractions(self.ring._unpack)
+        return self._view
 
     @classmethod
     def from_polys(cls, polys, rank=None):
-        rank = len(polys) if rank is None else rank
+        """The vector with components polys: each one's keys moved to its
+        column, over the common denominator of their contents."""
         ring = polys[0].ring
-        data = {}
+        cshift = ring._cshift
+        d = lcm(*[p._form[0].denominator for p in polys])
+        ints = {}
         for i, p in enumerate(polys):
-            for e, c in p.terms.items():
-                data[(i, e)] = c
-        return cls(ring, rank, data)
+            c, (_, terms) = p._form
+            s, shift = c.numerator * (d // c.denominator), i << cshift
+            for k, n in terms.items():
+                ints[k - shift] = s * n
+        return cls._of_ints(ring, len(polys) if rank is None else rank, Fraction(1, d), ints)
 
     @classmethod
     def unit(cls, ring, rank, col):
-        return cls(ring, rank, {(col, ring.zero_exps): Fraction(1)})
-
-    def is_zero(self):
-        return not (self._form[1][1] if self._data is None else self._data)
+        key = ring._mask - (col << ring._cshift)
+        return cls._of_form(ring, rank, _ONE, (key, {key: 1}))
 
     def component(self, i):
-        return Polynomial(self.ring, {e: c for (col, e), c in self.data.items() if col == i})
+        c, (_, ints) = self._form
+        cshift = self.ring._cshift
+        shift = i << cshift
+        return Polynomial._of_ints(self.ring, 1, c, {
+            k + shift: n for k, n in ints.items() if k >> cshift == -i})
 
     def to_polys(self):
-        terms = [{} for _ in range(self.rank)]
-        for (col, e), c in self.data.items():
-            terms[col][e] = c
-        return [Polynomial(self.ring, t) for t in terms]
-
-    def __add__(self, other):
-        out = dict(self.data)
-        for k, c in other.data.items():
-            s = out.get(k, Fraction(0)) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return Vector(self.ring, self.rank, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, c):
-        c = _fr(c)
-        if not c:
-            return Vector(self.ring, self.rank, {})
-        return Vector(self.ring, self.rank, {k: c * v for k, v in self.data.items()})
+        c, cols = _columns(self)
+        return [Polynomial._of_ints(self.ring, 1, c, col) for col in cols]
 
     def mono_mul(self, exps, coeff=1):
-        coeff = _fr(coeff)
-        if not coeff:
-            return Vector(self.ring, self.rank, {})
-        return Vector(self.ring, self.rank,
-                      {(col, _mono_mul(e, exps)): coeff * c
-                       for (col, e), c in self.data.items()})
+        return self._times(self.ring.monomial(exps, coeff))
 
-    def poly_mul(self, poly):
-        out = Vector(self.ring, self.rank, {})
-        for e, c in poly.terms.items():
-            out = out + self.mono_mul(e, c)
-        return out
+    poly_mul = _Element._times
 
     def lead(self):
-        if self._lead is None:
-            if self._data is None:
-                c, (k, terms) = self._form
-                self._lead = (self.ring._unpack(k),
-                              Fraction(c.numerator * terms[k], c.denominator))
-            else:
-                k = max(self._data, key=self.ring.vector_key)
-                self._lead = (k, self._data[k])
-        return self._lead
+        c, (k, ints) = self._form
+        return self.ring._unpack(k), c * ints[k]
 
     def monic(self):
-        if not self.data:
-            return self
-        _, c = self.lead()
-        return self if c == 1 else self.scale(_ONE / c)
-
-    def _primitive(self):
-        """The integer form (c, (lead, terms)), computed once."""
-        if self._form is None:
-            data, pack = self._data, self.ring._pack
-            den = lcm(*[c.denominator for c in data.values()])
-            ints = {pack(*k): c.numerator * (den // c.denominator) for k, c in data.items()}
-            if ints:
-                g, form = _content_free(ints)
-                self._form = (Fraction(g, den), form)
-            else:
-                self._form = (_ONE, (None, {}))
-        return self._form
-
-    def _packed(self):
-        """(lead, terms) of the integer form, what the Groebner core reduces."""
-        return self._primitive()[1]
+        return self if self.is_zero() else _monic(self.ring, self.rank, self._form[1])
 
     def homogeneous_degree(self, col_degrees):
         """Common degree with generator shifts, None for 0; raises if mixed."""
-        ring = self.ring
-        if self._data is None:
-            # a packed key holds the weighted degree between _top and _cshift
-            top, cshift, wmask = ring._top, ring._cshift, ring._wmask
-            degs = {(k >> top & wmask) + col_degrees[-(k >> cshift)]
-                    for k in self._form[1][1]}
-        else:
-            degs = {ring.weighted_degree(e) + col_degrees[col] for (col, e) in self._data}
-        if not degs:
-            return None
+        degs = self._term_degrees(col_degrees)
         if len(degs) > 1:
             raise ValueError("vector is not homogeneous")
-        return degs.pop()
-
-    def __eq__(self, other):
-        return (isinstance(other, Vector) and self.ring == other.ring
-                and self.rank == other.rank and self.data == other.data)
+        return degs.pop() if degs else None
 
     def __str__(self):
         return "(" + ", ".join(str(p) for p in self.to_polys()) + ")"
 
     __repr__ = __str__
+
+
+def _form_of(terms):
+    """The integer form (c, (lead, ints)) of rational terms keyed by packed
+    ints, none of them 0: one common denominator, then the content."""
+    if not terms:
+        return _ONE, (None, {})
+    den = lcm(*[c.denominator for c in terms.values()])
+    g, form = _content_free({k: c.numerator * (den // c.denominator) for k, c in terms.items()})
+    return Fraction(g, den), form
 
 
 def _content_free(terms):
@@ -674,9 +623,9 @@ def _content_free(terms):
 
 def _dot(ring, pairs):
     """The integer terms of sum(a * b for a, b in pairs), for integer terms
-    a and b keyed by packed column-0 keys; no entry is 0.
+    a keyed by packed keys and b by packed column-0 keys; no entry is 0.
 
-    The key of a product of terms is k1 + k2 - ring._mask.  Exponent fields
+    The key of a product of terms is k1 + k2 - ring._mask, in a's column.  Exponent fields
     of two admissible keys sum without a carry, so every sum is exact; a
     surviving term with a guard bit unset has an exponent past
     EXPONENT_LIMIT and raises ExponentLimitError, as in _reduce.  Checking
@@ -714,15 +663,12 @@ def _monic(ring, rank, form):
 
 def _columns_below(v, width):
     """The Vector of R^width holding exactly v's terms in columns < width."""
-    c, (lead, terms) = v._primitive()
+    c, (lead, terms) = v._form
     bound = (1 - width) << v.ring._cshift
     part = {k: n for k, n in terms.items() if k >= bound}
     if len(part) == len(terms):
         return Vector._of_form(v.ring, width, c, (lead, terms))
-    if not part:
-        return Vector(v.ring, width, {})
-    g, form = _content_free(part)
-    return Vector._of_form(v.ring, width, c * g, form)
+    return Vector._of_ints(v.ring, width, c, part)
 
 
 def s_vector(f, g):
@@ -735,15 +681,12 @@ def s_vector(f, g):
     forms of f and g.
     """
     ring = f.ring
-    pf, pg = f._packed(), g._packed()
+    pf, pg = f._form[1], g._form[1]
     col, ef = ring._unpack(pf[0])
     cg, eg = ring._unpack(pg[0])
     assert col == cg
     terms = _s_terms(ring, pf, pg, ring._pack(col, _mono_lcm(ef, eg)))
-    if not terms:
-        return Vector(ring, f.rank, {})
-    g, form = _content_free(terms)
-    return Vector._of_form(ring, f.rank, Fraction(g), form)
+    return Vector._of_ints(ring, f.rank, _ONE, terms)
 
 
 def _s_terms(ring, f, g, m):
@@ -855,7 +798,7 @@ def _blocks(ring, rank, gens):
     width = rank + len(gens)
     out = []
     for i, g in enumerate(gens):
-        c, (lead, terms) = g._primitive()
+        c, (lead, terms) = g._form
         p, q = c.numerator, c.denominator
         if p < 0:
             p, q = -p, -q
@@ -875,23 +818,24 @@ def _certificate(v, blocks, rank, count):
     Every aux column is smaller than every ambient one, so _reduce of the
     packed form of v reduces its ambient part and leaves the cofactors,
     negated, on the aux columns of its remainder; both are rescaled here.
-    The cofactors are born in their integer forms, keys shifted to column 0.
+    The remainder and the cofactors are born in their integer forms, the
+    cofactors' keys shifted to column 0.
     """
     ring = v.ring
     cshift = ring._cshift
-    content, (_, terms) = v._primitive()
-    scale, rem = _reduce(ring, terms, [b._packed() for b in blocks])
+    content, (_, terms) = v._form
+    scale, rem = _reduce(ring, terms, [b._form[1] for b in blocks])
     s = content / scale
     nf, quots = {}, [{} for _ in range(count)]
     for k, c in rem.items():
         col = -(k >> cshift)
         if col < rank:
-            nf[ring._unpack(k)] = s * c
+            nf[k] = c
         else:
             quots[col - rank][k + (col << cshift)] = c
     minus, zero = -s, ring.zero()
-    return ([Polynomial._of_ints(ring, minus, q) if q else zero for q in quots],
-            Vector(ring, rank, nf))
+    return ([Polynomial._of_ints(ring, 1, minus, q) if q else zero for q in quots],
+            Vector._of_ints(ring, rank, s, nf))
 
 
 def divide(f, divisors):
@@ -908,14 +852,14 @@ def divide(f, divisors):
 
 def _column(p):
     """The Vector (p) of R^1, whose integer form is p's."""
-    return Vector._of_form(p.ring, 1, *p._primitive())
+    return Vector._of_form(p.ring, 1, *p._form)
 
 
 def _columns(v):
     """(c, [terms of each column]) with v == c * the columns: v's integer
     terms split by column, each column's keys shifted to column 0."""
     cshift = v.ring._cshift
-    c, (_, ints) = v._primitive()
+    c, (_, ints) = v._form
     cols = [{} for _ in range(v.rank)]
     for k, n in ints.items():
         col = -(k >> cshift)
@@ -948,7 +892,7 @@ def determinant(matrix, ring):
     n = len(matrix)
     if n == 0:
         return ring.one()
-    forms = [[p._primitive() for p in row] for row in matrix]
+    forms = [[p._form for p in row] for row in matrix]
     den = lcm(*[c.denominator for row in forms for c, _ in row])
     m = []
     for row in forms:
@@ -972,7 +916,7 @@ def determinant(matrix, ring):
         if len(prev) == 1 and mask in prev:
             c, blocks = prev[mask], None
         else:
-            c, blocks = None, _blocks(ring, 1, [_column(Polynomial._of_ints(ring, _ONE, prev))])
+            c, blocks = None, _blocks(ring, 1, [Vector._of_ints(ring, 1, _ONE, prev)])
         for i in range(k + 1, n):
             row = m[i]
             below = {key: -v for key, v in row[k].items()}
@@ -984,18 +928,17 @@ def determinant(matrix, ring):
                     pairs.append((below, pivot_row[j]))
                 num = _dot(ring, pairs)
                 if num and blocks is not None:
-                    (q,), rem = _certificate(_column(Polynomial._of_ints(ring, _ONE, num)),
-                                             blocks, 1, 1)
+                    (q,), rem = _certificate(Vector._of_ints(ring, 1, _ONE, num), blocks, 1, 1)
                     if not rem.is_zero():
                         raise ArithmeticError("Bareiss division is not exact")
                     # a minor of an integer matrix: its content is an integer
-                    qc, (_, qi) = q._primitive()
+                    qc, (_, qi) = q._form
                     num = {key: v * qc.numerator for key, v in qi.items()}
                 elif num and c != 1:
                     num = {key: v // c for key, v in num.items()}
                 row[j] = num
         prev = piv
-    return Polynomial._of_ints(ring, Fraction(sign, den ** n), m[n - 1][n - 1])
+    return Polynomial._of_ints(ring, 1, Fraction(sign, den ** n), m[n - 1][n - 1])
 
 
 class GroebnerBasis:
@@ -1061,7 +1004,7 @@ class GroebnerBasis:
     def add(self, v):
         """Insert the content-free remainder of v and complete the new
         pairs; False, changing nothing, when v reduces to zero."""
-        _, r = _reduce(self.ring, v._packed()[1], self._forms)
+        _, r = _reduce(self.ring, v._form[1][1], self._forms)
         if r:
             self._insert(_content_free(r)[1], _sugar(self.ring, r))
             self._complete()
@@ -1069,7 +1012,7 @@ class GroebnerBasis:
 
     def contains(self, v):
         """Whether v reduces to zero, i.e. lies in the submodule."""
-        return not _reduce(self.ring, v._packed()[1], self._forms)[1]
+        return not _reduce(self.ring, v._form[1][1], self._forms)[1]
 
     def reduced(self, rank):
         """The reduced basis, monic Vectors of R^rank sorted by lead.
@@ -1105,7 +1048,7 @@ def buchberger(vectors):
     ring = vectors[0].ring
     basis = GroebnerBasis(ring)
     for v in vectors:
-        form = v._packed()
+        form = v._form[1]
         basis._insert(form, _sugar(ring, form[1]))
     basis._complete()
     return basis.reduced(vectors[0].rank)
@@ -1143,7 +1086,7 @@ class SubmoduleGB:
 
     def contains(self, v):
         """Whether v reduces to zero by gb, i.e. lies in the submodule."""
-        return not _reduce(self.ring, v._packed()[1], [g._packed() for g in self.gb])[1]
+        return not _reduce(self.ring, v._form[1][1], [g._form[1] for g in self.gb])[1]
 
     def reduce_with_certificate(self, v):
         """(normal form of v, coefficients q) with v = sum(q_i gens[i]) + nf.

@@ -22,7 +22,7 @@ from operator import mul
 from .polyring import (
     GradedPolynomialRing, Polynomial, Vector, SubmoduleGB, GroebnerBasis,
     syzygy_basis, HilbertSeries, qpoly_add, qpoly_mul, qpoly_inverse_series,
-    determinant, ExponentLimitError, _content_free, _fr, _integers,
+    determinant, ExponentLimitError, _fr, _integers,
 )
 from .gradmod import FPModule, _degrees_of
 
@@ -279,14 +279,21 @@ class ReflectionGroup:
         """Write poly as sum of coinvariant basis monomials with invariant
         coefficients: returns {basis exps: Polynomial over the invariant ring}."""
         basis = set(self.coinvariant_basis())
-        acc = {}
-        for exps, coeff in sorted(poly.terms.items()):
-            _add_scaled(acc, self._expand_monomial(exps), coeff)
-        out = _polynomials(self.invariant_ring, acc)
+        out = {b: Polynomial(self.invariant_ring, terms)
+               for b, terms in self._expansion(poly).items()}
         assert all(b in basis for b in out)
         return out
 
+    def _expansion(self, poly):
+        """The terms {basis exps: {exps: Fraction}} of expand(poly)."""
+        acc = {}
+        for exps, coeff in sorted(poly.terms.items()):
+            _add_scaled(acc, self._expand_monomial(exps), coeff)
+        return _nonzero(acc)
+
     def _expand_monomial(self, exps):
+        """The terms {basis exps: {exps: Fraction}} of the expansion of the
+        monomial x^exps, computed once."""
         if exps in self._expand_cache:
             return self._expand_cache[exps]
         gb = self._invariant_gb()
@@ -298,8 +305,7 @@ class ReflectionGroup:
         for i, h in enumerate(coeffs):
             for he, hc in h.terms.items():
                 _add_scaled(acc, self._expand_monomial(he), hc, var=i)
-        out = _polynomials(self.invariant_ring, acc)
-        self._expand_cache[exps] = out
+        out = self._expand_cache[exps] = _nonzero(acc)
         return out
 
     def expand_vector(self, vector, ambient_rank):
@@ -312,9 +318,9 @@ class ReflectionGroup:
         for v, comp in enumerate(vector.to_polys()):
             if comp.is_zero():
                 continue
-            for b, c in self.expand(comp).items():
+            for b, terms in self._expansion(comp).items():
                 idx = index[(v, b)]
-                for e, cf in c.terms.items():
+                for e, cf in terms.items():
                     data[(idx, e)] = cf
         return Vector(self.invariant_ring, ambient_rank * len(basis), data)
 
@@ -325,22 +331,22 @@ class ReflectionGroup:
 
 
 def _add_scaled(acc, expansion, coeff, var=None):
-    """Add coeff times an expansion {basis exps: Polynomial}, times the
-    invariant-ring variable var when given, into acc {basis exps: {exps:
-    coefficient}}."""
-    for b, c in expansion.items():
+    """Add coeff times an expansion {basis exps: {exps: coefficient}},
+    times the invariant-ring variable var when given, into acc of the same
+    shape."""
+    for b, expterms in expansion.items():
         terms = acc.setdefault(b, {})
-        for e, v in c.terms.items():
+        for e, v in expterms.items():
             if var is not None:
                 e = e[:var] + (e[var] + 1,) + e[var + 1:]
             terms[e] = terms.get(e, 0) + coeff * v
 
 
-def _polynomials(ring, acc):
-    """The nonzero Polynomials of accumulated terms {basis exps: {exps:
-    coefficient}}, each built once."""
-    out = {b: Polynomial(ring, terms) for b, terms in acc.items()}
-    return {b: p for b, p in out.items() if not p.is_zero()}
+def _nonzero(acc):
+    """The accumulated terms {basis exps: {exps: coefficient}} without
+    zero coefficients and without empty entries."""
+    out = {b: {e: c for e, c in terms.items() if c} for b, terms in acc.items()}
+    return {b: terms for b, terms in out.items() if terms}
 
 
 class VerificationReport:
@@ -431,7 +437,7 @@ class WEquivariantFreeModule:
         c * g / (|W| * L^D) for g the content of the sum.
         """
         group, ring = self.group, self.group.ring
-        c, (_, ints) = vector._primitive()
+        c, (_, ints) = vector._form
         terms = [ring._unpack(key) + (n,) for key, n in ints.items()]
         monomials = {exps for _, exps, _ in terms}
         top = max(map(sum, monomials), default=0)
@@ -443,11 +449,8 @@ class WEquivariantFreeModule:
                 for e, a in images[exps]:
                     acc[col, e] = acc.get((col, e), 0) + a * n
         packed = {ring._pack(col, e): n for (col, e), n in acc.items() if n}
-        if not packed:
-            return Vector(ring, self.rank, {})
-        g, form = _content_free(packed)
-        return Vector._of_form(ring, self.rank,
-                               c * Fraction(g, group.order * group._lcm ** top), form)
+        return Vector._of_ints(ring, self.rank,
+                               c * Fraction(1, group.order * group._lcm ** top), packed)
 
     def invariants(self, submodule_gens=None, nmax=40):
         """Invariant tuples as a module over the invariant ring.

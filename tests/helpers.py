@@ -791,6 +791,45 @@ def reference_matrix_product(ring, a, b, ncols):
     return out
 
 
+def reference_terms_sum(a, b, scale=1):
+    """a + scale * b on plain dicts of Fraction terms, zeros dropped."""
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) + scale * c
+    return {k: c for k, c in out.items() if c}
+
+
+def reference_poly_mul(data, terms):
+    """The Fraction terms {(col, exps): c} of a vector with terms data times
+    the polynomial with terms {exps: c}, term by term."""
+    out = {}
+    for (col, e), c in data.items():
+        for e2, c2 in terms.items():
+            k = (col, tuple(x + y for x, y in zip(e, e2)))
+            out[k] = out.get(k, 0) + c * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def reference_apply(columns, v):
+    """The Fraction terms of sum_j v_j * columns[j], term by term: the loop
+    gradmod._apply ran on Fraction terms."""
+    out = {}
+    for (j, e), c in v.data.items():
+        for (i, e2), c2 in columns[j].data.items():
+            k = (i, tuple(x + y for x, y in zip(e, e2)))
+            out[k] = out.get(k, 0) + c * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def reference_transpose(columns, nrows):
+    """The Fraction terms of the nrows columns of the transpose."""
+    data = [{} for _ in range(nrows)]
+    for j, col in enumerate(columns):
+        for (i, e), c in col.data.items():
+            data[i][j, e] = c
+    return data
+
+
 def reference_minimized(module):
     """Minimal presentation: prune units (Nakayama) and redundant relations.
 

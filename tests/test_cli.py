@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import time
 
 from equisyz.cli import (
@@ -619,6 +620,37 @@ def test_exit_two_past_the_exponent_limit(tmp_path, capsys):
         assert main([command, path]) == EXIT_INPUT, command
         out, err = capsys.readouterr()
         assert message + " exceeds the limit 32767" in out, out
+        assert "Traceback" not in err
+
+
+def test_exit_two_at_once_on_group_invariants_past_the_exponent_limit(tmp_path, capsys):
+    # an invariant holding x1^40000 is rejected when it is parsed: before,
+    # weyl-verify on the A2 group (not signed permutations) went on to act
+    # on it by substitution, and gkm checks that never use the symmetry
+    # passed.  A CPU timer, as in test_golden_reports._digest, stops a
+    # runaway, which the CLI reports as an internal error
+    with open(data_path("a2_group.json")) as fh:
+        group = json.load(fh)
+    group["invariants"] = ["x1^40000 + x2^40000", "-x1^2*x2 - x1*x2^2"]
+    with open(data_path("s2.json")) as fh:
+        graph = json.load(fh)
+    graph["symmetry"]["group"]["invariants"] = ["t^40000"]
+    cases = [(["weyl-verify", write_json(tmp_path, "a2.json", group)], "of x1"),
+             (["gkm", write_json(tmp_path, "s2.json", graph), "--check", "cs"], "of t")]
+
+    def expire(signum, frame):
+        raise TimeoutError("over 5 s of CPU")
+    for argv, name in cases:
+        previous = signal.signal(signal.SIGPROF, expire)
+        signal.setitimer(signal.ITIMER_PROF, 5)
+        try:
+            code = main(argv)
+        finally:
+            signal.setitimer(signal.ITIMER_PROF, 0)
+            signal.signal(signal.SIGPROF, previous)
+        out, err = capsys.readouterr()
+        assert code == EXIT_INPUT, (argv[0], out)
+        assert "exponent 40000 %s exceeds the limit 32767 of the Groebner core" % name in out
         assert "Traceback" not in err
 
 

@@ -5,8 +5,10 @@ integrate class, module-analyze on 25 seeded random modules and on
 helpers.module_3028 and helpers.module_3003, whose Groebner bases grow
 large coefficients, and the pairing check on the full flag variety Fl(4)
 of bench/gen.py (24 vertices, a 24 x 24 Gram matrix) and on the
-Grassmannian Gr(3,6) (20 vertices, a 20 x 20 Gram matrix).  Every report must
-take under CPU_BOUND_S seconds of CPU.  A changed digest must be explained
+Grassmannian Gr(3,6) (20 vertices, a 20 x 20 Gram matrix), the descent
+check on the symmetric Fl(4) and P^5 of bench/gen.py, and the
+Chang-Skjelbred check on Gr(3,6).  Every report must take under
+CPU_BOUND_S seconds of CPU.  A changed digest must be explained
 in CHANGES.md; running this file as a script rewrites golden_reports.json
 from the current code.
 """
@@ -62,13 +64,17 @@ def _cases(workdir):
             json.dump(module().to_json(), fh)
         yield ("module-analyze random_module_%s json" % name,
                ["module-analyze", path, "--seed", "5", "--format", "json"])
-    for name, graph in (("flag_variety_4", gen.flag_variety(4, "0")),
-                        ("grassmannian_3_6", gen.grassmannian(3, 6, "0"))):
-        path = os.path.join(workdir, name + ".json")
+    for name, graph, check in (
+            ("flag_variety_4", gen.flag_variety(4, "0"), "pairing"),
+            ("grassmannian_3_6", gen.grassmannian(3, 6, "0"), "pairing"),
+            ("flag_variety_4_symmetric", gen.flag_variety(4, "0", symmetric=True), "descend"),
+            ("projective_5_symmetric", gen.projective_space(5, "0", symmetric=True), "descend"),
+            ("grassmannian_3_6", gen.grassmannian(3, 6, "0"), "cs")):
+        path = os.path.join(workdir, "%s_%s.json" % (name, check))
         with open(path, "w") as fh:
             json.dump(graph, fh)
-        yield ("gkm %s pairing json" % name,
-               ["gkm", path, "--check", "pairing", "--format", "json"])
+        yield ("gkm %s %s json" % (name, check),
+               ["gkm", path, "--check", check, "--format", "json"])
 
 
 def _expire(signum, frame):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from equisyz.polyring import (
-    EXPONENT_LIMIT, ExponentLimitError, GradedPolynomialRing, Polynomial, Vector,
+    DatumError, EXPONENT_LIMIT, ExponentLimitError, GradedPolynomialRing, Polynomial, Vector,
     GroebnerBasis, buchberger, divide, SubmoduleGB, s_vector,
     syzygy_basis, quotient_hilbert_series, HilbertSeries, determinant,
 )
@@ -13,7 +13,8 @@ from helpers import (
     groebner_basis, leading_term, normal_form, quotient_by_ideal, random_homogeneous,
     random_module, random_vector, relation_columns,
     reference_blocks, reference_buchberger, reference_divide, reference_det,
-    reference_kernel_submodule, reference_reduce, reference_submodule_split,
+    reference_apply, reference_kernel_submodule, reference_poly_mul, reference_reduce,
+    reference_submodule_split, reference_terms_sum, reference_transpose,
     reference_update_pairs,
     residue_field_module, series_minus,
 )
@@ -40,6 +41,17 @@ def test_ring_rejects_bad_degrees():
         GradedPolynomialRing(["x", "x"])
     with pytest.raises(ValueError):
         GradedPolynomialRing(["x"], [0])
+
+
+def test_ring_degrees_must_be_integers():
+    # a degree with a fractional part is rejected, not truncated (2.7 once
+    # became 2); a number or a string with an integer value is accepted
+    for bad in ([2.5], [True], [2.7], [4.9, 2]):
+        with pytest.raises(DatumError, match="degrees must be integers"):
+            GradedPolynomialRing(["x", "y"][:len(bad)], bad)
+    for good, want in (([2], (2,)), ([2.0], (2,)), (["4"], (4,))):
+        degrees = GradedPolynomialRing(["x"], good).degrees
+        assert degrees == want and all(type(d) is int for d in degrees)
 
 
 def test_arithmetic_identities(R):
@@ -251,7 +263,7 @@ def _lead_free_reduce_cases(seed):
         else:
             f = random_vector(ring, col_degrees, degree, rng, rational=True) + free
         if not f.is_zero():
-            cases.append((ring, f._packed()[1], [g._packed() for g in divisors]))
+            cases.append((ring, f._form[1][1], [g._form[1] for g in divisors]))
     return cases
 
 
@@ -275,8 +287,8 @@ def test_reduce_keeps_lead_free_terms_out_of_the_heap_and_matches_reference():
     R = GradedPolynomialRing(["x", "y"])
     x, y = R.vars()
     # x*y e0 reduced by 2x e0 + 3y^32767 e1 puts y^32768 in the lead-free e1
-    divisor = Vector.from_polys([x.scale(2), (y ** EXPONENT_LIMIT).scale(3)])._packed()
-    terms = Vector.from_polys([x * y, y], 2)._packed()[1]
+    divisor = Vector.from_polys([x.scale(2), (y ** EXPONENT_LIMIT).scale(3)])._form[1]
+    terms = Vector.from_polys([x * y, y], 2)._form[1][1]
     for reduce in (_reduce, reference_reduce):
         with pytest.raises(ExponentLimitError, match="exponent 32768 of y"):
             reduce(R, terms, [divisor])
@@ -387,7 +399,7 @@ def test_pending_pairs_match_reference_update_and_carry_their_lcm(monkeypatch):
 
 
 def _check_primitive(v):
-    c, (lead, terms) = v._primitive()
+    c, (lead, terms) = v._form
     assert type(c) is Fraction
     assert all(type(n) is int for n in terms.values())
     assert math.gcd(*terms.values()) == 1 and lead == max(terms) and terms[lead] > 0
@@ -406,9 +418,9 @@ def test_primitive_form_is_canonical():
         for v in gens:
             _check_primitive(v)
             for q in (Fraction(-3, 4), -1, 5):
-                assert v.scale(q)._primitive()[1] == v._primitive()[1]
+                assert v.scale(q)._form[1] == v._form[1]
         for v in buchberger(gens):
-            assert v._form is not None and v._data is None
+            assert v._view is None
             _check_primitive(v)
 
 
@@ -450,15 +462,15 @@ def test_vector_born_from_its_form_matches_its_fraction_terms():
                 vectors.append((Vector(ring, v.rank, v.data), col_degrees))
     homogeneous = 0
     for v, col_degrees in vectors:
-        born = Vector._of_form(ring, v.rank, *v._primitive())
+        born = Vector._of_form(ring, v.rank, *v._form)
         assert born.is_zero() == v.is_zero()
         if not v.is_zero():
             assert born.lead() == v.lead()
         for degrees in (col_degrees, (0,) * v.rank):
             assert _degree_or_mixed(born, degrees) == _degree_or_mixed(v, degrees)
         homogeneous += _degree_or_mixed(v, col_degrees) not in ("mixed", None)
-        assert born._data is None
-        assert born._primitive() == v._primitive()
+        assert born._view is None
+        assert born._form == v._form
         assert born == v and list(born.data.items()) == list(v.data.items())
         _assert_fractions([born])
     assert len(vectors) >= 90 and homogeneous >= 60, (len(vectors), homogeneous)
@@ -475,14 +487,14 @@ def test_submodule_gb_and_kernel_match_the_term_copy_reference():
     syzygies = kernels = 0
     for rank, gens, _ in cases:
         blocks, ref_blocks = _blocks(ring, rank, gens), reference_blocks(ring, rank, gens)
-        assert [b._primitive() for b in blocks] == [b._primitive() for b in ref_blocks]
+        assert [b._form for b in blocks] == [b._form for b in ref_blocks]
         assert blocks == ref_blocks
         sub = SubmoduleGB(ring, rank, gens)
         for ours, ref in zip((sub.gb, sub.syzygies()),
                              reference_submodule_split(ring, rank, gens)):
             assert [v.lead() for v in ours] == [v.lead() for v in ref]
-            assert [v._primitive() for v in ours] == [
-                Vector(ring, v.rank, v.data)._primitive() for v in ref]
+            assert [v._form for v in ours] == [
+                Vector(ring, v.rank, v.data)._form for v in ref]
             assert ours == ref
         syzygies += len(sub.syzygies())
         for cut in (rng.randint(1, len(gens)), len(gens)):
@@ -539,7 +551,7 @@ def test_gkm_kernel_builds_no_fraction_terms_in_the_core(monkeypatch):
     terms = Vector.__dict__["data"]
 
     def data(v):
-        if scope and getattr(v, "_data", None) is None:
+        if scope and v._view is None:
             built.append(scope[-1])
         return terms.__get__(v, Vector)
     monkeypatch.setattr(Vector, "data", property(data, terms.__set__))
@@ -757,23 +769,13 @@ def test_determinant_of_plu_product():
         assert determinant(a, ring) == (expected if sign > 0 else -expected)
 
 
-def _terms_built(p):
-    """Whether p's Fraction terms exist yet: the slot of a Polynomial born
-    in its integer form stays unset until terms is first read."""
-    try:
-        object.__getattribute__(p, "terms")
-    except AttributeError:
-        return False
-    return True
-
-
 def _check_integer_form(p):
     """p's cached integer form (c, (lead, ints)): packed column-0 keys,
     integers of gcd 1, the largest key as lead (the degrevlex lead) with a
     positive coefficient, and c * ints, unpacked, equal to p's Fraction
     terms."""
     ring = p.ring
-    c, (lead, ints) = p._primitive()
+    c, (lead, ints) = p._form
     if p.is_zero():
         assert (lead, ints) == (None, {})
         return
@@ -822,7 +824,7 @@ def test_products_and_powers_match_sympy():
             negative_leads += not f.is_zero() and leading_term(f)[1] < 0
             g = rng.choice(polys)
             prod = f * g
-            assert prod.is_zero() or not _terms_built(prod)
+            assert prod._view is None  # born in its form, no view built
             _check_integer_form(prod)
             assert same(prod, theirs(f) * theirs(g)), (f, g)
             # sums of products, whose Fraction terms are views; f + f and
@@ -830,6 +832,15 @@ def test_products_and_powers_match_sympy():
             for a, b in ((f, g), (f, f), (f.scale(4), g.scale(Fraction(6, 5)))):
                 assert same(a + b, theirs(a) + theirs(b)) and same(a - b, theirs(a) - theirs(b))
                 _check_integer_form(a - b)
+            # one element whatever the route: equal and hash-equal
+            for a, b in (((f + g) - g, f), (f.scale(3).scale(Fraction(1, 3)), f),
+                         (Polynomial(ring, dict(prod.terms)), prod), (-(-f), f),
+                         (f.scale(-1), -f)):
+                assert a == b and hash(a) == hash(b), (a, b)
+                _check_integer_form(a)
+            for z in (f.scale(0), f - f, f + (-f), (f + g) - (g + f)):
+                assert z == ring.zero() and hash(z) == hash(ring.zero())
+                _check_integer_form(z)
             k = rng.randint(0, 3)
             power = f ** k
             _check_integer_form(power)
@@ -844,6 +855,63 @@ def test_products_and_powers_match_sympy():
     _check_integer_form(p)
     with pytest.raises(ExponentLimitError, match="of x exceeds the limit 32767"):
         x ** 40000
+
+
+def _check_vector_form(v, terms):
+    """v equals the Vector built from the Fraction terms, hash-equal, and
+    its view is those terms; its form is canonical."""
+    built = Vector(v.ring, v.rank, terms)
+    assert v == built and hash(v) == hash(built)
+    assert v.data == terms
+    c, (lead, ints) = v._form
+    if v.is_zero():
+        assert (c, lead, ints) == (1, None, {})
+    else:
+        assert math.gcd(*ints.values()) == 1 and lead == max(ints) and ints[lead] > 0
+
+
+def test_vector_arithmetic_matches_fraction_term_references():
+    # the arithmetic Vector shares with Polynomial, stacking and splitting
+    # by column, and gradmod's _apply and _transpose work on integer forms:
+    # each result must equal plain Fraction-dict arithmetic on the views
+    # (tests/helpers.py), on seeded vectors with rational entries
+    from equisyz.gradmod import _apply, _transpose
+    rng = random.Random(2202)
+    ring = GradedPolynomialRing(["x", "y", "z"])
+    nonzero = 0
+    for _ in range(40):
+        rank, trank = rng.randint(1, 3), rng.randint(1, 3)
+        cols = [0] * rank
+        degree = rng.choice((0, 2, 4))
+        v = random_vector(ring, cols, degree, rng, rational=True)
+        w = random_vector(ring, cols, degree, rng, rational=True)
+        p = random_homogeneous(ring, rng.choice((0, 2, 4)), rng, rational=True)
+        q = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5))
+        exps = tuple(rng.randrange(3) for _ in range(3))
+        _check_vector_form(v + w, reference_terms_sum(v.data, w.data))
+        _check_vector_form(v - w, reference_terms_sum(v.data, w.data, -1))
+        _check_vector_form(v - v, {})
+        _check_vector_form((v + w) - w, dict(v.data))
+        _check_vector_form(v.scale(q), {k: q * c for k, c in v.data.items()})
+        _check_vector_form(v.scale(0), {})
+        _check_vector_form(-v, {k: -c for k, c in v.data.items()})
+        _check_vector_form(v.poly_mul(p), reference_poly_mul(v.data, p.terms))
+        _check_vector_form(v.mono_mul(exps, q), reference_poly_mul(v.data, {exps: q}))
+        polys = v.to_polys()
+        assert [f.terms for f in polys] == [
+            {e: c for (col, e), c in v.data.items() if col == i} for i in range(rank)]
+        assert [v.component(i) for i in range(rank)] == polys
+        _check_vector_form(Vector.from_polys(polys), dict(v.data))
+        _check_vector_form(Vector.from_polys(polys + [p], rank + 1), {
+            **v.data, **{(rank, e): c for e, c in p.terms.items()}})
+        columns = [random_vector(ring, [0] * trank, 2 * rng.randint(0, 2), rng,
+                                 rational=rng.random() < 0.7) for _ in range(rank)]
+        _check_vector_form(_apply(columns, v, trank), reference_apply(columns, v))
+        for got, want in zip(_transpose(ring, columns, trank),
+                             reference_transpose(columns, trank)):
+            _check_vector_form(got, want)
+        nonzero += not (v.is_zero() or w.is_zero() or p.is_zero())
+    assert nonzero >= 25, nonzero
 
 
 def test_reduced_gb_matches_sympy_grevlex():
@@ -1110,6 +1178,16 @@ def test_hilbert_rank_nullity_for_random_maps():
             rhs[k] = rhs.get(k, 0) + v
         rhs = {k: v for k, v in rhs.items() if v}
         assert lhs == rhs
+
+
+def test_elements_past_the_exponent_limit_raise_when_built():
+    # an element is its packed form, so one holding x^40000 is never built
+    ring = GradedPolynomialRing(["x", "y"])
+    for build in (lambda: ring.parse("x^40000"), lambda: ring.monomial((40000, 0)),
+                  lambda: Vector(ring, 2, {(1, (40000, 1)): Fraction(1, 2)})):
+        with pytest.raises(ExponentLimitError,
+                           match="exponent 40000 of x exceeds the limit 32767"):
+            build()
 
 
 def test_exponent_limit_raises_on_input_and_mid_computation():
