@@ -68,8 +68,9 @@ class ModuleMap:
     and rows() builds one, where JSON or a caller's literal matrix enters
     or leaves.  Never mutated after construction, it caches gb(), the
     Groebner data of its columns, which the module it presents, its
-    syzygies and verify_exact share, and dual(), so that each transpose
-    and the integer forms of its columns are built once.
+    syzygies and verify_exact share (on a dual map: the Ext test and the
+    kernel into the free target), and dual(), so that each transpose and
+    the integer forms of its columns are built once.
     """
 
     def __init__(self, source, target, columns, check=True):
@@ -410,7 +411,8 @@ def homology(module, f=None, g=None):
     kernel of g), g = None no outgoing map (the cokernel of f).  A map into a
     module without generators has all of module as its kernel: K is then the
     unit vectors, the relations are module's relations and f's columns, and
-    no Groebner basis is computed.
+    no Groebner basis is computed.  Into a free module the kernel is the
+    syzygies of g's columns, cached on g.free.
     """
     for end in (f and f.target, g and g.source):
         if (end is not None and end is not module
@@ -423,8 +425,11 @@ def homology(module, f=None, g=None):
     if g is None or g.target.num_gens == 0:
         K, rels = module.pmap.target.unit_vectors(), quotient
     else:
-        K = _kernel_submodule(ring, g.target.num_gens, g.columns,
-                              g.target.pmap.columns)
+        if g.target.num_rels:
+            K = _kernel_submodule(ring, g.target.num_gens, g.columns,
+                                  g.target.pmap.columns)
+        else:
+            K = g.free.gb().syzygies()
         K = [K[i] for i in minimal_generating_indices(K, module.gens_degrees)]
         rels = _kernel_submodule(ring, module.num_gens, K, quotient)
     degrees = _degrees_of(K, module.gens_degrees)
@@ -560,13 +565,19 @@ class CMResult:
 
 
 def cohen_macaulay(module):
-    """Ext-concentration test cross-checked against depth = dim."""
+    """Ext-concentration test cross-checked against depth = dim.
+
+    Whether Ext^i(M, R) vanishes is read from the Groebner bases cached on
+    the dual maps of the minimal resolution (_ext_vanishes); no Ext module
+    is presented.
+    """
     r = module.ring.num_vars
     if module.is_zero():
         return CMResult("zero", NEG_INF, None, [], False, True)
     d = dimension(module)
     dep = depth(module)
-    ext_nonzero = [i for i in range(r + 1) if not ext_module(module, i).is_zero()]
+    res = minimal_resolution(module)
+    ext_nonzero = [i for i in range(r + 1) if not _ext_vanishes(res, i)]
     via_ext = ext_nonzero == [r - d]
     via_depth = dep == d
     return CMResult("cm" if via_ext else "not_cm", d, dep, ext_nonzero,
@@ -574,9 +585,33 @@ def cohen_macaulay(module):
 
 
 def _map_between_free_fp(mmap):
+    """mmap as an FPMap of free modules, keeping mmap (and so its cached
+    Groebner data) as the map's free part."""
     src = FPModule.free(mmap.ring, mmap.source.degrees)
     tgt = FPModule.free(mmap.ring, mmap.target.degrees)
-    return FPMap(src, tgt, mmap.columns, check=False)
+    fpmap = FPMap(src, tgt, mmap.columns, check=False)
+    fpmap.free = mmap
+    return fpmap
+
+
+def _ext_vanishes(res, i):
+    """Whether Ext^i vanishes for the module res resolves: ker sigma_{i+1}
+    lies in im sigma_i on the dual complex, sigma_k = res.maps[k-1].dual().
+
+    The kernel is the syzygies of maps[i].dual()'s columns, all of F_i*
+    at i = length; the image is spanned by maps[i-1].dual()'s columns, and
+    is 0 at i = 0.  Both bases are the ones cached on the dual maps.
+    """
+    if i > res.length:
+        return True
+    if i < res.length:
+        kernel = res.maps[i].dual().gb().syzygies()
+    else:
+        kernel = res.modules[i].unit_vectors()
+    if i == 0:
+        return not kernel
+    image = res.maps[i - 1].dual().gb()
+    return all(image.contains(v) for v in kernel)
 
 
 def ext_module(module, i):
@@ -666,8 +701,11 @@ def syzygy_order(module):
 
     Torsion modules give 0, torsion-free non-reflexive ones 1; for reflexive
     M the dualized minimal resolution of M* is spliced with M = M** and the
-    consecutive exact positions are verified by direct homology computation.
-    Free (and zero) modules return num_vars by convention.
+    consecutive exact positions are verified: at M and G0* by direct
+    homology computation, at G_k* for k >= 1, where the homology is
+    Ext^k(M*, R), from the Groebner bases cached on the resolution's dual
+    maps (_ext_vanishes).  Free (and zero) modules return num_vars by
+    convention.
     """
     ring = module.ring
     r = ring.num_vars
@@ -682,22 +720,20 @@ def syzygy_order(module):
     res = minimal_resolution(bd.m_star)
     if res.modules[0].degrees != tuple(bd.m_star.gens_degrees):
         raise AssertionError("dual presentation was expected to be minimal")
-    g_stars = [FPModule.free(ring, g.dual().degrees) for g in res.modules]
     # M -> M** -> G0*: column j is the evaluation vector u_j
-    embed = FPMap(m0, g_stars[0], bd.evaluations, check=False)
+    embed = FPMap(m0, FPModule.free(ring, res.modules[0].dual().degrees),
+                  bd.evaluations, check=False)
+    exact = [fp_kernel(embed)[0].is_zero()]
     if not bd.reflexive:
-        return SyzygyOrderResult(1, "not-reflexive", [embed],
-                                 [fp_kernel(embed)[0].is_zero()])
+        return SyzygyOrderResult(1, "not-reflexive", [embed], exact)
     # reflexive: exact positions along 0 -> M -> G0* -> G1* -> ... -> Gp* -> 0;
     # M and G0* are verified, the positions after them counted until one fails
     sigmas = [_map_between_free_fp(m.dual()) for m in res.maps]  # G_{k-1}* -> G_k*
-    chain = [None, embed] + sigmas + [None]
-    exact = []
-    for k, piece in enumerate([m0] + g_stars):
-        zero = homology(piece, chain[k], chain[k + 1])[0].is_zero()
-        if k >= 2 and not zero:
+    exact.append(homology(embed.target, embed, sigmas[0] if sigmas else None)[0].is_zero())
+    for k in range(1, res.length + 1):
+        if not _ext_vanishes(res, k):
             break
-        exact.append(zero)
+        exact.append(True)
     order = min(len(exact), r)
     witness = [embed] + sigmas[:order - 1]
     return SyzygyOrderResult(order, "dualized-resolution", witness, exact)

@@ -179,15 +179,28 @@ class GradedPolynomialRing:
     def vars(self):
         return [self.var(i) for i in range(self.num_vars)]
 
-    def monomial(self, exps, coeff=1):
+    def _exponents(self, exps):
         exps = tuple(int(e) for e in exps)
         if len(exps) != self.num_vars or any(e < 0 for e in exps):
             raise ValueError("bad exponent vector %r" % (exps,))
+        return exps
+
+    def monomial(self, exps, coeff=1):
+        exps = self._exponents(exps)
         coeff = _fr(coeff)
         return Polynomial(self, {exps: coeff} if coeff else {})
 
     def from_terms(self, terms):
-        return sum((self.monomial(e, c) for e, c in terms), self.zero())
+        """The sum of the terms (exps, coeff), summed in one dict on packed
+        keys and built once: repeated monomials combine, cancelled ones
+        drop out, and a nonzero term past EXPONENT_LIMIT raises."""
+        acc = {}
+        for e, c in terms:
+            e, c = self._exponents(e), _fr(c)
+            if c:
+                k = self._pack(0, e)
+                acc[k] = acc.get(k, 0) + c
+        return Polynomial._of_form(self, 1, *_form_of({k: c for k, c in acc.items() if c}))
 
     def weighted_degree(self, exps):
         return sum(map(mul, exps, self.degrees))

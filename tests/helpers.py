@@ -799,6 +799,11 @@ def reference_terms_sum(a, b, scale=1):
     return {k: c for k, c in out.items() if c}
 
 
+def reference_from_terms(ring, terms):
+    """ring.from_terms as a repeated sum of monomials, one + per term."""
+    return sum((ring.monomial(e, c) for e, c in terms), ring.zero())
+
+
 def reference_poly_mul(data, terms):
     """The Fraction terms {(col, exps): c} of a vector with terms data times
     the polynomial with terms {exps: c}, term by term."""

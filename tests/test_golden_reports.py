@@ -1,16 +1,18 @@
 """CLI reports are byte-for-byte those whose sha256 digests are committed.
 
 Covers every shipped input under every command in both formats, one
-integrate class, module-analyze on 25 seeded random modules and on
+integrate class, module-analyze on 25 seeded random modules, on
 helpers.module_3028 and helpers.module_3003, whose Groebner bases grow
-large coefficients, and the pairing check on the full flag variety Fl(4)
-of bench/gen.py (24 vertices, a 24 x 24 Gram matrix) and on the
-Grassmannian Gr(3,6) (20 vertices, a 20 x 20 Gram matrix), the descent
-check on the symmetric Fl(4) and P^5 of bench/gen.py, and the
-Chang-Skjelbred check on Gr(3,6).  Every report must take under
-CPU_BOUND_S seconds of CPU.  A changed digest must be explained
-in CHANGES.md; running this file as a script rewrites golden_reports.json
-from the current code.
+large coefficients, and on bench/gen.py's residue fields in 6 and 7
+variables and quadric ideals of draws 0, 1 and 2, whose Cohen-Macaulay
+tests read Ext along the longest resolutions; the pairing check on the
+full flag variety Fl(4) of bench/gen.py (24 vertices, a 24 x 24 Gram
+matrix) and on the Grassmannian Gr(3,6) (20 vertices, a 20 x 20 Gram
+matrix), the descent check on the symmetric Fl(4) and P^5 of
+bench/gen.py, and the Chang-Skjelbred check on Gr(3,6).  Every report
+must take under CPU_BOUND_S seconds of CPU.  A changed digest must be
+explained in CHANGES.md; running this file as a script rewrites
+golden_reports.json from the current code.
 """
 
 import contextlib
@@ -63,6 +65,13 @@ def _cases(workdir):
         with open(path, "w") as fh:
             json.dump(module().to_json(), fh)
         yield ("module-analyze random_module_%s json" % name,
+               ["module-analyze", path, "--seed", "5", "--format", "json"])
+    for name, obj in ([("residue_field_%d" % n, gen.residue_field(n, "0")) for n in (6, 7)]
+                      + [("quadric_ideal_%d" % d, gen.quadric_ideal(d, "0")) for d in range(3)]):
+        path = os.path.join(workdir, "%s.json" % name)
+        with open(path, "w") as fh:
+            json.dump(obj, fh)
+        yield ("module-analyze %s json" % name,
                ["module-analyze", path, "--seed", "5", "--format", "json"])
     for name, graph, check in (
             ("flag_variety_4", gen.flag_variety(4, "0"), "pairing"),

@@ -392,17 +392,18 @@ def test_syzygy_order_matches_reference_and_biduality():
 
 def test_torsion_biduality_computes_only_the_dual(monkeypatch):
     # M* = 0 for the residue field, so M** = 0: the kernel of M -> M** is
-    # all of M and its cokernel is zero, with no Groebner step of their own
-    import equisyz.gradmod as gradmod
+    # all of M and its cokernel is zero, with no Groebner step of their own:
+    # one SubmoduleGB, of the dual presentation's columns
+    from equisyz.polyring import SubmoduleGB
     R4 = GradedPolynomialRing(["x1", "x2", "x3", "x4"])
     calls = []
-    real = gradmod.syzygy_basis
+    real = SubmoduleGB.__init__
 
-    def counted(*args, **kwargs):
+    def counted(self, *args, **kwargs):
         calls.append(1)
-        return real(*args, **kwargs)
+        return real(self, *args, **kwargs)
 
-    monkeypatch.setattr(gradmod, "syzygy_basis", counted)
+    monkeypatch.setattr(SubmoduleGB, "__init__", counted)
     bd = biduality(residue_field_module(R4))
     assert len(calls) == 1
     assert bd.m_star.is_zero() and bd.m_double.is_zero()
@@ -694,3 +695,67 @@ def test_cohen_macaulay_builds_each_dual_once(monkeypatch):
         assert sorted(map(id, built)) == sorted(distinct)
         repeated += len(calls) - len(distinct)
     assert repeated > 0
+
+
+def _ext_oracle_modules():
+    """Seeded random modules over Q[x, y, z] and Q[x1..x4], the residue
+    fields, free modules and a zero module."""
+    R3 = GradedPolynomialRing(["x", "y", "z"])
+    R4 = GradedPolynomialRing(["x1", "x2", "x3", "x4"])
+    rng = random.Random(2023)
+    modules = [random_module(R3, rng) for _ in range(12)]
+    modules += [random_module(R4, rng, max_gens=2, max_rels=3) for _ in range(6)]
+    for ring in (R3, R4):
+        modules += [residue_field_module(ring), FPModule.free(ring, (0, 2)),
+                    FPModule.zero(ring)]
+    return modules
+
+
+def test_ext_vanishing_matches_the_presented_ext_modules():
+    # _ext_vanishes reads Ext^i(M, R) = 0 off the dual maps' cached bases;
+    # ext_module presents Ext^i, and Ext above num_vars vanishes
+    from equisyz.gradmod import _ext_vanishes
+    seen = set()
+    for m in _ext_oracle_modules():
+        res = minimal_resolution(m)
+        r = m.ring.num_vars
+        for i in range(r + 2):
+            want = ext_module(m, i).is_zero() if i <= r else True
+            assert _ext_vanishes(res, i) == want, (m, i)
+            seen.add((i == 0, i == res.length, want))
+    # both edge positions are met with Ext vanishing and not vanishing
+    assert {(True, False, True), (True, False, False), (False, True, False),
+            (True, True, True), (True, True, False)} <= seen
+
+
+def test_cohen_macaulay_reads_ext_from_the_cached_dual_bases(monkeypatch):
+    # with the resolution and the Hilbert series at hand, the Ext test
+    # presents no homology and builds at most one SubmoduleGB per map, that
+    # of the map's dual
+    from equisyz import gradmod
+    from equisyz.polyring import SubmoduleGB
+    calls = {"homology": 0, "syzygy_basis": 0, "SubmoduleGB": 0}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(gradmod, "homology", counted("homology", gradmod.homology))
+    monkeypatch.setattr(gradmod, "syzygy_basis",
+                        counted("syzygy_basis", gradmod.syzygy_basis))
+    monkeypatch.setattr(SubmoduleGB, "__init__",
+                        counted("SubmoduleGB", SubmoduleGB.__init__))
+    built = 0
+    for m in _ext_oracle_modules():
+        res = minimal_resolution(m)
+        m.hilbert()
+        for name in calls:
+            calls[name] = 0
+        cm = cohen_macaulay(m)
+        assert calls["homology"] == calls["syzygy_basis"] == 0
+        assert calls["SubmoduleGB"] <= res.length
+        built += calls["SubmoduleGB"]
+        assert cm.tests_agree
+    assert built > 0

@@ -13,8 +13,8 @@ from helpers import (
     groebner_basis, leading_term, normal_form, quotient_by_ideal, random_homogeneous,
     random_module, random_vector, relation_columns,
     reference_blocks, reference_buchberger, reference_divide, reference_det,
-    reference_apply, reference_kernel_submodule, reference_poly_mul, reference_reduce,
-    reference_submodule_split, reference_terms_sum, reference_transpose,
+    reference_apply, reference_from_terms, reference_kernel_submodule, reference_poly_mul,
+    reference_reduce, reference_submodule_split, reference_terms_sum, reference_transpose,
     reference_update_pairs,
     residue_field_module, series_minus,
 )
@@ -82,6 +82,52 @@ def test_parse_and_format_roundtrip(R):
     for text in ["3/2*x^2*y - y^3", "x", "-x + y", "2", "0", "x^4"]:
         p = R.parse(text)
         assert R.parse(str(p)) == p
+
+
+def test_from_terms_matches_the_repeated_sum():
+    # seeded terms with repeated monomials, cancellations and zero
+    # coefficients, against the sum of one monomial at a time
+    rng = random.Random(2301)
+    ring = GradedPolynomialRing(["x", "y", "z"])
+    for trial in range(200):
+        pool = [tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(rng.randint(1, 6))]
+        terms = []
+        for _ in range(rng.randint(0, 12)):
+            e = rng.choice(pool)
+            c = Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
+            terms.append((e, c))
+            if rng.random() < 0.2:
+                terms.append((e, -c))
+        got = ring.from_terms(terms)
+        assert got == reference_from_terms(ring, terms)
+        assert got.terms == reference_from_terms(ring, terms).terms
+    assert ring.from_terms([((1, 0, 0), 2), ((1, 0, 0), -2)]).is_zero()
+    for bad in ([((1, 0), 1)], [((1, -1, 0), 1)]):
+        with pytest.raises(ValueError, match="bad exponent vector"):
+            ring.from_terms(bad)
+    with pytest.raises(ExponentLimitError, match="exponent 40000 of y"):
+        ring.from_terms([((1, 0, 0), 1), ((0, 40000, 0), 1)])
+    # a term past the limit raises although a later term cancels it
+    with pytest.raises(ExponentLimitError, match="exponent 40000 of y"):
+        ring.from_terms([((0, 40000, 0), 1), ((0, 40000, 0), -1)])
+
+
+def test_parse_builds_the_polynomial_once(monkeypatch):
+    from equisyz.polyring import _Element
+    calls = []
+    real = _Element.__add__
+
+    def counted(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(_Element, "__add__", counted)
+    ring = GradedPolynomialRing(["x", "y", "z"])
+    p = ring.parse(" + ".join("%d*x^%d*y*z^%d" % (i % 7 + 1, i % 5, i % 3) for i in range(60)))
+    assert not calls
+    monkeypatch.undo()
+    assert len(p.terms) == 15 and p == reference_from_terms(ring, [
+        ((i % 5, 1, i % 3), i % 7 + 1) for i in range(60)])
 
 
 def test_json_roundtrip(R):
