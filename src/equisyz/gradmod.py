@@ -18,7 +18,7 @@ from math import lcm
 
 from .polyring import (
     Vector, SubmoduleGB, GroebnerBasis, DatumError, syzygy_basis,
-    quotient_hilbert_series, GradedPolynomialRing, _columns, _columns_below, _dot,
+    quotient_hilbert_series, GradedPolynomialRing, _columns, _columns_below, _scaled_dot,
     _integers,
 )
 
@@ -149,17 +149,12 @@ class ModuleMap:
 
 def _apply(columns, v, rank):
     """sum_j v_j * columns[j] in R^rank: the image of v under the map with
-    these columns, one integer accumulator (_dot) over the common
+    these columns, one integer accumulator (_scaled_dot) over the common
     denominator of the columns it uses."""
-    ring = v.ring
     c, parts = _columns(v)
-    used = [(part, columns[j]._form) for j, part in enumerate(parts) if part]
-    d = lcm(*[cj.denominator for _, (cj, _) in used])
-    pairs = []
-    for part, (cj, (_, ints)) in used:
-        s = cj.numerator * (d // cj.denominator)
-        pairs.append((ints, {k: s * n for k, n in part.items()}))
-    return Vector._of_ints(ring, rank, c / d, _dot(ring, pairs))
+    s, ints = _scaled_dot(v.ring, [(cj, a, part) for (cj, (_, a)), part in zip(
+        (col._form for col in columns), parts) if part])
+    return Vector._of_ints(v.ring, rank, c * s, ints)
 
 
 def _transpose(ring, columns, nrows):

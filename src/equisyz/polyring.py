@@ -465,21 +465,24 @@ class Polynomial(_Element):
         return c * ints.get(self.ring._mask, 0)
 
     def substitute(self, target_ring, images):
-        """Apply the ring map sending variable i to images[i]."""
+        """Apply the ring map sending variable i to images[i], summing the
+        scaled images of the monomials in one accumulator (_scaled_dot)."""
         if len(images) != self.ring.num_vars:
             raise ValueError("need one image per variable")
-        out = target_ring.zero()
-        cache = {}
-        for exps, coeff in sorted(self.terms.items()):
+        ring, one = self.ring, target_ring._mask
+        c, (_, ints) = self._form
+        cache, used = {}, []
+        for key, n in ints.items():
             m = target_ring.one()
-            for i, e in enumerate(exps):
+            for i, e in enumerate(ring._exps(~key & ring._mask)):
                 if e:
-                    key = (i, e)
-                    if key not in cache:
-                        cache[key] = images[i] ** e
-                    m = m * cache[key]
-            out = out + m.scale(coeff)
-        return out
+                    if (i, e) not in cache:
+                        cache[i, e] = images[i] ** e
+                    m = m * cache[i, e]
+            cm, (_, terms) = m._form
+            used.append((cm, terms, {one: n}))
+        s, terms = _scaled_dot(target_ring, used)
+        return Polynomial._of_ints(target_ring, 1, c * s, terms)
 
     def __str__(self):
         if not self.terms:
@@ -636,14 +639,14 @@ def _content_free(terms):
 
 def _dot(ring, pairs):
     """The integer terms of sum(a * b for a, b in pairs), for integer terms
-    a keyed by packed keys and b by packed column-0 keys; no entry is 0.
+    a and b keyed by packed keys (b's mostly column-0 keys); no entry is 0.
 
-    The key of a product of terms is k1 + k2 - ring._mask, in a's column.  Exponent fields
-    of two admissible keys sum without a carry, so every sum is exact; a
-    surviving term with a guard bit unset has an exponent past
-    EXPONENT_LIMIT and raises ExponentLimitError, as in _reduce.  Checking
-    the survivors suffices for one product: its top degree in each
-    variable never cancels.
+    The key of a product of terms is k1 + k2 - ring._mask, in the sum of
+    the two columns.  Exponent fields of two admissible keys sum without a
+    carry, so every sum is exact; a surviving term with a guard bit unset
+    has an exponent past EXPONENT_LIMIT and raises ExponentLimitError, as
+    in _reduce.  Checking the survivors suffices for one product: its top
+    degree in each variable never cancels.
     """
     acc = {}
     get = acc.get
@@ -660,6 +663,18 @@ def _dot(ring, pairs):
         if ~k & guard:
             raise ring._limit_error(ring._unpack(k)[1])
     return out
+
+
+def _scaled_dot(ring, items):
+    """(1 / d, the integer terms of d * sum(q * a * b)) over the items
+    (q, a, b), q a Fraction and a, b integer terms as _dot takes them:
+    one accumulator over the lcm d of the denominators of the q."""
+    d = lcm(*[q.denominator for q, _, _ in items])
+    pairs = []
+    for q, a, b in items:
+        s = q.numerator * (d // q.denominator)
+        pairs.append((a, {k: s * n for k, n in b.items()}))
+    return Fraction(1, d), _dot(ring, pairs)
 
 
 def _sugar(ring, terms):

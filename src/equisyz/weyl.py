@@ -8,8 +8,13 @@ vectors over the invariant subring, and invariants of equivariant free
 modules.  The closure numbers the elements once, with a Cayley table,
 walking the group on integer matrices; actions and their caches are keyed
 by that index.  Signed permutation matrices act term by term, others by
-substituting the variables' images.  Reynolds averages are summed on
-integer numerators and born in the integer form the Groebner core reduces.
+substituting the variables' images.  The action and the Reynolds average
+share one accumulator (_images): the images are summed on integer
+numerators and born in the integer form the Groebner core reduces.  The
+coordinates of an R_T element over R^W are one Vector over the invariant
+ring, its column col * |B| + j the coefficient of the j-th coinvariant
+monomial in coordinate col, summed in one integer accumulator (_expand)
+from the cached coordinates of monomials.
 Built-in constructors cover the symmetric groups on up to four letters
 (acting on the sum-zero coordinates), the order-8 rank-2 group of signed
 permutations, sign flips in rank one, and direct products.
@@ -20,9 +25,9 @@ from fractions import Fraction
 from operator import mul
 
 from .polyring import (
-    GradedPolynomialRing, Polynomial, Vector, SubmoduleGB, GroebnerBasis,
+    GradedPolynomialRing, Vector, SubmoduleGB, GroebnerBasis,
     syzygy_basis, HilbertSeries, qpoly_add, qpoly_mul, qpoly_inverse_series,
-    determinant, ExponentLimitError, _fr, _integers,
+    determinant, ExponentLimitError, _fr, _integers, _scaled_dot,
 )
 from .gradmod import FPModule, _degrees_of
 
@@ -136,17 +141,30 @@ class ReflectionGroup:
         return self._act(self._index[matrix], poly)
 
     def _act(self, k, poly):
-        """The action of the k-th element: the integer images of poly's
-        monomials (_integer_images), divided by L^D for D the largest
-        degree of a monomial of poly."""
-        top = max(map(sum, poly.terms), default=0)
-        images = self._integer_images(k, poly.terms, top)
+        """The action of the k-th element (_images)."""
+        return self._images(poly, [(k, (0,))])
+
+    def _images(self, element, actions):
+        """The sum of w_k . element over (k, perm) in actions, w_k the k-th
+        element and column i of element moved to column perm[i], born in
+        integer form.  For element = c * F, F its integer form and D the
+        largest degree of a term of F, the integer images L^D * w_k . F
+        (_integer_images) go into one dict, and the sum has content c / L^D
+        times the content of that dict."""
+        ring = self.ring
+        c, (_, ints) = element._form
+        terms = [ring._unpack(key) + (n,) for key, n in ints.items()]
+        monomials = {exps for _, exps, _ in terms}
+        top = max(map(sum, monomials), default=0)
         acc = {}
-        for exps, c in poly.terms.items():
-            for e, a in images[exps]:
-                acc[e] = acc.get(e, 0) + a * c
-        den = self._lcm ** top
-        return Polynomial(self.ring, {e: c / den for e, c in acc.items()})
+        for k, perm in actions:
+            images = self._integer_images(k, monomials, top)
+            for col, exps, n in terms:
+                col = perm[col]
+                for e, a in images[exps]:
+                    acc[col, e] = acc.get((col, e), 0) + a * n
+        packed = {ring._pack(col, e): n for (col, e), n in acc.items() if n}
+        return element._of_ints(ring, element.rank, c / self._lcm ** top, packed)
 
     def _integer_images(self, k, monomials, top):
         """{exps: [(exps, int)]}, the terms of L^top * (w . x^exps) for each
@@ -277,76 +295,62 @@ class ReflectionGroup:
 
     def expand(self, poly):
         """Write poly as sum of coinvariant basis monomials with invariant
-        coefficients: returns {basis exps: Polynomial over the invariant ring}."""
-        basis = set(self.coinvariant_basis())
-        out = {b: Polynomial(self.invariant_ring, terms)
-               for b, terms in self._expansion(poly).items()}
-        assert all(b in basis for b in out)
-        return out
-
-    def _expansion(self, poly):
-        """The terms {basis exps: {exps: Fraction}} of expand(poly)."""
-        acc = {}
-        for exps, coeff in sorted(poly.terms.items()):
-            _add_scaled(acc, self._expand_monomial(exps), coeff)
-        return _nonzero(acc)
-
-    def _expand_monomial(self, exps):
-        """The terms {basis exps: {exps: Fraction}} of the expansion of the
-        monomial x^exps, computed once."""
-        if exps in self._expand_cache:
-            return self._expand_cache[exps]
-        gb = self._invariant_gb()
-        mono = Vector(self.ring, 1, {(0, exps): Fraction(1)})
-        nf, coeffs = gb.reduce_with_certificate(mono)
-        one = self.invariant_ring.zero_exps
-        acc = {e: {one: c} for (_, e), c in nf.data.items()}
-        # mono = sum coeffs_i * invariant_i + nf; recurse into the cofactors
-        for i, h in enumerate(coeffs):
-            for he, hc in h.terms.items():
-                _add_scaled(acc, self._expand_monomial(he), hc, var=i)
-        out = self._expand_cache[exps] = _nonzero(acc)
-        return out
+        coefficients: returns {basis exps: Polynomial over the invariant ring},
+        without zero coefficients."""
+        coords = self.expand_vector(poly, 1).to_polys()
+        return {b: c for b, c in zip(self.coinvariant_basis(), coords) if not c.is_zero()}
 
     def expand_vector(self, vector, ambient_rank):
-        """Coordinates of an R_T vector in the free invariant-ring module
-        indexed by (ambient coordinate, coinvariant basis monomial)."""
-        basis = self.coinvariant_basis()
-        index = {(v, b): i for i, (v, b) in enumerate(
-            (v, b) for v in range(ambient_rank) for b in basis)}
-        data = {}
-        for v, comp in enumerate(vector.to_polys()):
-            if comp.is_zero():
-                continue
-            for b, terms in self._expansion(comp).items():
-                idx = index[(v, b)]
-                for e, cf in terms.items():
-                    data[(idx, e)] = cf
-        return Vector(self.invariant_ring, ambient_rank * len(basis), data)
+        """Coordinates of an R_T vector (or Polynomial, for ambient_rank 1)
+        in the free invariant-ring module of rank ambient_rank * |B|, B the
+        coinvariant basis: column col * |B| + j holds the coefficient of
+        the j-th monomial of B in coordinate col.  Built in integer form."""
+        return self._expand(ambient_rank, [(vector, self.invariant_ring._mask)])
+
+    def _expand(self, width, elements):
+        """The coordinates, in the free invariant-ring module of rank
+        width * |B|, of the sum of y^m * f over (f, m) in elements, f an
+        R_T element and m the packed column-0 key of an invariant-ring
+        monomial y^m.  Each term n * x^k in column col of f = c * F adds
+        c * n * y^m * E(x^k), E(x^k) = _expand_monomial(x^k) shifted to
+        columns col * |B| + j, in one accumulator (_scaled_dot), as
+        gradmod._apply sums a map's image."""
+        ring, inv = self.ring, self.invariant_ring
+        cshift, size = ring._cshift, len(self.coinvariant_basis())
+        used = []
+        for f, m in elements:
+            c, (_, ints) = f._form
+            for key, n in ints.items():
+                col = -(key >> cshift)
+                ce, (_, e) = self._expand_monomial(key + (col << cshift))._form
+                # a product key is in the sum of its factors' columns (_dot)
+                used.append((c * ce, e, {m - (col * size << inv._cshift): n}))
+        s, ints = _scaled_dot(inv, used)
+        return Vector._of_ints(inv, width * size, s, ints)
+
+    def _expand_monomial(self, key):
+        """The coordinates E(x^k) of the monomial with packed column-0 key
+        key, a Vector of rank |B| computed once: the unit vector of a
+        coinvariant monomial, else the sum over x^k = nf + sum h_i p_i
+        (reduce_with_certificate) of nf's coordinates and of y_i times
+        h_i's, the h_i being of lower degree."""
+        cache = self._expand_cache
+        if not cache:
+            basis = self.coinvariant_basis()
+            cache.update((self.ring._pack(0, b), Vector.unit(
+                self.invariant_ring, len(basis), j)) for j, b in enumerate(basis))
+        if key not in cache:
+            mono = Vector._of_ints(self.ring, 1, Fraction(1), {key: 1})
+            nf, coeffs = self._invariant_gb().reduce_with_certificate(mono)
+            one, y = self.invariant_ring._mask, [
+                v._form[1][0] for v in self.invariant_ring.vars()]
+            cache[key] = self._expand(1, [(nf, one)] + list(zip(coeffs, y)))
+        return cache[key]
 
     def invariant_module_layout(self, ambient_rank):
         """Degrees of the (ambient coordinate, coinvariant monomial) basis."""
         return [self.ring.weighted_degree(b)
                 for b in self.coinvariant_basis()] * ambient_rank
-
-
-def _add_scaled(acc, expansion, coeff, var=None):
-    """Add coeff times an expansion {basis exps: {exps: coefficient}},
-    times the invariant-ring variable var when given, into acc of the same
-    shape."""
-    for b, expterms in expansion.items():
-        terms = acc.setdefault(b, {})
-        for e, v in expterms.items():
-            if var is not None:
-                e = e[:var] + (e[var] + 1,) + e[var + 1:]
-            terms[e] = terms.get(e, 0) + coeff * v
-
-
-def _nonzero(acc):
-    """The accumulated terms {basis exps: {exps: coefficient}} without
-    zero coefficients and without empty entries."""
-    out = {b: {e: c for e, c in terms.items() if c} for b, terms in acc.items()}
-    return {b: terms for b, terms in out.items() if terms}
 
 
 class VerificationReport:
@@ -428,29 +432,12 @@ class WEquivariantFreeModule:
 
     def reynolds_tuple(self, vector):
         """Average of w.f over the group, where (w.f)_v = w.(f at the
-        preimage of v).
-
-        Summed on integer numerators: for vector = c * F, F its integer
-        form and D the largest degree of a term of F, the images L^D * w.F
-        (ReflectionGroup._integer_images) of all elements w go into one dict,
-        and the average is born in its integer form, with content
-        c * g / (|W| * L^D) for g the content of the sum.
-        """
-        group, ring = self.group, self.group.ring
-        c, (_, ints) = vector._form
-        terms = [ring._unpack(key) + (n,) for key, n in ints.items()]
-        monomials = {exps for _, exps, _ in terms}
-        top = max(map(sum, monomials), default=0)
-        acc = {}
-        for k, perm in enumerate(self._action_of):
-            images = group._integer_images(k, monomials, top)
-            for col, exps, n in terms:
-                col = perm[col]
-                for e, a in images[exps]:
-                    acc[col, e] = acc.get((col, e), 0) + a * n
-        packed = {ring._pack(col, e): n for (col, e), n in acc.items() if n}
-        return Vector._of_ints(ring, self.rank,
-                               c * Fraction(1, group.order * group._lcm ** top), packed)
+        preimage of v): the sum of the images of all elements, summed on
+        integer numerators and born in integer form
+        (ReflectionGroup._images), over |W|."""
+        group = self.group
+        return group._images(vector, enumerate(self._action_of)).scale(
+            Fraction(1, group.order))
 
     def invariants(self, submodule_gens=None, nmax=40):
         """Invariant tuples as a module over the invariant ring.

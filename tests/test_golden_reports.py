@@ -8,9 +8,9 @@ variables and quadric ideals of draws 0, 1 and 2, whose Cohen-Macaulay
 tests read Ext along the longest resolutions; the pairing check on the
 full flag variety Fl(4) of bench/gen.py (24 vertices, a 24 x 24 Gram
 matrix) and on the Grassmannian Gr(3,6) (20 vertices, a 20 x 20 Gram
-matrix), the descent check on the symmetric Fl(4) and P^5 of
-bench/gen.py, and the Chang-Skjelbred check on Gr(3,6).  Every report
-must take under CPU_BOUND_S seconds of CPU.  A changed digest must be
+matrix), the descent check on the symmetric Fl(4), P^4 (120 coinvariant
+monomials) and P^5 of bench/gen.py, and the Chang-Skjelbred check on
+Gr(3,6).  Every report must take under CPU_BOUND_S seconds of CPU.  A changed digest must be
 explained in CHANGES.md; running this file as a script rewrites
 golden_reports.json from the current code.
 """
@@ -77,6 +77,7 @@ def _cases(workdir):
             ("flag_variety_4", gen.flag_variety(4, "0"), "pairing"),
             ("grassmannian_3_6", gen.grassmannian(3, 6, "0"), "pairing"),
             ("flag_variety_4_symmetric", gen.flag_variety(4, "0", symmetric=True), "descend"),
+            ("projective_4_symmetric", gen.projective_space(4, "0", symmetric=True), "descend"),
             ("projective_5_symmetric", gen.projective_space(5, "0", symmetric=True), "descend"),
             ("grassmannian_3_6", gen.grassmannian(3, 6, "0"), "cs")):
         path = os.path.join(workdir, "%s_%s.json" % (name, check))

@@ -903,6 +903,66 @@ def test_products_and_powers_match_sympy():
         x ** 40000
 
 
+def test_substitute_matches_sympy(monkeypatch):
+    # substitute sums the scaled images of the monomials in one integer
+    # accumulator: each result must be sympy's and be born in its form, on
+    # seeded random rational polynomials in 1-4 variables (zero, constants
+    # and zero images among them), with no element + on the way
+    sympy = pytest.importorskip("sympy")
+    from equisyz.polyring import _Element
+    adds = []
+    real = _Element.__add__
+
+    def counted(self, other):
+        adds.append(1)
+        return real(self, other)
+
+    rng = random.Random(4242)
+    target = GradedPolynomialRing(["t0", "t1", "t2"])
+    tgens = sympy.symbols(target.names)
+
+    def rand(ring, nterms, top):
+        terms = {}
+        for _ in range(nterms):
+            exps = tuple(rng.randrange(top) for _ in range(ring.num_vars))
+            terms[exps] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5))
+        return Polynomial(ring, terms)
+
+    def theirs(p, gens):
+        return sum((sympy.Rational(c.numerator, c.denominator)
+                    * sympy.Mul(*[g ** e for g, e in zip(gens, exps)])
+                    for exps, c in p.terms.items()), sympy.Integer(0))
+
+    nonzero = 0
+    for nvars in range(1, 5):
+        ring = GradedPolynomialRing(["x%d" % i for i in range(nvars)])
+        gens = sympy.symbols(ring.names)
+        for _ in range(8):
+            f = rand(ring, rng.choice((0, 1, 3, 8, 20)), 4)
+            images = [rand(target, rng.choice((0, 1, 2, 3)), 2) for _ in range(nvars)]
+            monkeypatch.setattr(_Element, "__add__", counted)
+            got = f.substitute(target, images)
+            monkeypatch.undo()
+            want = sympy.Poly(theirs(f, gens).xreplace(
+                {g: theirs(p, tgens) for g, p in zip(gens, images)}), *tgens, domain="QQ")
+            assert {e: sympy.Rational(c.numerator, c.denominator)
+                    for e, c in got.terms.items()} == {
+                        e: c for e, c in want.as_dict().items() if c}, (f, images)
+            _check_integer_form(got)
+            nonzero += not got.is_zero()
+    assert not adds and nonzero >= 16, (len(adds), nonzero)
+    # the checks stay: one image per variable, images in the target ring,
+    # and the exponent limit of a product
+    ring = GradedPolynomialRing(["x", "y"])
+    x, y = ring.vars()
+    with pytest.raises(ValueError, match="one image per variable"):
+        (x * y).substitute(target, [target.var(0)])
+    with pytest.raises(ValueError, match="ring mismatch"):
+        (x * y).substitute(target, [x, y])
+    with pytest.raises(ExponentLimitError):
+        (x * x).substitute(target, [target.var(0) ** 20000, target.one()])
+
+
 def _check_vector_form(v, terms):
     """v equals the Vector built from the Fraction terms, hash-equal, and
     its view is those terms; its form is canonical."""

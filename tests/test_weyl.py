@@ -166,7 +166,9 @@ def test_action_matches_substitution():
             polys.append(f)
         for w in group.elements:
             for f in polys:
-                assert group.act(w, f) == reference_act(group, w, f)
+                image = group.act(w, f)
+                assert image == reference_act(group, w, f)
+                assert image.is_zero() or image._view is None  # born in integer form
     assert not all(_is_signed_permutation(w)
                    for w in symmetric_group_on_sum_zero(3).elements)
     assert all(_is_signed_permutation(w) for w in p3.elements)
@@ -248,16 +250,49 @@ def test_reynolds_idempotent_property():
 
 
 def test_expand_reconstruction_property():
+    # f = sum_b emb(c_b) * x^b over the coinvariant basis B, for seeded
+    # inhomogeneous polynomials with rational coefficients, and column by
+    # column for rank-3 vectors through expand_vector, whose coordinates are
+    # born in integer form; over z2, A2, B2, S_4, z2 x A2 and the rational
+    # groups that verify (the order-4 one has 8 coinvariant monomials)
     rng = random.Random(9)
-    for group in (cyclic_sign_group(), symmetric_group_on_sum_zero(3)):
-        emb = group.embedding()
-        ring = group.ring
+    z2, a2 = cyclic_sign_group(), symmetric_group_on_sum_zero(3)
+    groups = [z2, a2, signed_permutation_rank2(), symmetric_group_on_sum_zero(4),
+              product_group(z2, a2)] + [g for g in _rational_groups() if g.verify().ok]
+    assert [g.order for g in groups] == [2, 6, 8, 24, 12, 8]
+
+    def random_poly(ring):
+        f = ring.zero()
+        for _ in range(rng.randint(1, 3)):
+            f = f + random_homogeneous(ring, 2 * rng.randint(0, 4), rng,
+                                       density=0.5, rational=True)
+        return f
+
+    for group in groups:
+        emb, ring = group.embedding(), group.ring
+        monomials = [ring.monomial(b) for b in group.coinvariant_basis()]
+
+        def back(coords):
+            assert len(coords) == len(monomials)
+            return sum((emb(c) * m for c, m in zip(coords, monomials)), ring.zero())
+
         for _ in range(6):
-            f = random_homogeneous(ring, rng.choice([0, 2, 4, 6]), rng)
-            back = ring.zero()
-            for b, c in group.expand(f).items():
-                back = back + emb(c) * ring.monomial(b)
-            assert back == f
+            f = random_poly(ring)
+            expansion = group.expand(f)
+            assert all(not c.is_zero() and c._view is None for c in expansion.values())
+            assert sum((emb(c) * ring.monomial(b) for b, c in expansion.items()),
+                       ring.zero()) == f
+            coords = group.expand_vector(f, 1)
+            assert coords.is_zero() or coords._view is None
+            assert back(coords.to_polys()) == f
+        n = len(monomials)
+        for _ in range(3):
+            polys = [random_poly(ring) if rng.random() < 0.8 else ring.zero()
+                     for _ in range(3)]
+            coords = group.expand_vector(Vector.from_polys(polys), 3)
+            assert coords.rank == 3 * n and (coords.is_zero() or coords._view is None)
+            parts = coords.to_polys()
+            assert [back(parts[i * n:(i + 1) * n]) for i in range(3)] == polys
 
 
 def test_expand_coefficients_are_homogeneous():
@@ -534,9 +569,11 @@ def test_descend_reynolds_and_expand_counts(tmp_path, monkeypatch):
     # group is numbered once, and its closure multiplies integer matrices,
     # never Fraction ones (_mat_mul); every element acts as a signed
     # permutation, without substitution, and the Reynolds averaging hashes
-    # no Fraction matrix and returns vectors born in their integer form
-    counts = {"reynolds_tuple": 0, "_expansion": 0, "substitute": 0, "_closure": 0,
-              "_mat_mul_in_closure": 0, "fraction_hash_in_reynolds": 0}
+    # no Fraction matrix and returns vectors born in their integer form.
+    # The expansion over R^W reads no Fraction view (_fractions)
+    counts = {"reynolds_tuple": 0, "expand_vector": 0, "substitute": 0, "_closure": 0,
+              "_mat_mul_in_closure": 0, "fraction_hash_in_reynolds": 0,
+              "fractions_in_expand": 0}
     modules, born = [], []
 
     def counting(cls, name):
@@ -547,7 +584,24 @@ def test_descend_reynolds_and_expand_counts(tmp_path, monkeypatch):
             return orig(*args, **kwargs)
         monkeypatch.setattr(cls, name, counted)
 
-    counting(ReflectionGroup, "_expansion")  # behind expand and expand_vector
+    in_expand = []
+    orig_expand_vector = ReflectionGroup.expand_vector
+
+    def expand_vector(self, vector, ambient_rank):
+        counts["expand_vector"] += 1
+        in_expand.append(True)
+        try:
+            return orig_expand_vector(self, vector, ambient_rank)
+        finally:
+            in_expand.pop()
+    monkeypatch.setattr(ReflectionGroup, "expand_vector", expand_vector)
+    orig_fractions = polyring._Element._fractions
+
+    def fractions(self, key):
+        if in_expand:
+            counts["fractions_in_expand"] += 1
+        return orig_fractions(self, key)
+    monkeypatch.setattr(polyring._Element, "_fractions", fractions)
     counting(Polynomial, "substitute")
     in_closure = []
     orig_closure = ReflectionGroup._closure
@@ -595,7 +649,8 @@ def test_descend_reynolds_and_expand_counts(tmp_path, monkeypatch):
     path.write_text(json.dumps(gen.projective_space(3, 0, symmetric=True)))
     code, report = run(["gkm", str(path), "--check", "descend"])
     assert code == 0 and report["status"] == "pass"
-    assert counts["reynolds_tuple"] <= 15 and 1 <= counts["_expansion"] <= 16, counts
+    assert counts["reynolds_tuple"] <= 15 and 1 <= counts["expand_vector"] <= 16, counts
+    assert counts["fractions_in_expand"] == 0, counts
     group = modules[0].group
     assert (group.order, len(group.generators)) == (24, 3)
     assert counts["substitute"] == 0, counts
