@@ -14,7 +14,7 @@ import json
 import random
 import sys
 
-from .polyring import GradedPolynomialRing, _integers
+from .polyring import _torus_ring
 from .gradmod import (
     FPModule, FPMap, NEG_INF, dimension, depth, cohen_macaulay, syzygy_order,
     minimal_resolution, fp_kernel, fp_cokernel, _betti_json,
@@ -171,11 +171,10 @@ def run_weyl_verify(obj, checks, nmax, seed):
 
 
 def run_cartan(obj, checks, nmax, seed):
-    rank, = _integers([obj.get("rank", 1)], "rank")
-    names = obj.get("vars") or ["t%d" % (i + 1) for i in range(rank)]
-    ring = GradedPolynomialRing(names, (2,) * rank)
     try:
         gstar = GStarModule.from_json(obj)
+        ring = _torus_ring(obj.get("rank", 1), obj.get("vars"), gstar.num_contractions,
+                           "contraction count")
         complex_ = CartanComplex(ring, gstar)
     except ValueError as exc:
         raise InputError(str(exc))

@@ -22,6 +22,7 @@ from math import gcd, lcm
 from .polyring import (
     GradedPolynomialRing, Polynomial, Vector, DatumError, determinant,
     _blocks, _certificate, _column, _columns, _dot, _exact_divide, _integers,
+    _torus_ring,
 )
 from .gradmod import (
     FPModule, FPMap, fp_kernel, homology,
@@ -198,15 +199,14 @@ class GKMGraph:
 
     @classmethod
     def from_json(cls, obj):
-        rank, = _integers([obj["rank"]], "rank")
-        names = obj.get("vars") or ["t%d" % (i + 1) for i in range(rank)]
-        ring = GradedPolynomialRing(names, (2,) * rank)
-        edges = [(e["v"], e["w"], e["weight"]) for e in obj["edges"]]
+        rank, edges = obj["rank"], [(e["v"], e["w"], e["weight"]) for e in obj["edges"]]
+        ring = _torus_ring(rank, obj.get("vars"), next(
+            (len(w) for _, _, w in edges if isinstance(w, list)), None), "edge weight length")
         symmetry = None
         if obj.get("symmetry"):
             sym = obj["symmetry"]
             gobj = dict(sym["group"])
-            gobj.setdefault("vars", list(names))
+            gobj.setdefault("vars", list(ring.names))
             group = group_from_json(gobj)
             symmetry = (group, [dict(p) for p in sym["vertex_maps"]])
         return cls(ring, obj["vertices"], edges, euler=obj.get("euler"),

@@ -17,9 +17,8 @@ from fractions import Fraction
 from math import lcm
 
 from .polyring import (
-    Vector, SubmoduleGB, GroebnerBasis, DatumError, syzygy_basis,
-    quotient_hilbert_series, GradedPolynomialRing, _columns, _columns_below, _scaled_dot,
-    _integers,
+    Vector, SubmoduleGB, GroebnerBasis, DatumError,
+    quotient_hilbert_series, GradedPolynomialRing, _columns, _scaled_dot, _integers,
 )
 
 NEG_INF = float("-inf")
@@ -383,21 +382,6 @@ def _matrix_from_json(ring, mat, field):
     return [[ring.poly_from_json(e) for e in row] for row in mat]
 
 
-def _kernel_submodule(ring, ambient_rank, first_cols, extra_cols):
-    """Generators of {v : sum v_i first_cols[i] in span(extra_cols)}: the
-    nonzero first-block parts of the syzygies of both lists."""
-    gens = list(first_cols) + list(extra_cols)
-    if not gens:
-        return []
-    width = len(first_cols)
-    out = []
-    for v in syzygy_basis(ring, ambient_rank, gens):
-        w = _columns_below(v, width)
-        if not w.is_zero():
-            out.append(w)
-    return out
-
-
 def homology(module, f=None, g=None):
     """ker(g)/im(f) at module in M --f--> module --g--> P.
 
@@ -406,8 +390,10 @@ def homology(module, f=None, g=None):
     kernel of g), g = None no outgoing map (the cokernel of f).  A map into a
     module without generators has all of module as its kernel: K is then the
     unit vectors, the relations are module's relations and f's columns, and
-    no Groebner basis is computed.  Into a free module the kernel is the
-    syzygies of g's columns, cached on g.free.
+    no Groebner basis is computed.  Else both kernels are SubmoduleGB
+    syzygies modulo relations: K those of g's columns modulo P's relations
+    (cached on g.free for a free P), and the relations those of K modulo
+    module's relations and f's columns.
     """
     for end in (f and f.target, g and g.source):
         if (end is not None and end is not module
@@ -420,13 +406,10 @@ def homology(module, f=None, g=None):
     if g is None or g.target.num_gens == 0:
         K, rels = module.pmap.target.unit_vectors(), quotient
     else:
-        if g.target.num_rels:
-            K = _kernel_submodule(ring, g.target.num_gens, g.columns,
-                                  g.target.pmap.columns)
-        else:
-            K = g.free.gb().syzygies()
+        K = (SubmoduleGB(ring, g.target.num_gens, g.columns, g.target.pmap.columns)
+             if g.target.num_rels else g.free.gb()).syzygies()
         K = [K[i] for i in minimal_generating_indices(K, module.gens_degrees)]
-        rels = _kernel_submodule(ring, module.num_gens, K, quotient)
+        rels = SubmoduleGB(ring, module.num_gens, K, quotient).syzygies() if K else []
     degrees = _degrees_of(K, module.gens_degrees)
     return FPModule.from_columns(ring, degrees, rels).minimized(), K
 

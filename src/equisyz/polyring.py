@@ -3,12 +3,14 @@
 Weighted polynomial rings with positive even variable degrees,
 degree-reverse-lexicographic monomial order (position-over-term for free
 modules, earlier columns greater), Buchberger's algorithm for submodules of
-graded free modules, normal forms, syzygies via block elimination, and
-Hilbert series from staircase counts.  One Buchberger state, GroebnerBasis,
-serves buchberger and greedy minimal generation (add, contains); each of
-its pending S-pairs carries its lcm.  Cofactors come only from aux columns:
-divide and SubmoduleGB reduce by block vectors g_i + e_i and read them off
-the remainder (_certificate).  Nothing here ever touches a float.
+graded free modules, normal forms, syzygies modulo relations via block
+elimination, and Hilbert series from staircase counts.  One Buchberger
+state, GroebnerBasis, serves buchberger and greedy minimal generation (add,
+contains); each of its pending S-pairs carries its lcm.  Cofactors come
+only from aux columns, one per generator whose cofactor is read: divide and
+SubmoduleGB reduce by block vectors g_i + e_i (a SubmoduleGB's relations
+have none) and read them off the remainder (_certificate).  Nothing here
+ever touches a float.
 
 Public terms are (col, exps) tuples and every public coefficient is an
 exact Fraction.  Inside the core (_reduce, s_vector, GroebnerBasis) each
@@ -28,8 +30,8 @@ it is the column (p) of R^1 with no repacking (_column), a product key is
 the sum of two keys less _mask (_dot), and determinant runs Bareiss on
 these forms.  What the core returns is born in its form: the reduced
 bases, the block vectors g_i + e_i, the ambient parts and syzygies
-SubmoduleGB splits off on packed keys (_columns_below, which gradmod's
-kernels share), and the cofactors read off aux columns.
+SubmoduleGB splits off on packed keys (_columns_below), and the cofactors
+read off aux columns.
 """
 
 import heapq
@@ -292,6 +294,23 @@ class GradedPolynomialRing:
         if not isinstance(obj, dict):
             raise DatumError("ring must be a JSON object, got %r" % (obj,))
         return cls(obj["vars"], obj.get("degrees"))
+
+
+_RANK_LIMIT = 1 << 12
+
+
+def _torus_ring(rank, names, size, what):
+    """The ring of the JSON "rank" and "vars" (default t1..t<rank>), all of
+    degree 2.  Before anything of length rank is built, rank must equal
+    size, the length of the input's own data what, or be at most
+    _RANK_LIMIT when that data is empty (size None)."""
+    rank, = _integers([rank], "rank")
+    if size is not None and rank != size:
+        raise DatumError("rank %d does not match the %s, %d" % (rank, what, size))
+    if size is None and not 0 <= rank <= _RANK_LIMIT:
+        raise DatumError("rank %d is outside 0..%d, the ranks allowed when no %s fixes it"
+                         % (rank, _RANK_LIMIT, what))
+    return GradedPolynomialRing(names or ["t%d" % (i + 1) for i in range(rank)], (2,) * rank)
 
 
 class _Element:
@@ -1083,22 +1102,24 @@ def buchberger(vectors):
 
 
 class SubmoduleGB:
-    """Groebner data for a submodule of R^rank, with lifts and syzygies.
+    """Groebner data for span(gens) in R^rank modulo span(relations).
 
-    Built from generators g_i via the block construction g_i + e_i in
-    R^rank + R^s under position-over-term; the aux block is smaller than
-    every ambient position, so reduced elements supported purely in the aux
-    block are exactly the syzygies, and reducing (v, 0) yields both the
-    normal form of v and division certificates against the original g_i
-    (_certificate).  Membership reduces v's packed form by the packed gb.
+    Block construction (Eisenbud, Commutative Algebra, 15.10): the block
+    vectors g_i + e_(rank+i) and the relations, with no aux column, go to
+    Buchberger in R^(rank+s).  Aux columns are below every ambient one, so
+    the ambient parts of the ambient-led elements are gb, the basis of
+    span(gens and relations), the aux-only ones the syzygies modulo the
+    relations, and reducing (v, 0) gives v's normal form and cofactors
+    (_certificate).  contains reduces by gb's packed forms, kept once.
     """
 
-    def __init__(self, ring, rank, gens):
+    def __init__(self, ring, rank, gens, relations=()):
         self.ring = ring
         self.rank = rank
         self.gens = list(gens)
         s = len(self.gens)
-        self._ext_gb = buchberger(_blocks(ring, rank, self.gens))
+        self._ext_gb = buchberger(_blocks(ring, rank, self.gens) + [
+            Vector._of_form(ring, rank + s, *r._form) for r in relations])
         self.gb = []
         self._syz = []
         shift = rank << ring._cshift
@@ -1111,33 +1132,31 @@ class SubmoduleGB:
                 # aux columns only: shift each key down by rank columns
                 self._syz.append(Vector._of_form(
                     ring, s, c, (lead + shift, {k + shift: n for k, n in terms.items()})))
+        self._forms = [g._form[1] for g in self.gb]
 
     def contains(self, v):
         """Whether v reduces to zero by gb, i.e. lies in the submodule."""
-        return not _reduce(self.ring, v._form[1][1], [g._form[1] for g in self.gb])[1]
+        return not _reduce(self.ring, v._form[1][1], self._forms)[1]
 
     def reduce_with_certificate(self, v):
-        """(normal form of v, coefficients q) with v = sum(q_i gens[i]) + nf.
-
-        v is reduced by the block basis (_certificate).
-        """
+        """(normal form of v, coefficients q) with v = sum(q_i gens[i]) + nf
+        modulo the relations, by the block basis (_certificate)."""
         coeffs, nf = _certificate(v, self._ext_gb, self.rank, len(self.gens))
         return nf, coeffs
 
     def lift(self, v):
-        """Coefficients q with v = sum(q_i * gens[i]), or None if not a member."""
+        """Coefficients q with v = sum(q_i * gens[i]) modulo the relations,
+        or None if v is not a member."""
         nf, coeffs = self.reduce_with_certificate(v)
         return coeffs if nf.is_zero() else None
 
     def syzygies(self):
-        """Generators of the syzygy module of the original generators."""
+        """The reduced basis of {c in R^s : sum c_i gens[i] in span(relations)}."""
         return list(self._syz)
 
 
 def syzygy_basis(ring, rank, gens):
     """Generators of {c in R^s : sum c_i gens[i] = 0}."""
-    if not gens:
-        return []
     return SubmoduleGB(ring, rank, gens).syzygies()
 
 

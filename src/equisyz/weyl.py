@@ -27,7 +27,7 @@ from operator import mul
 from .polyring import (
     GradedPolynomialRing, Vector, SubmoduleGB, GroebnerBasis,
     syzygy_basis, HilbertSeries, qpoly_add, qpoly_mul, qpoly_inverse_series,
-    determinant, ExponentLimitError, _fr, _integers, _scaled_dot,
+    determinant, ExponentLimitError, _fr, _integers, _scaled_dot, _torus_ring,
 )
 from .gradmod import FPModule, _degrees_of
 
@@ -587,10 +587,8 @@ def product_group(g1, g2):
 
 def group_from_json(obj):
     """Group JSON: {"rank": r, "generators": [...], "invariants": [...]}."""
-    rank, = _integers([obj["rank"]], "rank")
-    names = obj.get("vars") or ["t%d" % (i + 1) for i in range(rank)]
-    ring = GradedPolynomialRing(names, (2,) * rank)
-    gens = obj["generators"]
+    rank, gens = obj["rank"], obj["generators"]
+    ring = _torus_ring(rank, obj.get("vars"), len(gens[0]) if gens else 0, "generator size")
     invs = [ring.parse(s) for s in obj["invariants"]]
     max_order, = _integers([obj.get("max_order", 10080)], "max_order")
     return ReflectionGroup(gens, invs, ring=ring, max_order=max_order)

@@ -382,8 +382,10 @@ def reference_submodule_split(ring, rank, gens):
 
 
 def reference_kernel_submodule(ring, ambient_rank, first_cols, extra_cols):
-    """gradmod._kernel_submodule by term-by-term copies: the nonzero
-    first-block parts of the reference syzygies of both lists."""
+    """{c : sum c_i first_cols[i] in span(extra_cols)} by term-by-term
+    copies, the way gradmod found kernels before SubmoduleGB took
+    relations: the nonzero first-block parts of the reference syzygies of
+    both lists, every generator with an aux column."""
     gens = list(first_cols) + list(extra_cols)
     if not gens:
         return []

@@ -541,6 +541,42 @@ def test_exit_two_on_fractional_integer_fields(tmp_path):
         assert message in report["error"], report["error"]
 
 
+def test_exit_two_on_a_huge_rank(tmp_path):
+    # rank 10**30 used to end in exit 3 (an OverflowError from the degree
+    # tuple) or a MemoryError from the name list; each format now checks
+    # the rank against its own data before it builds either
+    huge = 10 ** 30
+
+    def loaded(name, **changes):
+        with open(data_path(name)) as fh:
+            obj = json.load(fh)
+        obj.update(changes)
+        return {k: v for k, v in obj.items() if v is not None}
+
+    flag3 = loaded("flag3.json", rank=huge)
+    unnamed = loaded("flag3.json", rank=huge, vars=None)
+    edgeless = {"rank": huge, "vertices": ["A"], "edges": [], "euler": {"A": []}}
+    klass = ["--klass", json.dumps(["0"] * 6)]
+    cases = [
+        (["gkm"], flag3, "does not match the edge weight length, 3"),
+        (["gkm"], unnamed, "does not match the edge weight length, 3"),
+        (["gkm"], edgeless, "is outside 0..4096"),
+        (["integrate"] + klass, flag3, "does not match the edge weight length, 3"),
+        (["integrate"] + klass, unnamed, "does not match the edge weight length, 3"),
+        (["weyl-verify"], loaded("a2_group.json", rank=huge),
+         "does not match the generator size, 2"),
+        (["weyl-verify"], loaded("a2_group.json", rank=huge, vars=None),
+         "does not match the generator size, 2"),
+        (["cartan"], loaded("circle_model.json", rank=huge),
+         "does not match the contraction count, 1"),
+    ]
+    for argv, obj, message in cases:
+        path = write_json(tmp_path, "huge_rank.json", obj)
+        code, report = run(argv[:1] + [path] + argv[1:])
+        assert code == EXIT_INPUT, (argv, report)
+        assert "rank %d " % huge in report["error"] and message in report["error"], report
+
+
 def test_exit_two_on_bad_variable_names(tmp_path):
     # "xy" used to become the ring Q[x, y], and [1, 2] and {"x": 1} rings
     # with names no polynomial text can refer to; each run passed

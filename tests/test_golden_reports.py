@@ -10,9 +10,13 @@ full flag variety Fl(4) of bench/gen.py (24 vertices, a 24 x 24 Gram
 matrix) and on the Grassmannian Gr(3,6) (20 vertices, a 20 x 20 Gram
 matrix), the descent check on the symmetric Fl(4), P^4 (120 coinvariant
 monomials) and P^5 of bench/gen.py, and the Chang-Skjelbred check on
-Gr(3,6).  Every report must take under CPU_BOUND_S seconds of CPU.  A changed digest must be
-explained in CHANGES.md; running this file as a script rewrites
-golden_reports.json from the current code.
+Gr(3,6), Gr(3,7) and Fl(5).  Every report must take under CPU_BOUND_S
+seconds of CPU.  A changed digest must be explained in CHANGES.md.
+
+Running this file as a script adds the digests of new cases to
+golden_reports.json.  It never rewrites an existing digest: when one has
+changed, or a key no case produces is left, it lists those keys, leaves
+the file as it is and exits nonzero.
 """
 
 import contextlib
@@ -79,7 +83,9 @@ def _cases(workdir):
             ("flag_variety_4_symmetric", gen.flag_variety(4, "0", symmetric=True), "descend"),
             ("projective_4_symmetric", gen.projective_space(4, "0", symmetric=True), "descend"),
             ("projective_5_symmetric", gen.projective_space(5, "0", symmetric=True), "descend"),
-            ("grassmannian_3_6", gen.grassmannian(3, 6, "0"), "cs")):
+            ("grassmannian_3_6", gen.grassmannian(3, 6, "0"), "cs"),
+            ("grassmannian_3_7", gen.grassmannian(3, 7, "0"), "cs"),
+            ("flag_variety_5", gen.flag_variety(5, "0"), "cs")):
         path = os.path.join(workdir, "%s_%s.json" % (name, check))
         with open(path, "w") as fh:
             json.dump(graph, fh)
@@ -127,7 +133,28 @@ def test_reports_match_golden_digests():
     assert not changed, changed
 
 
-if __name__ == "__main__":
+def _bless():
+    """Add the digests of new cases to golden_reports.json; 1, changing
+    nothing, when an existing digest changed or a key is stale."""
+    with open(GOLDEN) as fh:
+        want = json.load(fh)
+    got = digests()
+    changed = sorted(k for k in want if k in got and got[k] != want[k])
+    stale = sorted(k for k in want if k not in got)
+    if changed or stale:
+        for title, keys in (("changed", changed), ("produced by no case", stale)):
+            if keys:
+                print("%s:\n  %s" % (title, "\n  ".join(keys)))
+        print("%s left unchanged" % os.path.relpath(GOLDEN))
+        return 1
+    added = sorted(k for k in got if k not in want)
+    want.update((k, got[k]) for k in added)
     with open(GOLDEN, "w") as fh:
-        json.dump(digests(), fh, indent=1, sort_keys=True)
+        json.dump(want, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    print("added:\n  %s" % "\n  ".join(added) if added else "no new cases")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(_bless())

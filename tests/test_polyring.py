@@ -523,14 +523,19 @@ def test_vector_born_from_its_form_matches_its_fraction_terms():
 
 
 def test_submodule_gb_and_kernel_match_the_term_copy_reference():
-    # the block vectors are built, SubmoduleGB splits the block basis and
-    # _kernel_submodule projects, all on integer forms; each equals the
-    # term-by-term copies of tests/helpers.py exactly, scale included, with
-    # the same leads and forms
-    from equisyz.gradmod import _kernel_submodule
+    # the block vectors are built, SubmoduleGB splits the block basis and,
+    # given relations, finds the kernel modulo them, all on integer forms;
+    # each equals the term-by-term copies of tests/helpers.py exactly,
+    # scale included, with the same leads and forms
     from equisyz.polyring import _blocks
     ring, rng, cases = _handoff_cases(2606)
     syzygies = kernels = 0
+
+    def assert_copies(ours, ref):
+        assert [v.lead() for v in ours] == [v.lead() for v in ref]
+        assert [v._form for v in ours] == [Vector(ring, v.rank, v.data)._form for v in ref]
+        assert ours == ref
+
     for rank, gens, _ in cases:
         blocks, ref_blocks = _blocks(ring, rank, gens), reference_blocks(ring, rank, gens)
         assert [b._form for b in blocks] == [b._form for b in ref_blocks]
@@ -538,14 +543,11 @@ def test_submodule_gb_and_kernel_match_the_term_copy_reference():
         sub = SubmoduleGB(ring, rank, gens)
         for ours, ref in zip((sub.gb, sub.syzygies()),
                              reference_submodule_split(ring, rank, gens)):
-            assert [v.lead() for v in ours] == [v.lead() for v in ref]
-            assert [v._form for v in ours] == [
-                Vector(ring, v.rank, v.data)._form for v in ref]
-            assert ours == ref
+            assert_copies(ours, ref)
         syzygies += len(sub.syzygies())
-        for cut in (rng.randint(1, len(gens)), len(gens)):
-            ours = _kernel_submodule(ring, rank, gens[:cut], gens[cut:])
-            assert ours == reference_kernel_submodule(ring, rank, gens[:cut], gens[cut:])
+        for cut in (0, rng.randint(1, len(gens)), len(gens)):
+            ours = SubmoduleGB(ring, rank, gens[:cut], gens[cut:]).syzygies()
+            assert_copies(ours, reference_kernel_submodule(ring, rank, gens[:cut], gens[cut:]))
             kernels += len(ours)
     assert syzygies >= 15 and kernels >= 25, (syzygies, kernels)
 
@@ -573,9 +575,9 @@ def test_block_basis_matches_buchberger_over_q():
 
 def test_gkm_kernel_builds_no_fraction_terms_in_the_core(monkeypatch):
     # gkm --check cs hands the core's integer forms on: inside SubmoduleGB,
-    # syzygy_basis and _kernel_submodule no Vector builds Fraction terms
+    # where both of its kernels are found, no Vector builds Fraction terms
     import os
-    from equisyz import cli, gradmod, polyring
+    from equisyz import cli
     scope, entered, built = [], [], []
 
     def scoped(owner, name):
@@ -591,9 +593,6 @@ def test_gkm_kernel_builds_no_fraction_terms_in_the_core(monkeypatch):
         monkeypatch.setattr(owner, name, wrapped)
 
     scoped(SubmoduleGB, "__init__")
-    scoped(polyring, "syzygy_basis")
-    scoped(gradmod, "syzygy_basis")
-    scoped(gradmod, "_kernel_submodule")
     terms = Vector.__dict__["data"]
 
     def data(v):
@@ -604,8 +603,35 @@ def test_gkm_kernel_builds_no_fraction_terms_in_the_core(monkeypatch):
     path = os.path.join(os.path.dirname(__file__), "..", "data", "flag3.json")
     code, report = cli.run(["gkm", path, "--check", "cs"])
     assert code == 0 and report["status"] == "pass"
-    assert set(entered) == {"__init__", "syzygy_basis", "_kernel_submodule"}
+    assert set(entered) == {"__init__"}
     assert not built, "%d Fraction term builds, in %s" % (len(built), sorted(set(built)))
+
+
+def test_gkm_kernel_builds_no_aux_column_for_a_relation(monkeypatch):
+    # under gkm --check cs the relations alpha_e * e_e of the Chang-Skjelbred
+    # target enter buchberger as plain vectors: no input whose part in the
+    # target's columns is a relation has a term in an aux column
+    import json
+    import os
+    from equisyz import cli, polyring
+    from equisyz.equivtop import GKMGraph, chang_skjelbred
+    from equisyz.polyring import _columns_below
+    path = os.path.join(os.path.dirname(__file__), "..", "data", "flag3.json")
+    with open(path) as fh:
+        target = chang_skjelbred(GKMGraph.from_json(json.load(fh)))[2].target
+    width, relations = target.num_gens, list(target.pmap.columns)
+    inputs = []
+    real = polyring.buchberger
+
+    def recorded(vectors):
+        inputs.extend(vectors)
+        return real(vectors)
+    monkeypatch.setattr(polyring, "buchberger", recorded)
+    code, report = cli.run(["gkm", path, "--check", "cs"])
+    assert code == 0 and report["status"] == "pass"
+    entered = [v for v in inputs if v.rank >= width and _columns_below(v, width) in relations]
+    assert len(entered) >= len(relations) == 9
+    assert all(col < width for v in entered for col, _ in v.data)
 
 
 def _assert_fractions(values):
