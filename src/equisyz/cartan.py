@@ -5,12 +5,14 @@ one degree -1 contraction per torus coordinate, all Lie derivatives zero
 (the invariant model).  Tensoring with the torus ring and twisting the
 differential by the contractions gives a complex of graded free modules
 whose cohomology is the equivariant cohomology; running the same
-construction on the dual complex gives equivariant homology.
+construction on the dual complex gives equivariant homology.  The
+nonequivariant cohomology H(A, d) is the Cartan cohomology of (A, d) with
+no contractions over the ring Q0 with no variables, i.e. over Q.
 """
 
 from fractions import Fraction
 
-from .polyring import _fr, _integers, _mat_mul
+from .polyring import GradedPolynomialRing, Vector, _fr, _integers, _mat_mul
 from .gradmod import (
     FreeModule, ModuleMap, fp_homology, cohen_macaulay, ext_module,
     iso_surrogate_equal, _map_between_free_fp,
@@ -20,6 +22,9 @@ __all__ = [
     "GStarModule", "CartanComplex", "cartan_cohomology",
     "dualize_gstar", "equivariant_homology", "uct_collapse_check",
 ]
+
+# the ring with no variables: Q, over which a Cartan model has no contractions
+Q0 = GradedPolynomialRing([], ())
 
 
 def _matrix(rows, n):
@@ -118,48 +123,11 @@ def _cols_parse(cols, n):
 
 
 def _cohomology_dims(degrees, d):
-    """{n: dim H^n} of a complex of Q-vector spaces with degree +1 matrix d."""
-    # rank computations over Q: dim H^n = dim ker d^n - rank d^{n-1}
-    out = {}
-    for ddeg in sorted(set(degrees)):
-        idx = [i for i, x in enumerate(degrees) if x == ddeg]
-        nxt = [i for i, x in enumerate(degrees) if x == ddeg + 1]
-        prv = [i for i, x in enumerate(degrees) if x == ddeg - 1]
-        d_here = [[d[i][j] for j in idx] for i in nxt]
-        d_prev = [[d[i][j] for j in prv] for i in idx]
-        h = len(idx) - _rank(d_here) - _rank(d_prev)
-        if h:
-            out[ddeg] = h
-    return out
-
-
-def _rank(rows):
-    if not rows or not rows[0]:
-        return 0
-    m = [list(r) for r in rows]
-    nr, nc = len(m), len(m[0])
-    rank = 0
-    row = 0
-    for col in range(nc):
-        piv = None
-        for i in range(row, nr):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        pv = m[row][col]
-        for i in range(nr):
-            if i != row and m[i][col]:
-                f = m[i][col] / pv
-                for j in range(col, nc):
-                    m[i][j] -= f * m[row][j]
-        rank += 1
-        row += 1
-        if row == nr:
-            break
-    return rank
+    """{n: dim H^n} of a complex of Q-vector spaces with degree +1 matrix d:
+    the Cartan cohomology of (A, d) with no contractions, over Q0 = Q, where
+    Buchberger is Gaussian elimination."""
+    h = cartan_cohomology(CartanComplex(Q0, GStarModule(degrees, d, []))).hilbert()
+    return dict(sorted(h.numerator.items()))
 
 
 class CartanComplex:
@@ -171,20 +139,15 @@ class CartanComplex:
         self.ring = ring
         self.gstar = gstar
         n = gstar.dim
-        ent = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                p = ring.constant(gstar.d[i][j])
-                for k in range(ring.num_vars):
-                    c = gstar.iotas[k][i][j]
-                    if c:
-                        p = p - ring.var(k).scale(c)
-                row.append(p)
-            ent.append(row)
+        # D's columns: d's entries at 1, -iota_k's at x_k
+        ops = [(ring.zero_exps, 1, gstar.d)] + [
+            (tuple(int(l == k) for l in range(ring.num_vars)), -1, m)
+            for k, m in enumerate(gstar.iotas)]
         source = FreeModule(ring, gstar.degrees)
         target = FreeModule(ring, tuple(d - 1 for d in gstar.degrees))
-        self.differential = ModuleMap.from_matrix(source, target, ent)
+        self.differential = ModuleMap(source, target, [
+            Vector(ring, n, {(i, e): s * m[i][j] for e, s, m in ops for i in range(n)})
+            for j in range(n)])
         # D with its degrees raised by one ends where D starts
         self._raised = ModuleMap(FreeModule(ring, [x + 1 for x in gstar.degrees]),
                                  source, self.differential.columns)

@@ -21,7 +21,7 @@ from math import gcd, lcm
 
 from .polyring import (
     GradedPolynomialRing, Polynomial, Vector, DatumError, determinant,
-    _blocks, _certificate, _column, _columns, _dot, _exact_divide, _integers,
+    _block_index, _certificate, _column, _columns, _dot, _exact_divide, _integers,
     _torus_ring,
 )
 from .gradmod import (
@@ -51,7 +51,7 @@ class GKMGraph:
         if len(set(self.vertices)) != len(self.vertices):
             raise DatumError("vertex names must be distinct")
         self.edges = []
-        index = {v: i for i, v in enumerate(self.vertices)}
+        self._position = index = {v: i for i, v in enumerate(self.vertices)}
         for (v, w, weight) in edges:
             if v not in index or w not in index or v == w:
                 raise DatumError("edge endpoints must be distinct known vertices")
@@ -86,9 +86,6 @@ class GKMGraph:
         self.symmetry = symmetry
         if symmetry is not None:
             self._check_symmetry()
-
-    def _index(self, v):
-        return self.vertices.index(v)
 
     def weight_form(self, weight):
         """The linear form sum(a_i * t_i) of an integer weight (a_1, ..., a_r),
@@ -135,9 +132,9 @@ class GKMGraph:
 
     def localization(self):
         """(B, d, [W_v for each vertex]) with L / e_v = W_v / d: L the lcm
-        of the Euler classes, B the block vectors of its column (L), the
-        divisor _localize reduces by, d a positive integer and W_v integer
-        terms on packed column-0 keys.
+        of the Euler classes, B the _index of the block vector of its
+        column (L), the divisor _localize reduces by, d a positive integer
+        and W_v integer terms on packed column-0 keys.
 
         Each e_v is a scalar times a product of normalized weight forms
         (primitive, first nonzero entry positive); L multiplies every form
@@ -169,7 +166,7 @@ class GKMGraph:
             forms = [product(top - count)._form for count in counts]
             ratios = [c / scalar for (c, _), scalar in zip(forms, scalars)]
             d = lcm(*[r.denominator for r in ratios])
-            self._localization = (_blocks(self.ring, 1, [_column(product(top))]), d, [
+            self._localization = (_block_index(self.ring, 1, [_column(product(top))]), d, [
                 {k: n * int(r * d) for k, n in ints.items()}
                 for r, (_, (_, ints)) in zip(ratios, forms)])
         return self._localization
@@ -219,19 +216,23 @@ def chang_skjelbred(graph):
     AB^0 is free on the vertices; AB^1 is the sum over edges of R/(weight)
     with the relative degree shift already absorbed (edge generators sit in
     internal degree 0); the connecting map sends f to f_v - f_w mod the
-    edge weight, the first listed vertex carrying the plus sign.
+    edge weight, the first listed vertex carrying the plus sign.  The edge
+    generators are sorted, stably, by the positions of their later and then
+    their earlier endpoint in the vertex list, so the cost of the kernel
+    does not depend on the order or orientation of the listed edges.
     """
-    ring = graph.ring
+    ring, pos = graph.ring, graph._position
     nv = len(graph.vertices)
     ab0 = FPModule.free(ring, (0,) * nv)
     ne, one = len(graph.edges), ring.zero_exps
     rel_cols = []
     delta = [{} for _ in range(nv)]     # column of vertex a: +-e_k for its edges k
-    for k, (v, w, weight) in enumerate(graph.edges):
+    edges = sorted(graph.edges, key=lambda e: sorted((pos[e[0]], pos[e[1]]), reverse=True))
+    for k, (v, w, weight) in enumerate(edges):
         # alpha e_k: alpha's keys placed in column k
         rel_cols.append(Vector.unit(ring, ne, k).poly_mul(graph.weight_form(weight)))
-        delta[graph._index(v)][k, one] = Fraction(1)
-        delta[graph._index(w)][k, one] = Fraction(-1)
+        delta[pos[v]][k, one] = Fraction(1)
+        delta[pos[w]][k, one] = Fraction(-1)
     ab1 = FPModule.from_columns(ring, (0,) * ne, rel_cols)
     delta0 = FPMap(ab0, ab1, [Vector(ring, ne, d) for d in delta])
     return ab0, ab1, delta0
@@ -540,11 +541,11 @@ def _localize(graph, content, pairs):
     accumulator (_dot), scaled once by content / d and divided once by the
     lcm L of the Euler classes, reducing by L's block vector
     (_certificate); raises unless the sum is a polynomial."""
-    blocks, d, _ = graph.localization()
+    index, d, _ = graph.localization()
     total = Vector._of_ints(graph.ring, 1, content / d, _dot(graph.ring, pairs))
     if total.is_zero():
         return graph.ring.zero()
-    quot, rem = _certificate(total, blocks, 1, 1)
+    quot, rem = _certificate(total, index, 1, 1)
     if not rem.is_zero():
         raise DatumError("localized sum is not a polynomial; "
                          "class or Euler data invalid")

@@ -759,9 +759,22 @@ def _s_terms(ring, f, g, m):
     return out
 
 
-def _reduce(ring, terms, divisors):
-    """Fraction-free full division of packed integer terms by packed
-    primitive forms (lead, terms) of the divisors.
+def _index(ring, forms, index=None):
+    """The divisor index _reduce reads, built once by the owner of the
+    divisors and extended in place when index is given: for each column key
+    (lead >> _cshift), the entries (lead, ~lead & _mask, lead coefficient,
+    terms) of the packed primitive forms (lead, terms) led there, in list
+    order."""
+    index = {} if index is None else index
+    mask, cshift = ring._mask, ring._cshift
+    for lead, ints in forms:
+        index.setdefault(lead >> cshift, []).append((lead, ~lead & mask, ints[lead], ints))
+    return index
+
+
+def _reduce(ring, terms, index):
+    """Fraction-free full division of packed integer terms by the packed
+    primitive forms of the divisors, given by their _index.
 
     Returns (a, rem): a positive integer a and packed integer terms rem with
     a * terms = sum(q_i * divisors[i]) + rem, where no term of rem is
@@ -787,14 +800,10 @@ def _reduce(ring, terms, divisors):
     checking the new terms checks them all.
     """
     mask, guard, cshift = ring._mask, ring._guard, ring._cshift
-    by_col = {}
-    for lead, ints in divisors:
-        by_col.setdefault(lead >> cshift, []).append(
-            (lead, ~lead & mask, ints[lead], ints))
     scale = 1
     rem = {}
     p = dict(terms)
-    heap = [-k for k in p if k >> cshift in by_col]
+    heap = [-k for k in p if k >> cshift in index]
     heapq.heapify(heap)
     while heap:
         t = -heapq.heappop(heap)
@@ -802,7 +811,7 @@ def _reduce(ring, terms, divisors):
         if coeff is None:
             continue
         fields = ~t & mask | guard
-        for lead, lfields, glc, ints in by_col[t >> cshift]:
+        for lead, lfields, glc, ints in index[t >> cshift]:
             if (fields - lfields) & guard == guard:
                 q = t - lead
                 g = gcd(coeff, glc)
@@ -819,7 +828,7 @@ def _reduce(ring, terms, divisors):
                         if ~t2 & guard:
                             raise ring._limit_error(ring._unpack(t2)[1])
                         p[t2] = -factor * v2
-                        if t2 >> cshift in by_col:
+                        if t2 >> cshift in index:
                             heapq.heappush(heap, -t2)
                     else:
                         s = old - factor * v2
@@ -857,10 +866,15 @@ def _blocks(ring, rank, gens):
     return out
 
 
-def _certificate(v, blocks, rank, count):
+def _block_index(ring, rank, gens):
+    """The _index of the block vectors of gens (_blocks)."""
+    return _index(ring, [b._form[1] for b in _blocks(ring, rank, gens)])
+
+
+def _certificate(v, index, rank, count):
     """(cofactors, remainder) with v = sum(cofactors[i] * g_i) + remainder,
-    for v in R^rank and blocks the block vectors g_i + e_(rank+i), i < count,
-    or a Groebner basis of them.
+    for v in R^rank and index the _index of the block vectors
+    g_i + e_(rank+i), i < count, or of a Groebner basis of them.
 
     Every aux column is smaller than every ambient one, so _reduce of the
     packed form of v reduces its ambient part and leaves the cofactors,
@@ -871,7 +885,7 @@ def _certificate(v, blocks, rank, count):
     ring = v.ring
     cshift = ring._cshift
     content, (_, terms) = v._form
-    scale, rem = _reduce(ring, terms, [b._form[1] for b in blocks])
+    scale, rem = _reduce(ring, terms, index)
     s = content / scale
     nf, quots = {}, [{} for _ in range(count)]
     for k, c in rem.items():
@@ -894,7 +908,8 @@ def divide(f, divisors):
     _certificate on the block vectors of the divisors, whose leads are the
     divisors' leads.
     """
-    return _certificate(f, _blocks(f.ring, f.rank, divisors), f.rank, len(divisors))
+    index = _block_index(f.ring, f.rank, divisors)
+    return _certificate(f, index, f.rank, len(divisors))
 
 
 def _column(p):
@@ -961,9 +976,9 @@ def determinant(matrix, ring):
             sign = -sign
         piv, pivot_row = m[k][k], m[k]
         if len(prev) == 1 and mask in prev:
-            c, blocks = prev[mask], None
+            c, index = prev[mask], None
         else:
-            c, blocks = None, _blocks(ring, 1, [Vector._of_ints(ring, 1, _ONE, prev)])
+            c, index = None, _block_index(ring, 1, [Vector._of_ints(ring, 1, _ONE, prev)])
         for i in range(k + 1, n):
             row = m[i]
             below = {key: -v for key, v in row[k].items()}
@@ -974,8 +989,8 @@ def determinant(matrix, ring):
                 if below and pivot_row[j]:
                     pairs.append((below, pivot_row[j]))
                 num = _dot(ring, pairs)
-                if num and blocks is not None:
-                    (q,), rem = _certificate(Vector._of_ints(ring, 1, _ONE, num), blocks, 1, 1)
+                if num and index is not None:
+                    (q,), rem = _certificate(Vector._of_ints(ring, 1, _ONE, num), index, 1, 1)
                     if not rem.is_zero():
                         raise ArithmeticError("Bareiss division is not exact")
                     # a minor of an integer matrix: its content is an integer
@@ -990,17 +1005,19 @@ def determinant(matrix, ring):
 
 class GroebnerBasis:
     """A Groebner basis grown one generator at a time: packed primitive
-    forms (lead, terms), their leads (col, exps), single-column flags,
-    sugar degrees and the pending S-pairs, a dict from each same-column
-    pair (i, j), i < j, to its sugar and the packed key and exponents of
-    its lcm, made once with the pair.  Pairs are reduced least sugar, then
-    key, then (i, j), first (Giovini, Mora, Niesi, Robbiano and Traverso,
-    ISSAC 1991): an input's sugar is its largest weighted term degree,
-    with no column shift, and a pair's remainder inherits the pair's."""
+    forms (lead, terms), their _index, their leads (col, exps),
+    single-column flags, sugar degrees and the pending S-pairs, a dict
+    from each same-column pair (i, j), i < j, to its sugar and the packed
+    key and exponents of its lcm, made once with the pair.  Pairs are
+    reduced least sugar, then key, then (i, j), first (Giovini, Mora,
+    Niesi, Robbiano and Traverso, ISSAC 1991): an input's sugar is its
+    largest weighted term degree, with no column shift, and a pair's
+    remainder inherits the pair's."""
 
     def __init__(self, ring):
         self.ring = ring
         self._forms, self._leads, self._single, self._sugar, self._pairs = [], [], [], [], {}
+        self._index = {}
 
     def _insert(self, form, sugar):
         """Append form with its sugar and update the pending pairs,
@@ -1013,6 +1030,7 @@ class GroebnerBasis:
         col, tnew = ring._unpack(form[0])
         lcms = {i: _mono_lcm(e, tnew) for i, (c, e) in enumerate(leads) if c == col}
         self._forms.append(form)
+        _index(ring, [form], self._index)
         leads.append((col, tnew))
         single.append(len({k >> ring._cshift for k in form[1]}) == 1)
         sugars.append(sugar)
@@ -1044,14 +1062,14 @@ class GroebnerBasis:
             sugar, key, i, j = min((sugar, key, i, j)
                                    for (i, j), (sugar, key, _) in self._pairs.items())
             del self._pairs[i, j]
-            _, r = _reduce(ring, _s_terms(ring, forms[i], forms[j], key), forms)
+            _, r = _reduce(ring, _s_terms(ring, forms[i], forms[j], key), self._index)
             if r:
                 self._insert(_content_free(r)[1], sugar)
 
     def add(self, v):
         """Insert the content-free remainder of v and complete the new
         pairs; False, changing nothing, when v reduces to zero."""
-        _, r = _reduce(self.ring, v._form[1][1], self._forms)
+        _, r = _reduce(self.ring, v._form[1][1], self._index)
         if r:
             self._insert(_content_free(r)[1], _sugar(self.ring, r))
             self._complete()
@@ -1059,26 +1077,29 @@ class GroebnerBasis:
 
     def contains(self, v):
         """Whether v reduces to zero, i.e. lies in the submodule."""
-        return not _reduce(self.ring, v._form[1][1], self._forms)[1]
+        return not _reduce(self.ring, v._form[1][1], self._index)[1]
 
     def reduced(self, rank):
         """The reduced basis, monic Vectors of R^rank sorted by lead.
 
-        Interreduction runs in increasing lead order, each form against the
-        reduced forms before it: a lead divides only terms at least as large
-        as itself, so no larger lead can divide a term of a tail.  A tail
-        reduction keeps the lead, and the reduced basis is unique.
+        The forms are taken in increasing lead order, the first of equal
+        leads first.  A form whose lead some kept lead divides is dropped
+        (the guard-bit test of _reduce on the kept forms' index); the others
+        are reduced against the kept forms before them: a lead divides only
+        terms at least as large as itself, so no larger lead can divide a
+        term of a tail.  A tail reduction keeps the lead, and the reduced
+        basis is unique.
         """
-        ring, leads = self.ring, self._leads
-        # minimalize: drop elements whose lead is divisible by another lead
-        keep = [form for i, (form, (ci, ei)) in enumerate(zip(self._forms, leads))
-                if not any(cj == ci and _mono_divides(ej, ei) and (ej != ei or j < i)
-                           for j, (cj, ej) in enumerate(leads) if j != i)]
-        keep.sort(key=lambda form: form[0])
-        out = []
-        for form in keep:
-            if out:
-                form = _content_free(_reduce(ring, form[1], out)[1])[1]
+        ring = self.ring
+        mask, guard, cshift = ring._mask, ring._guard, ring._cshift
+        index, out = {}, []
+        for form in sorted(self._forms, key=lambda form: form[0]):
+            fields = ~form[0] & mask | guard
+            if any((fields - lfields) & guard == guard
+                   for _, lfields, _, _ in index.get(form[0] >> cshift, ())):
+                continue
+            form = _content_free(_reduce(ring, form[1], index)[1])[1]
+            _index(ring, [form], index)
             out.append(form)
         return [_monic(ring, rank, form) for form in out]
 
@@ -1110,7 +1131,8 @@ class SubmoduleGB:
     the ambient parts of the ambient-led elements are gb, the basis of
     span(gens and relations), the aux-only ones the syzygies modulo the
     relations, and reducing (v, 0) gives v's normal form and cofactors
-    (_certificate).  contains reduces by gb's packed forms, kept once.
+    (_certificate).  The _index of gb (for contains) and of the block
+    basis (for _certificate) are built once.
     """
 
     def __init__(self, ring, rank, gens, relations=()):
@@ -1132,16 +1154,15 @@ class SubmoduleGB:
                 # aux columns only: shift each key down by rank columns
                 self._syz.append(Vector._of_form(
                     ring, s, c, (lead + shift, {k + shift: n for k, n in terms.items()})))
-        self._forms = [g._form[1] for g in self.gb]
+        self._index = _index(ring, [g._form[1] for g in self.gb])
+        self._ext_index = _index(ring, [v._form[1] for v in self._ext_gb])
 
-    def contains(self, v):
-        """Whether v reduces to zero by gb, i.e. lies in the submodule."""
-        return not _reduce(self.ring, v._form[1][1], self._forms)[1]
+    contains = GroebnerBasis.contains
 
     def reduce_with_certificate(self, v):
         """(normal form of v, coefficients q) with v = sum(q_i gens[i]) + nf
         modulo the relations, by the block basis (_certificate)."""
-        coeffs, nf = _certificate(v, self._ext_gb, self.rank, len(self.gens))
+        coeffs, nf = _certificate(v, self._ext_index, self.rank, len(self.gens))
         return nf, coeffs
 
     def lift(self, v):

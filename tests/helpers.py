@@ -110,6 +110,31 @@ def circle_model():
     return GStarModule((0, 1), [[0, 0], [0, 0]], [[[0, 1], [0, 0]]])
 
 
+def circle_plus_acyclic_json():
+    """CLI JSON of the circle model plus an acyclic pair: a in degree 1,
+    b in degree 2, d a = b, every contraction zero on both."""
+    model = circle_model()
+    d = [[0] * 4 for _ in range(4)]
+    d[3][2] = 1
+    iota = [[0] * 4 for _ in range(4)]
+    iota[0][1] = 1
+    return dict(GStarModule(model.degrees + (1, 2), d, [iota]).to_json(), rank=1)
+
+
+def shuffled_edges(graph, seed, flip=False):
+    """A copy of a GKM graph's JSON with its edges in a seeded random order;
+    with flip, each edge also swaps its endpoints and negates its weight
+    with probability 1/2 (the same space)."""
+    rng = random.Random(seed)
+    edges = [dict(e) for e in graph["edges"]]
+    rng.shuffle(edges)
+    if flip:
+        for e in edges:
+            if rng.random() < 0.5:
+                e["v"], e["w"], e["weight"] = e["w"], e["v"], [-x for x in e["weight"]]
+    return dict(graph, edges=edges)
+
+
 def model_uct(model, ring, nmax=40):
     """uct_collapse_check on the equivariant cohomology and homology of a
     G*-module over the torus ring."""

@@ -83,9 +83,10 @@ def test_cartan_circle():
 
 
 def test_cartan_command_builds_each_complex_once(monkeypatch):
-    # one Cartan complex for the cohomology and one for the homology; the
-    # collapse check reuses both
-    from equisyz.cartan import CartanComplex
+    # one Cartan complex for the cohomology and one for the homology over
+    # the model's ring, which the collapse check reuses, and one over Q0 for
+    # each of the two nonequivariant cohomologies the restriction compares
+    from equisyz.cartan import CartanComplex, Q0
     builds = []
     real_init = CartanComplex.__init__
 
@@ -97,7 +98,8 @@ def test_cartan_command_builds_each_complex_once(monkeypatch):
     assert code == EXIT_PASS
     names = {c["name"]: c["verdict"] for c in report["checks"]}
     assert names["universal-coefficient collapse"] == "pass"
-    assert len(builds) == 2
+    assert [ring for ring, _ in builds].count(Q0) == 2
+    assert len(builds) == 4 and builds[0][0] == builds[1][0] != Q0
 
 
 def test_filtration_verify_all_data():

@@ -24,7 +24,7 @@ from equisyz.equivtop import (
 from helpers import (
     DATA, alternating_hilbert, base_changed, circle_model, euler_class, formal_model,
     load, quotient_by_ideal, random_homogeneous, random_module, reference_integrate,
-    zero_map,
+    shuffled_edges, zero_map,
 )
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "bench"))
@@ -147,6 +147,31 @@ def test_chang_skjelbred_check_work_on_flag3(monkeypatch):
     code, report = run(["gkm", os.path.join(DATA, "flag3.json"), "--check", "cs"])
     assert code == 0, report
     assert len(builds) <= 4 and len(pops) <= 226, (len(builds), len(pops))
+
+
+def test_kernel_work_does_not_depend_on_edge_order(monkeypatch):
+    # Gr(3,6) with its edges shuffled and some flipped: the same kernel
+    # generators from the same number of _reduce calls as in the order
+    # bench/gen.py lists them (a shuffle used to cost 2-3 times the calls)
+    import equisyz.polyring as polyring
+    calls = []
+    real = polyring._reduce
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+    monkeypatch.setattr(polyring, "_reduce", counting)
+
+    def kernel(obj):
+        calls.clear()
+        generators = gkm_cohomology(GKMGraph.from_json(obj)).generators
+        return generators, len(calls)
+    canonical = gen.grassmannian(3, 6, "0")
+    want = kernel(canonical)
+    for seed in range(3):
+        shuffled = shuffled_edges(canonical, seed, flip=True)
+        assert shuffled["edges"] != canonical["edges"]
+        assert kernel(shuffled) == want
 
 
 def test_ab_cohomology_sphere_cs():

@@ -10,8 +10,10 @@ full flag variety Fl(4) of bench/gen.py (24 vertices, a 24 x 24 Gram
 matrix) and on the Grassmannian Gr(3,6) (20 vertices, a 20 x 20 Gram
 matrix), the descent check on the symmetric Fl(4), P^4 (120 coinvariant
 monomials) and P^5 of bench/gen.py, and the Chang-Skjelbred check on
-Gr(3,6), Gr(3,7) and Fl(5).  Every report must take under CPU_BOUND_S
-seconds of CPU.  A changed digest must be explained in CHANGES.md.
+Gr(3,6), Gr(3,6) with its edges shuffled, Gr(3,7) and Fl(5); and cartan
+on the circle model plus an acyclic pair, whose differential is nonzero.
+Every report must take under CPU_BOUND_S seconds of CPU.  A changed
+digest must be explained in CHANGES.md.
 
 Running this file as a script adds the digests of new cases to
 golden_reports.json.  It never rewrites an existing digest: when one has
@@ -37,7 +39,9 @@ sys.path.insert(0, os.path.join(HERE, "..", "bench"))
 
 from equisyz.cli import COMMANDS, main  # noqa: E402
 from equisyz.polyring import GradedPolynomialRing  # noqa: E402
-from helpers import module_3003, module_3028, random_module  # noqa: E402
+from helpers import (  # noqa: E402
+    circle_plus_acyclic_json, module_3003, module_3028, random_module, shuffled_edges,
+)
 import gen  # noqa: E402  (the benchmark's input generators, read only)
 
 DATA = os.path.join(HERE, "..", "data")
@@ -57,6 +61,11 @@ def _cases(workdir):
             yield ("integrate-klass data/%s %s" % (name, fmt),
                    ["integrate", path, "--klass", '["t", "0"]',
                     "--format", fmt])
+    path = os.path.join(workdir, "circle_plus_acyclic.json")
+    with open(path, "w") as fh:
+        json.dump(circle_plus_acyclic_json(), fh)
+    for fmt in ("text", "json"):
+        yield ("cartan circle_plus_acyclic %s" % fmt, ["cartan", path, "--format", fmt])
     ring = GradedPolynomialRing(["x", "y"])
     for seed in range(RANDOM_MODULES):
         path = os.path.join(workdir, "random_module_%d.json" % seed)
@@ -85,6 +94,7 @@ def _cases(workdir):
             ("projective_5_symmetric", gen.projective_space(5, "0", symmetric=True), "descend"),
             ("grassmannian_3_6", gen.grassmannian(3, 6, "0"), "cs"),
             ("grassmannian_3_7", gen.grassmannian(3, 7, "0"), "cs"),
+            ("grassmannian_3_6_shuffled", shuffled_edges(gen.grassmannian(3, 6, "0"), 0), "cs"),
             ("flag_variety_5", gen.flag_variety(5, "0"), "cs")):
         path = os.path.join(workdir, "%s_%s.json" % (name, check))
         with open(path, "w") as fh:
