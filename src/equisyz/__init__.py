@@ -12,7 +12,7 @@ from .polyring import (
 )
 from .gradmod import (
     FreeModule, ModuleMap, FPModule, FPMap, Resolution, minimal_resolution,
-    betti_table, dimension, depth, ext_module, biduality,
+    betti_table, dimension, depth, ext_module, biduality, CheckReport,
     cohen_macaulay, syzygy_order, base_change, iso_surrogate_equal, NEG_INF,
 )
 from .weyl import (

@@ -7,14 +7,16 @@ differential by the contractions gives a complex of graded free modules
 whose cohomology is the equivariant cohomology; running the same
 construction on the dual complex gives equivariant homology.  The
 nonequivariant cohomology H(A, d) is the Cartan cohomology of (A, d) with
-no contractions over the ring Q0 with no variables, i.e. over Q.
+no contractions over the ring Q0 with no variables, i.e. over Q.  The
+universal-coefficient collapse check returns a CheckReport that is "not
+applicable" when H_G(A) is not Cohen-Macaulay.
 """
 
 from fractions import Fraction
 
 from .polyring import GradedPolynomialRing, Vector, _fr, _integers, _mat_mul
 from .gradmod import (
-    FreeModule, ModuleMap, fp_homology, cohen_macaulay, ext_module,
+    CheckReport, FreeModule, ModuleMap, fp_homology, cohen_macaulay, ext_module,
     iso_surrogate_equal, _map_between_free_fp,
 )
 
@@ -203,19 +205,6 @@ def equivariant_homology(gstar, ring):
     return cartan_cohomology(CartanComplex(ring, dualize_gstar(gstar)))
 
 
-class UCTReport:
-    def __init__(self, status, shift=None):
-        self.status = status      # "pass" | "fail" | "not applicable"
-        self.shift = shift
-
-    @property
-    def passed(self):
-        return self.status == "pass"
-
-    def __repr__(self):
-        return "UCTReport(%s, shift=%s)" % (self.status, self.shift)
-
-
 def uct_collapse_check(coh, hom, nmax=40):
     """When H_G(A) is Cohen-Macaulay the universal-coefficient spectral
     sequence collapses: equivariant homology of A must match
@@ -224,14 +213,16 @@ def uct_collapse_check(coh, hom, nmax=40):
     cohomology and homology of one model (cartan_cohomology,
     equivariant_homology).  Betti tables plus Hilbert series are
     compared; if H_G(A) is not Cohen-Macaulay the check reports
-    "not applicable" and makes no claim.
+    "not applicable" and makes no claim.  details["shift"] is r-d, 0 for
+    zero cohomology and None when not applicable.
     """
+    name = "universal-coefficient collapse"
     if coh.is_zero():
-        return UCTReport("pass" if hom.is_zero() else "fail", 0)
+        return CheckReport.of(name, hom.is_zero(), {"shift": 0}, "uct-collapse")
     cm = cohen_macaulay(coh)
     if not cm.is_cm:
-        return UCTReport("not applicable")
+        return CheckReport(name, "not applicable", {"shift": None}, "uct-collapse")
     shift = coh.ring.num_vars - cm.dim
     expected = ext_module(coh, shift).shifted(shift)
-    ok = iso_surrogate_equal(hom, expected, nmax)
-    return UCTReport("pass" if ok else "fail", shift)
+    return CheckReport.of(name, iso_surrogate_equal(hom, expected, nmax),
+                          {"shift": shift}, "uct-collapse")

@@ -4,6 +4,8 @@ Commands: module-analyze, gkm, weyl-verify, cartan, filtration-verify,
 integrate.  Reports list every invariant checked with the name of the
 classical statement it verifies and carry an ``inputs_echo`` of the parsed
 input, so re-running on the echo reproduces the verdicts byte for byte.
+Every check returns CheckReports and decides for itself whether it
+applies; a runner only appends them, and the report holds their to_json.
 
 Exit codes: 0 all checks pass (or are not applicable), 1 at least one
 check failed, 2 malformed or inconsistent input, 3 an internal error.
@@ -16,8 +18,8 @@ import sys
 
 from .polyring import _torus_ring
 from .gradmod import (
-    FPModule, FPMap, NEG_INF, dimension, depth, cohen_macaulay, syzygy_order,
-    minimal_resolution, fp_kernel, fp_cokernel, _betti_json,
+    CheckReport, FPModule, FPMap, NEG_INF, dimension, depth, cohen_macaulay,
+    syzygy_order, biduality, minimal_resolution, fp_kernel, fp_cokernel, _betti_json,
 )
 from .weyl import group_from_json, GroupClosureError
 from .cartan import (
@@ -47,21 +49,6 @@ def _load(path):
         raise InputError("cannot read %s: %s" % (path, exc))
 
 
-def _check(name, theorem, ok, details=None):
-    return {"name": name, "theorem": theorem,
-            "verdict": "pass" if ok else "fail", "details": details or {}}
-
-
-def _na(name, theorem, details=None):
-    return {"name": name, "theorem": theorem, "verdict": "not applicable",
-            "details": details or {}}
-
-
-def _from_report(rep):
-    return {"name": rep.name, "theorem": rep.name, "verdict": rep.verdict,
-            "details": rep.details}
-
-
 def _hilbert_json(module, nmax):
     h = module.hilbert()
     return {"numerator": sorted([[k, v] for k, v in h.numerator.items()]),
@@ -81,30 +68,33 @@ def run_module_analyze(obj, checks, nmax, seed):
         dep = depth(module)
         summary["depth"] = dep
         res = minimal_resolution(module)
-        out.append(_check("resolution length within the variable count",
-                          "hilbert-syzygy-bound", res.length <= r,
-                          {"length": res.length}))
-        out.append(_check("resolution is minimal and exact",
-                          "minimal-free-resolution",
-                          res.is_minimal() and res.verify_exact()))
-        out.append(_check("depth + projective dimension = variable count",
-                          "auslander-buchsbaum", dep + res.length == r,
-                          {"depth": dep, "pd": res.length}))
+        out.append(CheckReport.of("resolution length within the variable count",
+                                  res.length <= r, {"length": res.length},
+                                  "hilbert-syzygy-bound"))
+        out.append(CheckReport.of("resolution is minimal and exact",
+                                  res.is_minimal() and res.verify_exact(),
+                                  theorem="minimal-free-resolution"))
+        out.append(CheckReport.of("depth + projective dimension = variable count",
+                                  dep + res.length == r,
+                                  {"depth": dep, "pd": res.length},
+                                  "auslander-buchsbaum"))
         if seed is not None:
-            out.append(_check("random regular sequences are module-regular up "
-                              "to the depth", "depth-regular-sequences",
-                              _depth_spot_check(module, dep, seed),
-                              {"seed": seed}))
+            out.append(CheckReport.of("random regular sequences are module-regular "
+                                      "up to the depth",
+                                      _depth_spot_check(module, dep, seed),
+                                      {"seed": seed}, "depth-regular-sequences"))
     cm = cohen_macaulay(module)
     summary["cohen_macaulay"] = cm.status
-    out.append(_check("Ext concentration agrees with depth = dim",
-                      "ext-concentration-vs-depth", cm.tests_agree,
-                      {"status": cm.status, "ext_nonzero": cm.ext_nonzero}))
+    out.append(CheckReport.of("Ext concentration agrees with depth = dim",
+                              cm.tests_agree,
+                              {"status": cm.status, "ext_nonzero": cm.ext_nonzero},
+                              "ext-concentration-vs-depth"))
     syz = syzygy_order(module)
     summary["syzygy_order"] = syz.order
-    out.append(_check("syzygy witness complex is exact where claimed",
-                      "syzygy-order-witness", syz.witness_verified,
-                      {"order": syz.order, "kind": syz.kind}))
+    out.append(CheckReport.of("syzygy witness complex is exact where claimed",
+                              syz.witness_verified,
+                              {"order": syz.order, "kind": syz.kind},
+                              "syzygy-order-witness"))
     return out, summary
 
 
@@ -159,13 +149,12 @@ def run_weyl_verify(obj, checks, nmax, seed):
         group = group_from_json(obj)
     except GroupClosureError as exc:
         raise InputError(str(exc))
-    report = group.verify(nmax)
-    out = [_check(name, tag, ok) for name, tag, ok in report.checks]
+    out = group.verify(nmax)
     summary = {
         "order": group.order,
         "invariant_degrees": list(group.invariant_degrees),
         "poincare_polynomial": sorted(group.poincare_polynomial().items())
-        if report.ok else None,
+        if all(c.passed for c in out) else None,
     }
     return out, summary
 
@@ -178,8 +167,8 @@ def run_cartan(obj, checks, nmax, seed):
         complex_ = CartanComplex(ring, gstar)
     except ValueError as exc:
         raise InputError(str(exc))
-    out = [_check("operator relations and twisted differential square to zero",
-                  "cartan-differential", True)]
+    out = [CheckReport.of("operator relations and twisted differential square to "
+                          "zero", True, theorem="cartan-differential")]
     coh = cartan_cohomology(complex_)
     hom = equivariant_homology(gstar, ring)
     summary = {
@@ -191,20 +180,17 @@ def run_cartan(obj, checks, nmax, seed):
     poincare = gstar.poincare_polynomial()
     specialized = _cohomology_dims(gstar.degrees,
                                    complex_.specialized_at_zero())
-    out.append(_check("specialized complex recovers the nonequivariant "
-                      "cohomology", "cartan-restriction", specialized == poincare,
-                      {"expected": sorted(poincare.items()),
-                       "got": sorted(specialized.items())}))
+    out.append(CheckReport.of("specialized complex recovers the nonequivariant "
+                              "cohomology", specialized == poincare,
+                              {"expected": sorted(poincare.items()),
+                               "got": sorted(specialized.items())},
+                              "cartan-restriction"))
     dd = dualize_gstar(dualize_gstar(gstar))
-    out.append(_check("double dualization restores the operators",
-                      "dualization-involution",
-                      dd.d == gstar.d and dd.iotas == gstar.iotas))
+    out.append(CheckReport.of("double dualization restores the operators",
+                              dd.d == gstar.d and dd.iotas == gstar.iotas,
+                              theorem="dualization-involution"))
     if "uct" in checks:
-        rep = uct_collapse_check(coh, hom, nmax)
-        item = {"name": "universal-coefficient collapse",
-                "theorem": "uct-collapse", "verdict": rep.status,
-                "details": {"shift": rep.shift}}
-        out.append(item)
+        out.append(uct_collapse_check(coh, hom, nmax))
     return out, summary
 
 
@@ -221,25 +207,20 @@ def run_gkm(obj, checks, nmax, seed):
         "kernel_rank": kernel.module.num_gens,
     }
     if "cs" in checks:
-        from .gradmod import biduality
         bd = biduality(kernel.module)
-        out.append(_check("kernel is torsion-free", "chang-skjelbred-kernel",
-                          bd.torsion_free))
+        out.append(CheckReport.of("kernel is torsion-free", bd.torsion_free,
+                                  theorem="chang-skjelbred-kernel"))
         syz = syzygy_order(kernel.module)
-        out.append(_check("reflexivity matches second-syzygy order",
-                          "reflexivity-vs-cs-exactness",
-                          bd.reflexive == (syz.order >= min(2, graph.rank)),
-                          {"reflexive": bd.reflexive, "order": syz.order}))
+        out.append(CheckReport.of("reflexivity matches second-syzygy order",
+                                  bd.reflexive == (syz.order >= min(2, graph.rank)),
+                                  {"reflexive": bd.reflexive, "order": syz.order},
+                                  "reflexivity-vs-cs-exactness"))
     if "pairing" in checks:
-        rep = pairing_perfection(graph)
-        out.append(_from_report(rep))
+        out.append(pairing_perfection(graph))
     if "descend" in checks:
-        if graph.symmetry is None:
-            out.append(_na("descend-invariants", "weyl-descent",
-                           {"reason": "no symmetry data"}))
-        else:
-            res = descend_invariants(graph, nmax=nmax)
-            out.extend(_from_report(c) for c in res.checks)
+        res = descend_invariants(graph, nmax=nmax)
+        out.extend(res.checks)
+        if res.module is not None:
             summary["invariants_betti"] = _betti_json(res.module)
     return out, summary
 
@@ -255,45 +236,30 @@ def run_filtration_verify(obj, checks, nmax, seed):
                                   for i, m in sorted(hs.items())},
                "assumptions": datum.assumptions}
     if "cm" in checks:
-        out.append(_from_report(cm_filtration_check(datum)))
+        out.append(cm_filtration_check(datum))
     if "ext" in checks:
-        if datum.homology_module is None:
-            out.append(_na("ext-duality", "ext-duality",
-                           {"reason": "no homology-side module"}))
-        else:
-            out.append(_from_report(verify_ext_duality(datum, nmax)))
+        out.append(verify_ext_duality(datum, nmax))
     if "partial" in checks:
-        if datum.augmentation is None:
-            out.append(_na("partial-exactness-vs-syzygy-order",
-                           "partial-exactness",
-                           {"reason": "no augmentation"}))
-        else:
-            out.append(_from_report(partial_exactness_vs_syzygy(datum)))
+        out.append(partial_exactness_vs_syzygy(datum))
     if "gap" in checks:
-        if datum.augmentation is None:
-            out.append(_na("syzygy-gap-bound", "syzygy-gap-bound",
-                           {"reason": "no augmentation"}))
-        else:
-            out.append(_from_report(syzygy_gap_check(datum)))
+        out.append(syzygy_gap_check(datum))
     if "ses" in checks:
-        out.append(_from_report(truncation_additivity_check(datum, nmax)))
+        out.append(truncation_additivity_check(datum, nmax))
     return out, summary
 
 
-def run_integrate(obj, checks, nmax, seed, klass=None):
+def run_integrate(obj, checks, nmax, seed, klass):
     try:
         graph = GKMGraph.from_json(obj)
-        if klass is None:
-            raise InputError("no class supplied")
         polys = [graph.ring.parse(s) for s in klass]
         if len(polys) != len(graph.vertices):
             raise InputError("class needs one component per vertex")
         value = integrate(graph, polys)
     except DatumError as exc:
         raise InputError(str(exc))
-    out = [_check("class is an element of the kernel and localizes to a "
-                  "polynomial", "fixed-point-localization", True,
-                  {"value": str(value)})]
+    out = [CheckReport.of("class is an element of the kernel and localizes to a "
+                          "polynomial", True, {"value": str(value)},
+                          "fixed-point-localization")]
     return out, {"value": str(value)}
 
 
@@ -388,14 +354,14 @@ def _execute(args):
         return EXIT_INTERNAL, {"command": args.command,
                                "error": "internal error: %s: %s"
                                % (type(exc).__name__, exc)}
-    status = "pass" if all(i["verdict"] != "fail" for i in items) else "fail"
+    status = "pass" if all(c.passed for c in items) else "fail"
     report = {
         "command": args.command,
         "inputs_echo": obj,
         "options": {"check": sorted(checks), "max_degree": args.max_degree,
                     "seed": args.seed},
         "summary": summary,
-        "checks": items,
+        "checks": [c.to_json() for c in items],
         "status": status,
     }
     return (EXIT_PASS if status == "pass" else EXIT_FAIL), report

@@ -5,7 +5,8 @@ A GKM graph encodes fixed points and one-dimensional orbit strata by
 vertices and weighted edges; the edge-difference map gives the first two
 terms of the Atiyah-Bredon complex, and its kernel plays the role of
 equivariant cohomology.  Longer filtrations are supplied as explicit data
-(modules plus connecting maps).  The checks implemented here:
+(modules plus connecting maps).  The checks implemented here, each giving
+CheckReports, "not applicable" with a reason when its data is missing:
 
 * Cohen-Macaulay filtration (piece i is zero or CM of dimension r-i);
 * Ext-duality (complex cohomology against Ext of the homology module);
@@ -25,7 +26,7 @@ from .polyring import (
     _torus_ring,
 )
 from .gradmod import (
-    FPModule, FPMap, fp_kernel, homology,
+    CheckReport, FPModule, FPMap, fp_kernel, homology,
     cohen_macaulay, ext_module, syzygy_order, biduality, base_change,
     iso_surrogate_equal, _betti_json, _matrix_json, _matrix_from_json,
 )
@@ -374,20 +375,6 @@ def plain_ab_cohomology(datum):
     return _complex_cohomology(datum, None)
 
 
-class CheckReport:
-    def __init__(self, name, verdict, details=None):
-        self.name = name
-        self.verdict = verdict            # "pass" | "fail" | "not applicable"
-        self.details = details or {}
-
-    @property
-    def passed(self):
-        return self.verdict != "fail"
-
-    def __repr__(self):
-        return "CheckReport(%s: %s)" % (self.name, self.verdict)
-
-
 def cm_filtration_check(datum):
     """Each piece must be zero or Cohen-Macaulay of dimension r - i."""
     rows = []
@@ -402,14 +389,14 @@ def cm_filtration_check(datum):
         rows.append({"position": i, "status": cm.status, "dim": cm.dim,
                      "depth": cm.depth, "expected_dim": datum.rank - i,
                      "ok": good})
-    return CheckReport("cohen-macaulay-filtration",
-                       "pass" if ok else "fail", {"pieces": rows})
+    return CheckReport.of("cohen-macaulay-filtration", ok, {"pieces": rows})
 
 
 def verify_ext_duality(datum, nmax=40):
     """Compare H^j of the complex with Ext^j(homology module, R) for all j."""
     if datum.homology_module is None:
-        raise DatumError("the Ext-duality check needs the homology-side module")
+        return CheckReport("ext-duality", "not applicable",
+                           {"reason": "no homology-side module"})
     hs = plain_ab_cohomology(datum)
     rows = []
     ok = True
@@ -421,15 +408,16 @@ def verify_ext_duality(datum, nmax=40):
                      "complex_betti": _betti_json(hs[j]),
                      "ext_betti": _betti_json(ext),
                      "ok": good})
-    return CheckReport("ext-duality", "pass" if ok else "fail",
-                       {"positions": rows})
+    return CheckReport.of("ext-duality", ok, {"positions": rows})
 
 
 def partial_exactness_vs_syzygy(datum):
     """Largest exact initial part of the augmented complex against the
     syzygy order of the augmentation module; the two must agree."""
+    name = "partial-exactness-vs-syzygy-order"
     if datum.augmentation is None:
-        raise DatumError("the partial-exactness check needs an augmentation")
+        return CheckReport(name, "not applicable", {"reason": "no augmentation"},
+                           "partial-exactness")
     hs = ab_cohomology(datum)
     r = datum.rank
     j_exact = 0
@@ -439,8 +427,7 @@ def partial_exactness_vs_syzygy(datum):
         else:
             break
     syz = syzygy_order(datum.augmentation.source)
-    verdict = "pass" if j_exact == syz.order else "fail"
-    return CheckReport("partial-exactness-vs-syzygy-order", verdict, {
+    return CheckReport.of(name, j_exact == syz.order, {
         "j_exact": j_exact,
         "j_syzygy": syz.order,
         "syzygy_kind": syz.kind,
@@ -453,18 +440,15 @@ def partial_exactness_vs_syzygy(datum):
 def syzygy_gap_check(datum):
     """For Poincare-duality data, order >= r/2 forces freeness (order r)."""
     if datum.augmentation is None:
-        raise DatumError("the gap check needs an augmentation")
+        return CheckReport("syzygy-gap-bound", "not applicable",
+                           {"reason": "no augmentation"})
     if not datum.poincare_duality:
         return CheckReport("syzygy-gap-bound", "not applicable", {})
     r = datum.rank
     syz = syzygy_order(datum.augmentation.source)
     threshold = (r + 1) // 2
-    if syz.order >= threshold:
-        verdict = "pass" if syz.order == r else "fail"
-    else:
-        verdict = "pass"
-    return CheckReport("syzygy-gap-bound", verdict,
-                       {"order": syz.order, "threshold": threshold, "rank": r})
+    return CheckReport.of("syzygy-gap-bound", syz.order < threshold or syz.order == r,
+                          {"order": syz.order, "threshold": threshold, "rank": r})
 
 
 def truncation_additivity_check(datum, nmax=40):
@@ -484,13 +468,13 @@ def truncation_additivity_check(datum, nmax=40):
         good = summed == total
         ok = ok and good
         rows.append({"index": i, "ok": good})
-    return CheckReport("homology-truncation-additivity",
-                       "pass" if ok else "fail", {"truncations": rows})
+    return CheckReport.of("homology-truncation-additivity", ok,
+                          {"truncations": rows})
 
 
 class DescentResult:
     def __init__(self, module, generators, checks):
-        self.module = module          # invariants over the invariant ring
+        self.module = module          # invariants over the invariant ring, or None
         self.generators = generators  # invariant tuples over R_T
         self.checks = checks
 
@@ -504,10 +488,13 @@ def descend_invariants(graph, nmax=40):
 
     Returns the module of Weyl-invariant tuples together with two verdicts:
     the syzygy orders over both rings agree, and extending scalars back
-    recovers the kernel's Hilbert series.
+    recovers the kernel's Hilbert series.  A graph without symmetry data
+    has no module and one "not applicable" check.
     """
     if graph.symmetry is None:
-        raise DatumError("graph carries no symmetry data")
+        return DescentResult(None, [], [CheckReport(
+            "descend-invariants", "not applicable", {"reason": "no symmetry data"},
+            "weyl-descent")])
     group, perms = graph.symmetry
     kernel = gkm_cohomology(graph)
     module = WEquivariantFreeModule(group, graph.vertices, perms)
@@ -515,14 +502,12 @@ def descend_invariants(graph, nmax=40):
     hg = inv.module
     ord_g = syzygy_order(hg)
     ord_t = syzygy_order(kernel.module)
-    checks = [CheckReport(
-        "descent-syzygy-invariance",
-        "pass" if ord_g.order == ord_t.order else "fail",
+    checks = [CheckReport.of(
+        "descent-syzygy-invariance", ord_g.order == ord_t.order,
         {"order_invariant_ring": ord_g.order, "order_torus_ring": ord_t.order})]
     back = base_change(hg, group.embedding())
     same = back.hilbert().series_equal(kernel.module.hilbert(), nmax)
-    checks.append(CheckReport("descent-base-change-hilbert",
-                              "pass" if same else "fail", {}))
+    checks.append(CheckReport.of("descent-base-change-hilbert", same))
     return DescentResult(hg, inv.generators, checks)
 
 
@@ -593,8 +578,7 @@ def pairing_perfection(graph):
     det = determinant(gram, ring)
     unit = (not det.is_zero()) and set(det.terms) == {ring.zero_exps}
     refl = biduality(kernel.module).reflexive
-    verdict = "pass" if unit == refl else "fail"
-    return CheckReport("poincare-pairing-perfection", verdict, {
+    return CheckReport.of("poincare-pairing-perfection", unit == refl, {
         "gram": [[str(e) for e in row] for row in gram],
         "determinant": str(det),
         "perfect": unit,

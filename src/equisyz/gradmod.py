@@ -8,6 +8,8 @@ Provides syzygies, minimal free resolutions, Betti tables, Hom/Ext,
 Krull dimension (Hilbert pole order), depth (Auslander-Buchsbaum),
 Cohen-Macaulay tests, biduality/torsion/reflexivity, syzygy order with a
 verified witness complex, and base change along graded ring maps.
+CheckReport, the result of every check in weyl, cartan, equivtop and the
+CLI, is a verdict on one classical statement, written out by its to_json.
 
 Graded isomorphism is approximated throughout by equality of minimal Betti
 tables plus Hilbert series.
@@ -27,10 +29,37 @@ __all__ = [
     "NEG_INF", "FreeModule", "ModuleMap", "FPModule", "FPMap", "Resolution",
     "minimal_generating_indices", "minimal_resolution", "syzygies",
     "betti_table", "betti_text", "dimension", "depth", "ext_module",
-    "biduality", "cohen_macaulay", "syzygy_order",
+    "biduality", "cohen_macaulay", "syzygy_order", "CheckReport",
     "base_change", "homology", "fp_kernel",
     "fp_cokernel", "fp_homology", "iso_surrogate_equal",
 ]
+
+
+class CheckReport:
+    """The verdict of one check: "pass", "fail" or "not applicable", on the
+    classical statement tagged theorem (the name by default)."""
+
+    def __init__(self, name, verdict, details=None, theorem=None):
+        self.name = name
+        self.theorem = name if theorem is None else theorem
+        self.verdict = verdict
+        self.details = details or {}
+
+    @classmethod
+    def of(cls, name, ok, details=None, theorem=None):
+        """A pass when ok, else a fail."""
+        return cls(name, "pass" if ok else "fail", details, theorem)
+
+    @property
+    def passed(self):
+        return self.verdict != "fail"
+
+    def to_json(self):
+        return {"name": self.name, "theorem": self.theorem,
+                "verdict": self.verdict, "details": self.details}
+
+    def __repr__(self):
+        return "CheckReport(%s: %s)" % (self.name, self.verdict)
 
 
 class FreeModule:
@@ -202,10 +231,11 @@ class FPModule:
     """Finitely presented graded module: the cokernel of a ModuleMap.
 
     Never mutated after construction, it caches what is derived from it:
-    the Hilbert series, the minimal presentation and, on the minimal
-    presentation, the minimal free resolution.  The relations' Groebner
-    basis lives on pmap.  A module whose presentation is already minimal
-    is its own minimal presentation, so both share all of these.
+    the Hilbert series, the minimal presentation, the biduality map and,
+    on the minimal presentation, the minimal free resolution.  The
+    relations' Groebner basis lives on pmap.  A module whose presentation
+    is already minimal is its own minimal presentation, so both share all
+    of these.
     """
 
     def __init__(self, pmap):
@@ -213,6 +243,7 @@ class FPModule:
         self._hilbert = None
         self._minimal = None
         self._resolution = None
+        self._biduality = None
 
     @property
     def ring(self):
@@ -650,13 +681,16 @@ def _bidual_columns(module, K, W):
 
 
 def biduality(module):
-    """Kernel and cokernel of the natural map M -> Hom(Hom(M,R),R)."""
-    mstar, K = _dual_data(module)
-    mdd, W = _dual_data(mstar)
-    cols, us = _bidual_columns(module, K, W)
-    bmap = FPMap(module, mdd, cols, check=False)
-    return BidualityResult(cols, us, fp_kernel(bmap)[0], fp_cokernel(bmap),
-                           mstar, mdd, W)
+    """Kernel and cokernel of the natural map M -> Hom(Hom(M,R),R),
+    computed once per module."""
+    if module._biduality is None:
+        mstar, K = _dual_data(module)
+        mdd, W = _dual_data(mstar)
+        cols, us = _bidual_columns(module, K, W)
+        bmap = FPMap(module, mdd, cols, check=False)
+        module._biduality = BidualityResult(
+            cols, us, fp_kernel(bmap)[0], fp_cokernel(bmap), mstar, mdd, W)
+    return module._biduality
 
 
 class SyzygyOrderResult:

@@ -2,10 +2,10 @@
 
 A group is given by rational matrices acting on the degree-2 variables.
 Supplies the closure enumeration, verification of candidate fundamental
-invariants (Molien series, order product), Kostant's coinvariant basis as
-Groebner standard monomials, the Reynolds projector, rewriting of R_T
-vectors over the invariant subring, and invariants of equivariant free
-modules.  The closure numbers the elements once, with a Cayley table,
+invariants (Molien series, order product; one CheckReport per claim),
+Kostant's coinvariant basis as Groebner standard monomials, the Reynolds
+projector, rewriting of R_T vectors over the invariant subring, and
+invariants of equivariant free modules.  The closure numbers the elements once, with a Cayley table,
 walking the group on integer matrices; actions and their caches are keyed
 by that index.  Signed permutation matrices act term by term, others by
 substituting the variables' images.  The action and the Reynolds average
@@ -29,7 +29,7 @@ from .polyring import (
     syzygy_basis, HilbertSeries, qpoly_add, qpoly_mul, qpoly_inverse_series,
     determinant, ExponentLimitError, _fr, _integers, _scaled_dot, _torus_ring,
 )
-from .gradmod import FPModule, _degrees_of
+from .gradmod import CheckReport, FPModule, _degrees_of
 
 __all__ = [
     "ReflectionGroup", "WEquivariantFreeModule", "GroupClosureError",
@@ -213,7 +213,7 @@ class ReflectionGroup:
 
     def verify(self, nmax=40):
         """Check invariance, the order product, the Molien identity and
-        Kostant freeness; each check is (name, theorem tag, passed)."""
+        Kostant freeness: a list of CheckReports, each with its theorem tag."""
         checks = [("invariance of candidate %d" % (k + 1), "invariance",
                    all(self._act(row[0], p) == p for row in self.table))
                   for k, p in enumerate(self.invariants)]
@@ -235,7 +235,7 @@ class ReflectionGroup:
         except ValueError:
             checks.append(("coinvariant basis is finite and of the right size",
                            kostant, False))
-        return VerificationReport(checks)
+        return [CheckReport.of(name, ok, theorem=tag) for name, tag, ok in checks]
 
     def _invariant_gb(self):
         if self._inv_gb is None:
@@ -351,18 +351,6 @@ class ReflectionGroup:
         """Degrees of the (ambient coordinate, coinvariant monomial) basis."""
         return [self.ring.weighted_degree(b)
                 for b in self.coinvariant_basis()] * ambient_rank
-
-
-class VerificationReport:
-    def __init__(self, checks):
-        self.checks = checks
-
-    @property
-    def ok(self):
-        return all(ok for _, _, ok in self.checks)
-
-    def __repr__(self):
-        return "VerificationReport(ok=%s)" % self.ok
 
 
 def _signed_permutation(matrix):

@@ -66,9 +66,9 @@ def relation_columns(module):
     return list(module.pmap.columns)
 
 
-def failures(report):
-    """The names of the checks a VerificationReport failed."""
-    return [name for name, _, ok in report.checks if not ok]
+def failures(checks):
+    """The names of the CheckReports that failed."""
+    return [c.name for c in checks if not c.passed]
 
 
 def groebner_basis(polys):
@@ -564,10 +564,10 @@ def reference_integrate(graph, klass):
 
 def verify_or_raise(group, nmax=40):
     """group.verify(nmax), raising ValueError when the datum is rejected."""
-    report = group.verify(nmax)
-    if not report.ok:
-        raise ValueError("invariant datum rejected: %s" % failures(report))
-    return report
+    checks = group.verify(nmax)
+    if failures(checks):
+        raise ValueError("invariant datum rejected: %s" % failures(checks))
+    return checks
 
 
 def restrict_scalars(group, module):

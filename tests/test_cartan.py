@@ -106,15 +106,27 @@ def test_equivariant_homology_point_and_formal(RT):
 def test_uct_collapse_examples(RT):
     for model in (point_model(), circle_model(), formal_model((0, 2), 1)):
         rep = model_uct(model, RT)
-        assert rep.passed, rep.status
+        assert rep.verdict == "pass", rep
     rep = model_uct(circle_model(), RT)
-    assert rep.shift == 1
+    assert rep.details["shift"] == 1
+    assert (rep.name, rep.theorem) == ("universal-coefficient collapse", "uct-collapse")
+
+
+def test_uct_collapse_on_non_cm_and_zero_cohomology(RT):
+    # a point plus a free circle: H_T = R + R/(t) is not CM, so no claim
+    point_plus_circle = GStarModule((0, 0, 1), [[0] * 3] * 3,
+                                    [[[0, 0, 0], [0, 0, 1], [0, 0, 0]]])
+    rep = model_uct(point_plus_circle, RT)
+    assert (rep.verdict, rep.details) == ("not applicable", {"shift": None})
+    # an acyclic pair (d a = b): zero cohomology and homology, shift 0
+    rep = model_uct(GStarModule((1, 2), [[0, 0], [1, 0]], [[[0, 0], [0, 0]]]), RT)
+    assert (rep.verdict, rep.details) == ("pass", {"shift": 0})
 
 
 def test_uct_collapse_two_torus():
     RT2 = GradedPolynomialRing(["t1", "t2"])
     rep = model_uct(two_torus_model(), RT2)
-    assert rep.passed and rep.shift == 2
+    assert rep.passed and rep.details["shift"] == 2
 
 
 def test_free_torus_cohomology_is_point():

@@ -59,6 +59,27 @@ def test_gkm_builds_the_kernel_once(monkeypatch):
     assert code == EXIT_PASS and len(graphs) == 1
 
 
+def test_gkm_computes_biduality_once_per_module(monkeypatch, tmp_path):
+    # cs and pairing share the kernel's biduality, and so do cs and
+    # syzygy_order on a non-free kernel (a triangle in rank 3)
+    from equisyz import gradmod
+    calls = []
+    real = gradmod._bidual_columns
+    monkeypatch.setattr(gradmod, "_bidual_columns",
+                        lambda *args: calls.append(1) or real(*args))
+    code, _ = run(["gkm", data_path("s2xs2.json"), "--check", "cs,pairing"])
+    assert code == EXIT_PASS and len(calls) == 1
+    calls.clear()
+    path = write_json(tmp_path, "triangle.json", {
+        "rank": 3, "vertices": ["a", "b", "c"],
+        "edges": [{"v": "a", "w": "b", "weight": [1, 0, 0]},
+                  {"v": "b", "w": "c", "weight": [0, 1, 0]},
+                  {"v": "a", "w": "c", "weight": [0, 0, 1]}]})
+    code, report = run(["gkm", path, "--check", "cs"])
+    assert code == EXIT_PASS and not report["summary"]["kernel_free"]
+    assert len(calls) == 1
+
+
 def test_weyl_verify_groups():
     for name, order in [("z2_group.json", 2), ("a2_group.json", 6),
                         ("b2_group.json", 8)]:
@@ -115,6 +136,14 @@ def test_integrate_command():
                         "--klass", json.dumps(["t", "0"])])
     assert code == EXIT_PASS
     assert report["summary"]["value"] == "1"
+
+
+def test_integrate_rejects_a_class_of_the_wrong_length():
+    for klass in (["t"], ["t", "0", "0"]):
+        code, report = run(["integrate", data_path("s2.json"),
+                            "--klass", json.dumps(klass)])
+        assert code == EXIT_INPUT
+        assert report["error"] == "class needs one component per vertex"
 
 
 def test_integrate_rejects_non_member():

@@ -231,11 +231,25 @@ def test_ext_duality_on_shipped_data():
 
 
 def test_ext_duality_needs_homology_module():
+    # without their data the checks make no claim and say which data is missing
     ring = GradedPolynomialRing(["t"])
     z = FPModule.zero(ring)
     datum = FiltrationDatum(ring, [z, z], [zero_map(z, z)])
-    with pytest.raises(DatumError):
-        verify_ext_duality(datum)
+    reports = [verify_ext_duality(datum), partial_exactness_vs_syzygy(datum),
+               syzygy_gap_check(datum)]
+    assert [(r.name, r.theorem, r.verdict, r.details) for r in reports] == [
+        ("ext-duality", "ext-duality", "not applicable",
+         {"reason": "no homology-side module"}),
+        ("partial-exactness-vs-syzygy-order", "partial-exactness", "not applicable",
+         {"reason": "no augmentation"}),
+        ("syzygy-gap-bound", "syzygy-gap-bound", "not applicable",
+         {"reason": "no augmentation"})]
+    assert all(r.passed for r in reports)
+    # augmented but without Poincare duality: the gap bound gives no reason
+    with open(os.path.join(DATA, "s2_filtration.json")) as fh:
+        obj = json.load(fh)
+    rep = syzygy_gap_check(FiltrationDatum.from_json(dict(obj, poincare_duality=False)))
+    assert (rep.verdict, rep.details) == ("not applicable", {})
 
 
 def test_partial_exactness_values():
@@ -274,6 +288,15 @@ def test_reflexivity_iff_exact_one_step_further():
         else:
             # rank one: reflexive = torsion-free = order >= 1
             assert refl == (syzygy_order(datum.augmentation.source).order >= 1)
+
+
+def test_descent_without_symmetry_is_not_applicable():
+    ring = GradedPolynomialRing(["t"])
+    res = descend_invariants(GKMGraph(ring, ["N", "S"], [("N", "S", (1,))]))
+    assert res.module is None and res.generators == [] and res.passed
+    assert [(c.name, c.theorem, c.verdict, c.details) for c in res.checks] == [
+        ("descend-invariants", "weyl-descent", "not applicable",
+         {"reason": "no symmetry data"})]
 
 
 def test_descent_su2_sphere():

@@ -10,8 +10,13 @@ full flag variety Fl(4) of bench/gen.py (24 vertices, a 24 x 24 Gram
 matrix) and on the Grassmannian Gr(3,6) (20 vertices, a 20 x 20 Gram
 matrix), the descent check on the symmetric Fl(4), P^4 (120 coinvariant
 monomials) and P^5 of bench/gen.py, and the Chang-Skjelbred check on
-Gr(3,6), Gr(3,6) with its edges shuffled, Gr(3,7) and Fl(5); and cartan
-on the circle model plus an acyclic pair, whose differential is nonzero.
+Gr(3,6), Gr(3,6) with its edges shuffled, Gr(3,7) and Fl(5); cartan
+on the circle model plus an acyclic pair, whose differential is nonzero,
+on a point plus a free circle (not Cohen-Macaulay, so the collapse check
+is not applicable) and on the acyclic pair alone (zero cohomology); and
+filtration-verify on s2_filtration without its augmentation, homology
+module and truncations, and without Poincare duality, the data whose
+absence makes the ext, partial, gap and ses checks not applicable.
 Every report must take under CPU_BOUND_S seconds of CPU.  A changed
 digest must be explained in CHANGES.md.
 
@@ -37,6 +42,7 @@ sys.path.insert(0, HERE)
 sys.path.insert(0, os.path.join(HERE, "..", "src"))
 sys.path.insert(0, os.path.join(HERE, "..", "bench"))
 
+from equisyz.cartan import GStarModule  # noqa: E402
 from equisyz.cli import COMMANDS, main  # noqa: E402
 from equisyz.polyring import GradedPolynomialRing  # noqa: E402
 from helpers import (  # noqa: E402
@@ -61,11 +67,25 @@ def _cases(workdir):
             yield ("integrate-klass data/%s %s" % (name, fmt),
                    ["integrate", path, "--klass", '["t", "0"]',
                     "--format", fmt])
-    path = os.path.join(workdir, "circle_plus_acyclic.json")
-    with open(path, "w") as fh:
-        json.dump(circle_plus_acyclic_json(), fh)
-    for fmt in ("text", "json"):
-        yield ("cartan circle_plus_acyclic %s" % fmt, ["cartan", path, "--format", fmt])
+    with open(os.path.join(DATA, "s2_filtration.json")) as fh:
+        s2_filtration = json.load(fh)
+    bare = {k: v for k, v in s2_filtration.items()
+            if k not in ("augmentation", "homology_module", "truncations")}
+    for command, name, obj in (
+            ("cartan", "circle_plus_acyclic", circle_plus_acyclic_json()),
+            ("cartan", "point_plus_circle", dict(GStarModule(
+                (0, 0, 1), [[0] * 3] * 3, [[[0, 0, 0], [0, 0, 1], [0, 0, 0]]]).to_json(),
+                rank=1)),
+            ("cartan", "acyclic_pair", dict(GStarModule(
+                (1, 2), [[0, 0], [1, 0]], [[[0, 0], [0, 0]]]).to_json(), rank=1)),
+            ("filtration-verify", "s2_filtration_bare", bare),
+            ("filtration-verify", "s2_filtration_no_duality",
+             dict(s2_filtration, poincare_duality=False))):
+        path = os.path.join(workdir, "%s.json" % name)
+        with open(path, "w") as fh:
+            json.dump(obj, fh)
+        for fmt in ("text", "json"):
+            yield ("%s %s %s" % (command, name, fmt), [command, path, "--format", fmt])
     ring = GradedPolynomialRing(["x", "y"])
     for seed in range(RANDOM_MODULES):
         path = os.path.join(workdir, "random_module_%d.json" % seed)

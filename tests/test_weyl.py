@@ -177,16 +177,17 @@ def test_action_matches_substitution():
 def test_verify_accepts_builtins():
     for group in (cyclic_sign_group(), symmetric_group_on_sum_zero(3),
                   signed_permutation_rank2()):
-        report = group.verify()
-        assert report.ok, failures(report)
+        checks = group.verify()
+        assert {c.verdict for c in checks} == {"pass"}, failures(checks)
 
 
 def test_verify_rejects_non_invariant():
     ring = GradedPolynomialRing(["t"])
     t = ring.var(0)
     bad = ReflectionGroup([[[-1]]], [t ** 3], ring=ring)
-    report = bad.verify()
-    assert not report.ok
+    checks = bad.verify()
+    assert checks[0].name == "invariance of candidate 1"
+    assert checks[0].theorem == "invariance" and checks[0].verdict == "fail"
     with pytest.raises(ValueError):
         verify_or_raise(bad)
 
@@ -196,8 +197,9 @@ def test_verify_rejects_wrong_order_product():
     ring = GradedPolynomialRing(["t"])
     t = ring.var(0)
     bad = ReflectionGroup([[[-1]]], [t ** 4], ring=ring)
-    report = bad.verify()
-    assert not report.ok
+    checks = bad.verify()
+    assert checks[0].passed
+    assert "product of half-degrees equals the group order" in failures(checks)
 
 
 def test_coinvariant_bases():
@@ -258,7 +260,7 @@ def test_expand_reconstruction_property():
     rng = random.Random(9)
     z2, a2 = cyclic_sign_group(), symmetric_group_on_sum_zero(3)
     groups = [z2, a2, signed_permutation_rank2(), symmetric_group_on_sum_zero(4),
-              product_group(z2, a2)] + [g for g in _rational_groups() if g.verify().ok]
+              product_group(z2, a2)] + [g for g in _rational_groups() if not failures(g.verify())]
     assert [g.order for g in groups] == [2, 6, 8, 24, 12, 8]
 
     def random_poly(ring):
@@ -375,14 +377,14 @@ def test_sphere_kernel_invariants_base_change_recovers_series():
 def test_product_group():
     prod = product_group(cyclic_sign_group(), cyclic_sign_group())
     assert prod.order == 4
-    assert prod.verify().ok
+    assert not failures(prod.verify())
     assert len(prod.coinvariant_basis()) == 4
 
 
 def test_group_json_roundtrip():
     obj = {"rank": 1, "generators": [[[-1]]], "invariants": ["t1^2"]}
     g = group_from_json(obj)
-    assert g.order == 2 and g.verify().ok
+    assert g.order == 2 and not failures(g.verify())
 
 
 def test_reynolds_projector_on_monomial_basis_degree_20():
@@ -419,9 +421,9 @@ def test_regular_representation_s3():
 
 def test_symmetric_group_small_ranks_verify():
     s2 = symmetric_group_on_sum_zero(2)
-    assert s2.order == 2 and s2.verify().ok
+    assert s2.order == 2 and not failures(s2.verify())
     s4 = symmetric_group_on_sum_zero(4)
-    assert s4.order == 24 and s4.verify().ok
+    assert s4.order == 24 and not failures(s4.verify())
     assert len(s4.coinvariant_basis()) == 24
 
 
