@@ -6,6 +6,8 @@ classical statement it verifies and carry an ``inputs_echo`` of the parsed
 input, so re-running on the echo reproduces the verdicts byte for byte.
 Every check returns CheckReports and decides for itself whether it
 applies; a runner only appends them, and the report holds their to_json.
+--max-degree sets only the series coefficients a report prints and the
+depth of weyl-verify's Molien check; every other check is exact.
 
 Exit codes: 0 all checks pass (or are not applicable), 1 at least one
 check failed, 2 malformed or inconsistent input, 3 an internal error.
@@ -34,6 +36,7 @@ from .equivtop import (
 )
 
 EXIT_PASS, EXIT_FAIL, EXIT_INPUT, EXIT_INTERNAL = 0, 1, 2, 3
+MAX_DEGREE_LIMIT = 1000  # largest --max-degree: series lists grow with it
 _DEPTH_ATTEMPTS = 8  # random linear forms tried per element of a regular sequence
 
 
@@ -190,7 +193,7 @@ def run_cartan(obj, checks, nmax, seed):
                               dd.d == gstar.d and dd.iotas == gstar.iotas,
                               theorem="dualization-involution"))
     if "uct" in checks:
-        out.append(uct_collapse_check(coh, hom, nmax))
+        out.append(uct_collapse_check(coh, hom))
     return out, summary
 
 
@@ -218,7 +221,7 @@ def run_gkm(obj, checks, nmax, seed):
     if "pairing" in checks:
         out.append(pairing_perfection(graph))
     if "descend" in checks:
-        res = descend_invariants(graph, nmax=nmax)
+        res = descend_invariants(graph)
         out.extend(res.checks)
         if res.module is not None:
             summary["invariants_betti"] = _betti_json(res.module)
@@ -238,13 +241,13 @@ def run_filtration_verify(obj, checks, nmax, seed):
     if "cm" in checks:
         out.append(cm_filtration_check(datum))
     if "ext" in checks:
-        out.append(verify_ext_duality(datum, nmax))
+        out.append(verify_ext_duality(datum))
     if "partial" in checks:
         out.append(partial_exactness_vs_syzygy(datum))
     if "gap" in checks:
         out.append(syzygy_gap_check(datum))
     if "ses" in checks:
-        out.append(truncation_additivity_check(datum, nmax))
+        out.append(truncation_additivity_check(datum))
     return out, summary
 
 
@@ -290,8 +293,8 @@ def build_parser(argv):
         p.add_argument("--check", default=None,
                        help="comma-separated list of checks to run")
         p.add_argument("--max-degree", type=int, default=20,
-                       help="number of series coefficients to compare "
-                            "(series are truncated at twice this degree)")
+                       help="series coefficients printed, and Molien series compared, "
+                            "through twice this degree (0..%d)" % MAX_DEGREE_LIMIT)
         p.add_argument("--seed", type=int, default=None,
                        help="seed for randomized spot checks")
         if name == "integrate":
@@ -329,8 +332,8 @@ def _execute(args):
         if unknown:
             raise InputError("unknown checks for %s: %s"
                              % (args.command, ",".join(sorted(unknown))))
-        if args.max_degree < 0:
-            raise InputError("--max-degree must be nonnegative")
+        if not 0 <= args.max_degree <= MAX_DEGREE_LIMIT:
+            raise InputError("--max-degree must be in 0..%d" % MAX_DEGREE_LIMIT)
         nmax = 2 * args.max_degree
         kwargs = {}
         if args.command == "integrate":

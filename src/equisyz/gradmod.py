@@ -12,7 +12,8 @@ CheckReport, the result of every check in weyl, cartan, equivtop and the
 CLI, is a verdict on one classical statement, written out by its to_json.
 
 Graded isomorphism is approximated throughout by equality of minimal Betti
-tables plus Hilbert series.
+tables plus Hilbert series, compared exactly: as numerators over the one
+denominator prod(1 - q^d) of their ring, with no truncation degree.
 """
 
 from fractions import Fraction
@@ -763,8 +764,6 @@ def base_change(module, ring_map):
     return FPModule(ModuleMap(src, tgt, cols))
 
 
-def iso_surrogate_equal(m1, m2, nmax=40):
+def iso_surrogate_equal(m1, m2):
     """Graded-isomorphism surrogate: minimal Betti tables + Hilbert series."""
-    if betti_table(m1) != betti_table(m2):
-        return False
-    return m1.hilbert().series_equal(m2.hilbert(), nmax)
+    return betti_table(m1) == betti_table(m2) and m1.hilbert() == m2.hilbert()

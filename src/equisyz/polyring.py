@@ -97,13 +97,6 @@ def _integers(values, what):
     return tuple(int(q) for q in qs)
 
 
-def _mat_mul(a, b):
-    """Product of two square matrices of rationals, as nested tuples."""
-    n = len(a)
-    return tuple(tuple(sum([x * b[k][j] for k, x in enumerate(row) if x and b[k][j]],
-                           Fraction(0)) for j in range(n)) for row in a)
-
-
 def _mono_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
@@ -1307,9 +1300,6 @@ class HilbertSeries:
             if c:
                 out[n] = c
         return out
-
-    def series_equal(self, other, nmax):
-        return self.coefficients(nmax) == other.coefficients(nmax)
 
     def pole_order(self):
         """Order of the pole at q = 1 (the Krull dimension); None if zero."""

@@ -11,7 +11,7 @@ from math import gcd
 
 from equisyz.polyring import (
     GradedPolynomialRing, HilbertSeries, Polynomial, SubmoduleGB, Vector, _exact_divide,
-    _mat_mul, buchberger, divide, qpoly_add, qpoly_mul, syzygy_basis,
+    buchberger, divide, qpoly_add, qpoly_mul, syzygy_basis,
 )
 from equisyz.gradmod import (
     FPModule, FPMap, FreeModule, ModuleMap, SyzygyOrderResult, minimal_resolution,
@@ -135,11 +135,11 @@ def shuffled_edges(graph, seed, flip=False):
     return dict(graph, edges=edges)
 
 
-def model_uct(model, ring, nmax=40):
+def model_uct(model, ring):
     """uct_collapse_check on the equivariant cohomology and homology of a
     G*-module over the torus ring."""
     return uct_collapse_check(cartan_cohomology(CartanComplex(ring, model)),
-                              equivariant_homology(model, ring), nmax)
+                              equivariant_homology(model, ring))
 
 
 def formal_model(degrees, rank):
@@ -602,6 +602,13 @@ def reference_act(group, matrix, poly):
             form = form + ring.var(i).scale(matrix[i][j])
         images.append(form)
     return poly.substitute(ring, images)
+
+
+def _mat_mul(a, b):
+    """Product of two square matrices of rationals, as nested tuples."""
+    n = len(a)
+    return tuple(tuple(sum([x * b[k][j] for k, x in enumerate(row) if x and b[k][j]],
+                           Fraction(0)) for j in range(n)) for row in a)
 
 
 def reference_closure(gens):

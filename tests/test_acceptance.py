@@ -110,7 +110,7 @@ def test_criterion_5_ext_duality():
     ok = True
     for name in ("s2_filtration", "s2xs2_filtration", "free_circle"):
         datum = load(FiltrationDatum, name)
-        ok = ok and verify_ext_duality(datum, SERIES_DEGREE).verdict == "pass"
+        ok = ok and verify_ext_duality(datum).verdict == "pass"
     report("5 ext-duality-theorem", ok)
 
 
@@ -151,7 +151,7 @@ def test_criterion_7_restriction_invariance():
 def test_criterion_8_nonabelian_descent():
     from equisyz.equivtop import descend_invariants
     graph = load(GKMGraph, "s2")
-    res = descend_invariants(graph, nmax=SERIES_DEGREE)
+    res = descend_invariants(graph)
     m = res.module.minimized()
     ok = m.num_rels == 0 and sorted(m.gens_degrees) == [0, 2]
     ok = ok and m.ring.degrees == (4,)
@@ -167,7 +167,7 @@ def test_criterion_9_cartan_model():
     Hpt = cartan_cohomology(CartanComplex(RT, point_model()))
     ok = ok and Hpt.num_rels == 0 and Hpt.gens_degrees == (0,)
     for model in (circle_model(), point_model()):
-        ok = ok and model_uct(model, RT, SERIES_DEGREE).passed
+        ok = ok and model_uct(model, RT).passed
     report("9 cartan-model-and-uct", ok)
 
 

@@ -391,6 +391,126 @@ def test_exit_two_on_negative_max_degree():
     assert code == EXIT_INPUT and "error" in report
 
 
+def test_exit_two_on_max_degree_above_the_limit(capsys):
+    # the printed series list grows with --max-degree: 10^12 once ended in a
+    # MemoryError and a traceback (exit 3)
+    for degree in (cli.MAX_DEGREE_LIMIT + 1, 10 ** 12):
+        argv = ["module-analyze", data_path("koszul2.json"), "--max-degree", str(degree)]
+        assert main(argv) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == "error: --max-degree must be in 0..%d\n" % cli.MAX_DEGREE_LIMIT
+        assert "Traceback" not in err
+    code, _ = run(["weyl-verify", data_path("b2_group.json"),
+                   "--max-degree", str(cli.MAX_DEGREE_LIMIT)])
+    assert code == EXIT_PASS
+
+
+def _edited(name, *edits):
+    """The shipped input name, loaded and changed in place by each edit."""
+    with open(data_path(name)) as fh:
+        obj = json.load(fh)
+    for edit in edits:
+        edit(obj)
+    return obj
+
+
+def _wrong_truncation(obj):
+    # Hilb(sub) + Hilb(quotient) - Hilb(total) = (q^4 - q^2)/(1 - q^2) = -q^2:
+    # the coefficients first differ in degree 2
+    obj["truncations"] = [{
+        "index": 0,
+        "sub": {"row_degrees": [0, 4], "col_degrees": [], "matrix": [[], []]},
+        "quotient": {"row_degrees": [-2], "col_degrees": [2], "matrix": [["t^2"]]}}]
+
+
+def test_series_checks_fail_at_every_max_degree(tmp_path):
+    # each input's two Hilbert series agree in degree 0 and differ in degree
+    # 2, so a comparison truncated at 2 * --max-degree passed at --max-degree 0
+    cases = [
+        ("gkm", "descend", "descent-base-change-hilbert", _edited(
+            "s2.json", lambda g: g["symmetry"].update(vertex_maps=[{"N": "N", "S": "S"}]))),
+        ("filtration-verify", "ses", "homology-truncation-additivity",
+         _edited("s2_filtration.json", _wrong_truncation)),
+    ]
+    for command, check, name, obj in cases:
+        path = write_json(tmp_path, "wrong.json", obj)
+        for degree in ("0", "1", "20"):
+            code, report = run([command, path, "--check", check, "--max-degree", degree])
+            verdicts = {c["name"]: c["verdict"] for c in report["checks"]}
+            assert code == EXIT_FAIL and verdicts[name] == "fail", (command, degree)
+
+
+def _isolated(*names):
+    """Add vertices without edges to the sphere's graph."""
+    def edit(graph):
+        graph["vertices"] += list(names)
+    return edit
+
+
+def _gstar(degrees, d, iotas):
+    """A G*-module input from row-major matrices given by their unit entries."""
+    n = len(degrees)
+
+    def cols(entries):
+        return [[str(int((i, j) in entries)) for i in range(n)] for j in range(n)]
+    return {"degrees": list(degrees), "d": cols(d), "iota": [cols(m) for m in iotas],
+            "rank": len(iotas)}
+
+
+def _input_error_cases():
+    """(command, extra options, input, message) for inputs each structural
+    check rejects; the four G*-relation messages are those the operator
+    matrix products gave before the relations were read off D^2."""
+    def vertex_maps(*maps):
+        return lambda g: g["symmetry"].update(vertex_maps=list(maps))
+
+    def filtration(edit):
+        return _edited("s2_filtration.json", edit)
+    return [
+        ("gkm", [], _edited("s2.json", lambda g: g.update(vertices=["N", "N"])),
+         "vertex names must be distinct"),
+        ("gkm", [], _edited("s2.json", lambda g: g["symmetry"]["group"].update(
+            vars=["s"], invariants=["s^2"])), "symmetry group must act on the graph's ring"),
+        ("gkm", [], _edited("s2.json", vertex_maps()),
+         "need one vertex permutation per group generator"),
+        ("gkm", [], _edited("s2.json", vertex_maps({"N": "S"})),
+         "vertex permutation must cover all vertices"),
+        ("integrate", ["--klass", '["1", "1", "1"]'], _edited(
+            "s2.json", _isolated("X"), lambda g: g.pop("symmetry")),
+         "vertex X has no incident edges and no Euler data"),
+        ("gkm", ["--check", "descend"], _edited(
+            "s2.json", _isolated("X"), vertex_maps({"N": "S", "S": "N", "X": "S"})),
+         "permutation must be a bijection of the index set"),
+        ("gkm", ["--check", "descend"], _edited(
+            "s2.json", _isolated("X", "Y", "Z"),
+            vertex_maps({"N": "S", "S": "N", "X": "Y", "Y": "Z", "Z": "X"})),
+         "action is inconsistent with the group law"),
+        ("filtration-verify", [], filtration(lambda f: f.update(
+            modules=f["modules"] + f["modules"][-1:])), "need modules AB^0..AB^r (r = 1)"),
+        ("filtration-verify", [], filtration(lambda f: f.update(maps=[])),
+         "need maps delta_0..delta_{r-1}"),
+        ("filtration-verify", [], filtration(lambda f: f["augmentation"].update(
+            map=[["0", "1"], ["t", "0"]])), "delta_0 after the augmentation is nonzero"),
+        ("cartan", [], _gstar((0, 1, 2), {(1, 0), (2, 1)}, []),
+         "differential does not square to zero"),
+        ("cartan", [], _gstar((0, 1, 2), set(), [{(1, 2), (0, 1)}]),
+         "contractions 1, 1 do not anticommute"),
+        ("cartan", [], _gstar((0, 1, 2), set(), [{(1, 2)}, {(0, 1)}]),
+         "contractions 1, 2 do not anticommute"),
+        ("cartan", [], _gstar((0, 1), {(1, 0)}, [{(0, 1)}]),
+         "contraction 1 does not anticommute with d"),
+    ]
+
+
+def test_exit_two_on_each_structural_violation(tmp_path, capsys):
+    for command, options, obj, message in _input_error_cases():
+        path = write_json(tmp_path, "bad.json", obj)
+        assert main([command, path] + options) == EXIT_INPUT, message
+        out, err = capsys.readouterr()
+        assert out.startswith("error: ") and message in out, (message, out)
+        assert "Traceback" not in err
+
+
 def test_exit_one_on_failed_theorem_check(tmp_path):
     # AB^1 free of dimension 1 over a rank-1 ring: CM check must fail
     obj = {

@@ -122,6 +122,9 @@ def test_ext_examples(R):
     free = FPModule.free(R, (0,))
     e0 = ext_module(free, 0)
     assert e0.num_rels == 0 and e0.gens_degrees == (0,)
+    for i in (-1, R.num_vars + 1):
+        with pytest.raises(ValueError, match="Ext index out of range"):
+            ext_module(free, i)
 
     x, _ = R.vars()
     rx = quotient_by_ideal(R, [x])
@@ -216,7 +219,7 @@ def test_restrict_then_base_change_multiplies_by_poincare():
         down = restrict_scalars(group, m)
         up = base_change(down, group.embedding())
         pw = group.poincare_polynomial()
-        assert up.hilbert().series_equal(times_qpoly(m.hilbert(), pw), 30)
+        assert up.hilbert() == times_qpoly(m.hilbert(), pw)
 
 
 def test_auslander_buchsbaum_property():
@@ -275,6 +278,8 @@ def test_fp_kernel_cokernel_homology(R):
     tox = FPMap.from_matrix(free1, quot, [[R.one()]])
     h = fp_homology(mulx, tox)
     assert h.is_zero()
+    with pytest.raises(ValueError, match="maps are not consecutive"):
+        fp_homology(mulx, FPMap.from_matrix(shift, free1, [[x]]))
 
 
 def test_fp_map_checks_degrees_and_relations(R):
