@@ -6,8 +6,9 @@ classical statement it verifies and carry an ``inputs_echo`` of the parsed
 input, so re-running on the echo reproduces the verdicts byte for byte.
 Every check returns CheckReports and decides for itself whether it
 applies; a runner only appends them, and the report holds their to_json.
---max-degree sets only the series coefficients a report prints and the
-depth of weyl-verify's Molien check; every other check is exact.
+--max-degree sets only the series coefficients a report prints; every
+check is exact.  --help prints the usage of equisyz or of one command and
+exits 0.
 
 Exit codes: 0 all checks pass (or are not applicable), 1 at least one
 check failed, 2 malformed or inconsistent input, 3 an internal error.
@@ -152,7 +153,7 @@ def run_weyl_verify(obj, checks, nmax, seed):
         group = group_from_json(obj)
     except GroupClosureError as exc:
         raise InputError(str(exc))
-    out = group.verify(nmax)
+    out = group.verify()
     summary = {
         "order": group.order,
         "invariant_degrees": list(group.invariant_degrees),
@@ -293,8 +294,8 @@ def build_parser(argv):
         p.add_argument("--check", default=None,
                        help="comma-separated list of checks to run")
         p.add_argument("--max-degree", type=int, default=20,
-                       help="series coefficients printed, and Molien series compared, "
-                            "through twice this degree (0..%d)" % MAX_DEGREE_LIMIT)
+                       help="series coefficients printed through twice this degree "
+                            "(0..%d)" % MAX_DEGREE_LIMIT)
         p.add_argument("--seed", type=int, default=None,
                        help="seed for randomized spot checks")
         if name == "integrate":
@@ -306,11 +307,14 @@ def build_parser(argv):
 def _parse(argv):
     """Parsed arguments, or None when argparse rejects argv.  Arguments no
     subparser takes are rejected by the parser of all commands, whose usage
-    message lists them all."""
+    message lists them all.  --help is no rejection: argparse has printed
+    the help, and its SystemExit(0) passes through."""
     try:
         args, extra = build_parser(argv).parse_known_args(argv)
         return build_parser(()).parse_args(argv) if extra else args
-    except SystemExit:
+    except SystemExit as exc:
+        if exc.code == 0:
+            raise
         return None
 
 

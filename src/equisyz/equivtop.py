@@ -482,6 +482,19 @@ def descend_invariants(graph):
     the syzygy orders over both rings agree, and extending scalars back
     recovers the kernel's Hilbert series.  A graph without symmetry data
     has no module and one "not applicable" check.
+
+    The selection of invariant generators stops each degree once the
+    invariants span the kernel there (WEquivariantFreeModule.invariants),
+    which is sound because the kernel is W-stable.  Construction checks
+    this, with no test at run time: _check_symmetry sends each edge weight
+    alpha_e by every group generator to +-alpha_{w.e}, with the action of
+    ReflectionGroup on R_T (variable j to column j), and _replay_closure
+    checks that the vertex maps form a homomorphism, so the same holds
+    for every element w.  For f in the kernel and an edge e = (u, v),
+    alpha_e divides f_v - f_u, so w.alpha_e = +-alpha_{w.e} divides
+    w.f_v - w.f_u = (w.f)_{w.v} - (w.f)_{w.u}: w.f lies in the kernel.  A
+    candidate wrongly skipped would also fail the base-change Hilbert
+    check below.
     """
     if graph.symmetry is None:
         return DescentResult(None, [], [CheckReport(
@@ -490,7 +503,8 @@ def descend_invariants(graph):
     group, perms = graph.symmetry
     kernel = gkm_cohomology(graph)
     module = WEquivariantFreeModule(group, graph.vertices, perms)
-    inv = module.invariants(submodule_gens=kernel.generators)
+    inv = module.invariants(submodule_gens=kernel.generators,
+                            hilbert=kernel.module.hilbert())
     hg = inv.module
     ord_g = syzygy_order(hg)
     ord_t = syzygy_order(kernel.module)

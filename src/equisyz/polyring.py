@@ -45,7 +45,7 @@ __all__ = [
     "GradedPolynomialRing", "Polynomial", "Vector", "RingMap", "HilbertSeries",
     "GroebnerBasis", "buchberger", "divide", "s_vector",
     "SubmoduleGB", "syzygy_basis", "quotient_hilbert_series", "qpoly_mul",
-    "qpoly_inverse_series", "determinant", "DatumError", "ExponentLimitError",
+    "determinant", "DatumError", "ExponentLimitError",
     "EXPONENT_LIMIT",
 ]
 
@@ -1181,8 +1181,8 @@ def syzygy_basis(ring, rank, gens):
 def _staircase_numerator(ring, gens, memo):
     """Numerator of Hilb(R/I) over prod(1-q^d_i) for a monomial ideal I.
 
-    memo maps minimal generator tuples to numerators; it belongs to one
-    quotient_hilbert_series call.
+    memo maps minimal generator tuples to numerators over ring; one memo
+    may serve any number of calls over that ring.
     """
     gens = _minimal_monomials(gens)
     if gens in memo:
@@ -1254,20 +1254,6 @@ def qpoly_mul(a, b):
     return out
 
 
-def qpoly_inverse_series(p, nmax):
-    """Power-series inverse of p (constant term 1) through degree nmax."""
-    assert p.get(0) == 1
-    inv = {0: Fraction(1)}
-    for n in range(1, nmax + 1):
-        acc = Fraction(0)
-        for k, v in p.items():
-            if 0 < k <= n:
-                acc += _fr(v) * inv.get(n - k, Fraction(0))
-        if acc:
-            inv[n] = -acc
-    return inv
-
-
 class HilbertSeries:
     """Laurent numerator over prod(1 - q^d) for the ring's variable degrees."""
 
@@ -1337,18 +1323,24 @@ class HilbertSeries:
     __repr__ = __str__
 
 
+def _quotient_numerator(ring, col_degrees, leads, memo):
+    """Numerator of Hilb(F/N) over prod(1-q^d_i), F free on generators of
+    the given degrees and leads the (col, exps) leads of a Groebner basis
+    of N: the sum over the columns of their staircases (_staircase_numerator,
+    with memo), shifted by the columns' degrees."""
+    per_col = [[] for _ in col_degrees]
+    for col, exps in leads:
+        per_col[col].append(exps)
+    num = {}
+    for exps, gdeg in zip(per_col, col_degrees):
+        num = qpoly_add(num, qpoly_shift(_staircase_numerator(ring, tuple(exps), memo), gdeg))
+    return num
+
+
 def quotient_hilbert_series(ring, col_degrees, gb):
     """Hilbert series of F/span(gb) where F has the given generator degrees.
 
     Only the leading-term staircase of the (Groebner) basis is used.
     """
-    per_col = {i: [] for i in range(len(col_degrees))}
-    for v in gb:
-        (col, exps), _ = v.lead()
-        per_col[col].append(exps)
-    num = {}
-    memo = {}
-    for i, gdeg in enumerate(col_degrees):
-        num = qpoly_add(num, qpoly_shift(_staircase_numerator(
-            ring, tuple(per_col[i]), memo), gdeg))
-    return HilbertSeries(num, ring.degrees)
+    leads = [v.lead()[0] for v in gb]
+    return HilbertSeries(_quotient_numerator(ring, col_degrees, leads, {}), ring.degrees)

@@ -26,8 +26,8 @@ from operator import mul
 
 from .polyring import (
     GradedPolynomialRing, Vector, SubmoduleGB, GroebnerBasis,
-    syzygy_basis, HilbertSeries, qpoly_add, qpoly_mul, qpoly_inverse_series,
-    determinant, ExponentLimitError, _fr, _integers, _scaled_dot, _torus_ring,
+    syzygy_basis, HilbertSeries, qpoly_add, qpoly_mul, determinant,
+    ExponentLimitError, _fr, _integers, _quotient_numerator, _scaled_dot, _torus_ring,
 )
 from .gradmod import CheckReport, FPModule, _degrees_of
 
@@ -96,6 +96,7 @@ class ReflectionGroup:
         self._coinvariants = None
         self._inv_gb = None
         self._expand_cache = {}
+        self._y_keys = [y._form[1][0] for y in self.invariant_ring.vars()]
 
     @staticmethod
     def _closure(gens, max_order):
@@ -142,27 +143,33 @@ class ReflectionGroup:
 
     def _act(self, k, poly):
         """The action of the k-th element (_images)."""
-        return self._images(poly, [(k, (0,))])
+        return self._images(poly, [(k, {0: 0})])
 
     def _images(self, element, actions):
-        """The sum of w_k . element over (k, perm) in actions, w_k the k-th
-        element and column i of element moved to column perm[i], born in
-        integer form.  For element = c * F, F its integer form and D the
+        """The sum of w_k . element over (k, cols) in actions, w_k the k-th
+        element and cols a dict moving column i of element to column
+        cols[i]; the terms of the columns cols leaves out are skipped.  Born
+        in integer form.  For element = c * F, F its integer form and D the
         largest degree of a term of F, the integer images L^D * w_k . F
-        (_integer_images) go into one dict, and the sum has content c / L^D
-        times the content of that dict."""
+        (_integer_images) of the monomials in the moved columns go into one
+        dict, and the sum has content c / L^D times the content of that
+        dict."""
         ring = self.ring
         c, (_, ints) = element._form
-        terms = [ring._unpack(key) + (n,) for key, n in ints.items()]
-        monomials = {exps for _, exps, _ in terms}
-        top = max(map(sum, monomials), default=0)
+        by_col = {}
+        for key, n in ints.items():
+            col, exps = ring._unpack(key)
+            by_col.setdefault(col, []).append((exps, n))
+        top = max((sum(exps) for terms in by_col.values() for exps, _ in terms), default=0)
         acc = {}
-        for k, perm in actions:
-            images = self._integer_images(k, monomials, top)
-            for col, exps, n in terms:
-                col = perm[col]
-                for e, a in images[exps]:
-                    acc[col, e] = acc.get((col, e), 0) + a * n
+        for k, cols in actions:
+            moved = [(dst, by_col[src]) for src, dst in cols.items() if src in by_col]
+            images = self._integer_images(
+                k, {exps for _, terms in moved for exps, _ in terms}, top)
+            for col, terms in moved:
+                for exps, n in terms:
+                    for e, a in images[exps]:
+                        acc[col, e] = acc.get((col, e), 0) + a * n
         packed = {ring._pack(col, e): n for (col, e), n in acc.items() if n}
         return element._of_ints(ring, element.rank, c / self._lcm ** top, packed)
 
@@ -195,25 +202,39 @@ class ReflectionGroup:
             out[exps] = list(image.items())
         return out
 
-    def molien_series(self, nmax, weights=None):
-        """Average of c_w/det(1 - q^2 w) over the elements w, with c_w the
-        weights (default 1): the Hilbert series of the invariants, or, with
-        the fixed-point counts of a permutation action, of the invariant
-        tuples."""
-        total = {}
+    def molien_matches(self, series, weights=None):
+        """Whether the Molien series, the average of c_w / det(1 - q^2 w)
+        over the elements w with c_w the weights (default 1), equals the
+        HilbertSeries series exactly: with weights 1 it is the Hilbert
+        series of the invariants, with the fixed-point counts of a
+        permutation action that of the invariant tuples.  The elements are
+        grouped by P = det(1 - q^2 w), n_P the sum of their weights, and
+        sum_P n_P / P = |W| * num / prod(1 - q^d) is compared with both
+        sides multiplied by prod(1 - q^d) and the product of the P."""
+        classes = {}
         for w, c in zip(self.elements, weights or [1] * self.order):
             if c:
-                inv = qpoly_inverse_series(_char_det(w), nmax)
-                total = qpoly_add(total, {k: v * c for k, v in inv.items()})
-        return {k: v / self.order for k, v in total.items() if v}
+                p = tuple(sorted(_char_det(w).items()))
+                classes[p] = classes.get(p, 0) + c
+        dets = [dict(p) for p in classes]
+        lhs = {}
+        for i, n in enumerate(classes.values()):
+            term = {0: n}
+            for j, p in enumerate(dets):
+                if j != i:
+                    term = qpoly_mul(term, p)
+            lhs = qpoly_add(lhs, term)
+        for d in series.denominator_degrees:
+            lhs = qpoly_mul(lhs, {0: 1, d: -1})
+        rhs = {k: self.order * v for k, v in series.numerator.items()}
+        for p in dets:
+            rhs = qpoly_mul(rhs, p)
+        return lhs == rhs
 
-    def invariant_ring_series(self, nmax):
-        h = HilbertSeries({0: 1}, self.invariant_degrees)
-        return {k: Fraction(v) for k, v in h.coefficients(nmax).items()}
-
-    def verify(self, nmax=40):
+    def verify(self):
         """Check invariance, the order product, the Molien identity and
-        Kostant freeness: a list of CheckReports, each with its theorem tag."""
+        Kostant freeness: a list of CheckReports, each with its theorem tag.
+        Every check is exact."""
         checks = [("invariance of candidate %d" % (k + 1), "invariance",
                    all(self._act(row[0], p) == p for row in self.table))
                   for k, p in enumerate(self.invariants)]
@@ -222,7 +243,7 @@ class ReflectionGroup:
                        "invariant-degree-product", half_degrees == self.order))
         checks.append(("Molien series matches the invariant degrees",
                        "molien-series",
-                       self.molien_series(nmax) == self.invariant_ring_series(nmax)))
+                       self.molien_matches(HilbertSeries({0: 1}, self.invariant_degrees))))
         kostant = "kostant-freeness"
         try:
             basis = self.coinvariant_basis()
@@ -342,9 +363,8 @@ class ReflectionGroup:
         if key not in cache:
             mono = Vector._of_ints(self.ring, 1, Fraction(1), {key: 1})
             nf, coeffs = self._invariant_gb().reduce_with_certificate(mono)
-            one, y = self.invariant_ring._mask, [
-                v._form[1][0] for v in self.invariant_ring.vars()]
-            cache[key] = self._expand(1, [(nf, one)] + list(zip(coeffs, y)))
+            cache[key] = self._expand(1, [(nf, self.invariant_ring._mask)]
+                                      + list(zip(coeffs, self._y_keys)))
         return cache[key]
 
     def invariant_module_layout(self, ambient_rank):
@@ -384,7 +404,8 @@ class WEquivariantFreeModule:
     Each group generator permutes the index set, and every group element w
     acts on coefficients as it acts on R_T.  Consistency (the permutations
     extending to a homomorphism) is checked while replaying the group
-    closure.
+    closure, which also finds the orbits of the index set that
+    reynolds_tuple averages over.
     """
 
     def __init__(self, group, index_names, generator_permutations):
@@ -398,11 +419,16 @@ class WEquivariantFreeModule:
             if set(perm) != set(self.names) or set(perm.values()) != set(self.names):
                 raise ValueError("permutation must be a bijection of the index set")
             self.gen_perms.append(tuple(position[perm[n]] for n in self.names))
-        self._action_of = self._replay_closure()
+        self._action_of, self._gather, self._spread = self._replay_closure()
 
     def _replay_closure(self):
-        # actions[k][i]: where element k sends position i; two generator
-        # words for one element must give one permutation (homomorphism)
+        """(actions, gather, spread).  actions[k][i] is where element k
+        sends position i; two generator words for one element must give one
+        permutation (homomorphism).  Each orbit is represented by its first
+        position v0.  gather holds, for each element w, w's action moving
+        position w^-1 v0 to v0 for every representative v0; spread holds,
+        for each element u that is the first, in discovery order, to send
+        some v0 to a position v, u's action moving v0 to each such v."""
         actions = [None] * self.group.order
         actions[0] = tuple(range(self.rank))
         for k in range(self.group.order):
@@ -412,33 +438,59 @@ class WEquivariantFreeModule:
                     actions[row[k]] = composed
                 elif actions[row[k]] != composed:
                     raise ValueError("action is inconsistent with the group law")
-        return actions
+        reps, spread, found = [], {}, [False] * self.rank
+        for v0 in range(self.rank):
+            if not found[v0]:
+                reps.append(v0)
+                for k, perm in enumerate(actions):
+                    v = perm[v0]
+                    if not found[v]:
+                        found[v] = True
+                        spread.setdefault(k, {})[v0] = v
+        gather = []
+        for k, perm in enumerate(actions):
+            source = {v: i for i, v in enumerate(perm)}
+            gather.append((k, {source[v0]: v0 for v0 in reps}))
+        return actions, gather, sorted(spread.items())
 
     @property
     def rank(self):
         return len(self.names)
 
     def reynolds_tuple(self, vector):
-        """Average of w.f over the group, where (w.f)_v = w.(f at the
-        preimage of v): the sum of the images of all elements, summed on
-        integer numerators and born in integer form
-        (ReflectionGroup._images), over |W|."""
+        """Average Rf of w.f over the group, where (w.f)_v = w.(f at the
+        preimage of v).  An invariant tuple is fixed by its values at one
+        position v0 per orbit, (Rf)_{u v0} = u.(Rf)_{v0}; so the average is
+        taken at the representatives only, (Rf)_{v0} = (1/|W|) sum over w
+        of w.f_{w^-1 v0} (gather), and the rest of each orbit is filled with
+        one image per position (spread).  Each step is one
+        ReflectionGroup._images sum on integer numerators, born in integer
+        form."""
         group = self.group
-        return group._images(vector, enumerate(self._action_of)).scale(
-            Fraction(1, group.order))
+        at_reps = group._images(vector, self._gather).scale(Fraction(1, group.order))
+        return group._images(at_reps, self._spread)
 
-    def invariants(self, submodule_gens=None, nmax=40):
+    def invariants(self, submodule_gens=None, hilbert=None):
         """Invariant tuples as a module over the invariant ring.
 
         Candidates are the Reynolds images R(g.b), g a homogeneous generator
         (default: the unit vectors) and b a coinvariant monomial, visited
         by (degree, pair index).  One is kept unless it lies in the R_T-span
-        of those kept, which for invariant vectors is their R^W-span, as R
-        is R^W-linear; so the kept ones generate minimally (Nakayama).  The
-        visit stops once every g lies in that span, since every later
-        candidate then does.  Only the kept ones are expanded over R^W, in
-        pair order, for the relations.  For the full free module the
-        Hilbert series is checked against the Molien fixed-point count.
+        S of those kept, which for invariant vectors is their R^W-span, as R
+        is R^W-linear; so the kept ones generate minimally (Nakayama).
+
+        hilbert is the Hilbert series of a W-stable submodule M of R_T^rank
+        (coordinates in degree 0) that holds every g; without it M is
+        R_T^rank.  As M is W-stable, every candidate lies in M, and so does
+        S.  Once dim_Q S_d = dim_Q M_d, S_d = M_d holds every later
+        candidate of degree d, so those are skipped without a Reynolds
+        image (the Hilbert-series stop: Derksen and Kemper, Computational
+        Invariant Theory, ch. 3).  dim S_d is read off the leads of S's
+        Groebner basis after each keep.  The visit ends once every g lies in
+        S, since every later candidate then does.  Only the kept ones are
+        expanded over R^W, in pair order, for the relations.  For the full
+        free module the Hilbert series is checked exactly against the Molien
+        fixed-point count (ReflectionGroup.molien_matches).
         """
         group = self.group
         ring = group.ring
@@ -449,11 +501,24 @@ class WEquivariantFreeModule:
             gens0 = [g for g in submodule_gens if not g.is_zero()]
         pairs = [(g, b) for g in gens0 for b in basis]
         col_degrees = (0,) * self.rank
-        order = sorted(range(len(pairs)), key=lambda k: (
-            pairs[k][0].homogeneous_degree(col_degrees)
-            + ring.weighted_degree(pairs[k][1]), k))
-        kept, span = {}, GroebnerBasis(ring)
-        for k in order:
+        degrees = [g.homogeneous_degree(col_degrees) + ring.weighted_degree(b)
+                   for g, b in pairs]
+        top = max(degrees, default=0)
+        free = HilbertSeries({0: self.rank}, ring.degrees).coefficients(top)
+        target = free if hilbert is None else hilbert.coefficients(top)
+        kept, span, memo = {}, GroebnerBasis(ring), {}
+
+        def full_degrees():
+            # the degrees d with dim S_d = dim F_d - dim (F/S)_d = dim M_d
+            quotient = HilbertSeries(_quotient_numerator(
+                ring, col_degrees, span._leads, memo), ring.degrees).coefficients(top)
+            return {d for d in set(degrees)
+                    if free.get(d, 0) - quotient.get(d, 0) == target.get(d, 0)}
+
+        full = full_degrees()
+        for k in sorted(range(len(pairs)), key=lambda k: (degrees[k], k)):
+            if degrees[k] in full:
+                continue
             g, b = pairs[k]
             v = self.reynolds_tuple(g.poly_mul(ring.monomial(b)))
             if not span.add(v):
@@ -461,6 +526,7 @@ class WEquivariantFreeModule:
             kept[k] = v
             if all(span.contains(h) for h in gens0):
                 break
+            full = full_degrees()
         generators = [kept[k] for k in sorted(kept)]
         coords = [group.expand_vector(v, self.rank) for v in generators]
         amb_degrees = group.invariant_module_layout(self.rank)
@@ -469,10 +535,8 @@ class WEquivariantFreeModule:
         module = FPModule.from_columns(group.invariant_ring, gdegs, rels)
         result = InvariantsResult(module, generators)
         if submodule_gens is None:
-            expected = group.molien_series(nmax, [
+            result.molien_consistent = group.molien_matches(module.hilbert(), [
                 sum(1 for i, p in enumerate(perm) if i == p) for perm in self._action_of])
-            got = {k: Fraction(v) for k, v in module.hilbert().coefficients(nmax).items()}
-            result.molien_consistent = expected == got
         return result
 
 

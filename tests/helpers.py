@@ -562,12 +562,30 @@ def reference_integrate(graph, klass):
     return quot
 
 
-def verify_or_raise(group, nmax=40):
-    """group.verify(nmax), raising ValueError when the datum is rejected."""
-    checks = group.verify(nmax)
+def verify_or_raise(group):
+    """group.verify(), raising ValueError when the datum is rejected."""
+    checks = group.verify()
     if failures(checks):
         raise ValueError("invariant datum rejected: %s" % failures(checks))
     return checks
+
+
+def reference_molien_series(group, nmax, weights=None):
+    """The Molien series average of c_w / det(1 - q^2 w) over the group,
+    truncated through degree nmax: each 1 / det(1 - q^2 w) expanded as a
+    power series, term by term in Fractions."""
+    from equisyz.weyl import _char_det
+    total = {}
+    for w, c in zip(group.elements, weights or [1] * group.order):
+        p = _char_det(w)
+        inv = {0: Fraction(1)}
+        for n in range(1, nmax + 1):
+            acc = -sum(v * inv.get(n - k, 0) for k, v in p.items() if 0 < k <= n)
+            if acc:
+                inv[n] = acc
+        for k, v in inv.items():
+            total[k] = total.get(k, 0) + c * v
+    return {k: v / group.order for k, v in total.items() if v}
 
 
 def restrict_scalars(group, module):

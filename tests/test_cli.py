@@ -1,7 +1,11 @@
 import json
 import os
 import signal
+import subprocess
+import sys
 import time
+
+import pytest
 
 from equisyz.cli import (
     COMMANDS, build_parser, main, run, render_text, EXIT_PASS, EXIT_FAIL, EXIT_INPUT,
@@ -385,6 +389,25 @@ def test_exit_two_on_non_object_input(tmp_path):
             assert "ring must be a JSON object" in report["error"]
 
 
+def test_help_exits_zero(capsys):
+    # --help of equisyz and of each command prints the usage and exits 0,
+    # in process and as a program; a missing input still exits 2
+    for argv in [["--help"], ["-h"]] + [[name, "--help"] for name in COMMANDS]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr().out
+        assert exc.value.code == 0 and out.startswith("usage: equisyz"), argv
+        assert "error" not in out
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src"), os.environ.get("PYTHONPATH", "")]))
+    for argv, code in ((["--help"], 0), (["gkm", "--help"], 0), (["gkm"], EXIT_INPUT),
+                       (["gkm", "in.json", "--bogus"], EXIT_INPUT)):
+        proc = subprocess.run([sys.executable, "-m", "equisyz.cli"] + argv,
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == code, (argv, proc)
+        assert ("usage: equisyz" in proc.stdout) == (code == 0), (argv, proc)
+
+
 def test_exit_two_on_negative_max_degree():
     code, report = run(["module-analyze", data_path("koszul2.json"),
                         "--max-degree", "-3"])
@@ -425,8 +448,12 @@ def _wrong_truncation(obj):
 
 def test_series_checks_fail_at_every_max_degree(tmp_path):
     # each input's two Hilbert series agree in degree 0 and differ in degree
-    # 2, so a comparison truncated at 2 * --max-degree passed at --max-degree 0
+    # 2, so a comparison truncated at 2 * --max-degree passed at --max-degree 0;
+    # the sign group's Molien series 1/(1 - q^4) and the series 1/(1 - q^8)
+    # of the invariant t1^4 first differ in degree 4, past --max-degree 1
     cases = [
+        ("weyl-verify", "", "Molien series matches the invariant degrees",
+         _edited("z2_group.json", lambda g: g.update(invariants=["t1^4"]))),
         ("gkm", "descend", "descent-base-change-hilbert", _edited(
             "s2.json", lambda g: g["symmetry"].update(vertex_maps=[{"N": "N", "S": "S"}]))),
         ("filtration-verify", "ses", "homology-truncation-additivity",

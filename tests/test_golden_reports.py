@@ -9,7 +9,9 @@ tests read Ext along the longest resolutions; the pairing check on the
 full flag variety Fl(4) of bench/gen.py (24 vertices, a 24 x 24 Gram
 matrix) and on the Grassmannian Gr(3,6) (20 vertices, a 20 x 20 Gram
 matrix), the descent check on the symmetric Fl(4), P^4 (120 coinvariant
-monomials) and P^5 of bench/gen.py, and the Chang-Skjelbred check on
+monomials), P^5 and P^6 (the last in text too, its digests those of the
+selection that made a Reynolds image of every candidate), and the
+Chang-Skjelbred check on
 Gr(3,6), Gr(3,6) with its edges shuffled, Gr(3,7) and Fl(5); cartan
 on the circle model plus an acyclic pair, whose differential is nonzero,
 on a point plus a free circle (not Cohen-Macaulay, so the collapse check
@@ -106,21 +108,28 @@ def _cases(workdir):
             json.dump(obj, fh)
         yield ("module-analyze %s json" % name,
                ["module-analyze", path, "--seed", "5", "--format", "json"])
-    for name, graph, check in (
-            ("flag_variety_4", gen.flag_variety(4, "0"), "pairing"),
-            ("grassmannian_3_6", gen.grassmannian(3, 6, "0"), "pairing"),
-            ("flag_variety_4_symmetric", gen.flag_variety(4, "0", symmetric=True), "descend"),
-            ("projective_4_symmetric", gen.projective_space(4, "0", symmetric=True), "descend"),
-            ("projective_5_symmetric", gen.projective_space(5, "0", symmetric=True), "descend"),
-            ("grassmannian_3_6", gen.grassmannian(3, 6, "0"), "cs"),
-            ("grassmannian_3_7", gen.grassmannian(3, 7, "0"), "cs"),
-            ("grassmannian_3_6_shuffled", shuffled_edges(gen.grassmannian(3, 6, "0"), 0), "cs"),
-            ("flag_variety_5", gen.flag_variety(5, "0"), "cs")):
+    for name, graph, check, formats in (
+            ("flag_variety_4", gen.flag_variety(4, "0"), "pairing", ("json",)),
+            ("grassmannian_3_6", gen.grassmannian(3, 6, "0"), "pairing", ("json",)),
+            ("flag_variety_4_symmetric", gen.flag_variety(4, "0", symmetric=True), "descend",
+             ("json",)),
+            ("projective_4_symmetric", gen.projective_space(4, "0", symmetric=True), "descend",
+             ("json",)),
+            ("projective_5_symmetric", gen.projective_space(5, "0", symmetric=True), "descend",
+             ("json",)),
+            ("projective_6_symmetric", gen.projective_space(6, "0", symmetric=True), "descend",
+             ("text", "json")),
+            ("grassmannian_3_6", gen.grassmannian(3, 6, "0"), "cs", ("json",)),
+            ("grassmannian_3_7", gen.grassmannian(3, 7, "0"), "cs", ("json",)),
+            ("grassmannian_3_6_shuffled", shuffled_edges(gen.grassmannian(3, 6, "0"), 0), "cs",
+             ("json",)),
+            ("flag_variety_5", gen.flag_variety(5, "0"), "cs", ("json",))):
         path = os.path.join(workdir, "%s_%s.json" % (name, check))
         with open(path, "w") as fh:
             json.dump(graph, fh)
-        yield ("gkm %s %s json" % (name, check),
-               ["gkm", path, "--check", check, "--format", "json"])
+        for fmt in formats:
+            yield ("gkm %s %s %s" % (name, check, fmt),
+                   ["gkm", path, "--check", check, "--format", fmt])
 
 
 def _expire(signum, frame):

@@ -8,9 +8,9 @@ from fractions import Fraction
 import pytest
 
 from equisyz import polyring
-from equisyz.polyring import GradedPolynomialRing, Polynomial, Vector
+from equisyz.polyring import GradedPolynomialRing, HilbertSeries, Polynomial, Vector
 from equisyz.gradmod import FPModule, base_change, iso_surrogate_equal
-from equisyz.equivtop import GKMGraph, gkm_cohomology
+from equisyz.equivtop import GKMGraph, _satisfies_congruences, gkm_cohomology
 from equisyz.cli import run
 from equisyz.weyl import (
     ReflectionGroup, WEquivariantFreeModule, GroupClosureError,
@@ -19,8 +19,8 @@ from equisyz.weyl import (
 )
 from helpers import (
     _mat_mul, failures, random_homogeneous, random_vector, reference_act, reference_closure,
-    reference_invariants, reference_reynolds_tuple, relation_columns, restrict_scalars,
-    reynolds, verify_or_raise,
+    reference_invariants, reference_molien_series, reference_reynolds_tuple,
+    relation_columns, restrict_scalars, reynolds, verify_or_raise,
 )
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -223,9 +223,27 @@ def test_kostant_identity_exact():
 
 
 def test_molien_matches_invariant_degrees():
+    # the exact check agrees with the Molien series expanded through degree
+    # 40, and rejects a series that agrees with it through degree 3 (the
+    # first invariant degree doubled: t^4 in place of t^2 for the sign group)
     for group in (cyclic_sign_group(), symmetric_group_on_sum_zero(3),
-                  signed_permutation_rank2()):
-        assert group.molien_series(40) == group.invariant_ring_series(40)
+                  signed_permutation_rank2(), symmetric_group_on_sum_zero(4)):
+        series = HilbertSeries({0: 1}, group.invariant_degrees)
+        assert group.molien_matches(series)
+        assert reference_molien_series(group, 40) == {
+            k: Fraction(v) for k, v in series.coefficients(40).items()}
+        degrees = group.invariant_degrees
+        wrong = HilbertSeries({0: 1}, (2 * degrees[0],) + degrees[1:])
+        assert not group.molien_matches(wrong)
+        assert reference_molien_series(group, 3) == {
+            k: Fraction(v) for k, v in wrong.coefficients(3).items()}
+    # weighted by the fixed-point counts of the regular representation of
+    # the sign group, the series is 1 / (1 - q^2) = (1 + q^2) / (1 - q^4),
+    # that of its invariant tuples, a copy of R_T; 2 / (1 - q^4) agrees with
+    # it in degree 0 only
+    z2 = cyclic_sign_group()
+    assert z2.molien_matches(HilbertSeries({0: 1, 2: 1}, (4,)), [2, 0])
+    assert not z2.molien_matches(HilbertSeries({0: 2}, (4,)), [2, 0])
 
 
 def test_reynolds_examples():
@@ -461,14 +479,85 @@ def _linear(g, x):
 
 
 def _kernel_module(obj):
+    """(module, kernel generators, kernel Hilbert series) of a symmetric
+    GKM graph's JSON."""
     graph = GKMGraph.from_json(obj)
     group, perms = graph.symmetry
+    kernel = gkm_cohomology(graph)
     return (WEquivariantFreeModule(group, graph.vertices, perms),
-            gkm_cohomology(graph).generators)
+            kernel.generators, kernel.module.hilbert())
 
 
-def _assert_matches_reference(mod, gens=None):
-    inv = mod.invariants(submodule_gens=gens)
+def _union_module(*modules):
+    """The direct sum of permutation modules over one group: the disjoint
+    union of their index sets."""
+    names, perms = [], [{} for _ in modules[0].group.generators]
+    for m, mod in enumerate(modules):
+        names += ["%d:%s" % (m, n) for n in mod.names]
+        for perm, gperm in zip(perms, mod.gen_perms):
+            perm.update(("%d:%s" % (m, mod.names[i]), "%d:%s" % (m, mod.names[j]))
+                        for i, j in enumerate(gperm))
+    return WEquivariantFreeModule(modules[0].group, names, perms)
+
+
+def test_reynolds_tuple_on_several_orbits():
+    # one average at each orbit's first position, spread over the orbit by
+    # one element per position, equals the average over the group on
+    # permutation modules of three orbits, one of them a fixed point: for
+    # A2 with three points and the six of the regular representation, for
+    # B2 with two orbits of four points
+    a2 = symmetric_group_on_sum_zero(3)
+    b2 = signed_permutation_rank2()
+    cases = [
+        (_union_module(WEquivariantFreeModule(a2, ["pt"], [{"pt": "pt"}] * 2),
+                       _orbit_module(a2, (1, 0), _linear),
+                       _orbit_module(a2, a2.elements[0], _mat_mul)), [0, 1, 4]),
+        (_union_module(_orbit_module(b2, (1, 0), _linear),
+                       WEquivariantFreeModule(b2, ["pt"], [{"pt": "pt"}] * 2),
+                       _orbit_module(b2, (1, 1), _linear)), [0, 4, 5]),
+    ]
+    rng = random.Random(2929)
+    for mod, reps in cases:
+        targets = [v0 for _, cols in mod._gather for v0 in cols.values()]
+        assert sorted(targets) == sorted(reps * mod.group.order)
+        spread = [v for _, cols in mod._spread for v in cols.values()]
+        assert sorted(spread) == list(range(mod.rank))
+        ring, cols = mod.group.ring, (0,) * mod.rank
+        for _ in range(3):
+            v = random_vector(ring, cols, rng.choice([0, 2, 4]), rng, rational=True)
+            got = mod.reynolds_tuple(v)
+            assert not got.is_zero() and got._view is None
+            assert got == reference_reynolds_tuple(mod, v)
+            assert mod.reynolds_tuple(got) == got
+
+
+def test_group_images_of_kernel_generators_lie_in_the_kernel():
+    # the theorem the Hilbert-series stop of descent rests on: the GKM
+    # kernel is W-stable, so every group generator, acting by substitution
+    # on each component and by its vertex map on the positions, sends each
+    # kernel generator to a tuple satisfying the edge congruences
+    graphs = [gen.projective_space(3, "0", symmetric=True),
+              gen.flag_variety(3, "0", symmetric=True),
+              gen.flag_variety(4, "0", symmetric=True)]
+    for name in ("flag3.json", "s2.json"):
+        with open(os.path.join(HERE, "..", "data", name)) as fh:
+            graphs.append(json.load(fh))
+    for obj in graphs:
+        graph = GKMGraph.from_json(obj)
+        group, perms = graph.symmetry
+        position = {v: i for i, v in enumerate(graph.vertices)}
+        kernel = gkm_cohomology(graph).generators
+        for f in kernel:
+            assert _satisfies_congruences(graph, f.to_polys())
+            for matrix, perm in zip(group.generators, perms):
+                image = [None] * len(graph.vertices)
+                for v, comp in zip(graph.vertices, f.to_polys()):
+                    image[position[perm[v]]] = reference_act(group, matrix, comp)
+                assert _satisfies_congruences(graph, image)
+
+
+def _assert_matches_reference(mod, gens=None, hilbert=None):
+    inv = mod.invariants(submodule_gens=gens, hilbert=hilbert)
     ref_gens, ref_module = reference_invariants(mod, gens)
     assert inv.generators == ref_gens
     assert inv.module.gens_degrees == ref_module.gens_degrees
@@ -495,6 +584,8 @@ def test_invariants_match_reference_selection():
         _orbit_module(s4, (1, 0, 0), _linear),
         _orbit_module(z2z2, z2z2.elements[0], _mat_mul),
         _orbit_module(z2a2, (1, 1, 0), _linear),
+        _union_module(WEquivariantFreeModule(a2, ["pt"], [{"pt": "pt"}] * 2),
+                      _orbit_module(a2, (1, 0), _linear)),
     ]
     rng = random.Random(707)
     for mod in modules:
@@ -513,11 +604,15 @@ def test_invariants_match_reference_selection():
         with open(os.path.join(HERE, "..", "data", name)) as fh:
             graphs.append(json.load(fh))
     for obj in graphs:
-        mod, gens = _kernel_module(obj)
+        # as descend_invariants selects, with the kernel's Hilbert series
+        # stopping each degree once it is spanned, and without it
+        mod, gens, hilbert = _kernel_module(obj)
         _assert_matches_reference(mod, gens)
+        _assert_matches_reference(mod, gens, hilbert)
         if mod.group.order < 24:
             # lowest degree first: (1, ..., 1) is spanned before the others
             _assert_matches_reference(mod, gens[::-1])
+            _assert_matches_reference(mod, gens[::-1], hilbert)
 
 
 def test_greedy_selection_grows_one_basis(monkeypatch):
@@ -569,7 +664,10 @@ def test_greedy_selection_grows_one_basis(monkeypatch):
 def test_descend_reynolds_and_expand_counts(tmp_path, monkeypatch):
     # deterministic work of gkm --check descend on symmetric P^3 (S_4): the
     # selection expanded every one of 96 candidates (96 Reynolds images,
-    # 384 expand calls); only the 4 kept generators are expanded now.  The
+    # 384 expand calls); only the 4 kept generators are expanded now, and
+    # with each degree stopped once the kernel's Hilbert series is met only
+    # they get a Reynolds image (15 before the stop), as on P^5 (S_6: 6
+    # images, 175 before).  The
     # group is numbered once, and its closure multiplies integer matrices;
     # every element acts as a signed permutation, without substitution, and
     # the Reynolds averaging hashes no Fraction matrix and returns vectors
@@ -640,7 +738,7 @@ def test_descend_reynolds_and_expand_counts(tmp_path, monkeypatch):
     path.write_text(json.dumps(gen.projective_space(3, 0, symmetric=True)))
     code, report = run(["gkm", str(path), "--check", "descend"])
     assert code == 0 and report["status"] == "pass"
-    assert counts["reynolds_tuple"] <= 15 and 1 <= counts["expand_vector"] <= 16, counts
+    assert counts["reynolds_tuple"] == 4 and 1 <= counts["expand_vector"] <= 16, counts
     assert counts["fractions_in_expand"] == 0, counts
     group = modules[0].group
     assert (group.order, len(group.generators)) == (24, 3)
@@ -650,3 +748,8 @@ def test_descend_reynolds_and_expand_counts(tmp_path, monkeypatch):
     assert len(born) == counts["reynolds_tuple"] and all(born), born
     actions = modules[0]._action_of
     assert isinstance(actions, list) and len(actions) == group.order
+    counts["reynolds_tuple"] = 0
+    path.write_text(json.dumps(gen.projective_space(5, 0, symmetric=True)))
+    code, report = run(["gkm", str(path), "--check", "descend"])
+    assert code == 0 and report["status"] == "pass"
+    assert counts["reynolds_tuple"] == 6 and modules[-1].group.order == 720, counts
