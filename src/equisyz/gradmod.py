@@ -16,12 +16,14 @@ tables plus Hilbert series, compared exactly: as numerators over the one
 denominator prod(1 - q^d) of their ring, with no truncation degree.
 """
 
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
 from .polyring import (
     Vector, SubmoduleGB, GroebnerBasis, DatumError,
     quotient_hilbert_series, GradedPolynomialRing, _columns, _scaled_dot, _integers,
+    _quotient_numerator, qpoly_add,
 )
 
 NEG_INF = float("-inf")
@@ -425,7 +427,10 @@ def homology(module, f=None, g=None):
     no Groebner basis is computed.  Else both kernels are SubmoduleGB
     syzygies modulo relations: K those of g's columns modulo P's relations
     (cached on g.free for a free P), and the relations those of K modulo
-    module's relations and f's columns.
+    module's relations and f's columns.  With neither (a free module and no
+    f), the syzygy basis K is chosen from is a Groebner basis of span(K),
+    and when its Hilbert series is that of R(-deg K) the span is free on K
+    (_spans_freely): there are no relations, and their basis is not built.
     """
     for end in (f and f.target, g and g.source):
         if (end is not None and end is not module
@@ -438,12 +443,30 @@ def homology(module, f=None, g=None):
     if g is None or g.target.num_gens == 0:
         K, rels = module.pmap.target.unit_vectors(), quotient
     else:
-        K = (SubmoduleGB(ring, g.target.num_gens, g.columns, g.target.pmap.columns)
-             if g.target.num_rels else g.free.gb()).syzygies()
-        K = [K[i] for i in minimal_generating_indices(K, module.gens_degrees)]
-        rels = SubmoduleGB(ring, module.num_gens, K, quotient).syzygies() if K else []
+        syz = (SubmoduleGB(ring, g.target.num_gens, g.columns, g.target.pmap.columns)
+               if g.target.num_rels else g.free.gb()).syzygies()
+        K = [syz[i] for i in minimal_generating_indices(syz, module.gens_degrees)]
+        if not K or (not quotient and _spans_freely(ring, module.gens_degrees, syz, K)):
+            rels = []
+        else:
+            rels = SubmoduleGB(ring, module.num_gens, K, quotient).syzygies()
     degrees = _degrees_of(K, module.gens_degrees)
     return FPModule.from_columns(ring, degrees, rels).minimized(), K
+
+
+def _spans_freely(ring, gens_degrees, gb, K):
+    """Whether K, homogeneous generators of the span of the Groebner basis
+    gb in the free module F on gens_degrees, is a free basis of it.
+
+    R(-deg K) maps onto the span, so it is an isomorphism exactly when the
+    two have one Hilbert series: the numerator sum(q^deg k) against that
+    of F less that of F/span, read off the leads of gb
+    (_quotient_numerator).
+    """
+    quotient = _quotient_numerator(ring, gens_degrees, [v.lead()[0] for v in gb], {})
+    free = Counter(gens_degrees[col] + ring.weighted_degree(exps)
+                   for col, exps in (k.lead()[0] for k in K))
+    return qpoly_add(quotient, free) == Counter(gens_degrees)
 
 
 def fp_kernel(fpmap):
@@ -683,14 +706,26 @@ def _bidual_columns(module, K, W):
 
 def biduality(module):
     """Kernel and cokernel of the natural map M -> Hom(Hom(M,R),R),
-    computed once per module."""
+    computed once per module.
+
+    M* and M** are read off _dual_data, which builds no Groebner basis for
+    a free module: there M* and M** are free on the dual and the original
+    generator degrees, K and W are unit vectors, and the natural map is
+    the identity, with zero kernel and cokernel.  Only a module with
+    relations lifts its evaluation vectors (_bidual_columns) and presents
+    the kernel and cokernel.
+    """
     if module._biduality is None:
         mstar, K = _dual_data(module)
         mdd, W = _dual_data(mstar)
-        cols, us = _bidual_columns(module, K, W)
-        bmap = FPMap(module, mdd, cols, check=False)
-        module._biduality = BidualityResult(
-            cols, us, fp_kernel(bmap)[0], fp_cokernel(bmap), mstar, mdd, W)
+        if module.num_rels:
+            cols, us = _bidual_columns(module, K, W)
+            bmap = FPMap(module, mdd, cols, check=False)
+            kernel, cokernel = fp_kernel(bmap)[0], fp_cokernel(bmap)
+        else:
+            cols = us = module.pmap.target.unit_vectors()
+            kernel = cokernel = FPModule.zero(module.ring)
+        module._biduality = BidualityResult(cols, us, kernel, cokernel, mstar, mdd, W)
     return module._biduality
 
 

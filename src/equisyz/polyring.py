@@ -1005,12 +1005,15 @@ class GroebnerBasis:
     reduced least sugar, then key, then (i, j), first (Giovini, Mora,
     Niesi, Robbiano and Traverso, ISSAC 1991): an input's sugar is its
     largest weighted term degree, with no column shift, and a pair's
-    remainder inherits the pair's."""
+    remainder inherits the pair's.  The first _raw forms went in
+    unreduced (buchberger's inputs); every later one is a remainder, fully
+    reduced against the forms before it, which reduced reads to skip its
+    tail."""
 
     def __init__(self, ring):
         self.ring = ring
         self._forms, self._leads, self._single, self._sugar, self._pairs = [], [], [], [], {}
-        self._index = {}
+        self._index, self._raw = {}, 0
 
     def _insert(self, form, sugar):
         """Append form with its sugar and update the pending pairs,
@@ -1082,19 +1085,49 @@ class GroebnerBasis:
         terms at least as large as itself, so no larger lead can divide a
         term of a tail.  A tail reduction keeps the lead, and the reduced
         basis is unique.
+
+        The first _raw forms are raw inputs (buchberger inserts every input
+        before any pair) and are always reduced.  Every later form is a
+        remainder, reduced when it was inserted against every form before
+        it, so its tail needs _reduce only when a kept form inserted after
+        it has a lead that divides one of its terms (_later_divides).
         """
-        ring = self.ring
+        ring, forms = self.ring, self._forms
         mask, guard, cshift = ring._mask, ring._guard, ring._cshift
-        index, out = {}, []
-        for form in sorted(self._forms, key=lambda form: form[0]):
+        index, later, out = {}, {}, []
+        for p in sorted(range(len(forms)), key=lambda p: forms[p][0]):
+            form = forms[p]
             fields = ~form[0] & mask | guard
             if any((fields - lfields) & guard == guard
                    for _, lfields, _, _ in index.get(form[0] >> cshift, ())):
                 continue
-            form = _content_free(_reduce(ring, form[1], index)[1])[1]
+            if p < self._raw or _later_divides(ring, form[1], later, p):
+                form = _content_free(_reduce(ring, form[1], index)[1])[1]
             _index(ring, [form], index)
+            later.setdefault(form[0] >> cshift, []).append((p, ~form[0] & mask))
             out.append(form)
         return [_monic(ring, rank, form) for form in out]
+
+
+def _later_divides(ring, terms, later, p):
+    """Whether a lead (q, ~lead & _mask) in later, a dict by column key,
+    with q > p divides one of the packed terms: the guard-bit test of
+    _reduce on the leads inserted after position p."""
+    mask, guard, cshift = ring._mask, ring._guard, ring._cshift
+    after = {}
+    for col in {t >> cshift for t in terms}:
+        lfs = [lf for q, lf in later.get(col, ()) if q > p]
+        if lfs:
+            after[col] = lfs
+    if after:
+        for t in terms:
+            lfs = after.get(t >> cshift)
+            if lfs:
+                fields = ~t & mask | guard
+                for lf in lfs:
+                    if (fields - lf) & guard == guard:
+                        return True
+    return False
 
 
 def buchberger(vectors):
@@ -1111,6 +1144,7 @@ def buchberger(vectors):
     for v in vectors:
         form = v._form[1]
         basis._insert(form, _sugar(ring, form[1]))
+    basis._raw = len(vectors)
     basis._complete()
     return basis.reduced(vectors[0].rank)
 

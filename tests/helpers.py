@@ -14,8 +14,8 @@ from equisyz.polyring import (
     buchberger, divide, qpoly_add, qpoly_mul, syzygy_basis,
 )
 from equisyz.gradmod import (
-    FPModule, FPMap, FreeModule, ModuleMap, SyzygyOrderResult, minimal_resolution,
-    fp_kernel, fp_cokernel, fp_homology, _dual_data, _bidual_columns,
+    BidualityResult, FPModule, FPMap, FreeModule, ModuleMap, SyzygyOrderResult,
+    minimal_resolution, fp_kernel, fp_cokernel, fp_homology, _dual_data, _bidual_columns,
     _map_between_free_fp, minimal_generating_indices, _degrees_of, base_change,
 )
 from equisyz.equivtop import DatumError, FiltrationDatum, gkm_cohomology
@@ -927,6 +927,32 @@ def reference_minimized(module):
     cols = [cols[i] for i in keep]
     src = FreeModule(ring, _degrees_of(cols, tgt.degrees))
     return FPModule(ModuleMap(src, tgt, cols))
+
+
+def reference_biduality(module):
+    """The BidualityResult of M -> M** as biduality built it for every
+    module, free or not: the evaluation vectors lifted to the generators
+    of M**, and the kernel and cokernel of that map presented in full."""
+    mstar, K = _dual_data(module)
+    mdd, W = _dual_data(mstar)
+    cols, us = _bidual_columns(module, K, W)
+    bmap = FPMap(module, mdd, cols, check=False)
+    return BidualityResult(cols, us, fp_kernel(bmap)[0], fp_cokernel(bmap), mstar, mdd, W)
+
+
+def biduality_fields(bd):
+    """Every field of a BidualityResult, its modules as JSON."""
+    return (bd.columns, bd.evaluations, bd.W, [m.to_json() for m in (
+        bd.kernel, bd.cokernel, bd.m_star, bd.m_double)])
+
+
+def triangle_graph():
+    """The JSON of a GKM graph in rank 3 whose kernel is not free: three
+    vertices joined by edges of independent weights."""
+    return {"rank": 3, "vertices": ["a", "b", "c"],
+            "edges": [{"v": "a", "w": "b", "weight": [1, 0, 0]},
+                      {"v": "b", "w": "c", "weight": [0, 1, 0]},
+                      {"v": "a", "w": "c", "weight": [0, 0, 1]}]}
 
 
 def reference_compose_embedding(m0, W, bid_entries, g0_free):

@@ -13,7 +13,7 @@ from equisyz.cli import (
 )
 
 from equisyz import cli
-from helpers import module_3028
+from helpers import module_3028, triangle_graph
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 
@@ -65,20 +65,17 @@ def test_gkm_builds_the_kernel_once(monkeypatch):
 
 def test_gkm_computes_biduality_once_per_module(monkeypatch, tmp_path):
     # cs and pairing share the kernel's biduality, and so do cs and
-    # syzygy_order on a non-free kernel (a triangle in rank 3)
+    # syzygy_order on a non-free kernel (a triangle in rank 3); counted by
+    # the results built, which the free and the general path both make
     from equisyz import gradmod
     calls = []
-    real = gradmod._bidual_columns
-    monkeypatch.setattr(gradmod, "_bidual_columns",
+    real = gradmod.BidualityResult
+    monkeypatch.setattr(gradmod, "BidualityResult",
                         lambda *args: calls.append(1) or real(*args))
     code, _ = run(["gkm", data_path("s2xs2.json"), "--check", "cs,pairing"])
     assert code == EXIT_PASS and len(calls) == 1
     calls.clear()
-    path = write_json(tmp_path, "triangle.json", {
-        "rank": 3, "vertices": ["a", "b", "c"],
-        "edges": [{"v": "a", "w": "b", "weight": [1, 0, 0]},
-                  {"v": "b", "w": "c", "weight": [0, 1, 0]},
-                  {"v": "a", "w": "c", "weight": [0, 0, 1]}]})
+    path = write_json(tmp_path, "triangle.json", triangle_graph())
     code, report = run(["gkm", path, "--check", "cs"])
     assert code == EXIT_PASS and not report["summary"]["kernel_free"]
     assert len(calls) == 1

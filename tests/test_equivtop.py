@@ -10,7 +10,7 @@ import pytest
 from equisyz.polyring import GradedPolynomialRing, SubmoduleGB, Vector
 from equisyz.gradmod import (
     FPModule, FPMap, biduality, syzygy_order, iso_surrogate_equal,
-    base_change,
+    base_change, homology, _degrees_of, _map_between_free_fp,
 )
 from equisyz.weyl import cyclic_sign_group
 from equisyz.cartan import equivariant_homology
@@ -23,8 +23,8 @@ from equisyz.equivtop import (
 )
 from helpers import (
     DATA, alternating_hilbert, base_changed, circle_model, euler_class, formal_model,
-    load, quotient_by_ideal, random_homogeneous, random_module, reference_integrate,
-    shuffled_edges, zero_map,
+    koszul_syzygy_module, load, quotient_by_ideal, random_homogeneous, random_module,
+    reference_integrate, shuffled_edges, triangle_graph, zero_map,
 )
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "bench"))
@@ -147,6 +147,73 @@ def test_chang_skjelbred_check_work_on_flag3(monkeypatch):
     code, report = run(["gkm", os.path.join(DATA, "flag3.json"), "--check", "cs"])
     assert code == 0, report
     assert len(builds) <= 4 and len(pops) <= 226, (len(builds), len(pops))
+
+
+def test_free_kernels_skip_the_relations_basis_and_match_their_syzygies(monkeypatch):
+    # homology out of a free module reads freeness of the kernel off its
+    # Hilbert series: the module equals the one presented by the syzygies
+    # of K, and the SubmoduleGB of K is built exactly when K has syzygies
+    cases = []
+    for obj in (gen.projective_space(2, "0"), gen.grassmannian(2, 4, "0"),
+                load(GKMGraph, "flag3").to_json(), load(GKMGraph, "s2xs2").to_json(),
+                triangle_graph()):
+        ab0, _, delta0 = chang_skjelbred(GKMGraph.from_json(obj))
+        cases.append((ab0, delta0))
+    for r in (2, 3, 4):
+        ring = GradedPolynomialRing(["x%d" % i for i in range(r)])
+        d1 = FPModule.from_columns(ring, (0,), [Vector.from_polys([x]) for x in ring.vars()])
+        maps = [d1.pmap] + [koszul_syzygy_module(ring, j).pmap for j in range(1, r)]
+        for pmap in maps:
+            g = _map_between_free_fp(pmap)
+            cases.append((g.source, g))
+    builds = []
+    real = SubmoduleGB.__init__
+
+    def counted(self, ring, rank, gens, relations=()):
+        builds.append((rank, list(gens)))
+        real(self, ring, rank, gens, relations)
+
+    kinds = []
+    for module, g in cases:
+        monkeypatch.setattr(SubmoduleGB, "__init__", counted)
+        builds.clear()
+        got, K = homology(module, g=g)
+        monkeypatch.undo()
+        rels = SubmoduleGB(module.ring, module.num_gens, K).syzygies() if K else []
+        want = FPModule.from_columns(module.ring, _degrees_of(K, module.gens_degrees), rels)
+        assert got.to_json() == want.minimized().to_json()
+        assert ((module.num_gens, K) in builds) == bool(rels)
+        kinds.append("empty" if not K else "free" if not rels else "relations")
+    # the GKM kernels: four free ones and the triangle's
+    assert kinds[:5] == ["free"] * 4 + ["relations"]
+    assert set(kinds[5:]) == {"empty", "free", "relations"}
+
+
+def test_reduced_skips_the_tails_of_gr36_kernel_remainders(monkeypatch):
+    # the one basis the Gr(3,6) kernel builds: its reduced basis reduces
+    # only raw inputs, 90 _reduce calls (181 when it reduced every kept
+    # form; none of the remainders' tails is divisible by a later lead)
+    import equisyz.polyring as polyring
+    from equisyz.polyring import GroebnerBasis
+    counts, inside = [], []
+    real_reduce, real_reduced = polyring._reduce, GroebnerBasis.reduced
+
+    def reduced(self, rank):
+        counts.append(0)
+        inside.append(1)
+        try:
+            return real_reduced(self, rank)
+        finally:
+            inside.pop()
+
+    def counting(*args):
+        if inside:
+            counts[-1] += 1
+        return real_reduce(*args)
+    monkeypatch.setattr(GroebnerBasis, "reduced", reduced)
+    monkeypatch.setattr(polyring, "_reduce", counting)
+    gkm_cohomology(GKMGraph.from_json(gen.grassmannian(3, 6, "0")))
+    assert counts == [90]
 
 
 def test_kernel_work_does_not_depend_on_edge_order(monkeypatch):

@@ -11,12 +11,13 @@ from equisyz.gradmod import (
     cohen_macaulay, syzygy_order, base_change, fp_kernel, fp_cokernel, fp_homology, iso_surrogate_equal,
 )
 from equisyz.weyl import cyclic_sign_group, symmetric_group_on_sum_zero
+from equisyz.equivtop import GKMGraph, gkm_cohomology
 from helpers import (
-    alternating_hilbert, dual_module, koszul_syzygy_module, quotient_by_ideal,
+    alternating_hilbert, biduality_fields, dual_module, koszul_syzygy_module, quotient_by_ideal,
     random_homogeneous, random_module, random_module_with_units, random_vector,
-    reference_compose_embedding, reference_matrix_product, reference_minimal_generating_indices,
+    reference_biduality, reference_compose_embedding, reference_matrix_product, reference_minimal_generating_indices,
     reference_minimized, reference_syzygy_order, relation_columns, residue_field_module,
-    restrict_scalars, times_qpoly,
+    restrict_scalars, times_qpoly, triangle_graph,
 )
 
 
@@ -393,6 +394,43 @@ def test_syzygy_order_matches_reference_and_biduality():
         assert cohen_macaulay(FPModule(m.pmap)).ext_nonzero == cm.ext_nonzero
         assert depth(FPModule(m.pmap)) == depth(m) == cm.depth
     assert kinds == {"free", "torsion", "not-reflexive", "dualized-resolution"}
+
+
+def test_free_biduality_matches_reference_and_builds_no_basis(monkeypatch):
+    # a free module is its own double dual: the identity data, with every
+    # field equal to the full construction's and no Groebner basis built
+    from equisyz.polyring import SubmoduleGB
+    rng = random.Random(3030)
+    cases = []
+    for rank in range(7):
+        for _ in range(2):
+            nvars = rng.randint(1, 4)
+            ring = GradedPolynomialRing(["t%d" % i for i in range(nvars)],
+                                        [rng.choice([2, 4]) for _ in range(nvars)])
+            cases.append(FPModule.free(ring, [rng.randint(-6, 6) for _ in range(rank)]))
+    expected = [biduality_fields(reference_biduality(m)) for m in cases]
+    builds = []
+    real = SubmoduleGB.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(SubmoduleGB, "__init__", counted)
+    for m, want in zip(cases, expected):
+        bd = biduality(m)
+        assert biduality_fields(bd) == want
+        assert bd.torsion_free and bd.reflexive
+    assert not builds
+
+
+def test_non_free_biduality_matches_reference():
+    # the triangle's kernel has a relation: the general path, unchanged
+    module = gkm_cohomology(GKMGraph.from_json(triangle_graph())).module
+    assert module.num_rels
+    bd = biduality(module)
+    assert biduality_fields(bd) == biduality_fields(reference_biduality(module))
+    assert bd.torsion_free and bd.reflexive
 
 
 def test_torsion_biduality_computes_only_the_dual(monkeypatch):

@@ -444,6 +444,39 @@ def test_pending_pairs_match_reference_update_and_carry_their_lcm(monkeypatch):
     assert len(sizes) >= 80 and sum(sizes) >= 150, sizes
 
 
+def test_reduced_reduces_only_tails_a_later_lead_divides(monkeypatch):
+    # x - 3y, x + z and x - 2z give the remainders 3y + z and then z: only
+    # the first input (a raw input, whose lead is kept) and 3y + z, whose
+    # tail z the later, smaller lead z divides, are reduced
+    import equisyz.polyring as polyring
+    ring = GradedPolynomialRing(["x", "y", "z"])
+    x, y, z = ring.vars()
+    gens = [Vector.from_polys([p]) for p in (x - y.scale(3), x + z, x - z.scale(2))]
+    calls, tests = [], []
+    real_reduce, real_later, real_reduced = (
+        polyring._reduce, polyring._later_divides, GroebnerBasis.reduced)
+
+    def reduced(self, rank):
+        calls.append([])
+        return real_reduced(self, rank)
+
+    def counting(*args):
+        if calls:
+            calls[-1].append(len(args[1]))
+        return real_reduce(*args)
+
+    def later(ring, terms, after, p):
+        tests.append(real_later(ring, terms, after, p))
+        return tests[-1]
+    monkeypatch.setattr(GroebnerBasis, "reduced", reduced)
+    monkeypatch.setattr(polyring, "_reduce", counting)
+    monkeypatch.setattr(polyring, "_later_divides", later)
+    gb = buchberger(gens)
+    assert gb == [Vector.from_polys([v]) for v in (z, y, x)] == reference_buchberger(gens)
+    # one raw input of 2 terms and the remainder 3y + z
+    assert calls == [[2, 2]] and tests == [False, True]
+
+
 def _check_primitive(v):
     c, (lead, terms) = v._form
     assert type(c) is Fraction
