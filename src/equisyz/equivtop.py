@@ -97,6 +97,10 @@ class GKMGraph:
             ring._pack(0, zero[:i] + (1,) + zero[i + 1:]): a for i, a in enumerate(weight) if a})
 
     def _check_symmetry(self):
+        """Each group generator fixes every invariant (the test of
+        ReflectionGroup.verify) and sends each edge weight to +- the weight
+        of the image edge, mapped by its signed permutation or integer form
+        (ReflectionGroup._weight_image)."""
         group, perms = self.symmetry
         if group.ring != self.ring:
             raise DatumError("symmetry group must act on the graph's ring")
@@ -106,13 +110,17 @@ class GKMGraph:
         for (v, w, a) in self.edges:
             edge_set.add((v, w, a))
             edge_set.add((w, v, tuple(-x for x in a)))
-        for mat, perm in zip(group.generators, perms):
+        for gi, (row, perm) in enumerate(zip(group.table, perms)):
             if set(perm) != set(self.vertices):
                 raise DatumError("vertex permutation must cover all vertices")
+            k = row[0]  # the generator itself, its product with the identity
+            for i, p in enumerate(group.invariants):
+                if group._act(k, p) != p:
+                    raise DatumError("symmetry generator %d does not fix invariant %d"
+                                     % (gi + 1, i + 1))
             for (v, w, a) in self.edges:
-                img = tuple(sum(mat[i][j] * a[j] for j in range(self.rank))
-                            for i in range(self.rank))
-                if (any(x.denominator != 1 for x in img)
+                img = group._weight_image(k, a)
+                if (img is None
                         or (perm[v], perm[w], img) not in edge_set
                         and (perm[v], perm[w], tuple(-x for x in img)) not in edge_set):
                     raise DatumError("vertex permutation does not respect the weights")
@@ -494,7 +502,9 @@ def descend_invariants(graph):
     alpha_e divides f_v - f_u, so w.alpha_e = +-alpha_{w.e} divides
     w.f_v - w.f_u = (w.f)_{w.v} - (w.f)_{w.u}: w.f lies in the kernel.  A
     candidate wrongly skipped would also fail the base-change Hilbert
-    check below.
+    check below.  _check_symmetry also requires every generator to fix
+    every invariant, so that the coinvariant basis is a basis of R_T over
+    R^W, on which the selection's coordinates rest.
     """
     if graph.symmetry is None:
         return DescentResult(None, [], [CheckReport(

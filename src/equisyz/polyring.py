@@ -601,9 +601,6 @@ class Vector(_Element):
         c, cols = _columns(self)
         return [Polynomial._of_ints(self.ring, 1, c, col) for col in cols]
 
-    def mono_mul(self, exps, coeff=1):
-        return self._times(self.ring.monomial(exps, coeff))
-
     poly_mul = _Element._times
 
     def lead(self):
@@ -1008,27 +1005,40 @@ class GroebnerBasis:
     remainder inherits the pair's.  The first _raw forms went in
     unreduced (buchberger's inputs); every later one is a remainder, fully
     reduced against the forms before it, which reduced reads to skip its
-    tail."""
+    tail.
 
-    def __init__(self, ring):
+    With ambient = a, only the columns below a count: a form led in a
+    column at or past a (a syzygy of block vectors, say) is dropped, not
+    inserted, and the product criterion reads only the terms below a.  The
+    forms' parts below a are then a Groebner basis of the parts below a of
+    the span, and no syzygy is made: a pair whose parts below a lie in one
+    column with coprime leads reduces to a form with no term there."""
+
+    def __init__(self, ring, ambient=None):
         self.ring = ring
         self._forms, self._leads, self._single, self._sugar, self._pairs = [], [], [], [], {}
         self._index, self._raw = {}, 0
+        self._bound = None if ambient is None else (1 - ambient) << ring._cshift
 
     def _insert(self, form, sugar):
         """Append form with its sugar and update the pending pairs,
         Gebauer-Moeller style, restricted to same-column pairs; the product
         criterion applies only to pairs of elements that each lie in one
         column.  A pair's sugar is the larger of the sugars of its two
-        multiples m/lm_i * form_i."""
+        multiples m/lm_i * form_i.  A form led past the ambient columns is
+        dropped."""
         ring, leads, single, sugars = self.ring, self._leads, self._single, self._sugar
+        bound = self._bound
+        if bound is not None and form[0] < bound:
+            return
         new = len(leads)
         col, tnew = ring._unpack(form[0])
         lcms = {i: _mono_lcm(e, tnew) for i, (c, e) in enumerate(leads) if c == col}
         self._forms.append(form)
         _index(ring, [form], self._index)
         leads.append((col, tnew))
-        single.append(len({k >> ring._cshift for k in form[1]}) == 1)
+        terms = form[1] if bound is None else [k for k in form[1] if k >= bound]
+        single.append(len({k >> ring._cshift for k in terms}) == 1)
         sugars.append(sugar)
         # chain criterion: (i, new) and (j, new) cover (i, j)
         self._pairs = {p: pair for p, pair in self._pairs.items()
@@ -1130,8 +1140,9 @@ def _later_divides(ring, terms, later, p):
     return False
 
 
-def buchberger(vectors):
-    """Reduced Groebner basis of the submodule generated by the vectors.
+def buchberger(vectors, ambient=None):
+    """Reduced Groebner basis of the submodule generated by the vectors;
+    with ambient, only its elements led below that column (GroebnerBasis).
 
     Every input is inserted before any pair is reduced; adding them one at
     a time lets coefficients grow on some inputs.
@@ -1140,11 +1151,11 @@ def buchberger(vectors):
     if not vectors:
         return []
     ring = vectors[0].ring
-    basis = GroebnerBasis(ring)
+    basis = GroebnerBasis(ring, ambient)
     for v in vectors:
         form = v._form[1]
         basis._insert(form, _sugar(ring, form[1]))
-    basis._raw = len(vectors)
+    basis._raw = len(basis._forms)
     basis._complete()
     return basis.reduced(vectors[0].rank)
 
@@ -1160,15 +1171,21 @@ class SubmoduleGB:
     relations, and reducing (v, 0) gives v's normal form and cofactors
     (_certificate).  The _index of gb (for contains) and of the block
     basis (for _certificate) are built once.
+
+    With syzygies=False the block basis keeps only its ambient-led elements
+    (buchberger's ambient): gb and the normal forms are the same, the
+    cofactors are valid but not reduced modulo the syzygies, and there are
+    no syzygies to return.
     """
 
-    def __init__(self, ring, rank, gens, relations=()):
+    def __init__(self, ring, rank, gens, relations=(), syzygies=True):
         self.ring = ring
         self.rank = rank
         self.gens = list(gens)
         s = len(self.gens)
-        self._ext_gb = buchberger(_blocks(ring, rank, self.gens) + [
-            Vector._of_form(ring, rank + s, *r._form) for r in relations])
+        blocks = _blocks(ring, rank, self.gens) + [
+            Vector._of_form(ring, rank + s, *r._form) for r in relations]
+        self._ext_gb = buchberger(blocks) if syzygies else buchberger(blocks, rank)
         self.gb = []
         self._syz = []
         shift = rank << ring._cshift
@@ -1183,6 +1200,8 @@ class SubmoduleGB:
                     ring, s, c, (lead + shift, {k + shift: n for k, n in terms.items()})))
         self._index = _index(ring, [g._form[1] for g in self.gb])
         self._ext_index = _index(ring, [v._form[1] for v in self._ext_gb])
+        if not syzygies:
+            self._syz = None
 
     contains = GroebnerBasis.contains
 
@@ -1200,6 +1219,8 @@ class SubmoduleGB:
 
     def syzygies(self):
         """The reduced basis of {c in R^s : sum c_i gens[i] in span(relations)}."""
+        if self._syz is None:
+            raise ValueError("Groebner data built without its syzygies")
         return list(self._syz)
 
 

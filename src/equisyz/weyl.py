@@ -5,16 +5,19 @@ Supplies the closure enumeration, verification of candidate fundamental
 invariants (Molien series, order product; one CheckReport per claim),
 Kostant's coinvariant basis as Groebner standard monomials, the Reynolds
 projector, rewriting of R_T vectors over the invariant subring, and
-invariants of equivariant free modules.  The closure numbers the elements once, with a Cayley table,
-walking the group on integer matrices; actions and their caches are keyed
-by that index.  Signed permutation matrices act term by term, others by
-substituting the variables' images.  The action and the Reynolds average
-share one accumulator (_images): the images are summed on integer
-numerators and born in the integer form the Groebner core reduces.  The
-coordinates of an R_T element over R^W are one Vector over the invariant
-ring, its column col * |B| + j the coefficient of the j-th coinvariant
-monomial in coordinate col, summed in one integer accumulator (_expand)
-from the cached coordinates of monomials.
+invariants of equivariant free modules.  The closure numbers the
+elements once, with a Cayley table, walking the group on signed
+permutations when the generators are signed permutation matrices, else on
+integer matrices; actions and their caches are keyed by that index.
+Signed permutation matrices act term by term, others by substituting the
+variables' images.  The action and the Reynolds average share one
+accumulator (_images): the images are summed on integer numerators and
+born in the integer form the Groebner core reduces.  The coordinates of
+an R_T element over R^W are one Vector over the invariant ring, its
+column col * |B| + j the coefficient of the j-th coinvariant monomial in
+coordinate col, summed in one integer accumulator (_expand) from the
+cached coordinates of monomials.  Invariants of a free module are
+selected on these coordinates at one position per orbit.
 Built-in constructors cover the symmetric groups on up to four letters
 (acting on the sum-zero coordinates), the order-8 rank-2 group of signed
 permutations, sign flips in rank one, and direct products.
@@ -22,6 +25,7 @@ permutations, sign flips in rank one, and direct products.
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 
 from .polyring import (
@@ -75,12 +79,9 @@ class ReflectionGroup:
         self.ring = ring
         self.rank = rank
         self.generators = gens
-        self.elements, self._index, self.table, self._forms = self._closure(
-            gens, max_order)
+        self.table, self._forms, self._signed = self._closure(gens, max_order)
         if any(len(set(row)) != len(row) for row in self.table):
             raise ValueError("group generators must be invertible")
-        self._signed = [_signed_permutation(m) if d == 1 else None
-                        for m, d in self._forms]
         self._lcm = math.lcm(*[d for _, d in self._forms])
         self.invariants = [ring.parse(p) if isinstance(p, str) else p
                            for p in invariants]
@@ -100,42 +101,44 @@ class ReflectionGroup:
 
     @staticmethod
     def _closure(gens, max_order):
-        """Elements in discovery order, their index, the Cayley table
-        (table[gi][k] is the index of gens[gi] * elements[k]) and the
-        integer forms of the elements.
+        """The Cayley table (table[gi][k] is the index of gens[gi] times the
+        k-th element, the elements numbered in discovery order), the
+        integer forms of the elements and, for each element that is a
+        signed permutation, its _signed_permutation (else None).
 
-        The walk multiplies integer matrices: the integer form of a matrix
-        is (M, d) with the matrix equal to M / d, d > 0 and no common factor
-        of d and all entries of M, which is unique to the matrix.  The
-        Fraction matrix of an element is built once, when it is found.
+        The integer form of a matrix is (M, d) with the matrix equal to
+        M / d, d > 0 and no common factor of d and all entries of M, which
+        is unique to the matrix.  When every generator is a signed
+        permutation the walk composes signed permutations, and the forms
+        are read off them; otherwise it multiplies integer forms.
         """
         n = len(gens[0]) if gens else 0
         int_gens = [_integer_matrix(g) for g in gens]
-        forms = [(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1)]
-        seen = {forms[0]: 0}
-        table = [[] for _ in gens]
-        for m, d in forms:  # grows while iterated: a breadth-first walk
-            cols = tuple(zip(*m))
-            for (g, dg), row in zip(int_gens, table):
-                form = _content_free_matrix(
-                    tuple(tuple(sum(map(mul, grow, col)) for col in cols) for grow in g),
-                    dg * d)
-                k = seen.get(form)
-                if k is None:
-                    k = seen[form] = len(forms)
-                    forms.append(form)
-                    if len(forms) > max_order:
-                        raise GroupClosureError(
-                            "group closure exceeds the bound %d" % max_order)
-                row.append(k)
-        elements = [tuple(tuple(Fraction(x, d) for x in row) for row in m)
-                    for m, d in forms]
-        index = {w: k for k, w in enumerate(elements)}
-        return elements, index, table, forms
+        images = [_signed_images(m) if d == 1 else None for m, d in int_gens]
+        if None not in images:
+            table, images = _walk(images, tuple(range(1, n + 1)), _compose_images, max_order)
+            forms = [(_images_matrix(im), 1) for im in images]
+        else:
+            identity = (tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1)
+            table, forms = _walk(int_gens, identity, _matrix_product, max_order)
+            images = [_signed_images(m) if d == 1 else None for m, d in forms]
+        return table, forms, [None if im is None else _signed_permutation(im)
+                              for im in images]
 
     @property
     def order(self):
-        return len(self.elements)
+        return len(self._forms)
+
+    @cached_property
+    def elements(self):
+        """The elements as Fraction matrices, in discovery order; built on
+        first use."""
+        return [tuple(tuple(Fraction(x, d) for x in row) for row in m) for m, d in self._forms]
+
+    @cached_property
+    def _index(self):
+        """{Fraction matrix: its index}, built on first use."""
+        return {w: k for k, w in enumerate(self.elements)}
 
     def act(self, matrix, poly):
         """Substitute variable j by the column-j form of the group matrix."""
@@ -143,17 +146,17 @@ class ReflectionGroup:
 
     def _act(self, k, poly):
         """The action of the k-th element (_images)."""
-        return self._images(poly, [(k, {0: 0})])
+        return self._images(poly, [(k, {0: 0})], 1)
 
-    def _images(self, element, actions):
+    def _images(self, element, actions, rank):
         """The sum of w_k . element over (k, cols) in actions, w_k the k-th
         element and cols a dict moving column i of element to column
-        cols[i]; the terms of the columns cols leaves out are skipped.  Born
-        in integer form.  For element = c * F, F its integer form and D the
-        largest degree of a term of F, the integer images L^D * w_k . F
-        (_integer_images) of the monomials in the moved columns go into one
-        dict, and the sum has content c / L^D times the content of that
-        dict."""
+        cols[i] < rank; the terms of the columns cols leaves out are
+        skipped.  Born in integer form, of the element's type.  For
+        element = c * F, F its integer form and D the largest degree of a
+        term of F, the integer images L^D * w_k . F (_integer_images) of the
+        monomials in the moved columns go into one dict, and the sum has
+        content c / L^D times the content of that dict."""
         ring = self.ring
         c, (_, ints) = element._form
         by_col = {}
@@ -171,7 +174,7 @@ class ReflectionGroup:
                     for e, a in images[exps]:
                         acc[col, e] = acc.get((col, e), 0) + a * n
         packed = {ring._pack(col, e): n for (col, e), n in acc.items() if n}
-        return element._of_ints(ring, element.rank, c / self._lcm ** top, packed)
+        return element._of_ints(ring, rank, c / self._lcm ** top, packed)
 
     def _integer_images(self, k, monomials, top):
         """{exps: [(exps, int)]}, the terms of L^top * (w . x^exps) for each
@@ -201,6 +204,19 @@ class ReflectionGroup:
                     image = step
             out[exps] = list(image.items())
         return out
+
+    def _weight_image(self, k, a):
+        """The coefficients of w . sum(a_j x_j), w the k-th element and a
+        integers, as a tuple of ints; None when they are not all integers."""
+        signed = self._signed[k]
+        if signed is not None:
+            src, negated = signed
+            return tuple(-a[j] if j in negated else a[j] for j in src)
+        m, d = self._forms[k]
+        image = [sum(map(mul, row, a)) for row in m]
+        if any(x % d for x in image):
+            return None
+        return tuple(x // d for x in image)
 
     def molien_matches(self, series, weights=None):
         """Whether the Molien series, the average of c_w / det(1 - q^2 w)
@@ -259,9 +275,12 @@ class ReflectionGroup:
         return [CheckReport.of(name, ok, theorem=tag) for name, tag, ok in checks]
 
     def _invariant_gb(self):
+        """Groebner data of the invariant ideal, without its syzygies:
+        coinvariant_basis reads its leads, _expand_monomial its normal forms
+        and cofactors."""
         if self._inv_gb is None:
             cols = [Vector.from_polys([p], 1) for p in self.invariants]
-            self._inv_gb = SubmoduleGB(self.ring, 1, cols)
+            self._inv_gb = SubmoduleGB(self.ring, 1, cols, syzygies=False)
         return self._inv_gb
 
     def coinvariant_basis(self):
@@ -354,7 +373,8 @@ class ReflectionGroup:
         key, a Vector of rank |B| computed once: the unit vector of a
         coinvariant monomial, else the sum over x^k = nf + sum h_i p_i
         (reduce_with_certificate) of nf's coordinates and of y_i times
-        h_i's, the h_i being of lower degree."""
+        h_i's, the h_i being of lower degree.  The coordinates are unique,
+        so any valid cofactors h_i give them."""
         cache = self._expand_cache
         if not cache:
             basis = self.coinvariant_basis()
@@ -373,19 +393,66 @@ class ReflectionGroup:
                 for b in self.coinvariant_basis()] * ambient_rank
 
 
-def _signed_permutation(matrix):
-    """(src, negated) when the invertible matrix is a signed permutation,
-    else None: variable j goes to +-x_i with src[i] = j, and negated lists
-    the j whose image has sign -1."""
-    src, negated = [None] * len(matrix), []
-    for j in range(len(matrix)):
-        rows = [i for i, row in enumerate(matrix) if row[j]]
-        if len(rows) != 1 or abs(matrix[rows[0]][j]) != 1:
+def _walk(gens, identity, product, max_order):
+    """(table, elements) of the breadth-first walk from identity, in
+    discovery order, table[gi][k] the index of product(gens[gi],
+    elements[k]); the elements are hashable and unique to the group
+    element."""
+    elements, seen, table = [identity], {identity: 0}, [[] for _ in gens]
+    for x in elements:  # grows while iterated
+        for g, row in zip(gens, table):
+            y = product(g, x)
+            k = seen.get(y)
+            if k is None:
+                k = seen[y] = len(elements)
+                elements.append(y)
+                if len(elements) > max_order:
+                    raise GroupClosureError("group closure exceeds the bound %d" % max_order)
+            row.append(k)
+    return table, elements
+
+
+def _matrix_product(g, x):
+    """The integer form of the product of two matrices given by theirs."""
+    (a, da), (b, db) = g, x
+    cols = tuple(zip(*b))
+    return _content_free_matrix(
+        tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a), da * db)
+
+
+def _signed_images(matrix):
+    """The images of a signed permutation matrix, images[j] = +-(i + 1)
+    when x_j goes to +-x_i; None for an integer matrix that is not one."""
+    images = []
+    for col in zip(*matrix):
+        rows = [i for i, x in enumerate(col) if x]
+        if len(rows) != 1 or abs(col[rows[0]]) != 1:
             return None
-        src[rows[0]] = j
-        if matrix[rows[0]][j] < 0:
-            negated.append(j)
-    return tuple(src), tuple(negated)
+        images.append(rows[0] + 1 if col[rows[0]] > 0 else -rows[0] - 1)
+    return tuple(images)
+
+
+def _compose_images(g, x):
+    """The images of the product g * x of two signed permutations."""
+    return tuple(g[y - 1] if y > 0 else -g[-y - 1] for y in x)
+
+
+def _images_matrix(images):
+    """The integer matrix of a signed permutation given by its images."""
+    rows = [[0] * len(images) for _ in images]
+    for j, y in enumerate(images):
+        rows[abs(y) - 1][j] = 1 if y > 0 else -1
+    return tuple(map(tuple, rows))
+
+
+def _signed_permutation(images):
+    """(src, negated) of a signed permutation given by its images: x_j
+    goes to +-x_i with src[i] = j, and negated lists the j whose image has
+    sign -1."""
+    src = [0] * len(images)
+    for j, y in enumerate(images):
+        src[abs(y) - 1] = j
+    return tuple(src), tuple(j for j, y in enumerate(images) if y < 0)
 
 
 def _char_det(matrix):
@@ -419,16 +486,17 @@ class WEquivariantFreeModule:
             if set(perm) != set(self.names) or set(perm.values()) != set(self.names):
                 raise ValueError("permutation must be a bijection of the index set")
             self.gen_perms.append(tuple(position[perm[n]] for n in self.names))
-        self._action_of, self._gather, self._spread = self._replay_closure()
+        self._action_of, self._reps, self._gather, self._spread = self._replay_closure()
 
     def _replay_closure(self):
-        """(actions, gather, spread).  actions[k][i] is where element k
-        sends position i; two generator words for one element must give one
-        permutation (homomorphism).  Each orbit is represented by its first
-        position v0.  gather holds, for each element w, w's action moving
-        position w^-1 v0 to v0 for every representative v0; spread holds,
-        for each element u that is the first, in discovery order, to send
-        some v0 to a position v, u's action moving v0 to each such v."""
+        """(actions, reps, gather, spread).  actions[k][i] is where element
+        k sends position i; two generator words for one element must give
+        one permutation (homomorphism).  Each orbit is represented by its
+        first position v0, reps[r] the r-th of them.  gather holds, for each
+        element w, w's action moving position w^-1 v0 to column r for every
+        representative v0 = reps[r]; spread holds, for each element u that
+        is the first, in discovery order, to send some v0 to a position v,
+        u's action moving column r to each such v."""
         actions = [None] * self.group.order
         actions[0] = tuple(range(self.rank))
         for k in range(self.group.order):
@@ -446,12 +514,12 @@ class WEquivariantFreeModule:
                     v = perm[v0]
                     if not found[v]:
                         found[v] = True
-                        spread.setdefault(k, {})[v0] = v
+                        spread.setdefault(k, {})[len(reps) - 1] = v
         gather = []
         for k, perm in enumerate(actions):
             source = {v: i for i, v in enumerate(perm)}
-            gather.append((k, {source[v0]: v0 for v0 in reps}))
-        return actions, gather, sorted(spread.items())
+            gather.append((k, {source[v0]: r for r, v0 in enumerate(reps)}))
+        return actions, reps, gather, sorted(spread.items())
 
     @property
     def rank(self):
@@ -459,41 +527,66 @@ class WEquivariantFreeModule:
 
     def reynolds_tuple(self, vector):
         """Average Rf of w.f over the group, where (w.f)_v = w.(f at the
-        preimage of v).  An invariant tuple is fixed by its values at one
-        position v0 per orbit, (Rf)_{u v0} = u.(Rf)_{v0}; so the average is
-        taken at the representatives only, (Rf)_{v0} = (1/|W|) sum over w
-        of w.f_{w^-1 v0} (gather), and the rest of each orbit is filled with
-        one image per position (spread).  Each step is one
-        ReflectionGroup._images sum on integer numerators, born in integer
-        form."""
+        preimage of v): the average at the representatives (_at_reps),
+        spread over each orbit (_spread_reps)."""
+        return self._spread_reps(self._at_reps(vector))
+
+    def _at_reps(self, vector):
+        """The values of the average Rf at the representatives, column r
+        holding (Rf)_{v0} = (1/|W|) sum over w of w.f_{w^-1 v0} for
+        v0 = reps[r] (gather): one ReflectionGroup._images sum on integer
+        numerators.  An invariant tuple is fixed by these values, as
+        (Rf)_{u v0} = u.(Rf)_{v0}, so F -> F|reps is injective and
+        R^W-linear on invariant tuples."""
         group = self.group
-        at_reps = group._images(vector, self._gather).scale(Fraction(1, group.order))
-        return group._images(at_reps, self._spread)
+        return group._images(vector, self._gather, len(self._reps)).scale(
+            Fraction(1, group.order))
+
+    def _spread_reps(self, at_reps):
+        """The invariant tuple with the given values at the representatives:
+        each position v of the orbit of v0 = reps[r] holds u.(column r) for
+        one element u with u v0 = v (spread), one _images sum."""
+        return self.group._images(at_reps, self._spread, self.rank)
 
     def invariants(self, submodule_gens=None, hilbert=None):
         """Invariant tuples as a module over the invariant ring.
 
         Candidates are the Reynolds images R(g.b), g a homogeneous generator
         (default: the unit vectors) and b a coinvariant monomial, visited
-        by (degree, pair index).  One is kept unless it lies in the R_T-span
-        S of those kept, which for invariant vectors is their R^W-span, as R
-        is R^W-linear; so the kept ones generate minimally (Nakayama).
+        by (degree, pair index).  One is kept unless it lies in the R^W-span
+        S of those kept (the R_T-span of invariant tuples meets them in S,
+        by the Reynolds projector); so the kept ones generate minimally
+        (Nakayama).  All of it is decided on representative coordinates: a
+        candidate gets only its values at the representatives (_at_reps),
+        expanded over R^W in rank #reps * |B| (expand_vector), which is
+        injective and R^W-linear on invariant tuples.  So membership in S,
+        tested by a Groebner basis of the kept coordinates grown in visit
+        order, and the relations among the kept ones (syzygy_basis, in pair
+        order) are those of their coordinates.  Only the kept candidates are
+        spread to full tuples (_spread_reps), for the reported generators.
 
         hilbert is the Hilbert series of a W-stable submodule M of R_T^rank
         (coordinates in degree 0) that holds every g; without it M is
         R_T^rank.  As M is W-stable, every candidate lies in M, and so does
-        S.  Once dim_Q S_d = dim_Q M_d, S_d = M_d holds every later
-        candidate of degree d, so those are skipped without a Reynolds
-        image (the Hilbert-series stop: Derksen and Kemper, Computational
-        Invariant Theory, ch. 3).  dim S_d is read off the leads of S's
-        Groebner basis after each keep.  The visit ends once every g lies in
-        S, since every later candidate then does.  Only the kept ones are
-        expanded over R^W, in pair order, for the relations.  For the full
-        free module the Hilbert series is checked exactly against the Molien
-        fixed-point count (ReflectionGroup.molien_matches).
+        S.  Once dim_Q (R_T S)_d = dim_Q M_d, every later candidate of
+        degree d lies in S, so it is skipped without a Reynolds image (the
+        Hilbert-series stop: Derksen and Kemper, Computational Invariant
+        Theory, ch. 3).  R_T is free over R^W on B (Chevalley), and
+        R_T (x) S -> R_T^rank is injective, so the series of R_T S is
+        P_W Hilb_{R^W}(S), P_W the Poincare polynomial of B.  With
+        prod(1 - q^d_i) = P_W (1 - q^2)^r (Kostant; it holds once the
+        invariant ideal is zero-dimensional, as coinvariant_basis checks),
+        that is the numerator of Hilb_{R^W}(S), read off the leads of the
+        coordinates' basis, over R_T's denominator.  The visit ends when it
+        equals M's series: then R_T S = M holds every later candidate.
+        Given generators without hilbert need not span a W-stable module;
+        the stop against R_T^rank is sound for them too, and the visit may
+        run to the last candidate.  For the full free module the Hilbert
+        series is checked exactly against the Molien fixed-point count
+        (ReflectionGroup.molien_matches).
         """
         group = self.group
-        ring = group.ring
+        ring, inv = group.ring, group.invariant_ring
         basis = group.coinvariant_basis()
         if submodule_gens is None:
             gens0 = [Vector.unit(ring, self.rank, i) for i in range(self.rank)]
@@ -501,39 +594,51 @@ class WEquivariantFreeModule:
             gens0 = [g for g in submodule_gens if not g.is_zero()]
         pairs = [(g, b) for g in gens0 for b in basis]
         col_degrees = (0,) * self.rank
-        degrees = [g.homogeneous_degree(col_degrees) + ring.weighted_degree(b)
-                   for g, b in pairs]
+        gdegs = [g.homogeneous_degree(col_degrees) for g in gens0]
+        degrees = [e + d for e in gdegs for d in group.invariant_module_layout(1)]
         top = max(degrees, default=0)
-        free = HilbertSeries({0: self.rank}, ring.degrees).coefficients(top)
-        target = free if hilbert is None else hilbert.coefficients(top)
-        kept, span, memo = {}, GroebnerBasis(ring), {}
+        if hilbert is None:
+            hilbert = HilbertSeries({0: self.rank}, ring.degrees)
+        target = hilbert.coefficients(top)
+        nreps = len(self._reps)
+        layout = group.invariant_module_layout(nreps)
+        at, coords, span, memo = {}, {}, GroebnerBasis(inv), {}
 
-        def full_degrees():
-            # the degrees d with dim S_d = dim F_d - dim (F/S)_d = dim M_d
-            quotient = HilbertSeries(_quotient_numerator(
-                ring, col_degrees, span._leads, memo), ring.degrees).coefficients(top)
-            return {d for d in set(degrees)
-                    if free.get(d, 0) - quotient.get(d, 0) == target.get(d, 0)}
+        def spanned():
+            # the series of R_T S: the numerator of Hilb_{R^W}(S), from the
+            # staircases of the columns that hold a lead
+            cols = sorted({col for col, _ in span._leads})
+            where = {col: i for i, col in enumerate(cols)}
+            quotient = _quotient_numerator(inv, [layout[c] for c in cols], [
+                (where[col], exps) for col, exps in span._leads], memo)
+            num = {d: -n for d, n in quotient.items()}
+            for c in cols:
+                num = qpoly_add(num, {layout[c]: 1})
+            return HilbertSeries(num, ring.degrees)
 
-        full = full_degrees()
+        def full_degrees(series):
+            have = series.coefficients(top)
+            return {d for d in set(degrees) if have.get(d, 0) == target.get(d, 0)}
+
+        full = full_degrees(spanned())
         for k in sorted(range(len(pairs)), key=lambda k: (degrees[k], k)):
             if degrees[k] in full:
                 continue
             g, b = pairs[k]
-            v = self.reynolds_tuple(g.poly_mul(ring.monomial(b)))
-            if not span.add(v):
+            v = self._at_reps(g.poly_mul(ring.monomial(b)))
+            c = group.expand_vector(v, nreps)
+            if not span.add(c):
                 continue
-            kept[k] = v
-            if all(span.contains(h) for h in gens0):
+            at[k], coords[k] = v, c
+            series = spanned()
+            if series == hilbert:
                 break
-            full = full_degrees()
-        generators = [kept[k] for k in sorted(kept)]
-        coords = [group.expand_vector(v, self.rank) for v in generators]
-        amb_degrees = group.invariant_module_layout(self.rank)
-        rels = syzygy_basis(group.invariant_ring, self.rank * len(basis), coords)
-        gdegs = _degrees_of(coords, amb_degrees)
-        module = FPModule.from_columns(group.invariant_ring, gdegs, rels)
-        result = InvariantsResult(module, generators)
+            full = full_degrees(series)
+        kept = sorted(at)
+        coords = [coords[k] for k in kept]
+        rels = syzygy_basis(inv, nreps * len(basis), coords)
+        module = FPModule.from_columns(inv, _degrees_of(coords, layout), rels)
+        result = InvariantsResult(module, [self._spread_reps(at[k]) for k in kept])
         if submodule_gens is None:
             result.molien_consistent = group.molien_matches(module.hilbert(), [
                 sum(1 for i, p in enumerate(perm) if i == p) for perm in self._action_of])

@@ -6,7 +6,7 @@ import json
 import os
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import gcd
 
 from equisyz.polyring import (
@@ -245,6 +245,11 @@ def random_homogeneous(ring, degree, rng, density=0.7, bound=3, rational=False):
     return Polynomial(ring, out)
 
 
+def mono_mul(v, exps, coeff=1):
+    """The vector v times the monomial coeff * x^exps."""
+    return v.poly_mul(v.ring.monomial(exps, coeff))
+
+
 def reference_divide(f, divisors):
     """Full division that rescans the dividend for its largest term each step.
 
@@ -457,8 +462,8 @@ def reference_buchberger(vectors):
         i, j = min(pairs, key=pair_key)
         pairs.discard((i, j))
         m = lcm(leads[i][1], leads[j][1])
-        s = (basis[i].mono_mul(quo(m, leads[i][1]))
-             - basis[j].mono_mul(quo(m, leads[j][1])))
+        s = (mono_mul(basis[i], quo(m, leads[i][1]))
+             - mono_mul(basis[j], quo(m, leads[j][1])))
         r = reference_divide(s, basis)[1]
         if r.is_zero():
             continue
@@ -953,6 +958,40 @@ def triangle_graph():
             "edges": [{"v": "a", "w": "b", "weight": [1, 0, 0]},
                       {"v": "b", "w": "c", "weight": [0, 1, 0]},
                       {"v": "a", "w": "c", "weight": [0, 0, 1]}]}
+
+
+def sum_zero_flag3():
+    """The JSON of Fl(3) under the rank-2 torus of SL_3, with the symmetry of
+    symmetric_group_on_sum_zero(3): its matrices are not signed
+    permutations.  t_1, t_2, t_3 are x1, x2, -(x1 + x2); the vertices are
+    the permutations w, joined to w.(i j) by the weight t_w(i) - t_w(j), and
+    a transposition s sends w to s.w."""
+    from equisyz.weyl import symmetric_group_on_sum_zero
+    group = symmetric_group_on_sum_zero(3)
+    coords = [(1, 0), (0, 1), (-1, -1)]
+    perms = sorted(permutations(range(3)))
+    name = {w: "".join(str(x + 1) for x in w) for w in perms}
+    edges = []
+    for w in perms:
+        for i, j in combinations(range(3), 2):
+            u = list(w)
+            u[i], u[j] = u[j], u[i]
+            if tuple(u) > w:
+                a, b = coords[w[i]], coords[w[j]]
+                edges.append({"v": name[w], "w": name[tuple(u)],
+                              "weight": [a[0] - b[0], a[1] - b[1]]})
+    maps = []
+    for a in range(2):
+        s = list(range(3))
+        s[a], s[a + 1] = s[a + 1], s[a]
+        maps.append({name[w]: name[tuple(s[x] for x in w)] for w in perms})
+    return {"rank": 2, "vars": list(group.ring.names),
+            "vertices": [name[w] for w in perms], "edges": edges,
+            "symmetry": {"group": {
+                "rank": 2, "vars": list(group.ring.names),
+                "generators": [[[str(x) for x in row] for row in g] for g in group.generators],
+                "invariants": [str(p) for p in group.invariants]},
+                "vertex_maps": maps}}
 
 
 def reference_compose_embedding(m0, W, bid_entries, g0_free):

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a verdict line.
 
-Every tolerance is exact (rational arithmetic); series identities are
-compared through degree 40, which covers more than twenty even-degree
-coefficients of every ring in play.
+Every tolerance is exact (rational arithmetic), and Hilbert series are
+compared exactly, as numerators.  Only criterion 3 also compares two
+series term by term, through degree 40 (more than twenty even-degree
+coefficients of every ring in play), next to the exact Kostant identity.
 """
 
 import random

@@ -16,6 +16,8 @@ from equisyz import cli
 from helpers import module_3028, triangle_graph
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "bench"))
+import gen  # noqa: E402  (the benchmark's GKM graph generators)
 
 
 def data_path(name):
@@ -249,6 +251,20 @@ def test_exit_two_on_symmetry_with_fractional_weight_image(tmp_path):
         code, report = run(argv)
         assert code == EXIT_INPUT, argv
         assert "does not respect the weights" in report["error"]
+
+
+def test_exit_two_on_symmetry_invariants_that_are_not_invariant(tmp_path):
+    # symmetric P^3 with its fourth invariant t1*t2*t3*t4 replaced by t1^4
+    # or t1^3*t2: the ideal is still zero-dimensional with 24 standard
+    # monomials, and descend used to pass with invariants_betti
+    # [[0, 0, 1], [0, 2, 1], [0, 4, 1], [0, 6, 1]]
+    for invariant in ("t1^4", "t1^3*t2"):
+        obj = gen.projective_space(3, "0", symmetric=True)
+        obj["symmetry"]["group"]["invariants"][3] = invariant
+        path = write_json(tmp_path, "not_invariant.json", obj)
+        code, report = run(["gkm", path, "--check", "descend"])
+        assert code == EXIT_INPUT, invariant
+        assert "does not fix invariant 4" in report["error"], report
 
 
 def test_exit_two_on_singular_group_generator(tmp_path):

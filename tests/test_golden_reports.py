@@ -10,7 +10,9 @@ full flag variety Fl(4) of bench/gen.py (24 vertices, a 24 x 24 Gram
 matrix) and on the Grassmannian Gr(3,6) (20 vertices, a 20 x 20 Gram
 matrix), the descent check on the symmetric Fl(4), P^4 (120 coinvariant
 monomials), P^5 and P^6 (the last in text too, its digests those of the
-selection that made a Reynolds image of every candidate), and the
+selection that made a Reynolds image of every candidate) and on Fl(3)
+over the rank-2 torus of SL_3 (helpers.sum_zero_flag3, in both formats),
+whose group is not one of signed permutations, and the
 Chang-Skjelbred check on
 Gr(3,6), Gr(3,6) with its edges shuffled, Gr(3,7) and Fl(5); cartan
 on the circle model plus an acyclic pair, whose differential is nonzero,
@@ -49,6 +51,7 @@ from equisyz.cli import COMMANDS, main  # noqa: E402
 from equisyz.polyring import GradedPolynomialRing  # noqa: E402
 from helpers import (  # noqa: E402
     circle_plus_acyclic_json, module_3003, module_3028, random_module, shuffled_edges,
+    sum_zero_flag3,
 )
 import gen  # noqa: E402  (the benchmark's input generators, read only)
 
@@ -119,6 +122,7 @@ def _cases(workdir):
              ("json",)),
             ("projective_6_symmetric", gen.projective_space(6, "0", symmetric=True), "descend",
              ("text", "json")),
+            ("flag_variety_3_sum_zero", sum_zero_flag3(), "descend", ("text", "json")),
             ("grassmannian_3_6", gen.grassmannian(3, 6, "0"), "cs", ("json",)),
             ("grassmannian_3_7", gen.grassmannian(3, 7, "0"), "cs", ("json",)),
             ("grassmannian_3_6_shuffled", shuffled_edges(gen.grassmannian(3, 6, "0"), 0), "cs",

@@ -518,8 +518,9 @@ def test_reynolds_tuple_on_several_orbits():
     ]
     rng = random.Random(2929)
     for mod, reps in cases:
-        targets = [v0 for _, cols in mod._gather for v0 in cols.values()]
-        assert sorted(targets) == sorted(reps * mod.group.order)
+        assert mod._reps == reps
+        targets = [r for _, cols in mod._gather for r in cols.values()]
+        assert sorted(targets) == sorted(list(range(len(reps))) * mod.group.order)
         spread = [v for _, cols in mod._spread for v in cols.values()]
         assert sorted(spread) == list(range(mod.rank))
         ring, cols = mod.group.ring, (0,) * mod.rank
@@ -590,8 +591,6 @@ def test_invariants_match_reference_selection():
     rng = random.Random(707)
     for mod in modules:
         _assert_matches_reference(mod)
-        if mod.group in (s4, z2a2):
-            continue  # random submodules are slow to present over the larger groups
         # seeded random submodules, W-stable or not
         for _ in range(2):
             degree = rng.choice([0, 2, 4])
@@ -618,9 +617,11 @@ def test_invariants_match_reference_selection():
 def test_greedy_selection_grows_one_basis(monkeypatch):
     # minimal_generating_indices and invariants make one GroebnerBasis.add
     # per candidate they visit; buchberger runs only inside the SubmoduleGB
-    # builds that present the result, never for the selection
+    # builds that present the result, never for the selection.  A visited
+    # candidate gets only its values at the representatives; only the kept
+    # ones are spread to full tuples
     from equisyz import gradmod
-    counts = dict.fromkeys(["add", "reynolds_tuple", "SubmoduleGB", "buchberger",
+    counts = dict.fromkeys(["add", "_at_reps", "_spread_reps", "SubmoduleGB", "buchberger",
                             "buchberger_in_selection"], 0)
     active = []
 
@@ -639,7 +640,8 @@ def test_greedy_selection_grows_one_basis(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
 
     counting(polyring.GroebnerBasis, "add", "add")
-    counting(WEquivariantFreeModule, "reynolds_tuple", "reynolds_tuple")
+    counting(WEquivariantFreeModule, "_at_reps", "_at_reps")
+    counting(WEquivariantFreeModule, "_spread_reps", "_spread_reps")
     counting(polyring.SubmoduleGB, "__init__", "SubmoduleGB")
     counting(polyring, "buchberger", "buchberger")
 
@@ -657,26 +659,27 @@ def test_greedy_selection_grows_one_basis(monkeypatch):
     counts.update(dict.fromkeys(counts, 0))
     inv = mod.invariants()
     assert inv.molien_consistent
-    assert counts["add"] == counts["reynolds_tuple"] > len(inv.generators), counts
+    assert counts["add"] == counts["_at_reps"] > len(inv.generators), counts
+    assert counts["_spread_reps"] == len(inv.generators), counts
     assert counts["buchberger"] > 0 and counts["buchberger_in_selection"] == 0, counts
 
 
 def test_descend_reynolds_and_expand_counts(tmp_path, monkeypatch):
     # deterministic work of gkm --check descend on symmetric P^3 (S_4): the
     # selection expanded every one of 96 candidates (96 Reynolds images,
-    # 384 expand calls); only the 4 kept generators are expanded now, and
-    # with each degree stopped once the kernel's Hilbert series is met only
-    # they get a Reynolds image (15 before the stop), as on P^5 (S_6: 6
-    # images, 175 before).  The
-    # group is numbered once, and its closure multiplies integer matrices;
-    # every element acts as a signed permutation, without substitution, and
-    # the Reynolds averaging hashes no Fraction matrix and returns vectors
-    # born in their integer form.
-    # The expansion over R^W reads no Fraction view (_fractions)
-    counts = {"reynolds_tuple": 0, "expand_vector": 0, "substitute": 0, "_closure": 0,
-              "fraction_hash_in_reynolds": 0,
-              "fractions_in_expand": 0}
-    modules, born = [], []
+    # 384 expand calls); with each degree stopped once the kernel's Hilbert
+    # series is met only the 4 kept candidates are visited (15 before the
+    # stop), as on P^5 (S_6: 6, 175 before the stop).  A visited candidate
+    # gets its values at the one orbit representative, expanded over R^W
+    # once; only the kept ones are spread to full tuples, and the kept
+    # coordinates are not expanded again.  The group is numbered once; every
+    # element acts as a signed permutation, without substitution, and the
+    # averaging hashes no Fraction matrix and returns vectors born in their
+    # integer form.  The expansion over R^W reads no Fraction view
+    # (_fractions)
+    counts = {"_at_reps": 0, "_spread_reps": 0, "expand_vector": 0, "substitute": 0,
+              "_closure": 0, "fraction_hash_in_reynolds": 0, "fractions_in_expand": 0}
+    modules, born, kept = [], [], []
 
     def counting(cls, name):
         orig = getattr(cls, name)
@@ -720,36 +723,81 @@ def test_descend_reynolds_and_expand_counts(tmp_path, monkeypatch):
             counts["fraction_hash_in_reynolds"] += 1
         return orig_hash(self)
     monkeypatch.setattr(Fraction, "__hash__", fraction_hash)
-    orig_reynolds = WEquivariantFreeModule.reynolds_tuple
 
-    def reynolds_tuple(self, vector):
-        counts["reynolds_tuple"] += 1
-        modules.append(self)
-        in_reynolds.append(True)
-        try:
-            image = orig_reynolds(self, vector)
-        finally:
-            in_reynolds.pop()
-        born.append(image.is_zero() or image._view is None)
-        return image
-    monkeypatch.setattr(WEquivariantFreeModule, "reynolds_tuple", reynolds_tuple)
+    def averaging(name):
+        orig = getattr(WEquivariantFreeModule, name)
+
+        def counted(self, vector):
+            counts[name] += 1
+            modules.append(self)
+            in_reynolds.append(True)
+            try:
+                image = orig(self, vector)
+            finally:
+                in_reynolds.pop()
+            born.append(image.is_zero() or image._view is None)
+            return image
+        monkeypatch.setattr(WEquivariantFreeModule, name, counted)
+    averaging("_at_reps")
+    averaging("_spread_reps")
+    orig_invariants = WEquivariantFreeModule.invariants
+
+    def invariants(self, *args, **kwargs):
+        result = orig_invariants(self, *args, **kwargs)
+        kept.append(len(result.generators))
+        return result
+    monkeypatch.setattr(WEquivariantFreeModule, "invariants", invariants)
 
     path = tmp_path / "p3.json"
     path.write_text(json.dumps(gen.projective_space(3, 0, symmetric=True)))
     code, report = run(["gkm", str(path), "--check", "descend"])
     assert code == 0 and report["status"] == "pass"
-    assert counts["reynolds_tuple"] == 4 and 1 <= counts["expand_vector"] <= 16, counts
+    assert kept == [4] and counts["_at_reps"] == counts["_spread_reps"] == 4, counts
+    assert counts["expand_vector"] == 4, counts
     assert counts["fractions_in_expand"] == 0, counts
     group = modules[0].group
     assert (group.order, len(group.generators)) == (24, 3)
+    assert modules[0]._reps == [0]
     assert counts["substitute"] == 0, counts
     assert counts["_closure"] >= 1, counts
     assert counts["fraction_hash_in_reynolds"] == 0, counts
-    assert len(born) == counts["reynolds_tuple"] and all(born), born
+    assert len(born) == 8 and all(born), born
     actions = modules[0]._action_of
     assert isinstance(actions, list) and len(actions) == group.order
-    counts["reynolds_tuple"] = 0
+    counts.update(_at_reps=0, _spread_reps=0)
     path.write_text(json.dumps(gen.projective_space(5, 0, symmetric=True)))
     code, report = run(["gkm", str(path), "--check", "descend"])
     assert code == 0 and report["status"] == "pass"
-    assert counts["reynolds_tuple"] == 6 and modules[-1].group.order == 720, counts
+    assert modules[-1].group.order == 720
+    assert kept[-1] == counts["_at_reps"] == counts["_spread_reps"] == 6, counts
+
+
+def test_signed_permutation_closure_and_invariant_ideal_basis(monkeypatch):
+    # closing a group of signed permutations composes permutations and
+    # makes no matrix product; the walk on integer matrices is kept for the
+    # other groups.  The invariant ideal's basis keeps only elements led in
+    # the ambient column: no syzygy of the invariants, which the full block
+    # basis holds (11 on S_4 acting on the four torus coordinates)
+    from equisyz import weyl
+    products = []
+    orig_product = weyl._matrix_product
+
+    def product(g, x):
+        products.append(1)
+        return orig_product(g, x)
+    monkeypatch.setattr(weyl, "_matrix_product", product)
+    for n in (3, 5):
+        group, _ = GKMGraph.from_json(gen.projective_space(n, 0, symmetric=True)).symmetry
+        assert len(products) == 0 and group.order == math.factorial(n + 1)
+        elements, table = reference_closure(group.generators)
+        assert group.table == table and group.elements == elements
+        gb = group._invariant_gb()
+        assert gb._syz is None and gb._ext_gb
+        assert all(v.lead()[0][0] == 0 for v in gb._ext_gb)
+        cols = [Vector.from_polys([p], 1) for p in group.invariants]
+        full = polyring.SubmoduleGB(group.ring, 1, cols)
+        assert [v.lead()[0][1] for v in gb.gb] == [v.lead()[0][1] for v in full.gb]
+        assert gb.gb == full.gb
+        if n == 3:
+            assert len(full.syzygies()) == 11
+    assert symmetric_group_on_sum_zero(3).order == 6 and len(products) == 12
