@@ -135,6 +135,14 @@ def shuffled_edges(graph, seed, flip=False):
     return dict(graph, edges=edges)
 
 
+def shuffled_vertices(graph, seed):
+    """A copy of a GKM graph's JSON with its vertex list in a seeded random
+    order (the same space; the order fixes the kernel's aux order)."""
+    vertices = list(graph["vertices"])
+    random.Random(seed).shuffle(vertices)
+    return dict(graph, vertices=vertices)
+
+
 def model_uct(model, ring):
     """uct_collapse_check on the equivariant cohomology and homology of a
     G*-module over the torus ring."""

@@ -14,7 +14,8 @@ selection that made a Reynolds image of every candidate) and on Fl(3)
 over the rank-2 torus of SL_3 (helpers.sum_zero_flag3, in both formats),
 whose group is not one of signed permutations, and the
 Chang-Skjelbred check on
-Gr(3,6), Gr(3,6) with its edges shuffled, Gr(3,7) and Fl(5); cartan
+Gr(3,6), Gr(3,6) with its edges shuffled, Gr(3,6) with its vertices
+shuffled (a large staircase for the free-kernel test), Gr(3,7) and Fl(5); cartan
 on the circle model plus an acyclic pair, whose differential is nonzero,
 on a point plus a free circle (not Cohen-Macaulay, so the collapse check
 is not applicable) and on the acyclic pair alone (zero cohomology); and
@@ -51,7 +52,7 @@ from equisyz.cli import COMMANDS, main  # noqa: E402
 from equisyz.polyring import GradedPolynomialRing  # noqa: E402
 from helpers import (  # noqa: E402
     circle_plus_acyclic_json, module_3003, module_3028, random_module, shuffled_edges,
-    sum_zero_flag3,
+    shuffled_vertices, sum_zero_flag3,
 )
 import gen  # noqa: E402  (the benchmark's input generators, read only)
 
@@ -127,6 +128,8 @@ def _cases(workdir):
             ("grassmannian_3_7", gen.grassmannian(3, 7, "0"), "cs", ("json",)),
             ("grassmannian_3_6_shuffled", shuffled_edges(gen.grassmannian(3, 6, "0"), 0), "cs",
              ("json",)),
+            ("grassmannian_3_6_vertices_shuffled",
+             shuffled_vertices(gen.grassmannian(3, 6, "0"), 5), "cs", ("json",)),
             ("flag_variety_5", gen.flag_variety(5, "0"), "cs", ("json",))):
         path = os.path.join(workdir, "%s_%s.json" % (name, check))
         with open(path, "w") as fh:
