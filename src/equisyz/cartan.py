@@ -221,7 +221,8 @@ def uct_collapse_check(coh, hom):
         return CheckReport.of(name, hom.is_zero(), {"shift": 0}, "uct-collapse")
     cm = cohen_macaulay(coh)
     if not cm.is_cm:
-        return CheckReport(name, "not applicable", {"shift": None}, "uct-collapse")
+        return CheckReport.not_applicable(name, "cohomology is not Cohen-Macaulay",
+                                          {"shift": None}, "uct-collapse")
     shift = coh.ring.num_vars - cm.dim
     expected = ext_module(coh, shift).shifted(shift)
     return CheckReport.of(name, iso_surrogate_equal(hom, expected),

@@ -5,7 +5,8 @@ integrate.  Reports list every invariant checked with the name of the
 classical statement it verifies and carry an ``inputs_echo`` of the parsed
 input, so re-running on the echo reproduces the verdicts byte for byte.
 Every check returns CheckReports and decides for itself whether it
-applies; a runner only appends them, and the report holds their to_json.
+applies.  Runners append them; module-analyze, cartan, gkm's cs and
+integrate also build items inline.  The report holds their to_json.
 --max-degree sets only the series coefficients a report prints; every
 check is exact.  --help prints the usage of equisyz or of one command and
 exits 0.
@@ -229,27 +230,26 @@ def run_gkm(obj, checks, nmax, seed):
     return out, summary
 
 
+# filtration-verify's checks by name, in report order
+FILTRATION_CHECKS = {
+    "cm": cm_filtration_check,
+    "ext": verify_ext_duality,
+    "partial": partial_exactness_vs_syzygy,
+    "gap": syzygy_gap_check,
+    "ses": truncation_additivity_check,
+}
+
+
 def run_filtration_verify(obj, checks, nmax, seed):
     try:
         datum = FiltrationDatum.from_json(obj)
     except (DatumError, ValueError) as exc:
         raise InputError(str(exc))
-    out = []
     hs = ab_cohomology(datum)
     summary = {"homology_betti": {str(i): _betti_json(m)
                                   for i, m in sorted(hs.items())},
                "assumptions": datum.assumptions}
-    if "cm" in checks:
-        out.append(cm_filtration_check(datum))
-    if "ext" in checks:
-        out.append(verify_ext_duality(datum))
-    if "partial" in checks:
-        out.append(partial_exactness_vs_syzygy(datum))
-    if "gap" in checks:
-        out.append(syzygy_gap_check(datum))
-    if "ses" in checks:
-        out.append(truncation_additivity_check(datum))
-    return out, summary
+    return [check(datum) for name, check in FILTRATION_CHECKS.items() if name in checks], summary
 
 
 def run_integrate(obj, checks, nmax, seed, klass):
@@ -273,8 +273,7 @@ COMMANDS = {
     "weyl-verify": (run_weyl_verify, ()),
     "cartan": (run_cartan, ("uct",)),
     "gkm": (run_gkm, ("cs", "pairing", "descend")),
-    "filtration-verify": (run_filtration_verify,
-                          ("cm", "ext", "partial", "gap", "ses")),
+    "filtration-verify": (run_filtration_verify, tuple(FILTRATION_CHECKS)),
     "integrate": (run_integrate, ()),
 }
 

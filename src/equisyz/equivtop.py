@@ -61,10 +61,7 @@ class GKMGraph:
             if len(weight) != self.rank or not any(weight):
                 raise DatumError("edge weight must be a nonzero vector of length %d"
                                  % self.rank)
-            g = 0
-            for x in weight:
-                g = gcd(g, abs(x))
-            if g != 1:
+            if gcd(*weight) != 1:
                 raise DatumError("edge weight must be primitive")
             self.edges.append((str(v), str(w), weight))
         self.euler = None
@@ -86,8 +83,7 @@ class GKMGraph:
         self._kernel = None
         # symmetry: (ReflectionGroup, [vertex permutation per group generator])
         self.symmetry = symmetry
-        if symmetry is not None:
-            self._check_symmetry()
+        self.permutation_module = None if symmetry is None else self._check_symmetry()
 
     def weight_form(self, weight):
         """The linear form sum(a_i * t_i) of an integer weight (a_1, ..., a_r),
@@ -97,22 +93,21 @@ class GKMGraph:
             ring._pack(0, zero[:i] + (1,) + zero[i + 1:]): a for i, a in enumerate(weight) if a})
 
     def _check_symmetry(self):
-        """Each group generator fixes every invariant (the test of
-        ReflectionGroup.verify) and sends each edge weight to +- the weight
-        of the image edge, mapped by its signed permutation or integer form
-        (ReflectionGroup._weight_image)."""
+        """The vertices' permutation module, whose construction checks the
+        vertex maps (one bijection per group generator, extending to a
+        homomorphism); then each group generator must fix every invariant
+        (the test of ReflectionGroup.verify) and send each edge weight to
+        +- the weight of the image edge, mapped by its signed permutation or
+        integer form (ReflectionGroup._weight_image)."""
         group, perms = self.symmetry
         if group.ring != self.ring:
             raise DatumError("symmetry group must act on the graph's ring")
-        if len(perms) != len(group.generators):
-            raise DatumError("need one vertex permutation per group generator")
-        edge_set = set()
-        for (v, w, a) in self.edges:
-            edge_set.add((v, w, a))
-            edge_set.add((w, v, tuple(-x for x in a)))
+        module = WEquivariantFreeModule(group, self.vertices, perms)
+
+        def unoriented(v, w, a):  # an edge up to orientation and the sign of its weight
+            return frozenset((v, w)), max(a, tuple(-x for x in a))
+        edge_set = {unoriented(v, w, a) for (v, w, a) in self.edges}
         for gi, (row, perm) in enumerate(zip(group.table, perms)):
-            if set(perm) != set(self.vertices):
-                raise DatumError("vertex permutation must cover all vertices")
             k = row[0]  # the generator itself, its product with the identity
             for i, p in enumerate(group.invariants):
                 if group._act(k, p) != p:
@@ -120,10 +115,9 @@ class GKMGraph:
                                      % (gi + 1, i + 1))
             for (v, w, a) in self.edges:
                 img = group._weight_image(k, a)
-                if (img is None
-                        or (perm[v], perm[w], img) not in edge_set
-                        and (perm[v], perm[w], tuple(-x for x in img)) not in edge_set):
+                if img is None or unoriented(perm[v], perm[w], img) not in edge_set:
                     raise DatumError("vertex permutation does not respect the weights")
+        return module
 
     def _weights_at(self, v):
         """Weights whose product is the Euler class at v: the supplied Euler
@@ -308,6 +302,7 @@ class FiltrationDatum:
         self.homology_module = homology_module
         self.poincare_duality = bool(poincare_duality)
         self.truncations = truncations or []
+        self._cohomology = None
 
     def to_json(self):
         def mod_json(m):
@@ -363,25 +358,27 @@ class FiltrationDatum:
                    truncations=trunc)
 
 
-def _complex_cohomology(datum, incoming):
-    """H^i at every AB^i, with `incoming` (or nothing) mapping into AB^0."""
-    maps = [incoming] + datum.maps + [None]
-    return {i: homology(m, maps[i], maps[i + 1])[0]
-            for i, m in enumerate(datum.modules)}
-
-
 def ab_cohomology(datum):
     """Cohomology of the complex at every position, H^{-1} = ker(iota*)
-    included when the datum is augmented."""
-    aug = datum.augmentation
-    out = {} if aug is None else {-1: fp_kernel(aug)[0]}
-    out.update(_complex_cohomology(datum, aug))
-    return out
+    included when the datum is augmented.  Computed once per datum."""
+    if datum._cohomology is None:
+        aug = datum.augmentation
+        maps = [aug] + datum.maps + [None]
+        out = {} if aug is None else {-1: fp_kernel(aug)[0]}
+        out.update((i, homology(m, maps[i], maps[i + 1])[0])
+                   for i, m in enumerate(datum.modules))
+        datum._cohomology = out
+    return datum._cohomology
 
 
 def plain_ab_cohomology(datum):
-    """Cohomology of the non-augmented complex (H^0 is the full kernel)."""
-    return _complex_cohomology(datum, None)
+    """Cohomology of the non-augmented complex (H^0 is the full kernel):
+    ab_cohomology's, with H^0 computed again when an augmentation maps in."""
+    hs = dict(ab_cohomology(datum))
+    if datum.augmentation is not None:
+        del hs[-1]
+        hs[0] = homology(datum.modules[0], None, (datum.maps + [None])[0])[0]
+    return hs
 
 
 def cm_filtration_check(datum):
@@ -404,8 +401,7 @@ def cm_filtration_check(datum):
 def verify_ext_duality(datum):
     """Compare H^j of the complex with Ext^j(homology module, R) for all j."""
     if datum.homology_module is None:
-        return CheckReport("ext-duality", "not applicable",
-                           {"reason": "no homology-side module"})
+        return CheckReport.not_applicable("ext-duality", "no homology-side module")
     hs = plain_ab_cohomology(datum)
     rows = []
     ok = True
@@ -425,8 +421,7 @@ def partial_exactness_vs_syzygy(datum):
     syzygy order of the augmentation module; the two must agree."""
     name = "partial-exactness-vs-syzygy-order"
     if datum.augmentation is None:
-        return CheckReport(name, "not applicable", {"reason": "no augmentation"},
-                           "partial-exactness")
+        return CheckReport.not_applicable(name, "no augmentation")
     hs = ab_cohomology(datum)
     r = datum.rank
     j_exact = 0
@@ -449,10 +444,9 @@ def partial_exactness_vs_syzygy(datum):
 def syzygy_gap_check(datum):
     """For Poincare-duality data, order >= r/2 forces freeness (order r)."""
     if datum.augmentation is None:
-        return CheckReport("syzygy-gap-bound", "not applicable",
-                           {"reason": "no augmentation"})
+        return CheckReport.not_applicable("syzygy-gap-bound", "no augmentation")
     if not datum.poincare_duality:
-        return CheckReport("syzygy-gap-bound", "not applicable", {})
+        return CheckReport.not_applicable("syzygy-gap-bound", "no Poincare duality")
     r = datum.rank
     syz = syzygy_order(datum.augmentation.source)
     threshold = (r + 1) // 2
@@ -463,7 +457,9 @@ def syzygy_gap_check(datum):
 def truncation_additivity_check(datum):
     """Short-exact truncations: Hilb(sub) + Hilb(quotient) = Hilb(total)."""
     if datum.homology_module is None or not datum.truncations:
-        return CheckReport("homology-truncation-additivity", "not applicable", {})
+        return CheckReport.not_applicable(
+            "homology-truncation-additivity",
+            "no homology-side module" if datum.homology_module is None else "no truncations")
     total = datum.homology_module.hilbert().numerator
     rows = [{"index": i,
              "ok": qpoly_add(sub.hilbert().numerator, quot.hilbert().numerator) == total}
@@ -489,16 +485,17 @@ def descend_invariants(graph):
     Returns the module of Weyl-invariant tuples together with two verdicts:
     the syzygy orders over both rings agree, and extending scalars back
     recovers the kernel's Hilbert series.  A graph without symmetry data
-    has no module and one "not applicable" check.
+    has no module, and both verdicts are "not applicable".
 
-    The selection of invariant generators stops each degree once the
-    invariants span the kernel there (WEquivariantFreeModule.invariants),
-    which is sound because the kernel is W-stable.  Construction checks
-    this, with no test at run time: _check_symmetry sends each edge weight
-    alpha_e by every group generator to +-alpha_{w.e}, with the action of
-    ReflectionGroup on R_T (variable j to column j), and _replay_closure
-    checks that the vertex maps form a homomorphism, so the same holds
-    for every element w.  For f in the kernel and an edge e = (u, v),
+    The selection of invariant generators on the graph's permutation
+    module stops each degree once the invariants span the kernel there
+    (WEquivariantFreeModule.invariants), which is sound because the kernel
+    is W-stable.  Construction checks this, with no test at run time:
+    _check_symmetry sends each edge weight alpha_e by every group
+    generator to +-alpha_{w.e}, with the action of ReflectionGroup on R_T
+    (variable j to column j), and the permutation module checks that the
+    vertex maps form a homomorphism, so the same holds for every element
+    w.  For f in the kernel and an edge e = (u, v),
     alpha_e divides f_v - f_u, so w.alpha_e = +-alpha_{w.e} divides
     w.f_v - w.f_u = (w.f)_{w.v} - (w.f)_{w.u}: w.f lies in the kernel.  A
     candidate wrongly skipped would also fail the base-change Hilbert
@@ -506,24 +503,21 @@ def descend_invariants(graph):
     every invariant, so that the coinvariant basis is a basis of R_T over
     R^W, on which the selection's coordinates rest.
     """
+    invariance, base_change_hilbert = "descent-syzygy-invariance", "descent-base-change-hilbert"
     if graph.symmetry is None:
-        return DescentResult(None, [], [CheckReport(
-            "descend-invariants", "not applicable", {"reason": "no symmetry data"},
-            "weyl-descent")])
-    group, perms = graph.symmetry
+        return DescentResult(None, [], [CheckReport.not_applicable(name, "no symmetry data")
+                                        for name in (invariance, base_change_hilbert)])
     kernel = gkm_cohomology(graph)
-    module = WEquivariantFreeModule(group, graph.vertices, perms)
-    inv = module.invariants(submodule_gens=kernel.generators,
-                            hilbert=kernel.module.hilbert())
+    inv = graph.permutation_module.invariants(submodule_gens=kernel.generators,
+                                              hilbert=kernel.module.hilbert())
     hg = inv.module
     ord_g = syzygy_order(hg)
     ord_t = syzygy_order(kernel.module)
     checks = [CheckReport.of(
-        "descent-syzygy-invariance", ord_g.order == ord_t.order,
+        invariance, ord_g.order == ord_t.order,
         {"order_invariant_ring": ord_g.order, "order_torus_ring": ord_t.order})]
-    back = base_change(hg, group.embedding())
-    checks.append(CheckReport.of("descent-base-change-hilbert",
-                                 back.hilbert() == kernel.module.hilbert()))
+    back = base_change(hg, graph.symmetry[0].embedding())
+    checks.append(CheckReport.of(base_change_hilbert, back.hilbert() == kernel.module.hilbert()))
     return DescentResult(hg, inv.generators, checks)
 
 
@@ -579,8 +573,8 @@ def pairing_perfection(graph):
     """
     kernel = gkm_cohomology(graph)
     if kernel.module.num_rels != 0:
-        return CheckReport("poincare-pairing-perfection", "not applicable",
-                           {"reason": "kernel is not free; use the syzygy test"})
+        return CheckReport.not_applicable("poincare-pairing-perfection",
+                                          "kernel is not free; use the syzygy test")
     ring, cofactors = graph.ring, graph.localization()[2]
     basis = [_columns(b) for b in kernel.generators]
     weighted = [[_dot(ring, ((f, w),)) for f, w in zip(cols, cofactors)]

@@ -22,8 +22,8 @@ from math import lcm
 
 from .polyring import (
     Vector, SubmoduleGB, GroebnerBasis, DatumError,
-    quotient_hilbert_series, GradedPolynomialRing, _columns, _scaled_dot, _integers,
-    _quotient_numerator, qpoly_add,
+    quotient_hilbert_series, span_hilbert_numerator, GradedPolynomialRing, _columns,
+    _scaled_dot, _integers,
 )
 
 NEG_INF = float("-inf")
@@ -52,6 +52,11 @@ class CheckReport:
     def of(cls, name, ok, details=None, theorem=None):
         """A pass when ok, else a fail."""
         return cls(name, "pass" if ok else "fail", details, theorem)
+
+    @classmethod
+    def not_applicable(cls, name, reason, details=None, theorem=None):
+        """A "not applicable", with its reason in details["reason"]."""
+        return cls(name, "not applicable", dict(details or {}, reason=reason), theorem)
 
     @property
     def passed(self):
@@ -235,10 +240,10 @@ class FPModule:
 
     Never mutated after construction, it caches what is derived from it:
     the Hilbert series, the minimal presentation, the biduality map and,
-    on the minimal presentation, the minimal free resolution.  The
-    relations' Groebner basis lives on pmap.  A module whose presentation
-    is already minimal is its own minimal presentation, so both share all
-    of these.
+    on the minimal presentation, the minimal free resolution and the
+    syzygy order.  The relations' Groebner basis lives on pmap.  A module
+    whose presentation is already minimal is its own minimal
+    presentation, so both share all of these.
     """
 
     def __init__(self, pmap):
@@ -247,6 +252,7 @@ class FPModule:
         self._minimal = None
         self._resolution = None
         self._biduality = None
+        self._syzygy_order = None
 
     @property
     def ring(self):
@@ -459,14 +465,12 @@ def _spans_freely(ring, gens_degrees, gb, K):
     gb in the free module F on gens_degrees, is a free basis of it.
 
     R(-deg K) maps onto the span, so it is an isomorphism exactly when the
-    two have one Hilbert series: the numerator sum(q^deg k) against that
-    of F less that of F/span, read off the leads of gb
-    (_quotient_numerator).
+    two have one Hilbert series: the numerator sum(q^deg k) against the
+    span's, read off the leads of gb (span_hilbert_numerator).
     """
-    quotient = _quotient_numerator(ring, gens_degrees, [v.lead()[0] for v in gb], {})
     free = Counter(gens_degrees[col] + ring.weighted_degree(exps)
                    for col, exps in (k.lead()[0] for k in K))
-    return qpoly_add(quotient, free) == Counter(gens_degrees)
+    return span_hilbert_numerator(ring, gens_degrees, [v.lead()[0] for v in gb]) == free
 
 
 def fp_kernel(fpmap):
@@ -753,11 +757,17 @@ def syzygy_order(module):
     homology computation, at G_k* for k >= 1, where the homology is
     Ext^k(M*, R), from the Groebner bases cached on the resolution's dual
     maps (_ext_vanishes).  Free (and zero) modules return num_vars by
-    convention.
+    convention.  Computed once per minimal presentation.
     """
-    ring = module.ring
-    r = ring.num_vars
     m0 = module.minimized()
+    if m0._syzygy_order is None:
+        m0._syzygy_order = _syzygy_order(m0)
+    return m0._syzygy_order
+
+
+def _syzygy_order(m0):
+    ring = m0.ring
+    r = ring.num_vars
     if m0.num_gens == 0:
         return SyzygyOrderResult(r, "zero")
     if m0.num_rels == 0:

@@ -37,6 +37,7 @@ read off aux columns.
 import heapq
 import re
 import struct
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul, neg
@@ -44,7 +45,8 @@ from operator import mul, neg
 __all__ = [
     "GradedPolynomialRing", "Polynomial", "Vector", "RingMap", "HilbertSeries",
     "GroebnerBasis", "buchberger", "divide", "s_vector",
-    "SubmoduleGB", "syzygy_basis", "quotient_hilbert_series", "qpoly_mul",
+    "SubmoduleGB", "syzygy_basis", "quotient_hilbert_series", "span_hilbert_numerator",
+    "qpoly_mul", "qpoly_denominator",
     "determinant", "DatumError", "ExponentLimitError",
     "EXPONENT_LIMIT",
 ]
@@ -1255,30 +1257,27 @@ def _staircase_numerator(ring, gens, memo):
         best = max(range(ring.num_vars), key=lambda i: occur[i])
         if occur[best] <= 1:
             # pairwise coprime: product formula
-            out = {0: 1}
-            for g in gens:
-                out = qpoly_mul(out, {0: 1, ring.weighted_degree(g): -1})
+            out = qpoly_denominator(ring.weighted_degree(g) for g in gens)
         else:
             pivot = tuple(1 if i == best else 0 for i in range(ring.num_vars))
             plus = [g for g in gens if g[best] == 0] + [pivot]
             colon = [tuple(e - 1 if i == best and e > 0 else e
                            for i, e in enumerate(g)) for g in gens]
-            out = qpoly_add(
-                _staircase_numerator(ring, plus, memo),
-                qpoly_shift(_staircase_numerator(ring, colon, memo),
-                            ring.degrees[best]))
+            shift = ring.degrees[best]
+            out = qpoly_add(_staircase_numerator(ring, plus, memo), {
+                k + shift: v for k, v in _staircase_numerator(ring, colon, memo).items()})
     memo[gens] = out
     return out
 
 
 def _minimal_monomials(gens):
-    gens = sorted(set(gens))
+    """The minimal ones among gens, sorted: a divisor sorts before its
+    multiples, so each is tested against the minimal ones before it."""
     out = []
-    for g in gens:
-        if not any(_mono_divides(h, g) for h in out if h != g):
-            out = [h for h in out if not _mono_divides(g, h)]
+    for g in sorted(set(gens)):
+        if not any(_mono_divides(h, g) for h in out):
             out.append(g)
-    return tuple(sorted(out))
+    return tuple(out)
 
 
 def qpoly_add(a, b):
@@ -1292,10 +1291,6 @@ def qpoly_add(a, b):
     return out
 
 
-def qpoly_shift(a, d):
-    return {k + d: v for k, v in a.items()}
-
-
 def qpoly_mul(a, b):
     out = {}
     for k1, v1 in a.items():
@@ -1306,6 +1301,14 @@ def qpoly_mul(a, b):
                 out[k] = s
             else:
                 out.pop(k, None)
+    return out
+
+
+def qpoly_denominator(degrees):
+    """prod(1 - q^d) over degrees, a HilbertSeries' denominator."""
+    out = {0: 1}
+    for d in degrees:
+        out = qpoly_mul(out, {0: 1, d: -1})
     return out
 
 
@@ -1378,24 +1381,28 @@ class HilbertSeries:
     __repr__ = __str__
 
 
-def _quotient_numerator(ring, col_degrees, leads, memo):
-    """Numerator of Hilb(F/N) over prod(1-q^d_i), F free on generators of
-    the given degrees and leads the (col, exps) leads of a Groebner basis
-    of N: the sum over the columns of their staircases (_staircase_numerator,
-    with memo), shifted by the columns' degrees."""
-    per_col = [[] for _ in col_degrees]
+def span_hilbert_numerator(ring, col_degrees, leads, memo=None):
+    """Numerator of Hilb(N) over prod(1-q^d_i), N a submodule of the free
+    module F on generators of the given degrees and leads the (col, exps)
+    leads of a Groebner basis of N: each column that holds a lead adds
+    q^deg times 1 less its staircase's numerator (_staircase_numerator),
+    and a column with no lead adds nothing.  memo may serve any number of
+    calls over ring."""
+    per_col, num, memo = {}, Counter(), {} if memo is None else memo
     for col, exps in leads:
-        per_col[col].append(exps)
-    num = {}
-    for exps, gdeg in zip(per_col, col_degrees):
-        num = qpoly_add(num, qpoly_shift(_staircase_numerator(ring, tuple(exps), memo), gdeg))
-    return num
+        per_col.setdefault(col, []).append(exps)
+    for col, exps in per_col.items():
+        shift = col_degrees[col]
+        num[shift] += 1
+        for k, v in _staircase_numerator(ring, tuple(exps), memo).items():
+            num[k + shift] -= v
+    return {k: v for k, v in num.items() if v}
 
 
 def quotient_hilbert_series(ring, col_degrees, gb):
-    """Hilbert series of F/span(gb) where F has the given generator degrees.
-
-    Only the leading-term staircase of the (Groebner) basis is used.
-    """
-    leads = [v.lead()[0] for v in gb]
-    return HilbertSeries(_quotient_numerator(ring, col_degrees, leads, {}), ring.degrees)
+    """Hilbert series of F/span(gb) where F has the given generator degrees:
+    F's series less that of the span (span_hilbert_numerator), read off
+    the leads of the (Groebner) basis gb."""
+    num = Counter(col_degrees)
+    num.subtract(span_hilbert_numerator(ring, col_degrees, [v.lead()[0] for v in gb]))
+    return HilbertSeries(num, ring.degrees)

@@ -30,8 +30,9 @@ from operator import mul
 
 from .polyring import (
     GradedPolynomialRing, Vector, SubmoduleGB, GroebnerBasis,
-    syzygy_basis, HilbertSeries, qpoly_add, qpoly_mul, determinant,
-    ExponentLimitError, _fr, _integers, _quotient_numerator, _scaled_dot, _torus_ring,
+    syzygy_basis, HilbertSeries, span_hilbert_numerator, qpoly_add, qpoly_mul,
+    qpoly_denominator, determinant, DatumError, ExponentLimitError, _fr, _integers,
+    _scaled_dot, _torus_ring,
 )
 from .gradmod import CheckReport, FPModule, _degrees_of
 
@@ -240,8 +241,7 @@ class ReflectionGroup:
                 if j != i:
                     term = qpoly_mul(term, p)
             lhs = qpoly_add(lhs, term)
-        for d in series.denominator_degrees:
-            lhs = qpoly_mul(lhs, {0: 1, d: -1})
+        lhs = qpoly_mul(lhs, qpoly_denominator(series.denominator_degrees))
         rhs = {k: self.order * v for k, v in series.numerator.items()}
         for p in dets:
             rhs = qpoly_mul(rhs, p)
@@ -320,13 +320,8 @@ class ReflectionGroup:
 
     def _kostant_identity(self):
         # P_W(q) * prod(1-q^2) == prod(1 - q^(2 d_i)), exactly
-        lhs = dict(self.poincare_polynomial())
-        for d in self.ring.degrees:
-            lhs = qpoly_mul(lhs, {0: 1, d: -1})
-        rhs = {0: 1}
-        for d in self.invariant_degrees:
-            rhs = qpoly_mul(rhs, {0: 1, d: -1})
-        return lhs == rhs
+        return (qpoly_mul(self.poincare_polynomial(), qpoly_denominator(self.ring.degrees))
+                == qpoly_denominator(self.invariant_degrees))
 
     def embedding(self):
         """Ring map from the invariant ring into R_T."""
@@ -479,12 +474,12 @@ class WEquivariantFreeModule:
         self.group = group
         self.names = tuple(index_names)
         if len(generator_permutations) != len(group.generators):
-            raise ValueError("need one permutation per group generator")
+            raise DatumError("need one permutation per group generator")
         position = {n: i for i, n in enumerate(self.names)}
         self.gen_perms = []
         for perm in generator_permutations:
             if set(perm) != set(self.names) or set(perm.values()) != set(self.names):
-                raise ValueError("permutation must be a bijection of the index set")
+                raise DatumError("permutation must be a bijection of the index set")
             self.gen_perms.append(tuple(position[perm[n]] for n in self.names))
         self._action_of, self._reps, self._gather, self._spread = self._replay_closure()
 
@@ -505,7 +500,7 @@ class WEquivariantFreeModule:
                 if actions[row[k]] is None:
                     actions[row[k]] = composed
                 elif actions[row[k]] != composed:
-                    raise ValueError("action is inconsistent with the group law")
+                    raise DatumError("action is inconsistent with the group law")
         reps, spread, found = [], {}, [False] * self.rank
         for v0 in range(self.rank):
             if not found[v0]:
@@ -577,8 +572,8 @@ class WEquivariantFreeModule:
         prod(1 - q^d_i) = P_W (1 - q^2)^r (Kostant; it holds once the
         invariant ideal is zero-dimensional, as coinvariant_basis checks),
         that is the numerator of Hilb_{R^W}(S), read off the leads of the
-        coordinates' basis, over R_T's denominator.  The visit ends when it
-        equals M's series: then R_T S = M holds every later candidate.
+        coordinates' basis, over R_T's denominator.  Once it equals M's
+        series, R_T S = M holds every later candidate, in a full degree.
         Given generators without hilbert need not span a W-stable module;
         the stop against R_T^rank is sound for them too, and the visit may
         run to the last candidate.  For the full free module the Hilbert
@@ -604,23 +599,13 @@ class WEquivariantFreeModule:
         layout = group.invariant_module_layout(nreps)
         at, coords, span, memo = {}, {}, GroebnerBasis(inv), {}
 
-        def spanned():
-            # the series of R_T S: the numerator of Hilb_{R^W}(S), from the
-            # staircases of the columns that hold a lead
-            cols = sorted({col for col, _ in span._leads})
-            where = {col: i for i, col in enumerate(cols)}
-            quotient = _quotient_numerator(inv, [layout[c] for c in cols], [
-                (where[col], exps) for col, exps in span._leads], memo)
-            num = {d: -n for d, n in quotient.items()}
-            for c in cols:
-                num = qpoly_add(num, {layout[c]: 1})
-            return HilbertSeries(num, ring.degrees)
-
-        def full_degrees(series):
-            have = series.coefficients(top)
+        def full_degrees():
+            # where R_T S is all of M: its series has the numerator of Hilb_{R^W}(S)
+            have = HilbertSeries(span_hilbert_numerator(inv, layout, span._leads, memo),
+                                 ring.degrees).coefficients(top)
             return {d for d in set(degrees) if have.get(d, 0) == target.get(d, 0)}
 
-        full = full_degrees(spanned())
+        full = full_degrees()
         for k in sorted(range(len(pairs)), key=lambda k: (degrees[k], k)):
             if degrees[k] in full:
                 continue
@@ -630,10 +615,7 @@ class WEquivariantFreeModule:
             if not span.add(c):
                 continue
             at[k], coords[k] = v, c
-            series = spanned()
-            if series == hilbert:
-                break
-            full = full_degrees(series)
+            full = full_degrees()
         kept = sorted(at)
         coords = [coords[k] for k in kept]
         rels = syzygy_basis(inv, nreps * len(basis), coords)

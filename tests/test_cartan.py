@@ -120,7 +120,8 @@ def test_uct_collapse_on_non_cm_and_zero_cohomology(RT):
     point_plus_circle = GStarModule((0, 0, 1), [[0] * 3] * 3,
                                     [[[0, 0, 0], [0, 0, 1], [0, 0, 0]]])
     rep = model_uct(point_plus_circle, RT)
-    assert (rep.verdict, rep.details) == ("not applicable", {"shift": None})
+    assert (rep.verdict, rep.details) == (
+        "not applicable", {"shift": None, "reason": "cohomology is not Cohen-Macaulay"})
     # an acyclic pair (d a = b): zero cohomology and homology, shift 0
     rep = model_uct(GStarModule((1, 2), [[0, 0], [1, 0]], [[[0, 0], [0, 0]]]), RT)
     assert (rep.verdict, rep.details) == ("pass", {"shift": 0})

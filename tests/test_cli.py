@@ -83,6 +83,79 @@ def test_gkm_computes_biduality_once_per_module(monkeypatch, tmp_path):
     assert len(calls) == 1
 
 
+def test_each_derived_result_is_computed_once(monkeypatch):
+    # the kernel's syzygy order serves cs and descent, and the invariants'
+    # is the other; the augmentation's serves partial and gap, the AB
+    # cohomology the summary and partial, and the plain complex computes
+    # only its H^0 (they used to take 3 and 2 orders and 9 homologies)
+    from equisyz import equivtop, gradmod
+    calls = []
+    order, homology = gradmod.SyzygyOrderResult, gradmod.homology
+    monkeypatch.setattr(gradmod, "SyzygyOrderResult",
+                        lambda *args: calls.append("order") or order(*args))
+
+    def counted(*args, **kwargs):
+        calls.append("homology")
+        return homology(*args, **kwargs)
+    monkeypatch.setattr(gradmod, "homology", counted)
+    monkeypatch.setattr(equivtop, "homology", counted)
+    for argv, orders, homologies in ((["gkm", data_path("s2.json")], 2, 3),
+                                     (["filtration-verify", data_path("s2_filtration.json")],
+                                      1, 5)):
+        calls.clear()
+        assert run(argv)[0] == EXIT_PASS
+        assert (calls.count("order"), calls.count("homology")) == (orders, homologies), argv
+
+
+def test_exit_two_on_symmetry_inconsistent_with_the_group_law(tmp_path):
+    # two generators that are one element, t -> -t, one fixing the poles
+    # and one swapping them: cs and pairing used to pass, as only descent
+    # replayed the closure; the graph now checks it when it is read
+    path = write_json(tmp_path, "inconsistent.json", _edited(
+        "s2.json",
+        lambda g: g["symmetry"]["group"].update(generators=[[["-1"]], [["-1"]]]),
+        lambda g: g["symmetry"].update(vertex_maps=[{"N": "N", "S": "S"},
+                                                    {"N": "S", "S": "N"}])))
+    for check in ("cs", "pairing", "descend"):
+        code, report = run(["gkm", path, "--check", check])
+        assert code == EXIT_INPUT, check
+        assert "action is inconsistent with the group law" in report["error"]
+
+
+def test_not_applicable_items_give_a_reason_under_their_checks_tag(tmp_path):
+    # every command on every shipped input and on the inputs that make the
+    # ext, partial, gap, ses and uct checks not applicable: each NA item
+    # says why, a check keeps one tag, and its NA item is reported under
+    # the name and tag of its verdicts
+    from equisyz.cartan import GStarModule
+    with open(data_path("s2_filtration.json")) as fh:
+        s2_filtration = json.load(fh)
+    paths = [data_path(name) for name in sorted(os.listdir(DATA))] + [
+        write_json(tmp_path, "bare.json", {
+            k: v for k, v in s2_filtration.items()
+            if k not in ("augmentation", "homology_module", "truncations")}),
+        write_json(tmp_path, "no_duality.json", dict(s2_filtration, poincare_duality=False)),
+        write_json(tmp_path, "point_plus_circle.json", dict(GStarModule(
+            (0, 0, 1), [[0] * 3] * 3, [[[0, 0, 0], [0, 0, 1], [0, 0, 0]]]).to_json(), rank=1))]
+    tags, verdicts, not_applicable = {}, set(), []
+    for path in paths:
+        for command in COMMANDS:
+            options = ["--klass", '["t", "0"]'] if command == "integrate" else []
+            for item in run([command, path] + options)[1].get("checks", []):
+                tags.setdefault(item["name"], set()).add(item["theorem"])
+                if item["verdict"] == "not applicable":
+                    assert item["details"].get("reason"), (command, path, item)
+                    not_applicable.append((item["name"], item["theorem"]))
+                else:
+                    verdicts.add((item["name"], item["theorem"]))
+    assert {name for name, _ in not_applicable} == {
+        "ext-duality", "partial-exactness-vs-syzygy-order", "syzygy-gap-bound",
+        "homology-truncation-additivity", "universal-coefficient collapse",
+        "descent-syzygy-invariance", "descent-base-change-hilbert"}
+    assert {name: t for name, t in tags.items() if len(t) > 1} == {}
+    assert set(not_applicable) <= verdicts
+
+
 def test_weyl_verify_groups():
     for name, order in [("z2_group.json", 2), ("a2_group.json", 6),
                         ("b2_group.json", 8)]:
@@ -512,9 +585,9 @@ def _input_error_cases():
         ("gkm", [], _edited("s2.json", lambda g: g["symmetry"]["group"].update(
             vars=["s"], invariants=["s^2"])), "symmetry group must act on the graph's ring"),
         ("gkm", [], _edited("s2.json", vertex_maps()),
-         "need one vertex permutation per group generator"),
+         "need one permutation per group generator"),
         ("gkm", [], _edited("s2.json", vertex_maps({"N": "S"})),
-         "vertex permutation must cover all vertices"),
+         "permutation must be a bijection of the index set"),
         ("integrate", ["--klass", '["1", "1", "1"]'], _edited(
             "s2.json", _isolated("X"), lambda g: g.pop("symmetry")),
          "vertex X has no incident edges and no Euler data"),

@@ -311,16 +311,21 @@ def test_ext_duality_needs_homology_module():
     assert [(r.name, r.theorem, r.verdict, r.details) for r in reports] == [
         ("ext-duality", "ext-duality", "not applicable",
          {"reason": "no homology-side module"}),
-        ("partial-exactness-vs-syzygy-order", "partial-exactness", "not applicable",
-         {"reason": "no augmentation"}),
+        ("partial-exactness-vs-syzygy-order", "partial-exactness-vs-syzygy-order",
+         "not applicable", {"reason": "no augmentation"}),
         ("syzygy-gap-bound", "syzygy-gap-bound", "not applicable",
          {"reason": "no augmentation"})]
     assert all(r.passed for r in reports)
-    # augmented but without Poincare duality: the gap bound gives no reason
+    # augmented but without Poincare duality, and without truncations
     with open(os.path.join(DATA, "s2_filtration.json")) as fh:
         obj = json.load(fh)
     rep = syzygy_gap_check(FiltrationDatum.from_json(dict(obj, poincare_duality=False)))
-    assert (rep.verdict, rep.details) == ("not applicable", {})
+    assert (rep.verdict, rep.details) == ("not applicable", {"reason": "no Poincare duality"})
+    rep = truncation_additivity_check(FiltrationDatum.from_json(dict(obj, truncations=[])))
+    assert (rep.verdict, rep.details) == ("not applicable", {"reason": "no truncations"})
+    rep = truncation_additivity_check(datum)
+    assert (rep.verdict, rep.details) == ("not applicable",
+                                          {"reason": "no homology-side module"})
 
 
 def test_partial_exactness_values():
@@ -366,8 +371,21 @@ def test_descent_without_symmetry_is_not_applicable():
     res = descend_invariants(GKMGraph(ring, ["N", "S"], [("N", "S", (1,))]))
     assert res.module is None and res.generators == [] and res.passed
     assert [(c.name, c.theorem, c.verdict, c.details) for c in res.checks] == [
-        ("descend-invariants", "weyl-descent", "not applicable",
-         {"reason": "no symmetry data"})]
+        (name, name, "not applicable", {"reason": "no symmetry data"})
+        for name in ("descent-syzygy-invariance", "descent-base-change-hilbert")]
+
+
+def test_symmetric_graph_replays_the_group_closure_once(monkeypatch):
+    # the graph's permutation module checks the vertex maps when the graph
+    # is built, and every descent reuses it
+    from equisyz.weyl import WEquivariantFreeModule
+    calls = []
+    replay = WEquivariantFreeModule._replay_closure
+    monkeypatch.setattr(WEquivariantFreeModule, "_replay_closure",
+                        lambda self: calls.append(1) or replay(self))
+    graph = GKMGraph.from_json(gen.projective_space(3, "0", symmetric=True))
+    first, second = descend_invariants(graph), descend_invariants(graph)
+    assert first.passed and second.passed and len(calls) == 1
 
 
 def test_descent_su2_sphere():

@@ -7,10 +7,11 @@ import pytest
 from equisyz.polyring import (
     DatumError, EXPONENT_LIMIT, ExponentLimitError, GradedPolynomialRing, Polynomial, Vector,
     GroebnerBasis, buchberger, divide, SubmoduleGB, s_vector,
-    syzygy_basis, quotient_hilbert_series, HilbertSeries, determinant,
+    syzygy_basis, quotient_hilbert_series, span_hilbert_numerator, HilbertSeries, determinant,
 )
 from helpers import (
-    groebner_basis, leading_term, mono_mul, normal_form, quotient_by_ideal, random_homogeneous,
+    groebner_basis, leading_term, mono_mul, monomials_of_degree, normal_form, quotient_by_ideal,
+    random_homogeneous,
     random_module, random_vector, relation_columns,
     reference_blocks, reference_buchberger, reference_divide, reference_det,
     reference_apply, reference_from_terms, reference_kernel_submodule, reference_poly_mul,
@@ -1255,6 +1256,48 @@ def test_hilbert_series_examples():
     gb = buchberger([Vector.from_polys([p], 1) for p in (x * x, x * y, y * y)])
     h = quotient_hilbert_series(R, (0,), gb)
     assert h.coefficients(10) == {0: 1, 2: 2}
+
+
+def test_span_series_match_ranks_of_monomial_multiples():
+    # dim_Q of a span in degree d, read off no Groebner basis: the rank (by
+    # sympy) of the coefficients of every degree-d monomial multiple of the
+    # generators, on seeded random homogeneous submodules of Q[x, y, z]^2;
+    # the quotient's series is the free module's less the span's
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(32)
+    R = GradedPolynomialRing(["x", "y", "z"])
+    top = 8
+    for _ in range(6):
+        col_degrees = (0, rng.choice([0, 2, 4]))
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            degree = rng.choice([2, 4, 6])
+            polys = [random_homogeneous(R, degree - c, rng, density=0.5, rational=True)
+                     if degree >= c else R.zero() for c in col_degrees]
+            if any(not p.is_zero() for p in polys):
+                gens.append((degree, polys))
+        vectors = [Vector.from_polys(polys, 2) for _, polys in gens]
+        span = HilbertSeries(span_hilbert_numerator(
+            R, col_degrees, [v.lead()[0] for v in buchberger(vectors)]), R.degrees)
+        quotient = quotient_hilbert_series(R, col_degrees, buchberger(vectors))
+        got, rest = span.coefficients(top), quotient.coefficients(top)
+        for d in range(0, top + 1, 2):
+            places = [(c, m) for c, cd in enumerate(col_degrees)
+                      for m in monomials_of_degree(R, d - cd) if d >= cd]
+            where = {place: i for i, place in enumerate(places)}
+            rows = []
+            for degree, polys in gens:
+                for m in (monomials_of_degree(R, d - degree) if d >= degree else []):
+                    row = [0] * len(places)
+                    for c, p in enumerate(polys):
+                        for exps, coeff in p.terms.items():
+                            shifted = tuple(a + b for a, b in zip(exps, m))
+                            row[where[c, shifted]] = sympy.Rational(coeff.numerator,
+                                                                    coeff.denominator)
+                    rows.append(row)
+            rank = sympy.Matrix(rows).rank() if rows else 0
+            assert got.get(d, 0) == rank, (col_degrees, gens, d)
+            assert rest.get(d, 0) == len(places) - rank, (col_degrees, gens, d)
 
 
 def test_hilbert_closed_form_20_coefficients():
