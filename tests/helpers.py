@@ -1,6 +1,7 @@
 """Shared test utilities: the shipped data, random homogeneous polynomials
 and modules, and the reference forms the library is tested against."""
 
+import argparse
 import heapq
 import json
 import os
@@ -23,6 +24,7 @@ from equisyz.cartan import (
     CartanComplex, GStarModule, cartan_cohomology, equivariant_homology,
     uct_collapse_check,
 )
+from equisyz.cli import COMMANDS, MAX_DEGREE_LIMIT
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "data")
 
@@ -1029,3 +1031,27 @@ def random_module_with_units(ring, rng, max_gens=4, max_rels=4):
         if not v.is_zero():
             cols.append(v)
     return FPModule.from_columns(ring, gdegs, cols)
+
+
+def reference_parser():
+    """The argparse parser of every command, which the CLI used to build:
+    the oracle for what cli._parse accepts and how it reads argv."""
+    parser = argparse.ArgumentParser(
+        prog="equisyz",
+        description="Syzygy and equivariant-cohomology analyses over Q.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in COMMANDS:
+        p = sub.add_parser(name)
+        p.add_argument("input", help="path to the JSON input")
+        p.add_argument("--format", choices=["text", "json"], default="text")
+        p.add_argument("--check", default=None,
+                       help="comma-separated list of checks to run")
+        p.add_argument("--max-degree", type=int, default=20,
+                       help="series coefficients printed through twice this degree "
+                            "(0..%d)" % MAX_DEGREE_LIMIT)
+        p.add_argument("--seed", type=int, default=None,
+                       help="seed for randomized spot checks")
+        if name == "integrate":
+            p.add_argument("--klass", "--class", dest="klass", default=None,
+                           help="JSON list of polynomials, one per vertex")
+    return parser

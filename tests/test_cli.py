@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import signal
@@ -8,12 +10,12 @@ import time
 import pytest
 
 from equisyz.cli import (
-    COMMANDS, build_parser, main, run, render_text, EXIT_PASS, EXIT_FAIL, EXIT_INPUT,
+    COMMANDS, main, run, render_text, EXIT_PASS, EXIT_FAIL, EXIT_INPUT,
     EXIT_INTERNAL,
 )
 
 from equisyz import cli
-from helpers import module_3028, triangle_graph
+from helpers import module_3028, reference_parser, triangle_graph
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "bench"))
@@ -688,36 +690,109 @@ def test_unknown_check_name_rejected():
     assert code == EXIT_INPUT
 
 
-def _parsed(parse, argv, capsys):
-    """(namespace or None, printed output) of parse(argv)."""
-    try:
-        got = parse(argv)
-    except SystemExit:
-        got = None
-    out = capsys.readouterr()
-    return None if got is None else vars(got), out.out, out.err
+# argv drawn for the parser tests: a first token, then up to eight of the
+# input, '-', '--', each option name shortened to each of its prefixes,
+# options joined to values by '=', and values that argparse reads in
+# different ways (a choice, a negative number, an int() spelling, JSON)
+_OPTION_TOKENS = ("-h",) + tuple(sorted({
+    name[:k] for name in ("--help", "--format", "--check", "--max-degree", "--seed",
+                          "--klass", "--class") for k in range(3, len(name) + 1)}))
+_VALUES = ("json", "text", "xml", "cs,pairing", "3", "-3", "+3", "1.5", "x", "[]", "")
 
 
-def test_parser_of_one_command_parses_as_the_parser_of_all(capsys):
-    # build_parser(argv) has only the subparser of the command argv starts
-    # with; the CLI parses, rejects and prints as the parser of every
-    # command does
-    full = build_parser(())
+def _argvs(st):
+    options, values = st.sampled_from(_OPTION_TOKENS), st.sampled_from(_VALUES)
+    one = st.one_of(st.sampled_from(("in.json", "-", "--")), options, values,
+                    st.builds("{}={}".format, options, values))
+    # an option and a value drawn together make more argv valid
+    tokens = st.lists(st.one_of(st.tuples(one), st.tuples(options, values)), max_size=4)
+    first = st.sampled_from(tuple(COMMANDS) + ("-h", "--help", "nope", "in.json"))
+    return st.builds(lambda head, tail: [head] + [t for group in tail for t in group],
+                     first, tokens)
+
+
+def _outcome(parse, argv):
+    """(vars() of parse(argv), or "help" when it exits 0 and None when it
+    rejects argv; its stdout; its stderr)."""
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            got = parse(list(argv))
+            got = None if got is None else vars(got)
+        except SystemExit as exc:
+            got = "help" if exc.code == 0 else None
+    return got, out.getvalue(), err.getvalue()
+
+
+def test_parse_accepts_and_reads_argv_as_argparse_does():
+    # argparse, kept in the tests as the oracle, accepts exactly the argv
+    # that cli._parse accepts and reads them to the same arguments, on
+    # listed argv and on drawn ones; the messages may differ
+    oracle = reference_parser()
+
+    def parses_as_argparse(argv):
+        got, out, err = _outcome(cli._parse, argv)
+        assert got == _outcome(oracle.parse_args, argv)[0], argv
+        if got == "help":
+            assert out.startswith("usage: equisyz") and not err, argv
+        elif got is None:
+            assert not out and err.startswith("usage: equisyz"), argv
+            assert err.splitlines()[1].startswith("equisyz: error: "), argv
     argvs = [[name, "in.json"] for name in COMMANDS] + [
         ["gkm", "in.json", "--check", "cs,descend", "--format=json", "--seed", "3"],
         ["integrate", "in.json", "--class", "[]", "--max-degree", "4"],
         ["gkm", "in.json", "--klass", "[]"], ["gkm"], ["gkm", "in.json", "extra"],
         ["gkm", "--format", "xml", "in.json"], ["cartan", "in.json", "--seed", "x"],
         ["gkm", "-h"], ["nope", "in.json"], ["in.json"], [], ["-h"], ["--format", "json"],
+        ["gkm", "--max", "3", "in.json", "--form=json", "--s=-3"], ["gkm", "in.json", "--he"],
+        ["integrate", "in.json", "--c", "x"], ["integrate", "-h", "--c"],
+        ["gkm", "in.json", "--seed", "+3", "--max-degree", " 3 "],
+        ["gkm", "in.json", "--max-degree", "3_000"], ["gkm", "-3", "--seed", "-3"],
+        ["gkm", "in.json", "--check", "-x"], ["gkm", "in.json", "--seed", "-3.5"],
+        ["gkm", "in.json", "--check", "-"], ["gkm", "--", "-h"], ["gkm", "--", "--"],
+        ["gkm", "in.json", "--"], ["gkm", "in.json", "--check", "cs", "--"],
+        ["gkm", "--check", "cs", "--", "in.json"], ["gkm", "--bogus", "-h"],
+        ["gkm", "in.json", "--help=x"], ["gkm", "in.json", "-h=x"], ["--", "-h"],
     ]
     for argv in argvs:
-        parser = build_parser(argv)
-        usage = parser.format_usage()
-        if argv and argv[0] in COMMANDS:
-            assert "{%s}" % argv[0] in usage
-        else:
-            assert "{%s}" % ",".join(COMMANDS) in usage
-        assert _parsed(cli._parse, argv, capsys) == _parsed(full.parse_args, argv, capsys)
+        parses_as_argparse(argv)
+    hypothesis = pytest.importorskip("hypothesis")
+    hypothesis.settings(derandomize=True, max_examples=600, deadline=None, database=None)(
+        hypothesis.given(_argvs(hypothesis.strategies))(parses_as_argparse))()
+
+
+def test_every_argv_keeps_the_exit_code_contract(capsys):
+    # the drawn argv, their input data/s2.json, end in 0, 1 or 2 or print
+    # the help and exit 0: never exit 3 and never a traceback
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(derandomize=True, max_examples=400, deadline=None, database=None)
+    @hypothesis.given(_argvs(hypothesis.strategies))
+    def check(argv):
+        argv = [data_path("s2.json") if token == "in.json" else token for token in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 0 and capsys.readouterr().out.startswith("usage: equisyz")
+            return
+        err = capsys.readouterr().err
+        assert code in (EXIT_PASS, EXIT_FAIL, EXIT_INPUT) and "Traceback" not in err, argv
+    check()
+
+
+def test_a_command_imports_neither_argparse_nor_locale():
+    # argparse's first message lookup imports gettext and locale, paid by
+    # every command in a fresh process; which modules are loaded does not
+    # depend on the machine's speed
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src"), os.environ.get("PYTHONPATH", "")]))
+    script = ("import sys; from equisyz import cli; "
+              "print(cli.run(['gkm', %r, '--check', 'cs'])[0], "
+              "sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))"
+              % data_path("s2.json"))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.stdout.split() == [str(EXIT_PASS), "[]"], proc
 
 
 def _module_input(entry, col_degree=2):
