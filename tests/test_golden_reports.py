@@ -15,7 +15,9 @@ over the rank-2 torus of SL_3 (helpers.sum_zero_flag3, in both formats),
 whose group is not one of signed permutations, and the
 Chang-Skjelbred check on
 Gr(3,6), Gr(3,6) with its edges shuffled, Gr(3,6) with its vertices
-shuffled (a large staircase for the free-kernel test), Gr(3,7) and Fl(5); cartan
+shuffled (a large staircase for the free-kernel test), Gr(3,7) and Fl(5),
+and both the Chang-Skjelbred and the pairing check on Fl(4) with its
+vertices shuffled (helpers.shuffled_vertices, seed 5); cartan
 on the circle model plus an acyclic pair, whose differential is nonzero,
 on a point plus a free circle (not Cohen-Macaulay, so the collapse check
 is not applicable) and on the acyclic pair alone (zero cohomology); and
@@ -130,7 +132,11 @@ def _cases(workdir):
              ("json",)),
             ("grassmannian_3_6_vertices_shuffled",
              shuffled_vertices(gen.grassmannian(3, 6, "0"), 5), "cs", ("json",)),
-            ("flag_variety_5", gen.flag_variety(5, "0"), "cs", ("json",))):
+            ("flag_variety_5", gen.flag_variety(5, "0"), "cs", ("json",)),
+            ("flag_variety_4_vertices_shuffled",
+             shuffled_vertices(gen.flag_variety(4, "0"), 5), "cs", ("json",)),
+            ("flag_variety_4_vertices_shuffled",
+             shuffled_vertices(gen.flag_variety(4, "0"), 5), "pairing", ("json",))):
         path = os.path.join(workdir, "%s_%s.json" % (name, check))
         with open(path, "w") as fh:
             json.dump(graph, fh)
