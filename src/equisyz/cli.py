@@ -10,9 +10,11 @@ integrate also build items inline.  The report holds their to_json.
 --max-degree sets only the series coefficients a report prints; every
 check is exact.
 
-The command line, ``equisyz COMMAND INPUT [options]``, is read left to
-right against one option table, OPTIONS, by argparse's rules (README;
-the tests keep argparse as the oracle).  argparse is not imported: its
+The command line is ``equisyz COMMAND INPUT [options]``, its options one
+table, OPTIONS.  A canonical argv, COMMAND INPUT and then each option's
+exact long name followed by its value, is read directly (_read); every
+other argv goes to argparse, built from the same table, whose help and
+error text the user then sees.  argparse is imported only then: its
 first message lookup imports gettext and locale, which every command in
 a fresh process would pay.  --help prints the usage of equisyz or of one
 command and exits 0; a rejected command line exits 2.
@@ -23,7 +25,6 @@ check failed, 2 malformed or inconsistent input, 3 an internal error.
 
 import json
 import random
-import re
 import sys
 from types import SimpleNamespace
 
@@ -285,26 +286,22 @@ COMMANDS = {
 }
 
 
-def _format(value):
-    if value not in ("text", "json"):
-        raise ValueError(value)
-    return value
-
-
-# The options of every command, one row each: (names, dest, default, read,
-# metavar, help); integrate also takes KLASS.  _parse reads argv against
-# these rows and _help prints them.  --check is described per command.
+# The options of every command, one row each: its names and the keywords
+# argparse's add_argument takes for it; integrate also takes KLASS.  _read
+# reads canonical argv against these rows, and _parse builds argparse's
+# parser from them for every other argv.  _check_help describes --check.
 OPTIONS = (
-    (("--format",), "format", "text", _format, "{text,json}", "report format (default: text)"),
-    (("--check",), "check", None, str, "LIST", None),
-    (("--max-degree",), "max_degree", 20, int, "N",
-     "series coefficients printed through twice this degree (0..%d, default: 20)"
-     % MAX_DEGREE_LIMIT),
-    (("--seed",), "seed", None, int, "N", "seed for randomized spot checks"),
+    (("--format",), {"dest": "format", "default": "text", "choices": ("text", "json"),
+                     "metavar": "{text,json}", "help": "report format (default: text)"}),
+    (("--check",), {"dest": "check", "default": None, "metavar": "LIST"}),
+    (("--max-degree",), {"dest": "max_degree", "default": 20, "type": int, "metavar": "N",
+                         "help": "series coefficients printed through twice this degree "
+                                 "(0..%d, default: 20)" % MAX_DEGREE_LIMIT}),
+    (("--seed",), {"dest": "seed", "default": None, "type": int, "metavar": "N",
+                   "help": "seed for randomized spot checks"}),
 )
-KLASS = (("--klass", "--class"), "klass", None, str, "KLASS",
-         "JSON list of polynomials, one per vertex")
-HELP = ("-h", "--help")
+KLASS = (("--klass", "--class"), {"dest": "klass", "default": None, "metavar": "KLASS",
+                                  "help": "JSON list of polynomials, one per vertex"})
 
 
 def _rows(command):
@@ -313,9 +310,9 @@ def _rows(command):
 
 def _usage(command):
     if command is None:
-        return "usage: equisyz [-h] {%s} ..." % ",".join(COMMANDS)
-    return "usage: equisyz %s [-h] %s INPUT" % (
-        command, " ".join("[%s %s]" % (row[0][0], row[4]) for row in _rows(command)))
+        return "equisyz [-h] {%s} ..." % ",".join(COMMANDS)
+    return "equisyz %s [-h] %s INPUT" % (
+        command, " ".join("[%s %s]" % (names[0], kw["metavar"]) for names, kw in _rows(command)))
 
 
 def _check_help(command):
@@ -327,116 +324,50 @@ def _check_help(command):
     return "comma-separated checks to run, of %s (default: all)" % names
 
 
-def _help(command):
-    if command is None:
-        return "\n".join([
-            _usage(None), "", "Syzygy and equivariant-cohomology analyses over Q.", "",
-            "commands: " + ", ".join(COMMANDS),
-            "('equisyz COMMAND --help' lists the options of one)", "",
-            "options:", "  -h, --help  show this help and exit"])
-    rows = [("INPUT", "path to the JSON input"), ("-h, --help", "show this help and exit")]
-    rows += [(", ".join("%s %s" % (name, row[4]) for name in row[0]),
-              row[5] or _check_help(command)) for row in _rows(command)]
-    width = max(len(left) for left, _ in rows) + 2
-    return "\n".join([_usage(command), "", "arguments:"]
-                     + ["  %-*s%s" % (width, left, text) for left, text in rows])
-
-
-def _classify(token, names):
-    """What token is among the option names and -h/--help, by argparse's
-    rules: None for a positional, (name, the value joined to it or None),
-    or (None, None) for an unknown option.  A long option may be shortened
-    to a unique prefix; an ambiguous prefix raises InputError."""
-    if token[:1] != "-" or token in ("-", "--"):
+def _read(argv):
+    """The arguments of a canonical argv: COMMAND INPUT, then pairs of an
+    exact long option name of that command and a value that does not start
+    with '-' and that the option reads.  None for every other argv."""
+    if len(argv) < 2 or len(argv) % 2 or argv[0] not in COMMANDS or argv[1][:1] == "-":
         return None
-    if token[:2] == "-h":  # -hVALUE joins a value to -h, as -h=VALUE does
-        return "-h", token[2:] or None
-    if token[:2] == "--":
-        name, eq, value = token.partition("=")
-        longs = (*names, "--help")
-        matches = [name] if name in longs else [n for n in longs if n.startswith(name)]
-        if len(matches) > 1:
-            raise InputError("ambiguous option: %s could match %s"
-                             % (name, ", ".join(matches)))
-        if matches:
-            return matches[0], value if eq else None
-    # an unknown option that reads as a negative number or holds a space
-    # is a positional
-    if re.match(r"-\d+$|-\d*\.\d+$", token) or " " in token:
-        return None
-    return None, None
-
-
-def _parse_command(command, tokens):
-    """The arguments of command: tokens read left to right, as argparse
-    reads them.  Raises InputError on the first error it meets, but on an
-    unknown or extra argument or a missing INPUT only at the end, so that
-    a later -h still prints the help."""
-    rows = {name: row for row in _rows(command) for name in row[0]}
-    # argparse reads every token before '--' first, so an ambiguous prefix
-    # is rejected even after -h
-    end = tokens.index("--") if "--" in tokens else len(tokens)
-    kinds = [_classify(token, rows) for token in tokens[:end]]
-    args = {"command": command, "input": None}
-    args.update((row[1], row[2]) for row in rows.values())
-    unrecognized = []
-    input_at = None
-    i = 0
-    while i < len(tokens):
-        token, kind = tokens[i], kinds[i] if i < end else None
-        if i == end:
-            # '--' ends the options; argparse drops it unless INPUT came
-            # before it, not right before it
-            if input_at is not None and input_at != i - 1:
-                unrecognized.append(token)
-        elif kind is None:
-            if input_at is None:
-                args["input"], input_at = token, i
-            else:
-                unrecognized.append(token)
-        elif kind[0] is None:
-            unrecognized.append(token)
-        elif kind[0] in HELP:
-            if kind[1] is not None:
-                raise InputError("argument -h/--help: ignored explicit argument %r" % kind[1])
-            print(_help(command))
-            raise SystemExit(0)
-        else:
-            name, value = kind
-            if value is None:
-                if i + 1 == end or kinds[i + 1] is not None:
-                    raise InputError("argument %s: expected one argument" % name)
-                i += 1
-                value = tokens[i]
-            _, dest, _, read, metavar, _ = rows[name]
-            try:
-                args[dest] = read(value)
-            except ValueError:
-                raise InputError("argument %s: invalid %s value: %r"
-                                 % (name, metavar, value)) from None
-        i += 1
-    if input_at is None:
-        raise InputError("the following arguments are required: INPUT")
-    if unrecognized:
-        raise InputError("unrecognized arguments: %s" % " ".join(unrecognized))
+    rows = {name: kw for names, kw in _rows(argv[0]) for name in names}
+    args = {kw["dest"]: kw["default"] for kw in rows.values()}
+    args.update(command=argv[0], input=argv[1])
+    for name, value in zip(argv[2::2], argv[3::2]):
+        kw = rows.get(name)
+        if kw is None or value[:1] == "-" or value not in kw.get("choices", (value,)):
+            return None
+        try:
+            args[kw["dest"]] = kw.get("type", str)(value)
+        except ValueError:
+            return None
     return SimpleNamespace(**args)
 
 
 def _parse(argv):
-    """Parsed arguments, or None when argv is rejected: the usage and the
-    reason are then printed to stderr.  -h or --help prints the help and
-    raises SystemExit(0)."""
-    command = argv[0] if argv and argv[0] in COMMANDS else None
+    """Parsed arguments, or None when argv is rejected.  argparse reads
+    every argv that _read declines: -h or --help then prints the help and
+    raises SystemExit(0), and a rejection prints the usage and the reason
+    to stderr."""
+    args = _read(argv)
+    if args is not None:
+        return args
+    import argparse  # not at the top: its first message lookup imports locale
+    parser = argparse.ArgumentParser(
+        prog="equisyz", usage=_usage(None),
+        description="Syzygy and equivariant-cohomology analyses over Q.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command in COMMANDS:
+        p = sub.add_parser(command, prog="equisyz", usage=_usage(command))
+        p.add_argument("input", metavar="INPUT", help="path to the JSON input")
+        for names, kw in _rows(command):
+            p.add_argument(*names, **{"help": _check_help(command), **kw})
     try:
-        if command is not None:
-            return _parse_command(command, argv[1:])
-        if argv and _classify(argv[0], ()) in (("-h", None), ("--help", None)):
-            print(_help(None))
-            raise SystemExit(0)
-        raise InputError("the first argument must be a command: %s" % ", ".join(COMMANDS))
-    except InputError as exc:
-        print("%s\nequisyz: error: %s" % (_usage(command), exc), file=sys.stderr)
-        return None
+        return parser.parse_args(argv)
+    except SystemExit as exc:
+        if exc.code:
+            return None
+        raise
 
 
 def run(argv):

@@ -1034,8 +1034,12 @@ def random_module_with_units(ring, rng, max_gens=4, max_rels=4):
 
 
 def reference_parser():
-    """The argparse parser of every command, which the CLI used to build:
-    the oracle for what cli._parse accepts and how it reads argv."""
+    """The argparse parser of every command, as the CLI once built it: the
+    oracle for what cli._parse accepts and how it reads argv.  cli._parse
+    reads a canonical argv (COMMAND INPUT, then exact long options with
+    their values) itself and every other argv with argparse, built from
+    its option table; so the oracle checks _read on the first and the
+    table on the second."""
     parser = argparse.ArgumentParser(
         prog="equisyz",
         description="Syzygy and equivariant-cohomology analyses over Q.")

@@ -496,6 +496,17 @@ def test_help_exits_zero(capsys):
         assert ("usage: equisyz" in proc.stdout) == (code == 0), (argv, proc)
 
 
+def test_help_of_a_command_describes_its_check_names(capsys, monkeypatch):
+    # README: a command's --help lists the names its --check accepts
+    monkeypatch.setenv("COLUMNS", "200")
+    for name, (_, known) in COMMANDS.items():
+        with pytest.raises(SystemExit):
+            main([name, "--help"])
+        out = capsys.readouterr().out
+        assert cli._check_help(name) in out, name
+        assert all(check in out for check in known), name
+
+
 def test_exit_two_on_negative_max_degree():
     code, report = run(["module-analyze", data_path("koszul2.json"),
                         "--max-degree", "-3"])
@@ -753,6 +764,7 @@ def test_parse_accepts_and_reads_argv_as_argparse_does():
         ["gkm", "in.json", "--"], ["gkm", "in.json", "--check", "cs", "--"],
         ["gkm", "--check", "cs", "--", "in.json"], ["gkm", "--bogus", "-h"],
         ["gkm", "in.json", "--help=x"], ["gkm", "in.json", "-h=x"], ["--", "-h"],
+        ["gkm", "in.json", "-hh"], ["gkm", "-h=h"], ["-hh"], ["--bogus", "-h"],
     ]
     for argv in argvs:
         parses_as_argparse(argv)
@@ -780,19 +792,45 @@ def test_every_argv_keeps_the_exit_code_contract(capsys):
     check()
 
 
+def test_read_declines_every_argv_but_the_canonical_one():
+    # _read takes COMMAND INPUT and then exact long names, each with a value
+    # that does not start with '-' and that the option reads; argparse reads
+    # every other argv, so _read must decline it
+    assert vars(cli._read(["integrate", "in.json", "--class", "[]", "--seed", "3"])) == {
+        "command": "integrate", "input": "in.json", "format": "text", "check": None,
+        "max_degree": 20, "seed": 3, "klass": "[]"}
+    for argv in (["gkm", "in.json", "--max", "3"], ["gkm", "in.json", "--seed=3"],
+                 ["gkm", "in.json", "--seed", "-3"], ["gkm", "--", "in.json"],
+                 ["gkm", "in.json", "--", "x"], ["gkm", "-h"], ["gkm", "in.json", "-h", "x"],
+                 ["gkm", "--seed", "3", "in.json"], ["gkm", "in.json", "--seed", "3", "x"],
+                 ["gkm", "in.json", "--format", "xml"], ["gkm", "in.json", "--max-degree", "x"],
+                 ["gkm", "in.json", "--klass", "[]"], ["nope", "in.json"], ["gkm"], []):
+        assert cli._read(argv) is None, argv
+
+
 def test_a_command_imports_neither_argparse_nor_locale():
     # argparse's first message lookup imports gettext and locale, paid by
-    # every command in a fresh process; which modules are loaded does not
-    # depend on the machine's speed
+    # every command in a fresh process; the canonical argv of every command
+    # is read without it.  Which modules are loaded does not depend on the
+    # machine's speed
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.join(os.path.dirname(__file__), "..", "src"), os.environ.get("PYTHONPATH", "")]))
+    argvs = [
+        ["module-analyze", data_path("koszul2.json"), "--format", "json", "--max-degree", "3",
+         "--seed", "1"],
+        ["weyl-verify", data_path("z2_group.json")],
+        ["cartan", data_path("circle_model.json"), "--check", "uct"],
+        ["gkm", data_path("s2.json"), "--check", "cs"],
+        ["filtration-verify", data_path("s2_filtration.json"), "--format", "text"],
+        ["integrate", data_path("s2.json"), "--klass", json.dumps(["t", "0"])],
+    ]
+    assert sorted(argv[0] for argv in argvs) == sorted(COMMANDS)
     script = ("import sys; from equisyz import cli; "
-              "print(cli.run(['gkm', %r, '--check', 'cs'])[0], "
-              "sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))"
-              % data_path("s2.json"))
+              "print([cli.run(argv)[0] for argv in %r], "
+              "sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))" % argvs)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=60)
-    assert proc.stdout.split() == [str(EXIT_PASS), "[]"], proc
+    assert proc.stdout.splitlines() == ["%s []" % ([EXIT_PASS] * len(argvs))], proc
 
 
 def _module_input(entry, col_degree=2):
