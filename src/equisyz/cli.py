@@ -30,8 +30,8 @@ from types import SimpleNamespace
 
 from .polyring import _torus_ring
 from .gradmod import (
-    CheckReport, FPModule, FPMap, NEG_INF, dimension, depth, cohen_macaulay,
-    syzygy_order, biduality, minimal_resolution, fp_kernel, fp_cokernel, _betti_json,
+    CheckReport, FPModule, FPMap, NEG_INF, dimension, depth, cohen_macaulay, syzygy_order,
+    biduality, minimal_resolution, fp_kernel, fp_cokernel, betti_text, _betti_json,
 )
 from .weyl import group_from_json, GroupClosureError
 from .cartan import (
@@ -432,7 +432,6 @@ def render_text(report):
     lines = ["%s: %s" % (report["command"], report["status"])]
     for key, val in sorted(report["summary"].items()):
         if key.endswith("betti") and isinstance(val, list):
-            from .gradmod import betti_text
             table = {(k, d): n for (k, d, n) in val}
             lines.append("  %s:" % key)
             lines.extend("    " + row for row in betti_text(table).splitlines())

@@ -469,9 +469,8 @@ def truncation_additivity_check(datum):
 
 
 class DescentResult:
-    def __init__(self, module, generators, checks):
-        self.module = module          # invariants over the invariant ring, or None
-        self.generators = generators  # invariant tuples over R_T
+    def __init__(self, module, checks):
+        self.module = module  # invariants over the invariant ring, or None
         self.checks = checks
 
     @property
@@ -482,10 +481,11 @@ class DescentResult:
 def descend_invariants(graph):
     """Invariant part of the GKM kernel over the invariant subring.
 
-    Returns the module of Weyl-invariant tuples together with two verdicts:
-    the syzygy orders over both rings agree, and extending scalars back
-    recovers the kernel's Hilbert series.  A graph without symmetry data
-    has no module, and both verdicts are "not applicable".
+    Returns the module of Weyl-invariant tuples together with two verdicts,
+    which read only the module (no tuple is spread): the syzygy orders over
+    both rings agree, and extending scalars back recovers the kernel's
+    Hilbert series.  A graph without symmetry data has no module, and both
+    verdicts are "not applicable".
 
     The selection of invariant generators on the graph's permutation
     module stops each degree once the invariants span the kernel there
@@ -505,12 +505,10 @@ def descend_invariants(graph):
     """
     invariance, base_change_hilbert = "descent-syzygy-invariance", "descent-base-change-hilbert"
     if graph.symmetry is None:
-        return DescentResult(None, [], [CheckReport.not_applicable(name, "no symmetry data")
-                                        for name in (invariance, base_change_hilbert)])
+        return DescentResult(None, [CheckReport.not_applicable(name, "no symmetry data")
+                                    for name in (invariance, base_change_hilbert)])
     kernel = gkm_cohomology(graph)
-    inv = graph.permutation_module.invariants(submodule_gens=kernel.generators,
-                                              hilbert=kernel.module.hilbert())
-    hg = inv.module
+    hg = graph.permutation_module.invariants(kernel.generators, kernel.module.hilbert()).module
     ord_g = syzygy_order(hg)
     ord_t = syzygy_order(kernel.module)
     checks = [CheckReport.of(
@@ -518,7 +516,7 @@ def descend_invariants(graph):
         {"order_invariant_ring": ord_g.order, "order_torus_ring": ord_t.order})]
     back = base_change(hg, graph.symmetry[0].embedding())
     checks.append(CheckReport.of(base_change_hilbert, back.hilbert() == kernel.module.hilbert()))
-    return DescentResult(hg, inv.generators, checks)
+    return DescentResult(hg, checks)
 
 
 def _satisfies_congruences(graph, polys):

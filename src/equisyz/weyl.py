@@ -17,7 +17,7 @@ an R_T element over R^W are one Vector over the invariant ring, its
 column col * |B| + j the coefficient of the j-th coinvariant monomial in
 coordinate col, summed in one integer accumulator (_expand) from the
 cached coordinates of monomials.  Invariants of a free module are
-selected on these coordinates at one position per orbit.
+selected on these coordinates at one position per orbit, spread on read.
 Built-in constructors cover the symmetric groups on up to four letters
 (acting on the sum-zero coordinates), the order-8 rank-2 group of signed
 permutations, sign flips in rank one, and direct products.
@@ -26,11 +26,12 @@ permutations, sign flips in rank one, and direct products.
 import math
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from operator import mul
 
 from .polyring import (
     GradedPolynomialRing, Vector, SubmoduleGB, GroebnerBasis,
-    syzygy_basis, HilbertSeries, span_hilbert_numerator, qpoly_add, qpoly_mul,
+    syzygy_basis, HilbertSeries, RingMap, span_hilbert_numerator, qpoly_add, qpoly_mul,
     qpoly_denominator, determinant, DatumError, ExponentLimitError, _fr, _integers,
     _scaled_dot, _torus_ring,
 )
@@ -219,20 +220,17 @@ class ReflectionGroup:
             return None
         return tuple(x // d for x in image)
 
-    def molien_matches(self, series, weights=None):
-        """Whether the Molien series, the average of c_w / det(1 - q^2 w)
-        over the elements w with c_w the weights (default 1), equals the
-        HilbertSeries series exactly: with weights 1 it is the Hilbert
-        series of the invariants, with the fixed-point counts of a
-        permutation action that of the invariant tuples.  The elements are
-        grouped by P = det(1 - q^2 w), n_P the sum of their weights, and
+    def molien_matches(self, series):
+        """Whether the Molien series, the average of 1 / det(1 - q^2 w)
+        over the elements w and so the Hilbert series of the invariants,
+        equals the HilbertSeries series exactly.  The elements are grouped
+        by P = det(1 - q^2 w), n_P the number of them, and
         sum_P n_P / P = |W| * num / prod(1 - q^d) is compared with both
         sides multiplied by prod(1 - q^d) and the product of the P."""
         classes = {}
-        for w, c in zip(self.elements, weights or [1] * self.order):
-            if c:
-                p = tuple(sorted(_char_det(w).items()))
-                classes[p] = classes.get(p, 0) + c
+        for w in self.elements:
+            p = tuple(sorted(_char_det(w).items()))
+            classes[p] = classes.get(p, 0) + 1
         dets = [dict(p) for p in classes]
         lhs = {}
         for i, n in enumerate(classes.values()):
@@ -325,7 +323,6 @@ class ReflectionGroup:
 
     def embedding(self):
         """Ring map from the invariant ring into R_T."""
-        from .polyring import RingMap
         return RingMap(self.invariant_ring, self.ring, self.invariants)
 
     def expand(self, poly):
@@ -466,8 +463,8 @@ class WEquivariantFreeModule:
     Each group generator permutes the index set, and every group element w
     acts on coefficients as it acts on R_T.  Consistency (the permutations
     extending to a homomorphism) is checked while replaying the group
-    closure, which also finds the orbits of the index set that
-    reynolds_tuple averages over.
+    closure, which also finds the orbits of the index set that _at_reps
+    averages over and _spread_reps fills.
     """
 
     def __init__(self, group, index_names, generator_permutations):
@@ -520,12 +517,6 @@ class WEquivariantFreeModule:
     def rank(self):
         return len(self.names)
 
-    def reynolds_tuple(self, vector):
-        """Average Rf of w.f over the group, where (w.f)_v = w.(f at the
-        preimage of v): the average at the representatives (_at_reps),
-        spread over each orbit (_spread_reps)."""
-        return self._spread_reps(self._at_reps(vector))
-
     def _at_reps(self, vector):
         """The values of the average Rf at the representatives, column r
         holding (Rf)_{v0} = (1/|W|) sum over w of w.f_{w^-1 v0} for
@@ -543,57 +534,48 @@ class WEquivariantFreeModule:
         one element u with u v0 = v (spread), one _images sum."""
         return self.group._images(at_reps, self._spread, self.rank)
 
-    def invariants(self, submodule_gens=None, hilbert=None):
-        """Invariant tuples as a module over the invariant ring.
-
-        Candidates are the Reynolds images R(g.b), g a homogeneous generator
-        (default: the unit vectors) and b a coinvariant monomial, visited
-        by (degree, pair index).  One is kept unless it lies in the R^W-span
-        S of those kept (the R_T-span of invariant tuples meets them in S,
-        by the Reynolds projector); so the kept ones generate minimally
-        (Nakayama).  All of it is decided on representative coordinates: a
-        candidate gets only its values at the representatives (_at_reps),
-        expanded over R^W in rank #reps * |B| (expand_vector), which is
-        injective and R^W-linear on invariant tuples.  So membership in S,
-        tested by a Groebner basis of the kept coordinates grown in visit
-        order, and the relations among the kept ones (syzygy_basis, in pair
-        order) are those of their coordinates.  Only the kept candidates are
-        spread to full tuples (_spread_reps), for the reported generators.
+    def invariants(self, submodule_gens, hilbert):
+        """Invariant tuples of a submodule as a module over the invariant ring.
 
         hilbert is the Hilbert series of a W-stable submodule M of R_T^rank
-        (coordinates in degree 0) that holds every g; without it M is
-        R_T^rank.  As M is W-stable, every candidate lies in M, and so does
-        S.  Once dim_Q (R_T S)_d = dim_Q M_d, every later candidate of
-        degree d lies in S, so it is skipped without a Reynolds image (the
-        Hilbert-series stop: Derksen and Kemper, Computational Invariant
-        Theory, ch. 3).  R_T is free over R^W on B (Chevalley), and
-        R_T (x) S -> R_T^rank is injective, so the series of R_T S is
-        P_W Hilb_{R^W}(S), P_W the Poincare polynomial of B.  With
+        (coordinates in degree 0) holding every g in submodule_gens (for all
+        of R_T^rank: the unit vectors, HilbertSeries({0: rank}, R_T's
+        degrees)).  Candidates are the Reynolds images R(g.b), g nonzero and
+        homogeneous and b a coinvariant monomial, visited by (degree, pair
+        index).  One is kept unless it lies in the R^W-span S of those kept
+        (the R_T-span of invariant tuples meets them in S, by the Reynolds
+        projector); so the kept ones generate minimally (Nakayama).  All of it
+        is decided on representative coordinates: a candidate gets only its
+        values at the representatives (_at_reps), expanded over R^W in rank
+        #reps * |B| (expand_vector), which is injective and R^W-linear on
+        invariant tuples.  So membership in S, tested by a Groebner basis of
+        the kept coordinates grown in visit order, and the relations among the
+        kept ones (syzygy_basis, in pair order) are those of their
+        coordinates.  The kept values are spread to full tuples only when
+        InvariantsResult.generators is read.  As M is W-stable, every
+        candidate lies in M, and so does S.  Once dim_Q (R_T S)_d = dim_Q M_d,
+        every later candidate of degree d lies in S, so it is skipped without
+        a Reynolds image (the Hilbert-series stop: Derksen and Kemper,
+        Computational Invariant Theory, ch. 3).  R_T is free over R^W on B
+        (Chevalley), and R_T (x) S -> R_T^rank is injective, so the series of
+        R_T S is P_W Hilb_{R^W}(S), P_W the Poincare polynomial of B.  With
         prod(1 - q^d_i) = P_W (1 - q^2)^r (Kostant; it holds once the
         invariant ideal is zero-dimensional, as coinvariant_basis checks),
         that is the numerator of Hilb_{R^W}(S), read off the leads of the
         coordinates' basis, over R_T's denominator.  Once it equals M's
-        series, R_T S = M holds every later candidate, in a full degree.
-        Given generators without hilbert need not span a W-stable module;
-        the stop against R_T^rank is sound for them too, and the visit may
-        run to the last candidate.  For the full free module the Hilbert
-        series is checked exactly against the Molien fixed-point count
-        (ReflectionGroup.molien_matches).
+        series, R_T S = M holds every later candidate, in a full degree.  With
+        R_T^rank's series the stop is sound for any generators, W-stable span
+        or not.
         """
         group = self.group
         ring, inv = group.ring, group.invariant_ring
         basis = group.coinvariant_basis()
-        if submodule_gens is None:
-            gens0 = [Vector.unit(ring, self.rank, i) for i in range(self.rank)]
-        else:
-            gens0 = [g for g in submodule_gens if not g.is_zero()]
+        gens0 = [g for g in submodule_gens if not g.is_zero()]
         pairs = [(g, b) for g in gens0 for b in basis]
         col_degrees = (0,) * self.rank
         gdegs = [g.homogeneous_degree(col_degrees) for g in gens0]
         degrees = [e + d for e in gdegs for d in group.invariant_module_layout(1)]
         top = max(degrees, default=0)
-        if hilbert is None:
-            hilbert = HilbertSeries({0: self.rank}, ring.degrees)
         target = hilbert.coefficients(top)
         nreps = len(self._reps)
         layout = group.invariant_module_layout(nreps)
@@ -620,18 +602,19 @@ class WEquivariantFreeModule:
         coords = [coords[k] for k in kept]
         rels = syzygy_basis(inv, nreps * len(basis), coords)
         module = FPModule.from_columns(inv, _degrees_of(coords, layout), rels)
-        result = InvariantsResult(module, [self._spread_reps(at[k]) for k in kept])
-        if submodule_gens is None:
-            result.molien_consistent = group.molien_matches(module.hilbert(), [
-                sum(1 for i, p in enumerate(perm) if i == p) for perm in self._action_of])
-        return result
+        return InvariantsResult(self, module, [at[k] for k in kept])
 
 
 class InvariantsResult:
-    def __init__(self, module, generators):
+    def __init__(self, owner, module, values):
         self.module = module
-        self.generators = generators  # vectors over R_T
-        self.molien_consistent = None
+        self._owner = owner
+        self._values = values  # the generators' values at the representatives
+
+    @cached_property
+    def generators(self):
+        """The generators as invariant tuples over R_T, spread on first read."""
+        return [self._owner._spread_reps(v) for v in self._values]
 
 
 def cyclic_sign_group():
@@ -675,7 +658,6 @@ def symmetric_group_on_sum_zero(n):
 
 
 def _elementary_symmetric(ring, polys, k):
-    from itertools import combinations
     acc = ring.zero()
     for combo in combinations(range(len(polys)), k):
         prod = ring.one()

@@ -577,6 +577,65 @@ def reference_integrate(graph, klass):
     return quot
 
 
+def _remainder(f, divisor):
+    """The normal form of the polynomial f modulo the principal ideal of
+    divisor (reference_divide), with the quotient: (quotient, remainder)."""
+    quots, rem = reference_divide(Vector.from_polys([f], 1), [Vector.from_polys([divisor], 1)])
+    return quots[0], rem.component(0)
+
+
+def reference_flow_up_kernel(graph):
+    """The GKM kernel's generators by greedy flow-up, one per vertex in
+    list order, with no Groebner basis.
+
+    The generator of a vertex v is zero before v and Lambda_v at v, the
+    product of the weights of v's edges to earlier vertices.  Each later u
+    solves f(u) = f(w) mod alpha_uw over its earlier neighbours w by
+    iterated CRT: with g solving the congruences so far modulo their
+    product M, and l the next weight, g + M h solves l's as well for
+    h = (f(w) - g) / M in R/(l), an exact division of normal forms modulo
+    l (which stand in for substituting l = 0).  Then f(u) is the normal
+    form of g modulo Lambda_u, the product of all those weights.  Every
+    division goes through reference_divide.  When every step is exact the
+    generators, scaled monic and in reversed order, are the library's
+    reduced kernel basis: it is triangular with leads Lambda_v e_v, and a
+    reduced basis is unique.  Raises ValueError at a step that is not
+    exact.
+    """
+    ring, vertices = graph.ring, graph.vertices
+    pos = {v: i for i, v in enumerate(vertices)}
+    earlier = [[] for _ in vertices]  # (position, weight form) of each earlier neighbour
+    for v, w, weight in graph.edges:
+        lo, hi = sorted((pos[v], pos[w]))
+        earlier[hi].append((lo, graph.weight_form(weight)))
+    lambdas = []
+    for nbrs in earlier:
+        nbrs.sort(key=lambda n: n[0])
+        lam = ring.one()
+        for _, form in nbrs:
+            lam = lam * form
+        lambdas.append(lam)
+    gens = []
+    for i in range(len(vertices)):
+        f = [ring.zero()] * len(vertices)
+        f[i] = lambdas[i]
+        for u in range(i + 1, len(vertices)):
+            if all(f[w].is_zero() for w, _ in earlier[u]):
+                continue
+            g, m = ring.zero(), ring.one()
+            for w, form in earlier[u]:
+                diff = _remainder(f[w] - g, form)[1]
+                if not diff.is_zero():
+                    h, rest = _remainder(diff, _remainder(m, form)[1])
+                    if not rest.is_zero():
+                        raise ValueError("flow-up step at vertex %s is not exact" % vertices[u])
+                    g = g + m * h
+                m = m * form
+            f[u] = _remainder(g, m)[1]
+        gens.append(Vector.from_polys(f, len(vertices)))
+    return gens
+
+
 def verify_or_raise(group):
     """group.verify(), raising ValueError when the datum is rejected."""
     checks = group.verify()
@@ -662,10 +721,17 @@ def reference_closure(gens):
     return elements, table
 
 
+def reynolds_tuple(module, vector):
+    """The Reynolds average of a tuple over a WEquivariantFreeModule's
+    group, as the library takes it: at the orbit representatives
+    (_at_reps), spread over each orbit (_spread_reps)."""
+    return module._spread_reps(module._at_reps(vector))
+
+
 def reference_reynolds_tuple(module, vector):
-    """WEquivariantFreeModule.reynolds_tuple in Fraction arithmetic: each
-    element's action on each component, by substitution (reference_act),
-    summed term by term in one dict and scaled by 1/|W|."""
+    """reynolds_tuple in Fraction arithmetic: each element's action on each
+    component, by substitution (reference_act), summed term by term in one
+    dict and scaled by 1/|W|."""
     acc = {}
     polys = vector.to_polys()
     group = module.group
@@ -676,7 +742,7 @@ def reference_reynolds_tuple(module, vector):
     return Vector(group.ring, module.rank, acc).scale(Fraction(1, group.order))
 
 
-def reference_invariants(module, submodule_gens=None):
+def reference_invariants(module, submodule_gens):
     """Generators and module of the invariants, from every candidate.
 
     The selection WEquivariantFreeModule.invariants made before it tested
@@ -688,13 +754,10 @@ def reference_invariants(module, submodule_gens=None):
     group = module.group
     ring = group.ring
     basis = group.coinvariant_basis()
-    if submodule_gens is None:
-        submodule_gens = [Vector.unit(ring, module.rank, i)
-                          for i in range(module.rank)]
     candidates = []
     for g in submodule_gens:
         for b in basis:
-            v = module.reynolds_tuple(g.poly_mul(ring.monomial(b)))
+            v = reynolds_tuple(module, g.poly_mul(ring.monomial(b)))
             if not v.is_zero():
                 candidates.append(v)
     coords = [group.expand_vector(v, module.rank) for v in candidates]

@@ -20,7 +20,7 @@ from equisyz.weyl import (
 from helpers import (
     _mat_mul, failures, random_homogeneous, random_vector, reference_act, reference_closure,
     reference_invariants, reference_molien_series, reference_reynolds_tuple,
-    relation_columns, restrict_scalars, reynolds, verify_or_raise,
+    relation_columns, restrict_scalars, reynolds, reynolds_tuple, verify_or_raise,
 )
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -129,10 +129,10 @@ def test_reynolds_tuple_matches_the_fraction_average():
             w = random_vector(ring, cols, rng.choice([2, 6]), rng, rational=rational)
             vectors += [v, v + w]
         for v in vectors:
-            got = mod.reynolds_tuple(v)
+            got = reynolds_tuple(mod, v)
             assert got.is_zero() or got._view is None
             assert got == reference_reynolds_tuple(mod, v)
-            again = mod.reynolds_tuple(got)
+            again = reynolds_tuple(mod, got)
             assert again == got == reference_reynolds_tuple(mod, got)
             images += not got.is_zero()
     assert images >= 3 * len(modules), images
@@ -242,8 +242,23 @@ def test_molien_matches_invariant_degrees():
     # that of its invariant tuples, a copy of R_T; 2 / (1 - q^4) agrees with
     # it in degree 0 only
     z2 = cyclic_sign_group()
-    assert z2.molien_matches(HilbertSeries({0: 1, 2: 1}, (4,)), [2, 0])
-    assert not z2.molien_matches(HilbertSeries({0: 2}, (4,)), [2, 0])
+    weighted = reference_molien_series(z2, 40, weights=[2, 0])
+    assert weighted == HilbertSeries({0: 1, 2: 1}, (4,)).coefficients(40)
+    assert weighted != HilbertSeries({0: 2}, (4,)).coefficients(40)
+
+
+def _free_invariants(mod):
+    """The invariants of the whole free module (the unit vectors, with the
+    series of R_T^rank), whose Hilbert series must be the Molien series
+    weighted by the fixed-point counts of the permutation action: compared
+    through degree 40."""
+    ring = mod.group.ring
+    inv = mod.invariants([Vector.unit(ring, mod.rank, i) for i in range(mod.rank)],
+                         HilbertSeries({0: mod.rank}, ring.degrees))
+    fixed = [sum(1 for i, p in enumerate(perm) if i == p) for perm in mod._action_of]
+    assert inv.module.hilbert().coefficients(40) == reference_molien_series(
+        mod.group, 40, weights=fixed)
+    return inv
 
 
 def test_reynolds_examples():
@@ -326,10 +341,9 @@ def test_expand_coefficients_are_homogeneous():
 def test_module_invariants_sphere_datum():
     z2 = cyclic_sign_group()
     mod = WEquivariantFreeModule(z2, ["N", "S"], [{"N": "S", "S": "N"}])
-    inv = mod.invariants()
+    inv = _free_invariants(mod)
     m = inv.module.minimized()
     assert m.num_rels == 0 and sorted(m.gens_degrees) == [0, 2]
-    assert inv.molien_consistent
     # generators are the expected invariant tuples (1,1) and (t,-t)
     ring = z2.ring
     t = ring.var(0)
@@ -343,16 +357,15 @@ def test_module_invariants_fixed_point():
     # one fixed point: the invariant tuples are R_T^W itself, free on 1
     z2 = cyclic_sign_group()
     mod = WEquivariantFreeModule(z2, ["pt"], [{"pt": "pt"}])
-    inv = mod.invariants()
+    inv = _free_invariants(mod)
     m = inv.module.minimized()
     assert m.num_rels == 0 and m.gens_degrees == (0,)
-    assert inv.molien_consistent
 
 
 def test_module_invariants_trivial_group():
     trivial = ReflectionGroup([], [], ring=GradedPolynomialRing([], []))
     mod = WEquivariantFreeModule(trivial, ["a", "b"], [])
-    inv = mod.invariants()
+    inv = _free_invariants(mod)
     m = inv.module.minimized()
     assert m.num_rels == 0 and len(m.gens_degrees) == 2
 
@@ -360,7 +373,7 @@ def test_module_invariants_trivial_group():
 def test_module_invariants_regular_representation():
     z2 = cyclic_sign_group()
     mod = WEquivariantFreeModule(z2, ["e", "s"], [{"e": "s", "s": "e"}])
-    inv = mod.invariants()
+    inv = _free_invariants(mod)
     m = inv.module.minimized()
     # isomorphic to R_T as a module over the invariants: free on degrees 0, 2
     assert m.num_rels == 0 and sorted(m.gens_degrees) == [0, 2]
@@ -389,7 +402,7 @@ def test_sphere_kernel_invariants_base_change_recovers_series():
     kernel = FPModule.from_columns(ring, (0, 2),
                                    syzygy_basis(ring, 2, kernel_gens))
     mod = WEquivariantFreeModule(z2, ["N", "S"], [{"N": "S", "S": "N"}])
-    inv = mod.invariants(submodule_gens=kernel_gens)
+    inv = mod.invariants(kernel_gens, kernel.hilbert())
     up = base_change(inv.module, z2.embedding())
     assert up.hilbert() == kernel.hilbert()
 
@@ -430,13 +443,12 @@ def test_regular_representation_s3():
         perms.append({names[index[w]]: names[index[_mat_mul(g, w)]]
                       for w in a2.elements})
     mod = WEquivariantFreeModule(a2, names, perms)
-    inv = mod.invariants()
+    inv = _free_invariants(mod)
     m = inv.module.minimized()
     # invariants of the regular representation: R_T as a module over the
     # invariant subring, free with the coinvariant degrees
     assert m.num_rels == 0
     assert sorted(m.gens_degrees) == [0, 2, 2, 4, 4, 6]
-    assert inv.molien_consistent
 
 
 def test_symmetric_group_small_ranks_verify():
@@ -526,10 +538,10 @@ def test_reynolds_tuple_on_several_orbits():
         ring, cols = mod.group.ring, (0,) * mod.rank
         for _ in range(3):
             v = random_vector(ring, cols, rng.choice([0, 2, 4]), rng, rational=True)
-            got = mod.reynolds_tuple(v)
+            got = reynolds_tuple(mod, v)
             assert not got.is_zero() and got._view is None
             assert got == reference_reynolds_tuple(mod, v)
-            assert mod.reynolds_tuple(got) == got
+            assert reynolds_tuple(mod, got) == got
 
 
 def test_group_images_of_kernel_generators_lie_in_the_kernel():
@@ -558,7 +570,12 @@ def test_group_images_of_kernel_generators_lie_in_the_kernel():
 
 
 def _assert_matches_reference(mod, gens=None, hilbert=None):
-    inv = mod.invariants(submodule_gens=gens, hilbert=hilbert)
+    # without gens the whole free module (its unit vectors), without hilbert
+    # the series of R_T^rank, which holds any generators
+    ring = mod.group.ring
+    if gens is None:
+        gens = [Vector.unit(ring, mod.rank, i) for i in range(mod.rank)]
+    inv = mod.invariants(gens, hilbert or HilbertSeries({0: mod.rank}, ring.degrees))
     ref_gens, ref_module = reference_invariants(mod, gens)
     assert inv.generators == ref_gens
     assert inv.module.gens_degrees == ref_module.gens_degrees
@@ -619,7 +636,7 @@ def test_greedy_selection_grows_one_basis(monkeypatch):
     # per candidate they visit; buchberger runs only inside the SubmoduleGB
     # builds that present the result, never for the selection.  A visited
     # candidate gets only its values at the representatives; only the kept
-    # ones are spread to full tuples
+    # ones are spread to full tuples, when the generators are read
     from equisyz import gradmod
     counts = dict.fromkeys(["add", "_at_reps", "_spread_reps", "SubmoduleGB", "buchberger",
                             "buchberger_in_selection"], 0)
@@ -657,8 +674,8 @@ def test_greedy_selection_grows_one_basis(monkeypatch):
     a2 = symmetric_group_on_sum_zero(3)
     mod = _orbit_module(a2, (1, 0), _linear)
     counts.update(dict.fromkeys(counts, 0))
-    inv = mod.invariants()
-    assert inv.molien_consistent
+    inv = _free_invariants(mod)
+    assert counts["_spread_reps"] == 0, counts
     assert counts["add"] == counts["_at_reps"] > len(inv.generators), counts
     assert counts["_spread_reps"] == len(inv.generators), counts
     assert counts["buchberger"] > 0 and counts["buchberger_in_selection"] == 0, counts
@@ -671,8 +688,8 @@ def test_descend_reynolds_and_expand_counts(tmp_path, monkeypatch):
     # series is met only the 4 kept candidates are visited (15 before the
     # stop), as on P^5 (S_6: 6, 175 before the stop).  A visited candidate
     # gets its values at the one orbit representative, expanded over R^W
-    # once; only the kept ones are spread to full tuples, and the kept
-    # coordinates are not expanded again.  The group is numbered once; every
+    # once; none is spread to a full tuple, as the report reads only the
+    # module, and the kept coordinates are not expanded again.  The group is numbered once; every
     # element acts as a signed permutation, without substitution, and the
     # averaging hashes no Fraction matrix and returns vectors born in their
     # integer form.  The expansion over R^W reads no Fraction view
@@ -744,7 +761,7 @@ def test_descend_reynolds_and_expand_counts(tmp_path, monkeypatch):
 
     def invariants(self, *args, **kwargs):
         result = orig_invariants(self, *args, **kwargs)
-        kept.append(len(result.generators))
+        kept.append(len(result.module.gens_degrees))
         return result
     monkeypatch.setattr(WEquivariantFreeModule, "invariants", invariants)
 
@@ -752,7 +769,7 @@ def test_descend_reynolds_and_expand_counts(tmp_path, monkeypatch):
     path.write_text(json.dumps(gen.projective_space(3, 0, symmetric=True)))
     code, report = run(["gkm", str(path), "--check", "descend"])
     assert code == 0 and report["status"] == "pass"
-    assert kept == [4] and counts["_at_reps"] == counts["_spread_reps"] == 4, counts
+    assert kept == [4] and counts["_at_reps"] == 4 and counts["_spread_reps"] == 0, counts
     assert counts["expand_vector"] == 4, counts
     assert counts["fractions_in_expand"] == 0, counts
     group = modules[0].group
@@ -761,7 +778,7 @@ def test_descend_reynolds_and_expand_counts(tmp_path, monkeypatch):
     assert counts["substitute"] == 0, counts
     assert counts["_closure"] >= 1, counts
     assert counts["fraction_hash_in_reynolds"] == 0, counts
-    assert len(born) == 8 and all(born), born
+    assert len(born) == 4 and all(born), born
     actions = modules[0]._action_of
     assert isinstance(actions, list) and len(actions) == group.order
     counts.update(_at_reps=0, _spread_reps=0)
@@ -769,7 +786,33 @@ def test_descend_reynolds_and_expand_counts(tmp_path, monkeypatch):
     code, report = run(["gkm", str(path), "--check", "descend"])
     assert code == 0 and report["status"] == "pass"
     assert modules[-1].group.order == 720
-    assert kept[-1] == counts["_at_reps"] == counts["_spread_reps"] == 6, counts
+    assert kept[-1] == counts["_at_reps"] == 6 and counts["_spread_reps"] == 0, counts
+
+
+def test_invariant_tuples_are_spread_on_first_read(tmp_path, monkeypatch):
+    # gkm --check descend reads only the invariants' module, so it spreads
+    # no kept candidate to a full tuple; reading InvariantsResult.generators
+    # spreads each kept one once, however often it is read, and gives the
+    # reference selection's tuples
+    spread = []
+    orig = WEquivariantFreeModule._spread_reps
+
+    def counted(self, at_reps):
+        spread.append(1)
+        return orig(self, at_reps)
+    monkeypatch.setattr(WEquivariantFreeModule, "_spread_reps", counted)
+    path = tmp_path / "p3.json"
+    path.write_text(json.dumps(gen.projective_space(3, 0, symmetric=True)))
+    code, report = run(["gkm", str(path), "--check", "descend"])
+    assert code == 0 and report["status"] == "pass"
+    assert spread == []
+    mod, gens, hilbert = _kernel_module(gen.projective_space(3, 0, symmetric=True))
+    inv = mod.invariants(gens, hilbert)
+    assert spread == []
+    first = inv.generators
+    assert len(spread) == len(first) == len(inv.module.gens_degrees) == 4
+    assert inv.generators is first and len(spread) == 4
+    assert first == reference_invariants(mod, gens)[0]
 
 
 def test_signed_permutation_closure_and_invariant_ideal_basis(monkeypatch):
