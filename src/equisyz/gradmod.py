@@ -104,9 +104,10 @@ class ModuleMap:
     and rows() builds one, where JSON or a caller's literal matrix enters
     or leaves.  Never mutated after construction, it caches gb(), the
     Groebner data of its columns, which the module it presents, its
-    syzygies and verify_exact share (on a dual map: the Ext test and the
-    kernel into the free target), and dual(), so that each transpose and
-    the integer forms of its columns are built once.
+    syzygies and verify_exact share (on a dual map: ext_module and the
+    kernel into the free target), image_numerator(), the Hilbert
+    numerator of its image that the Ext test reads, and dual(), so that
+    each transpose and the integer forms of its columns are built once.
     """
 
     def __init__(self, source, target, columns, check=True):
@@ -134,6 +135,7 @@ class ModuleMap:
                                          % (i, j, ent.homogeneous_degree(), d))
         self._gb = None
         self._dual = None
+        self._image_numerator = None
 
     @classmethod
     def from_matrix(cls, source, target, rows, check=True):
@@ -160,6 +162,18 @@ class ModuleMap:
         if self._gb is None:
             self._gb = SubmoduleGB(self.ring, self.target.rank, self.columns)
         return self._gb
+
+    def image_numerator(self):
+        """The numerator of the Hilbert series of the image in the target
+        (span_hilbert_numerator), computed once: read off the basis of gb()
+        when that is built, else off Groebner data of the columns built
+        without syzygies, which is not kept."""
+        if self._image_numerator is None:
+            gb = self._gb or SubmoduleGB(self.ring, self.target.rank, self.columns,
+                                         syzygies=False)
+            self._image_numerator = span_hilbert_numerator(
+                self.ring, self.target.degrees, [v.lead()[0] for v in gb.gb])
+        return self._image_numerator
 
     def is_zero(self):
         return all(c.is_zero() for c in self.columns)
@@ -225,13 +239,17 @@ def minimal_generating_indices(vectors, ambient_degrees):
     """Indices of a minimal generating subset of span(vectors).
 
     Greedy in increasing degree; correct for graded submodules by Nakayama.
+    One GroebnerBasis of the kept vectors, with the ambient degrees as its
+    column degrees, tests each vector of degree d after completing only
+    its pairs of degree at most d: truncated there, it decides membership
+    in degree d exactly, and no pair above the largest degree is reduced.
     """
     if not vectors:
         return []
     degs = _degrees_of(vectors, ambient_degrees)
     order = sorted((i for i, d in enumerate(degs) if d is not None),
                    key=lambda i: (degs[i], i))
-    basis = GroebnerBasis(vectors[0].ring)
+    basis = GroebnerBasis(vectors[0].ring, ambient_degrees)
     return sorted(i for i in order if basis.add(vectors[i]))
 
 
@@ -604,9 +622,11 @@ class CMResult:
 def cohen_macaulay(module):
     """Ext-concentration test cross-checked against depth = dim.
 
-    Whether Ext^i(M, R) vanishes is read from the Groebner bases cached on
-    the dual maps of the minimal resolution (_ext_vanishes); no Ext module
-    is presented.
+    Whether Ext^i(M, R) vanishes is read from the Hilbert numerators of
+    the images of the dual maps of the minimal resolution (_ext_vanishes):
+    im sigma_i lies in ker sigma_{i+1}, so Ext^i = 0 exactly when the two
+    have one Hilbert series.  No Ext module is presented and no syzygy is
+    computed.
     """
     r = module.ring.num_vars
     if module.is_zero():
@@ -633,22 +653,25 @@ def _map_between_free_fp(mmap):
 
 def _ext_vanishes(res, i):
     """Whether Ext^i vanishes for the module res resolves: ker sigma_{i+1}
-    lies in im sigma_i on the dual complex, sigma_k = res.maps[k-1].dual().
+    equals im sigma_i on the dual complex, sigma_k = res.maps[k-1].dual()
+    from F_{k-1}* to F_k*.
 
-    The kernel is the syzygies of maps[i].dual()'s columns, all of F_i*
-    at i = length; the image is spanned by maps[i-1].dual()'s columns, and
-    is 0 at i = 0.  Both bases are the ones cached on the dual maps.
+    sigma_{i+1} sigma_i = 0, so im sigma_i lies in ker sigma_{i+1}; both
+    are graded with finite-dimensional pieces, so they are equal exactly
+    when their Hilbert series are, as in _spans_freely.  The kernel's
+    series is that of F_i* less that of im sigma_{i+1} (no map out of F_p*,
+    p the length); im sigma_0 is 0.  Each image's numerator is read once
+    per dual map (ModuleMap.image_numerator), so no syzygy is computed.
     """
     if i > res.length:
         return True
+    # the numerator of ker sigma_{i+1} / im sigma_i
+    quotient = Counter(res.modules[i].dual().degrees)
     if i < res.length:
-        kernel = res.maps[i].dual().gb().syzygies()
-    else:
-        kernel = res.modules[i].unit_vectors()
-    if i == 0:
-        return not kernel
-    image = res.maps[i - 1].dual().gb()
-    return all(image.contains(v) for v in kernel)
+        quotient.subtract(res.maps[i].dual().image_numerator())
+    if i:
+        quotient.subtract(res.maps[i - 1].dual().image_numerator())
+    return not any(quotient.values())
 
 
 def ext_module(module, i):
@@ -755,9 +778,10 @@ def syzygy_order(module):
     M the dualized minimal resolution of M* is spliced with M = M** and the
     consecutive exact positions are verified: at M and G0* by direct
     homology computation, at G_k* for k >= 1, where the homology is
-    Ext^k(M*, R), from the Groebner bases cached on the resolution's dual
-    maps (_ext_vanishes).  Free (and zero) modules return num_vars by
-    convention.  Computed once per minimal presentation.
+    Ext^k(M*, R), from the Hilbert numerators of the images of the
+    resolution's dual maps (_ext_vanishes: the image lies in the kernel,
+    so they are equal when their series are).  Free (and zero) modules
+    return num_vars by convention.  Computed once per minimal presentation.
     """
     m0 = module.minimized()
     if m0._syzygy_order is None:

@@ -6,11 +6,12 @@ modules, earlier columns greater), Buchberger's algorithm for submodules of
 graded free modules, normal forms, syzygies modulo relations via block
 elimination, and Hilbert series from staircase counts.  One Buchberger
 state, GroebnerBasis, serves buchberger and greedy minimal generation (add,
-contains); each of its pending S-pairs carries its lcm.  Cofactors come
-only from aux columns, one per generator whose cofactor is read: divide and
-SubmoduleGB reduce by block vectors g_i + e_i (a SubmoduleGB's relations
-have none) and read them off the remainder (_certificate).  Nothing here
-ever touches a float.
+contains); each of its pending S-pairs carries its lcm, and a greedy
+selection completes only the pairs of degree at most that of the vector it
+tests.  Cofactors come only from aux columns, one per generator whose
+cofactor is read: divide and SubmoduleGB reduce by block vectors g_i + e_i
+(a SubmoduleGB's relations have none) and read them off the remainder
+(_certificate).  Nothing here ever touches a float.
 
 Public terms are (col, exps) tuples and every public coefficient is an
 exact Fraction.  Inside the core (_reduce, s_vector, GroebnerBasis) each
@@ -87,13 +88,16 @@ def _fr(x):
 
 
 def _integers(values, what):
-    """JSON integer fields as a tuple of ints; each entry is a number or a
-    string ("2") with an integer value, anything else (a bool too) a
-    DatumError."""
-    try:
-        qs = [Fraction(x) for x in values if not isinstance(x, bool)]
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        qs = None
+    """JSON integer fields as a tuple of ints: values is a list (or tuple)
+    and each entry a number or a string ("2") with an integer value;
+    anything else (a bool, or a string or object in place of the list) is
+    a DatumError."""
+    qs = None
+    if isinstance(values, (list, tuple)):
+        try:
+            qs = [Fraction(x) for x in values if not isinstance(x, bool)]
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            pass
     if qs is None or len(qs) < len(values) or any(q.denominator != 1 for q in qs):
         raise DatumError("%s must be integers, got %r" % (what, values))
     return tuple(int(q) for q in qs)
@@ -1009,6 +1013,19 @@ class GroebnerBasis:
     reduced against the forms before it, which reduced reads to skip its
     tail.
 
+    complete(d) reduces only the pairs of degree at most d: a pair's
+    degree is the weighted degree of its lcm plus the degree its column
+    has in col_degrees (not its sugar, which has no column shift).  For
+    homogeneous input the S-vector of a pair of degree e and its remainder
+    are homogeneous of degree e, and a form of degree e makes pairs of
+    degree above e only (its lead is divisible by no earlier lead).  So
+    once the pairs of degree at most d are reduced, the forms are a basis
+    truncated at d: a vector of degree at most d lies in the span exactly
+    when it reduces to zero.  add and contains complete to the degree of
+    the vector they test (its lead's), so the greedy selections complete
+    no pair above their last input.  With col_degrees None (buchberger)
+    there is no bound, and add and contains first complete every pair.
+
     With ambient = a, only the columns below a count: a form led in a
     column at or past a (a syzygy of block vectors, say) is dropped, not
     inserted, and the product criterion reads only the terms below a.  The
@@ -1016,10 +1033,11 @@ class GroebnerBasis:
     the span, and no syzygy is made: a pair whose parts below a lie in one
     column with coprime leads reduces to a form with no term there."""
 
-    def __init__(self, ring, ambient=None):
+    def __init__(self, ring, col_degrees, ambient=None):
         self.ring = ring
         self._forms, self._leads, self._single, self._sugar, self._pairs = [], [], [], [], {}
         self._index, self._raw = {}, 0
+        self._col_degrees = col_degrees
         self._bound = None if ambient is None else (1 - ambient) << ring._cshift
 
     def _insert(self, form, sugar):
@@ -1063,32 +1081,50 @@ class GroebnerBasis:
             s = max(sugars[i] - degree(leads[i][1]), sugar - degree(tnew)) + degree(m)
             self._pairs[i, new] = (s, ring._pack(col, m), m)
 
-    def _complete(self):
-        """Reduce the pending pairs, inserting every nonzero remainder."""
+    def complete(self, degree):
+        """Reduce the pending pairs of degree at most degree (every pair for
+        None), inserting every nonzero remainder."""
         ring, forms = self.ring, self._forms
-        while self._pairs:
-            sugar, key, i, j = min((sugar, key, i, j)
-                                   for (i, j), (sugar, key, _) in self._pairs.items())
+        top, wmask, cshift, cdeg = ring._top, ring._wmask, ring._cshift, self._col_degrees
+        while True:
+            pair = min(((sugar, key, i, j) for (i, j), (sugar, key, _) in self._pairs.items()
+                        if degree is None
+                        or (key >> top & wmask) + cdeg[-(key >> cshift)] <= degree),
+                       default=None)
+            if pair is None:
+                return
+            sugar, key, i, j = pair
             del self._pairs[i, j]
             _, r = _reduce(ring, _s_terms(ring, forms[i], forms[j], key), self._index)
             if r:
                 self._insert(_content_free(r)[1], sugar)
 
+    def _remainder(self, v):
+        """The packed remainder of v, once the pairs of v's degree or less
+        are complete."""
+        ring, (lead, terms) = self.ring, v._form[1]
+        if lead is not None:
+            self.complete(None if self._col_degrees is None else
+                          (lead >> ring._top & ring._wmask)
+                          + self._col_degrees[-(lead >> ring._cshift)])
+        return _reduce(ring, terms, self._index)[1]
+
     def add(self, v):
-        """Insert the content-free remainder of v and complete the new
-        pairs; False, changing nothing, when v reduces to zero."""
-        _, r = _reduce(self.ring, v._form[1][1], self._index)
+        """Insert the content-free remainder of the homogeneous vector v,
+        leaving its pairs pending; False, changing no form, when v reduces
+        to zero."""
+        r = self._remainder(v)
         if r:
             self._insert(_content_free(r)[1], _sugar(self.ring, r))
-            self._complete()
         return bool(r)
 
     def contains(self, v):
-        """Whether v reduces to zero, i.e. lies in the submodule."""
-        return not _reduce(self.ring, v._form[1][1], self._index)[1]
+        """Whether the homogeneous vector v lies in the span of the inputs."""
+        return not self._remainder(v)
 
     def reduced(self, rank):
-        """The reduced basis, monic Vectors of R^rank sorted by lead.
+        """The reduced basis, monic Vectors of R^rank sorted by lead, of a
+        basis with no pending pair (complete(None) has run).
 
         The forms are taken in increasing lead order, the first of equal
         leads first.  A form whose lead some kept lead divides is dropped
@@ -1153,12 +1189,12 @@ def buchberger(vectors, ambient=None):
     if not vectors:
         return []
     ring = vectors[0].ring
-    basis = GroebnerBasis(ring, ambient)
+    basis = GroebnerBasis(ring, None, ambient)
     for v in vectors:
         form = v._form[1]
         basis._insert(form, _sugar(ring, form[1]))
     basis._raw = len(basis._forms)
-    basis._complete()
+    basis.complete(None)
     return basis.reduced(vectors[0].rank)
 
 
@@ -1205,7 +1241,9 @@ class SubmoduleGB:
         if not syzygies:
             self._syz = None
 
-    contains = GroebnerBasis.contains
+    def contains(self, v):
+        """Whether v lies in span(gens and relations)."""
+        return not _reduce(self.ring, v._form[1][1], self._index)[1]
 
     def reduce_with_certificate(self, v):
         """(normal form of v, coefficients q) with v = sum(q_i gens[i]) + nf

@@ -562,7 +562,10 @@ class WEquivariantFreeModule:
         prod(1 - q^d_i) = P_W (1 - q^2)^r (Kostant; it holds once the
         invariant ideal is zero-dimensional, as coinvariant_basis checks),
         that is the numerator of Hilb_{R^W}(S), read off the leads of the
-        coordinates' basis, over R_T's denominator.  Once it equals M's
+        coordinates' basis, over R_T's denominator; the basis is completed
+        through the degree visited (GroebnerBasis.complete), so its leads
+        count that degree exactly, and the stop is re-read whenever a
+        completion or a kept candidate adds a lead.  Once it equals M's
         series, R_T S = M holds every later candidate, in a full degree.  With
         R_T^rank's series the stop is sound for any generators, W-stable span
         or not.
@@ -579,7 +582,7 @@ class WEquivariantFreeModule:
         target = hilbert.coefficients(top)
         nreps = len(self._reps)
         layout = group.invariant_module_layout(nreps)
-        at, coords, span, memo = {}, {}, GroebnerBasis(inv), {}
+        at, coords, span, memo = {}, {}, GroebnerBasis(inv, layout), {}
 
         def full_degrees():
             # where R_T S is all of M: its series has the numerator of Hilb_{R^W}(S)
@@ -587,8 +590,12 @@ class WEquivariantFreeModule:
                                  ring.degrees).coefficients(top)
             return {d for d in set(degrees) if have.get(d, 0) == target.get(d, 0)}
 
-        full = full_degrees()
+        seen = None
         for k in sorted(range(len(pairs)), key=lambda k: (degrees[k], k)):
+            # the span's basis, complete through this degree, counts it exactly
+            span.complete(degrees[k])
+            if len(span._leads) != seen:
+                full, seen = full_degrees(), len(span._leads)
             if degrees[k] in full:
                 continue
             g, b = pairs[k]
@@ -597,7 +604,6 @@ class WEquivariantFreeModule:
             if not span.add(c):
                 continue
             at[k], coords[k] = v, c
-            full = full_degrees()
         kept = sorted(at)
         coords = [coords[k] for k in kept]
         rels = syzygy_basis(inv, nreps * len(basis), coords)

@@ -918,6 +918,31 @@ def test_exit_two_on_fractional_integer_fields(tmp_path):
         assert message in report["error"], report["error"]
 
 
+def test_exit_two_on_strings_in_place_of_integer_lists(tmp_path):
+    # a string used to be read digit by digit: each of these exited 0
+    with open(data_path("s2xs2.json")) as fh:
+        s2xs2 = json.load(fh)
+    weight = json.loads(json.dumps(s2xs2))
+    weight["edges"][0]["weight"] = "10"
+    euler = json.loads(json.dumps(s2xs2))
+    euler["euler"]["NN"][0] = "10"
+    module = _module_input("x")
+    cases = [
+        ("module-analyze", dict(module, ring={"vars": ["x", "y"], "degrees": "22"}),
+         "degrees must be integers, got '22'"),
+        ("module-analyze", dict(module, row_degrees="0"),
+         "row_degrees must be integers, got '0'"),
+        ("module-analyze", dict(module, col_degrees="22", matrix=[["x", "y"]]),
+         "col_degrees must be integers, got '22'"),
+        ("gkm", weight, "weight entries must be integers, got '10'"),
+        ("gkm", euler, "weight entries must be integers, got '10'"),
+    ]
+    for command, obj, message in cases:
+        code, report = run([command, write_json(tmp_path, "digits.json", obj)])
+        assert code == EXIT_INPUT, (command, obj, report)
+        assert message in report["error"], report["error"]
+
+
 def test_exit_two_on_a_huge_rank(tmp_path):
     # rank 10**30 used to end in exit 3 (an OverflowError from the degree
     # tuple) or a MemoryError from the name list; each format now checks

@@ -1,3 +1,5 @@
+import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -19,6 +21,10 @@ from helpers import (
     reference_minimized, reference_syzygy_order, relation_columns, residue_field_module,
     restrict_scalars, times_qpoly, triangle_graph,
 )
+
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "bench"))
+import gen  # noqa: E402  (the benchmark's module generators)
 
 
 @pytest.fixture
@@ -527,31 +533,95 @@ def test_verify_exact_and_minimal_module_reuse_cached_bases(monkeypatch):
     assert {"SubmoduleGB", "buchberger", "GroebnerBasis"} <= set(calls)
 
 
+def _with_s_vectors(vectors):
+    """The vectors and the S-vectors of their pairs led in one column: each
+    lies in the span, of the degree of its pair, and a basis that has not
+    completed that pair may not reduce it to zero."""
+    from equisyz.polyring import s_vector
+    out = [v for v in vectors if not v.is_zero()]
+    return out + [s_vector(a, b) for i, a in enumerate(out) for b in out[i + 1:]
+                  if a.lead()[0][0] == b.lead()[0][0]]
+
+
 def test_minimal_generating_indices_match_reference_rerun():
-    # one GroebnerBasis grown vector by vector keeps the same indices as
+    # one GroebnerBasis grown vector by vector, completing its pairs only
+    # up to the degree of the vector it tests, keeps the same indices as
     # recomputing the reduced basis after every kept vector: on the
     # relation columns of seeded random modules (and a redundant copy of
-    # them) and on the syzygies of every map of their minimal resolutions
+    # them) and on the syzygies of every map of their minimal resolutions,
+    # over Q[x, y, z] and over variable degrees (2, 4, 6); and on random
+    # vectors of free modules with mixed and negative column degrees, where
+    # a pair's degree exceeds its sugar, with their S-vectors
     from equisyz.gradmod import minimal_generating_indices
     from equisyz.polyring import syzygy_basis
     R3 = GradedPolynomialRing(["x", "y", "z"])
-    x = R3.var(0)
+    R246 = GradedPolynomialRing(["x", "y", "z"], (2, 4, 6))
     cases = []
-    for seed in range(30):
-        m = random_module(R3, random.Random(seed))
-        cols = relation_columns(m)
-        cases.append((cols, m.gens_degrees))
-        if cols:
-            cases.append((cols[::-1] + [cols[0].poly_mul(x), cols[-1]], m.gens_degrees))
-        for phi in minimal_resolution(m).maps:
-            syz = syzygy_basis(R3, phi.target.rank, phi.columns)
-            cases.append((syz, phi.source.degrees))
+    for ring, seeds in ((R3, range(30)), (R246, range(15))):
+        x = ring.var(0)
+        for seed in seeds:
+            m = random_module(ring, random.Random(seed))
+            cols = relation_columns(m)
+            cases.append((cols, m.gens_degrees))
+            if cols:
+                cases.append((cols[::-1] + [cols[0].poly_mul(x), cols[-1]], m.gens_degrees))
+                cases.append((_with_s_vectors(cols), m.gens_degrees))
+            for phi in minimal_resolution(m).maps:
+                syz = syzygy_basis(ring, phi.target.rank, phi.columns)
+                cases.append((syz, phi.source.degrees))
+    rng = random.Random(36)
+    mixed = 0
+    for ring in (R3, R246):
+        for col_degrees in ((-4, 0, 2), (-2, -2, 0), (2, -6, 0, -2)):
+            for _ in range(4):
+                vectors = [random_vector(ring, col_degrees, rng.choice([0, 2, 4]), rng,
+                                         first_col=rng.randrange(len(col_degrees)))
+                           for _ in range(rng.randint(2, 5))]
+                cases.append((_with_s_vectors(vectors), col_degrees))
+                mixed += 1
     dropped = 0
     for vectors, degrees in cases:
         kept = minimal_generating_indices(vectors, degrees)
         assert kept == reference_minimal_generating_indices(vectors, degrees)
         dropped += len(kept) < sum(not v.is_zero() for v in vectors)
-    assert len(cases) >= 80 and dropped >= 20
+    assert len(cases) >= 120 and mixed == 24 and dropped >= 40, (len(cases), dropped)
+
+
+def test_minimal_generation_reduces_no_pair_above_its_inputs(tmp_path, monkeypatch):
+    # module-analyze on the benchmark's residue field in 5 variables and its
+    # three quadric ideals (bench/gen.py, seed "0"): every S-pair that a
+    # minimal generation reduces has a degree (its lcm's weighted degree
+    # plus its column's degree) at most the largest degree of the vectors
+    # it selects from.  Completing every pair after each kept vector
+    # reduced 88 pairs over the four inputs, 87 of them above that degree
+    from equisyz import cli, gradmod, polyring
+    active, excess = [], []
+    real_select, real_s_terms = gradmod.minimal_generating_indices, polyring._s_terms
+
+    def select(vectors, ambient_degrees):
+        degs = [d for d in gradmod._degrees_of(vectors, ambient_degrees) if d is not None]
+        active.append((ambient_degrees, max(degs, default=None)))
+        try:
+            return real_select(vectors, ambient_degrees)
+        finally:
+            active.pop()
+
+    def s_terms(ring, f, g, m):
+        if active:
+            degrees, top = active[-1]
+            excess.append((m >> ring._top & ring._wmask) + degrees[-(m >> ring._cshift)] - top)
+        return real_s_terms(ring, f, g, m)
+
+    monkeypatch.setattr(gradmod, "minimal_generating_indices", select)
+    monkeypatch.setattr(polyring, "_s_terms", s_terms)
+    inputs = {"k5": gen.residue_field(5, "0/k5")}
+    inputs.update(("q%d" % d, gen.quadric_ideal(d, "0/q%d" % d)) for d in range(3))
+    for label, obj in inputs.items():
+        path = tmp_path / (label + ".json")
+        path.write_text(json.dumps(obj))
+        code, report = cli.run(["module-analyze", str(path)])
+        assert code == 0, (label, report)
+    assert excess and max(excess) <= 0, sorted(excess)[-5:]
 
 
 def test_cached_gb_is_the_reduced_basis_of_columns_and_syzygies():
@@ -773,11 +843,13 @@ def test_ext_vanishing_matches_the_presented_ext_modules():
 
 def test_cohen_macaulay_reads_ext_from_the_cached_dual_bases(monkeypatch):
     # with the resolution and the Hilbert series at hand, the Ext test
-    # presents no homology and builds at most one SubmoduleGB per map, that
-    # of the map's dual (every kernel gradmod finds is a SubmoduleGB)
+    # presents no homology and computes no syzygy: it builds at most one
+    # SubmoduleGB per map, that of the image of the map's dual, without
+    # syzygies, and reads its Hilbert numerator
     from equisyz import gradmod
     from equisyz.polyring import SubmoduleGB
-    calls = {"homology": 0, "SubmoduleGB": 0}
+    calls = {"homology": 0, "SubmoduleGB": 0, "with_syzygies": 0}
+    real_init = SubmoduleGB.__init__
 
     def counted(name, real):
         def wrapper(*args, **kwargs):
@@ -785,9 +857,13 @@ def test_cohen_macaulay_reads_ext_from_the_cached_dual_bases(monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
+    def init(self, ring, rank, gens, relations=(), syzygies=True):
+        calls["SubmoduleGB"] += 1
+        calls["with_syzygies"] += syzygies
+        real_init(self, ring, rank, gens, relations, syzygies)
+
     monkeypatch.setattr(gradmod, "homology", counted("homology", gradmod.homology))
-    monkeypatch.setattr(SubmoduleGB, "__init__",
-                        counted("SubmoduleGB", SubmoduleGB.__init__))
+    monkeypatch.setattr(SubmoduleGB, "__init__", init)
     built = 0
     for m in _ext_oracle_modules():
         res = minimal_resolution(m)
@@ -795,7 +871,7 @@ def test_cohen_macaulay_reads_ext_from_the_cached_dual_bases(monkeypatch):
         for name in calls:
             calls[name] = 0
         cm = cohen_macaulay(m)
-        assert calls["homology"] == 0
+        assert calls["homology"] == 0 and calls["with_syzygies"] == 0, calls
         assert calls["SubmoduleGB"] <= res.length
         built += calls["SubmoduleGB"]
         assert cm.tests_agree

@@ -632,14 +632,15 @@ def test_invariants_match_reference_selection():
 
 
 def test_greedy_selection_grows_one_basis(monkeypatch):
-    # minimal_generating_indices and invariants make one GroebnerBasis.add
-    # per candidate they visit; buchberger runs only inside the SubmoduleGB
-    # builds that present the result, never for the selection.  A visited
-    # candidate gets only its values at the representatives; only the kept
-    # ones are spread to full tuples, when the generators are read
+    # minimal_generating_indices and invariants each grow one GroebnerBasis
+    # (completed degree by degree, never rebuilt) by one add per candidate
+    # they visit; buchberger runs only inside the SubmoduleGB builds that
+    # present the result, never for the selection.  A visited candidate
+    # gets only its values at the representatives; only the kept ones are
+    # spread to full tuples, when the generators are read
     from equisyz import gradmod
     counts = dict.fromkeys(["add", "_at_reps", "_spread_reps", "SubmoduleGB", "buchberger",
-                            "buchberger_in_selection"], 0)
+                            "buchberger_in_selection", "GroebnerBasis", "grown"], 0)
     active = []
 
     def counting(owner, name, key):
@@ -649,6 +650,8 @@ def test_greedy_selection_grows_one_basis(monkeypatch):
             counts[key] += 1
             if key == "buchberger" and "SubmoduleGB" not in active:
                 counts["buchberger_in_selection"] += 1
+            if key == "GroebnerBasis" and "buchberger" not in active:
+                counts["grown"] += 1
             active.append(key)
             try:
                 return orig(*args, **kwargs)
@@ -657,6 +660,7 @@ def test_greedy_selection_grows_one_basis(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
 
     counting(polyring.GroebnerBasis, "add", "add")
+    counting(polyring.GroebnerBasis, "__init__", "GroebnerBasis")
     counting(WEquivariantFreeModule, "_at_reps", "_at_reps")
     counting(WEquivariantFreeModule, "_spread_reps", "_spread_reps")
     counting(polyring.SubmoduleGB, "__init__", "SubmoduleGB")
@@ -670,6 +674,7 @@ def test_greedy_selection_grows_one_basis(monkeypatch):
     kept = gradmod.minimal_generating_indices(vectors, (0, 2))
     assert 0 < len(kept) <= visited - 2
     assert counts["add"] == visited and counts["buchberger"] == 0, counts
+    assert counts["GroebnerBasis"] == counts["grown"] == 1, counts
 
     a2 = symmetric_group_on_sum_zero(3)
     mod = _orbit_module(a2, (1, 0), _linear)
@@ -679,6 +684,7 @@ def test_greedy_selection_grows_one_basis(monkeypatch):
     assert counts["add"] == counts["_at_reps"] > len(inv.generators), counts
     assert counts["_spread_reps"] == len(inv.generators), counts
     assert counts["buchberger"] > 0 and counts["buchberger_in_selection"] == 0, counts
+    assert counts["grown"] == 1, counts
 
 
 def test_descend_reynolds_and_expand_counts(tmp_path, monkeypatch):
